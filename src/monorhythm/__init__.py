@@ -5,135 +5,9 @@ Rogers-McCulloch kinetics on an interval, via a cosine Galerkin truncation.
 Two independent solution paths are provided (Picard iteration on a periodic
 integral operator, and Newton shooting on the period map) together with the
 parameter-feasibility conditions that guarantee such rhythms exist.
+
+The package root exports only ``__version__``; import everything else from
+the submodules (``monorhythm.periodic``, ``monorhythm.cli`` and so on).
 """
 
-from .config import ConfigError, RunConfig, load_config, parse_config, render_config
-from .feasibility import (
-    AggregateConstants,
-    EmbeddingConstants,
-    FeasibilityReport,
-    RegionConstants,
-    a2_bound,
-    aggregate_from_raw,
-    build_report,
-    feasible_window_condition,
-    feasible_window_condition_reduced,
-    h_of_T,
-    invariance_inequality,
-    p_of_R,
-    r_bounds,
-    r_star,
-    recovery_coupling_condition,
-    t_star,
-)
-from .galerkin import (
-    BlowUpError,
-    GalerkinState,
-    GalerkinSystem,
-    MonitorReport,
-    Trajectory,
-    apriori_monitor,
-    assemble_system,
-    integrate_cauchy,
-    l2_qi_difference,
-    period_map,
-)
-from .ionic import (
-    DerivedParameters,
-    PhysiologicalParameters,
-    RescalingParameters,
-    derive_parameters,
-    period_raw,
-    rescale_period,
-    with_c4,
-)
-from .periodic import (
-    BallCertificate,
-    NonConvergenceError,
-    PeriodicGrid,
-    PeriodicOrbit,
-    certify_ball,
-    ct_norm,
-    farkas_apply,
-    green_kernel_u,
-    green_kernel_w,
-    kernel_weights,
-    orbit_gap,
-    picard_solve,
-    shooting_solve,
-)
-from .spectral import (
-    Geometry1D,
-    SpectralBasis,
-    build_basis,
-    constant_stimulus,
-    project_nonlinearity,
-    pulse_stimulus,
-    sinusoid_stimulus,
-    trace_functional,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AggregateConstants",
-    "BallCertificate",
-    "BlowUpError",
-    "ConfigError",
-    "DerivedParameters",
-    "EmbeddingConstants",
-    "FeasibilityReport",
-    "GalerkinState",
-    "GalerkinSystem",
-    "Geometry1D",
-    "MonitorReport",
-    "NonConvergenceError",
-    "PeriodicGrid",
-    "PeriodicOrbit",
-    "PhysiologicalParameters",
-    "RegionConstants",
-    "RescalingParameters",
-    "RunConfig",
-    "SpectralBasis",
-    "Trajectory",
-    "a2_bound",
-    "aggregate_from_raw",
-    "apriori_monitor",
-    "assemble_system",
-    "build_basis",
-    "build_report",
-    "certify_ball",
-    "constant_stimulus",
-    "ct_norm",
-    "derive_parameters",
-    "farkas_apply",
-    "feasible_window_condition",
-    "feasible_window_condition_reduced",
-    "green_kernel_u",
-    "green_kernel_w",
-    "h_of_T",
-    "integrate_cauchy",
-    "invariance_inequality",
-    "kernel_weights",
-    "l2_qi_difference",
-    "load_config",
-    "orbit_gap",
-    "p_of_R",
-    "parse_config",
-    "period_map",
-    "period_raw",
-    "picard_solve",
-    "project_nonlinearity",
-    "pulse_stimulus",
-    "r_bounds",
-    "r_star",
-    "recovery_coupling_condition",
-    "render_config",
-    "rescale_period",
-    "shooting_solve",
-    "sinusoid_stimulus",
-    "t_star",
-    "trace_functional",
-    "with_c4",
-    "__version__",
-]

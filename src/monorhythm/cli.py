@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -32,10 +31,11 @@ from .feasibility import (
     AggregateConstants,
     EmbeddingConstants,
     RegionConstants,
+    _projection_kappa,
     a2_bound,
     aggregate_from_raw,
     build_report,
-    feasible_window_condition_reduced,
+    interior_consistent,
     r_star,
 )
 from .galerkin import (
@@ -459,8 +459,7 @@ def cmd_param_region(cfg: RunConfig, seed=None):
     _, resc, d = _build_model(cfg)
     kappa = cfg.get("feasibility.kappa", None)
     if kappa is None:
-        excess = cfg.require("feasibility.projection_excess")
-        kappa = math.sqrt(2.0) / (2.0 * (1.0 + excess))
+        kappa = _projection_kappa(cfg.require("feasibility.projection_excess"))
     const = RegionConstants(
         kappa=kappa,
         epsilon=resc.epsilon,
@@ -507,10 +506,11 @@ def cmd_param_region(cfg: RunConfig, seed=None):
             )
         a2 = np.linspace(0.0, a2_max, n_a2)
         admissible = a2[None, :] < bound[:, None]
-        rows = []
-        for i in range(n_a1):
-            for j in range(n_a2):
-                rows.append([a1[i], a2[j], int(admissible[i, j])])
+        rows = zip(
+            np.repeat(a1, n_a2).tolist(),
+            np.tile(a2, n_a1).tolist(),
+            admissible.ravel().astype(int).tolist(),
+        )
         files.append(
             (
                 "region_raster.csv",
@@ -524,22 +524,6 @@ def cmd_param_region(cfg: RunConfig, seed=None):
             "n_total": int(admissible.size),
         }
 
-    # spot-check the boundary against the reduced window condition it inverts
-    checks = []
-    for i in range(0, n_a1, max(1, n_a1 // 8)):
-        if a1[i] <= 0.0 or bound[i] <= 0.0:
-            continue
-        a2_probe = 0.9 * bound[i]
-        agg = AggregateConstants(
-            kappa=const.kappa,
-            beta=0.0,
-            gamma=const.xi * a2_probe * const.k1 / 3.0,
-            delta=const.epsilon * const.k1 * const.a_const / const.C * a1[i]
-            + const.b_const,
-        )
-        h0 = const.C / (const.epsilon * a1[i] * const.u_tr * const.u_pr)
-        checks.append(feasible_window_condition_reduced(agg, h0).satisfied)
-
     payload = {
         "a1_min": a1_min,
         "a1_max": a1_max,
@@ -549,7 +533,7 @@ def cmd_param_region(cfg: RunConfig, seed=None):
     }
     flags = {
         "boundary_monotone": bool(np.all(np.diff(bound) >= 0.0)),
-        "interior_consistent": all(checks) if checks else True,
+        "interior_consistent": interior_consistent(a1, bound, const),
     }
     return payload, flags, files
 

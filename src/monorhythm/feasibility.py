@@ -18,19 +18,23 @@ is what the parameter-region sweep rasterizes.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .ionic import DerivedParameters, RescalingParameters
+from .ionic import DerivedParameters
 
 SQRT2 = math.sqrt(2.0)
 
 _BISECT_REL_TOL = 1e-12
 _BISECT_MAX_ITER = 200
+
+
+def _projection_kappa(projection_excess: float) -> float:
+    """Gain prefactor kappa = sqrt(2) / (2 (1 + excess)) of the modal projection."""
+    return SQRT2 / (2.0 * (1.0 + projection_excess))
 
 
 @dataclass(frozen=True)
@@ -151,27 +155,9 @@ class RegionConstants:
         """Drive contribution to delta, independent of the reaction coefficients."""
         return self.s_sup * self.trace_norm * self.phi_norm
 
-    @classmethod
-    def from_model(
-        cls,
-        d: DerivedParameters,
-        resc: RescalingParameters,
-        emb: EmbeddingConstants,
-    ) -> "RegionConstants":
-        return cls(
-            kappa=SQRT2 / (2.0 * (1.0 + emb.projection_excess)),
-            epsilon=resc.epsilon,
-            C=d.C,
-            u_tr=d.u_tr,
-            u_pr=d.u_pr,
-            xi=resc.xi,
-            c3=d.c3,
-            k1=emb.k1,
-            domain_measure=emb.domain_measure,
-            s_sup=emb.s_sup,
-            trace_norm=emb.trace_norm,
-            phi_norm=emb.phi_norm,
-        )
+    def delta(self, a1):
+        """Aggregate delta at cubic coefficient a1: cubic growth plus drive."""
+        return self.epsilon * self.k1 * self.a_const / self.C * a1 + self.b_const
 
 
 @dataclass(frozen=True)
@@ -194,7 +180,6 @@ class FeasibilityReport:
     r_lower: Optional[float] = None
     r_upper: Optional[float] = None
     t_star_at_r_star: Optional[float] = None
-    t_star_fn: Optional[Callable[[float], float]] = None
     h_curve: Optional[np.ndarray] = None
     p_curve: Optional[np.ndarray] = None
 
@@ -335,19 +320,13 @@ def invariance_inequality(
     c4: float,
     epsilon: float,
     C: float,
-    literal_exponent: bool = False,
 ) -> ConditionResult:
     """Check h(t) <= p(r), the trapping condition at a given radius and period.
 
-    The default load exponent is epsilon c4 / C, consistent with the
-    zeroth spectral eigenvalue and with h_of_T. literal_exponent swaps in
-    the bare rate c4 for comparison with the unscaled form.
+    The load exponent is epsilon c4 / C, consistent with the zeroth
+    spectral eigenvalue and with h_of_T.
     """
-    if literal_exponent:
-        h_val = h_of_T(t, c4, 1.0, 1.0)
-    else:
-        h_val = h_of_T(t, c4, epsilon, C)
-    margin = p_of_R(r, agg) - h_val
+    margin = p_of_R(r, agg) - h_of_T(t, c4, epsilon, C)
     return ConditionResult("invariance_inequality", bool(margin >= 0.0), float(margin))
 
 
@@ -381,30 +360,46 @@ def feasible_window_condition_reduced(agg: AggregateConstants, h0: float) -> Con
     return ConditionResult("feasible_window_reduced", bool(margin > 0.0), float(margin))
 
 
-def a2_bound(a1, const: RegionConstants, literal_prefactor: bool = False):
+def a2_bound(a1, const: RegionConstants):
     """Largest quadratic coefficient the window admits at a given cubic one.
 
     Inverts the reduced window condition for a2 after substituting the
     aggregate definitions, so a2 below the returned ceiling is exactly
     equivalent to feasible_window_condition_reduced holding at (a1, a2).
-    The default prefactor 2 / (sqrt(3) xi k1) is that exact inversion;
-    literal_prefactor swaps in 2 sqrt(2) / (sqrt(3) c3 k1), the widely
-    quoted variant, which is looser whenever the recovery coupling
-    condition holds. Accepts scalar or array a1.
+    The prefactor 2 / (sqrt(3) xi k1) is that exact inversion. Accepts
+    scalar or array a1.
     """
     a1_arr = np.asarray(a1, dtype=float)
     if np.any(a1_arr < 0.0):
         raise ValueError("a1 values must be nonnegative")
-    if literal_prefactor:
-        pref = 2.0 * SQRT2 / (math.sqrt(3.0) * const.c3 * const.k1)
-    else:
-        pref = 2.0 / (math.sqrt(3.0) * const.xi * const.k1)
+    pref = 2.0 / (math.sqrt(3.0) * const.xi * const.k1)
     scale = (const.kappa * const.epsilon * const.u_tr * const.u_pr / const.C) ** 1.5
-    delta = const.epsilon * const.k1 * const.a_const / const.C * a1_arr + const.b_const
-    out = pref * scale * a1_arr**1.5 / np.sqrt(delta)
+    out = pref * scale * a1_arr**1.5 / np.sqrt(const.delta(a1_arr))
     if a1_arr.ndim == 0:
         return float(out)
     return out
+
+
+def interior_consistent(a1: np.ndarray, bound: np.ndarray, const: RegionConstants) -> bool:
+    """Spot-check an a2 ceiling against the reduced window condition it inverts.
+
+    At every max(1, len(a1) // 8)-th sample with positive a1 and ceiling,
+    the beta = 0 aggregates of a probe at 0.9 times the ceiling must open
+    the window. Returns True when every probe does, or when none qualifies.
+    """
+    checks = []
+    for i in range(0, len(a1), max(1, len(a1) // 8)):
+        if a1[i] <= 0.0 or bound[i] <= 0.0:
+            continue
+        agg = AggregateConstants(
+            kappa=const.kappa,
+            beta=0.0,
+            gamma=const.xi * (0.9 * bound[i]) * const.k1 / 3.0,
+            delta=const.delta(a1[i]),
+        )
+        h0 = const.C / (const.epsilon * a1[i] * const.u_tr * const.u_pr)
+        checks.append(feasible_window_condition_reduced(agg, h0).satisfied)
+    return all(checks)
 
 
 def emit_curves(
@@ -460,11 +455,10 @@ def build_report(
     if xi is not None and c3 is not None:
         coupling = recovery_coupling_condition(xi, c3)
 
-    r_lower = r_upper = ceiling = ceiling_fn = None
+    r_lower = r_upper = ceiling = None
     if window.satisfied:
         r_lower, r_upper = r_bounds(agg, h0)
         ceiling = t_star(rs, agg, c4, epsilon, C)
-        ceiling_fn = functools.partial(t_star, agg=agg, c4=c4, epsilon=epsilon, C=C)
 
     h_curve = p_curve = None
     if t_max is not None and r_max is not None:
@@ -483,7 +477,6 @@ def build_report(
         r_lower=r_lower,
         r_upper=r_upper,
         t_star_at_r_star=ceiling,
-        t_star_fn=ceiling_fn,
         h_curve=h_curve,
         p_curve=p_curve,
     )
@@ -496,7 +489,7 @@ def aggregate_from_raw(d: DerivedParameters, emb: EmbeddingConstants) -> Aggrega
     quadratic and mixed growth constants by the embeddings, and delta
     collects the cubic growth over the domain plus the boundary drive.
     """
-    kappa = SQRT2 / (2.0 * (1.0 + emb.projection_excess))
+    kappa = _projection_kappa(emb.projection_excess)
     beta = d.A2 * emb.k1 * emb.k2
     gamma = d.A3 * emb.k1
     delta = (

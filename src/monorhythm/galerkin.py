@@ -23,7 +23,6 @@ __all__ = [
     "assemble_system",
     "rhs",
     "integrate_cauchy",
-    "period_map",
     "apriori_monitor",
     "MonitorReport",
     "l2_qi_difference",
@@ -100,9 +99,6 @@ class Trajectory:
     def n_nodes(self) -> int:
         return len(self.times)
 
-    def state(self, k: int) -> GalerkinState:
-        return GalerkinState(u=self.u[k], w=self.w[k], t=float(self.times[k]))
-
 
 def rhs(sys: GalerkinSystem, t, u, w):
     """Time derivative of the coefficient pair at time t."""
@@ -167,15 +163,6 @@ def integrate_cauchy(sys: GalerkinSystem, state0: GalerkinState, t1: float, dt: 
         u_hist[k], w_hist[k] = u, w
 
     return Trajectory(times=times, u=u_hist, w=w_hist, dt=dt, sys=sys)
-
-
-def period_map(sys: GalerkinSystem, state0: GalerkinState, dt: float) -> GalerkinState:
-    """Flow the state forward by exactly one stimulus period."""
-    T = sys.period
-    if T <= 0.0:
-        raise ValueError("stimulus period must be positive")
-    traj = integrate_cauchy(sys, state0, state0.t + T, dt)
-    return traj.state(traj.n_nodes - 1)
 
 
 @dataclass(frozen=True)

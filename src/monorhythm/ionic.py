@@ -9,7 +9,7 @@ constants the solvers actually consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = [
     "PhysiologicalParameters",
@@ -81,8 +81,9 @@ class RescalingParameters:
 class DerivedParameters:
     """Constants computed once from the physiological set and reused everywhere.
 
-    The growth-bound constants l1, l2, A1..A3, B1..B3 bound the reaction terms
-    polynomially (exponent ``p_exponent``); the solvers never recompute them.
+    The growth-bound constants A1..A3 bound the reaction terms polynomially;
+    l2 is the share of A2 that comes from the cubic coefficient a1. The
+    solvers never recompute them.
     The tail fields carry enough of the raw context that the reaction
     functions are callable from this object alone.
     """
@@ -94,15 +95,10 @@ class DerivedParameters:
     a1: float
     a2: float
     c4: float
-    l1: float
     l2: float
     A1: float
     A2: float
     A3: float
-    B1: float
-    B2: float
-    B3: float
-    p_exponent: int
     u_res: float
     u_peak: float
     C: float
@@ -134,7 +130,7 @@ def derive_parameters(
     c4 = a1 * u_tr * u_pr if c4_override is None else float(c4_override)
 
     scale = resc.epsilon / phys.C
-    l1 = a1 * scale * ((u_tr + u_pr) / 3.0 + (2.0 / 3.0) * u_tr * u_pr)
+    A1 = a1 * scale * ((u_tr + u_pr) / 3.0 + (2.0 / 3.0) * u_tr * u_pr)
     l2 = a1 * scale * (1.0 + (2.0 / 3.0) * (u_tr + u_pr) + u_tr * u_pr / 3.0)
 
     return DerivedParameters(
@@ -145,15 +141,10 @@ def derive_parameters(
         a1=a1,
         a2=a2,
         c4=c4,
-        l1=l1,
         l2=l2,
-        A1=l1,
+        A1=A1,
         A2=l2 + (2.0 / 3.0) * resc.xi * a2,
         A3=resc.xi * a2 / 3.0,
-        B1=resc.epsilon * phys.b / 2.0,
-        B2=resc.epsilon * phys.b / 2.0,
-        B3=resc.xi * phys.c3,
-        p_exponent=4,
         u_res=phys.u_res,
         u_peak=phys.u_peak,
         C=phys.C,
@@ -207,7 +198,3 @@ def period_raw(t_transformed: float, resc: RescalingParameters) -> float:
         raise ValueError(f"period must be positive, got {t_transformed}")
     return t_transformed * resc.epsilon
 
-
-def with_c4(d: DerivedParameters, c4: float) -> DerivedParameters:
-    """Copy of ``d`` with the zeroth-order coefficient replaced."""
-    return replace(d, c4=float(c4))

@@ -83,9 +83,6 @@ class PeriodicOrbit:
     converged: bool
     operator_residual: float | None = None
 
-    def state(self, k: int) -> GalerkinState:
-        return GalerkinState(u=self.u[k], w=self.w[k], t=float(self.grid.times[k]))
-
 
 @dataclass(frozen=True)
 class BallCertificate:
@@ -167,11 +164,10 @@ def _circ_apply(weights: np.ndarray, samples: np.ndarray) -> np.ndarray:
     )
 
 
-def _u_block(sys, grid, u, w, literal_plus_f):
+def _u_block(sys, grid, u, w):
     proj = project_nonlinearity(sys.basis, u, w, sys.d, sys.resc)
     s_vals = sys.stim(grid.times)
-    sign = 1.0 if literal_plus_f else -1.0
-    forcing = sign * proj + s_vals[:, None] * sys.trace_vector
+    forcing = s_vals[:, None] * sys.trace_vector - proj
     f_hat = np.fft.rfft(forcing, axis=0)
     w_hat = np.stack(
         [np.fft.rfft(kernel_weights(lam, grid.period, grid.n_t)) for lam in sys.basis.lambdas],
@@ -180,22 +176,14 @@ def _u_block(sys, grid, u, w, literal_plus_f):
     return np.fft.irfft(w_hat * f_hat, n=grid.n_t, axis=0)
 
 
-def _w_block(sys, grid, u, literal_omit_rate):
+def _w_block(sys, grid, u):
     d, resc = sys.d, sys.resc
     rate = d.b * d.c3 * resc.xi * resc.epsilon
     wts = kernel_weights(rate, grid.period, grid.n_t)
-    gain = 1.0 if literal_omit_rate else resc.epsilon * d.b
-    return _circ_apply(wts, gain * u)
+    return _circ_apply(wts, resc.epsilon * d.b * u)
 
 
-def farkas_apply(
-    sys: GalerkinSystem,
-    grid: PeriodicGrid,
-    u: np.ndarray,
-    w: np.ndarray,
-    literal_plus_f: bool = False,
-    literal_omit_recovery_gain: bool = False,
-):
+def farkas_apply(sys: GalerkinSystem, grid: PeriodicGrid, u: np.ndarray, w: np.ndarray):
     """One application of the periodic fixed-point operator to grid samples.
 
     The potential block integrates the forcing (projected reaction with a
@@ -203,10 +191,6 @@ def farkas_apply(
     recovery block integrates epsilon b times the INPUT potential against the
     recovery kernel. Fixed points of this map solve the truncated system
     periodically.
-
-    The two literal flags flip the reaction sign and drop the epsilon b gain.
-    Either one breaks the fixed-point / ODE correspondence; they exist only
-    so the alternative conventions can be compared side by side.
     """
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -214,23 +198,24 @@ def farkas_apply(
         raise ValueError(
             f"expected trajectories of shape ({grid.n_t}, {sys.n_modes}), got {u.shape}/{w.shape}"
         )
-    u_new = _u_block(sys, grid, u, w, literal_plus_f)
-    w_new = _w_block(sys, grid, u, literal_omit_recovery_gain)
-    return u_new, w_new
+    return _u_block(sys, grid, u, w), _w_block(sys, grid, u)
+
+
+def _mixed_norm(basis, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Pointwise sqrt(V-norm(u)^2 + H-norm(w)^2) over the leading axes."""
+    _, v_u, h_w = norms(basis, u, w)
+    return np.sqrt(v_u**2 + h_w**2)
 
 
 def ct_norm(sys: GalerkinSystem, u: np.ndarray, w: np.ndarray) -> float:
     """Sup over grid nodes of sqrt(V-norm(u)^2 + H-norm(w)^2)."""
-    _, v_u, h_w = norms(sys.basis, u, w)
-    return float(np.max(np.sqrt(v_u**2 + h_w**2)))
+    return float(np.max(_mixed_norm(sys.basis, u, w)))
 
 
-def _periodicity_residual(sys, u0, w0, dt):
-    state0 = GalerkinState(u=u0, w=w0, t=0.0)
-    traj = integrate_cauchy(sys, state0, sys.period, dt)
-    x0 = np.concatenate([u0, w0])
+def _relative_defect(traj, x0: np.ndarray) -> float:
+    """|x(T) - x0| / max(1, |x0|) for the last node x(T) of ``traj``."""
     x1 = np.concatenate([traj.u[-1], traj.w[-1]])
-    return float(np.linalg.norm(x1 - x0) / max(1.0, np.linalg.norm(x0)))
+    return float(np.linalg.norm(x1 - x0) / max(1.0, float(np.linalg.norm(x0))))
 
 
 def picard_solve(
@@ -269,8 +254,8 @@ def picard_solve(
     effective = 0
     converged = False
     for _ in range(max_iter):
-        u_next = (1.0 - theta) * u + theta * _u_block(sys, grid, u, w, False)
-        w_next = (1.0 - theta) * w + theta * _w_block(sys, grid, u_next, False)
+        u_next = (1.0 - theta) * u + theta * _u_block(sys, grid, u, w)
+        w_next = (1.0 - theta) * w + theta * _w_block(sys, grid, u_next)
         step = ct_norm(sys, u_next - u, w_next - w)
         u, w = u_next, w_next
         updates.append(step)
@@ -293,7 +278,8 @@ def picard_solve(
     ku, kw = farkas_apply(sys, grid, u, w)
     op_res = ct_norm(sys, ku - u, kw - w)
     dt = sys.period / 1024 if residual_dt is None else residual_dt
-    per_res = _periodicity_residual(sys, u[0], w[0], dt)
+    traj = integrate_cauchy(sys, GalerkinState(u=u[0], w=w[0], t=0.0), sys.period, dt)
+    per_res = _relative_defect(traj, np.concatenate([u[0], w[0]]))
 
     return PeriodicOrbit(
         grid=grid,
@@ -377,15 +363,11 @@ def shooting_solve(
     grid = PeriodicGrid(n_t=n_steps, period=T)
     u_orbit = traj.u[:-1]
     w_orbit = traj.w[:-1]
-    per_res = float(
-        np.linalg.norm(np.concatenate([traj.u[-1], traj.w[-1]]) - x)
-        / max(1.0, float(np.linalg.norm(x)))
-    )
     return PeriodicOrbit(
         grid=grid,
         u=u_orbit,
         w=w_orbit,
-        periodicity_residual=per_res,
+        periodicity_residual=_relative_defect(traj, x),
         ct_norm=ct_norm(sys, u_orbit, w_orbit),
         method="shooting",
         n_iter=n_iter,
@@ -395,8 +377,7 @@ def shooting_solve(
 
 def certify_ball(orbit: PeriodicOrbit, radius: float, basis) -> BallCertificate:
     """Check closed-ball membership of the orbit in the mixed sup norm."""
-    _, v_u, h_w = norms(basis, orbit.u, orbit.w)
-    pointwise = np.sqrt(v_u**2 + h_w**2)
+    pointwise = _mixed_norm(basis, orbit.u, orbit.w)
     worst = int(np.argmax(pointwise))
     ct = float(pointwise[worst])
     return BallCertificate(
@@ -426,5 +407,4 @@ def orbit_gap(a: PeriodicOrbit, b: PeriodicOrbit, basis) -> float:
         ub, wb = b.u[::stride], b.w[::stride]
     else:
         raise ValueError(f"grids with {na} and {nb} nodes do not nest")
-    _, v_u, h_w = norms(basis, ua - ub, wa - wb)
-    return float(np.max(np.sqrt(v_u**2 + h_w**2)))
+    return float(np.max(_mixed_norm(basis, ua - ub, wa - wb)))

@@ -43,10 +43,6 @@ class Geometry1D:
         if self.L <= 0.0:
             raise ValueError(f"interval length must be positive, got {self.L}")
 
-    @property
-    def omega_measure(self) -> float:
-        return self.L
-
 
 def _gauss_tail_log(n: int, eta: float) -> float:
     """Log of the classical n-point Gauss-Legendre error factor for a mode of
@@ -77,6 +73,14 @@ def nodes_for_band(q: int) -> int:
     while _gauss_tail_log(n, eta) > target:
         n += 1
     return n
+
+
+def _cosine_modes(x, n_modes: int, L: float) -> np.ndarray:
+    """Orthonormal Neumann modes at points x: column i holds psi_i(x)."""
+    i = np.arange(n_modes)
+    psi = np.sqrt(2.0 / L) * np.cos(np.outer(x, i * np.pi / L))
+    psi[:, 0] = 1.0 / np.sqrt(L)
+    return psi
 
 
 @dataclass(frozen=True)
@@ -132,8 +136,7 @@ def build_basis(geom, m, d, resc, n_quad: int | None = None) -> SpectralBasis:
     nodes = 0.5 * L * (xg + 1.0)
     weights = 0.5 * L * wg
 
-    psi = np.sqrt(2.0 / L) * np.cos(np.outer(nodes, i * np.pi / L))
-    psi[:, 0] = 1.0 / np.sqrt(L)
+    psi = _cosine_modes(nodes, m + 1, L)
     trace = np.sqrt(2.0 / L) * (-1.0) ** i.astype(float)
     trace[0] = 1.0 / np.sqrt(L)
 
@@ -207,11 +210,7 @@ def evaluate_field(basis: SpectralBasis, coeffs, x_grid) -> np.ndarray:
     x = np.asarray(x_grid, dtype=float)
     if np.any(x < 0.0) or np.any(x > basis.L):
         raise ValueError("evaluation points must lie in [0, L]")
-    i = np.arange(basis.n_modes)
-    psi = np.sqrt(2.0 / basis.L) * np.cos(np.outer(x, i * np.pi / basis.L))
-    psi[:, 0] = 1.0 / np.sqrt(basis.L)
-    out = coeffs @ psi.T
-    return out
+    return coeffs @ _cosine_modes(x, basis.n_modes, basis.L).T
 
 
 # ----------------------------------------------------------------- stimuli

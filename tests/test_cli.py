@@ -117,22 +117,32 @@ def test_feasibility_report_and_curves(tmp_path, capsys):
 
 
 def test_outputs_are_deterministic(tmp_path, capsys):
-    dir_a = tmp_path / "a"
-    dir_b = tmp_path / "b"
-    for out in (dir_a, dir_b):
-        rc = cli.main(
-            ["feasibility", "--config", config_path("window_aggregates.cfg"),
-             "--out", str(out)]
-        )
-        assert rc == 0
-    for name in ("h_curve.csv", "p_curve.csv"):
-        assert read_bytes(dir_a, name) == read_bytes(dir_b, name), (
-            f"{name} should be byte-identical across reruns"
-        )
-    rep_a, rep_b = read_report(dir_a), read_report(dir_b)
-    rep_a.pop("timings")
-    rep_b.pop("timings")
-    assert rep_a == rep_b, "reports should match exactly once timings are dropped"
+    runs = (
+        ("feasibility", "window_aggregates.cfg", ("h_curve.csv", "p_curve.csv")),
+        ("param-region", "reaction_region.cfg", ("region.csv", "region_raster.csv")),
+    )
+    for command, cfg_name, csv_names in runs:
+        dir_a = tmp_path / command / "a"
+        dir_b = tmp_path / command / "b"
+        for out in (dir_a, dir_b):
+            rc = cli.main([command, "--config", config_path(cfg_name), "--out", str(out)])
+            assert rc == 0
+        for name in csv_names:
+            assert read_bytes(dir_a, name) == read_bytes(dir_b, name), (
+                f"{name} should be byte-identical across reruns"
+            )
+        rep_a, rep_b = read_report(dir_a), read_report(dir_b)
+        rep_a.pop("timings")
+        rep_b.pop("timings")
+        assert rep_a == rep_b, "reports should match exactly once timings are dropped"
+
+    raster = read_lines(tmp_path / "param-region" / "a", "region_raster.csv")[2:]
+    assert raster[0] == "0,0,0", f"first raster row should be exact zeros: {raster[0]!r}"
+    cells = [line.split(",") for line in raster]
+    assert {c[2] for c in cells} <= {"0", "1"}, "admissible cells must be 0 or 1"
+    # rows run a1-major: a1 holds for n_a2 = 17 rows while a2 sweeps its grid
+    assert {c[0] for c in cells[:17]} == {"0"} and cells[17][0] != "0"
+    assert [c[1] for c in cells[17:34]] == [c[1] for c in cells[:17]]
     capsys.readouterr()  # swallow the written-path listing
 
 
@@ -312,6 +322,31 @@ def test_param_region_outputs(tmp_path, capsys):
     )
     assert 0 < n_admissible < len(data), "raster should be nontrivial"
     capsys.readouterr()  # swallow the written-path listing
+
+
+def test_param_region_kappa_from_projection_excess(tmp_path, capsys):
+    with open(config_path("reaction_region.cfg"), encoding="utf-8") as fh:
+        lines = [l for l in fh.read().splitlines() if "feasibility.kappa" not in l]
+    base = "\n".join(lines) + "\n"
+    runs = {
+        "excess": base + "feasibility.projection_excess = 1\n",
+        # sqrt(2) / (2 (1 + 1)), the kappa a unit projection excess implies
+        "kappa": base + "feasibility.kappa = 0.3535533905932738\n",
+    }
+    for name, text in runs.items():
+        cfg = write_config(tmp_path, text, name=f"{name}.cfg")
+        rc = cli.main(["param-region", "--config", cfg, "--out", str(tmp_path / name)])
+        assert rc == 0, f"{name} run should succeed"
+    assert read_bytes(tmp_path / "excess", "region.csv") == read_bytes(
+        tmp_path / "kappa", "region.csv"
+    ), "kappa from projection_excess should reproduce the direct kappa bit for bit"
+    capsys.readouterr()  # swallow the written-path listing
+
+    cfg = write_config(tmp_path, base, name="neither.cfg")
+    rc = cli.main(["param-region", "--config", cfg, "--out", str(tmp_path / "neither")])
+    assert rc == 2, f"a missing kappa source should exit 2, got {rc}"
+    err = capsys.readouterr().err
+    assert "feasibility.projection_excess" in err, f"stderr should name the key: {err!r}"
 
 
 def test_unknown_key_exits_2(tmp_path, capsys):

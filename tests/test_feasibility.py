@@ -226,10 +226,6 @@ def test_invariance_inequality_forms():
         assert result.satisfied == direct
     zero_radius = invariance_inequality(0.0, 1.0, AGG, C4, EPS, CAP)
     assert not zero_radius.satisfied
-    # the literal variant drops the epsilon / C scaling from the exponent
-    literal = invariance_inequality(0.02, 0.5, AGG, C4, EPS, CAP, literal_exponent=True)
-    expected = p_of_R(0.02, AGG) - h_of_T(0.5, C4, 1.0, 1.0)
-    assert literal.margin == pytest.approx(expected, rel=1e-14)
 
 
 REGION = RegionConstants(
@@ -274,10 +270,6 @@ def test_a2_bound_slope_and_prefactors():
     # grows linearly, so two decades in a1 give two decades in the bound
     ratio = a2_bound(1e4, REGION) / a2_bound(1e2, REGION)
     assert 95.0 < ratio < 100.5, f"asymptotic ratio {ratio:.2f}"
-    lit = a2_bound(1.0, REGION, literal_prefactor=True)
-    assert lit / a2_bound(1.0, REGION) == pytest.approx(
-        math.sqrt(2.0) * REGION.xi / REGION.c3, rel=1e-14
-    )
     arr = a2_bound(np.array([0.0, 1.0, 2.0]), REGION)
     assert arr.shape == (3,) and arr[0] == 0.0
     with pytest.raises(ValueError):
@@ -291,14 +283,6 @@ def test_region_constants_validation_and_from_model():
             c3=1.0, k1=1.0, domain_measure=1.0, s_sup=0.0, trace_norm=1.0,
             phi_norm=0.005,
         )
-    d = feasible_model()
-    emb = EmbeddingConstants(
-        k1=1.0, k2=1.0, projection_excess=1.0, trace_norm=1.0,
-        domain_measure=1.0, s_sup=1.0, phi_norm=0.005,
-    )
-    const = RegionConstants.from_model(d, RESC, emb)
-    assert const.kappa == pytest.approx(math.sqrt(2.0) / 4.0, rel=1e-15)
-    assert const.u_tr == 25.0 and const.u_pr == 100.0 and const.xi == 3.75
 
 
 def test_emit_curves_shapes_and_ratio():
@@ -323,7 +307,6 @@ def test_build_report_feasible():
     assert report.coupling is not None and report.coupling.satisfied
     assert report.r_lower < report.r_star < report.r_upper
     assert report.t_star_at_r_star == pytest.approx(T_STAR, rel=1e-10)
-    assert report.t_star_fn(report.r_star) == report.t_star_at_r_star
     assert report.h_curve is not None and report.p_curve is not None
     assert report.h_at_zero == pytest.approx(1.0, rel=1e-15)
 
@@ -333,7 +316,7 @@ def test_build_report_infeasible():
     report = build_report(narrow, C4, EPS, CAP)
     assert not report.window.satisfied
     assert report.r_lower is None and report.r_upper is None
-    assert report.t_star_at_r_star is None and report.t_star_fn is None
+    assert report.t_star_at_r_star is None
     assert report.coupling is None and report.h_curve is None
 
 

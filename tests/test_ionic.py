@@ -48,15 +48,6 @@ def test_unit_amplitude_gives_unit_coefficients():
     assert d.a2 == 1.0
 
 
-def test_recovery_growth_constants():
-    # B1 = B2 = epsilon * b / 2 with epsilon = 0.032, b = 1
-    d = derive_parameters(make_params(b=1.0), RescalingParameters(epsilon=0.032, xi=3.75))
-    assert d.B1 == pytest.approx(0.016, rel=1e-15)
-    assert d.B2 == pytest.approx(0.016, rel=1e-15)
-    assert d.B3 == pytest.approx(3.75, rel=1e-15)
-    assert d.p_exponent == 4
-
-
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         PhysiologicalParameters(u_res=1.0, u_peak=1.0, a=0.25, c1=1.0, c2=1.0, c3=1.0, b=1.0)
@@ -111,8 +102,7 @@ def test_f_transformed_hand_value():
     # direct formula evaluation with synthetic constants u_pr + u_tr = 0
     d = DerivedParameters(
         u_amp=1.0, u_th=0.0, u_tr=0.0, u_pr=0.0, a1=1.0, a2=1.0, c4=0.0,
-        l1=0.0, l2=0.0, A1=0.0, A2=0.0, A3=0.0, B1=0.0, B2=0.0, B3=0.0,
-        p_exponent=4, u_res=0.0, u_peak=1.0, C=1.0, b=1.0, c3=1.0, sigma_const=1.0,
+        l2=0.0, A1=0.0, A2=0.0, A3=0.0, u_res=0.0, u_peak=1.0, C=1.0, b=1.0, c3=1.0, sigma_const=1.0,
     )
     one = RescalingParameters(epsilon=1.0, xi=1.0)
     assert f_transformed(2.0, 3.0, d, one) == pytest.approx(14.0, rel=1e-15)
@@ -169,7 +159,7 @@ def test_scale_consistency(u_res, amp, c1, c2):
 
 
 def test_growth_bounds_hold_on_samples():
-    """The split f = f1(u) + f2(u) * (xi w) obeys |f1| <= l1 + l2 |u|^3 and
+    """The split f = f1(u) + f2(u) * (xi w) obeys |f1| <= A1 + l2 |u|^3 and
     |f2| <= a2 |u|; the recovery part obeys |eps b u| <= (b/2)(1 + u^2).
 
     Valid whenever eps/C <= 1 and eps <= 1, which the shipped defaults satisfy.
@@ -179,7 +169,7 @@ def test_growth_bounds_hold_on_samples():
     u = rng.uniform(-30.0, 30.0, size=10_000)
     f1 = f_transformed(u, np.zeros_like(u), d, RESC)
     f2 = (f_transformed(u, np.ones_like(u), d, RESC) - f1) / RESC.xi
-    assert np.all(np.abs(f1) <= d.l1 + d.l2 * np.abs(u) ** 3 + 1e-12)
+    assert np.all(np.abs(f1) <= d.A1 + d.l2 * np.abs(u) ** 3 + 1e-12)
     assert np.all(np.abs(f2) <= d.a2 * np.abs(u) + 1e-12)
     g1 = g_hat(u, np.zeros_like(u), d, RESC)
     assert np.all(np.abs(g1) <= (d.b / 2.0) * (1.0 + u**2) + 1e-12)

@@ -124,24 +124,6 @@ def test_farkas_zero_input_zero_stimulus():
     assert np.all(u_out == 0.0) and np.all(w_out == 0.0)
 
 
-def test_farkas_literal_flags():
-    sys = feasible_system(m=4)
-    grid = PeriodicGrid(n_t=128, period=PERIOD)
-    rng = np.random.default_rng(9)
-    u_in = 0.01 * rng.standard_normal((128, 5))
-    w_in = 0.01 * rng.standard_normal((128, 5))
-
-    u_minus, w_ref = farkas_apply(sys, grid, u_in, w_in)
-    u_plus, _ = farkas_apply(sys, grid, u_in, w_in, literal_plus_f=True)
-    u_stim, _ = farkas_apply(sys, grid, np.zeros_like(u_in), np.zeros_like(w_in))
-    # flipping the reaction sign mirrors the output around the pure-drive response
-    assert np.max(np.abs(u_plus + u_minus - 2.0 * u_stim)) < 1e-14
-
-    _, w_bare = farkas_apply(sys, grid, u_in, w_in, literal_omit_recovery_gain=True)
-    gain = RESC.epsilon * 1.0
-    assert np.max(np.abs(w_bare * gain - w_ref)) < 1e-14
-
-
 def test_farkas_shape_check():
     sys = feasible_system(m=4)
     grid = PeriodicGrid(n_t=128, period=PERIOD)
