@@ -1,12 +1,14 @@
-"""Periodic-response kernels, the Farkas fixed-point operator, and two solvers.
+"""The exact periodic response, the Farkas fixed-point operator, and two solvers.
 
 A stable scalar mode x' = -lam x + F(t) with T-periodic forcing has exactly
-one T-periodic response, obtained by integrating F against a two-branch
-exponential kernel. Stacking those responses over all modes gives an operator
-on periodic coefficient trajectories whose fixed points are periodic
-solutions of the truncated system. Picard iteration attacks that operator
-directly; Newton shooting attacks the period map of the ODE flow. Both
-return the same orbits, which is the point: they fail independently.
+one T-periodic response. In time-Fourier space it is diagonal: harmonic k of
+the response is F_k / (lam + 2 pi i k / T), so this transfer function gives
+the response exactly at every harmonic a uniform grid resolves. Stacking
+those responses over all modes gives an operator on periodic coefficient
+trajectories whose fixed points are periodic solutions of the truncated
+system. Picard iteration attacks that operator directly; Newton shooting
+attacks the period map of the ODE flow. Both return the same orbits, which
+is the point: they fail independently.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ __all__ = [
     "PeriodicGrid",
     "PeriodicOrbit",
     "BallCertificate",
-    "green_kernel_u",
-    "green_kernel_w",
     "kernel_weights",
     "farkas_apply",
     "picard_solve",
@@ -92,104 +92,59 @@ class BallCertificate:
     margin: float
 
 
-def _positive_rate(lam: float, what: str) -> float:
+def _positive_rate(lam: float) -> float:
     if lam <= 0.0:
-        raise ValueError(f"{what} must be positive, got {lam} (periodic response undefined)")
+        raise ValueError(f"decay rate must be positive, got {lam} (periodic response undefined)")
     return float(lam)
 
 
-def green_kernel_u(lam, T, t, tau):
-    """Two-branch periodic-response kernel for decay rate ``lam``.
+def _response_symbol(rates, T: float, n_t: int) -> np.ndarray:
+    """Transfer function 1 / (rate + 2 pi i k / T) of the T-periodic response.
 
-    Equals e^(-lam (t - tau)) / (1 - e^(-lam T)) when tau <= t, and picks up
-    an extra period of decay otherwise. The jump across tau = t is exactly 1.
+    Row k is the k-th frequency the real FFT of n_t samples keeps, column j
+    the j-th rate; every rate must be positive.
     """
-    lam = _positive_rate(lam, "decay rate")
-    c = -1.0 / np.expm1(-lam * T)
-    t = np.asarray(t, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    ahead = tau <= t
-    value = np.where(ahead, np.exp(-lam * (t - tau)), np.exp(-lam * (t + T - tau)))
-    return c * value
+    rates = np.array([_positive_rate(r) for r in np.atleast_1d(rates)])
+    omega = 2j * np.pi * np.fft.rfftfreq(n_t, T / n_t)
+    return 1.0 / (omega[:, None] + rates)
 
 
-def green_kernel_w(b, c3, xi, epsilon, T, t, tau):
-    """Recovery-block kernel: same structure with decay rate b c3 xi epsilon."""
-    rate = _positive_rate(b * c3 * xi * epsilon, "recovery decay rate b*c3*xi*epsilon")
-    return green_kernel_u(rate, T, t, tau)
-
-
-def _m1_factor(x: float) -> float:
-    """(1 - (1 + x) e^-x), by series below x = 1e-3 to dodge cancellation."""
-    if x > 1e-3:
-        return 1.0 - (1.0 + x) * np.exp(-x)
-    return x * x / 2.0 - x**3 / 3.0 + x**4 / 8.0 - x**5 / 30.0 + x**6 / 144.0
+def _periodic_response(rates, T: float, forcing: np.ndarray) -> np.ndarray:
+    """Node values of the T-periodic response of x' = -rate x + F per column."""
+    n_t = forcing.shape[0]
+    f_hat = np.fft.rfft(forcing, axis=0)
+    return np.fft.irfft(_response_symbol(rates, T, n_t) * f_hat, n=n_t, axis=0)
 
 
 def kernel_weights(lam: float, T: float, n_t: int) -> np.ndarray:
-    """Circulant quadrature weights of the periodic-response integral.
+    """Circulant weights of the periodic-response integral for decay rate ``lam``.
 
-    Writing the response as a lagged sum over grid nodes, the forcing is
-    interpolated linearly on each step while the exponential factor is
-    integrated in closed form (branch-split at the kernel jump, so the corner
-    never degrades accuracy). The result: applying the weights to samples F_j
-    gives the node values of the periodic response of x' = -lam x + F.
-
-    The weights sum to 1 / lam exactly up to roundoff, because a constant
-    forcing is reproduced without interpolation error.
+    Circular convolution of the weights with samples F_j gives the node values
+    of the periodic response of x' = -lam x + F, exact for every harmonic the
+    grid resolves. The weights sum to the zero-frequency symbol 1 / lam.
     """
-    lam = _positive_rate(lam, "decay rate")
-    h = T / n_t
-    x = lam * h
-    r = float(np.exp(-x))
-    m0 = -float(np.expm1(-x)) / lam
-    m1 = _m1_factor(x) / (lam * lam * h)
-    c = -1.0 / float(np.expm1(-lam * T))
-
-    lag = np.arange(n_t)
-    with np.errstate(under="ignore"):
-        decay = r**lag
-    weights = c * decay * (m0 - m1)
-    carry = c * decay * m1
-    weights[1:] += carry[:-1]
-    weights[0] += carry[-1]
-    return weights
-
-
-def _circ_apply(weights: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """Circular convolution along axis 0 via the real FFT."""
-    n = len(weights)
-    return np.fft.irfft(
-        np.fft.rfft(weights)[:, None] * np.fft.rfft(samples, axis=0), n=n, axis=0
-    )
+    return np.fft.irfft(_response_symbol(lam, T, n_t)[:, 0], n=n_t)
 
 
 def _u_block(sys, grid, u, w):
     proj = project_nonlinearity(sys.basis, u, w, sys.d, sys.resc)
-    s_vals = sys.stim(grid.times)
-    forcing = s_vals[:, None] * sys.trace_vector - proj
-    f_hat = np.fft.rfft(forcing, axis=0)
-    w_hat = np.stack(
-        [np.fft.rfft(kernel_weights(lam, grid.period, grid.n_t)) for lam in sys.basis.lambdas],
-        axis=1,
-    )
-    return np.fft.irfft(w_hat * f_hat, n=grid.n_t, axis=0)
+    forcing = sys.stim(grid.times)[:, None] * sys.trace_vector - proj
+    return _periodic_response(sys.basis.lambdas, grid.period, forcing)
 
 
 def _w_block(sys, grid, u):
     d, resc = sys.d, sys.resc
     rate = d.b * d.c3 * resc.xi * resc.epsilon
-    wts = kernel_weights(rate, grid.period, grid.n_t)
-    return _circ_apply(wts, resc.epsilon * d.b * u)
+    return _periodic_response(rate, grid.period, resc.epsilon * d.b * u)
 
 
 def farkas_apply(sys: GalerkinSystem, grid: PeriodicGrid, u: np.ndarray, w: np.ndarray):
     """One application of the periodic fixed-point operator to grid samples.
 
-    The potential block integrates the forcing (projected reaction with a
-    minus sign, plus the boundary drive) against each mode's kernel; the
-    recovery block integrates epsilon b times the INPUT potential against the
-    recovery kernel. Fixed points of this map solve the truncated system
+    The potential block is the periodic response of each mode to the forcing
+    (projected reaction with a minus sign, plus the boundary drive); the
+    recovery block is the response at the recovery rate to epsilon b times
+    the INPUT potential. Fixed points of this map solve the truncated system
     periodically.
     """
     u = np.asarray(u, dtype=float)
@@ -203,7 +158,7 @@ def farkas_apply(sys: GalerkinSystem, grid: PeriodicGrid, u: np.ndarray, w: np.n
 
 def _mixed_norm(basis, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Pointwise sqrt(V-norm(u)^2 + H-norm(w)^2) over the leading axes."""
-    _, v_u, h_w = norms(basis, u, w)
+    v_u, h_w = norms(basis, u, w)
     return np.sqrt(v_u**2 + h_w**2)
 
 

@@ -190,7 +190,7 @@ def project_profile(basis: SpectralBasis, profile) -> np.ndarray:
 
 
 def norms(basis, u_coeffs, w_coeffs):
-    """Return (H-norm of u, V-norm of u, H-norm of w).
+    """Return (V-norm of u, H-norm of w).
 
     H is plain L2 on the interval, so coefficient vectors give Euclidean norms;
     the V-norm weights each mode by its eigenvalue. Stacked inputs reduce over
@@ -198,10 +198,9 @@ def norms(basis, u_coeffs, w_coeffs):
     """
     u_coeffs = _check_coeffs(basis, u_coeffs, "u_coeffs")
     w_coeffs = _check_coeffs(basis, w_coeffs, "w_coeffs")
-    h_u = np.sqrt(np.sum(u_coeffs**2, axis=-1))
     v_u = np.sqrt(np.sum(basis.lambdas * u_coeffs**2, axis=-1))
     h_w = np.sqrt(np.sum(w_coeffs**2, axis=-1))
-    return h_u, v_u, h_w
+    return v_u, h_w
 
 
 def evaluate_field(basis: SpectralBasis, coeffs, x_grid) -> np.ndarray:

@@ -7,6 +7,8 @@ implementation against which library output is compared.
 import itertools
 import math
 
+import numpy as np
+
 
 def cosine_product_integral(L, freqs):
     """Exact integral over (0, L) of a product of cos(k_j pi x / L).
@@ -39,3 +41,26 @@ def golden_section_max(f, lo, hi, iters=200):
             d = lo + inv_phi * (hi - lo)
             fd = f(d)
     return 0.5 * (lo + hi)
+
+
+def green_kernel_u(lam, T, t, tau):
+    """Two-branch periodic-response kernel of x' = -lam x + F for rate ``lam``.
+
+    Equals e^(-lam (t - tau)) / (1 - e^(-lam T)) when tau <= t, and picks up
+    an extra period of decay otherwise. The jump across tau = t is exactly 1,
+    and the periodic response is the integral of this kernel times F over one
+    period.
+    """
+    if lam <= 0.0:
+        raise ValueError(f"decay rate must be positive, got {lam}")
+    c = -1.0 / np.expm1(-lam * T)
+    t = np.asarray(t, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    ahead = tau <= t
+    value = np.where(ahead, np.exp(-lam * (t - tau)), np.exp(-lam * (t + T - tau)))
+    return c * value
+
+
+def green_kernel_w(b, c3, xi, epsilon, T, t, tau):
+    """Recovery-block kernel: the same kernel at decay rate b c3 xi epsilon."""
+    return green_kernel_u(b * c3 * xi * epsilon, T, t, tau)

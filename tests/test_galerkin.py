@@ -12,10 +12,10 @@ from monorhythm.galerkin import (
     l2_qi_difference,
     rhs,
 )
-from monorhythm.ionic import PhysiologicalParameters, RescalingParameters, derive_parameters
-from monorhythm.spectral import Geometry1D, build_basis, constant_stimulus, project_profile
+from monorhythm.ionic import PhysiologicalParameters, derive_parameters
+from monorhythm.spectral import build_basis, constant_stimulus, project_profile
 
-from systems import GEOM, PERIOD, RESC, feasible_system, linear_model, linear_system
+from systems import GEOM, PERIOD, RESC, feasible_system, linear_system
 
 
 def zero_state(sys):

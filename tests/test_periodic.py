@@ -1,10 +1,10 @@
-"""Periodic-response kernels, the fixed-point operator, and both orbit solvers."""
+"""Periodic-response weights, the fixed-point operator, and both orbit solvers."""
 
 import numpy as np
 import pytest
 
-from monorhythm.galerkin import GalerkinState, assemble_system
-from monorhythm.ionic import PhysiologicalParameters, RescalingParameters, derive_parameters
+from monorhythm.galerkin import assemble_system
+from monorhythm.ionic import PhysiologicalParameters, derive_parameters
 from monorhythm.periodic import (
     BallCertificate,
     NonConvergenceError,
@@ -12,15 +12,14 @@ from monorhythm.periodic import (
     certify_ball,
     ct_norm,
     farkas_apply,
-    green_kernel_u,
-    green_kernel_w,
     kernel_weights,
     orbit_gap,
     picard_solve,
     shooting_solve,
 )
-from monorhythm.spectral import Geometry1D, build_basis, constant_stimulus
+from monorhythm.spectral import build_basis, constant_stimulus
 
+from oracles import green_kernel_u, green_kernel_w
 from systems import GEOM, PERIOD, RESC, feasible_system, linear_system
 
 # critical radius of the shipped aggregate constants (beta=1e-4, gamma=1,
@@ -50,6 +49,8 @@ def test_kernel_rejects_nonpositive_rate():
         green_kernel_u(0.0, 2.0, 0.5, 0.5)
     with pytest.raises(ValueError):
         green_kernel_w(1.0, 1.0, -3.75, 0.032, 2.0, 0.5, 0.5)
+    with pytest.raises(ValueError):
+        kernel_weights(0.0, 2.0, 128)
 
 
 def test_kernel_mass_identity():
@@ -72,20 +73,37 @@ def test_recovery_kernel_mass():
 
 
 def test_weights_reproduce_sinusoid_response():
-    """The convolution matches the closed-form periodic response, second order."""
-    T, lam = 2.0, 1.0
+    """Convolving with the weights gives the periodic response of a
+    multi-harmonic forcing to roundoff, on even and odd grids alike: against
+    the closed form, and against a two-branch Gauss-Legendre quadrature of the
+    Green's kernel oracle."""
+    T = 2.0
     om = 2.0 * np.pi / T
-    errs = []
-    for n_t in (512, 1024):
+    # (k, a, b) for a cos(k om t) + b sin(k om t), all below the n_t = 64 Nyquist
+    harmonics = [(0, 0.7, 0.0), (1, 1.0, -0.4), (3, 0.25, 0.5), (7, -0.3, 0.2)]
+
+    def forcing(t):
+        return sum(a * np.cos(k * om * t) + b * np.sin(k * om * t) for k, a, b in harmonics)
+
+    xg, wg = np.polynomial.legendre.leggauss(80)
+    for n_t in (64, 65, 127, 512):
         t = np.arange(n_t) * T / n_t
-        conv = np.fft.irfft(
-            np.fft.rfft(kernel_weights(lam, T, n_t)) * np.fft.rfft(np.sin(om * t)), n=n_t
-        )
-        exact = (lam * np.sin(om * t) - om * np.cos(om * t)) / (lam**2 + om**2)
-        errs.append(float(np.max(np.abs(conv - exact))))
-    assert errs[0] < 1e-5
-    ratio = errs[0] / errs[1]
-    assert 3.0 < ratio < 5.0, f"halving the step gave ratio {ratio:.2f}"
+        for lam in (0.12, 1.0, 21.2):
+            conv = np.fft.irfft(
+                np.fft.rfft(kernel_weights(lam, T, n_t)) * np.fft.rfft(forcing(t)), n=n_t
+            )
+            exact = sum(
+                ((a - 1j * b) * np.exp(1j * k * om * t) / (lam + 1j * k * om)).real
+                for k, a, b in harmonics
+            )
+            quad = np.zeros(n_t)
+            for lo, hi in ((np.zeros(n_t), t), (t, np.full(n_t, T))):
+                half = 0.5 * (hi - lo)[:, None]
+                tau = lo[:, None] + half * (xg + 1.0)
+                integrand = green_kernel_u(lam, T, t[:, None], tau) * forcing(tau)
+                quad += np.sum(half * wg * integrand, axis=1)
+            assert np.max(np.abs(conv - exact)) <= 1e-13, f"n_t={n_t}, lam={lam}"
+            assert np.max(np.abs(conv - quad)) <= 1e-12, f"n_t={n_t}, lam={lam}"
 
 
 def test_grid_validation():
@@ -167,6 +185,14 @@ def test_picard_nonlinear_converges_and_certifies():
     assert orbit.periodicity_residual < 1e-6
     cert = certify_ball(orbit, R_STAR, sys.basis)
     assert isinstance(cert, BallCertificate) and cert.member
+
+
+def test_picard_coarse_grid_is_periodic():
+    """The exact response needs no fine grid: at n_t = 128 the Picard orbit of
+    the feasible m = 8 system closes after one RK4 period to 1e-11."""
+    orbit = picard_solve(feasible_system(m=8), PeriodicGrid(n_t=128, period=PERIOD))
+    assert orbit.converged
+    assert orbit.periodicity_residual <= 1e-11, f"residual {orbit.periodicity_residual:.3e}"
 
 
 def test_picard_rejects_bad_damping():
