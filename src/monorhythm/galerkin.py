@@ -82,7 +82,8 @@ class Trajectory:
     Nodes are spaced by ``dt`` except possibly the final interval, which is
     shortened so the last node lands exactly on the requested end time. The
     generating system rides along so norm and derivative reports need no
-    extra arguments.
+    extra arguments. ``u`` and ``w`` have shape ``(n_nodes, *batch, n_modes)``:
+    a stack of initial states integrates as one, on one time grid.
     """
 
     times: np.ndarray
@@ -123,8 +124,11 @@ def integrate_cauchy(sys: GalerkinSystem, state0: GalerkinState, t1: float, dt: 
     """Classical fixed-step fourth-order Runge-Kutta from state0.t to t1.
 
     The final time is hit exactly; when dt does not divide the interval the
-    last step is shortened. Raises :class:`BlowUpError` the moment any
-    coefficient exceeds the threshold or stops being finite.
+    last step is shortened. ``state0.u`` and ``state0.w`` share one shape
+    ``(..., n_modes)``; leading axes stack independent initial states, which
+    step together and each follow the same operations as alone. Raises
+    :class:`BlowUpError` the moment any coefficient of any state exceeds the
+    threshold or stops being finite.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -144,15 +148,20 @@ def integrate_cauchy(sys: GalerkinSystem, state0: GalerkinState, t1: float, dt: 
     if remainder:
         times[-1] = t1
 
-    u_hist = np.empty((n_nodes, sys.n_modes))
-    w_hist = np.empty((n_nodes, sys.n_modes))
-    u = np.asarray(state0.u, dtype=float).copy()
-    w = np.asarray(state0.w, dtype=float).copy()
-    if u.shape != (sys.n_modes,) or w.shape != (sys.n_modes,):
+    u = np.array(state0.u, dtype=float)
+    w = np.array(state0.w, dtype=float)
+    if u.shape != w.shape or u.shape[-1:] != (sys.n_modes,):
         raise ValueError(
-            f"initial state has shapes {u.shape}/{w.shape}, system expects ({sys.n_modes},)"
+            f"initial state has shapes {u.shape}/{w.shape}, system expects (..., {sys.n_modes})"
         )
+    u_hist = np.empty((n_nodes, *u.shape))
+    w_hist = np.empty((n_nodes, *w.shape))
     u_hist[0], w_hist[0] = u, w
+    # A lone (n_modes,) state meets the basis in vector-matrix products; a 2-D
+    # stack would meet it in one matrix product, which rounds differently.
+    # A row axis per stacked state keeps each on the lone state's products.
+    if u.ndim > 1:
+        u, w = u[..., None, :], w[..., None, :]
 
     for k in range(1, n_nodes):
         h = times[k] - times[k - 1]
@@ -160,7 +169,7 @@ def integrate_cauchy(sys: GalerkinSystem, state0: GalerkinState, t1: float, dt: 
         peak = max(np.max(np.abs(u)), np.max(np.abs(w)))
         if not np.isfinite(peak) or peak > BLOWUP_THRESHOLD:
             raise BlowUpError(time=float(times[k]), magnitude=float(peak))
-        u_hist[k], w_hist[k] = u, w
+        u_hist[k], w_hist[k] = u.reshape(u_hist.shape[1:]), w.reshape(w_hist.shape[1:])
 
     return Trajectory(times=times, u=u_hist, w=w_hist, dt=dt, sys=sys)
 
@@ -185,7 +194,7 @@ class MonitorReport:
 
 
 def apriori_monitor(traj: Trajectory) -> MonitorReport:
-    """Evaluate boundedness monitors along a trajectory by time quadrature."""
+    """Evaluate boundedness monitors along a trajectory of one state, by time quadrature."""
     sys = traj.sys
     state_sq = np.sum(traj.u**2, axis=1) + np.sum(traj.w**2, axis=1)
     v_sq = np.sum(sys.basis.lambdas * traj.u**2, axis=1)

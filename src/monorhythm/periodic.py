@@ -69,8 +69,8 @@ class PeriodicGrid:
 class PeriodicOrbit:
     """A candidate periodic trajectory with its quality measurements attached.
 
-    ``periodicity_residual`` always comes from a fresh integration over one
-    period, never from the solver's own bookkeeping.
+    ``periodicity_residual`` always comes from an integration of the returned
+    start state over one period, never from the solver's own bookkeeping.
     """
 
     grid: PeriodicGrid
@@ -93,7 +93,7 @@ class BallCertificate:
 
 
 def _positive_rate(lam: float) -> float:
-    if lam <= 0.0:
+    if not (np.isfinite(lam) and lam > 0.0):
         raise ValueError(f"decay rate must be positive, got {lam} (periodic response undefined)")
     return float(lam)
 
@@ -258,11 +258,12 @@ def shooting_solve(
 ) -> PeriodicOrbit:
     """Newton iteration on the period map: find x with flow_T(x) = x.
 
-    The Jacobian of the defect is built column by column from forward
-    differences with step 1e-6 * max(1, |x_j|); at dimension 2m+2 that stays
-    cheap. Convergence means the defect norm drops below tol * max(1, |x|).
-    The orbit is reconstructed by one final integration, sampled at the
-    integrator's own nodes over [0, T).
+    The Jacobian of the defect comes from forward differences with step
+    1e-6 * max(1, |x_j|): all 2m+2 perturbed states go through one stacked
+    integration per Newton step. Convergence means the defect norm drops
+    below tol * max(1, |x|). The orbit is the integration of the converged x
+    that the convergence test ran, sampled at the integrator's own nodes
+    over [0, T).
     """
     T = sys.period
     if dt is None:
@@ -278,25 +279,25 @@ def shooting_solve(
     )
 
     def defect(vec):
+        """flow_T(vec) - vec for one state or a stack of them, and the trajectory."""
         traj = integrate_cauchy(
-            sys, GalerkinState(u=vec[:n], w=vec[n:], t=0.0), T, dt
+            sys, GalerkinState(u=vec[..., :n], w=vec[..., n:], t=0.0), T, dt
         )
-        return np.concatenate([traj.u[-1], traj.w[-1]]) - vec
+        return np.concatenate([traj.u[-1], traj.w[-1]], axis=-1) - vec, traj
 
     history = []
     n_iter = 0
-    g = defect(x)
+    g, traj = defect(x)
     for _ in range(max_iter):
         gnorm = float(np.linalg.norm(g))
         history.append(gnorm)
         if gnorm <= tol * max(1.0, float(np.linalg.norm(x))):
             break
-        jac = np.empty((2 * n, 2 * n))
-        for j in range(2 * n):
-            step = 1e-6 * max(1.0, abs(x[j]))
-            probe = x.copy()
-            probe[j] += step
-            jac[:, j] = (defect(probe) - g) / step
+        steps = 1e-6 * np.maximum(1.0, np.abs(x))
+        probes = np.tile(x, (2 * n, 1))
+        probes[np.diag_indices_from(probes)] += steps
+        probe_defects, _ = defect(probes)
+        jac = (probe_defects - g).T / steps
         try:
             delta = np.linalg.solve(jac, -g)
         except np.linalg.LinAlgError as exc:
@@ -307,14 +308,13 @@ def shooting_solve(
             ) from exc
         x = x + delta
         n_iter += 1
-        g = defect(x)
+        g, traj = defect(x)
     else:
         raise NonConvergenceError(
             f"shooting did not converge in {max_iter} steps (defect {history[-1]:.3e})",
             history=history,
         )
 
-    traj = integrate_cauchy(sys, GalerkinState(u=x[:n], w=x[n:], t=0.0), T, dt)
     grid = PeriodicGrid(n_t=n_steps, period=T)
     u_orbit = traj.u[:-1]
     w_orbit = traj.w[:-1]

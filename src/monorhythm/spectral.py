@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ionic import f_transformed
+
 __all__ = [
     "Geometry1D",
     "SpectralBasis",
@@ -173,8 +175,6 @@ def project_nonlinearity(basis, u_coeffs, w_coeffs, d, resc) -> np.ndarray:
 
     Accepts stacked inputs; leading axes broadcast, the last axis indexes modes.
     """
-    from .ionic import f_transformed
-
     u_coeffs = _check_coeffs(basis, u_coeffs, "u_coeffs")
     w_coeffs = _check_coeffs(basis, w_coeffs, "w_coeffs")
     u_nodal = u_coeffs @ basis.psi_quad.T

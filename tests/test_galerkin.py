@@ -140,6 +140,50 @@ def test_blow_up_detected_with_time():
     assert info.value.magnitude > 1e12
 
 
+def test_stacked_integration_equals_row_by_row():
+    """A stack of states integrates to the same bits as each row alone, the
+    shortened last step included (dt = 0.03 does not divide the period)."""
+    sys = feasible_system(m=8)
+    rng = np.random.default_rng(11)
+    u0 = 0.01 * rng.standard_normal((3, 9))
+    w0 = 0.01 * rng.standard_normal((3, 9))
+    stacked = integrate_cauchy(sys, GalerkinState(u=u0, w=w0, t=0.0), PERIOD, dt=0.03)
+    assert stacked.u.shape == stacked.w.shape == (stacked.n_nodes, 3, 9)
+    assert stacked.times[-1] == PERIOD
+    for r in range(3):
+        row = integrate_cauchy(sys, GalerkinState(u=u0[r], w=w0[r], t=0.0), PERIOD, dt=0.03)
+        assert np.array_equal(stacked.times, row.times)
+        assert np.array_equal(stacked.u[:, r], row.u)
+        assert np.array_equal(stacked.w[:, r], row.w)
+
+
+def test_integration_rejects_mismatched_state_shapes():
+    sys = feasible_system(m=4)
+    for u0, w0 in (
+        (np.zeros((3, 5)), np.zeros(5)),
+        (np.zeros((2, 5)), np.zeros((3, 5))),
+        (np.zeros((3, 4)), np.zeros((3, 4))),
+        (np.zeros(6), np.zeros(6)),
+    ):
+        with pytest.raises(ValueError, match=r"\(\.\.\., 5\)"):
+            integrate_cauchy(sys, GalerkinState(u=u0, w=w0, t=0.0), PERIOD, dt=0.1)
+
+
+def test_blow_up_of_one_stacked_row_is_detected():
+    phys = PhysiologicalParameters(
+        u_res=0.0, u_peak=1.0, a=0.5, c1=1e7, c2=1.0, c3=1.0, b=1.0, sigma_const=1.0
+    )
+    d = derive_parameters(phys, RESC)
+    basis = build_basis(GEOM, 4, d, RESC)
+    sys = assemble_system(basis, d, RESC, constant_stimulus(0.0, period=2.0, phi_value=0.0))
+    u0 = np.zeros((3, 5))
+    u0[1] = 5.0
+    with pytest.raises(BlowUpError) as info:
+        integrate_cauchy(sys, GalerkinState(u=u0, w=np.zeros((3, 5)), t=0.0), 2.0, dt=2.0 / 64)
+    assert 0.0 < info.value.time <= 2.0
+    assert info.value.magnitude > 1e12
+
+
 def test_period_map_linear_contraction():
     """Seeding mode i decays by exp(-lambda_i T); the recovery pickup is the
     explicit convolution of the two exponentials."""

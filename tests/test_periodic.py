@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from monorhythm.galerkin import assemble_system
+from monorhythm import periodic
+from monorhythm.galerkin import GalerkinState, assemble_system, integrate_cauchy
 from monorhythm.ionic import PhysiologicalParameters, derive_parameters
 from monorhythm.periodic import (
     BallCertificate,
@@ -49,8 +50,9 @@ def test_kernel_rejects_nonpositive_rate():
         green_kernel_u(0.0, 2.0, 0.5, 0.5)
     with pytest.raises(ValueError):
         green_kernel_w(1.0, 1.0, -3.75, 0.032, 2.0, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        kernel_weights(0.0, 2.0, 128)
+    for lam in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="decay rate must be positive"):
+            kernel_weights(lam, 2.0, 128)
 
 
 def test_kernel_mass_identity():
@@ -241,6 +243,59 @@ def test_shooting_requires_dividing_step():
     sys = linear_system()
     with pytest.raises(ValueError):
         shooting_solve(sys, dt=PERIOD / 300.5)
+
+
+def _columnwise_shooting(sys, dt, tol=1e-10, max_iter=25):
+    """Reference: Newton shooting with one integration per Jacobian column and
+    a final re-integration of the converged state."""
+    T, n = sys.period, sys.n_modes
+    x = np.zeros(2 * n)
+
+    def defect(vec):
+        traj = integrate_cauchy(sys, GalerkinState(u=vec[:n], w=vec[n:], t=0.0), T, dt)
+        return np.concatenate([traj.u[-1], traj.w[-1]]) - vec
+
+    n_iter = 0
+    g = defect(x)
+    for _ in range(max_iter):
+        if float(np.linalg.norm(g)) <= tol * max(1.0, float(np.linalg.norm(x))):
+            break
+        jac = np.empty((2 * n, 2 * n))
+        for j in range(2 * n):
+            step = 1e-6 * max(1.0, abs(x[j]))
+            probe = x.copy()
+            probe[j] += step
+            jac[:, j] = (defect(probe) - g) / step
+        x = x + np.linalg.solve(jac, -g)
+        n_iter += 1
+        g = defect(x)
+    traj = integrate_cauchy(sys, GalerkinState(u=x[:n], w=x[n:], t=0.0), T, dt)
+    x1 = np.concatenate([traj.u[-1], traj.w[-1]])
+    residual = float(np.linalg.norm(x1 - x) / max(1.0, float(np.linalg.norm(x))))
+    return traj, n_iter, residual
+
+
+def test_shooting_matches_columnwise_newton_with_fewer_integrations(monkeypatch):
+    """Stacked probes give the per-column Newton iterates bit for bit, with
+    one integration for the start, then two per Newton step."""
+    sys = feasible_system(m=2)
+    dt = PERIOD / 128
+    ref_traj, ref_iter, ref_residual = _columnwise_shooting(sys, dt)
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].u.shape)
+        return integrate_cauchy(*args, **kwargs)
+
+    monkeypatch.setattr(periodic, "integrate_cauchy", counting)
+    orbit = periodic.shooting_solve(sys, dt=dt)
+    assert orbit.n_iter == ref_iter >= 1
+    assert np.array_equal(orbit.u, ref_traj.u[:-1])
+    assert np.array_equal(orbit.w, ref_traj.w[:-1])
+    assert orbit.periodicity_residual == ref_residual
+    assert len(calls) == 1 + 2 * orbit.n_iter
+    assert calls.count((6, 3)) == orbit.n_iter
 
 
 def test_methods_agree_on_feasible_configuration():
