@@ -103,18 +103,23 @@ class Trajectory:
 
 def rhs(sys: GalerkinSystem, t, u, w):
     """Time derivative of the coefficient pair at time t."""
+    return _driven_rhs(sys, sys.stim(t), u, w)
+
+
+def _driven_rhs(sys, s_val, u, w):
+    """Time derivative of the coefficient pair under the drive value s_val."""
     proj = project_nonlinearity(sys.basis, u, w, sys.d, sys.resc)
-    s_val = sys.stim(t)
     du = -sys.basis.lambdas * u - proj + s_val * sys.trace_vector
     dw = sys.resc.epsilon * sys.d.b * (u - sys.resc.xi * sys.d.c3 * w)
     return du, dw
 
 
-def _rk4_step(sys, t, u, w, h):
-    k1u, k1w = rhs(sys, t, u, w)
-    k2u, k2w = rhs(sys, t + 0.5 * h, u + 0.5 * h * k1u, w + 0.5 * h * k1w)
-    k3u, k3w = rhs(sys, t + 0.5 * h, u + 0.5 * h * k2u, w + 0.5 * h * k2w)
-    k4u, k4w = rhs(sys, t + h, u + h * k3u, w + h * k3w)
+def _rk4_step(sys, drive, u, w, h):
+    s0, s_half, s1 = drive
+    k1u, k1w = _driven_rhs(sys, s0, u, w)
+    k2u, k2w = _driven_rhs(sys, s_half, u + 0.5 * h * k1u, w + 0.5 * h * k1w)
+    k3u, k3w = _driven_rhs(sys, s_half, u + 0.5 * h * k2u, w + 0.5 * h * k2w)
+    k4u, k4w = _driven_rhs(sys, s1, u + h * k3u, w + h * k3w)
     u_next = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
     w_next = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
     return u_next, w_next
@@ -163,9 +168,13 @@ def integrate_cauchy(sys: GalerkinSystem, state0: GalerkinState, t1: float, dt: 
     if u.ndim > 1:
         u, w = u[..., None, :], w[..., None, :]
 
+    # The drive at every stage time, sampled in one call: row k holds steps
+    # k's t, t + h/2 and t + h, built as the stages would build them.
+    steps = np.diff(times)
+    starts = times[:-1]
+    drive = sys.stim(np.stack([starts, starts + 0.5 * steps, starts + steps], axis=1))
     for k in range(1, n_nodes):
-        h = times[k] - times[k - 1]
-        u, w = _rk4_step(sys, times[k - 1], u, w, h)
+        u, w = _rk4_step(sys, drive[k - 1], u, w, steps[k - 1])
         peak = max(np.max(np.abs(u)), np.max(np.abs(w)))
         if not np.isfinite(peak) or peak > BLOWUP_THRESHOLD:
             raise BlowUpError(time=float(times[k]), magnitude=float(peak))

@@ -168,11 +168,15 @@ def g_raw(u_hat, w_hat, d: DerivedParameters):
 def f_transformed(u, w, d: DerivedParameters, resc: RescalingParameters):
     """Nonlinear reaction part in transformed variables.
 
-    (epsilon / C) * (a1 u^3 + xi a2 u w - a1 (u_pr + u_tr) u^2). The linear
+    (epsilon / C) * (a1 u^3 + xi a2 u w - a1 (u_pr + u_tr) u^2), evaluated in
+    the factored form (epsilon / C) * (u * (a1 u (u - (u_pr + u_tr)) + xi a2 w)).
+    It takes products only, because NumPy's ``pow`` is slow on arrays of mixed
+    sign, and u multiplies the bracket before epsilon / C does, which keeps one
+    fewer full-size temporary alive than (epsilon / C) * u * (...). The linear
     remainder (epsilon c4 / C) u lives in the operator spectrum, not here.
     """
     s = resc.epsilon / d.C
-    return s * (d.a1 * u**3 + resc.xi * d.a2 * u * w - d.a1 * (d.u_pr + d.u_tr) * u**2)
+    return s * (u * (d.a1 * u * (u - (d.u_pr + d.u_tr)) + resc.xi * d.a2 * w))
 
 
 def f_hat(u, w, d: DerivedParameters, resc: RescalingParameters):

@@ -181,7 +181,6 @@ def picard_solve(
     theta: float = 1.0,
     tol: float = 1e-10,
     max_iter: int = 200,
-    residual_dt: float | None = None,
 ) -> PeriodicOrbit:
     """Damped Picard iteration on the periodic fixed-point operator.
 
@@ -232,8 +231,8 @@ def picard_solve(
 
     ku, kw = farkas_apply(sys, grid, u, w)
     op_res = ct_norm(sys, ku - u, kw - w)
-    dt = sys.period / 1024 if residual_dt is None else residual_dt
-    traj = integrate_cauchy(sys, GalerkinState(u=u[0], w=w[0], t=0.0), sys.period, dt)
+    start = GalerkinState(u=u[0], w=w[0], t=0.0)
+    traj = integrate_cauchy(sys, start, sys.period, sys.period / 1024)
     per_res = _relative_defect(traj, np.concatenate([u[0], w[0]]))
 
     return PeriodicOrbit(

@@ -248,12 +248,15 @@ class Stimulus:
         if self.kind == "sinusoid":
             return self.offset + self.amplitude * np.sin(2.0 * np.pi * tau / self.period)
         # periodized Gaussian bump; four periodic images each side flush the
-        # tails below double precision for width <= 0.25
+        # tails below double precision for width <= 0.25. The square is a
+        # product: a scalar ``** 2`` goes through pow, which can round apart
+        # from an array's square, and sampled drives must match scalar ones.
         acc = np.zeros_like(tau)
         c = self.center * self.period
         w = self.width * self.period
         for k in range(-4, 5):
-            acc = acc + np.exp(-0.5 * ((tau - c + k * self.period) / w) ** 2)
+            z = (tau - c + k * self.period) / w
+            acc = acc + np.exp(-0.5 * (z * z))
         return self.offset + self.amplitude * acc
 
 

@@ -64,3 +64,13 @@ def green_kernel_u(lam, T, t, tau):
 def green_kernel_w(b, c3, xi, epsilon, T, t, tau):
     """Recovery-block kernel: the same kernel at decay rate b c3 xi epsilon."""
     return green_kernel_u(b * c3 * xi * epsilon, T, t, tau)
+
+
+def reaction_expanded(u, w, d, resc):
+    """The cubic reaction term in its expanded textbook form.
+
+    (epsilon / C) * (a1 u^3 + xi a2 u w - a1 (u_pr + u_tr) u^2), with ``d``
+    and ``resc`` any objects carrying those constants as attributes.
+    """
+    s = resc.epsilon / d.C
+    return s * (d.a1 * u**3 + resc.xi * d.a2 * u * w - d.a1 * (d.u_pr + d.u_tr) * u**2)

@@ -13,9 +13,9 @@ from monorhythm.galerkin import (
     rhs,
 )
 from monorhythm.ionic import PhysiologicalParameters, derive_parameters
-from monorhythm.spectral import build_basis, constant_stimulus, project_profile
+from monorhythm.spectral import build_basis, constant_stimulus, project_profile, pulse_stimulus
 
-from systems import GEOM, PERIOD, RESC, feasible_system, linear_system
+from systems import GEOM, PERIOD, PHI, RESC, feasible_model, feasible_system, linear_system
 
 
 def zero_state(sys):
@@ -155,6 +155,43 @@ def test_stacked_integration_equals_row_by_row():
         assert np.array_equal(stacked.times, row.times)
         assert np.array_equal(stacked.u[:, r], row.u)
         assert np.array_equal(stacked.w[:, r], row.w)
+
+
+def rk4_on_public_rhs(sys, times, u, w):
+    """Classical RK4 over the given nodes of one state, calling rhs per stage."""
+    us, ws = [u], [w]
+    for t, t_next in zip(times[:-1], times[1:]):
+        h = t_next - t
+        k1u, k1w = rhs(sys, t, u, w)
+        k2u, k2w = rhs(sys, t + 0.5 * h, u + 0.5 * h * k1u, w + 0.5 * h * k1w)
+        k3u, k3w = rhs(sys, t + 0.5 * h, u + 0.5 * h * k2u, w + 0.5 * h * k2w)
+        k4u, k4w = rhs(sys, t + h, u + h * k3u, w + h * k3w)
+        u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        w = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+        us.append(u)
+        ws.append(w)
+    return np.array(us), np.array(ws)
+
+
+def test_integration_equals_rk4_on_public_rhs():
+    """The drive sampled once per integration gives the bits of rhs sampling it
+    per stage, for a lone state and for each row of a stack, under a pulse
+    drive with a shortened last step (dt = 0.03 does not divide the period)."""
+    d = feasible_model()
+    stim = pulse_stimulus(period=PERIOD, amplitude=20.0, phi_value=PHI, center=0.3, width=0.05)
+    sys = assemble_system(build_basis(GEOM, 8, d, RESC), d, RESC, stim)
+    rng = np.random.default_rng(12)
+    u0 = 0.01 * rng.standard_normal((3, 9))
+    w0 = 0.01 * rng.standard_normal((3, 9))
+    lone = integrate_cauchy(sys, GalerkinState(u=u0[0], w=w0[0], t=0.0), PERIOD, dt=0.03)
+    stacked = integrate_cauchy(sys, GalerkinState(u=u0, w=w0, t=0.0), PERIOD, dt=0.03)
+    assert lone.times[-1] == PERIOD and lone.times[-1] - lone.times[-2] < 0.03
+    ref_u, ref_w = rk4_on_public_rhs(sys, lone.times, u0[0], w0[0])
+    assert np.array_equal(lone.u, ref_u) and np.array_equal(lone.w, ref_w)
+    for r in range(3):
+        ref_u, ref_w = rk4_on_public_rhs(sys, stacked.times, u0[r], w0[r])
+        assert np.array_equal(stacked.u[:, r], ref_u)
+        assert np.array_equal(stacked.w[:, r], ref_w)
 
 
 def test_integration_rejects_mismatched_state_shapes():

@@ -19,6 +19,8 @@ from monorhythm.ionic import (
     rescale_period,
 )
 
+from oracles import reaction_expanded
+
 
 def make_params(**overrides):
     """Defaults mirror the shipped configuration: amplitude-100 potential range."""
@@ -156,6 +158,36 @@ def test_scale_consistency(u_res, amp, c1, c2):
     d1, d2 = derive_parameters(base, RESC), derive_parameters(wide, RESC)
     assert d2.a1 == pytest.approx(d1.a1 / 4.0, rel=1e-12)
     assert d2.a2 == pytest.approx(d1.a2 / 2.0, rel=1e-12)
+
+
+@given(
+    u_res=st.floats(-80.0, 20.0),
+    amp=st.floats(0.5, 150.0),
+    c1=st.floats(0.1, 50.0),
+    c2=st.floats(0.1, 50.0),
+    u=st.floats(-8.0, 8.0),
+    w=st.floats(-8.0, 8.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_factored_reaction_matches_expanded(u_res, amp, c1, c2, u, w):
+    """The product-only form of f_transformed agrees with the expanded cubic to
+    a few ulps of its largest term, on sign-mixed arrays, and vanishes at u = 0."""
+    d = derive_parameters(
+        PhysiologicalParameters(u_res=u_res, u_peak=u_res + amp, a=0.3, c1=c1, c2=c2, c3=1.0, b=1.0),
+        RESC,
+    )
+    u_arr = np.array([u, -u, 0.0, 0.0])
+    w_arr = np.array([w, -w, w, -w])
+    factored = f_transformed(u_arr, w_arr, d, RESC)
+    expanded = reaction_expanded(u_arr, w_arr, d, RESC)
+    s = RESC.epsilon / d.C
+    scale = s * (
+        d.a1 * np.abs(u_arr) ** 3
+        + d.a1 * (d.u_pr + d.u_tr) * u_arr**2
+        + np.abs(RESC.xi * d.a2 * u_arr * w_arr)
+    )
+    assert np.all(np.abs(factored - expanded) <= 4e-15 * scale)
+    assert np.all(factored[2:] == 0.0)
 
 
 def test_growth_bounds_hold_on_samples():

@@ -247,6 +247,26 @@ def test_stimulus_periodicity_and_sup():
     assert np.all(const(t) == -0.75)
 
 
+@pytest.mark.parametrize(
+    "stim",
+    [
+        constant_stimulus(-0.75, period=2.0, phi_value=0.01),
+        sinusoid_stimulus(period=2.0, amplitude=1.5, phi_value=0.01, offset=0.25),
+        pulse_stimulus(period=2.0, amplitude=2.0, phi_value=0.01, center=0.3, width=0.01),
+    ],
+    ids=lambda stim: stim.kind,
+)
+def test_stimulus_on_stage_times_equals_scalar_calls(stim):
+    """One array call on every RK4 stage time gives the bits of one scalar call
+    per time, over several periods and a shortened last step."""
+    times = np.append(np.arange(200) * 0.03, 6.0)
+    steps = np.diff(times)
+    starts = times[:-1]
+    stages = np.stack([starts, starts + 0.5 * steps, starts + steps], axis=1)
+    scalar = np.array([[stim(t) for t in row] for row in stages])
+    assert np.array_equal(stim(stages), scalar)
+
+
 def test_stimulus_validation():
     with pytest.raises(ValueError):
         constant_stimulus(1.0, period=0.0, phi_value=1.0)
