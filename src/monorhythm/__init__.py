@@ -3,8 +3,8 @@
 Finds time-periodic solutions of the monodomain reaction-diffusion system with
 Rogers-McCulloch kinetics on an interval, via a cosine Galerkin truncation.
 Two independent solution paths are provided (Picard iteration on a periodic
-integral operator, and Newton shooting on the period map) together with the
-parameter-feasibility conditions that guarantee such rhythms exist.
+integral operator, and quasi-Newton shooting on the period map) together
+with the parameter-feasibility conditions that guarantee such rhythms exist.
 
 The package root exports only ``__version__``; import everything else from
 the submodules (``monorhythm.periodic``, ``monorhythm.cli`` and so on).

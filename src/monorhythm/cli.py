@@ -331,6 +331,7 @@ def _orbit_summary(orbit) -> dict:
         "periodicity_residual": orbit.periodicity_residual,
         "ct_norm": orbit.ct_norm,
         "operator_residual": orbit.operator_residual,
+        "history": orbit.history,
     }
 
 
@@ -363,7 +364,7 @@ def cmd_solve_periodic(cfg: RunConfig, seed=None):
         if not picard_orbit.converged:
             raise NonConvergenceError(
                 f"picard exhausted {picard_orbit.n_iter} sweeps without reaching tol {tol}",
-                history=[],
+                history=picard_orbit.history,
             )
         payload["picard"] = _orbit_summary(picard_orbit)
 
@@ -592,19 +593,21 @@ def _run(args) -> int:
     fmt = args.format if args.format is not None else cfg.get("output.format", "both")
     os.makedirs(out_dir, exist_ok=True)
 
-    report = RunReport(
-        command=args.command,
-        config_echo=cfg.echo(),
-        payload=payload,
-        condition_flags=flags,
-        timings={"parse_s": parse_s, "solve_s": solve_s},
-    )
     written = []
+    t2 = time.perf_counter()
     if fmt in ("csv", "both"):
         for name, comment, header, rows in file_specs:
             path = os.path.join(out_dir, name)
             _write_csv(path, comment, header, rows)
             written.append(path)
+    write_s = time.perf_counter() - t2
+    report = RunReport(
+        command=args.command,
+        config_echo=cfg.echo(),
+        payload=payload,
+        condition_flags=flags,
+        timings={"parse_s": parse_s, "solve_s": solve_s, "write_s": write_s},
+    )
     if fmt in ("json", "both"):
         path = os.path.join(out_dir, "report.json")
         _write_json(path, report)

@@ -6,9 +6,12 @@ the response is F_k / (lam + 2 pi i k / T), so this transfer function gives
 the response exactly at every harmonic a uniform grid resolves. Stacking
 those responses over all modes gives an operator on periodic coefficient
 trajectories whose fixed points are periodic solutions of the truncated
-system. Picard iteration attacks that operator directly; Newton shooting
-attacks the period map of the ODE flow. Both return the same orbits, which
-is the point: they fail independently.
+system. Picard iteration attacks that operator directly. Shooting attacks
+the period map of the RK4 flow with the same idea written on the map: its
+first step is x - (R^N - I)^-1 g(x), where R is the RK4 step matrix of the
+linear part and g the period-map defect, and Broyden updates then correct
+the linear Jacobian R^N - I for the reaction. Both return the same orbits,
+which is the point: they fail independently.
 """
 
 from __future__ import annotations
@@ -71,6 +74,9 @@ class PeriodicOrbit:
 
     ``periodicity_residual`` always comes from an integration of the returned
     start state over one period, never from the solver's own bookkeeping.
+    ``history`` is the solver's convergence record: Picard's update norm per
+    sweep, or shooting's period-map defect norm at the starting guess and
+    after each step.
     """
 
     grid: PeriodicGrid
@@ -81,6 +87,7 @@ class PeriodicOrbit:
     method: str
     n_iter: int
     converged: bool
+    history: tuple[float, ...]
     operator_residual: float | None = None
 
 
@@ -244,8 +251,35 @@ def picard_solve(
         method="picard",
         n_iter=effective,
         converged=converged,
+        history=tuple(updates),
         operator_residual=op_res,
     )
+
+
+def _linear_monodromy(sys: GalerkinSystem, dt: float, n_steps: int) -> np.ndarray:
+    """R^N - I for the RK4 step matrix R of the linear part, in the (u, w) layout.
+
+    The linear part couples each potential mode only to its own recovery
+    mode, through the 2x2 block A = [[-lam_i, 0], [eps b, -eps b xi c3]], so
+    R = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 and its N-th power are
+    formed per mode, without integrating anything.
+    """
+    n = sys.n_modes
+    d, resc = sys.d, sys.resc
+    gain = resc.epsilon * d.b
+    hA = np.zeros((n, 2, 2))
+    hA[:, 0, 0] = -dt * sys.basis.lambdas
+    hA[:, 1, 0] = dt * gain
+    hA[:, 1, 1] = -dt * gain * resc.xi * d.c3
+    eye = np.eye(2)
+    step = eye + hA @ (eye + hA @ (eye + hA @ (eye + hA / 4) / 3) / 2)
+    blocks = np.linalg.matrix_power(step, n_steps)
+    idx = np.arange(n)
+    jac = np.zeros((2 * n, 2 * n))
+    jac[idx, idx] = blocks[:, 0, 0]
+    jac[n + idx, idx] = blocks[:, 1, 0]
+    jac[n + idx, n + idx] = blocks[:, 1, 1]
+    return jac - np.eye(2 * n)
 
 
 def shooting_solve(
@@ -255,14 +289,19 @@ def shooting_solve(
     tol: float = 1e-10,
     max_iter: int = 25,
 ) -> PeriodicOrbit:
-    """Newton iteration on the period map: find x with flow_T(x) = x.
+    """Quasi-Newton iteration on the period map: find x with flow_T(x) = x.
 
-    The Jacobian of the defect comes from forward differences with step
-    1e-6 * max(1, |x_j|): all 2m+2 perturbed states go through one stacked
-    integration per Newton step. Convergence means the defect norm drops
-    below tol * max(1, |x|). The orbit is the integration of the converged x
-    that the convergence test ran, sampled at the integrator's own nodes
-    over [0, T).
+    The defect g(x) = flow_T(x) - x is solved by Broyden's "good" method
+    started from the closed-form Jacobian R^N - I of the linear part (see
+    :func:`_linear_monodromy`): x <- x - J^-1 g, then the rank-one update
+    J <- J + (dg - J dx) dx^T / (dx^T dx). Each iterate costs one
+    integration of one state, which is also its convergence test: the
+    defect norm must fall to tol * max(1, |x|). At most ``max_iter`` steps
+    are taken; a stall or a singular J raises :class:`NonConvergenceError`
+    carrying the defect history. The orbit is the integration of the
+    converged x, sampled at the integrator's own nodes over [0, T). Broyden
+    converges superlinearly, so the returned defect sits just under the
+    tolerance, not quadratically past it as a Newton step would leave it.
     """
     T = sys.period
     if dt is None:
@@ -278,41 +317,34 @@ def shooting_solve(
     )
 
     def defect(vec):
-        """flow_T(vec) - vec for one state or a stack of them, and the trajectory."""
-        traj = integrate_cauchy(
-            sys, GalerkinState(u=vec[..., :n], w=vec[..., n:], t=0.0), T, dt
-        )
-        return np.concatenate([traj.u[-1], traj.w[-1]], axis=-1) - vec, traj
+        """flow_T(vec) - vec and the trajectory that gave it."""
+        traj = integrate_cauchy(sys, GalerkinState(u=vec[:n], w=vec[n:], t=0.0), T, dt)
+        return np.concatenate([traj.u[-1], traj.w[-1]]) - vec, traj
 
-    history = []
-    n_iter = 0
+    jac = _linear_monodromy(sys, dt, n_steps)
     g, traj = defect(x)
-    for _ in range(max_iter):
-        gnorm = float(np.linalg.norm(g))
-        history.append(gnorm)
-        if gnorm <= tol * max(1.0, float(np.linalg.norm(x))):
-            break
-        steps = 1e-6 * np.maximum(1.0, np.abs(x))
-        probes = np.tile(x, (2 * n, 1))
-        probes[np.diag_indices_from(probes)] += steps
-        probe_defects, _ = defect(probes)
-        jac = (probe_defects - g).T / steps
+    history = [float(np.linalg.norm(g))]
+    n_iter = 0
+    while history[-1] > tol * max(1.0, float(np.linalg.norm(x))):
+        if n_iter == max_iter:
+            raise NonConvergenceError(
+                f"shooting did not converge in {max_iter} steps (defect {history[-1]:.3e})",
+                history=history,
+            )
         try:
-            delta = np.linalg.solve(jac, -g)
+            dx = np.linalg.solve(jac, -g)
         except np.linalg.LinAlgError as exc:
             cond = float(np.linalg.cond(jac))
             raise NonConvergenceError(
                 f"period-map jacobian is singular (condition estimate {cond:.3e})",
                 history=history,
             ) from exc
-        x = x + delta
+        x = x + dx
+        g_next, traj = defect(x)
+        jac += np.outer(g_next - g - jac @ dx, dx) / (dx @ dx)
+        g = g_next
         n_iter += 1
-        g, traj = defect(x)
-    else:
-        raise NonConvergenceError(
-            f"shooting did not converge in {max_iter} steps (defect {history[-1]:.3e})",
-            history=history,
-        )
+        history.append(float(np.linalg.norm(g)))
 
     grid = PeriodicGrid(n_t=n_steps, period=T)
     u_orbit = traj.u[:-1]
@@ -326,6 +358,7 @@ def shooting_solve(
         method="shooting",
         n_iter=n_iter,
         converged=True,
+        history=tuple(history),
     )
 
 

@@ -174,9 +174,9 @@ def project_nonlinearity(basis, u_coeffs, w_coeffs, d, resc) -> np.ndarray:
     """Coefficients of the reaction term: integral of f(u_m, w_m) against each mode.
 
     Accepts stacked inputs; leading axes broadcast, the last axis indexes modes.
+    The inputs are not checked here: this runs at every RK4 stage and Picard
+    sweep, and the solvers check the state shape once per integration or sweep.
     """
-    u_coeffs = _check_coeffs(basis, u_coeffs, "u_coeffs")
-    w_coeffs = _check_coeffs(basis, w_coeffs, "w_coeffs")
     u_nodal = u_coeffs @ basis.psi_quad.T
     w_nodal = w_coeffs @ basis.psi_quad.T
     f_nodal = f_transformed(u_nodal, w_nodal, d, resc)

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from monorhythm import cli
-from monorhythm.config import render_config
+from monorhythm.config import load_config, render_config
+from monorhythm.periodic import NonConvergenceError
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -263,6 +264,32 @@ def test_non_convergence_exits_3(tmp_path, capsys):
     assert rc == 3, f"iteration cap should exit 3, got {rc}"
     err = capsys.readouterr().err
     assert "solver did not converge" in err, f"stderr should explain: {err!r}"
+
+
+def test_picard_stall_carries_its_update_history(tmp_path):
+    text = NONLINEAR_PERIODIC_CFG + "solver.tol = 1e-16\nsolver.max_iter = 3\n"
+    cfg = load_config(write_config(tmp_path, text))
+    with pytest.raises(NonConvergenceError) as info:
+        cli.cmd_solve_periodic(cfg)
+    history = info.value.history
+    assert len(history) == 3 and all(h > 0.0 for h in history)
+
+
+def test_report_carries_solver_histories_and_write_time(tmp_path, capsys):
+    text = NONLINEAR_PERIODIC_CFG.replace("solver.method = picard", "solver.method = both")
+    cfg = write_config(tmp_path, text + "solver.dt = 0.015625\n")
+    assert cli.main(["solve-periodic", "--config", cfg, "--out", str(tmp_path)]) == 0
+    report = read_report(tmp_path)
+    picard, shooting = report["payload"]["picard"], report["payload"]["shooting"]
+    # Picard counts sweeps that moved by tol or more; the last sweep did not
+    assert len(picard["history"]) == picard["n_iter"] + 1
+    assert picard["history"][-1] < 1e-10 <= picard["history"][-2]
+    # one defect norm for the zero start, then one per quasi-Newton step
+    assert len(shooting["history"]) == shooting["n_iter"] + 1 >= 2
+    assert shooting["history"][-1] < 1e-10 < shooting["history"][0]
+    assert set(report["timings"]) == {"parse_s", "solve_s", "write_s"}
+    assert report["timings"]["write_s"] > 0.0
+    capsys.readouterr()
 
 
 def test_seeded_runs_reproduce_bytes(tmp_path, capsys):

@@ -1,7 +1,11 @@
 """Periodic-response weights, the fixed-point operator, and both orbit solvers."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monorhythm import periodic
 from monorhythm.galerkin import GalerkinState, assemble_system, integrate_cauchy
@@ -275,27 +279,102 @@ def _columnwise_shooting(sys, dt, tol=1e-10, max_iter=25):
     return traj, n_iter, residual
 
 
+class _CountingIntegrations:
+    """Stand-in for ``periodic.integrate_cauchy`` recording each start shape."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def __call__(self, *args, **kwargs):
+        self.shapes.append(np.shape(args[1].u))
+        return integrate_cauchy(*args, **kwargs)
+
+
 def test_shooting_matches_columnwise_newton_with_fewer_integrations(monkeypatch):
-    """Stacked probes give the per-column Newton iterates bit for bit, with
-    one integration for the start, then two per Newton step."""
+    """Broyden from the linear monodromy lands on the per-column Newton fixed
+    point to within tol, with one lone integration per iterate."""
     sys = feasible_system(m=2)
     dt = PERIOD / 128
     ref_traj, ref_iter, ref_residual = _columnwise_shooting(sys, dt)
 
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[1].u.shape)
-        return integrate_cauchy(*args, **kwargs)
-
+    counting = _CountingIntegrations()
     monkeypatch.setattr(periodic, "integrate_cauchy", counting)
     orbit = periodic.shooting_solve(sys, dt=dt)
-    assert orbit.n_iter == ref_iter >= 1
-    assert np.array_equal(orbit.u, ref_traj.u[:-1])
-    assert np.array_equal(orbit.w, ref_traj.w[:-1])
-    assert orbit.periodicity_residual == ref_residual
-    assert len(calls) == 1 + 2 * orbit.n_iter
-    assert calls.count((6, 3)) == orbit.n_iter
+    gap = max(
+        float(np.max(np.abs(orbit.u - ref_traj.u[:-1]))),
+        float(np.max(np.abs(orbit.w - ref_traj.w[:-1]))),
+    )
+    assert gap <= 1e-10, f"fixed points differ by {gap:.3e}"
+    assert orbit.periodicity_residual <= 1e-10 and ref_residual <= 1e-10
+    assert counting.shapes == [(3,)] * (orbit.n_iter + 1)
+    assert len(counting.shapes) < 2 + ref_iter * (2 * sys.n_modes + 1)
+
+
+def test_linear_monodromy_matches_finite_difference_jacobian():
+    sys = linear_system(m=4)
+    n_steps = 512
+    dt = PERIOD / n_steps
+    n = sys.n_modes
+    step = 1e-6
+    probes = np.vstack([np.zeros(2 * n), step * np.eye(2 * n)])
+    traj = integrate_cauchy(
+        sys, GalerkinState(u=probes[:, :n], w=probes[:, n:], t=0.0), PERIOD, dt
+    )
+    ends = np.concatenate([traj.u[-1], traj.w[-1]], axis=1) - probes
+    fd = (ends[1:] - ends[0]).T / step
+    closed = periodic._linear_monodromy(sys, dt, n_steps)
+    rel = np.linalg.norm(closed - fd) / np.linalg.norm(fd)
+    assert rel <= 1e-7, f"closed-form monodromy off by {rel:.3e} relative"
+
+
+def test_linear_monodromy_leading_multiplier_is_recovery_decay():
+    sys = feasible_system(m=8)
+    n_steps = 1024
+    h = PERIOD / n_steps
+    multipliers = np.linalg.eigvals(periodic._linear_monodromy(sys, h, n_steps) + np.eye(18))
+    z = -h * RESC.epsilon * sys.d.b * RESC.xi * sys.d.c3
+    rk4 = (1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0) ** n_steps
+    leading = float(np.max(np.abs(multipliers)))
+    assert leading == pytest.approx(rk4, rel=1e-12)
+    assert round(leading, 5) == 0.78663
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    amplitude=st.floats(0.5, 1.0),
+    phi=st.floats(0.005, 5.0),
+    m=st.sampled_from([2, 4]),
+)
+def test_shooting_agrees_with_picard_across_drives(amplitude, phi, m):
+    sys = feasible_system(m=m, amplitude=amplitude, phi=phi)
+    n_t = 256
+    picard = picard_solve(sys, PeriodicGrid(n_t=n_t, period=PERIOD))
+    counting = _CountingIntegrations()
+    with patch.object(periodic, "integrate_cauchy", counting):
+        shoot = periodic.shooting_solve(sys, dt=PERIOD / n_t)
+    assert picard.converged and shoot.converged
+    gap = orbit_gap(picard, shoot, sys.basis)
+    assert gap <= 1e-6, f"cross-method gap {gap:.3e}"
+    assert counting.shapes == [(sys.n_modes,)] * (shoot.n_iter + 1)
+    assert len(shoot.history) == shoot.n_iter + 1
+
+
+def test_broyden_update_carries_a_strong_drive():
+    """At phi = 40 the plain chord step x - (R^N - I)^-1 g(x) stalls past 25
+    steps; the rank-one updates converge in about a dozen."""
+    sys = feasible_system(m=2, phi=40.0)
+    orbit = shooting_solve(sys, dt=PERIOD / 128)
+    assert orbit.n_iter <= 12
+    assert orbit.periodicity_residual <= 1e-10
+    assert orbit.history[-1] < 1e-10 * orbit.history[0]
+
+
+def test_shooting_stall_raises_with_defect_history():
+    sys = feasible_system(m=2)
+    with pytest.raises(NonConvergenceError, match="did not converge in 1 steps") as info:
+        shooting_solve(sys, dt=PERIOD / 128, max_iter=1)
+    history = info.value.history
+    assert len(history) == 2 and history[1] < history[0]
 
 
 def test_methods_agree_on_feasible_configuration():
