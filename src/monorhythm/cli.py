@@ -60,13 +60,7 @@ from .periodic import (
     picard_solve,
     shooting_solve,
 )
-from .spectral import (
-    Geometry1D,
-    build_basis,
-    constant_stimulus,
-    pulse_stimulus,
-    sinusoid_stimulus,
-)
+from .spectral import Geometry1D, Stimulus, build_basis
 
 _DIRECT_AGGREGATE_KEYS = (
     "feasibility.kappa",
@@ -167,19 +161,16 @@ def _build_stimulus(cfg: RunConfig, resc: RescalingParameters):
 
     kind = cfg.require("stimulus.kind")
     phi = cfg.require("stimulus.phi")
+    amplitude = cfg.require("stimulus.amplitude")
     if kind == "constant":
-        return constant_stimulus(cfg.require("stimulus.amplitude"), period, phi)
+        return Stimulus(kind, period, phi, amplitude)
     if kind == "sinusoid":
-        return sinusoid_stimulus(
-            period,
-            cfg.require("stimulus.amplitude"),
-            phi,
-            offset=cfg.get("stimulus.offset", 0.0),
-        )
-    return pulse_stimulus(
+        return Stimulus(kind, period, phi, amplitude, offset=cfg.get("stimulus.offset", 0.0))
+    return Stimulus(
+        kind,
         period,
-        cfg.require("stimulus.amplitude"),
         phi,
+        amplitude,
         center=cfg.get("stimulus.center", 0.5),
         width=cfg.get("stimulus.width", 0.05),
         offset=cfg.get("stimulus.offset", 0.0),
@@ -621,10 +612,7 @@ def main(argv=None) -> int:
     args = _make_parser().parse_args(argv)
     try:
         return _run(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except NonConvergenceError as exc:

@@ -141,7 +141,6 @@ class RunConfig:
 
     path: str
     entries: dict
-    lines: dict
     consumed: dict = field(default_factory=dict)
 
     def has(self, key: str) -> bool:
@@ -204,7 +203,7 @@ def parse_config(text: str, path: str = "<string>") -> RunConfig:
             raise ConfigError(f"key '{key}' has no value", path, line_no)
         entries[key] = _parse_value(key, token, path, line_no)
         lines[key] = line_no
-    return RunConfig(path=path, entries=entries, lines=lines)
+    return RunConfig(path=path, entries=entries)
 
 
 def load_config(path: str) -> RunConfig:

@@ -101,7 +101,6 @@ class EmbeddingConstants:
 class ConditionResult:
     """Outcome of a scalar feasibility check with its signed margin."""
 
-    name: str
     satisfied: bool
     margin: float
 
@@ -170,7 +169,6 @@ class FeasibilityReport:
     with the abscissa in the first column.
     """
 
-    aggregates: AggregateConstants
     r_star: float
     p_at_r_star: float
     h_at_zero: float
@@ -313,27 +311,10 @@ def t_star(r: float, agg: AggregateConstants, c4: float, epsilon: float, C: floa
     return _bisect(lambda t: h_of_T(t, c4, epsilon, C) - target, 0.0, hi)
 
 
-def invariance_inequality(
-    r: float,
-    t: float,
-    agg: AggregateConstants,
-    c4: float,
-    epsilon: float,
-    C: float,
-) -> ConditionResult:
-    """Check h(t) <= p(r), the trapping condition at a given radius and period.
-
-    The load exponent is epsilon c4 / C, consistent with the zeroth
-    spectral eigenvalue and with h_of_T.
-    """
-    margin = p_of_R(r, agg) - h_of_T(t, c4, epsilon, C)
-    return ConditionResult("invariance_inequality", bool(margin >= 0.0), float(margin))
-
-
 def recovery_coupling_condition(xi: float, c3: float) -> ConditionResult:
     """Check xi * c3 >= sqrt(2), needed for the recovery block to contract."""
     margin = xi * c3 - SQRT2
-    return ConditionResult("recovery_coupling", bool(margin >= 0.0), float(margin))
+    return ConditionResult(bool(margin >= 0.0), float(margin))
 
 
 def feasible_window_condition(
@@ -342,7 +323,7 @@ def feasible_window_condition(
     """Check h(0) < p(r_star), the strict condition opening a feasibility window."""
     h0 = h_of_T(0.0, c4, epsilon, C)
     margin = p_of_R(r_star(agg), agg) - h0
-    return ConditionResult("feasible_window", bool(margin > 0.0), float(margin))
+    return ConditionResult(bool(margin > 0.0), float(margin))
 
 
 def feasible_window_condition_reduced(agg: AggregateConstants, h0: float) -> ConditionResult:
@@ -357,7 +338,7 @@ def feasible_window_condition_reduced(agg: AggregateConstants, h0: float) -> Con
         raise ValueError(f"the load level must be positive, got {h0}")
     peak = agg.kappa * np.cbrt(4.0) / (3.0 * agg.gamma ** (2.0 / 3.0) * np.cbrt(agg.delta))
     margin = peak - h0
-    return ConditionResult("feasible_window_reduced", bool(margin > 0.0), float(margin))
+    return ConditionResult(bool(margin > 0.0), float(margin))
 
 
 def a2_bound(a1, const: RegionConstants):
@@ -467,7 +448,6 @@ def build_report(
         )
 
     return FeasibilityReport(
-        aggregates=agg,
         r_star=rs,
         p_at_r_star=peak,
         h_at_zero=h0,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ionic import DerivedParameters, RescalingParameters
-from .spectral import SpectralBasis, Stimulus, project_nonlinearity, trace_functional
+from .spectral import SpectralBasis, Stimulus, project_nonlinearity
 
 __all__ = [
     "BlowUpError",
@@ -69,17 +69,19 @@ class GalerkinSystem:
 
 
 def assemble_system(basis, d, resc, stim) -> GalerkinSystem:
-    """Bind basis, constants, and stimulus; precompute the boundary trace vector."""
-    return GalerkinSystem(
-        basis=basis, d=d, resc=resc, stim=stim, trace_vector=trace_functional(basis, stim)
-    )
+    """Bind basis, constants, and stimulus; precompute the boundary trace vector.
+
+    Entry i pairs mode i with the stimulus density at the boundary, phi psi_i(L).
+    """
+    trace_vector = stim.phi_value * basis.trace_values
+    return GalerkinSystem(basis=basis, d=d, resc=resc, stim=stim, trace_vector=trace_vector)
 
 
 @dataclass(frozen=True)
 class Trajectory:
     """Time-sampled coefficient evolution, one row per node.
 
-    Nodes are spaced by ``dt`` except possibly the final interval, which is
+    Nodes are evenly spaced except possibly the final interval, which is
     shortened so the last node lands exactly on the requested end time. The
     generating system rides along so norm and derivative reports need no
     extra arguments. ``u`` and ``w`` have shape ``(n_nodes, *batch, n_modes)``:
@@ -89,7 +91,6 @@ class Trajectory:
     times: np.ndarray
     u: np.ndarray
     w: np.ndarray
-    dt: float
     sys: GalerkinSystem
 
     def __post_init__(self) -> None:
@@ -180,7 +181,7 @@ def integrate_cauchy(sys: GalerkinSystem, state0: GalerkinState, t1: float, dt: 
             raise BlowUpError(time=float(times[k]), magnitude=float(peak))
         u_hist[k], w_hist[k] = u.reshape(u_hist.shape[1:]), w.reshape(w_hist.shape[1:])
 
-    return Trajectory(times=times, u=u_hist, w=w_hist, dt=dt, sys=sys)
+    return Trajectory(times=times, u=u_hist, w=w_hist, sys=sys)
 
 
 @dataclass(frozen=True)

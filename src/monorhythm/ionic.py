@@ -4,7 +4,9 @@ Everything downstream works in transformed variables: the potential is shifted
 by the resting value, the recovery variable is scaled by ``xi``, and time is
 scaled by ``epsilon``. Raw-unit quantities enter only through
 :class:`PhysiologicalParameters`; :func:`derive_parameters` produces the
-constants the solvers actually consume.
+constants the solvers actually consume. The cubic reaction term lives here as
+:func:`f_transformed`; the linear recovery law is written once, in the modal
+right-hand side of :mod:`monorhythm.galerkin`.
 """
 
 from __future__ import annotations
@@ -16,13 +18,8 @@ __all__ = [
     "RescalingParameters",
     "DerivedParameters",
     "derive_parameters",
-    "f_ion_raw",
-    "g_raw",
     "f_transformed",
-    "f_hat",
-    "g_hat",
     "rescale_period",
-    "period_raw",
 ]
 
 
@@ -81,15 +78,14 @@ class RescalingParameters:
 class DerivedParameters:
     """Constants computed once from the physiological set and reused everywhere.
 
-    The growth-bound constants A1..A3 bound the reaction terms polynomially;
-    l2 is the share of A2 that comes from the cubic coefficient a1. The
-    solvers never recompute them.
-    The tail fields carry enough of the raw context that the reaction
-    functions are callable from this object alone.
+    u_tr and u_pr are the threshold and peak potentials above rest; a1 and
+    a2 the cubic and quadratic reaction coefficients; c4 the zeroth-order
+    linear coefficient. The growth-bound constants A1..A3 bound the reaction
+    terms polynomially; l2 is the share of A2 that comes from the cubic
+    coefficient a1. The solvers never recompute them. The tail fields are
+    the physiological constants the modal system reads alongside them.
     """
 
-    u_amp: float
-    u_th: float
     u_tr: float
     u_pr: float
     a1: float
@@ -99,8 +95,6 @@ class DerivedParameters:
     A1: float
     A2: float
     A3: float
-    u_res: float
-    u_peak: float
     C: float
     b: float
     c3: float
@@ -120,13 +114,11 @@ def derive_parameters(
     touch the reaction terms themselves.
     """
     u_amp = phys.u_peak - phys.u_res
-    if u_amp == 0.0:
-        raise ValueError("u_peak - u_res must be nonzero (a1, a2 divide by it)")
     a1 = phys.c1 / u_amp**2
     a2 = phys.c2 / u_amp
     u_th = phys.u_res + phys.a * u_amp
     u_tr = u_th - phys.u_res
-    u_pr = phys.u_peak - phys.u_res
+    u_pr = u_amp
     c4 = a1 * u_tr * u_pr if c4_override is None else float(c4_override)
 
     scale = resc.epsilon / phys.C
@@ -134,8 +126,6 @@ def derive_parameters(
     l2 = a1 * scale * (1.0 + (2.0 / 3.0) * (u_tr + u_pr) + u_tr * u_pr / 3.0)
 
     return DerivedParameters(
-        u_amp=u_amp,
-        u_th=u_th,
         u_tr=u_tr,
         u_pr=u_pr,
         a1=a1,
@@ -145,24 +135,11 @@ def derive_parameters(
         A1=A1,
         A2=l2 + (2.0 / 3.0) * resc.xi * a2,
         A3=resc.xi * a2 / 3.0,
-        u_res=phys.u_res,
-        u_peak=phys.u_peak,
         C=phys.C,
         b=phys.b,
         c3=phys.c3,
         sigma_const=phys.sigma_const,
     )
-
-
-def f_ion_raw(u_hat, w_hat, d: DerivedParameters):
-    """Ionic current in raw units: cubic in the potential plus recovery coupling."""
-    du = u_hat - d.u_res
-    return d.a1 * du * (u_hat - d.u_th) * (u_hat - d.u_peak) + d.a2 * du * w_hat
-
-
-def g_raw(u_hat, w_hat, d: DerivedParameters):
-    """Recovery dynamics in raw units: b * (u_hat - u_res - c3 * w_hat)."""
-    return d.b * (u_hat - d.u_res - d.c3 * w_hat)
 
 
 def f_transformed(u, w, d: DerivedParameters, resc: RescalingParameters):
@@ -179,26 +156,8 @@ def f_transformed(u, w, d: DerivedParameters, resc: RescalingParameters):
     return s * (u * (d.a1 * u * (u - (d.u_pr + d.u_tr)) + resc.xi * d.a2 * w))
 
 
-def f_hat(u, w, d: DerivedParameters, resc: RescalingParameters):
-    """Full transformed ionic term: linear shift plus :func:`f_transformed`."""
-    return (resc.epsilon * d.c4 / d.C) * u + f_transformed(u, w, d, resc)
-
-
-def g_hat(u, w, d: DerivedParameters, resc: RescalingParameters):
-    """Transformed recovery dynamics: epsilon * b * (u - xi * c3 * w)."""
-    return resc.epsilon * d.b * (u - resc.xi * d.c3 * w)
-
-
 def rescale_period(t_tilde: float, resc: RescalingParameters) -> float:
     """Map a raw-time period to the transformed clock (divide by epsilon)."""
     if t_tilde <= 0.0:
         raise ValueError(f"period must be positive, got {t_tilde}")
     return t_tilde / resc.epsilon
-
-
-def period_raw(t_transformed: float, resc: RescalingParameters) -> float:
-    """Inverse of :func:`rescale_period`."""
-    if t_transformed <= 0.0:
-        raise ValueError(f"period must be positive, got {t_transformed}")
-    return t_transformed * resc.epsilon
-

@@ -63,10 +63,6 @@ class PeriodicGrid:
     def times(self) -> np.ndarray:
         return np.arange(self.n_t) * (self.period / self.n_t)
 
-    @property
-    def h(self) -> float:
-        return self.period / self.n_t
-
 
 @dataclass(frozen=True)
 class PeriodicOrbit:
@@ -309,6 +305,11 @@ def shooting_solve(
     n_steps = int(round(T / dt))
     if abs(n_steps * dt - T) > 1e-9 * T:
         raise ValueError("dt must divide the period so orbit nodes land on the grid")
+    if n_steps < 64:
+        raise ValueError(
+            f"dt must be at most T/64 = {T / 64:.6g} so the orbit has at least 64 nodes,"
+            f" got dt = {dt:.6g} (T/{n_steps})"
+        )
     n = sys.n_modes
     x = (
         np.zeros(2 * n)

@@ -1,4 +1,4 @@
-"""Neumann cosine eigenbasis on an interval, with quadrature, norms, and stimuli.
+"""Neumann cosine eigenbasis on an interval, with quadrature, norms, and the drive.
 
 The elliptic operator behind the model is v -> -(sigma_hat v')' + lam0 v on
 (0, L) with insulated ends, where sigma_hat = (epsilon / C) sigma_const and
@@ -11,7 +11,7 @@ products of four basis functions integrate to machine accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,14 +22,8 @@ __all__ = [
     "SpectralBasis",
     "Stimulus",
     "build_basis",
-    "trace_functional",
     "project_nonlinearity",
-    "project_profile",
     "norms",
-    "evaluate_field",
-    "constant_stimulus",
-    "sinusoid_stimulus",
-    "pulse_stimulus",
 ]
 
 _EXACTNESS_TARGET = 1e-14
@@ -94,14 +88,10 @@ class SpectralBasis:
     """
 
     m: int
-    L: float
     lambdas: np.ndarray
-    quad_nodes: np.ndarray
     quad_weights: np.ndarray
     psi_quad: np.ndarray
     trace_values: np.ndarray
-    lam0: float
-    sigma_hat: float
     n_quad: int
 
     @property
@@ -144,21 +134,12 @@ def build_basis(geom, m, d, resc, n_quad: int | None = None) -> SpectralBasis:
 
     return SpectralBasis(
         m=m,
-        L=L,
         lambdas=lambdas,
-        quad_nodes=nodes,
         quad_weights=weights,
         psi_quad=psi,
         trace_values=trace,
-        lam0=lam0,
-        sigma_hat=sigma_hat,
         n_quad=n_quad,
     )
-
-
-def trace_functional(basis: SpectralBasis, stim: "Stimulus") -> np.ndarray:
-    """Boundary pairing of each mode with the stimulus density: phi * psi_i(L)."""
-    return stim.phi_value * basis.trace_values
 
 
 def _check_coeffs(basis: SpectralBasis, coeffs: np.ndarray, name: str) -> np.ndarray:
@@ -183,12 +164,6 @@ def project_nonlinearity(basis, u_coeffs, w_coeffs, d, resc) -> np.ndarray:
     return (f_nodal * basis.quad_weights) @ basis.psi_quad
 
 
-def project_profile(basis: SpectralBasis, profile) -> np.ndarray:
-    """Project a function of x (callable on arrays) onto the basis by quadrature."""
-    values = np.asarray(profile(basis.quad_nodes), dtype=float)
-    return (values * basis.quad_weights) @ basis.psi_quad
-
-
 def norms(basis, u_coeffs, w_coeffs):
     """Return (V-norm of u, H-norm of w).
 
@@ -203,15 +178,6 @@ def norms(basis, u_coeffs, w_coeffs):
     return v_u, h_w
 
 
-def evaluate_field(basis: SpectralBasis, coeffs, x_grid) -> np.ndarray:
-    """Reconstruct the field sum(coeffs_i * psi_i) at points of the interval."""
-    coeffs = _check_coeffs(basis, coeffs, "coeffs")
-    x = np.asarray(x_grid, dtype=float)
-    if np.any(x < 0.0) or np.any(x > basis.L):
-        raise ValueError("evaluation points must lie in [0, L]")
-    return coeffs @ _cosine_modes(x, basis.n_modes, basis.L).T
-
-
 # ----------------------------------------------------------------- stimuli
 
 
@@ -219,9 +185,11 @@ def evaluate_field(basis: SpectralBasis, coeffs, x_grid) -> np.ndarray:
 class Stimulus:
     """Periodic boundary drive s(t) applied with density phi at x = L.
 
-    ``s_sup`` is the sup of |s| over one period, computed at construction from
-    a dense sample plus the analytic extremum candidates of the waveform, so
-    it genuinely dominates every later evaluation.
+    ``kind`` picks the waveform: ``constant`` holds ``amplitude``;
+    ``sinusoid`` is ``offset`` plus ``amplitude`` times a sine of the period;
+    ``pulse`` is ``offset`` plus ``amplitude`` times a periodized Gaussian
+    bump, with ``center`` and ``width`` given as fractions of the period.
+    Fields a kind does not use keep their defaults.
     """
 
     kind: str
@@ -231,7 +199,6 @@ class Stimulus:
     offset: float = 0.0
     center: float = 0.5
     width: float = 0.05
-    s_sup: float = field(default=0.0)
 
     def __post_init__(self) -> None:
         if self.period <= 0.0:
@@ -258,40 +225,3 @@ class Stimulus:
             z = (tau - c + k * self.period) / w
             acc = acc + np.exp(-0.5 * (z * z))
         return self.offset + self.amplitude * acc
-
-
-def _sup_from_samples(stim: Stimulus, candidates) -> float:
-    dense = np.linspace(0.0, stim.period, 2048, endpoint=False)
-    values = np.abs(stim(dense))
-    cand = np.abs(stim(np.asarray(candidates, dtype=float))) if len(candidates) else []
-    return float(max(values.max(), *cand)) if len(candidates) else float(values.max())
-
-
-def constant_stimulus(value: float, period: float, phi_value: float) -> Stimulus:
-    stim = Stimulus(kind="constant", period=period, phi_value=phi_value, amplitude=value)
-    object.__setattr__(stim, "s_sup", abs(value))
-    return stim
-
-
-def sinusoid_stimulus(period, amplitude, phi_value, offset=0.0) -> Stimulus:
-    stim = Stimulus(
-        kind="sinusoid", period=period, phi_value=phi_value, amplitude=amplitude, offset=offset
-    )
-    # the sine hits both signed extremes, so the sup is exact
-    object.__setattr__(stim, "s_sup", abs(offset) + abs(amplitude))
-    return stim
-
-
-def pulse_stimulus(period, amplitude, phi_value, center=0.5, width=0.05, offset=0.0) -> Stimulus:
-    stim = Stimulus(
-        kind="pulse",
-        period=period,
-        phi_value=phi_value,
-        amplitude=amplitude,
-        offset=offset,
-        center=center,
-        width=width,
-    )
-    peak = [center * period, (center + 0.5) * period % period]
-    object.__setattr__(stim, "s_sup", _sup_from_samples(stim, peak))
-    return stim

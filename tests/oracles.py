@@ -74,3 +74,28 @@ def reaction_expanded(u, w, d, resc):
     """
     s = resc.epsilon / d.C
     return s * (d.a1 * u**3 + resc.xi * d.a2 * u * w - d.a1 * (d.u_pr + d.u_tr) * u**2)
+
+
+def gauss_legendre(L, n):
+    """Nodes and weights of the n-point Gauss-Legendre rule mapped onto (0, L)."""
+    xg, wg = np.polynomial.legendre.leggauss(n)
+    return 0.5 * L * (xg + 1.0), 0.5 * L * wg
+
+
+def f_ion_raw(u_hat, w_hat, phys):
+    """Rogers-McCulloch ionic current in raw units.
+
+    a1 (u_hat - u_res)(u_hat - u_th)(u_hat - u_peak) + a2 (u_hat - u_res) w_hat
+    with a1 = c1 / amp^2, a2 = c2 / amp and u_th = u_res + a amp, where
+    amp = u_peak - u_res; ``phys`` is any object carrying those constants.
+    """
+    amp = phys.u_peak - phys.u_res
+    a1, a2 = phys.c1 / amp**2, phys.c2 / amp
+    u_th = phys.u_res + phys.a * amp
+    du = u_hat - phys.u_res
+    return a1 * du * (u_hat - u_th) * (u_hat - phys.u_peak) + a2 * du * w_hat
+
+
+def g_raw(u_hat, w_hat, phys):
+    """Recovery dynamics in raw units: b (u_hat - u_res - c3 w_hat)."""
+    return phys.b * (u_hat - phys.u_res - phys.c3 * w_hat)

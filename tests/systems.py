@@ -9,7 +9,7 @@ the spectrum stays put.
 
 from monorhythm.galerkin import assemble_system
 from monorhythm.ionic import PhysiologicalParameters, RescalingParameters, derive_parameters
-from monorhythm.spectral import Geometry1D, build_basis, constant_stimulus, sinusoid_stimulus
+from monorhythm.spectral import Geometry1D, Stimulus, build_basis
 
 RESC = RescalingParameters(epsilon=0.032, xi=3.75)
 GEOM = Geometry1D(1.0)
@@ -34,12 +34,12 @@ def linear_model():
 def feasible_system(m=8, amplitude=1.0, phi=PHI, period=PERIOD):
     d = feasible_model()
     basis = build_basis(GEOM, m, d, RESC)
-    stim = sinusoid_stimulus(period=period, amplitude=amplitude, phi_value=phi)
+    stim = Stimulus("sinusoid", period=period, phi_value=phi, amplitude=amplitude)
     return assemble_system(basis, d, RESC, stim)
 
 
 def linear_system(m=4, s0=1.0, phi=PHI, period=PERIOD):
     d = linear_model()
     basis = build_basis(GEOM, m, d, RESC)
-    stim = constant_stimulus(s0, period=period, phi_value=phi)
+    stim = Stimulus("constant", period=period, phi_value=phi, amplitude=s0)
     return assemble_system(basis, d, RESC, stim)

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from monorhythm import cli
+from monorhythm import cli, periodic
 from monorhythm.config import load_config, render_config
 from monorhythm.periodic import NonConvergenceError
 
@@ -403,6 +403,18 @@ def test_both_period_keys_exit_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "exactly one" in err, f"stderr should flag the conflict: {err!r}"
+
+
+def test_coarse_shooting_step_exits_2_before_integrating(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(periodic, "integrate_cauchy", lambda *args: calls.append(args))
+    text = NONLINEAR_PERIODIC_CFG.replace("solver.method = picard", "solver.method = shooting")
+    cfg = write_config(tmp_path, text + "solver.dt = 0.0625\n")
+    rc = cli.main(["solve-periodic", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "dt" in err and "T/64" in err and "n_t" not in err, f"stderr should name dt: {err!r}"
+    assert calls == [], "the step size is checked before any integration"
 
 
 def test_wrong_ic_length_exits_2(tmp_path, capsys):

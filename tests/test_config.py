@@ -32,7 +32,9 @@ def test_parse_types_and_comments():
     assert cfg.entries["stimulus.kind"] == "sinusoid", "string value should parse"
     assert cfg.entries["ic.u"] == (0.5, -1.25e-3, 2.0), "float list should parse"
     assert cfg.entries["converge.m_list"] == (4, 8, 16), "int list should parse"
-    assert cfg.lines["stimulus.kind"] == 5, "line numbers should skip blanks"
+    # line numbers skip blanks: the duplicate on line 8 points back to line 5
+    with pytest.raises(ConfigError, match=r"demo\.cfg:8: .*\(first set on line 5\)$"):
+        parse_config(text + "\nstimulus.kind = pulse", path="demo.cfg")
 
 
 def test_unknown_key_reports_line():

@@ -13,14 +13,22 @@ from monorhythm.galerkin import (
     rhs,
 )
 from monorhythm.ionic import PhysiologicalParameters, derive_parameters
-from monorhythm.spectral import build_basis, constant_stimulus, project_profile, pulse_stimulus
+from monorhythm.spectral import Stimulus, build_basis
 
+from oracles import gauss_legendre
 from systems import GEOM, PERIOD, PHI, RESC, feasible_model, feasible_system, linear_system
 
 
 def zero_state(sys):
     n = sys.n_modes
     return GalerkinState(u=np.zeros(n), w=np.zeros(n), t=0.0)
+
+
+def bump_coeffs(basis):
+    """Modal coefficients of a smooth Gaussian bump at x = 0.3, by the basis quadrature."""
+    x, _ = gauss_legendre(GEOM.L, basis.n_quad)
+    values = 0.01 * np.exp(-0.5 * ((x - 0.3) / 0.15) ** 2)
+    return (values * basis.quad_weights) @ basis.psi_quad
 
 
 def test_rhs_zero_equilibrium():
@@ -67,7 +75,7 @@ def test_linear_recovery_closed_form():
     # pick the constant stimulus that makes u = 1 an exact equilibrium
     lam0 = basis.lambdas[0]
     b0 = 1.0 / np.sqrt(GEOM.L)
-    stim = constant_stimulus(lam0 / b0, period=2.0, phi_value=1.0)
+    stim = Stimulus("constant", period=2.0, phi_value=1.0, amplitude=lam0 / b0)
     sys = assemble_system(basis, d, RESC, stim)
     state0 = GalerkinState(u=np.array([1.0]), w=np.array([0.0]), t=0.0)
     traj = integrate_cauchy(sys, state0, 200.0, dt=0.1)
@@ -131,7 +139,7 @@ def test_blow_up_detected_with_time():
     )
     d = derive_parameters(phys, RESC)
     basis = build_basis(GEOM, 4, d, RESC)
-    stim = constant_stimulus(0.0, period=2.0, phi_value=0.0)
+    stim = Stimulus("constant", period=2.0, phi_value=0.0, amplitude=0.0)
     sys = assemble_system(basis, d, RESC, stim)
     state0 = GalerkinState(u=5.0 * np.ones(5), w=np.zeros(5), t=0.0)
     with pytest.raises(BlowUpError) as info:
@@ -178,7 +186,7 @@ def test_integration_equals_rk4_on_public_rhs():
     per stage, for a lone state and for each row of a stack, under a pulse
     drive with a shortened last step (dt = 0.03 does not divide the period)."""
     d = feasible_model()
-    stim = pulse_stimulus(period=PERIOD, amplitude=20.0, phi_value=PHI, center=0.3, width=0.05)
+    stim = Stimulus("pulse", period=PERIOD, phi_value=PHI, amplitude=20.0, center=0.3, width=0.05)
     sys = assemble_system(build_basis(GEOM, 8, d, RESC), d, RESC, stim)
     rng = np.random.default_rng(12)
     u0 = 0.01 * rng.standard_normal((3, 9))
@@ -212,7 +220,8 @@ def test_blow_up_of_one_stacked_row_is_detected():
     )
     d = derive_parameters(phys, RESC)
     basis = build_basis(GEOM, 4, d, RESC)
-    sys = assemble_system(basis, d, RESC, constant_stimulus(0.0, period=2.0, phi_value=0.0))
+    off = Stimulus("constant", period=2.0, phi_value=0.0, amplitude=0.0)
+    sys = assemble_system(basis, d, RESC, off)
     u0 = np.zeros((3, 5))
     u0[1] = 5.0
     with pytest.raises(BlowUpError) as info:
@@ -266,7 +275,7 @@ def test_monitors_decay_peaks_at_start():
 
 def test_l2_difference_zero_for_identical_runs():
     sys = feasible_system(m=4)
-    bump = project_profile(sys.basis, lambda x: 0.01 * np.exp(-0.5 * ((x - 0.3) / 0.15) ** 2))
+    bump = bump_coeffs(sys.basis)
     state0 = GalerkinState(u=bump, w=np.zeros(5), t=0.0)
     traj_a = integrate_cauchy(sys, state0, PERIOD, dt=PERIOD / 128)
     traj_b = integrate_cauchy(sys, state0, PERIOD, dt=PERIOD / 128)
@@ -292,11 +301,9 @@ def test_refinement_differences_shrink():
     prev = None
     for m in (4, 8, 16):
         basis = build_basis(GEOM, m, d, RESC)
-        from monorhythm.spectral import sinusoid_stimulus
-
-        stim = sinusoid_stimulus(period=PERIOD, amplitude=1.0, phi_value=0.005)
+        stim = Stimulus("sinusoid", period=PERIOD, phi_value=0.005, amplitude=1.0)
         sys = assemble_system(basis, d, RESC, stim)
-        bump = project_profile(basis, lambda x: 0.01 * np.exp(-0.5 * ((x - 0.3) / 0.15) ** 2))
+        bump = bump_coeffs(basis)
         traj = integrate_cauchy(
             sys,
             GalerkinState(u=bump, w=np.zeros(m + 1), t=0.0),

@@ -10,16 +10,11 @@ from monorhythm.ionic import (
     PhysiologicalParameters,
     RescalingParameters,
     derive_parameters,
-    f_hat,
-    f_ion_raw,
     f_transformed,
-    g_hat,
-    g_raw,
-    period_raw,
     rescale_period,
 )
 
-from oracles import reaction_expanded
+from oracles import f_ion_raw, g_raw, reaction_expanded
 
 
 def make_params(**overrides):
@@ -33,11 +28,10 @@ RESC = RescalingParameters(epsilon=0.032, xi=3.75)
 
 
 def test_derivation_hand_example():
-    # hand evaluation of the defining formulas with u_amp = 2
+    # hand evaluation of the defining formulas with u_peak - u_res = 2
     phys = PhysiologicalParameters(u_res=0.0, u_peak=2.0, a=0.25, c1=1.0, c2=1.0, c3=1.0, b=1.0)
     d = derive_parameters(phys, RESC)
     assert d.a1 == pytest.approx(0.25, rel=1e-15)
-    assert d.u_th == pytest.approx(0.5, rel=1e-15)
     assert d.u_tr == pytest.approx(0.5, rel=1e-15)
     assert d.u_pr == pytest.approx(2.0, rel=1e-15)
     assert d.c4 == pytest.approx(0.25, rel=1e-15)
@@ -73,56 +67,49 @@ def test_c4_override():
 
 
 def test_f_ion_raw_roots():
-    d = derive_parameters(make_params(), RESC)
-    assert f_ion_raw(d.u_res, 7.3, d) == 0.0
-    assert f_ion_raw(d.u_th, 0.0, d) == 0.0
-    assert f_ion_raw(d.u_peak, 0.0, d) == 0.0
+    # the raw-unit reference: zero at rest for any w, and at threshold and peak
+    phys = make_params()
+    u_th = phys.u_res + phys.a * (phys.u_peak - phys.u_res)
+    assert f_ion_raw(phys.u_res, 7.3, phys) == 0.0
+    assert f_ion_raw(u_th, 0.0, phys) == 0.0
+    assert f_ion_raw(phys.u_peak, 0.0, phys) == 0.0
 
 
 def test_f_ion_raw_value():
     # a1=1, a2=1, u_res=0, u_th=0.5, u_peak=1: f(2, 1) = 2*1.5*1 + 2*1 = 5
     phys = PhysiologicalParameters(u_res=0.0, u_peak=1.0, a=0.5, c1=1.0, c2=1.0, c3=1.0, b=1.0)
-    d = derive_parameters(phys, RESC)
-    assert f_ion_raw(2.0, 1.0, d) == pytest.approx(5.0, rel=1e-15)
+    assert f_ion_raw(2.0, 1.0, phys) == pytest.approx(5.0, rel=1e-15)
 
 
 def test_g_raw():
-    d = derive_parameters(make_params(b=1.0, c3=1.0), RESC)
-    assert g_raw(d.u_res, 0.0, d) == 0.0
-    assert g_raw(d.u_res + 2.0, 1.0, d) == pytest.approx(1.0, rel=1e-15)
+    phys = make_params(b=1.0, c3=1.0)
+    assert g_raw(phys.u_res, 0.0, phys) == 0.0
+    assert g_raw(phys.u_res + 2.0, 1.0, phys) == pytest.approx(1.0, rel=1e-15)
     # linear in both arguments
-    assert g_raw(d.u_res + 4.0, 2.0, d) == pytest.approx(2.0 * g_raw(d.u_res + 2.0, 1.0, d))
+    assert g_raw(phys.u_res + 4.0, 2.0, phys) == pytest.approx(
+        2.0 * g_raw(phys.u_res + 2.0, 1.0, phys)
+    )
 
 
 def test_f_transformed_zero_at_zero():
     d = derive_parameters(make_params(), RESC)
     assert f_transformed(0.0, -3.0, d, RESC) == 0.0
-    assert f_hat(0.0, 11.0, d, RESC) == 0.0
 
 
 def test_f_transformed_hand_value():
     # direct formula evaluation with synthetic constants u_pr + u_tr = 0
     d = DerivedParameters(
-        u_amp=1.0, u_th=0.0, u_tr=0.0, u_pr=0.0, a1=1.0, a2=1.0, c4=0.0,
-        l2=0.0, A1=0.0, A2=0.0, A3=0.0, u_res=0.0, u_peak=1.0, C=1.0, b=1.0, c3=1.0, sigma_const=1.0,
+        u_tr=0.0, u_pr=0.0, a1=1.0, a2=1.0, c4=0.0,
+        l2=0.0, A1=0.0, A2=0.0, A3=0.0, C=1.0, b=1.0, c3=1.0, sigma_const=1.0,
     )
     one = RescalingParameters(epsilon=1.0, xi=1.0)
     assert f_transformed(2.0, 3.0, d, one) == pytest.approx(14.0, rel=1e-15)
-
-
-def test_g_hat_values():
-    d = derive_parameters(make_params(b=1.0), RescalingParameters(epsilon=0.032, xi=3.75))
-    assert g_hat(0.0, 0.0, d, RescalingParameters(epsilon=0.032, xi=3.75)) == 0.0
-    assert g_hat(1.0, 0.0, d, RescalingParameters(epsilon=0.032, xi=3.75)) == pytest.approx(
-        0.032, rel=1e-15
-    )
 
 
 def test_rescale_period():
     assert rescale_period(0.8, RescalingParameters(epsilon=0.032, xi=1.0)) == pytest.approx(25.0)
     ident = RescalingParameters(epsilon=1.0, xi=1.0)
     assert rescale_period(0.8, ident) == 0.8
-    assert period_raw(rescale_period(0.8, RESC), RESC) == pytest.approx(0.8, rel=1e-15)
     with pytest.raises(ValueError):
         rescale_period(0.0, RESC)
 
@@ -133,10 +120,12 @@ def test_rescale_period():
 )
 @settings(max_examples=200, deadline=None)
 def test_transformed_consistent_with_raw(u, w):
-    """f_hat(u, w) must equal (eps/C) * f_ion_raw(u + u_res, xi * w) identically."""
-    d = derive_parameters(make_params(), RESC)
-    lhs = f_hat(u, w, d, RESC)
-    rhs = (RESC.epsilon / d.C) * f_ion_raw(u + d.u_res, RESC.xi * w, d)
+    """The linear shift (eps c4 / C) u plus f_transformed(u, w) must equal
+    (eps / C) * f_ion_raw(u + u_res, xi * w) identically."""
+    phys = make_params()
+    d = derive_parameters(phys, RESC)
+    lhs = (RESC.epsilon * d.c4 / d.C) * u + f_transformed(u, w, d, RESC)
+    rhs = (RESC.epsilon / d.C) * f_ion_raw(u + phys.u_res, RESC.xi * w, phys)
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
@@ -203,5 +192,5 @@ def test_growth_bounds_hold_on_samples():
     f2 = (f_transformed(u, np.ones_like(u), d, RESC) - f1) / RESC.xi
     assert np.all(np.abs(f1) <= d.A1 + d.l2 * np.abs(u) ** 3 + 1e-12)
     assert np.all(np.abs(f2) <= d.a2 * np.abs(u) + 1e-12)
-    g1 = g_hat(u, np.zeros_like(u), d, RESC)
+    g1 = RESC.epsilon * d.b * u
     assert np.all(np.abs(g1) <= (d.b / 2.0) * (1.0 + u**2) + 1e-12)

@@ -22,7 +22,7 @@ from monorhythm.periodic import (
     picard_solve,
     shooting_solve,
 )
-from monorhythm.spectral import build_basis, constant_stimulus
+from monorhythm.spectral import Stimulus, build_basis
 
 from oracles import green_kernel_u, green_kernel_w
 from systems import GEOM, PERIOD, RESC, feasible_system, linear_system
@@ -119,7 +119,7 @@ def test_grid_validation():
         PeriodicGrid(n_t=128, period=0.0)
     grid = PeriodicGrid(n_t=128, period=2.0)
     assert grid.times[0] == 0.0 and len(grid.times) == 128
-    assert grid.h == pytest.approx(2.0 / 128)
+    assert grid.times[1] == pytest.approx(2.0 / 128)
 
 
 def test_farkas_constant_forcing_hits_steady_state():
@@ -216,7 +216,8 @@ def test_picard_divergence_reports_history():
     )
     d = derive_parameters(phys, RESC)
     basis = build_basis(GEOM, 4, d, RESC)
-    sys = assemble_system(basis, d, RESC, constant_stimulus(0.0, period=2.0, phi_value=0.0))
+    off = Stimulus("constant", period=2.0, phi_value=0.0, amplitude=0.0)
+    sys = assemble_system(basis, d, RESC, off)
     grid = PeriodicGrid(n_t=128, period=2.0)
     huge = 1e3 * np.ones((128, 5))
     with pytest.raises(NonConvergenceError) as info:

@@ -12,21 +12,17 @@ from monorhythm.ionic import (
     RescalingParameters,
     derive_parameters,
 )
+from monorhythm.galerkin import assemble_system
 from monorhythm.spectral import (
     Geometry1D,
+    Stimulus,
     build_basis,
-    constant_stimulus,
-    evaluate_field,
     nodes_for_band,
     norms,
     project_nonlinearity,
-    project_profile,
-    pulse_stimulus,
-    sinusoid_stimulus,
-    trace_functional,
 )
 
-from oracles import cosine_product_integral
+from oracles import cosine_product_integral, gauss_legendre
 
 
 RESC = RescalingParameters(epsilon=0.032, xi=3.75)
@@ -115,13 +111,13 @@ def test_trace_values():
     d = shipped_model()
     L = 2.0
     basis = build_basis(Geometry1D(L), 6, d, RESC)
-    stim = constant_stimulus(1.0, period=2.0, phi_value=0.25)
-    b = trace_functional(basis, stim)
+    stim = Stimulus("constant", period=2.0, phi_value=0.25, amplitude=1.0)
+    b = assemble_system(basis, d, RESC, stim).trace_vector
     assert b[0] == pytest.approx(0.25 / np.sqrt(L), rel=1e-15)
     for i in range(1, 7):
         assert b[i] == pytest.approx(0.25 * np.sqrt(2.0 / L) * (-1.0) ** i, rel=1e-14)
-    zero = trace_functional(basis, constant_stimulus(1.0, period=2.0, phi_value=0.0))
-    assert np.all(zero == 0.0)
+    off = Stimulus("constant", period=2.0, phi_value=0.0, amplitude=1.0)
+    assert np.all(assemble_system(basis, d, RESC, off).trace_vector == 0.0)
 
 
 def test_projection_zero_when_u_zero():
@@ -135,8 +131,8 @@ def test_projection_zero_when_u_zero():
 def test_projection_single_mode_cubic_matches_oracle():
     # synthetic constants pick out the pure cubic: f(u, w) = u^3
     d = DerivedParameters(
-        u_amp=1.0, u_th=0.0, u_tr=0.0, u_pr=0.0, a1=1.0, a2=0.0, c4=0.0,
-        l2=0.0, A1=0.0, A2=0.0, A3=0.0, u_res=0.0, u_peak=1.0, C=1.0, b=1.0, c3=1.0, sigma_const=1.0,
+        u_tr=0.0, u_pr=0.0, a1=1.0, a2=0.0, c4=0.0,
+        l2=0.0, A1=0.0, A2=0.0, A3=0.0, C=1.0, b=1.0, c3=1.0, sigma_const=1.0,
     )
     one = RescalingParameters(epsilon=1.0, xi=1.0)
     L = 1.0
@@ -190,7 +186,9 @@ def test_norms():
 
 
 def test_vnorm_matches_derivative_quadrature():
-    """Sum of lambda_i u_i^2 equals lam0 ||u||^2 + ||sqrt(sigma_hat) u'||^2."""
+    """Sum of lambda_i u_i^2 equals lam0 ||u||^2 + ||sqrt(sigma_hat) u'||^2,
+    with lam0 = eps c4 / C and sigma_hat = (eps / C) sigma rebuilt from their
+    definitions and the derivative integrated on the basis's own Gauss rule."""
     d = shipped_model()
     L = 1.3
     basis = build_basis(Geometry1D(L), 6, d, RESC)
@@ -198,61 +196,41 @@ def test_vnorm_matches_derivative_quadrature():
     u = rng.standard_normal(7)
     v_u, _ = norms(basis, u, np.zeros(7))
 
+    lam0 = RESC.epsilon * d.c4 / d.C
+    sigma_hat = (RESC.epsilon / d.C) * d.sigma_const
+    nodes, weights = gauss_legendre(L, basis.n_quad)
+    assert np.array_equal(weights, basis.quad_weights)
     i = np.arange(7)
-    dpsi = -np.sqrt(2.0 / L) * (i * np.pi / L) * np.sin(np.outer(basis.quad_nodes, i * np.pi / L))
+    dpsi = -np.sqrt(2.0 / L) * (i * np.pi / L) * np.sin(np.outer(nodes, i * np.pi / L))
     du_nodal = u @ dpsi.T
     u_nodal = u @ basis.psi_quad.T
-    quad_sq = basis.lam0 * np.sum(basis.quad_weights * u_nodal**2) + basis.sigma_hat * np.sum(
-        basis.quad_weights * du_nodal**2
-    )
+    quad_sq = lam0 * np.sum(weights * u_nodal**2) + sigma_hat * np.sum(weights * du_nodal**2)
     assert v_u**2 == pytest.approx(quad_sq, rel=1e-10)
-
-
-def test_evaluate_field():
-    d = shipped_model()
-    L = 1.0
-    basis = build_basis(Geometry1D(L), 4, d, RESC)
-    e0 = np.zeros(5)
-    e0[0] = 1.0
-    x = np.linspace(0.0, L, 11)
-    assert np.allclose(evaluate_field(basis, e0, x), 1.0 / np.sqrt(L), rtol=1e-15)
-    assert np.all(evaluate_field(basis, np.zeros(5), x) == 0.0)
-    with pytest.raises(ValueError):
-        evaluate_field(basis, e0, [-0.1])
-
-
-def test_project_profile_round_trip():
-    d = shipped_model()
-    basis = build_basis(Geometry1D(1.0), 5, d, RESC)
-    coeffs = np.array([0.3, -1.1, 0.0, 0.7, 0.0, 0.2])
-    recovered = project_profile(basis, lambda x: evaluate_field(basis, coeffs, x))
-    assert np.max(np.abs(recovered - coeffs)) < 1e-13
 
 
 def test_stimulus_periodicity_and_sup():
     T = 2.0
-    stim = sinusoid_stimulus(period=T, amplitude=1.5, phi_value=0.01, offset=0.25)
+    stim = Stimulus("sinusoid", period=T, phi_value=0.01, amplitude=1.5, offset=0.25)
     t = np.arange(64) * (T / 64.0)
     assert np.array_equal(stim(t), stim(t + T))
-    assert stim.s_sup == pytest.approx(1.75, rel=1e-15)
-    assert np.all(np.abs(stim(np.linspace(0, T, 4097))) <= stim.s_sup + 1e-15)
+    dense = stim(np.linspace(0, T, 4097))
+    assert np.all(np.abs(dense) <= 1.75 + 1e-15)
+    assert np.max(dense) == pytest.approx(1.75, rel=1e-15)
 
-    pulse = pulse_stimulus(period=T, amplitude=2.0, phi_value=0.01, center=0.3, width=0.05)
+    pulse = Stimulus("pulse", period=T, phi_value=0.01, amplitude=2.0, center=0.3, width=0.05)
     assert np.array_equal(pulse(t), pulse(t + T))
-    assert pulse.s_sup >= 2.0
-    assert np.all(np.abs(pulse(np.linspace(0, T, 4097))) <= pulse.s_sup + 1e-15)
+    assert pulse(0.3 * T) >= 2.0
 
-    const = constant_stimulus(-0.75, period=T, phi_value=0.01)
-    assert const.s_sup == 0.75
+    const = Stimulus("constant", period=T, phi_value=0.01, amplitude=-0.75)
     assert np.all(const(t) == -0.75)
 
 
 @pytest.mark.parametrize(
     "stim",
     [
-        constant_stimulus(-0.75, period=2.0, phi_value=0.01),
-        sinusoid_stimulus(period=2.0, amplitude=1.5, phi_value=0.01, offset=0.25),
-        pulse_stimulus(period=2.0, amplitude=2.0, phi_value=0.01, center=0.3, width=0.01),
+        Stimulus("constant", period=2.0, phi_value=0.01, amplitude=-0.75),
+        Stimulus("sinusoid", period=2.0, phi_value=0.01, amplitude=1.5, offset=0.25),
+        Stimulus("pulse", period=2.0, phi_value=0.01, amplitude=2.0, center=0.3, width=0.01),
     ],
     ids=lambda stim: stim.kind,
 )
@@ -269,6 +247,8 @@ def test_stimulus_on_stage_times_equals_scalar_calls(stim):
 
 def test_stimulus_validation():
     with pytest.raises(ValueError):
-        constant_stimulus(1.0, period=0.0, phi_value=1.0)
+        Stimulus("constant", period=0.0, phi_value=1.0, amplitude=1.0)
     with pytest.raises(ValueError):
-        pulse_stimulus(period=1.0, amplitude=1.0, phi_value=1.0, width=0.4)
+        Stimulus("pulse", period=1.0, phi_value=1.0, amplitude=1.0, width=0.4)
+    with pytest.raises(ValueError):
+        Stimulus("square", period=1.0, phi_value=1.0, amplitude=1.0)
