@@ -9,10 +9,11 @@ a shared time grid, and ``param-region`` rasterizes the admissible
 reaction-coefficient region.
 
 Every run writes a JSON report (configuration echo, payload, condition
-flags, timings) and CSV data files with 17-significant-digit floats, so
+flags, timings) and CSV data files. Every CSV cell is printed with
+``%.17g``, so floats round-trip and integer columns print bare, and
 identical configurations reproduce identical bytes apart from timings.
-Exit codes: 0 success, 2 configuration error, 3 solver non-convergence,
-4 trajectory blow-up.
+Exit codes: 0 success, 2 configuration error (including a stimulus key its
+kind does not use), 3 solver non-convergence, 4 trajectory blow-up.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,67 +69,29 @@ _DIRECT_AGGREGATE_KEYS = (
     "feasibility.delta",
 )
 
-
-@dataclass(frozen=True)
-class RunReport:
-    """Everything one invocation produced, ready for JSON emission."""
-
-    command: str
-    config_echo: dict
-    payload: dict
-    condition_flags: dict
-    timings: dict
+# the waveform fields each stimulus kind reads; setting any other is an error
+_STIMULUS_SHAPE_FIELDS = {
+    "constant": (),
+    "sinusoid": ("offset",),
+    "pulse": ("center", "width", "offset"),
+}
 
 
-def _fmt(value) -> str:
-    return "%.17g" % float(value)
-
-
-def _cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return _fmt(value)
-
-
-def _jsonable(obj):
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
+def _json_default(obj):
+    """Plain-Python form of the NumPy values a payload carries, for ``json.dump``."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
     if isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+    if isinstance(obj, np.integer):
+        return int(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_csv(path: str, comment: str, header: str, rows) -> None:
-    lines = [f"# {comment}", header]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
-def _write_json(path: str, report: RunReport) -> None:
-    obj = _jsonable(
-        {
-            "command": report.command,
-            "config": report.config_echo,
-            "payload": report.payload,
-            "condition_flags": report.condition_flags,
-            "timings": report.timings,
-        }
-    )
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(obj, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+        handle.write(f"# {comment}\n{header}\n")
+        np.savetxt(handle, np.asarray(rows, dtype=float), fmt="%.17g", delimiter=",")
 
 
 def _build_model(cfg: RunConfig):
@@ -162,19 +124,15 @@ def _build_stimulus(cfg: RunConfig, resc: RescalingParameters):
     kind = cfg.require("stimulus.kind")
     phi = cfg.require("stimulus.phi")
     amplitude = cfg.require("stimulus.amplitude")
-    if kind == "constant":
-        return Stimulus(kind, period, phi, amplitude)
-    if kind == "sinusoid":
-        return Stimulus(kind, period, phi, amplitude, offset=cfg.get("stimulus.offset", 0.0))
-    return Stimulus(
-        kind,
-        period,
-        phi,
-        amplitude,
-        center=cfg.get("stimulus.center", 0.5),
-        width=cfg.get("stimulus.width", 0.05),
-        offset=cfg.get("stimulus.offset", 0.0),
-    )
+    shape = _STIMULUS_SHAPE_FIELDS[kind]
+    for name in ("offset", "center", "width"):
+        if name not in shape and cfg.has(f"stimulus.{name}"):
+            raise ConfigError(
+                f"key 'stimulus.{name}' is not used by stimulus.kind = {kind}", cfg.path
+            )
+    # an unset field takes the Stimulus dataclass default
+    fields = {name: cfg.get(f"stimulus.{name}", getattr(Stimulus, name)) for name in shape}
+    return Stimulus(kind, period, phi, amplitude, **fields)
 
 
 def _build_system(cfg: RunConfig, resc, d):
@@ -498,11 +456,7 @@ def cmd_param_region(cfg: RunConfig, seed=None):
             )
         a2 = np.linspace(0.0, a2_max, n_a2)
         admissible = a2[None, :] < bound[:, None]
-        rows = zip(
-            np.repeat(a1, n_a2).tolist(),
-            np.tile(a2, n_a1).tolist(),
-            admissible.ravel().astype(int).tolist(),
-        )
+        rows = np.column_stack([np.repeat(a1, n_a2), np.tile(a2, n_a1), admissible.ravel()])
         files.append(
             (
                 "region_raster.csv",
@@ -592,16 +546,18 @@ def _run(args) -> int:
             _write_csv(path, comment, header, rows)
             written.append(path)
     write_s = time.perf_counter() - t2
-    report = RunReport(
-        command=args.command,
-        config_echo=cfg.echo(),
-        payload=payload,
-        condition_flags=flags,
-        timings={"parse_s": parse_s, "solve_s": solve_s, "write_s": write_s},
-    )
+    report = {
+        "command": args.command,
+        "config": cfg.echo(),
+        "payload": payload,
+        "condition_flags": flags,
+        "timings": {"parse_s": parse_s, "solve_s": solve_s, "write_s": write_s},
+    }
     if fmt in ("json", "both"):
         path = os.path.join(out_dir, "report.json")
-        _write_json(path, report)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(report, handle, sort_keys=True, indent=2, default=_json_default)
+            handle.write("\n")
         written.append(path)
     for path in written:
         print(path)

@@ -390,20 +390,19 @@ def emit_curves(
     C: float,
     t_max: float,
     r_max: float,
-    n_t: int = 256,
-    n_r: int = 256,
+    n_samples: int = 256,
 ) -> tuple:
     """Sample the load and gain curves on uniform grids including both endpoints.
 
-    Returns (h_curve, p_curve), each an (n, 2) array with the abscissa in
-    column 0 and the curve value in column 1, in ascending abscissa order.
+    Returns (h_curve, p_curve), each an (n_samples, 2) array with the abscissa
+    in column 0 and the curve value in column 1, in ascending abscissa order.
     """
     if t_max <= 0.0 or r_max <= 0.0:
         raise ValueError("curve ranges must be positive")
-    if n_t < 2 or n_r < 2:
+    if n_samples < 2:
         raise ValueError("curve grids need at least two points")
-    t = np.linspace(0.0, t_max, n_t)
-    r = np.linspace(0.0, r_max, n_r)
+    t = np.linspace(0.0, t_max, n_samples)
+    r = np.linspace(0.0, r_max, n_samples)
     h_curve = np.column_stack([t, h_of_T(t, c4, epsilon, C)])
     p_curve = np.column_stack([r, p_of_R(r, agg)])
     return h_curve, p_curve
@@ -443,9 +442,7 @@ def build_report(
 
     h_curve = p_curve = None
     if t_max is not None and r_max is not None:
-        h_curve, p_curve = emit_curves(
-            agg, c4, epsilon, C, t_max, r_max, n_t=n_samples, n_r=n_samples
-        )
+        h_curve, p_curve = emit_curves(agg, c4, epsilon, C, t_max, r_max, n_samples)
 
     return FeasibilityReport(
         r_star=rs,

@@ -84,8 +84,7 @@ class Trajectory:
     Nodes are evenly spaced except possibly the final interval, which is
     shortened so the last node lands exactly on the requested end time. The
     generating system rides along so norm and derivative reports need no
-    extra arguments. ``u`` and ``w`` have shape ``(n_nodes, *batch, n_modes)``:
-    a stack of initial states integrates as one, on one time grid.
+    extra arguments. ``u`` and ``w`` have shape ``(n_nodes, n_modes)``.
     """
 
     times: np.ndarray
@@ -103,7 +102,11 @@ class Trajectory:
 
 
 def rhs(sys: GalerkinSystem, t, u, w):
-    """Time derivative of the coefficient pair at time t."""
+    """Time derivative of the coefficient pair at time t.
+
+    Node-stacked states take a column of times: ``t`` of shape ``(n, 1)``
+    against ``u`` and ``w`` of shape ``(n, n_modes)``.
+    """
     return _driven_rhs(sys, sys.stim(t), u, w)
 
 
@@ -130,11 +133,9 @@ def integrate_cauchy(sys: GalerkinSystem, state0: GalerkinState, t1: float, dt: 
     """Classical fixed-step fourth-order Runge-Kutta from state0.t to t1.
 
     The final time is hit exactly; when dt does not divide the interval the
-    last step is shortened. ``state0.u`` and ``state0.w`` share one shape
-    ``(..., n_modes)``; leading axes stack independent initial states, which
-    step together and each follow the same operations as alone. Raises
-    :class:`BlowUpError` the moment any coefficient of any state exceeds the
-    threshold or stops being finite.
+    last step is shortened. ``state0.u`` and ``state0.w`` each have shape
+    ``(n_modes,)``. Raises :class:`BlowUpError` the moment any coefficient
+    exceeds the threshold or stops being finite.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -156,18 +157,13 @@ def integrate_cauchy(sys: GalerkinSystem, state0: GalerkinState, t1: float, dt: 
 
     u = np.array(state0.u, dtype=float)
     w = np.array(state0.w, dtype=float)
-    if u.shape != w.shape or u.shape[-1:] != (sys.n_modes,):
+    if u.shape != (sys.n_modes,) or w.shape != (sys.n_modes,):
         raise ValueError(
-            f"initial state has shapes {u.shape}/{w.shape}, system expects (..., {sys.n_modes})"
+            f"initial state has shapes {u.shape}/{w.shape}, system expects ({sys.n_modes},)"
         )
-    u_hist = np.empty((n_nodes, *u.shape))
-    w_hist = np.empty((n_nodes, *w.shape))
+    u_hist = np.empty((n_nodes, sys.n_modes))
+    w_hist = np.empty((n_nodes, sys.n_modes))
     u_hist[0], w_hist[0] = u, w
-    # A lone (n_modes,) state meets the basis in vector-matrix products; a 2-D
-    # stack would meet it in one matrix product, which rounds differently.
-    # A row axis per stacked state keeps each on the lone state's products.
-    if u.ndim > 1:
-        u, w = u[..., None, :], w[..., None, :]
 
     # The drive at every stage time, sampled in one call: row k holds steps
     # k's t, t + h/2 and t + h, built as the stages would build them.
@@ -179,7 +175,7 @@ def integrate_cauchy(sys: GalerkinSystem, state0: GalerkinState, t1: float, dt: 
         peak = max(np.max(np.abs(u)), np.max(np.abs(w)))
         if not np.isfinite(peak) or peak > BLOWUP_THRESHOLD:
             raise BlowUpError(time=float(times[k]), magnitude=float(peak))
-        u_hist[k], w_hist[k] = u.reshape(u_hist.shape[1:]), w.reshape(w_hist.shape[1:])
+        u_hist[k], w_hist[k] = u, w
 
     return Trajectory(times=times, u=u_hist, w=w_hist, sys=sys)
 
@@ -204,15 +200,12 @@ class MonitorReport:
 
 
 def apriori_monitor(traj: Trajectory) -> MonitorReport:
-    """Evaluate boundedness monitors along a trajectory of one state, by time quadrature."""
+    """Evaluate boundedness monitors along a trajectory, by time quadrature."""
     sys = traj.sys
     state_sq = np.sum(traj.u**2, axis=1) + np.sum(traj.w**2, axis=1)
     v_sq = np.sum(sys.basis.lambdas * traj.u**2, axis=1)
 
-    du = np.empty_like(traj.u)
-    dw = np.empty_like(traj.w)
-    for k in range(traj.n_nodes):
-        du[k], dw[k] = rhs(sys, traj.times[k], traj.u[k], traj.w[k])
+    du, dw = rhs(sys, traj.times[:, None], traj.u, traj.w)
     du_sq = np.sum(du**2, axis=1)
     dw_sq = np.sum(dw**2, axis=1)
 

@@ -280,8 +280,7 @@ def _linear_monodromy(sys: GalerkinSystem, dt: float, n_steps: int) -> np.ndarra
 
 def shooting_solve(
     sys: GalerkinSystem,
-    state0: GalerkinState | None = None,
-    dt: float | None = None,
+    dt: float,
     tol: float = 1e-10,
     max_iter: int = 25,
 ) -> PeriodicOrbit:
@@ -289,10 +288,10 @@ def shooting_solve(
 
     The defect g(x) = flow_T(x) - x is solved by Broyden's "good" method
     started from the closed-form Jacobian R^N - I of the linear part (see
-    :func:`_linear_monodromy`): x <- x - J^-1 g, then the rank-one update
-    J <- J + (dg - J dx) dx^T / (dx^T dx). Each iterate costs one
-    integration of one state, which is also its convergence test: the
-    defect norm must fall to tol * max(1, |x|). At most ``max_iter`` steps
+    :func:`_linear_monodromy`) and the zero state: x <- x - J^-1 g, then
+    the rank-one update J <- J + (dg - J dx) dx^T / (dx^T dx). Each iterate
+    costs one integration of one state, which is also its convergence test:
+    the defect norm must fall to tol * max(1, |x|). At most ``max_iter`` steps
     are taken; a stall or a singular J raises :class:`NonConvergenceError`
     carrying the defect history. The orbit is the integration of the
     converged x, sampled at the integrator's own nodes over [0, T). Broyden
@@ -300,8 +299,6 @@ def shooting_solve(
     tolerance, not quadratically past it as a Newton step would leave it.
     """
     T = sys.period
-    if dt is None:
-        dt = T / 1024
     n_steps = int(round(T / dt))
     if abs(n_steps * dt - T) > 1e-9 * T:
         raise ValueError("dt must divide the period so orbit nodes land on the grid")
@@ -311,11 +308,7 @@ def shooting_solve(
             f" got dt = {dt:.6g} (T/{n_steps})"
         )
     n = sys.n_modes
-    x = (
-        np.zeros(2 * n)
-        if state0 is None
-        else np.concatenate([np.asarray(state0.u, float), np.asarray(state0.w, float)])
-    )
+    x = np.zeros(2 * n)
 
     def defect(vec):
         """flow_T(vec) - vec and the trajectory that gave it."""

@@ -99,23 +99,16 @@ class SpectralBasis:
         return self.m + 1
 
 
-def build_basis(geom, m, d, resc, n_quad: int | None = None) -> SpectralBasis:
+def build_basis(geom, m, d, resc) -> SpectralBasis:
     """Assemble the cosine eigenbasis for the operator with coefficients from ``d``.
 
-    ``n_quad`` defaults to whichever is larger: 4(m+1), or the node count the
-    Gauss-Legendre error bound demands for the highest-frequency quartic
-    product (frequency 4m). Passing fewer than 4(m+1) nodes is rejected;
-    those rules keep the projected reaction term alias-free.
+    The quadrature takes whichever node count is larger: 4(m+1), or the one
+    the Gauss-Legendre error bound demands for the highest-frequency quartic
+    product (frequency 4m). That keeps the projected reaction term alias-free.
     """
     if m < 0:
         raise ValueError(f"truncation index m must be >= 0, got {m}")
-    floor = 4 * (m + 1)
-    if n_quad is None:
-        n_quad = max(floor, nodes_for_band(4 * m))
-    elif n_quad < floor:
-        raise ValueError(
-            f"n_quad={n_quad} cannot integrate quartic products of mode {m}; need >= {floor}"
-        )
+    n_quad = max(4 * (m + 1), nodes_for_band(4 * m))
 
     lam0 = resc.epsilon * d.c4 / d.C
     sigma_hat = (resc.epsilon / d.C) * d.sigma_const

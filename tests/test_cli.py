@@ -89,6 +89,37 @@ def read_bytes(out_dir, name):
         return fh.read()
 
 
+def _reference_cell(value) -> str:
+    """Reference: the per-cell formatting CSV rows were once joined from."""
+    if isinstance(value, (bool, np.bool_)):
+        return str(int(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return "%.17g" % float(value)
+
+
+def _reference_csv(comment, header, rows) -> bytes:
+    lines = [f"# {comment}", header]
+    for row in rows:
+        lines.append(",".join(_reference_cell(v) for v in row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_csv_writer_matches_per_cell_reference(tmp_path):
+    rng = np.random.default_rng(5)
+    floats = rng.standard_normal(12) * 10.0 ** rng.integers(-20, 20, 12)
+    floats[[1, 4, 7]] = (-0.0, 1e-300, np.nan)
+    counts = np.array([0, 1, 64] * 4)
+    flags = floats > 0.0
+    rows = list(zip(floats.tolist(), counts.tolist(), flags.astype(int).tolist(), flags))
+    path = tmp_path / "mixed.csv"
+    cli._write_csv(str(path), "mixed columns", "x,m,flag,member", rows)
+    data = path.read_bytes()
+    assert data == _reference_csv("mixed columns", "x,m,flag,member", rows)
+    for token in (b"\n-0,", b"e-300,", b"\nnan,", b",64,"):
+        assert token in data, f"{token!r} missing from the written rows"
+
+
 def test_feasibility_report_and_curves(tmp_path, capsys):
     rc = cli.main(
         ["feasibility", "--config", config_path("window_aggregates.cfg"),
@@ -121,6 +152,8 @@ def test_outputs_are_deterministic(tmp_path, capsys):
     runs = (
         ("feasibility", "window_aggregates.cfg", ("h_curve.csv", "p_curve.csv")),
         ("param-region", "reaction_region.cfg", ("region.csv", "region_raster.csv")),
+        ("solve-cauchy", "cauchy_demo.cfg", ("trajectory.csv",)),
+        ("converge", "refinement.cfg", ("convergence.csv",)),
     )
     for command, cfg_name, csv_names in runs:
         dir_a = tmp_path / command / "a"
@@ -403,6 +436,18 @@ def test_both_period_keys_exit_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "exactly one" in err, f"stderr should flag the conflict: {err!r}"
+
+
+def test_stimulus_key_its_kind_ignores_exits_2(tmp_path, capsys):
+    with open(config_path("linear_orbit.cfg"), encoding="utf-8") as fh:
+        text = fh.read() + "stimulus.width = 0.9\n"
+    cfg = write_config(tmp_path, text)
+    rc = cli.main(["solve-periodic", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2, f"an unused stimulus key should exit 2, got {rc}"
+    err = capsys.readouterr().err
+    assert "stimulus.width" in err and "constant" in err, (
+        f"stderr should name key and kind: {err!r}"
+    )
 
 
 def test_coarse_shooting_step_exits_2_before_integrating(tmp_path, capsys, monkeypatch):

@@ -274,8 +274,8 @@ def test_region_constants_validation_and_from_model():
 
 
 def test_emit_curves_shapes_and_ratio():
-    h_curve, p_curve = emit_curves(AGG, C4, EPS, CAP, t_max=5.0, r_max=0.5, n_t=64, n_r=128)
-    assert h_curve.shape == (64, 2) and p_curve.shape == (128, 2)
+    h_curve, p_curve = emit_curves(AGG, C4, EPS, CAP, t_max=5.0, r_max=0.5, n_samples=128)
+    assert h_curve.shape == p_curve.shape == (128, 2)
     assert h_curve[0, 0] == 0.0 and h_curve[-1, 0] == 5.0
     assert np.all(np.diff(h_curve[:, 1]) > 0.0)
     # the gain peak lands at the grid point nearest the closed-form radius
@@ -283,10 +283,12 @@ def test_emit_curves_shapes_and_ratio():
     expected = int(np.argmin(np.abs(p_curve[:, 0] - R_STAR)))
     assert peak_index == expected
     scaled = AggregateConstants(kappa=0.174, beta=1e-4, gamma=1.0, delta=1e-3)
-    _, p_scaled = emit_curves(scaled, C4, EPS, CAP, t_max=5.0, r_max=0.5, n_t=64, n_r=128)
+    _, p_scaled = emit_curves(scaled, C4, EPS, CAP, t_max=5.0, r_max=0.5, n_samples=128)
     assert np.allclose(p_scaled[1:, 1] / p_curve[1:, 1], 0.174 / 0.5, rtol=1e-14)
     with pytest.raises(ValueError):
         emit_curves(AGG, C4, EPS, CAP, t_max=0.0, r_max=1.0)
+    with pytest.raises(ValueError):
+        emit_curves(AGG, C4, EPS, CAP, t_max=5.0, r_max=1.0, n_samples=1)
 
 
 def test_build_report_feasible():

@@ -148,23 +148,6 @@ def test_blow_up_detected_with_time():
     assert info.value.magnitude > 1e12
 
 
-def test_stacked_integration_equals_row_by_row():
-    """A stack of states integrates to the same bits as each row alone, the
-    shortened last step included (dt = 0.03 does not divide the period)."""
-    sys = feasible_system(m=8)
-    rng = np.random.default_rng(11)
-    u0 = 0.01 * rng.standard_normal((3, 9))
-    w0 = 0.01 * rng.standard_normal((3, 9))
-    stacked = integrate_cauchy(sys, GalerkinState(u=u0, w=w0, t=0.0), PERIOD, dt=0.03)
-    assert stacked.u.shape == stacked.w.shape == (stacked.n_nodes, 3, 9)
-    assert stacked.times[-1] == PERIOD
-    for r in range(3):
-        row = integrate_cauchy(sys, GalerkinState(u=u0[r], w=w0[r], t=0.0), PERIOD, dt=0.03)
-        assert np.array_equal(stacked.times, row.times)
-        assert np.array_equal(stacked.u[:, r], row.u)
-        assert np.array_equal(stacked.w[:, r], row.w)
-
-
 def rk4_on_public_rhs(sys, times, u, w):
     """Classical RK4 over the given nodes of one state, calling rhs per stage."""
     us, ws = [u], [w]
@@ -183,23 +166,18 @@ def rk4_on_public_rhs(sys, times, u, w):
 
 def test_integration_equals_rk4_on_public_rhs():
     """The drive sampled once per integration gives the bits of rhs sampling it
-    per stage, for a lone state and for each row of a stack, under a pulse
-    drive with a shortened last step (dt = 0.03 does not divide the period)."""
+    per stage, under a pulse drive with a shortened last step (dt = 0.03 does
+    not divide the period)."""
     d = feasible_model()
     stim = Stimulus("pulse", period=PERIOD, phi_value=PHI, amplitude=20.0, center=0.3, width=0.05)
     sys = assemble_system(build_basis(GEOM, 8, d, RESC), d, RESC, stim)
     rng = np.random.default_rng(12)
-    u0 = 0.01 * rng.standard_normal((3, 9))
-    w0 = 0.01 * rng.standard_normal((3, 9))
-    lone = integrate_cauchy(sys, GalerkinState(u=u0[0], w=w0[0], t=0.0), PERIOD, dt=0.03)
-    stacked = integrate_cauchy(sys, GalerkinState(u=u0, w=w0, t=0.0), PERIOD, dt=0.03)
-    assert lone.times[-1] == PERIOD and lone.times[-1] - lone.times[-2] < 0.03
-    ref_u, ref_w = rk4_on_public_rhs(sys, lone.times, u0[0], w0[0])
-    assert np.array_equal(lone.u, ref_u) and np.array_equal(lone.w, ref_w)
-    for r in range(3):
-        ref_u, ref_w = rk4_on_public_rhs(sys, stacked.times, u0[r], w0[r])
-        assert np.array_equal(stacked.u[:, r], ref_u)
-        assert np.array_equal(stacked.w[:, r], ref_w)
+    u0 = 0.01 * rng.standard_normal(9)
+    w0 = 0.01 * rng.standard_normal(9)
+    traj = integrate_cauchy(sys, GalerkinState(u=u0, w=w0, t=0.0), PERIOD, dt=0.03)
+    assert traj.times[-1] == PERIOD and traj.times[-1] - traj.times[-2] < 0.03
+    ref_u, ref_w = rk4_on_public_rhs(sys, traj.times, u0, w0)
+    assert np.array_equal(traj.u, ref_u) and np.array_equal(traj.w, ref_w)
 
 
 def test_integration_rejects_mismatched_state_shapes():
@@ -207,27 +185,11 @@ def test_integration_rejects_mismatched_state_shapes():
     for u0, w0 in (
         (np.zeros((3, 5)), np.zeros(5)),
         (np.zeros((2, 5)), np.zeros((3, 5))),
-        (np.zeros((3, 4)), np.zeros((3, 4))),
+        (np.zeros((3, 5)), np.zeros((3, 5))),
         (np.zeros(6), np.zeros(6)),
     ):
-        with pytest.raises(ValueError, match=r"\(\.\.\., 5\)"):
+        with pytest.raises(ValueError, match=r"\(5,\)"):
             integrate_cauchy(sys, GalerkinState(u=u0, w=w0, t=0.0), PERIOD, dt=0.1)
-
-
-def test_blow_up_of_one_stacked_row_is_detected():
-    phys = PhysiologicalParameters(
-        u_res=0.0, u_peak=1.0, a=0.5, c1=1e7, c2=1.0, c3=1.0, b=1.0, sigma_const=1.0
-    )
-    d = derive_parameters(phys, RESC)
-    basis = build_basis(GEOM, 4, d, RESC)
-    off = Stimulus("constant", period=2.0, phi_value=0.0, amplitude=0.0)
-    sys = assemble_system(basis, d, RESC, off)
-    u0 = np.zeros((3, 5))
-    u0[1] = 5.0
-    with pytest.raises(BlowUpError) as info:
-        integrate_cauchy(sys, GalerkinState(u=u0, w=np.zeros((3, 5)), t=0.0), 2.0, dt=2.0 / 64)
-    assert 0.0 < info.value.time <= 2.0
-    assert info.value.magnitude > 1e12
 
 
 def test_period_map_linear_contraction():
@@ -271,6 +233,24 @@ def test_monitors_decay_peaks_at_start():
     assert not rep.growth_flag
     assert len(rep.per_period_sup) == 2
     assert rep.per_period_sup[1] < rep.per_period_sup[0]
+
+
+def test_monitor_derivative_norms_match_per_node_rhs():
+    """Reference: rhs called node by node. The monitor's one stacked call meets
+    the basis in a matrix product instead, which may round apart in the last
+    digits."""
+    d = feasible_model()
+    stim = Stimulus("pulse", period=PERIOD, phi_value=PHI, amplitude=20.0, center=0.3, width=0.05)
+    sys = assemble_system(build_basis(GEOM, 8, d, RESC), d, RESC, stim)
+    traj = integrate_cauchy(sys, zero_state(sys), 1.5 * PERIOD, dt=PERIOD / 256)
+    per_node = [rhs(sys, t, u, w) for t, u, w in zip(traj.times, traj.u, traj.w)]
+    du = np.array([pair[0] for pair in per_node])
+    dw = np.array([pair[1] for pair in per_node])
+    rep = apriori_monitor(traj)
+    ref_du = np.sqrt(np.trapezoid(np.sum(du**2, axis=1), x=traj.times))
+    ref_dw = np.sqrt(np.trapezoid(np.sum(dw**2, axis=1), x=traj.times))
+    assert rep.l2_du == pytest.approx(ref_du, rel=1e-13, abs=0.0)
+    assert rep.l2_dw == pytest.approx(ref_dw, rel=1e-13, abs=0.0)
 
 
 def test_l2_difference_zero_for_identical_runs():

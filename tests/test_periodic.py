@@ -318,10 +318,11 @@ def test_linear_monodromy_matches_finite_difference_jacobian():
     n = sys.n_modes
     step = 1e-6
     probes = np.vstack([np.zeros(2 * n), step * np.eye(2 * n)])
-    traj = integrate_cauchy(
-        sys, GalerkinState(u=probes[:, :n], w=probes[:, n:], t=0.0), PERIOD, dt
-    )
-    ends = np.concatenate([traj.u[-1], traj.w[-1]], axis=1) - probes
+    ends = []
+    for x in probes:
+        traj = integrate_cauchy(sys, GalerkinState(u=x[:n], w=x[n:], t=0.0), PERIOD, dt)
+        ends.append(np.concatenate([traj.u[-1], traj.w[-1]]) - x)
+    ends = np.array(ends)
     fd = (ends[1:] - ends[0]).T / step
     closed = periodic._linear_monodromy(sys, dt, n_steps)
     rel = np.linalg.norm(closed - fd) / np.linalg.norm(fd)

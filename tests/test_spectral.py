@@ -101,12 +101,6 @@ def test_node_rule_grows_with_band():
     assert nodes_for_band(32) > nodes_for_band(16)
 
 
-def test_small_n_quad_rejected():
-    d = shipped_model()
-    with pytest.raises(ValueError):
-        build_basis(Geometry1D(1.0), 4, d, RESC, n_quad=16)
-
-
 def test_trace_values():
     d = shipped_model()
     L = 2.0
