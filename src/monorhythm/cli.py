@@ -174,7 +174,7 @@ def _initial_state(cfg: RunConfig, n_modes: int) -> GalerkinState:
     return GalerkinState(u=u0, w=w0, t=0.0)
 
 
-def cmd_feasibility(cfg: RunConfig, seed=None):
+def cmd_feasibility(cfg: RunConfig):
     _, resc, d = _build_model(cfg)
     agg = _build_aggregates(cfg, d)
     rate = resc.epsilon * d.c4 / d.C
@@ -230,7 +230,7 @@ def cmd_feasibility(cfg: RunConfig, seed=None):
     return payload, flags, files
 
 
-def cmd_solve_cauchy(cfg: RunConfig, seed=None):
+def cmd_solve_cauchy(cfg: RunConfig):
     _, resc, d = _build_model(cfg)
     sys_ = _build_system(cfg, resc, d)
     state0 = _initial_state(cfg, sys_.n_modes)
@@ -360,7 +360,7 @@ def cmd_solve_periodic(cfg: RunConfig, seed=None):
     return payload, flags, files
 
 
-def cmd_converge(cfg: RunConfig, seed=None):
+def cmd_converge(cfg: RunConfig):
     _, resc, d = _build_model(cfg)
     m_list = cfg.require("converge.m_list")
     if len(m_list) < 2:
@@ -405,7 +405,7 @@ def cmd_converge(cfg: RunConfig, seed=None):
     return payload, flags, files
 
 
-def cmd_param_region(cfg: RunConfig, seed=None):
+def cmd_param_region(cfg: RunConfig):
     _, resc, d = _build_model(cfg)
     kappa = cfg.get("feasibility.kappa", None)
     if kappa is None:
@@ -516,12 +516,13 @@ def _make_parser() -> argparse.ArgumentParser:
             default=None,
             help="which outputs to write (default: both)",
         )
-        cmd.add_argument(
-            "--seed",
-            type=int,
-            default=None,
-            help="draw a random Picard starting trajectory from this seed",
-        )
+        if name == "solve-periodic":
+            cmd.add_argument(
+                "--seed",
+                type=int,
+                default=None,
+                help="draw a random Picard starting trajectory from this seed",
+            )
     return parser
 
 
@@ -531,7 +532,9 @@ def _run(args) -> int:
     parse_s = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    payload, flags, file_specs = _COMMANDS[args.command](cfg, seed=args.seed)
+    # only solve-periodic registers --seed
+    seed = {"seed": args.seed} if "seed" in args else {}
+    payload, flags, file_specs = _COMMANDS[args.command](cfg, **seed)
     solve_s = time.perf_counter() - t1
 
     out_dir = args.out if args.out is not None else cfg.get("output.dir", ".")

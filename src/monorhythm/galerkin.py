@@ -152,8 +152,7 @@ def integrate_cauchy(sys: GalerkinSystem, state0: GalerkinState, t1: float, dt: 
 
     times = np.empty(n_nodes)
     times[: n_full + 1] = t0 + dt * np.arange(n_full + 1)
-    if remainder:
-        times[-1] = t1
+    times[-1] = t1
 
     u = np.array(state0.u, dtype=float)
     w = np.array(state0.w, dtype=float)

@@ -298,6 +298,8 @@ def shooting_solve(
     converges superlinearly, so the returned defect sits just under the
     tolerance, not quadratically past it as a Newton step would leave it.
     """
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
     T = sys.period
     n_steps = int(round(T / dt))
     if abs(n_steps * dt - T) > 1e-9 * T:

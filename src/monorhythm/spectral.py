@@ -4,13 +4,14 @@ The elliptic operator behind the model is v -> -(sigma_hat v')' + lam0 v on
 (0, L) with insulated ends, where sigma_hat = (epsilon / C) sigma_const and
 lam0 = epsilon c4 / C. Its eigenpairs are closed form: a constant mode plus
 cosines, with eigenvalues lam0 + sigma_hat (i pi / L)^2. Projections of the
-cubic reaction term are done by Gauss-Legendre quadrature sized so that
-products of four basis functions integrate to machine accuracy.
+cubic reaction term use the midpoint rule on 2m + 1 nodes. A product of four
+modes is a cosine sum of frequency at most 4m, and on N midpoints
+cos(q pi x / L) sums to zero for every 0 < q < 2N (the discrete orthogonality
+behind the DCT-II), so the rule integrates every such product exactly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,6 @@ __all__ = [
     "norms",
 ]
 
-_EXACTNESS_TARGET = 1e-14
-
 
 @dataclass(frozen=True)
 class Geometry1D:
@@ -38,37 +37,6 @@ class Geometry1D:
     def __post_init__(self) -> None:
         if self.L <= 0.0:
             raise ValueError(f"interval length must be positive, got {self.L}")
-
-
-def _gauss_tail_log(n: int, eta: float) -> float:
-    """Log of the classical n-point Gauss-Legendre error factor for a mode of
-    scaled frequency eta on (-1, 1):
-
-        (2n+1)! / ((2n+1) ((2n)!)^3) * ... collapses to
-        eta^(2n) * 2^(2n+1) * (n!)^4 / ((2n+1) ((2n)!)^3)
-
-    evaluated in log space to dodge overflow.
-    """
-    return (
-        2.0 * n * math.log(eta)
-        + (2.0 * n + 1.0) * math.log(2.0)
-        + 4.0 * math.lgamma(n + 1.0)
-        - math.log(2.0 * n + 1.0)
-        - 3.0 * math.lgamma(2.0 * n + 1.0)
-    )
-
-
-def nodes_for_band(q: int) -> int:
-    """Smallest Gauss-Legendre node count that integrates cos(q pi x / L) over
-    (0, L) to below 1e-14 of scale, by the classical error bound."""
-    if q <= 0:
-        return 4
-    eta = q * math.pi / 2.0
-    n = 4
-    target = math.log(_EXACTNESS_TARGET)
-    while _gauss_tail_log(n, eta) > target:
-        n += 1
-    return n
 
 
 def _cosine_modes(x, n_modes: int, L: float) -> np.ndarray:
@@ -83,8 +51,9 @@ def _cosine_modes(x, n_modes: int, L: float) -> np.ndarray:
 class SpectralBasis:
     """Truncated eigenbasis: modes 0..m with quadrature baked in.
 
-    ``psi_quad[q, i]`` holds mode i evaluated at quadrature node q, so
-    coefficient-to-nodal maps are single matrix products.
+    ``psi_quad[q, i]`` holds mode i evaluated at midpoint node q of the
+    2m + 1 that ``build_basis`` lays down, and ``quad_weights`` their equal
+    weights, so coefficient-to-nodal maps are single matrix products.
     """
 
     m: int
@@ -102,13 +71,14 @@ class SpectralBasis:
 def build_basis(geom, m, d, resc) -> SpectralBasis:
     """Assemble the cosine eigenbasis for the operator with coefficients from ``d``.
 
-    The quadrature takes whichever node count is larger: 4(m+1), or the one
-    the Gauss-Legendre error bound demands for the highest-frequency quartic
-    product (frequency 4m). That keeps the projected reaction term alias-free.
+    The quadrature is the midpoint rule: n_quad = 2m + 1 nodes (q + 1/2) L / n_quad
+    with equal weights L / n_quad. It is exact for cosines of frequency below
+    2 n_quad = 4m + 2, so it integrates every product of four modes, whose
+    frequencies reach 4m, and the projected reaction term is alias-free.
     """
     if m < 0:
         raise ValueError(f"truncation index m must be >= 0, got {m}")
-    n_quad = max(4 * (m + 1), nodes_for_band(4 * m))
+    n_quad = 2 * m + 1
 
     lam0 = resc.epsilon * d.c4 / d.C
     sigma_hat = (resc.epsilon / d.C) * d.sigma_const
@@ -117,9 +87,8 @@ def build_basis(geom, m, d, resc) -> SpectralBasis:
     i = np.arange(m + 1)
     lambdas = lam0 + sigma_hat * (i * np.pi / L) ** 2
 
-    xg, wg = np.polynomial.legendre.leggauss(n_quad)
-    nodes = 0.5 * L * (xg + 1.0)
-    weights = 0.5 * L * wg
+    nodes = (np.arange(n_quad) + 0.5) * (L / n_quad)
+    weights = np.full(n_quad, L / n_quad)
 
     psi = _cosine_modes(nodes, m + 1, L)
     trace = np.sqrt(2.0 / L) * (-1.0) ** i.astype(float)

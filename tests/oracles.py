@@ -76,12 +76,6 @@ def reaction_expanded(u, w, d, resc):
     return s * (d.a1 * u**3 + resc.xi * d.a2 * u * w - d.a1 * (d.u_pr + d.u_tr) * u**2)
 
 
-def gauss_legendre(L, n):
-    """Nodes and weights of the n-point Gauss-Legendre rule mapped onto (0, L)."""
-    xg, wg = np.polynomial.legendre.leggauss(n)
-    return 0.5 * L * (xg + 1.0), 0.5 * L * wg
-
-
 def f_ion_raw(u_hat, w_hat, phys):
     """Rogers-McCulloch ionic current in raw units.
 

@@ -239,6 +239,21 @@ def test_cauchy_zero_stimulus_stays_zero(tmp_path, capsys):
     capsys.readouterr()  # swallow the written-path listing
 
 
+def test_cauchy_reports_the_configured_end_time(tmp_path, capsys):
+    # 0.9 / 0.3 steps round to 3, but 3 * 0.3 is 0.8999999999999999
+    text = LINEAR_CAUCHY_CFG.replace(
+        "stimulus.phi = 0.005", "stimulus.phi = 0.005\nstimulus.period = 2.0"
+    ).replace("cauchy.t_end = 1.0", "cauchy.t_end = 0.9").replace(
+        "cauchy.dt = 0.0625", "cauchy.dt = 0.3"
+    )
+    cfg = write_config(tmp_path, text)
+    assert cli.main(["solve-cauchy", "--config", cfg, "--out", str(tmp_path)]) == 0
+    payload = read_report(tmp_path)["payload"]
+    assert payload["t_end"] == 0.9 and payload["n_nodes"] == 4
+    assert read_lines(tmp_path, "trajectory.csv")[-1].split(",")[0] == "%.17g" % 0.9
+    capsys.readouterr()  # swallow the written-path listing
+
+
 def test_blow_up_exits_4(tmp_path, capsys):
     text = """
 model.u_res = 0.0
@@ -460,6 +475,25 @@ def test_coarse_shooting_step_exits_2_before_integrating(tmp_path, capsys, monke
     err = capsys.readouterr().err
     assert "dt" in err and "T/64" in err and "n_t" not in err, f"stderr should name dt: {err!r}"
     assert calls == [], "the step size is checked before any integration"
+
+
+def test_nonpositive_shooting_tol_exits_2_before_integrating(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(periodic, "integrate_cauchy", lambda *args: calls.append(args))
+    text = NONLINEAR_PERIODIC_CFG.replace("solver.method = picard", "solver.method = shooting")
+    cfg = write_config(tmp_path, text + "solver.dt = 0.015625\nsolver.tol = 0\n")
+    rc = cli.main(["solve-periodic", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "tol must be positive" in err, f"stderr should name tol: {err!r}"
+    assert calls == [], "tol is checked before any integration"
+
+
+def test_seed_is_a_usage_error_outside_solve_periodic(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main(["converge", "--config", config_path("refinement.cfg"), "--seed", "5"])
+    assert exc_info.value.code == 2, "--seed on converge should be a usage error"
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_wrong_ic_length_exits_2(tmp_path, capsys):

@@ -15,7 +15,6 @@ from monorhythm.galerkin import (
 from monorhythm.ionic import PhysiologicalParameters, derive_parameters
 from monorhythm.spectral import Stimulus, build_basis
 
-from oracles import gauss_legendre
 from systems import GEOM, PERIOD, PHI, RESC, feasible_model, feasible_system, linear_system
 
 
@@ -26,7 +25,7 @@ def zero_state(sys):
 
 def bump_coeffs(basis):
     """Modal coefficients of a smooth Gaussian bump at x = 0.3, by the basis quadrature."""
-    x, _ = gauss_legendre(GEOM.L, basis.n_quad)
+    x = (np.arange(basis.n_quad) + 0.5) * (GEOM.L / basis.n_quad)
     values = 0.01 * np.exp(-0.5 * ((x - 0.3) / 0.15) ** 2)
     return (values * basis.quad_weights) @ basis.psi_quad
 
@@ -98,6 +97,17 @@ def test_final_time_hit_exactly_with_shortened_step():
     assert np.allclose(np.diff(traj.times)[:-1], 0.03)
     exact = u0 * np.exp(-sys.basis.lambdas * 1.0)
     assert np.max(np.abs(traj.u[-1] - exact)) < 1e-5
+
+
+@pytest.mark.parametrize("t1, dt, n_nodes", [(0.9, 0.3, 4), (0.7, 0.1, 8)])
+def test_final_time_hit_exactly_when_steps_divide_up_to_rounding(t1, dt, n_nodes):
+    """t1 / dt rounds to a whole step count, but t0 + n dt misses t1 by an ulp
+    (0.8999999999999999 and 0.7000000000000001); the last node is still t1."""
+    sys = linear_system(s0=0.0, phi=0.0)
+    traj = integrate_cauchy(sys, zero_state(sys), t1, dt=dt)
+    assert traj.times[-1] == t1
+    assert traj.n_nodes == n_nodes
+    assert np.allclose(np.diff(traj.times), dt, rtol=1e-12, atol=0.0)
 
 
 def test_rk4_order_on_closed_form():

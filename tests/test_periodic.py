@@ -226,6 +226,18 @@ def test_picard_divergence_reports_history():
     assert len(info.value.history) >= 1
 
 
+def test_picard_halves_damping_when_the_update_doubles():
+    """A strong drive (phi = 32) at theta = 1 overshoots: the update norm
+    doubles over the first ten-sweep window, the damping halves, and the
+    iteration then converges; undamped it diverges."""
+    sys = feasible_system(m=8, phi=32.0)
+    orbit = picard_solve(sys, PeriodicGrid(n_t=128, period=PERIOD), theta=1.0)
+    history = orbit.history
+    assert orbit.converged
+    assert history[10] > 2.0 * history[0]
+    assert history[-1] < 1e-10 < history[-2]
+
+
 def test_shooting_linear_one_newton_step():
     sys = linear_system(s0=1.0)
     orbit = shooting_solve(sys, dt=PERIOD / 512, tol=1e-10)

@@ -1,10 +1,10 @@
 """Eigenbasis construction, quadrature exactness, norms, and stimulus waveforms."""
 
-import itertools
-
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from monorhythm.ionic import (
     DerivedParameters,
@@ -17,12 +17,11 @@ from monorhythm.spectral import (
     Geometry1D,
     Stimulus,
     build_basis,
-    nodes_for_band,
     norms,
     project_nonlinearity,
 )
 
-from oracles import cosine_product_integral, gauss_legendre
+from oracles import cosine_product_integral
 
 
 RESC = RescalingParameters(epsilon=0.032, xi=3.75)
@@ -76,29 +75,56 @@ def test_orthonormality_under_quadrature():
     assert np.max(np.abs(gram - np.eye(9))) < 1e-12
 
 
-def test_quartic_products_integrate_exactly():
-    """Every product of four modes up to m = 4 matches the sign-count oracle."""
-    d = shipped_model()
+def midpoint_rule(L, n):
+    """Nodes (q + 1/2) L / n and equal weights L / n of the n-point midpoint rule."""
+    return (np.arange(n) + 0.5) * (L / n), np.full(n, L / n)
+
+
+def mode_product_integral(L, modes):
+    """Exact integral over (0, L) of a product of orthonormal Neumann modes."""
+    exact = cosine_product_integral(L, modes)
+    for i in modes:
+        exact *= 1.0 / np.sqrt(L) if i == 0 else np.sqrt(2.0 / L)
+    return exact
+
+
+@st.composite
+def size_and_quadruple(draw):
+    m = draw(st.integers(min_value=0, max_value=64))
+    modes = draw(st.lists(st.integers(min_value=0, max_value=m), min_size=4, max_size=4))
+    return m, tuple(modes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(size_and_quadruple())
+@example((64, (64, 64, 64, 64)))
+@example((1, (1, 1, 1, 1)))
+@example((0, (0, 0, 0, 0)))
+def test_quartic_products_integrate_exactly(case):
+    """Any product of four modes, at any size up to m = 64, matches the
+    sign-count oracle on the basis's own quadrature."""
+    m, modes = case
     L = 1.0
-    basis = build_basis(Geometry1D(L), 4, d, RESC)
-    norm = [1.0 / np.sqrt(L)] + [np.sqrt(2.0 / L)] * 4
-    worst = 0.0
-    for combo in itertools.combinations_with_replacement(range(5), 4):
-        exact = cosine_product_integral(L, combo)
-        for idx in combo:
-            exact *= norm[idx]
-        cols = basis.psi_quad[:, combo[0]]
-        for idx in combo[1:]:
-            cols = cols * basis.psi_quad[:, idx]
-        quad = float(np.sum(basis.quad_weights * cols))
-        worst = max(worst, abs(quad - exact))
-    assert worst < 1e-12, f"worst quartic quadrature error {worst:.3e}"
+    basis = build_basis(Geometry1D(L), m, shipped_model(), RESC)
+    quad = float(np.sum(basis.quad_weights * np.prod(basis.psi_quad[:, modes], axis=1)))
+    assert quad == pytest.approx(mode_product_integral(L, modes), abs=1e-13)
 
 
-def test_node_rule_grows_with_band():
-    assert nodes_for_band(0) == 4
-    assert nodes_for_band(16) > 20  # 4(m+1) alone under-integrates at m = 4
-    assert nodes_for_band(32) > nodes_for_band(16)
+@pytest.mark.parametrize("m", [1, 2, 8, 32, 64])
+def test_fewer_midpoints_miss_the_top_quartic(m):
+    """2m + 1 midpoints integrate psi_m^4 exactly; 2m midpoints alias its
+    frequency-4m part onto the constant, so the node count cannot drop."""
+    L = 1.3
+    basis = build_basis(Geometry1D(L), m, shipped_model(), RESC)
+    assert basis.n_quad == 2 * m + 1
+    exact = mode_product_integral(L, (m, m, m, m))
+    assert np.sum(basis.quad_weights * basis.psi_quad[:, m] ** 4) == pytest.approx(exact, rel=1e-13)
+
+    x, weights = midpoint_rule(L, 2 * m)
+    psi_m = np.sqrt(2.0 / L) * np.cos(m * np.pi * x / L)
+    miss = np.sum(weights * psi_m**4) - exact
+    # cos^4 carries cos(4 theta) / 8, which 2m midpoints sum to -1 per node
+    assert miss == pytest.approx(-1.0 / (2.0 * L), rel=1e-12)
 
 
 def test_trace_values():
@@ -182,7 +208,7 @@ def test_norms():
 def test_vnorm_matches_derivative_quadrature():
     """Sum of lambda_i u_i^2 equals lam0 ||u||^2 + ||sqrt(sigma_hat) u'||^2,
     with lam0 = eps c4 / C and sigma_hat = (eps / C) sigma rebuilt from their
-    definitions and the derivative integrated on the basis's own Gauss rule."""
+    definitions and the derivative integrated on the basis's own midpoint rule."""
     d = shipped_model()
     L = 1.3
     basis = build_basis(Geometry1D(L), 6, d, RESC)
@@ -192,8 +218,9 @@ def test_vnorm_matches_derivative_quadrature():
 
     lam0 = RESC.epsilon * d.c4 / d.C
     sigma_hat = (RESC.epsilon / d.C) * d.sigma_const
-    nodes, weights = gauss_legendre(L, basis.n_quad)
-    assert np.array_equal(weights, basis.quad_weights)
+    nodes, weights = midpoint_rule(L, basis.n_quad)
+    assert basis.n_quad == 13
+    assert np.all(basis.quad_weights == L / basis.n_quad)
     i = np.arange(7)
     dpsi = -np.sqrt(2.0 / L) * (i * np.pi / L) * np.sin(np.outer(nodes, i * np.pi / L))
     du_nodal = u @ dpsi.T
