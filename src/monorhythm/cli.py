@@ -34,9 +34,16 @@ from .feasibility import (
     _projection_kappa,
     a2_bound,
     aggregate_from_raw,
-    build_report,
+    emit_curves,
+    feasible_window_condition,
+    feasible_window_condition_reduced,
+    h_of_T,
     interior_consistent,
+    p_of_R,
+    r_bounds,
     r_star,
+    recovery_coupling_condition,
+    t_star,
 )
 from .galerkin import (
     BlowUpError,
@@ -111,7 +118,7 @@ def _build_model(cfg: RunConfig):
         epsilon=cfg.require("rescale.epsilon"), xi=cfg.require("rescale.xi")
     )
     d = derive_parameters(phys, resc, c4_override=cfg.get("derived.c4_override", None))
-    return phys, resc, d
+    return resc, d
 
 
 def _build_stimulus(cfg: RunConfig, resc: RescalingParameters):
@@ -175,23 +182,22 @@ def _initial_state(cfg: RunConfig, n_modes: int) -> GalerkinState:
 
 
 def cmd_feasibility(cfg: RunConfig):
-    _, resc, d = _build_model(cfg)
+    resc, d = _build_model(cfg)
     agg = _build_aggregates(cfg, d)
-    rate = resc.epsilon * d.c4 / d.C
-    t_max = cfg.get("feasibility.t_max", 5.0 / rate)
-    r_max = cfg.get("feasibility.r_max", 4.0 * r_star(agg))
+    c4, epsilon, C = d.c4, resc.epsilon, d.C
+    # h_of_T rejects a nonpositive decay rate before the t_max default divides by it
+    h0 = h_of_T(0.0, c4, epsilon, C)
+    rs = r_star(agg)
+    t_max = cfg.get("feasibility.t_max", 5.0 / (epsilon * c4 / C))
+    r_max = cfg.get("feasibility.r_max", 4.0 * rs)
     n_samples = cfg.get("feasibility.n_samples", 256)
-    report = build_report(
-        agg,
-        d.c4,
-        resc.epsilon,
-        d.C,
-        xi=resc.xi,
-        c3=d.c3,
-        t_max=t_max,
-        r_max=r_max,
-        n_samples=n_samples,
-    )
+    window = feasible_window_condition(agg, c4, epsilon, C)
+    # the crossing radii and the period ceiling exist only inside an open window
+    r_lower = r_upper = ceiling = None
+    if window.satisfied:
+        r_lower, r_upper = r_bounds(agg, h0)
+        ceiling = t_star(rs, agg, c4, epsilon, C)
+    h_curve, p_curve = emit_curves(agg, c4, epsilon, C, t_max, r_max, n_samples)
 
     payload = {
         "aggregates": {
@@ -201,37 +207,37 @@ def cmd_feasibility(cfg: RunConfig):
             "delta": agg.delta,
             "provenance": agg.provenance,
         },
-        "r_star": report.r_star,
-        "p_at_r_star": report.p_at_r_star,
-        "h_at_zero": report.h_at_zero,
-        "r_lower": report.r_lower,
-        "r_upper": report.r_upper,
-        "t_star_at_r_star": report.t_star_at_r_star,
+        "r_star": rs,
+        "p_at_r_star": p_of_R(rs, agg),
+        "h_at_zero": h0,
+        "r_lower": r_lower,
+        "r_upper": r_upper,
+        "t_star_at_r_star": ceiling,
     }
     flags = {
-        "feasible_window": _condition_entry(report.window),
-        "feasible_window_reduced": _condition_entry(report.reduced_window),
-        "recovery_coupling": _condition_entry(report.coupling),
+        "feasible_window": _condition_entry(window),
+        "feasible_window_reduced": _condition_entry(feasible_window_condition_reduced(agg, h0)),
+        "recovery_coupling": _condition_entry(recovery_coupling_condition(resc.xi, d.c3)),
     }
     files = [
         (
             "h_curve.csv",
             "load curve: x = drive period (rescaled time), value = h (dimensionless)",
             "x,value",
-            report.h_curve,
+            h_curve,
         ),
         (
             "p_curve.csv",
             "gain curve: x = ball radius (mixed-norm units), value = p (dimensionless)",
             "x,value",
-            report.p_curve,
+            p_curve,
         ),
     ]
     return payload, flags, files
 
 
 def cmd_solve_cauchy(cfg: RunConfig):
-    _, resc, d = _build_model(cfg)
+    resc, d = _build_model(cfg)
     sys_ = _build_system(cfg, resc, d)
     state0 = _initial_state(cfg, sys_.n_modes)
     t_end = cfg.require("cauchy.t_end")
@@ -285,7 +291,7 @@ def _orbit_summary(orbit) -> dict:
 
 
 def cmd_solve_periodic(cfg: RunConfig, seed=None):
-    _, resc, d = _build_model(cfg)
+    resc, d = _build_model(cfg)
     sys_ = _build_system(cfg, resc, d)
     method = cfg.get("solver.method", "picard")
     tol = cfg.get("solver.tol", 1e-10)
@@ -361,7 +367,7 @@ def cmd_solve_periodic(cfg: RunConfig, seed=None):
 
 
 def cmd_converge(cfg: RunConfig):
-    _, resc, d = _build_model(cfg)
+    resc, d = _build_model(cfg)
     m_list = cfg.require("converge.m_list")
     if len(m_list) < 2:
         raise ConfigError("converge.m_list needs at least two entries", cfg.path)
@@ -406,7 +412,7 @@ def cmd_converge(cfg: RunConfig):
 
 
 def cmd_param_region(cfg: RunConfig):
-    _, resc, d = _build_model(cfg)
+    resc, d = _build_model(cfg)
     kappa = cfg.get("feasibility.kappa", None)
     if kappa is None:
         kappa = _projection_kappa(cfg.require("feasibility.projection_excess"))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -159,29 +159,6 @@ class RegionConstants:
         return self.epsilon * self.k1 * self.a_const / self.C * a1 + self.b_const
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
-    """Collected window diagnostics for one configuration.
-
-    r_lower, r_upper and the period ceiling entries are populated only
-    when the window condition holds; the coupling entry only when the
-    recovery coupling constants were supplied. Curves are (n, 2) arrays
-    with the abscissa in the first column.
-    """
-
-    r_star: float
-    p_at_r_star: float
-    h_at_zero: float
-    window: ConditionResult
-    reduced_window: ConditionResult
-    coupling: Optional[ConditionResult] = None
-    r_lower: Optional[float] = None
-    r_upper: Optional[float] = None
-    t_star_at_r_star: Optional[float] = None
-    h_curve: Optional[np.ndarray] = None
-    p_curve: Optional[np.ndarray] = None
-
-
 def h_of_T(t, c4: float, epsilon: float, C: float):
     """Load curve t / (1 - exp(-rate t)) with rate = epsilon c4 / C.
 
@@ -228,11 +205,25 @@ def r_star(agg: AggregateConstants) -> float:
     return x ** (2.0 / 3.0)
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Bisection root of f on [lo, hi], to relative width 1e-12."""
-    f_lo = f(lo)
-    if f_lo == 0.0:
-        return lo
+def _bracketed_root(
+    f: Callable[[float], float], anchor: float, start: float, factor: float, what: str
+) -> float:
+    """Root of f between anchor and the first of start, start * factor, ... past it.
+
+    Walks from start by the factor until f takes the strict opposite sign of
+    f(anchor), then bisects that bracket to relative width 1e-12. Raises
+    ValueError naming ``what`` when the walk finds no sign change.
+    """
+    f_anchor = f(anchor)
+    x = start
+    for _ in range(_BISECT_MAX_ITER):
+        f_x = f(x)
+        if f_x < 0.0 < f_anchor or f_anchor < 0.0 < f_x:
+            break
+        x *= factor
+    else:
+        raise ValueError(f"could not bracket the {what}")
+    lo, f_lo, hi = (x, f_x, anchor) if x < anchor else (anchor, f_anchor, x)
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
@@ -265,23 +256,11 @@ def r_bounds(agg: AggregateConstants, h0: float) -> tuple:
     if h0 == peak:
         return rs, rs
 
-    lo = rs
-    for _ in range(_BISECT_MAX_ITER):
-        lo *= 0.5
-        if p_of_R(lo, agg) < h0:
-            break
-    else:
-        raise ValueError("could not bracket the lower crossing radius")
-    r_lower = _bisect(lambda r: p_of_R(r, agg) - h0, lo, rs)
+    def gap(r):
+        return p_of_R(r, agg) - h0
 
-    hi = rs
-    for _ in range(_BISECT_MAX_ITER):
-        hi *= 2.0
-        if p_of_R(hi, agg) < h0:
-            break
-    else:
-        raise ValueError("could not bracket the upper crossing radius")
-    r_upper = _bisect(lambda r: p_of_R(r, agg) - h0, rs, hi)
+    r_lower = _bracketed_root(gap, rs, 0.5 * rs, 0.5, "lower crossing radius")
+    r_upper = _bracketed_root(gap, rs, 2.0 * rs, 2.0, "upper crossing radius")
     return r_lower, r_upper
 
 
@@ -301,14 +280,9 @@ def t_star(r: float, agg: AggregateConstants, c4: float, epsilon: float, C: floa
     target = p_of_R(r, agg)
     if target <= h0:
         return 0.0
-    hi = 1.0
-    for _ in range(_BISECT_MAX_ITER):
-        if h_of_T(hi, c4, epsilon, C) > target:
-            break
-        hi *= 2.0
-    else:
-        raise ValueError("could not bracket the period ceiling")
-    return _bisect(lambda t: h_of_T(t, c4, epsilon, C) - target, 0.0, hi)
+    return _bracketed_root(
+        lambda t: h_of_T(t, c4, epsilon, C) - target, 0.0, 1.0, 2.0, "period ceiling"
+    )
 
 
 def recovery_coupling_condition(xi: float, c3: float) -> ConditionResult:
@@ -406,57 +380,6 @@ def emit_curves(
     h_curve = np.column_stack([t, h_of_T(t, c4, epsilon, C)])
     p_curve = np.column_stack([r, p_of_R(r, agg)])
     return h_curve, p_curve
-
-
-def build_report(
-    agg: AggregateConstants,
-    c4: float,
-    epsilon: float,
-    C: float,
-    xi: Optional[float] = None,
-    c3: Optional[float] = None,
-    t_max: Optional[float] = None,
-    r_max: Optional[float] = None,
-    n_samples: int = 256,
-) -> FeasibilityReport:
-    """Assemble the full window diagnostic for one set of constants.
-
-    Crossing radii and period ceilings are computed only when the window
-    condition holds. The recovery-coupling entry appears when both xi and
-    c3 are given; curves when both range limits are given.
-    """
-    rs = r_star(agg)
-    peak = p_of_R(rs, agg)
-    h0 = h_of_T(0.0, c4, epsilon, C)
-    window = feasible_window_condition(agg, c4, epsilon, C)
-    reduced = feasible_window_condition_reduced(agg, h0)
-
-    coupling = None
-    if xi is not None and c3 is not None:
-        coupling = recovery_coupling_condition(xi, c3)
-
-    r_lower = r_upper = ceiling = None
-    if window.satisfied:
-        r_lower, r_upper = r_bounds(agg, h0)
-        ceiling = t_star(rs, agg, c4, epsilon, C)
-
-    h_curve = p_curve = None
-    if t_max is not None and r_max is not None:
-        h_curve, p_curve = emit_curves(agg, c4, epsilon, C, t_max, r_max, n_samples)
-
-    return FeasibilityReport(
-        r_star=rs,
-        p_at_r_star=peak,
-        h_at_zero=h0,
-        window=window,
-        reduced_window=reduced,
-        coupling=coupling,
-        r_lower=r_lower,
-        r_upper=r_upper,
-        t_star_at_r_star=ceiling,
-        h_curve=h_curve,
-        p_curve=p_curve,
-    )
 
 
 def aggregate_from_raw(d: DerivedParameters, emb: EmbeddingConstants) -> AggregateConstants:

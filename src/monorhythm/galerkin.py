@@ -53,11 +53,19 @@ class GalerkinState:
 
 @dataclass(frozen=True)
 class GalerkinSystem:
+    """Basis, constants and drive of the truncated system.
+
+    recovery_gain (eps b) and recovery_rate (eps b xi c3) are the one copy
+    of the recovery law dw/dt = recovery_gain u - recovery_rate w.
+    """
+
     basis: SpectralBasis
     d: DerivedParameters
     resc: RescalingParameters
     stim: Stimulus
     trace_vector: np.ndarray
+    recovery_gain: float
+    recovery_rate: float
 
     @property
     def period(self) -> float:
@@ -69,12 +77,21 @@ class GalerkinSystem:
 
 
 def assemble_system(basis, d, resc, stim) -> GalerkinSystem:
-    """Bind basis, constants, and stimulus; precompute the boundary trace vector.
+    """Bind basis, constants, and stimulus; precompute the linear coefficients.
 
-    Entry i pairs mode i with the stimulus density at the boundary, phi psi_i(L).
+    Entry i of the trace vector pairs mode i with the stimulus density at the
+    boundary, phi psi_i(L).
     """
-    trace_vector = stim.phi_value * basis.trace_values
-    return GalerkinSystem(basis=basis, d=d, resc=resc, stim=stim, trace_vector=trace_vector)
+    gain = resc.epsilon * d.b
+    return GalerkinSystem(
+        basis=basis,
+        d=d,
+        resc=resc,
+        stim=stim,
+        trace_vector=stim.phi_value * basis.trace_values,
+        recovery_gain=gain,
+        recovery_rate=gain * resc.xi * d.c3,
+    )
 
 
 @dataclass(frozen=True)
@@ -114,7 +131,7 @@ def _driven_rhs(sys, s_val, u, w):
     """Time derivative of the coefficient pair under the drive value s_val."""
     proj = project_nonlinearity(sys.basis, u, w, sys.d, sys.resc)
     du = -sys.basis.lambdas * u - proj + s_val * sys.trace_vector
-    dw = sys.resc.epsilon * sys.d.b * (u - sys.resc.xi * sys.d.c3 * w)
+    dw = sys.recovery_gain * u - sys.recovery_rate * w
     return du, dw
 
 

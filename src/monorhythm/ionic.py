@@ -5,8 +5,8 @@ by the resting value, the recovery variable is scaled by ``xi``, and time is
 scaled by ``epsilon``. Raw-unit quantities enter only through
 :class:`PhysiologicalParameters`; :func:`derive_parameters` produces the
 constants the solvers actually consume. The cubic reaction term lives here as
-:func:`f_transformed`; the linear recovery law is written once, in the modal
-right-hand side of :mod:`monorhythm.galerkin`.
+:func:`f_transformed`; the coefficients of the linear recovery law are written
+once, in :func:`monorhythm.galerkin.assemble_system`.
 """
 
 from __future__ import annotations
@@ -81,8 +81,7 @@ class DerivedParameters:
     u_tr and u_pr are the threshold and peak potentials above rest; a1 and
     a2 the cubic and quadratic reaction coefficients; c4 the zeroth-order
     linear coefficient. The growth-bound constants A1..A3 bound the reaction
-    terms polynomially; l2 is the share of A2 that comes from the cubic
-    coefficient a1. The solvers never recompute them. The tail fields are
+    terms polynomially. The solvers never recompute them. The tail fields are
     the physiological constants the modal system reads alongside them.
     """
 
@@ -91,7 +90,6 @@ class DerivedParameters:
     a1: float
     a2: float
     c4: float
-    l2: float
     A1: float
     A2: float
     A3: float
@@ -123,6 +121,7 @@ def derive_parameters(
 
     scale = resc.epsilon / phys.C
     A1 = a1 * scale * ((u_tr + u_pr) / 3.0 + (2.0 / 3.0) * u_tr * u_pr)
+    # the share of A2 that comes from the cubic coefficient a1
     l2 = a1 * scale * (1.0 + (2.0 / 3.0) * (u_tr + u_pr) + u_tr * u_pr / 3.0)
 
     return DerivedParameters(
@@ -131,7 +130,6 @@ def derive_parameters(
         a1=a1,
         a2=a2,
         c4=c4,
-        l2=l2,
         A1=A1,
         A2=l2 + (2.0 / 3.0) * resc.xi * a2,
         A3=resc.xi * a2 / 3.0,

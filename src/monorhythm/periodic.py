@@ -136,9 +136,7 @@ def _u_block(sys, grid, u, w):
 
 
 def _w_block(sys, grid, u):
-    d, resc = sys.d, sys.resc
-    rate = d.b * d.c3 * resc.xi * resc.epsilon
-    return _periodic_response(rate, grid.period, resc.epsilon * d.b * u)
+    return _periodic_response(sys.recovery_rate, grid.period, sys.recovery_gain * u)
 
 
 def farkas_apply(sys: GalerkinSystem, grid: PeriodicGrid, u: np.ndarray, w: np.ndarray):
@@ -208,7 +206,6 @@ def picard_solve(
         raise ValueError(f"starting guess must have shape ({grid.n_t}, {n})")
 
     updates: list[float] = []
-    effective = 0
     converged = False
     for _ in range(max_iter):
         u_next = (1.0 - theta) * u + theta * _u_block(sys, grid, u, w)
@@ -224,7 +221,6 @@ def picard_solve(
         if step < tol:
             converged = True
             break
-        effective += 1
         if len(updates) > 10 and updates[-1] > 2.0 * updates[-11]:
             theta *= 0.5
             if theta < 1.0 / 16.0:
@@ -245,7 +241,7 @@ def picard_solve(
         periodicity_residual=per_res,
         ct_norm=ct_norm(sys, u, w),
         method="picard",
-        n_iter=effective,
+        n_iter=len(updates) - converged,
         converged=converged,
         history=tuple(updates),
         operator_residual=op_res,
@@ -261,12 +257,10 @@ def _linear_monodromy(sys: GalerkinSystem, dt: float, n_steps: int) -> np.ndarra
     formed per mode, without integrating anything.
     """
     n = sys.n_modes
-    d, resc = sys.d, sys.resc
-    gain = resc.epsilon * d.b
     hA = np.zeros((n, 2, 2))
     hA[:, 0, 0] = -dt * sys.basis.lambdas
-    hA[:, 1, 0] = dt * gain
-    hA[:, 1, 1] = -dt * gain * resc.xi * d.c3
+    hA[:, 1, 0] = dt * sys.recovery_gain
+    hA[:, 1, 1] = -dt * sys.recovery_rate
     eye = np.eye(2)
     step = eye + hA @ (eye + hA @ (eye + hA @ (eye + hA / 4) / 3) / 2)
     blocks = np.linalg.matrix_power(step, n_steps)
@@ -380,14 +374,10 @@ def orbit_gap(a: PeriodicOrbit, b: PeriodicOrbit, basis) -> float:
     if a.grid.period != b.grid.period:
         raise ValueError("orbits have different periods")
     na, nb = a.grid.n_t, b.grid.n_t
-    if na % nb == 0:
-        stride = na // nb
-        ua, wa = a.u[::stride], a.w[::stride]
-        ub, wb = b.u, b.w
-    elif nb % na == 0:
-        stride = nb // na
-        ua, wa = a.u, a.w
-        ub, wb = b.u[::stride], b.w[::stride]
-    else:
+    if na % nb and nb % na:
         raise ValueError(f"grids with {na} and {nb} nodes do not nest")
-    return float(np.max(_mixed_norm(basis, ua - ub, wa - wb)))
+    # the sign of the difference does not change its norm, so let a be the finer orbit
+    if na < nb:
+        a, b = b, a
+    stride = a.grid.n_t // b.grid.n_t
+    return float(np.max(_mixed_norm(basis, a.u[::stride] - b.u, a.w[::stride] - b.w)))

@@ -15,13 +15,18 @@ import pytest
 
 from monorhythm import cli, periodic
 from monorhythm.config import load_config, render_config
+from monorhythm.feasibility import EmbeddingConstants, aggregate_from_raw, r_star
 from monorhythm.periodic import NonConvergenceError
+from systems import feasible_model
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 # gain-curve peak location for the aggregates in window_aggregates.cfg;
 # oracle: scipy.optimize.minimize_scalar (bounded), frozen offline
 R_STAR = 0.01587400205355547
+# period ceiling at R_STAR for those aggregates at unit decay rate;
+# oracle: a scipy.optimize.brentq root of h(T) = p(R_STAR), frozen offline
+T_STAR = 2.4074367446354734
 
 LINEAR_CAUCHY_CFG = """
 model.u_res = 0.0
@@ -140,12 +145,54 @@ def test_feasibility_report_and_curves(tmp_path, capsys):
     assert report["payload"]["r_lower"] < r_val < report["payload"]["r_upper"], (
         "window radii should bracket the gain peak"
     )
+    assert flags["feasible_window_reduced"]["satisfied"] is True
+    # epsilon c4 / C = 1 here, so h(0) = 1 and the ceiling solves h(T) = p(r*)
+    assert report["payload"]["h_at_zero"] == pytest.approx(1.0, rel=1e-15)
+    assert report["payload"]["t_star_at_r_star"] == pytest.approx(T_STAR, rel=1e-10)
 
     for name in ("h_curve.csv", "p_curve.csv"):
         lines = read_lines(tmp_path, name)
         assert lines[0].startswith("# "), f"{name} should open with a comment line"
         assert lines[1] == "x,value", f"{name} header mismatch: {lines[1]!r}"
         assert len(lines) == 2 + 256, f"{name} should hold n_samples rows"
+
+
+def test_closed_window_reports_no_radii_but_writes_curves(tmp_path, capsys):
+    with open(config_path("window_aggregates.cfg"), encoding="utf-8") as fh:
+        text = fh.read().replace("feasibility.kappa = 0.5", "feasibility.kappa = 0.1")
+    cfg = write_config(tmp_path, text)
+    rc = cli.main(["feasibility", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 0, "a closed window is a result, not an error"
+    report = read_report(tmp_path)
+    assert report["config"]["feasibility.kappa"] == 0.1
+    assert report["condition_flags"]["feasible_window"]["satisfied"] is False
+    payload = report["payload"]
+    for key in ("r_lower", "r_upper", "t_star_at_r_star"):
+        assert payload[key] is None, f"{key} exists only inside an open window"
+    for name in ("h_curve.csv", "p_curve.csv"):
+        assert len(read_lines(tmp_path, name)) == 2 + 256, f"{name} should still be written"
+    capsys.readouterr()  # swallow the written-path listing
+
+
+def test_raw_embedding_keys_give_derived_aggregates(tmp_path, capsys):
+    embedding = {
+        "k1": 0.1, "k2": 1.0, "projection_excess": 1.0, "trace_norm": 1.0,
+        "domain_measure": 1.0, "s_sup": 1.0, "phi_norm": 0.005,
+    }
+    with open(config_path("window_aggregates.cfg"), encoding="utf-8") as fh:
+        model = [l for l in fh.read().splitlines() if not l.startswith("feasibility.")]
+    text = "\n".join(model + [f"feasibility.{k} = {v}" for k, v in embedding.items()]) + "\n"
+    rc = cli.main(["feasibility", "--config", write_config(tmp_path, text), "--out", str(tmp_path)])
+    assert rc == 0
+    report = read_report(tmp_path)
+    agg = aggregate_from_raw(feasible_model(), EmbeddingConstants(**embedding))
+    assert report["payload"]["aggregates"] == {
+        "kappa": agg.kappa, "beta": agg.beta, "gamma": agg.gamma, "delta": agg.delta,
+        "provenance": "derived",
+    }
+    assert report["payload"]["r_star"] == r_star(agg)
+    assert report["condition_flags"]["feasible_window"]["satisfied"] is True
+    capsys.readouterr()  # swallow the written-path listing
 
 
 def test_outputs_are_deterministic(tmp_path, capsys):
@@ -441,6 +488,17 @@ def test_missing_aggregate_key_is_named(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "feasibility.delta" in err, f"stderr should name the missing key: {err!r}"
+
+
+def test_feasibility_without_decay_rate_exits_2(tmp_path, capsys):
+    # c1 = 0 zeroes c4 and so the rate eps c4 / C that the t_max default divides by
+    with open(config_path("window_aggregates.cfg"), encoding="utf-8") as fh:
+        lines = [l for l in fh.read().splitlines() if not l.startswith("feasibility.t_max")]
+    cfg = write_config(tmp_path, "\n".join(lines).replace("model.c1 = 125.0", "model.c1 = 0.0"))
+    rc = cli.main(["feasibility", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2, f"a zero decay rate should exit 2, got {rc}"
+    err = capsys.readouterr().err
+    assert "decay rate epsilon*c4/C must be positive" in err, f"stderr: {err!r}"
 
 
 def test_both_period_keys_exit_2(tmp_path, capsys):

@@ -11,7 +11,6 @@ from monorhythm.feasibility import (
     RegionConstants,
     a2_bound,
     aggregate_from_raw,
-    build_report,
     emit_curves,
     feasible_window_condition,
     feasible_window_condition_reduced,
@@ -23,7 +22,7 @@ from monorhythm.feasibility import (
     t_star,
 )
 from oracles import golden_section_max
-from systems import RESC, feasible_model
+from systems import feasible_model
 
 # published-style aggregate set used throughout: gain peak near R = 0.0159
 AGG = AggregateConstants(kappa=0.5, beta=1e-4, gamma=1.0, delta=1e-3)
@@ -207,6 +206,21 @@ def test_t_star_frozen_and_boundary():
         t_star(upper * 1.01, AGG, C4, EPS, CAP)
 
 
+def test_bracket_failures_name_the_missing_root():
+    # each walk takes 200 halvings or doublings: the gain falls to about 1e-60
+    # at r* / 2^200 but only to about 1e-30 at r* 2^200, so a load level of
+    # 1e-65 is never reached below the peak and 1e-45 never above it; a
+    # ceiling target above h(2^199) is out of reach of the period walk
+    flat = AggregateConstants(kappa=1.0, beta=0.0, gamma=1.0, delta=1.0)
+    with pytest.raises(ValueError, match="could not bracket the lower crossing radius"):
+        r_bounds(flat, 1e-65)
+    with pytest.raises(ValueError, match="could not bracket the upper crossing radius"):
+        r_bounds(flat, 1e-45)
+    steep = AggregateConstants(kappa=1e70, beta=0.0, gamma=1.0, delta=1e-3)
+    with pytest.raises(ValueError, match="could not bracket the period ceiling"):
+        t_star(r_star(steep), steep, 1e-63, 0.01, 1.0)
+
+
 def test_periods_below_ceiling_are_admissible():
     """The trapping condition h(T) <= p(R*) holds up to the period ceiling and fails past it."""
     gain = p_of_R(R_STAR, AGG)
@@ -289,35 +303,3 @@ def test_emit_curves_shapes_and_ratio():
         emit_curves(AGG, C4, EPS, CAP, t_max=0.0, r_max=1.0)
     with pytest.raises(ValueError):
         emit_curves(AGG, C4, EPS, CAP, t_max=5.0, r_max=1.0, n_samples=1)
-
-
-def test_build_report_feasible():
-    report = build_report(AGG, C4, EPS, CAP, xi=3.75, c3=1.0, t_max=5.0, r_max=0.5)
-    assert report.window.satisfied and report.reduced_window.satisfied
-    assert report.coupling is not None and report.coupling.satisfied
-    assert report.r_lower < report.r_star < report.r_upper
-    assert report.t_star_at_r_star == pytest.approx(T_STAR, rel=1e-10)
-    assert report.h_curve is not None and report.p_curve is not None
-    assert report.h_at_zero == pytest.approx(1.0, rel=1e-15)
-
-
-def test_build_report_infeasible():
-    narrow = AggregateConstants(kappa=0.1, beta=1e-4, gamma=1.0, delta=1e-3)
-    report = build_report(narrow, C4, EPS, CAP)
-    assert not report.window.satisfied
-    assert report.r_lower is None and report.r_upper is None
-    assert report.t_star_at_r_star is None
-    assert report.coupling is None and report.h_curve is None
-
-
-def test_derived_aggregates_flow_into_report():
-    d = feasible_model()
-    emb = EmbeddingConstants(
-        k1=0.1, k2=1.0, projection_excess=1.0, trace_norm=1.0,
-        domain_measure=1.0, s_sup=1.0, phi_norm=0.005,
-    )
-    agg = aggregate_from_raw(d, emb)
-    report = build_report(agg, d.c4, RESC.epsilon, d.C)
-    assert agg.provenance == "derived"
-    assert report.r_star == r_star(agg)
-    assert report.window.satisfied, "this configuration should open a window"

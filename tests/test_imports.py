@@ -1,4 +1,4 @@
-"""No module imports a name it never uses, and no public package name is test-only."""
+"""No module imports a name it never uses, and no public package name or field is test-only."""
 
 import ast
 from pathlib import Path
@@ -13,6 +13,11 @@ MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 UNREAD_BY_DESIGN = {
     "kernel_weights": "acceptance criterion 1 checks the periodic-response kernel masses with it",
     "render_config": "the README documents the echo round trip: render, then parse back",
+}
+
+# Dataclass fields the package keeps although no package code reads them.
+FIELDS_UNREAD_BY_DESIGN = {
+    "SpectralBasis.n_quad": "perfbench's project_points counter multiplies by it",
 }
 
 
@@ -102,3 +107,45 @@ def test_unread_checker_follows_imports_between_modules():
 def test_every_public_package_name_is_read_by_package_code():
     sources = {path.stem: path.read_text() for path in PACKAGE}
     assert unread_public_names(sources) == sorted(UNREAD_BY_DESIGN)
+
+
+def unread_dataclass_fields(sources: dict[str, str]) -> list[str]:
+    """``Class.field`` for each dataclass field no module of ``sources`` reads.
+
+    A field counts as read where any module loads an attribute of its name;
+    the check goes by name, not by type, so it can only miss an unread field,
+    never flag a read one.
+    """
+    trees = [ast.parse(text) for text in sources.values()]
+    read = {
+        n.attr
+        for tree in trees
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    unread = []
+    for tree in trees:
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and item.target.id not in read:
+                    unread.append(f"{node.name}.{item.target.id}")
+    return sorted(unread)
+
+
+def test_field_checker_flags_only_unread_fields():
+    sources = {
+        "a": "@dataclass(frozen=True)\nclass P:\n    kept: float\n    orphan: float\n"
+        "@dataclass\nclass Q:\n    lone: int\nclass Plain:\n    ignored: int\n",
+        "b": "def f(p):\n    return p.kept\n",
+    }
+    assert unread_dataclass_fields(sources) == ["P.orphan", "Q.lone"]
+
+
+def test_every_dataclass_field_is_read_by_package_code():
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    assert unread_dataclass_fields(sources) == sorted(FIELDS_UNREAD_BY_DESIGN)

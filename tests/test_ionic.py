@@ -100,7 +100,7 @@ def test_f_transformed_hand_value():
     # direct formula evaluation with synthetic constants u_pr + u_tr = 0
     d = DerivedParameters(
         u_tr=0.0, u_pr=0.0, a1=1.0, a2=1.0, c4=0.0,
-        l2=0.0, A1=0.0, A2=0.0, A3=0.0, C=1.0, b=1.0, c3=1.0, sigma_const=1.0,
+        A1=0.0, A2=0.0, A3=0.0, C=1.0, b=1.0, c3=1.0, sigma_const=1.0,
     )
     one = RescalingParameters(epsilon=1.0, xi=1.0)
     assert f_transformed(2.0, 3.0, d, one) == pytest.approx(14.0, rel=1e-15)
@@ -190,7 +190,11 @@ def test_growth_bounds_hold_on_samples():
     u = rng.uniform(-30.0, 30.0, size=10_000)
     f1 = f_transformed(u, np.zeros_like(u), d, RESC)
     f2 = (f_transformed(u, np.ones_like(u), d, RESC) - f1) / RESC.xi
-    assert np.all(np.abs(f1) <= d.A1 + d.l2 * np.abs(u) ** 3 + 1e-12)
+    # the cubic coefficient of the f1 bound, the a1 share of A2
+    l2 = d.a1 * (RESC.epsilon / d.C) * (
+        1.0 + (2.0 / 3.0) * (d.u_tr + d.u_pr) + d.u_tr * d.u_pr / 3.0
+    )
+    assert np.all(np.abs(f1) <= d.A1 + l2 * np.abs(u) ** 3 + 1e-12)
     assert np.all(np.abs(f2) <= d.a2 * np.abs(u) + 1e-12)
     g1 = RESC.epsilon * d.b * u
     assert np.all(np.abs(g1) <= (d.b / 2.0) * (1.0 + u**2) + 1e-12)

@@ -403,9 +403,12 @@ def test_orbit_gap_validation():
     sys = feasible_system(m=4)
     a = picard_solve(sys, PeriodicGrid(n_t=128, period=PERIOD), max_iter=3)
     b = picard_solve(sys, PeriodicGrid(n_t=192, period=PERIOD), max_iter=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="grids with 128 and 192 nodes do not nest"):
         orbit_gap(a, b, sys.basis)
     assert orbit_gap(a, a, sys.basis) == 0.0
+    # nested grids compare on the coarse nodes whichever orbit comes first
+    c = picard_solve(sys, PeriodicGrid(n_t=256, period=PERIOD), max_iter=2)
+    assert orbit_gap(a, c, sys.basis) == orbit_gap(c, a, sys.basis) > 0.0
 
 
 def test_certify_ball_conventions():

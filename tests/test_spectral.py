@@ -152,7 +152,7 @@ def test_projection_single_mode_cubic_matches_oracle():
     # synthetic constants pick out the pure cubic: f(u, w) = u^3
     d = DerivedParameters(
         u_tr=0.0, u_pr=0.0, a1=1.0, a2=0.0, c4=0.0,
-        l2=0.0, A1=0.0, A2=0.0, A3=0.0, C=1.0, b=1.0, c3=1.0, sigma_const=1.0,
+        A1=0.0, A2=0.0, A3=0.0, C=1.0, b=1.0, c3=1.0, sigma_const=1.0,
     )
     one = RescalingParameters(epsilon=1.0, xi=1.0)
     L = 1.0
