@@ -303,3 +303,18 @@ def test_emit_curves_shapes_and_ratio():
         emit_curves(AGG, C4, EPS, CAP, t_max=0.0, r_max=1.0)
     with pytest.raises(ValueError):
         emit_curves(AGG, C4, EPS, CAP, t_max=5.0, r_max=1.0, n_samples=1)
+
+
+def test_build_report_feasible():
+    """The chain cmd_feasibility builds its report from, on an open window."""
+    h0 = h_of_T(0.0, C4, EPS, CAP)
+    assert h0 == pytest.approx(1.0, rel=1e-15)
+    rs = r_star(AGG)
+    assert feasible_window_condition(AGG, C4, EPS, CAP).satisfied
+    assert feasible_window_condition_reduced(AGG, h0).satisfied
+    assert recovery_coupling_condition(3.75, 1.0).satisfied
+    lower, upper = r_bounds(AGG, h0)
+    assert lower < rs < upper
+    assert t_star(rs, AGG, C4, EPS, CAP) == pytest.approx(T_STAR, rel=1e-10)
+    h_curve, p_curve = emit_curves(AGG, C4, EPS, CAP, t_max=5.0, r_max=0.5)
+    assert h_curve.shape == p_curve.shape == (256, 2)
