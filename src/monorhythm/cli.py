@@ -47,7 +47,6 @@ from .feasibility import (
 )
 from .galerkin import (
     BlowUpError,
-    GalerkinState,
     apriori_monitor,
     assemble_system,
     integrate_cauchy,
@@ -169,7 +168,7 @@ def _condition_entry(result) -> dict:
     return {"satisfied": result.satisfied, "margin": result.margin}
 
 
-def _initial_state(cfg: RunConfig, n_modes: int) -> GalerkinState:
+def _initial_state(cfg: RunConfig, n_modes: int) -> np.ndarray:
     u0 = np.asarray(cfg.get("ic.u", (0.0,) * n_modes), dtype=float)
     w0 = np.asarray(cfg.get("ic.w", (0.0,) * n_modes), dtype=float)
     for name, arr in (("ic.u", u0), ("ic.w", w0)):
@@ -178,7 +177,7 @@ def _initial_state(cfg: RunConfig, n_modes: int) -> GalerkinState:
                 f"key '{name}' must list {n_modes} coefficients, got {arr.size}",
                 cfg.path,
             )
-    return GalerkinState(u=u0, w=w0, t=0.0)
+    return np.concatenate([u0, w0])
 
 
 def cmd_feasibility(cfg: RunConfig):
@@ -239,10 +238,10 @@ def cmd_feasibility(cfg: RunConfig):
 def cmd_solve_cauchy(cfg: RunConfig):
     resc, d = _build_model(cfg)
     sys_ = _build_system(cfg, resc, d)
-    state0 = _initial_state(cfg, sys_.n_modes)
+    x0 = _initial_state(cfg, sys_.n_modes)
     t_end = cfg.require("cauchy.t_end")
     dt = cfg.require("cauchy.dt")
-    traj = integrate_cauchy(sys_, state0, t_end, dt)
+    traj = integrate_cauchy(sys_, x0, t_end, dt)
     monitor = apriori_monitor(traj)
 
     payload = {
@@ -302,16 +301,14 @@ def cmd_solve_periodic(cfg: RunConfig, seed=None):
     picard_orbit = shooting_orbit = None
     if method in ("picard", "both"):
         grid = PeriodicGrid(n_t=cfg.get("solver.n_t", 1024), period=period)
-        u0 = w0 = None
+        x0 = None
         if seed is not None:
             rng = np.random.default_rng(seed)
-            u0 = 0.01 * rng.standard_normal((grid.n_t, sys_.n_modes))
-            w0 = 0.01 * rng.standard_normal((grid.n_t, sys_.n_modes))
+            x0 = 0.01 * rng.standard_normal((2, grid.n_t, sys_.n_modes))
         picard_orbit = picard_solve(
             sys_,
             grid,
-            u0=u0,
-            w0=w0,
+            x0=x0,
             theta=cfg.get("solver.theta", 1.0),
             tol=tol,
             max_iter=cfg.get("solver.max_iter", 200),
@@ -382,9 +379,7 @@ def cmd_converge(cfg: RunConfig):
     for m in m_list:
         basis = build_basis(geom, m, d, resc)
         sys_ = assemble_system(basis, d, resc, stim)
-        n = sys_.n_modes
-        state0 = GalerkinState(u=np.zeros(n), w=np.zeros(n), t=0.0)
-        trajectories.append(integrate_cauchy(sys_, state0, t_end, dt))
+        trajectories.append(integrate_cauchy(sys_, np.zeros(2 * sys_.n_modes), t_end, dt))
 
     pairs = []
     for coarse, fine, traj_c, traj_f in zip(

@@ -4,6 +4,7 @@ Truncating the weak form onto the first m+1 modes turns the PDE pair into
 2m+2 coupled ODEs: each potential coefficient decays at its eigenvalue rate,
 feels the projected reaction term, and is driven through the boundary trace;
 each recovery coefficient relaxes linearly toward its potential partner.
+The state is one vector x = (u, w) of length 2m + 2, potentials first.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .spectral import SpectralBasis, Stimulus, project_nonlinearity
 
 __all__ = [
     "BlowUpError",
-    "GalerkinState",
     "GalerkinSystem",
     "Trajectory",
     "assemble_system",
@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 BLOWUP_THRESHOLD = 1e12
+BLOWUP_CHECK_EVERY = 64  # steps per block of stored rows the blow-up check scans
+# the root of |1 - z + z^2/2 - z^3/6 + z^4/24| = 1: RK4 damps x' = -r x iff h r <= it
+RK4_STABILITY_LIMIT = 2.7852935634
 
 
 class BlowUpError(RuntimeError):
@@ -43,20 +46,13 @@ class BlowUpError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class GalerkinState:
-    """Coefficient snapshot (u, w) at time t."""
-
-    u: np.ndarray
-    w: np.ndarray
-    t: float
-
-
-@dataclass(frozen=True)
 class GalerkinSystem:
     """Basis, constants and drive of the truncated system.
 
     recovery_gain (eps b) and recovery_rate (eps b xi c3) are the one copy
     of the recovery law dw/dt = recovery_gain u - recovery_rate w.
+    ``linear`` is the lower-triangular matrix of the linear part acting on
+    x = (u, w), decay and recovery law; its diagonal holds its eigenvalues.
     """
 
     basis: SpectralBasis
@@ -66,6 +62,7 @@ class GalerkinSystem:
     trace_vector: np.ndarray
     recovery_gain: float
     recovery_rate: float
+    linear: np.ndarray
 
     @property
     def period(self) -> float:
@@ -83,6 +80,9 @@ def assemble_system(basis, d, resc, stim) -> GalerkinSystem:
     boundary, phi psi_i(L).
     """
     gain = resc.epsilon * d.b
+    rate = gain * resc.xi * d.c3
+    eye = np.eye(basis.n_modes)
+    linear = np.block([[np.diag(-basis.lambdas), np.zeros_like(eye)], [gain * eye, -rate * eye]])
     return GalerkinSystem(
         basis=basis,
         d=d,
@@ -90,7 +90,8 @@ def assemble_system(basis, d, resc, stim) -> GalerkinSystem:
         stim=stim,
         trace_vector=stim.phi_value * basis.trace_values,
         recovery_gain=gain,
-        recovery_rate=gain * resc.xi * d.c3,
+        recovery_rate=rate,
+        linear=linear,
     )
 
 
@@ -101,12 +102,12 @@ class Trajectory:
     Nodes are evenly spaced except possibly the final interval, which is
     shortened so the last node lands exactly on the requested end time. The
     generating system rides along so norm and derivative reports need no
-    extra arguments. ``u`` and ``w`` have shape ``(n_nodes, n_modes)``.
+    extra arguments. ``x`` has shape ``(n_nodes, 2 n_modes)``; ``u`` and
+    ``w`` are views of its two halves.
     """
 
     times: np.ndarray
-    u: np.ndarray
-    w: np.ndarray
+    x: np.ndarray
     sys: GalerkinSystem
 
     def __post_init__(self) -> None:
@@ -114,86 +115,98 @@ class Trajectory:
             raise ValueError("trajectory times must increase strictly")
 
     @property
+    def u(self) -> np.ndarray:
+        return self.x[:, : self.sys.n_modes]
+
+    @property
+    def w(self) -> np.ndarray:
+        return self.x[:, self.sys.n_modes :]
+
+    @property
     def n_nodes(self) -> int:
         return len(self.times)
 
 
-def rhs(sys: GalerkinSystem, t, u, w):
-    """Time derivative of the coefficient pair at time t.
+def rhs(sys: GalerkinSystem, t, x):
+    """Time derivative of the state x = (u, w) at time t.
 
-    Node-stacked states take a column of times: ``t`` of shape ``(n, 1)``
-    against ``u`` and ``w`` of shape ``(n, n_modes)``.
+    Node-stacked states take a column of times: ``t`` of shape ``(k, 1)``
+    against ``x`` of shape ``(k, 2 n_modes)``.
     """
-    return _driven_rhs(sys, sys.stim(t), u, w)
+    return _driven_rhs(sys, sys.stim(t), x)
 
 
-def _driven_rhs(sys, s_val, u, w):
-    """Time derivative of the coefficient pair under the drive value s_val."""
-    proj = project_nonlinearity(sys.basis, u, w, sys.d, sys.resc)
-    du = -sys.basis.lambdas * u - proj + s_val * sys.trace_vector
-    dw = sys.recovery_gain * u - sys.recovery_rate * w
-    return du, dw
+def _driven_rhs(sys, s_val, x):
+    """Time derivative of the state under the drive value s_val."""
+    n = sys.n_modes
+    dx = x @ sys.linear.T
+    dx[..., :n] -= project_nonlinearity(sys.basis, x[..., :n], x[..., n:], sys.d, sys.resc)
+    dx[..., :n] += s_val * sys.trace_vector
+    return dx
 
 
-def _rk4_step(sys, drive, u, w, h):
+def _rk4_step(sys, drive, x, h):
     s0, s_half, s1 = drive
-    k1u, k1w = _driven_rhs(sys, s0, u, w)
-    k2u, k2w = _driven_rhs(sys, s_half, u + 0.5 * h * k1u, w + 0.5 * h * k1w)
-    k3u, k3w = _driven_rhs(sys, s_half, u + 0.5 * h * k2u, w + 0.5 * h * k2w)
-    k4u, k4w = _driven_rhs(sys, s1, u + h * k3u, w + h * k3w)
-    u_next = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-    w_next = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-    return u_next, w_next
+    k1 = _driven_rhs(sys, s0, x)
+    k2 = _driven_rhs(sys, s_half, x + 0.5 * h * k1)
+    k3 = _driven_rhs(sys, s_half, x + 0.5 * h * k2)
+    k4 = _driven_rhs(sys, s1, x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate_cauchy(sys: GalerkinSystem, state0: GalerkinState, t1: float, dt: float) -> Trajectory:
-    """Classical fixed-step fourth-order Runge-Kutta from state0.t to t1.
+def integrate_cauchy(sys: GalerkinSystem, x0: np.ndarray, t1: float, dt: float) -> Trajectory:
+    """Classical fixed-step fourth-order Runge-Kutta from t = 0 to t1.
 
     The final time is hit exactly; when dt does not divide the interval the
-    last step is shortened. ``state0.u`` and ``state0.w`` each have shape
-    ``(n_modes,)``. Raises :class:`BlowUpError` the moment any coefficient
-    exceeds the threshold or stops being finite.
+    last step is shortened. ``x0`` has shape ``(2 n_modes,)``. A dt past RK4's
+    stability limit for the fastest linear rate is rejected before stepping.
+    Blow-up is checked on each block of ``BLOWUP_CHECK_EVERY`` stored rows and
+    reported at the first bad row, with the time and magnitude a per-step
+    check would report.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    t0 = state0.t
-    span = t1 - t0
-    if span <= 0.0:
-        raise ValueError(f"end time {t1} must exceed start time {t0}")
+    if t1 <= 0.0:
+        raise ValueError(f"end time {t1} must exceed start time 0")
+    fastest = -float(np.min(np.diag(sys.linear)))
+    if dt * fastest > RK4_STABILITY_LIMIT:
+        raise ValueError(
+            f"dt = {dt:.6g} times the fastest decay rate {fastest:.6g} is {dt * fastest:.4g},"
+            f" past RK4's stability limit {RK4_STABILITY_LIMIT}; the largest stable dt"
+            f" is {RK4_STABILITY_LIMIT / fastest:.6g}"
+        )
+    x = np.array(x0, dtype=float)
+    if x.shape != (2 * sys.n_modes,):
+        raise ValueError(f"initial state has shape {x.shape}, system expects ({2 * sys.n_modes},)")
 
-    n_full = int(np.floor(span / dt + 1e-12))
-    remainder = span - n_full * dt
-    if remainder <= 1e-12 * max(abs(t1), 1.0):
-        remainder = 0.0
-    n_nodes = n_full + 1 + (1 if remainder else 0)
+    n_full = int(np.floor(t1 / dt + 1e-12))
+    short_last_step = t1 - n_full * dt > 1e-12 * max(t1, 1.0)
+    n_nodes = n_full + 1 + short_last_step
 
     times = np.empty(n_nodes)
-    times[: n_full + 1] = t0 + dt * np.arange(n_full + 1)
+    times[: n_full + 1] = dt * np.arange(n_full + 1)
     times[-1] = t1
-
-    u = np.array(state0.u, dtype=float)
-    w = np.array(state0.w, dtype=float)
-    if u.shape != (sys.n_modes,) or w.shape != (sys.n_modes,):
-        raise ValueError(
-            f"initial state has shapes {u.shape}/{w.shape}, system expects ({sys.n_modes},)"
-        )
-    u_hist = np.empty((n_nodes, sys.n_modes))
-    w_hist = np.empty((n_nodes, sys.n_modes))
-    u_hist[0], w_hist[0] = u, w
+    hist = np.empty((n_nodes, x.size))
+    hist[0] = x
 
     # The drive at every stage time, sampled in one call: row k holds steps
     # k's t, t + h/2 and t + h, built as the stages would build them.
     steps = np.diff(times)
     starts = times[:-1]
     drive = sys.stim(np.stack([starts, starts + 0.5 * steps, starts + steps], axis=1))
-    for k in range(1, n_nodes):
-        u, w = _rk4_step(sys, drive[k - 1], u, w, steps[k - 1])
-        peak = max(np.max(np.abs(u)), np.max(np.abs(w)))
-        if not np.isfinite(peak) or peak > BLOWUP_THRESHOLD:
-            raise BlowUpError(time=float(times[k]), magnitude=float(peak))
-        u_hist[k], w_hist[k] = u, w
+    # a runaway overflows within a step; the check after its block reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(1, n_nodes, BLOWUP_CHECK_EVERY):
+            hi = min(lo + BLOWUP_CHECK_EVERY, n_nodes)
+            for k in range(lo, hi):
+                x = _rk4_step(sys, drive[k - 1], x, steps[k - 1])
+                hist[k] = x
+            peaks = np.max(np.abs(hist[lo:hi]), axis=1)
+            bad = np.flatnonzero(~(peaks <= BLOWUP_THRESHOLD))  # NaN compares false
+            if bad.size:
+                raise BlowUpError(time=float(times[lo + bad[0]]), magnitude=float(peaks[bad[0]]))
 
-    return Trajectory(times=times, u=u_hist, w=w_hist, sys=sys)
+    return Trajectory(times=times, x=hist, sys=sys)
 
 
 @dataclass(frozen=True)
@@ -221,20 +234,20 @@ def apriori_monitor(traj: Trajectory) -> MonitorReport:
     state_sq = np.sum(traj.u**2, axis=1) + np.sum(traj.w**2, axis=1)
     v_sq = np.sum(sys.basis.lambdas * traj.u**2, axis=1)
 
-    du, dw = rhs(sys, traj.times[:, None], traj.u, traj.w)
-    du_sq = np.sum(du**2, axis=1)
-    dw_sq = np.sum(dw**2, axis=1)
+    dx = rhs(sys, traj.times[:, None], traj.x)
+    n = sys.n_modes
+    du_sq = np.sum(dx[:, :n] ** 2, axis=1)
+    dw_sq = np.sum(dx[:, n:] ** 2, axis=1)
 
     l2_v_u = float(np.sqrt(np.trapezoid(v_sq, x=traj.times)))
     l2_du = float(np.sqrt(np.trapezoid(du_sq, x=traj.times)))
     l2_dw = float(np.sqrt(np.trapezoid(dw_sq, x=traj.times)))
 
     T = sys.period
-    span = traj.times[-1] - traj.times[0]
-    n_periods = int(np.floor(span / T + 1e-9))
+    n_periods = int(np.floor(traj.times[-1] / T + 1e-9))  # trajectories start at t = 0
     sups = []
     for p in range(n_periods):
-        lo, hi = traj.times[0] + p * T, traj.times[0] + (p + 1) * T
+        lo, hi = p * T, (p + 1) * T
         mask = (traj.times >= lo - 1e-12) & (traj.times <= hi + 1e-12)
         sups.append(float(np.max(state_sq[mask])))
     sups = np.asarray(sups)

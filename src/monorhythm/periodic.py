@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .galerkin import GalerkinState, GalerkinSystem, integrate_cauchy
+from .galerkin import GalerkinSystem, integrate_cauchy
 from .spectral import norms, project_nonlinearity
 
 __all__ = [
@@ -170,15 +170,13 @@ def ct_norm(sys: GalerkinSystem, u: np.ndarray, w: np.ndarray) -> float:
 
 def _relative_defect(traj, x0: np.ndarray) -> float:
     """|x(T) - x0| / max(1, |x0|) for the last node x(T) of ``traj``."""
-    x1 = np.concatenate([traj.u[-1], traj.w[-1]])
-    return float(np.linalg.norm(x1 - x0) / max(1.0, float(np.linalg.norm(x0))))
+    return float(np.linalg.norm(traj.x[-1] - x0) / max(1.0, float(np.linalg.norm(x0))))
 
 
 def picard_solve(
     sys: GalerkinSystem,
     grid: PeriodicGrid,
-    u0: np.ndarray | None = None,
-    w0: np.ndarray | None = None,
+    x0: np.ndarray | None = None,
     theta: float = 1.0,
     tol: float = 1e-10,
     max_iter: int = 200,
@@ -189,7 +187,8 @@ def picard_solve(
     potential into the recovery block, so in the reaction-free case a single
     sweep lands on the fixed point from anywhere. ``n_iter`` counts sweeps
     that moved the iterate by at least ``tol``; starting at the fixed point
-    therefore reports zero.
+    therefore reports zero. The iterate, like ``x0``, is one array of shape
+    ``(2, n_t, n_modes)``: the potential samples, then the recovery samples.
 
     If the update norm doubles over a ten-sweep window the damping is halved;
     below 1/16 the iteration is abandoned with the update history attached.
@@ -200,10 +199,10 @@ def picard_solve(
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     n = sys.n_modes
-    u = np.zeros((grid.n_t, n)) if u0 is None else np.array(u0, dtype=float)
-    w = np.zeros((grid.n_t, n)) if w0 is None else np.array(w0, dtype=float)
-    if u.shape != (grid.n_t, n) or w.shape != (grid.n_t, n):
-        raise ValueError(f"starting guess must have shape ({grid.n_t}, {n})")
+    x = np.zeros((2, grid.n_t, n)) if x0 is None else np.array(x0, dtype=float)
+    if x.shape != (2, grid.n_t, n):
+        raise ValueError(f"starting guess must have shape (2, {grid.n_t}, {n})")
+    u, w = x
 
     updates: list[float] = []
     converged = False
@@ -211,7 +210,8 @@ def picard_solve(
         u_next = (1.0 - theta) * u + theta * _u_block(sys, grid, u, w)
         w_next = (1.0 - theta) * w + theta * _w_block(sys, grid, u_next)
         step = ct_norm(sys, u_next - u, w_next - w)
-        u, w = u_next, w_next
+        u[:], w[:] = u_next, w_next
+        del u_next, w_next  # freed before the next sweep's projection allocates
         updates.append(step)
         if not np.isfinite(step):
             raise NonConvergenceError(
@@ -230,15 +230,14 @@ def picard_solve(
 
     ku, kw = farkas_apply(sys, grid, u, w)
     op_res = ct_norm(sys, ku - u, kw - w)
-    start = GalerkinState(u=u[0], w=w[0], t=0.0)
+    start = x[:, 0].ravel()  # the state at t = 0: u, then w
     traj = integrate_cauchy(sys, start, sys.period, sys.period / 1024)
-    per_res = _relative_defect(traj, np.concatenate([u[0], w[0]]))
 
     return PeriodicOrbit(
         grid=grid,
         u=u,
         w=w,
-        periodicity_residual=per_res,
+        periodicity_residual=_relative_defect(traj, start),
         ct_norm=ct_norm(sys, u, w),
         method="picard",
         n_iter=len(updates) - converged,
@@ -303,13 +302,12 @@ def shooting_solve(
             f"dt must be at most T/64 = {T / 64:.6g} so the orbit has at least 64 nodes,"
             f" got dt = {dt:.6g} (T/{n_steps})"
         )
-    n = sys.n_modes
-    x = np.zeros(2 * n)
+    x = np.zeros(2 * sys.n_modes)
 
     def defect(vec):
         """flow_T(vec) - vec and the trajectory that gave it."""
-        traj = integrate_cauchy(sys, GalerkinState(u=vec[:n], w=vec[n:], t=0.0), T, dt)
-        return np.concatenate([traj.u[-1], traj.w[-1]]) - vec, traj
+        traj = integrate_cauchy(sys, vec, T, dt)
+        return traj.x[-1] - vec, traj
 
     jac = _linear_monodromy(sys, dt, n_steps)
     g, traj = defect(x)

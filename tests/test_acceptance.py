@@ -20,7 +20,7 @@ from monorhythm.feasibility import (
     r_star,
     t_star,
 )
-from monorhythm.galerkin import GalerkinState, apriori_monitor, integrate_cauchy, l2_qi_difference
+from monorhythm.galerkin import apriori_monitor, integrate_cauchy, l2_qi_difference
 from monorhythm.periodic import (
     PeriodicGrid,
     ct_norm,
@@ -258,7 +258,7 @@ def test_criterion_6_integrator_order():
         )
         return u, w
 
-    zero = GalerkinState(u=np.zeros(5), w=np.zeros(5), t=0.0)
+    zero = np.zeros(10)
     u_end, w_end = closed_form(PERIOD)
     errors = []
     for steps in (64, 128, 256, 512):
@@ -322,8 +322,9 @@ def test_criterion_8_refinement_and_stationarity():
     trajectories = []
     for m in (4, 8, 16):
         sys_ = feasible_system(m=m)
-        zero = GalerkinState(u=np.zeros(sys_.n_modes), w=np.zeros(sys_.n_modes), t=0.0)
-        trajectories.append(integrate_cauchy(sys_, zero, 2.0 * PERIOD, 1.0 / 256.0))
+        trajectories.append(
+            integrate_cauchy(sys_, np.zeros(2 * sys_.n_modes), 2.0 * PERIOD, 1.0 / 256.0)
+        )
     diffs = []
     for coarse, fine in zip(trajectories, trajectories[1:]):
         u_diff, _ = l2_qi_difference(fine, coarse)
@@ -335,7 +336,7 @@ def test_criterion_8_refinement_and_stationarity():
     # exact same discrete flow, and watch ten periods
     sys8 = feasible_system(m=8)
     orbit = shooting_solve(sys8, dt=PERIOD / 1024, tol=1e-10)
-    start = GalerkinState(u=orbit.u[0].copy(), w=orbit.w[0].copy(), t=0.0)
+    start = np.concatenate([orbit.u[0], orbit.w[0]])
     traj = integrate_cauchy(sys8, start, 10.0 * PERIOD, PERIOD / 1024)
     monitor = apriori_monitor(traj)
     sups = monitor.per_period_sup

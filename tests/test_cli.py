@@ -301,34 +301,30 @@ def test_cauchy_reports_the_configured_end_time(tmp_path, capsys):
     capsys.readouterr()  # swallow the written-path listing
 
 
-def test_blow_up_exits_4(tmp_path, capsys):
-    text = """
-model.u_res = 0.0
-model.u_peak = 1.0
-model.a = 0.5
-model.c1 = 1e7
-model.c2 = 1.0
-model.c3 = 1.0
-model.b = 1.0
-rescale.epsilon = 0.032
-rescale.xi = 3.75
-geometry.length = 1.0
-stimulus.kind = constant
-stimulus.period = 2.0
-stimulus.amplitude = 0.0
-stimulus.phi = 0.005
-solver.m = 4
-ic.u = 5,5,5,5,5
-cauchy.t_end = 2.0
-cauchy.dt = 0.03125
-"""
+def test_blow_up_exits_4(tmp_path, capsys, recwarn):
+    """A runaway from a large start at lambda_max dt = 0.19, well inside RK4's
+    stability limit; the integrator silences the overflow it reports."""
+    text = NONLINEAR_PERIODIC_CFG.replace("solver.m = 2", "solver.m = 4") + (
+        "ic.u = 100,100,100,100,100\ncauchy.t_end = 2.0\ncauchy.dt = 0.03125\n"
+    )
     cfg = write_config(tmp_path, text)
-    # the runaway overflows inside a step before the threshold check fires
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = cli.main(["solve-cauchy", "--config", cfg, "--out", str(tmp_path)])
+    rc = cli.main(["solve-cauchy", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 4, f"blow-up should exit 4, got {rc}"
     err = capsys.readouterr().err
-    assert "blew up at t =" in err, f"stderr should report the blow-up time: {err!r}"
+    assert "blew up at t = 0.0625" in err, f"stderr should report the blow-up time: {err!r}"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_picard_check_past_the_stability_limit_exits_2(tmp_path, capsys):
+    """Picard converges at m = 72, but its T/1024 RK4 periodicity check would
+    step at lambda_max dt = 3.20, past RK4's limit: that is a configuration
+    error named before stepping, not a blow-up."""
+    text = NONLINEAR_PERIODIC_CFG.replace("solver.m = 2", "solver.m = 72")
+    cfg = write_config(tmp_path, text)
+    rc = cli.main(["solve-periodic", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2, f"a step past the stability limit should exit 2, got {rc}"
+    err = capsys.readouterr().err
+    assert "stability limit 2.7852935634" in err and "largest stable dt" in err, err
 
 
 def test_linear_orbit_converges_in_one_step(tmp_path, capsys):

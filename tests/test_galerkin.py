@@ -5,7 +5,6 @@ import pytest
 
 from monorhythm.galerkin import (
     BlowUpError,
-    GalerkinState,
     apriori_monitor,
     assemble_system,
     integrate_cauchy,
@@ -19,8 +18,12 @@ from systems import GEOM, PERIOD, PHI, RESC, feasible_model, feasible_system, li
 
 
 def zero_state(sys):
-    n = sys.n_modes
-    return GalerkinState(u=np.zeros(n), w=np.zeros(n), t=0.0)
+    return np.zeros(2 * sys.n_modes)
+
+
+def state(u, w):
+    """One state vector: the potential coefficients, then the recovery ones."""
+    return np.concatenate([u, w])
 
 
 def bump_coeffs(basis):
@@ -32,8 +35,8 @@ def bump_coeffs(basis):
 
 def test_rhs_zero_equilibrium():
     sys = linear_system(s0=0.0)
-    du, dw = rhs(sys, 0.0, np.zeros(5), np.zeros(5))
-    assert np.all(du == 0.0) and np.all(dw == 0.0)
+    dx = rhs(sys, 0.0, np.zeros(10))
+    assert np.all(dx == 0.0)
 
 
 def test_rhs_linear_block_structure():
@@ -41,7 +44,8 @@ def test_rhs_linear_block_structure():
     rng = np.random.default_rng(2)
     u = rng.standard_normal(5)
     w = rng.standard_normal(5)
-    du, dw = rhs(sys, 0.3, u, w)
+    dx = rhs(sys, 0.3, state(u, w))
+    du, dw = dx[:5], dx[5:]
     assert np.allclose(du, -sys.basis.lambdas * u, rtol=0.0, atol=1e-14)
     eps, xi = RESC.epsilon, RESC.xi
     assert np.allclose(dw, eps * 1.0 * (u - xi * 1.0 * w), rtol=0.0, atol=1e-14)
@@ -49,17 +53,16 @@ def test_rhs_linear_block_structure():
 
 def test_rhs_zero_state_sees_stimulus_trace():
     sys = linear_system(s0=2.0)
-    du, dw = rhs(sys, 0.0, np.zeros(5), np.zeros(5))
-    assert np.allclose(du, 2.0 * sys.trace_vector, rtol=1e-15)
-    assert np.all(dw == 0.0)
+    dx = rhs(sys, 0.0, np.zeros(10))
+    assert np.allclose(dx[:5], 2.0 * sys.trace_vector, rtol=1e-15)
+    assert np.all(dx[5:] == 0.0)
 
 
 def test_linear_decay_closed_form():
     """Decoupled decay: coefficients follow u0 * exp(-lambda t) to 1e-8 at dt = T/2048."""
     sys = linear_system(s0=0.0, phi=0.0)
     u0 = np.array([1.0, -0.5, 2.0, 0.25, -1.5])
-    state0 = GalerkinState(u=u0, w=np.zeros(5), t=0.0)
-    traj = integrate_cauchy(sys, state0, PERIOD, dt=PERIOD / 2048)
+    traj = integrate_cauchy(sys, state(u0, np.zeros(5)), PERIOD, dt=PERIOD / 2048)
     exact = u0 * np.exp(-sys.basis.lambdas * PERIOD)
     assert np.max(np.abs(traj.u[-1] - exact)) < 1e-8
 
@@ -76,8 +79,7 @@ def test_linear_recovery_closed_form():
     b0 = 1.0 / np.sqrt(GEOM.L)
     stim = Stimulus("constant", period=2.0, phi_value=1.0, amplitude=lam0 / b0)
     sys = assemble_system(basis, d, RESC, stim)
-    state0 = GalerkinState(u=np.array([1.0]), w=np.array([0.0]), t=0.0)
-    traj = integrate_cauchy(sys, state0, 200.0, dt=0.1)
+    traj = integrate_cauchy(sys, np.array([1.0, 0.0]), 200.0, dt=0.1)
     assert np.allclose(traj.u, 1.0, atol=1e-10)
     assert traj.w[-1, 0] == pytest.approx(1.0 / (RESC.xi * 1.0), rel=1e-8)
 
@@ -91,7 +93,7 @@ def test_zero_everything_stays_zero():
 def test_final_time_hit_exactly_with_shortened_step():
     sys = linear_system(s0=0.0, phi=0.0)
     u0 = np.ones(5)
-    traj = integrate_cauchy(sys, GalerkinState(u=u0, w=np.zeros(5), t=0.0), 1.0, dt=0.03)
+    traj = integrate_cauchy(sys, state(u0, np.zeros(5)), 1.0, dt=0.03)
     assert traj.times[-1] == 1.0
     assert traj.n_nodes == 35  # 33 whole steps, then a short 0.01 step
     assert np.allclose(np.diff(traj.times)[:-1], 0.03)
@@ -116,9 +118,7 @@ def test_rk4_order_on_closed_form():
     exact = u0 * np.exp(-sys.basis.lambdas * PERIOD)
     errs = []
     for steps in (64, 128, 256):
-        traj = integrate_cauchy(
-            sys, GalerkinState(u=u0, w=np.zeros(5), t=0.0), PERIOD, dt=PERIOD / steps
-        )
+        traj = integrate_cauchy(sys, state(u0, np.zeros(5)), PERIOD, dt=PERIOD / steps)
         errs.append(np.max(np.abs(traj.u[-1] - exact)))
     for coarse, fine in zip(errs, errs[1:]):
         ratio = coarse / fine
@@ -130,13 +130,12 @@ def test_rhs_matches_flow_derivative():
     rng = np.random.default_rng(4)
     u0 = 0.01 * rng.standard_normal(5)
     w0 = 0.01 * rng.standard_normal(5)
-    du, dw = rhs(sys, 0.0, u0, w0)
+    x0 = state(u0, w0)
+    dx = rhs(sys, 0.0, x0)
     errs = []
     for dt in (2e-3, 1e-3):
-        traj = integrate_cauchy(sys, GalerkinState(u=u0, w=w0, t=0.0), dt, dt=dt)
-        fd_u = (traj.u[-1] - u0) / dt
-        fd_w = (traj.w[-1] - w0) / dt
-        errs.append(max(np.max(np.abs(fd_u - du)), np.max(np.abs(fd_w - dw))))
+        traj = integrate_cauchy(sys, x0, dt, dt=dt)
+        errs.append(np.max(np.abs((traj.x[-1] - x0) / dt - dx)))
     # the one-sided difference is first-order accurate in dt
     ratio = errs[0] / errs[1]
     assert 1.5 < ratio < 2.5, f"flow-derivative error ratio {ratio:.2f}"
@@ -144,34 +143,40 @@ def test_rhs_matches_flow_derivative():
 
 
 def test_blow_up_detected_with_time():
-    phys = PhysiologicalParameters(
-        u_res=0.0, u_peak=1.0, a=0.5, c1=1e7, c2=1.0, c3=1.0, b=1.0, sigma_const=1.0
-    )
-    d = derive_parameters(phys, RESC)
-    basis = build_basis(GEOM, 4, d, RESC)
-    stim = Stimulus("constant", period=2.0, phi_value=0.0, amplitude=0.0)
-    sys = assemble_system(basis, d, RESC, stim)
-    state0 = GalerkinState(u=5.0 * np.ones(5), w=np.zeros(5), t=0.0)
-    with pytest.raises(BlowUpError) as info:
-        integrate_cauchy(sys, state0, 2.0, dt=2.0 / 64)
-    assert 0.0 < info.value.time <= 2.0
-    assert info.value.magnitude > 1e12
+    """A runaway from a large start, at a step well inside RK4's stability
+    limit (lambda_max dt = 0.19), so the growth is the reaction's. The block
+    check reports the first bad row, the one a per-step check stops at, in
+    a full 64-step block and in a last, partial one."""
+    sys = feasible_system(m=4)
+    for t1 in (2.0, 0.0625):
+        with pytest.raises(BlowUpError) as info:
+            integrate_cauchy(sys, state(100.0 * np.ones(5), np.zeros(5)), t1, dt=2.0 / 64)
+        assert info.value.time == 0.0625
+        assert info.value.magnitude == 6.599597321718805e228
 
 
-def rk4_on_public_rhs(sys, times, u, w):
+def test_step_past_the_stability_limit_is_rejected_before_stepping():
+    sys = feasible_system(m=4)
+    fastest = sys.basis.lambdas[-1]
+    limit = 2.7852935634 / fastest
+    assert integrate_cauchy(sys, zero_state(sys), limit, dt=limit).n_nodes == 2
+    with pytest.raises(ValueError, match="stability limit 2.7852935634") as info:
+        integrate_cauchy(sys, zero_state(sys), 1.0, dt=1.01 * limit)
+    assert f"largest stable dt is {limit:.6g}" in str(info.value)
+
+
+def rk4_on_public_rhs(sys, times, x):
     """Classical RK4 over the given nodes of one state, calling rhs per stage."""
-    us, ws = [u], [w]
+    xs = [x]
     for t, t_next in zip(times[:-1], times[1:]):
         h = t_next - t
-        k1u, k1w = rhs(sys, t, u, w)
-        k2u, k2w = rhs(sys, t + 0.5 * h, u + 0.5 * h * k1u, w + 0.5 * h * k1w)
-        k3u, k3w = rhs(sys, t + 0.5 * h, u + 0.5 * h * k2u, w + 0.5 * h * k2w)
-        k4u, k4w = rhs(sys, t + h, u + h * k3u, w + h * k3w)
-        u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        w = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        us.append(u)
-        ws.append(w)
-    return np.array(us), np.array(ws)
+        k1 = rhs(sys, t, x)
+        k2 = rhs(sys, t + 0.5 * h, x + 0.5 * h * k1)
+        k3 = rhs(sys, t + 0.5 * h, x + 0.5 * h * k2)
+        k4 = rhs(sys, t + h, x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        xs.append(x)
+    return np.array(xs)
 
 
 def test_integration_equals_rk4_on_public_rhs():
@@ -184,22 +189,16 @@ def test_integration_equals_rk4_on_public_rhs():
     rng = np.random.default_rng(12)
     u0 = 0.01 * rng.standard_normal(9)
     w0 = 0.01 * rng.standard_normal(9)
-    traj = integrate_cauchy(sys, GalerkinState(u=u0, w=w0, t=0.0), PERIOD, dt=0.03)
+    traj = integrate_cauchy(sys, state(u0, w0), PERIOD, dt=0.03)
     assert traj.times[-1] == PERIOD and traj.times[-1] - traj.times[-2] < 0.03
-    ref_u, ref_w = rk4_on_public_rhs(sys, traj.times, u0, w0)
-    assert np.array_equal(traj.u, ref_u) and np.array_equal(traj.w, ref_w)
+    assert np.array_equal(traj.x, rk4_on_public_rhs(sys, traj.times, state(u0, w0)))
 
 
 def test_integration_rejects_mismatched_state_shapes():
     sys = feasible_system(m=4)
-    for u0, w0 in (
-        (np.zeros((3, 5)), np.zeros(5)),
-        (np.zeros((2, 5)), np.zeros((3, 5))),
-        (np.zeros((3, 5)), np.zeros((3, 5))),
-        (np.zeros(6), np.zeros(6)),
-    ):
-        with pytest.raises(ValueError, match=r"\(5,\)"):
-            integrate_cauchy(sys, GalerkinState(u=u0, w=w0, t=0.0), PERIOD, dt=0.1)
+    for x0 in (np.zeros((3, 10)), np.zeros(5), np.zeros(12)):
+        with pytest.raises(ValueError, match=r"\(10,\)"):
+            integrate_cauchy(sys, x0, PERIOD, dt=0.1)
 
 
 def test_period_map_linear_contraction():
@@ -211,16 +210,16 @@ def test_period_map_linear_contraction():
     for i in range(3):
         u0 = np.zeros(5)
         u0[i] = 1.0
-        traj = integrate_cauchy(sys, GalerkinState(u=u0, w=np.zeros(5), t=0.0), T, dt=T / 2048)
-        out = GalerkinState(u=traj.u[-1], w=traj.w[-1], t=float(traj.times[-1]))
-        assert out.t == T
+        traj = integrate_cauchy(sys, state(u0, np.zeros(5)), T, dt=T / 2048)
+        assert traj.times[-1] == T
+        u_end, w_end = traj.u[-1], traj.w[-1]
         lam = sys.basis.lambdas[i]
-        assert out.u[i] == pytest.approx(np.exp(-lam * T), rel=1e-9)
+        assert u_end[i] == pytest.approx(np.exp(-lam * T), rel=1e-9)
         expected_w = RESC.epsilon * (np.exp(-lam * T) - np.exp(-rate_w * T)) / (rate_w - lam)
-        assert out.w[i] == pytest.approx(expected_w, rel=1e-7)
+        assert w_end[i] == pytest.approx(expected_w, rel=1e-7)
         mask = np.ones(5, dtype=bool)
         mask[i] = False
-        assert np.max(np.abs(out.u[mask])) < 1e-13
+        assert np.max(np.abs(u_end[mask])) < 1e-13
 
 
 def test_monitors_zero_trajectory():
@@ -235,9 +234,7 @@ def test_monitors_zero_trajectory():
 def test_monitors_decay_peaks_at_start():
     sys = linear_system(s0=0.0, phi=0.0)
     u0 = np.array([1.0, -0.5, 2.0, 0.25, -1.5])
-    traj = integrate_cauchy(
-        sys, GalerkinState(u=u0, w=np.zeros(5), t=0.0), 2.0 * PERIOD, dt=PERIOD / 256
-    )
+    traj = integrate_cauchy(sys, state(u0, np.zeros(5)), 2.0 * PERIOD, dt=PERIOD / 256)
     rep = apriori_monitor(traj)
     assert rep.sup_state_sq == pytest.approx(float(np.sum(u0**2)), rel=1e-12)
     assert not rep.growth_flag
@@ -253,9 +250,8 @@ def test_monitor_derivative_norms_match_per_node_rhs():
     stim = Stimulus("pulse", period=PERIOD, phi_value=PHI, amplitude=20.0, center=0.3, width=0.05)
     sys = assemble_system(build_basis(GEOM, 8, d, RESC), d, RESC, stim)
     traj = integrate_cauchy(sys, zero_state(sys), 1.5 * PERIOD, dt=PERIOD / 256)
-    per_node = [rhs(sys, t, u, w) for t, u, w in zip(traj.times, traj.u, traj.w)]
-    du = np.array([pair[0] for pair in per_node])
-    dw = np.array([pair[1] for pair in per_node])
+    dx = np.array([rhs(sys, t, x) for t, x in zip(traj.times, traj.x)])
+    du, dw = dx[:, :9], dx[:, 9:]
     rep = apriori_monitor(traj)
     ref_du = np.sqrt(np.trapezoid(np.sum(du**2, axis=1), x=traj.times))
     ref_dw = np.sqrt(np.trapezoid(np.sum(dw**2, axis=1), x=traj.times))
@@ -266,7 +262,7 @@ def test_monitor_derivative_norms_match_per_node_rhs():
 def test_l2_difference_zero_for_identical_runs():
     sys = feasible_system(m=4)
     bump = bump_coeffs(sys.basis)
-    state0 = GalerkinState(u=bump, w=np.zeros(5), t=0.0)
+    state0 = state(bump, np.zeros(5))
     traj_a = integrate_cauchy(sys, state0, PERIOD, dt=PERIOD / 128)
     traj_b = integrate_cauchy(sys, state0, PERIOD, dt=PERIOD / 128)
     du, dw = l2_qi_difference(traj_a, traj_b)
@@ -294,12 +290,7 @@ def test_refinement_differences_shrink():
         stim = Stimulus("sinusoid", period=PERIOD, phi_value=0.005, amplitude=1.0)
         sys = assemble_system(basis, d, RESC, stim)
         bump = bump_coeffs(basis)
-        traj = integrate_cauchy(
-            sys,
-            GalerkinState(u=bump, w=np.zeros(m + 1), t=0.0),
-            2.0 * PERIOD,
-            dt=PERIOD / 512,
-        )
+        traj = integrate_cauchy(sys, state(bump, np.zeros(m + 1)), 2.0 * PERIOD, dt=PERIOD / 512)
         if prev is not None:
             du, _ = l2_qi_difference(traj, prev)
             diffs.append(du)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monorhythm import periodic
-from monorhythm.galerkin import GalerkinState, assemble_system, integrate_cauchy
+from monorhythm.galerkin import assemble_system, integrate_cauchy
 from monorhythm.ionic import PhysiologicalParameters, derive_parameters
 from monorhythm.periodic import (
     BallCertificate,
@@ -159,13 +159,7 @@ def test_picard_linear_single_sweep():
     sys = linear_system(s0=1.0)
     grid = PeriodicGrid(n_t=512, period=PERIOD)
     rng = np.random.default_rng(3)
-    orbit = picard_solve(
-        sys,
-        grid,
-        u0=0.1 * rng.standard_normal((512, 5)),
-        w0=0.1 * rng.standard_normal((512, 5)),
-        tol=1e-10,
-    )
+    orbit = picard_solve(sys, grid, x0=0.1 * rng.standard_normal((2, 512, 5)), tol=1e-10)
     assert orbit.converged and orbit.n_iter == 1
     u_star = 1.0 * sys.trace_vector / sys.basis.lambdas
     w_star = u_star / (RESC.xi * 1.0)
@@ -178,7 +172,7 @@ def test_picard_zero_iterations_from_fixed_point():
     grid = PeriodicGrid(n_t=256, period=PERIOD)
     u_star = np.broadcast_to(1.0 * sys.trace_vector / sys.basis.lambdas, (256, 5)).copy()
     w_star = u_star / (RESC.xi * 1.0)
-    orbit = picard_solve(sys, grid, u0=u_star, w0=w_star, tol=1e-10)
+    orbit = picard_solve(sys, grid, x0=np.array([u_star, w_star]), tol=1e-10)
     assert orbit.converged and orbit.n_iter == 0
 
 
@@ -219,10 +213,10 @@ def test_picard_divergence_reports_history():
     off = Stimulus("constant", period=2.0, phi_value=0.0, amplitude=0.0)
     sys = assemble_system(basis, d, RESC, off)
     grid = PeriodicGrid(n_t=128, period=2.0)
-    huge = 1e3 * np.ones((128, 5))
+    huge = np.array([1e3 * np.ones((128, 5)), np.zeros((128, 5))])
     with pytest.raises(NonConvergenceError) as info:
         with np.errstate(over="ignore", invalid="ignore"):
-            picard_solve(sys, grid, u0=huge, w0=np.zeros((128, 5)))
+            picard_solve(sys, grid, x0=huge)
     assert len(info.value.history) >= 1
 
 
@@ -269,8 +263,7 @@ def _columnwise_shooting(sys, dt, tol=1e-10, max_iter=25):
     x = np.zeros(2 * n)
 
     def defect(vec):
-        traj = integrate_cauchy(sys, GalerkinState(u=vec[:n], w=vec[n:], t=0.0), T, dt)
-        return np.concatenate([traj.u[-1], traj.w[-1]]) - vec
+        return integrate_cauchy(sys, vec, T, dt).x[-1] - vec
 
     n_iter = 0
     g = defect(x)
@@ -286,9 +279,8 @@ def _columnwise_shooting(sys, dt, tol=1e-10, max_iter=25):
         x = x + np.linalg.solve(jac, -g)
         n_iter += 1
         g = defect(x)
-    traj = integrate_cauchy(sys, GalerkinState(u=x[:n], w=x[n:], t=0.0), T, dt)
-    x1 = np.concatenate([traj.u[-1], traj.w[-1]])
-    residual = float(np.linalg.norm(x1 - x) / max(1.0, float(np.linalg.norm(x))))
+    traj = integrate_cauchy(sys, x, T, dt)
+    residual = float(np.linalg.norm(traj.x[-1] - x) / max(1.0, float(np.linalg.norm(x))))
     return traj, n_iter, residual
 
 
@@ -299,7 +291,7 @@ class _CountingIntegrations:
         self.shapes = []
 
     def __call__(self, *args, **kwargs):
-        self.shapes.append(np.shape(args[1].u))
+        self.shapes.append(np.shape(args[1]))
         return integrate_cauchy(*args, **kwargs)
 
 
@@ -319,26 +311,27 @@ def test_shooting_matches_columnwise_newton_with_fewer_integrations(monkeypatch)
     )
     assert gap <= 1e-10, f"fixed points differ by {gap:.3e}"
     assert orbit.periodicity_residual <= 1e-10 and ref_residual <= 1e-10
-    assert counting.shapes == [(3,)] * (orbit.n_iter + 1)
+    assert counting.shapes == [(6,)] * (orbit.n_iter + 1)
     assert len(counting.shapes) < 2 + ref_iter * (2 * sys.n_modes + 1)
 
 
-def test_linear_monodromy_matches_finite_difference_jacobian():
-    sys = linear_system(m=4)
-    n_steps = 512
+@settings(max_examples=10, deadline=None)
+@given(m=st.integers(0, 24), extra_steps=st.integers(0, 256))
+def test_linear_monodromy_matches_finite_difference_jacobian(m, extra_steps):
+    """Undriven and reaction-free, the RK4 flow is linear, so the difference
+    quotient of the period map along each unit vector is exact: the images
+    of the basis vectors are the columns of R^N. Every step count from the
+    least one inside RK4's stability limit upward qualifies."""
+    sys = linear_system(m=m, s0=0.0, phi=0.0)
+    fastest = -float(np.min(np.diag(sys.linear)))
+    n_steps = int(np.ceil(PERIOD * fastest / 2.7852935634)) + extra_steps
     dt = PERIOD / n_steps
-    n = sys.n_modes
-    step = 1e-6
-    probes = np.vstack([np.zeros(2 * n), step * np.eye(2 * n)])
-    ends = []
-    for x in probes:
-        traj = integrate_cauchy(sys, GalerkinState(u=x[:n], w=x[n:], t=0.0), PERIOD, dt)
-        ends.append(np.concatenate([traj.u[-1], traj.w[-1]]) - x)
-    ends = np.array(ends)
-    fd = (ends[1:] - ends[0]).T / step
-    closed = periodic._linear_monodromy(sys, dt, n_steps)
-    rel = np.linalg.norm(closed - fd) / np.linalg.norm(fd)
-    assert rel <= 1e-7, f"closed-form monodromy off by {rel:.3e} relative"
+    images = np.array(
+        [integrate_cauchy(sys, e, PERIOD, dt).x[-1] for e in np.eye(2 * sys.n_modes)]
+    ).T
+    closed = periodic._linear_monodromy(sys, dt, n_steps) + np.eye(2 * sys.n_modes)
+    rel = np.linalg.norm(closed - images) / np.linalg.norm(images)
+    assert rel <= 1e-12, f"closed-form monodromy off by {rel:.3e} relative"
 
 
 def test_linear_monodromy_leading_multiplier_is_recovery_decay():
@@ -369,7 +362,7 @@ def test_shooting_agrees_with_picard_across_drives(amplitude, phi, m):
     assert picard.converged and shoot.converged
     gap = orbit_gap(picard, shoot, sys.basis)
     assert gap <= 1e-6, f"cross-method gap {gap:.3e}"
-    assert counting.shapes == [(sys.n_modes,)] * (shoot.n_iter + 1)
+    assert counting.shapes == [(2 * sys.n_modes,)] * (shoot.n_iter + 1)
     assert len(shoot.history) == shoot.n_iter + 1
 
 
@@ -414,9 +407,7 @@ def test_orbit_gap_validation():
 def test_certify_ball_conventions():
     sys = linear_system(s0=1.0)
     grid = PeriodicGrid(n_t=256, period=PERIOD)
-    zeros = picard_solve(
-        sys, grid, u0=np.zeros((256, 5)), w0=np.zeros((256, 5)), max_iter=0
-    )
+    zeros = picard_solve(sys, grid, x0=np.zeros((2, 256, 5)), max_iter=0)
     cert = certify_ball(zeros, 0.5, sys.basis)
     assert cert.member and cert.margin == 0.5 and cert.worst_t == 0.0
 
