@@ -115,7 +115,6 @@ class RegionConstants:
     u_tr: float
     u_pr: float
     xi: float
-    c3: float
     k1: float
     domain_measure: float
     s_sup: float
@@ -130,7 +129,6 @@ class RegionConstants:
             "u_tr",
             "u_pr",
             "xi",
-            "c3",
             "k1",
             "domain_measure",
         ):

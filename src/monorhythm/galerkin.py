@@ -22,6 +22,7 @@ __all__ = [
     "Trajectory",
     "assemble_system",
     "rhs",
+    "check_rk4_step",
     "integrate_cauchy",
     "apriori_monitor",
     "MonitorReport",
@@ -154,27 +155,33 @@ def _rk4_step(sys, drive, x, h):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def check_rk4_step(sys: GalerkinSystem, dt: float) -> None:
+    """Reject a dt that is not positive or past RK4's limit for the fastest linear rate."""
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    fastest = -float(np.min(np.diag(sys.linear)))
+    if dt * fastest > RK4_STABILITY_LIMIT:
+        # nudged down before rounding to six digits, so the dt it names passes
+        largest = RK4_STABILITY_LIMIT / fastest * (1.0 - 5e-6)
+        raise ValueError(
+            f"dt = {dt:.6g} times the fastest decay rate {fastest:.6g} is {dt * fastest:.4g},"
+            f" past RK4's stability limit {RK4_STABILITY_LIMIT}; the largest stable dt"
+            f" is {largest:.6g}"
+        )
+
+
 def integrate_cauchy(sys: GalerkinSystem, x0: np.ndarray, t1: float, dt: float) -> Trajectory:
     """Classical fixed-step fourth-order Runge-Kutta from t = 0 to t1.
 
     The final time is hit exactly; when dt does not divide the interval the
-    last step is shortened. ``x0`` has shape ``(2 n_modes,)``. A dt past RK4's
-    stability limit for the fastest linear rate is rejected before stepping.
-    Blow-up is checked on each block of ``BLOWUP_CHECK_EVERY`` stored rows and
-    reported at the first bad row, with the time and magnitude a per-step
-    check would report.
+    last step is shortened. ``x0`` has shape ``(2 n_modes,)``. ``dt`` passes
+    :func:`check_rk4_step` before stepping. Blow-up is checked on each block
+    of ``BLOWUP_CHECK_EVERY`` stored rows and reported at the first bad row,
+    with the time and magnitude a per-step check would report.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    check_rk4_step(sys, dt)
     if t1 <= 0.0:
         raise ValueError(f"end time {t1} must exceed start time 0")
-    fastest = -float(np.min(np.diag(sys.linear)))
-    if dt * fastest > RK4_STABILITY_LIMIT:
-        raise ValueError(
-            f"dt = {dt:.6g} times the fastest decay rate {fastest:.6g} is {dt * fastest:.4g},"
-            f" past RK4's stability limit {RK4_STABILITY_LIMIT}; the largest stable dt"
-            f" is {RK4_STABILITY_LIMIT / fastest:.6g}"
-        )
     x = np.array(x0, dtype=float)
     if x.shape != (2 * sys.n_modes,):
         raise ValueError(f"initial state has shape {x.shape}, system expects ({2 * sys.n_modes},)")

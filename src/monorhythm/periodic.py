@@ -20,12 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .galerkin import GalerkinSystem, integrate_cauchy
+from .galerkin import GalerkinSystem, check_rk4_step, integrate_cauchy
 from .spectral import norms, project_nonlinearity
 
 __all__ = [
     "NonConvergenceError",
-    "PeriodicGrid",
     "PeriodicOrbit",
     "BallCertificate",
     "kernel_weights",
@@ -47,35 +46,19 @@ class NonConvergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PeriodicGrid:
-    """Uniform sampling of one period: nodes k T / n_t for k = 0..n_t - 1."""
-
-    n_t: int
-    period: float
-
-    def __post_init__(self) -> None:
-        if self.n_t < 64:
-            raise ValueError(f"n_t must be at least 64, got {self.n_t}")
-        if self.period <= 0.0:
-            raise ValueError(f"period must be positive, got {self.period}")
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_t) * (self.period / self.n_t)
-
-
-@dataclass(frozen=True)
 class PeriodicOrbit:
     """A candidate periodic trajectory with its quality measurements attached.
 
+    ``times`` are the nodes k T / n_t of one period, k = 0..n_t - 1.
     ``periodicity_residual`` always comes from an integration of the returned
     start state over one period, never from the solver's own bookkeeping.
     ``history`` is the solver's convergence record: Picard's update norm per
     sweep, or shooting's period-map defect norm at the starting guess and
-    after each step.
+    after each step. A solver that does not converge raises, so every
+    returned orbit has ``converged`` set.
     """
 
-    grid: PeriodicGrid
+    times: np.ndarray
     u: np.ndarray
     w: np.ndarray
     periodicity_residual: float
@@ -129,32 +112,37 @@ def kernel_weights(lam: float, T: float, n_t: int) -> np.ndarray:
     return np.fft.irfft(_response_symbol(lam, T, n_t)[:, 0], n=n_t)
 
 
-def _u_block(sys, grid, u, w):
+def _nodes(T: float, n_t: int) -> np.ndarray:
+    """The n_t uniform nodes k T / n_t of one period."""
+    return np.arange(n_t) * (T / n_t)
+
+
+def _u_block(sys, u, w):
     proj = project_nonlinearity(sys.basis, u, w, sys.d, sys.resc)
-    forcing = sys.stim(grid.times)[:, None] * sys.trace_vector - proj
-    return _periodic_response(sys.basis.lambdas, grid.period, forcing)
+    forcing = sys.stim(_nodes(sys.period, len(u)))[:, None] * sys.trace_vector - proj
+    return _periodic_response(sys.basis.lambdas, sys.period, forcing)
 
 
-def _w_block(sys, grid, u):
-    return _periodic_response(sys.recovery_rate, grid.period, sys.recovery_gain * u)
+def _w_block(sys, u):
+    return _periodic_response(sys.recovery_rate, sys.period, sys.recovery_gain * u)
 
 
-def farkas_apply(sys: GalerkinSystem, grid: PeriodicGrid, u: np.ndarray, w: np.ndarray):
-    """One application of the periodic fixed-point operator to grid samples.
+def farkas_apply(sys: GalerkinSystem, u: np.ndarray, w: np.ndarray):
+    """One application of the periodic fixed-point operator to node samples.
 
     The potential block is the periodic response of each mode to the forcing
     (projected reaction with a minus sign, plus the boundary drive); the
     recovery block is the response at the recovery rate to epsilon b times
     the INPUT potential. Fixed points of this map solve the truncated system
-    periodically.
+    periodically. Row k of ``u`` and ``w`` holds the samples at k T / n_t.
     """
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
-    if u.shape != (grid.n_t, sys.n_modes) or w.shape != (grid.n_t, sys.n_modes):
+    if u.ndim != 2 or u.shape[1] != sys.n_modes or w.shape != u.shape:
         raise ValueError(
-            f"expected trajectories of shape ({grid.n_t}, {sys.n_modes}), got {u.shape}/{w.shape}"
+            f"expected trajectories of shape (n_t, {sys.n_modes}), got {u.shape}/{w.shape}"
         )
-    return _u_block(sys, grid, u, w), _w_block(sys, grid, u)
+    return _u_block(sys, u, w), _w_block(sys, u)
 
 
 def _mixed_norm(basis, u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -175,7 +163,8 @@ def _relative_defect(traj, x0: np.ndarray) -> float:
 
 def picard_solve(
     sys: GalerkinSystem,
-    grid: PeriodicGrid,
+    n_t: int,
+    dt: float,
     x0: np.ndarray | None = None,
     theta: float = 1.0,
     tol: float = 1e-10,
@@ -188,27 +177,32 @@ def picard_solve(
     sweep lands on the fixed point from anywhere. ``n_iter`` counts sweeps
     that moved the iterate by at least ``tol``; starting at the fixed point
     therefore reports zero. The iterate, like ``x0``, is one array of shape
-    ``(2, n_t, n_modes)``: the potential samples, then the recovery samples.
+    ``(2, n_t, n_modes)``: the potential samples at the nodes k T / n_t, then
+    the recovery samples. The periodicity residual integrates the start state
+    over one period at step ``dt``, which is checked before the first sweep.
 
     If the update norm doubles over a ten-sweep window the damping is halved;
-    below 1/16 the iteration is abandoned with the update history attached.
-    A run that merely exhausts ``max_iter`` comes back flagged, not raised.
+    below 1/16 the iteration is abandoned. That, a non-finite update and
+    running out of ``max_iter`` sweeps all raise :class:`NonConvergenceError`
+    with the update history attached.
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"damping must lie in (0, 1], got {theta}")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    if n_t < 64:
+        raise ValueError(f"n_t must be at least 64, got {n_t}")
+    check_rk4_step(sys, dt)
     n = sys.n_modes
-    x = np.zeros((2, grid.n_t, n)) if x0 is None else np.array(x0, dtype=float)
-    if x.shape != (2, grid.n_t, n):
-        raise ValueError(f"starting guess must have shape (2, {grid.n_t}, {n})")
+    x = np.zeros((2, n_t, n)) if x0 is None else np.array(x0, dtype=float)
+    if x.shape != (2, n_t, n):
+        raise ValueError(f"starting guess must have shape (2, {n_t}, {n})")
     u, w = x
 
     updates: list[float] = []
-    converged = False
     for _ in range(max_iter):
-        u_next = (1.0 - theta) * u + theta * _u_block(sys, grid, u, w)
-        w_next = (1.0 - theta) * w + theta * _w_block(sys, grid, u_next)
+        u_next = (1.0 - theta) * u + theta * _u_block(sys, u, w)
+        w_next = (1.0 - theta) * w + theta * _w_block(sys, u_next)
         step = ct_norm(sys, u_next - u, w_next - w)
         u[:], w[:] = u_next, w_next
         del u_next, w_next  # freed before the next sweep's projection allocates
@@ -219,7 +213,6 @@ def picard_solve(
                 history=updates,
             )
         if step < tol:
-            converged = True
             break
         if len(updates) > 10 and updates[-1] > 2.0 * updates[-11]:
             theta *= 0.5
@@ -227,21 +220,25 @@ def picard_solve(
                 raise NonConvergenceError(
                     f"picard iteration diverged (last update {step:.3e})", history=updates
                 )
+    else:
+        raise NonConvergenceError(
+            f"picard exhausted {max_iter} sweeps without reaching tol {tol}", history=updates
+        )
 
-    ku, kw = farkas_apply(sys, grid, u, w)
+    ku, kw = farkas_apply(sys, u, w)
     op_res = ct_norm(sys, ku - u, kw - w)
     start = x[:, 0].ravel()  # the state at t = 0: u, then w
-    traj = integrate_cauchy(sys, start, sys.period, sys.period / 1024)
+    traj = integrate_cauchy(sys, start, sys.period, dt)
 
     return PeriodicOrbit(
-        grid=grid,
+        times=_nodes(sys.period, n_t),
         u=u,
         w=w,
         periodicity_residual=_relative_defect(traj, start),
         ct_norm=ct_norm(sys, u, w),
         method="picard",
-        n_iter=len(updates) - converged,
-        converged=converged,
+        n_iter=len(updates) - 1,
+        converged=True,
         history=tuple(updates),
         operator_residual=op_res,
     )
@@ -334,11 +331,10 @@ def shooting_solve(
         n_iter += 1
         history.append(float(np.linalg.norm(g)))
 
-    grid = PeriodicGrid(n_t=n_steps, period=T)
     u_orbit = traj.u[:-1]
     w_orbit = traj.w[:-1]
     return PeriodicOrbit(
-        grid=grid,
+        times=_nodes(T, n_steps),
         u=u_orbit,
         w=w_orbit,
         periodicity_residual=_relative_defect(traj, x),
@@ -358,24 +354,21 @@ def certify_ball(orbit: PeriodicOrbit, radius: float, basis) -> BallCertificate:
     return BallCertificate(
         radius=radius,
         member=bool(ct <= radius),
-        worst_t=float(orbit.grid.times[worst]),
+        worst_t=float(orbit.times[worst]),
         margin=radius - ct,
     )
 
 
 def orbit_gap(a: PeriodicOrbit, b: PeriodicOrbit, basis) -> float:
-    """Sup-norm distance between two orbits at their shared grid nodes.
+    """Sup-norm distance between two orbits of one system at their shared nodes.
 
-    The grids must nest (one node count a multiple of the other); the
+    The node sets must nest (one node count a multiple of the other); the
     comparison happens on the coarser set.
     """
-    if a.grid.period != b.grid.period:
-        raise ValueError("orbits have different periods")
-    na, nb = a.grid.n_t, b.grid.n_t
-    if na % nb and nb % na:
-        raise ValueError(f"grids with {na} and {nb} nodes do not nest")
     # the sign of the difference does not change its norm, so let a be the finer orbit
-    if na < nb:
+    if len(a.times) < len(b.times):
         a, b = b, a
-    stride = a.grid.n_t // b.grid.n_t
+    stride, rest = divmod(len(a.times), len(b.times))
+    if rest:
+        raise ValueError(f"grids with {len(a.times)} and {len(b.times)} nodes do not nest")
     return float(np.max(_mixed_norm(basis, a.u[::stride] - b.u, a.w[::stride] - b.w)))

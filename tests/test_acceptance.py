@@ -22,7 +22,6 @@ from monorhythm.feasibility import (
 )
 from monorhythm.galerkin import apriori_monitor, integrate_cauchy, l2_qi_difference
 from monorhythm.periodic import (
-    PeriodicGrid,
     ct_norm,
     farkas_apply,
     kernel_weights,
@@ -75,11 +74,10 @@ def test_criterion_1_kernel_masses():
 def test_criterion_2_linear_oracle():
     t0 = time.perf_counter()
     sys_ = linear_system(m=4, s0=1.0)
-    grid = PeriodicGrid(n_t=512, period=PERIOD)
     u_exact = sys_.trace_vector / sys_.basis.lambdas
     w_exact = u_exact / (RESC.xi * sys_.d.c3)
 
-    picard = picard_solve(sys_, grid, tol=1e-10)
+    picard = picard_solve(sys_, 512, PERIOD / 1024, tol=1e-10)
     shooting = shooting_solve(sys_, dt=PERIOD / 512, tol=1e-10)
     err_picard = max(
         float(np.max(np.abs(picard.u - u_exact))), float(np.max(np.abs(picard.w - w_exact)))
@@ -118,7 +116,6 @@ def test_criterion_3_cross_method_agreement():
         u_tr=d.u_tr,
         u_pr=d.u_pr,
         xi=RESC.xi,
-        c3=d.c3,
         k1=0.1,
         domain_measure=GEOM.L,
         s_sup=1.0,
@@ -132,7 +129,7 @@ def test_criterion_3_cross_method_agreement():
     assert PERIOD <= ceiling, f"period {PERIOD} exceeds the ceiling {ceiling:.6f}"
 
     sys_ = feasible_system(m=8)
-    picard = picard_solve(sys_, PeriodicGrid(n_t=2048, period=PERIOD), tol=1e-10)
+    picard = picard_solve(sys_, 2048, PERIOD / 1024, tol=1e-10)
     shooting = shooting_solve(sys_, dt=PERIOD / 1024, tol=1e-10)
     gap = orbit_gap(picard, shooting, sys_.basis)
     res = max(picard.periodicity_residual, shooting.periodicity_residual)
@@ -159,15 +156,15 @@ def test_criterion_3_cross_method_agreement():
 def test_criterion_4_ball_invariance():
     t0 = time.perf_counter()
     sys_ = feasible_system(m=8)
-    grid = PeriodicGrid(n_t=512, period=PERIOD)
-    t = grid.times
+    n_t = 512
+    t = np.arange(n_t) * (PERIOD / n_t)
     n = sys_.n_modes
     rng = np.random.default_rng(2024)
 
     worst_image = 0.0
     for trial in range(20):
-        u = np.zeros((grid.n_t, n))
-        w = np.zeros((grid.n_t, n))
+        u = np.zeros((n_t, n))
+        w = np.zeros((n_t, n))
         for i in range(n):
             for k in range(4):
                 cu, su, cw, sw = rng.standard_normal(4)
@@ -176,7 +173,7 @@ def test_criterion_4_ball_invariance():
                 w[:, i] += cw * np.cos(angle) + sw * np.sin(angle)
         radius = R_STAR if trial == 0 else R_STAR * rng.uniform(0.2, 1.0)
         scale = radius / ct_norm(sys_, u, w)
-        iu, iw = farkas_apply(sys_, grid, scale * u, scale * w)
+        iu, iw = farkas_apply(sys_, scale * u, scale * w)
         worst_image = max(worst_image, ct_norm(sys_, iu, iw))
     elapsed = time.perf_counter() - t0
 
@@ -374,7 +371,6 @@ def test_criterion_9_region_self_consistency():
         u_tr=d.u_tr,
         u_pr=d.u_pr,
         xi=RESC.xi,
-        c3=d.c3,
         k1=1.0,
         domain_measure=GEOM.L,
         s_sup=1.0,

@@ -315,16 +315,28 @@ def test_blow_up_exits_4(tmp_path, capsys, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
-def test_picard_check_past_the_stability_limit_exits_2(tmp_path, capsys):
-    """Picard converges at m = 72, but its T/1024 RK4 periodicity check would
-    step at lambda_max dt = 3.20, past RK4's limit: that is a configuration
-    error named before stepping, not a blow-up."""
+def test_picard_check_past_the_stability_limit_exits_2(tmp_path, capsys, monkeypatch):
+    """At m = 72 the default T/1024 step of Picard's periodicity check sits at
+    lambda_max dt = 3.20, past RK4's limit: that is a configuration error
+    named before the first sweep, not a blow-up. At solver.dt = T/2048 the
+    same run converges."""
+    sweeps = []
+    u_block = periodic._u_block
+    monkeypatch.setattr(periodic, "_u_block", lambda *args: sweeps.append(1) or u_block(*args))
     text = NONLINEAR_PERIODIC_CFG.replace("solver.m = 2", "solver.m = 72")
     cfg = write_config(tmp_path, text)
     rc = cli.main(["solve-periodic", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 2, f"a step past the stability limit should exit 2, got {rc}"
     err = capsys.readouterr().err
     assert "stability limit 2.7852935634" in err and "largest stable dt" in err, err
+    assert sweeps == [], "the step is checked before the first sweep"
+
+    cfg = write_config(tmp_path, text + "solver.dt = 0.0009765625\n")
+    assert cli.main(["solve-periodic", "--config", cfg, "--out", str(tmp_path)]) == 0
+    picard = read_report(tmp_path)["payload"]["picard"]
+    assert picard["converged"] is True and picard["n_iter"] == 3
+    assert picard["periodicity_residual"] < 1e-12
+    capsys.readouterr()  # swallow the written-path listing
 
 
 def test_linear_orbit_converges_in_one_step(tmp_path, capsys):

@@ -237,7 +237,6 @@ REGION = RegionConstants(
     u_tr=25.0,
     u_pr=100.0,
     xi=3.75,
-    c3=1.0,
     k1=1.0,
     domain_measure=1.0,
     s_sup=1.0,
@@ -282,8 +281,7 @@ def test_region_constants_validation_and_from_model():
     with pytest.raises(ValueError):
         RegionConstants(
             kappa=0.5, epsilon=0.032, C=1.0, u_tr=25.0, u_pr=100.0, xi=3.75,
-            c3=1.0, k1=1.0, domain_measure=1.0, s_sup=0.0, trace_norm=1.0,
-            phi_norm=0.005,
+            k1=1.0, domain_measure=1.0, s_sup=0.0, trace_norm=1.0, phi_norm=0.005,
         )
 
 

@@ -1,12 +1,17 @@
 """Truncated ODE assembly, the fixed-step integrator, and the size monitors."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monorhythm.galerkin import (
     BlowUpError,
     apriori_monitor,
     assemble_system,
+    check_rk4_step,
     integrate_cauchy,
     l2_qi_difference,
     rhs,
@@ -155,14 +160,23 @@ def test_blow_up_detected_with_time():
         assert info.value.magnitude == 6.599597321718805e228
 
 
-def test_step_past_the_stability_limit_is_rejected_before_stepping():
-    sys = feasible_system(m=4)
-    fastest = sys.basis.lambdas[-1]
-    limit = 2.7852935634 / fastest
-    assert integrate_cauchy(sys, zero_state(sys), limit, dt=limit).n_nodes == 2
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(0, 160), factor=st.floats(0.5, 2.0))
+def test_step_past_the_stability_limit_is_rejected_before_stepping(m, factor):
+    """A step is rejected exactly when dt max(lambda_max, eps b xi c3) passes
+    RK4's limit, and the largest stable dt the error names is accepted."""
+    sys = feasible_system(m=m)
+    fastest = max(float(np.max(sys.basis.lambdas)), sys.recovery_rate)
+    dt = factor * 2.7852935634 / fastest
+    if dt * fastest <= 2.7852935634:
+        check_rk4_step(sys, dt)
+        return
     with pytest.raises(ValueError, match="stability limit 2.7852935634") as info:
-        integrate_cauchy(sys, zero_state(sys), 1.0, dt=1.01 * limit)
-    assert f"largest stable dt is {limit:.6g}" in str(info.value)
+        check_rk4_step(sys, dt)
+    named = re.search(r"largest stable dt is (\S+)$", str(info.value))
+    check_rk4_step(sys, float(named.group(1)))
+    with pytest.raises(ValueError, match="stability limit"):
+        integrate_cauchy(sys, zero_state(sys), 1.0, dt)  # rejected before its first step
 
 
 def rk4_on_public_rhs(sys, times, x):

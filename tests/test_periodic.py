@@ -13,7 +13,6 @@ from monorhythm.ionic import PhysiologicalParameters, derive_parameters
 from monorhythm.periodic import (
     BallCertificate,
     NonConvergenceError,
-    PeriodicGrid,
     certify_ball,
     ct_norm,
     farkas_apply,
@@ -31,6 +30,8 @@ from systems import GEOM, PERIOD, RESC, feasible_system, linear_system
 # delta=1e-3), frozen from the closed-form maximizer and confirmed by a
 # golden-section search oracle in the acceptance suite
 R_STAR = 0.01587400205355547
+# the RK4 step of Picard's periodicity check, the command-line default
+DT = PERIOD / 1024
 
 
 def test_kernel_boundary_continuity():
@@ -112,54 +113,48 @@ def test_weights_reproduce_sinusoid_response():
             assert np.max(np.abs(conv - quad)) <= 1e-12, f"n_t={n_t}, lam={lam}"
 
 
-def test_grid_validation():
-    with pytest.raises(ValueError):
-        PeriodicGrid(n_t=32, period=2.0)
-    with pytest.raises(ValueError):
-        PeriodicGrid(n_t=128, period=0.0)
-    grid = PeriodicGrid(n_t=128, period=2.0)
-    assert grid.times[0] == 0.0 and len(grid.times) == 128
-    assert grid.times[1] == pytest.approx(2.0 / 128)
+def test_picard_rejects_a_coarse_grid_before_sweeping(monkeypatch):
+    sys = linear_system(s0=0.0)
+    calls = []
+    monkeypatch.setattr(periodic, "_u_block", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="n_t must be at least 64, got 32"):
+        picard_solve(sys, 32, DT)
+    assert calls == []
 
 
 def test_farkas_constant_forcing_hits_steady_state():
     sys = linear_system(s0=2.0)
-    grid = PeriodicGrid(n_t=256, period=PERIOD)
     rng = np.random.default_rng(1)
     u_in = rng.standard_normal((256, 5))
     w_in = rng.standard_normal((256, 5))
-    u_out, _ = farkas_apply(sys, grid, u_in, w_in)
+    u_out, _ = farkas_apply(sys, u_in, w_in)
     steady = 2.0 * sys.trace_vector / sys.basis.lambdas
     assert np.max(np.abs(u_out - steady)) < 1e-12
 
 
 def test_farkas_recovery_block_mass():
     sys = linear_system(s0=0.0)
-    grid = PeriodicGrid(n_t=256, period=PERIOD)
     u_in = np.ones((256, 5))
-    _, w_out = farkas_apply(sys, grid, u_in, np.zeros((256, 5)))
+    _, w_out = farkas_apply(sys, u_in, np.zeros((256, 5)))
     assert np.max(np.abs(w_out - 1.0 / (RESC.xi * 1.0))) < 1e-12
 
 
 def test_farkas_zero_input_zero_stimulus():
     sys = feasible_system(m=4, amplitude=0.0, phi=0.0)
-    grid = PeriodicGrid(n_t=128, period=PERIOD)
-    u_out, w_out = farkas_apply(sys, grid, np.zeros((128, 5)), np.zeros((128, 5)))
+    u_out, w_out = farkas_apply(sys, np.zeros((128, 5)), np.zeros((128, 5)))
     assert np.all(u_out == 0.0) and np.all(w_out == 0.0)
 
 
 def test_farkas_shape_check():
     sys = feasible_system(m=4)
-    grid = PeriodicGrid(n_t=128, period=PERIOD)
     with pytest.raises(ValueError):
-        farkas_apply(sys, grid, np.zeros((128, 4)), np.zeros((128, 5)))
+        farkas_apply(sys, np.zeros((128, 4)), np.zeros((128, 5)))
 
 
 def test_picard_linear_single_sweep():
     sys = linear_system(s0=1.0)
-    grid = PeriodicGrid(n_t=512, period=PERIOD)
     rng = np.random.default_rng(3)
-    orbit = picard_solve(sys, grid, x0=0.1 * rng.standard_normal((2, 512, 5)), tol=1e-10)
+    orbit = picard_solve(sys, 512, DT, x0=0.1 * rng.standard_normal((2, 512, 5)), tol=1e-10)
     assert orbit.converged and orbit.n_iter == 1
     u_star = 1.0 * sys.trace_vector / sys.basis.lambdas
     w_star = u_star / (RESC.xi * 1.0)
@@ -169,17 +164,15 @@ def test_picard_linear_single_sweep():
 
 def test_picard_zero_iterations_from_fixed_point():
     sys = linear_system(s0=1.0)
-    grid = PeriodicGrid(n_t=256, period=PERIOD)
     u_star = np.broadcast_to(1.0 * sys.trace_vector / sys.basis.lambdas, (256, 5)).copy()
     w_star = u_star / (RESC.xi * 1.0)
-    orbit = picard_solve(sys, grid, x0=np.array([u_star, w_star]), tol=1e-10)
+    orbit = picard_solve(sys, 256, DT, x0=np.array([u_star, w_star]), tol=1e-10)
     assert orbit.converged and orbit.n_iter == 0
 
 
 def test_picard_nonlinear_converges_and_certifies():
     sys = feasible_system(m=4)
-    grid = PeriodicGrid(n_t=1024, period=PERIOD)
-    orbit = picard_solve(sys, grid, tol=1e-12)
+    orbit = picard_solve(sys, 1024, DT, tol=1e-12)
     assert orbit.converged
     assert orbit.operator_residual <= 10.0 * 1e-12
     assert orbit.periodicity_residual < 1e-6
@@ -190,18 +183,17 @@ def test_picard_nonlinear_converges_and_certifies():
 def test_picard_coarse_grid_is_periodic():
     """The exact response needs no fine grid: at n_t = 128 the Picard orbit of
     the feasible m = 8 system closes after one RK4 period to 1e-11."""
-    orbit = picard_solve(feasible_system(m=8), PeriodicGrid(n_t=128, period=PERIOD))
+    orbit = picard_solve(feasible_system(m=8), 128, DT)
     assert orbit.converged
     assert orbit.periodicity_residual <= 1e-11, f"residual {orbit.periodicity_residual:.3e}"
 
 
 def test_picard_rejects_bad_damping():
     sys = linear_system()
-    grid = PeriodicGrid(n_t=128, period=PERIOD)
     with pytest.raises(ValueError):
-        picard_solve(sys, grid, theta=0.0)
+        picard_solve(sys, 128, DT, theta=0.0)
     with pytest.raises(ValueError):
-        picard_solve(sys, grid, theta=1.5)
+        picard_solve(sys, 128, DT, theta=1.5)
 
 
 def test_picard_divergence_reports_history():
@@ -212,12 +204,19 @@ def test_picard_divergence_reports_history():
     basis = build_basis(GEOM, 4, d, RESC)
     off = Stimulus("constant", period=2.0, phi_value=0.0, amplitude=0.0)
     sys = assemble_system(basis, d, RESC, off)
-    grid = PeriodicGrid(n_t=128, period=2.0)
     huge = np.array([1e3 * np.ones((128, 5)), np.zeros((128, 5))])
     with pytest.raises(NonConvergenceError) as info:
         with np.errstate(over="ignore", invalid="ignore"):
-            picard_solve(sys, grid, x0=huge)
+            picard_solve(sys, 128, DT, x0=huge)
     assert len(info.value.history) >= 1
+
+
+def test_picard_stall_raises_with_update_history():
+    sys = feasible_system(m=2)
+    with pytest.raises(NonConvergenceError, match="picard exhausted 2 sweeps") as info:
+        picard_solve(sys, 128, DT, tol=1e-16, max_iter=2)
+    history = info.value.history
+    assert len(history) == 2 and history[1] < history[0]
 
 
 def test_picard_halves_damping_when_the_update_doubles():
@@ -225,7 +224,7 @@ def test_picard_halves_damping_when_the_update_doubles():
     doubles over the first ten-sweep window, the damping halves, and the
     iteration then converges; undamped it diverges."""
     sys = feasible_system(m=8, phi=32.0)
-    orbit = picard_solve(sys, PeriodicGrid(n_t=128, period=PERIOD), theta=1.0)
+    orbit = picard_solve(sys, 128, DT, theta=1.0)
     history = orbit.history
     assert orbit.converged
     assert history[10] > 2.0 * history[0]
@@ -355,7 +354,7 @@ def test_linear_monodromy_leading_multiplier_is_recovery_decay():
 def test_shooting_agrees_with_picard_across_drives(amplitude, phi, m):
     sys = feasible_system(m=m, amplitude=amplitude, phi=phi)
     n_t = 256
-    picard = picard_solve(sys, PeriodicGrid(n_t=n_t, period=PERIOD))
+    picard = picard_solve(sys, n_t, DT)
     counting = _CountingIntegrations()
     with patch.object(periodic, "integrate_cauchy", counting):
         shoot = periodic.shooting_solve(sys, dt=PERIOD / n_t)
@@ -386,7 +385,7 @@ def test_shooting_stall_raises_with_defect_history():
 
 def test_methods_agree_on_feasible_configuration():
     sys = feasible_system(m=4)
-    picard = picard_solve(sys, PeriodicGrid(n_t=2048, period=PERIOD), tol=1e-12)
+    picard = picard_solve(sys, 2048, DT, tol=1e-12)
     shoot = shooting_solve(sys, dt=PERIOD / 1024, tol=1e-12)
     gap = orbit_gap(picard, shoot, sys.basis)
     assert gap < 1e-6, f"cross-method gap {gap:.3e}"
@@ -394,24 +393,27 @@ def test_methods_agree_on_feasible_configuration():
 
 def test_orbit_gap_validation():
     sys = feasible_system(m=4)
-    a = picard_solve(sys, PeriodicGrid(n_t=128, period=PERIOD), max_iter=3)
-    b = picard_solve(sys, PeriodicGrid(n_t=192, period=PERIOD), max_iter=3)
-    with pytest.raises(ValueError, match="grids with 128 and 192 nodes do not nest"):
+    a = picard_solve(sys, 128, DT)
+    b = picard_solve(sys, 192, DT)
+    with pytest.raises(ValueError, match="grids with 192 and 128 nodes do not nest"):
         orbit_gap(a, b, sys.basis)
     assert orbit_gap(a, a, sys.basis) == 0.0
-    # nested grids compare on the coarse nodes whichever orbit comes first
-    c = picard_solve(sys, PeriodicGrid(n_t=256, period=PERIOD), max_iter=2)
-    assert orbit_gap(a, c, sys.basis) == orbit_gap(c, a, sys.basis) > 0.0
+    # nested grids compare on the coarse nodes whichever orbit comes first:
+    # against the zero orbit of the undriven system the gap is a's own norm
+    zero = picard_solve(feasible_system(m=4, amplitude=0.0, phi=0.0), 256, DT)
+    assert orbit_gap(a, zero, sys.basis) == orbit_gap(zero, a, sys.basis) == a.ct_norm > 0.0
 
 
 def test_certify_ball_conventions():
+    # the undriven linear system sits at the zero orbit: zero sweeps move it
+    zeros = picard_solve(linear_system(s0=0.0), 256, DT)
+    assert zeros.n_iter == 0 and len(zeros.times) == 256
+    assert zeros.times[0] == 0.0 and zeros.times[1] == pytest.approx(PERIOD / 256)
     sys = linear_system(s0=1.0)
-    grid = PeriodicGrid(n_t=256, period=PERIOD)
-    zeros = picard_solve(sys, grid, x0=np.zeros((2, 256, 5)), max_iter=0)
     cert = certify_ball(zeros, 0.5, sys.basis)
     assert cert.member and cert.margin == 0.5 and cert.worst_t == 0.0
 
-    orbit = picard_solve(sys, grid, tol=1e-12)
+    orbit = picard_solve(sys, 256, DT, tol=1e-12)
     u_star = 1.0 * sys.trace_vector / sys.basis.lambdas
     w_star = u_star / (RESC.xi * 1.0)
     hand = float(np.sqrt(np.sum(sys.basis.lambdas * u_star**2) + np.sum(w_star**2)))
@@ -424,9 +426,8 @@ def test_certify_ball_conventions():
 def test_invariance_of_critical_ball_sample():
     """Random periodic trajectories inside the critical ball stay inside it."""
     sys = feasible_system(m=4)
-    grid = PeriodicGrid(n_t=512, period=PERIOD)
     rng = np.random.default_rng(42)
-    t = grid.times
+    t = np.arange(512) * (PERIOD / 512)
     for trial in range(5):
         u = np.zeros((512, 5))
         w = np.zeros((512, 5))
@@ -441,5 +442,5 @@ def test_invariance_of_critical_ball_sample():
                 )
         radius = R_STAR if trial == 0 else R_STAR * rng.uniform(0.2, 1.0)
         scale = radius / ct_norm(sys, u, w)
-        iu, iw = farkas_apply(sys, grid, scale * u, scale * w)
+        iu, iw = farkas_apply(sys, scale * u, scale * w)
         assert ct_norm(sys, iu, iw) <= R_STAR, f"trial {trial} escaped the ball"
