@@ -19,6 +19,7 @@ kind does not use), 3 solver non-convergence, 4 trajectory blow-up.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -83,7 +84,9 @@ _STIMULUS_SHAPE_FIELDS = {
 
 
 def _json_default(obj):
-    """Plain-Python form of the NumPy values a payload carries, for ``json.dump``."""
+    """Plain-Python form of the NumPy values and result records a payload carries."""
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.asdict(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, np.bool_):
@@ -115,13 +118,12 @@ def _build_model(cfg: RunConfig):
     resc = RescalingParameters(
         epsilon=cfg.require("rescale.epsilon"), xi=cfg.require("rescale.xi")
     )
-    d = derive_parameters(phys, resc, c4_override=cfg.get("derived.c4_override", None))
-    return resc, d
+    return derive_parameters(phys, resc, c4_override=cfg.get("derived.c4_override", None))
 
 
-def _build_stimulus(cfg: RunConfig, resc: RescalingParameters):
+def _build_stimulus(cfg: RunConfig, d):
     key, value = cfg.require_exactly_one("stimulus.period", "stimulus.period_raw")
-    period = rescale_period(value, resc) if key == "stimulus.period_raw" else value
+    period = rescale_period(value, d) if key == "stimulus.period_raw" else value
     # echo the resolved period only, so the echo re-parses cleanly
     cfg.consumed.pop("stimulus.period_raw", None)
     cfg.consumed["stimulus.period"] = period
@@ -140,11 +142,11 @@ def _build_stimulus(cfg: RunConfig, resc: RescalingParameters):
     return Stimulus(kind, period, phi, amplitude, **fields)
 
 
-def _build_system(cfg: RunConfig, resc, d):
+def _build_system(cfg: RunConfig, d):
     geom = Geometry1D(cfg.require("geometry.length"))
-    basis = build_basis(geom, cfg.require("solver.m"), d, resc)
-    stim = _build_stimulus(cfg, resc)
-    return assemble_system(basis, d, resc, stim)
+    basis = build_basis(geom, cfg.require("solver.m"), d)
+    stim = _build_stimulus(cfg, d)
+    return assemble_system(basis, d, stim)
 
 
 def _build_aggregates(cfg: RunConfig, d) -> AggregateConstants:
@@ -163,10 +165,6 @@ def _build_aggregates(cfg: RunConfig, d) -> AggregateConstants:
     return aggregate_from_raw(d, emb)
 
 
-def _condition_entry(result) -> dict:
-    return {"satisfied": result.satisfied, "margin": result.margin}
-
-
 def _initial_state(cfg: RunConfig, n_modes: int) -> np.ndarray:
     u0 = np.asarray(cfg.get("ic.u", (0.0,) * n_modes), dtype=float)
     w0 = np.asarray(cfg.get("ic.w", (0.0,) * n_modes), dtype=float)
@@ -180,31 +178,24 @@ def _initial_state(cfg: RunConfig, n_modes: int) -> np.ndarray:
 
 
 def cmd_feasibility(cfg: RunConfig):
-    resc, d = _build_model(cfg)
+    d = _build_model(cfg)
     agg = _build_aggregates(cfg, d)
-    c4, epsilon, C = d.c4, resc.epsilon, d.C
     # h_of_T rejects a nonpositive decay rate before the t_max default divides by it
-    h0 = h_of_T(0.0, c4, epsilon, C)
+    h0 = h_of_T(0.0, d.lam0)
     rs = r_star(agg)
-    t_max = cfg.get("feasibility.t_max", 5.0 / (epsilon * c4 / C))
+    t_max = cfg.get("feasibility.t_max", 5.0 / d.lam0)
     r_max = cfg.get("feasibility.r_max", 4.0 * rs)
     n_samples = cfg.get("feasibility.n_samples", 256)
-    window = feasible_window_condition(agg, c4, epsilon, C)
+    window = feasible_window_condition(agg, h0)
     # the crossing radii and the period ceiling exist only inside an open window
     r_lower = r_upper = ceiling = None
     if window.satisfied:
         r_lower, r_upper = r_bounds(agg, h0)
-        ceiling = t_star(rs, agg, c4, epsilon, C)
-    h_curve, p_curve = emit_curves(agg, c4, epsilon, C, t_max, r_max, n_samples)
+        ceiling = t_star(rs, agg, d.lam0, (r_lower, r_upper))
+    h_curve, p_curve = emit_curves(agg, d.lam0, t_max, r_max, n_samples)
 
     payload = {
-        "aggregates": {
-            "kappa": agg.kappa,
-            "beta": agg.beta,
-            "gamma": agg.gamma,
-            "delta": agg.delta,
-            "provenance": agg.provenance,
-        },
+        "aggregates": agg,
         "r_star": rs,
         "p_at_r_star": p_of_R(rs, agg),
         "h_at_zero": h0,
@@ -213,9 +204,9 @@ def cmd_feasibility(cfg: RunConfig):
         "t_star_at_r_star": ceiling,
     }
     flags = {
-        "feasible_window": _condition_entry(window),
-        "feasible_window_reduced": _condition_entry(feasible_window_condition_reduced(agg, h0)),
-        "recovery_coupling": _condition_entry(recovery_coupling_condition(resc.xi, d.c3)),
+        "feasible_window": window,
+        "feasible_window_reduced": feasible_window_condition_reduced(agg, h0),
+        "recovery_coupling": recovery_coupling_condition(d.xi, d.c3),
     }
     files = [
         (
@@ -235,8 +226,7 @@ def cmd_feasibility(cfg: RunConfig):
 
 
 def cmd_solve_cauchy(cfg: RunConfig):
-    resc, d = _build_model(cfg)
-    sys_ = _build_system(cfg, resc, d)
+    sys_ = _build_system(cfg, _build_model(cfg))
     x0 = _initial_state(cfg, sys_.n_modes)
     t_end = cfg.require("cauchy.t_end")
     dt = cfg.require("cauchy.dt")
@@ -289,8 +279,7 @@ def _orbit_summary(orbit) -> dict:
 
 
 def cmd_solve_periodic(cfg: RunConfig, seed=None):
-    resc, d = _build_model(cfg)
-    sys_ = _build_system(cfg, resc, d)
+    sys_ = _build_system(cfg, _build_model(cfg))
     method = cfg.get("solver.method", "picard")
     tol = cfg.get("solver.tol", 1e-10)
     # the RK4 step of shooting and of Picard's periodicity check
@@ -349,18 +338,13 @@ def cmd_solve_periodic(cfg: RunConfig, seed=None):
         flags["ball_member"] = None
     else:
         cert = certify_ball(primary, radius, sys_.basis)
-        payload["ball_certificate"] = {
-            "radius": cert.radius,
-            "member": cert.member,
-            "worst_t": cert.worst_t,
-            "margin": cert.margin,
-        }
+        payload["ball_certificate"] = cert
         flags["ball_member"] = cert.member
     return payload, flags, files
 
 
 def cmd_converge(cfg: RunConfig):
-    resc, d = _build_model(cfg)
+    d = _build_model(cfg)
     m_list = cfg.require("converge.m_list")
     if len(m_list) < 2:
         raise ConfigError("converge.m_list needs at least two entries", cfg.path)
@@ -369,12 +353,11 @@ def cmd_converge(cfg: RunConfig):
     t_end = cfg.require("cauchy.t_end")
     dt = cfg.require("cauchy.dt")
     geom = Geometry1D(cfg.require("geometry.length"))
-    stim = _build_stimulus(cfg, resc)
+    stim = _build_stimulus(cfg, d)
 
     trajectories = []
     for m in m_list:
-        basis = build_basis(geom, m, d, resc)
-        sys_ = assemble_system(basis, d, resc, stim)
+        sys_ = assemble_system(build_basis(geom, m, d), d, stim)
         trajectories.append(integrate_cauchy(sys_, np.zeros(2 * sys_.n_modes), t_end, dt))
 
     pairs = []
@@ -403,17 +386,13 @@ def cmd_converge(cfg: RunConfig):
 
 
 def cmd_param_region(cfg: RunConfig):
-    resc, d = _build_model(cfg)
+    d = _build_model(cfg)
     kappa = cfg.get("feasibility.kappa", None)
     if kappa is None:
         kappa = _projection_kappa(cfg.require("feasibility.projection_excess"))
     const = RegionConstants(
         kappa=kappa,
-        epsilon=resc.epsilon,
-        C=d.C,
-        u_tr=d.u_tr,
-        u_pr=d.u_pr,
-        xi=resc.xi,
+        d=d,
         k1=cfg.require("feasibility.k1"),
         domain_measure=cfg.require("feasibility.domain_measure"),
         s_sup=cfg.require("feasibility.s_sup"),

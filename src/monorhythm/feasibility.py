@@ -107,14 +107,14 @@ class ConditionResult:
 
 @dataclass(frozen=True)
 class RegionConstants:
-    """Everything the admissible-a2 ceiling needs besides a1 itself."""
+    """Everything the admissible-a2 ceiling needs besides a1 itself.
+
+    The model constants (epsilon, xi, C, u_tr, u_pr) come from ``d``, whose
+    parameter classes already require them positive.
+    """
 
     kappa: float
-    epsilon: float
-    C: float
-    u_tr: float
-    u_pr: float
-    xi: float
+    d: DerivedParameters
     k1: float
     domain_measure: float
     s_sup: float
@@ -122,16 +122,7 @@ class RegionConstants:
     phi_norm: float
 
     def __post_init__(self):
-        for name in (
-            "kappa",
-            "epsilon",
-            "C",
-            "u_tr",
-            "u_pr",
-            "xi",
-            "k1",
-            "domain_measure",
-        ):
+        for name in ("kappa", "k1", "domain_measure"):
             value = getattr(self, name)
             if value <= 0.0:
                 raise ValueError(f"{name} must be positive, got {value}")
@@ -143,9 +134,8 @@ class RegionConstants:
     @property
     def a_const(self) -> float:
         """Geometry-weighted cubic growth factor multiplying a1 in delta."""
-        return self.domain_measure**0.75 * (
-            (self.u_tr + self.u_pr) / 3.0 + (2.0 / 3.0) * self.u_tr * self.u_pr
-        )
+        u_tr, u_pr = self.d.u_tr, self.d.u_pr
+        return self.domain_measure**0.75 * ((u_tr + u_pr) / 3.0 + (2.0 / 3.0) * u_tr * u_pr)
 
     @property
     def b_const(self) -> float:
@@ -154,17 +144,17 @@ class RegionConstants:
 
     def delta(self, a1):
         """Aggregate delta at cubic coefficient a1: cubic growth plus drive."""
-        return self.epsilon * self.k1 * self.a_const / self.C * a1 + self.b_const
+        return self.d.epsilon * self.k1 * self.a_const / self.d.C * a1 + self.b_const
 
 
-def h_of_T(t, c4: float, epsilon: float, C: float):
-    """Load curve t / (1 - exp(-rate t)) with rate = epsilon c4 / C.
+def h_of_T(t, rate: float):
+    """Load curve t / (1 - exp(-rate t)).
 
-    Continuously extended to h(0) = C / (epsilon c4); evaluated through
-    expm1 so small periods do not lose precision. Accepts scalars or
-    arrays of nonnegative periods.
+    The rate is the model's lam0 = epsilon c4 / C, passed as ``d.lam0``.
+    Continuously extended to h(0) = 1 / rate; evaluated through expm1 so
+    small periods do not lose precision. Accepts scalars or arrays of
+    nonnegative periods.
     """
-    rate = epsilon * c4 / C
     if not rate > 0.0:
         raise ValueError(f"decay rate epsilon*c4/C must be positive, got {rate}")
     t_arr = np.asarray(t, dtype=float)
@@ -262,15 +252,16 @@ def r_bounds(agg: AggregateConstants, h0: float) -> tuple:
     return r_lower, r_upper
 
 
-def t_star(r: float, agg: AggregateConstants, c4: float, epsilon: float, C: float) -> float:
+def t_star(r: float, agg: AggregateConstants, rate: float, bounds: tuple) -> float:
     """Largest period for which the ball of radius r stays certifiable.
 
-    Solves h(T) = p(r) using the load curve's monotone growth. The radius
-    must lie between the crossing radii of level h(0); at either end the
+    Solves h(T) = p(r) using the load curve's monotone growth. ``bounds`` is
+    the bracket ``r_bounds(agg, h_of_T(0.0, rate))``, which the caller
+    already holds; the radius must lie in it, and at either end the
     admissible period degenerates to zero.
     """
-    h0 = h_of_T(0.0, c4, epsilon, C)
-    lower, upper = r_bounds(agg, h0)
+    h0 = h_of_T(0.0, rate)
+    lower, upper = bounds
     if not lower <= r <= upper:
         raise ValueError(
             f"radius {r} is outside the certifiable bracket [{lower}, {upper}]"
@@ -279,7 +270,7 @@ def t_star(r: float, agg: AggregateConstants, c4: float, epsilon: float, C: floa
     if target <= h0:
         return 0.0
     return _bracketed_root(
-        lambda t: h_of_T(t, c4, epsilon, C) - target, 0.0, 1.0, 2.0, "period ceiling"
+        lambda t: h_of_T(t, rate) - target, 0.0, 1.0, 2.0, "period ceiling"
     )
 
 
@@ -289,11 +280,8 @@ def recovery_coupling_condition(xi: float, c3: float) -> ConditionResult:
     return ConditionResult(bool(margin >= 0.0), float(margin))
 
 
-def feasible_window_condition(
-    agg: AggregateConstants, c4: float, epsilon: float, C: float
-) -> ConditionResult:
-    """Check h(0) < p(r_star), the strict condition opening a feasibility window."""
-    h0 = h_of_T(0.0, c4, epsilon, C)
+def feasible_window_condition(agg: AggregateConstants, h0: float) -> ConditionResult:
+    """Check h0 = h(0) < p(r_star), the strict condition opening a feasibility window."""
     margin = p_of_R(r_star(agg), agg) - h0
     return ConditionResult(bool(margin > 0.0), float(margin))
 
@@ -325,8 +313,9 @@ def a2_bound(a1, const: RegionConstants):
     a1_arr = np.asarray(a1, dtype=float)
     if np.any(a1_arr < 0.0):
         raise ValueError("a1 values must be nonnegative")
-    pref = 2.0 / (math.sqrt(3.0) * const.xi * const.k1)
-    scale = (const.kappa * const.epsilon * const.u_tr * const.u_pr / const.C) ** 1.5
+    d = const.d
+    pref = 2.0 / (math.sqrt(3.0) * d.xi * const.k1)
+    scale = (const.kappa * d.epsilon * d.u_tr * d.u_pr / d.C) ** 1.5
     out = pref * scale * a1_arr**1.5 / np.sqrt(const.delta(a1_arr))
     if a1_arr.ndim == 0:
         return float(out)
@@ -340,6 +329,7 @@ def interior_consistent(a1: np.ndarray, bound: np.ndarray, const: RegionConstant
     the beta = 0 aggregates of a probe at 0.9 times the ceiling must open
     the window. Returns True when every probe does, or when none qualifies.
     """
+    d = const.d
     checks = []
     for i in range(0, len(a1), max(1, len(a1) // 8)):
         if a1[i] <= 0.0 or bound[i] <= 0.0:
@@ -347,22 +337,16 @@ def interior_consistent(a1: np.ndarray, bound: np.ndarray, const: RegionConstant
         agg = AggregateConstants(
             kappa=const.kappa,
             beta=0.0,
-            gamma=const.xi * (0.9 * bound[i]) * const.k1 / 3.0,
+            gamma=d.xi * (0.9 * bound[i]) * const.k1 / 3.0,
             delta=const.delta(a1[i]),
         )
-        h0 = const.C / (const.epsilon * a1[i] * const.u_tr * const.u_pr)
+        h0 = d.C / (d.epsilon * a1[i] * d.u_tr * d.u_pr)
         checks.append(feasible_window_condition_reduced(agg, h0).satisfied)
     return all(checks)
 
 
 def emit_curves(
-    agg: AggregateConstants,
-    c4: float,
-    epsilon: float,
-    C: float,
-    t_max: float,
-    r_max: float,
-    n_samples: int = 256,
+    agg: AggregateConstants, rate: float, t_max: float, r_max: float, n_samples: int = 256
 ) -> tuple:
     """Sample the load and gain curves on uniform grids including both endpoints.
 
@@ -375,7 +359,7 @@ def emit_curves(
         raise ValueError("curve grids need at least two points")
     t = np.linspace(0.0, t_max, n_samples)
     r = np.linspace(0.0, r_max, n_samples)
-    h_curve = np.column_stack([t, h_of_T(t, c4, epsilon, C)])
+    h_curve = np.column_stack([t, h_of_T(t, rate)])
     p_curve = np.column_stack([r, p_of_R(r, agg)])
     return h_curve, p_curve
 

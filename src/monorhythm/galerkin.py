@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ionic import DerivedParameters, RescalingParameters
+from .ionic import DerivedParameters
 from .spectral import SpectralBasis, Stimulus, project_nonlinearity
 
 __all__ = [
@@ -58,7 +58,6 @@ class GalerkinSystem:
 
     basis: SpectralBasis
     d: DerivedParameters
-    resc: RescalingParameters
     stim: Stimulus
     trace_vector: np.ndarray
     recovery_gain: float
@@ -74,20 +73,20 @@ class GalerkinSystem:
         return self.basis.n_modes
 
 
-def assemble_system(basis, d, resc, stim) -> GalerkinSystem:
-    """Bind basis, constants, and stimulus; precompute the linear coefficients.
+def assemble_system(basis, d, stim) -> GalerkinSystem:
+    """Bind basis, rescaled model and stimulus; precompute the linear coefficients.
 
-    Entry i of the trace vector pairs mode i with the stimulus density at the
-    boundary, phi psi_i(L).
+    ``d`` carries epsilon and xi, so the recovery law eps b and eps b xi c3
+    comes from the model alone. Entry i of the trace vector pairs mode i with
+    the stimulus density at the boundary, phi psi_i(L).
     """
-    gain = resc.epsilon * d.b
-    rate = gain * resc.xi * d.c3
+    gain = d.epsilon * d.b
+    rate = gain * d.xi * d.c3
     eye = np.eye(basis.n_modes)
     linear = np.block([[np.diag(-basis.lambdas), np.zeros_like(eye)], [gain * eye, -rate * eye]])
     return GalerkinSystem(
         basis=basis,
         d=d,
-        resc=resc,
         stim=stim,
         trace_vector=stim.phi_value * basis.trace_values,
         recovery_gain=gain,
@@ -141,7 +140,7 @@ def _driven_rhs(sys, s_val, x):
     """Time derivative of the state under the drive value s_val."""
     n = sys.n_modes
     dx = x @ sys.linear.T
-    dx[..., :n] -= project_nonlinearity(sys.basis, x[..., :n], x[..., n:], sys.d, sys.resc)
+    dx[..., :n] -= project_nonlinearity(sys.basis, x[..., :n], x[..., n:], sys.d)
     dx[..., :n] += s_val * sys.trace_vector
     return dx
 
@@ -156,17 +155,24 @@ def _rk4_step(sys, drive, x, h):
 
 
 def check_rk4_step(sys: GalerkinSystem, dt: float) -> None:
-    """Reject a dt that is not positive or past RK4's limit for the fastest linear rate."""
+    """Reject a dt that is not positive or past RK4's limit for the fastest linear rate.
+
+    The error names T/N for the smallest step count N that passes the limit,
+    printed to full precision, so the named value divides the period and
+    serves shooting as well as Picard's check when pasted into the config.
+    """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     fastest = -float(np.min(np.diag(sys.linear)))
     if dt * fastest > RK4_STABILITY_LIMIT:
-        # nudged down before rounding to six digits, so the dt it names passes
-        largest = RK4_STABILITY_LIMIT / fastest * (1.0 - 5e-6)
+        T = sys.period
+        n = max(1, int(np.ceil(T * fastest / RK4_STABILITY_LIMIT)))
+        while T / n * fastest > RK4_STABILITY_LIMIT:  # the ceiling can round one short
+            n += 1
         raise ValueError(
             f"dt = {dt:.6g} times the fastest decay rate {fastest:.6g} is {dt * fastest:.4g},"
             f" past RK4's stability limit {RK4_STABILITY_LIMIT}; the largest stable dt"
-            f" is {largest:.6g}"
+            f" that divides the period is T/{n} = {T / n!r}"
         )
 
 

@@ -3,10 +3,13 @@
 Everything downstream works in transformed variables: the potential is shifted
 by the resting value, the recovery variable is scaled by ``xi``, and time is
 scaled by ``epsilon``. Raw-unit quantities enter only through
-:class:`PhysiologicalParameters`; :func:`derive_parameters` produces the
-constants the solvers actually consume. The cubic reaction term lives here as
-:func:`f_transformed`; the coefficients of the linear recovery law are written
-once, in :func:`monorhythm.galerkin.assemble_system`.
+:class:`PhysiologicalParameters` and the scale factors only through
+:class:`RescalingParameters`; :func:`derive_parameters` turns the two into the
+one :class:`DerivedParameters` object the solvers consume, which carries
+epsilon, xi and the zeroth eigenvalue lam0 = epsilon c4 / C. The cubic
+reaction term lives here as :func:`f_transformed`; the coefficients of the
+linear recovery law are written once, in
+:func:`monorhythm.galerkin.assemble_system`.
 """
 
 from __future__ import annotations
@@ -76,23 +79,27 @@ class RescalingParameters:
 
 @dataclass(frozen=True)
 class DerivedParameters:
-    """Constants computed once from the physiological set and reused everywhere.
+    """The rescaled model: constants computed once and reused everywhere.
 
     u_tr and u_pr are the threshold and peak potentials above rest; a1 and
-    a2 the cubic and quadratic reaction coefficients; c4 the zeroth-order
-    linear coefficient. The growth-bound constants A1..A3 bound the reaction
-    terms polynomially. The solvers never recompute them. The tail fields are
-    the physiological constants the modal system reads alongside them.
+    a2 the cubic and quadratic reaction coefficients; lam0 = epsilon c4 / C
+    the zeroth eigenvalue of the elliptic operator, the rate of the load
+    curve. The growth-bound constants A1..A3 bound the reaction terms
+    polynomially. The solvers never recompute them. The tail fields are the
+    scale factors and physiological constants the modal system reads
+    alongside them.
     """
 
     u_tr: float
     u_pr: float
     a1: float
     a2: float
-    c4: float
+    lam0: float
     A1: float
     A2: float
     A3: float
+    epsilon: float
+    xi: float
     C: float
     b: float
     c3: float
@@ -104,12 +111,14 @@ def derive_parameters(
     resc: RescalingParameters,
     c4_override: float | None = None,
 ) -> DerivedParameters:
-    """Compute the transformed-model constants.
+    """Compute the rescaled model from raw constants and scale factors.
 
-    ``c4_override`` replaces the product a1 * u_tr * u_pr as the zeroth-order
-    coefficient of the linear part. That keeps the periodic-response kernels
-    well defined when c1 = 0 forces a1 = 0 (pure linear runs); it does not
-    touch the reaction terms themselves.
+    epsilon and xi are copied in, so no solver needs ``resc`` again. The
+    zeroth-order linear coefficient c4 = a1 u_tr u_pr enters only through
+    lam0 = epsilon c4 / C, computed here and nowhere else. ``c4_override``
+    replaces the product a1 u_tr u_pr as c4. That keeps the periodic-response
+    kernels well defined when c1 = 0 forces a1 = 0 (pure linear runs); it does
+    not touch the reaction terms themselves.
     """
     u_amp = phys.u_peak - phys.u_res
     a1 = phys.c1 / u_amp**2
@@ -129,10 +138,12 @@ def derive_parameters(
         u_pr=u_pr,
         a1=a1,
         a2=a2,
-        c4=c4,
+        lam0=resc.epsilon * c4 / phys.C,
         A1=A1,
         A2=l2 + (2.0 / 3.0) * resc.xi * a2,
         A3=resc.xi * a2 / 3.0,
+        epsilon=resc.epsilon,
+        xi=resc.xi,
         C=phys.C,
         b=phys.b,
         c3=phys.c3,
@@ -140,7 +151,7 @@ def derive_parameters(
     )
 
 
-def f_transformed(u, w, d: DerivedParameters, resc: RescalingParameters):
+def f_transformed(u, w, d: DerivedParameters):
     """Nonlinear reaction part in transformed variables.
 
     (epsilon / C) * (a1 u^3 + xi a2 u w - a1 (u_pr + u_tr) u^2), evaluated in
@@ -148,14 +159,14 @@ def f_transformed(u, w, d: DerivedParameters, resc: RescalingParameters):
     It takes products only, because NumPy's ``pow`` is slow on arrays of mixed
     sign, and u multiplies the bracket before epsilon / C does, which keeps one
     fewer full-size temporary alive than (epsilon / C) * u * (...). The linear
-    remainder (epsilon c4 / C) u lives in the operator spectrum, not here.
+    remainder lam0 u lives in the operator spectrum, not here.
     """
-    s = resc.epsilon / d.C
-    return s * (u * (d.a1 * u * (u - (d.u_pr + d.u_tr)) + resc.xi * d.a2 * w))
+    s = d.epsilon / d.C
+    return s * (u * (d.a1 * u * (u - (d.u_pr + d.u_tr)) + d.xi * d.a2 * w))
 
 
-def rescale_period(t_tilde: float, resc: RescalingParameters) -> float:
+def rescale_period(t_tilde: float, d: DerivedParameters) -> float:
     """Map a raw-time period to the transformed clock (divide by epsilon)."""
     if t_tilde <= 0.0:
         raise ValueError(f"period must be positive, got {t_tilde}")
-    return t_tilde / resc.epsilon
+    return t_tilde / d.epsilon

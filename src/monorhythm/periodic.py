@@ -118,7 +118,7 @@ def _nodes(T: float, n_t: int) -> np.ndarray:
 
 
 def _u_block(sys, u, w):
-    proj = project_nonlinearity(sys.basis, u, w, sys.d, sys.resc)
+    proj = project_nonlinearity(sys.basis, u, w, sys.d)
     forcing = sys.stim(_nodes(sys.period, len(u)))[:, None] * sys.trace_vector - proj
     return _periodic_response(sys.basis.lambdas, sys.period, forcing)
 

@@ -2,10 +2,11 @@
 
 The elliptic operator behind the model is v -> -(sigma_hat v')' + lam0 v on
 (0, L) with insulated ends, where sigma_hat = (epsilon / C) sigma_const and
-lam0 = epsilon c4 / C. Its eigenpairs are closed form: a constant mode plus
-cosines, with eigenvalues lam0 + sigma_hat (i pi / L)^2. Projections of the
-cubic reaction term use the midpoint rule on 2m + 1 nodes. A product of four
-modes is a cosine sum of frequency at most 4m, and on N midpoints
+lam0 = epsilon c4 / C, both read from the rescaled model ``d``. Its
+eigenpairs are closed form: a constant mode plus cosines, with eigenvalues
+lam0 + sigma_hat (i pi / L)^2. Projections of the cubic reaction term use
+the midpoint rule on 2m + 1 nodes. A product of four modes is a cosine sum
+of frequency at most 4m, and on N midpoints
 cos(q pi x / L) sums to zero for every 0 < q < 2N (the discrete orthogonality
 behind the DCT-II), so the rule integrates every such product exactly.
 """
@@ -68,8 +69,11 @@ class SpectralBasis:
         return self.m + 1
 
 
-def build_basis(geom, m, d, resc) -> SpectralBasis:
+def build_basis(geom, m, d) -> SpectralBasis:
     """Assemble the cosine eigenbasis for the operator with coefficients from ``d``.
+
+    The eigenvalues are d.lam0 + (epsilon / C) sigma_const (i pi / L)^2, so
+    the zeroth one is the model's lam0 itself, not a recomputation of it.
 
     The quadrature is the midpoint rule: n_quad = 2m + 1 nodes (q + 1/2) L / n_quad
     with equal weights L / n_quad. It is exact for cosines of frequency below
@@ -80,12 +84,11 @@ def build_basis(geom, m, d, resc) -> SpectralBasis:
         raise ValueError(f"truncation index m must be >= 0, got {m}")
     n_quad = 2 * m + 1
 
-    lam0 = resc.epsilon * d.c4 / d.C
-    sigma_hat = (resc.epsilon / d.C) * d.sigma_const
+    sigma_hat = (d.epsilon / d.C) * d.sigma_const
     L = geom.L
 
     i = np.arange(m + 1)
-    lambdas = lam0 + sigma_hat * (i * np.pi / L) ** 2
+    lambdas = d.lam0 + sigma_hat * (i * np.pi / L) ** 2
 
     nodes = (np.arange(n_quad) + 0.5) * (L / n_quad)
     weights = np.full(n_quad, L / n_quad)
@@ -113,7 +116,7 @@ def _check_coeffs(basis: SpectralBasis, coeffs: np.ndarray, name: str) -> np.nda
     return coeffs
 
 
-def project_nonlinearity(basis, u_coeffs, w_coeffs, d, resc) -> np.ndarray:
+def project_nonlinearity(basis, u_coeffs, w_coeffs, d) -> np.ndarray:
     """Coefficients of the reaction term: integral of f(u_m, w_m) against each mode.
 
     Accepts stacked inputs; leading axes broadcast, the last axis indexes modes.
@@ -122,7 +125,7 @@ def project_nonlinearity(basis, u_coeffs, w_coeffs, d, resc) -> np.ndarray:
     """
     u_nodal = u_coeffs @ basis.psi_quad.T
     w_nodal = w_coeffs @ basis.psi_quad.T
-    f_nodal = f_transformed(u_nodal, w_nodal, d, resc)
+    f_nodal = f_transformed(u_nodal, w_nodal, d)
     return (f_nodal * basis.quad_weights) @ basis.psi_quad
 
 

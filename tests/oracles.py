@@ -66,14 +66,14 @@ def green_kernel_w(b, c3, xi, epsilon, T, t, tau):
     return green_kernel_u(b * c3 * xi * epsilon, T, t, tau)
 
 
-def reaction_expanded(u, w, d, resc):
+def reaction_expanded(u, w, d):
     """The cubic reaction term in its expanded textbook form.
 
     (epsilon / C) * (a1 u^3 + xi a2 u w - a1 (u_pr + u_tr) u^2), with ``d``
-    and ``resc`` any objects carrying those constants as attributes.
+    any object carrying those constants as attributes.
     """
-    s = resc.epsilon / d.C
-    return s * (d.a1 * u**3 + resc.xi * d.a2 * u * w - d.a1 * (d.u_pr + d.u_tr) * u**2)
+    s = d.epsilon / d.C
+    return s * (d.a1 * u**3 + d.xi * d.a2 * u * w - d.a1 * (d.u_pr + d.u_tr) * u**2)
 
 
 def f_ion_raw(u_hat, w_hat, phys):

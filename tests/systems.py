@@ -33,13 +33,13 @@ def linear_model():
 
 def feasible_system(m=8, amplitude=1.0, phi=PHI, period=PERIOD):
     d = feasible_model()
-    basis = build_basis(GEOM, m, d, RESC)
+    basis = build_basis(GEOM, m, d)
     stim = Stimulus("sinusoid", period=period, phi_value=phi, amplitude=amplitude)
-    return assemble_system(basis, d, RESC, stim)
+    return assemble_system(basis, d, stim)
 
 
 def linear_system(m=4, s0=1.0, phi=PHI, period=PERIOD):
     d = linear_model()
-    basis = build_basis(GEOM, m, d, RESC)
+    basis = build_basis(GEOM, m, d)
     stim = Stimulus("constant", period=period, phi_value=phi, amplitude=s0)
-    return assemble_system(basis, d, RESC, stim)
+    return assemble_system(basis, d, stim)

@@ -50,7 +50,7 @@ def _verdict(num: int, label: str, passed: bool, detail: str) -> None:
 def test_criterion_1_kernel_masses():
     t0 = time.perf_counter()
     d = feasible_model()
-    basis = build_basis(GEOM, 8, d, RESC)
+    basis = build_basis(GEOM, 8, d)
     worst = 0.0
     for lam in basis.lambdas:
         weights = kernel_weights(float(lam), PERIOD, 512)
@@ -111,11 +111,7 @@ def test_criterion_3_cross_method_agreement():
     # use a period below the invariance ceiling at the critical radius
     region = RegionConstants(
         kappa=0.5,
-        epsilon=RESC.epsilon,
-        C=d.C,
-        u_tr=d.u_tr,
-        u_pr=d.u_pr,
-        xi=RESC.xi,
+        d=d,
         k1=0.1,
         domain_measure=GEOM.L,
         s_sup=1.0,
@@ -125,7 +121,7 @@ def test_criterion_3_cross_method_agreement():
     assert d.a2 < a2_bound(d.a1, region), (
         f"model (a1, a2) = ({d.a1}, {d.a2}) violates the region bound"
     )
-    ceiling = t_star(r_star(AGG), AGG, d.c4, RESC.epsilon, d.C)
+    ceiling = t_star(r_star(AGG), AGG, d.lam0, r_bounds(AGG, 1.0 / d.lam0))
     assert PERIOD <= ceiling, f"period {PERIOD} exceeds the ceiling {ceiling:.6f}"
 
     sys_ = feasible_system(m=8)
@@ -282,7 +278,7 @@ def test_criterion_6_integrator_order():
 
 def test_criterion_7_cubic_product_quadrature():
     t0 = time.perf_counter()
-    basis = build_basis(GEOM, 4, feasible_model(), RESC)
+    basis = build_basis(GEOM, 4, feasible_model())
     L = GEOM.L
     norm = [1.0 / np.sqrt(L)] + [np.sqrt(2.0 / L)] * 4
     worst = 0.0
@@ -366,11 +362,7 @@ def test_criterion_9_region_self_consistency():
     d = feasible_model()
     region = RegionConstants(
         kappa=0.5,
-        epsilon=RESC.epsilon,
-        C=d.C,
-        u_tr=d.u_tr,
-        u_pr=d.u_pr,
-        xi=RESC.xi,
+        d=d,
         k1=1.0,
         domain_measure=GEOM.L,
         s_sup=1.0,
@@ -388,11 +380,11 @@ def test_criterion_9_region_self_consistency():
             agg = AggregateConstants(
                 kappa=region.kappa,
                 beta=0.0,
-                gamma=region.xi * a2 * region.k1 / 3.0,
-                delta=region.epsilon * region.k1 * region.a_const / region.C * a1
+                gamma=region.d.xi * a2 * region.k1 / 3.0,
+                delta=region.d.epsilon * region.k1 * region.a_const / region.d.C * a1
                 + region.b_const,
             )
-            h0 = region.C / (region.epsilon * a1 * region.u_tr * region.u_pr)
+            h0 = region.d.C / (region.d.epsilon * a1 * region.d.u_tr * region.d.u_pr)
             probes += 1
             if not feasible_window_condition_reduced(agg, h0).satisfied:
                 violations += 1

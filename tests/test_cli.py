@@ -7,13 +7,14 @@ output is exercised, including exit codes and error reporting.
 
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from monorhythm import cli, periodic
+from monorhythm import cli, feasibility, periodic
 from monorhythm.config import load_config, render_config
 from monorhythm.feasibility import EmbeddingConstants, aggregate_from_raw, r_star
 from monorhythm.periodic import NonConvergenceError
@@ -155,6 +156,24 @@ def test_feasibility_report_and_curves(tmp_path, capsys):
         assert lines[0].startswith("# "), f"{name} should open with a comment line"
         assert lines[1] == "x,value", f"{name} header mismatch: {lines[1]!r}"
         assert len(lines) == 2 + 256, f"{name} should hold n_samples rows"
+
+
+def test_feasibility_bisects_the_crossing_radii_once(tmp_path, capsys, monkeypatch):
+    """The period ceiling reuses the bracket the command already found."""
+    calls = []
+    r_bounds = feasibility.r_bounds
+
+    def counted(*args):
+        calls.append(args)
+        return r_bounds(*args)
+
+    monkeypatch.setattr(feasibility, "r_bounds", counted)
+    monkeypatch.setattr(cli, "r_bounds", counted)
+    cfg = config_path("window_aggregates.cfg")
+    assert cli.main(["feasibility", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert read_report(tmp_path)["payload"]["t_star_at_r_star"] is not None
+    assert len(calls) == 1
+    capsys.readouterr()  # swallow the written-path listing
 
 
 def test_closed_window_reports_no_radii_but_writes_curves(tmp_path, capsys):
@@ -336,6 +355,29 @@ def test_picard_check_past_the_stability_limit_exits_2(tmp_path, capsys, monkeyp
     picard = read_report(tmp_path)["payload"]["picard"]
     assert picard["converged"] is True and picard["n_iter"] == 3
     assert picard["periodicity_residual"] < 1e-12
+    capsys.readouterr()  # swallow the written-path listing
+
+
+def test_shooting_past_the_stability_limit_names_a_step_that_divides_the_period(
+    tmp_path, capsys
+):
+    """At m = 72 shooting's default T/1024 step is past RK4's limit. The error
+    names T/N, printed to full precision, and that value pasted into
+    solver.dt passes both the limit and shooting's divisibility check."""
+    text = NONLINEAR_PERIODIC_CFG.replace("solver.m = 2", "solver.m = 72").replace(
+        "solver.method = picard", "solver.method = shooting"
+    )
+    cfg = write_config(tmp_path, text)
+    assert cli.main(["solve-periodic", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    pattern = r"largest stable dt that divides the period is T/(\d+) = (\S+)$"
+    named = re.search(pattern, err.strip())
+    assert named, err
+    assert float(named.group(2)) == 2.0 / int(named.group(1))
+
+    cfg = write_config(tmp_path, text + f"solver.dt = {named.group(2)}\n")
+    assert cli.main(["solve-periodic", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert read_report(tmp_path)["payload"]["shooting"]["converged"] is True
     capsys.readouterr()  # swallow the written-path listing
 
 
@@ -603,11 +645,15 @@ def test_help_and_missing_subcommand(capsys):
 
 
 def test_module_entry_point(tmp_path):
+    # the child imports the package these tests import, installed or not
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "monorhythm.cli", "feasibility",
          "--config", config_path("window_aggregates.cfg"), "--out", str(tmp_path)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0, f"module invocation failed: {result.stderr}"
     assert "report.json" in result.stdout, "module run should list written files"

@@ -39,31 +39,33 @@ R_UPPER = 0.24594457563635094
 # frozen from a scipy.optimize.brentq root of h(T) = p(R_STAR) at unit rate
 T_STAR = 2.4074367446354734
 
-# acceptance-style rate constants: epsilon * c4 / C = 1
-C4, EPS, CAP = 31.25, 0.032, 1.0
+# acceptance-style load rate lam0 = epsilon c4 / C = 1, and its resting load h(0)
+RATE = 0.032 * 31.25 / 1.0
+H0 = 1.0 / RATE
+BOUNDS = r_bounds(AGG, H0)
 
 
 def test_h_limit_at_zero():
-    h0 = h_of_T(0.0, C4, EPS, CAP)
-    assert h0 == pytest.approx(CAP / (EPS * C4), rel=1e-15)
+    h0 = h_of_T(0.0, RATE)
+    assert h0 == H0
     # stable continuation: a period of 1e-12 must agree with the limit
-    assert abs(h_of_T(1e-12, C4, EPS, CAP) - h0) <= 1e-8 * h0
+    assert abs(h_of_T(1e-12, RATE) - h0) <= 1e-8 * h0
 
 
 def test_h_hand_value_and_monotonicity():
     # rate 1 and T = ln 2 give ln2 / (1 - 1/2) = 2 ln 2
-    assert h_of_T(math.log(2.0), C4, EPS, CAP) == pytest.approx(2.0 * math.log(2.0), rel=1e-14)
+    assert h_of_T(math.log(2.0), RATE) == pytest.approx(2.0 * math.log(2.0), rel=1e-14)
     grid = np.linspace(0.0, 10.0, 400)
-    vals = h_of_T(grid, C4, EPS, CAP)
+    vals = h_of_T(grid, RATE)
     assert isinstance(vals, np.ndarray) and vals.shape == grid.shape
     assert np.all(np.diff(vals) > 0.0), "load curve must increase with the period"
 
 
 def test_h_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        h_of_T(-1.0, C4, EPS, CAP)
+        h_of_T(-1.0, RATE)
     with pytest.raises(ValueError):
-        h_of_T(1.0, 0.0, EPS, CAP)
+        h_of_T(1.0, 0.0)
 
 
 def test_p_basics_and_frozen_value():
@@ -146,11 +148,11 @@ def test_aggregate_from_raw():
 
 
 def test_window_condition():
-    result = feasible_window_condition(AGG, C4, EPS, CAP)
+    result = feasible_window_condition(AGG, H0)
     assert result.satisfied
     assert result.margin == pytest.approx(P_AT_R_STAR - 1.0, rel=1e-12)
     narrow = AggregateConstants(kappa=0.1, beta=1e-4, gamma=1.0, delta=1e-3)
-    blocked = feasible_window_condition(narrow, C4, EPS, CAP)
+    blocked = feasible_window_condition(narrow, H0)
     assert not blocked.satisfied and blocked.margin < 0.0
 
 
@@ -196,14 +198,14 @@ def test_r_bounds_degenerate_and_errors():
 
 
 def test_t_star_frozen_and_boundary():
-    ceiling = t_star(R_STAR, AGG, C4, EPS, CAP)
+    ceiling = t_star(R_STAR, AGG, RATE, BOUNDS)
     assert ceiling == pytest.approx(T_STAR, rel=1e-10)
-    assert abs(h_of_T(ceiling, C4, EPS, CAP) - p_of_R(R_STAR, AGG)) <= 1e-10
-    lower, upper = r_bounds(AGG, 1.0)
-    assert t_star(lower, AGG, C4, EPS, CAP) == pytest.approx(0.0, abs=1e-8)
-    assert t_star(upper, AGG, C4, EPS, CAP) == pytest.approx(0.0, abs=1e-8)
-    with pytest.raises(ValueError):
-        t_star(upper * 1.01, AGG, C4, EPS, CAP)
+    assert abs(h_of_T(ceiling, RATE) - p_of_R(R_STAR, AGG)) <= 1e-10
+    lower, upper = BOUNDS
+    assert t_star(lower, AGG, RATE, BOUNDS) == pytest.approx(0.0, abs=1e-8)
+    assert t_star(upper, AGG, RATE, BOUNDS) == pytest.approx(0.0, abs=1e-8)
+    with pytest.raises(ValueError, match="outside the certifiable bracket"):
+        t_star(upper * 1.01, AGG, RATE, BOUNDS)
 
 
 def test_bracket_failures_name_the_missing_root():
@@ -218,25 +220,22 @@ def test_bracket_failures_name_the_missing_root():
         r_bounds(flat, 1e-45)
     steep = AggregateConstants(kappa=1e70, beta=0.0, gamma=1.0, delta=1e-3)
     with pytest.raises(ValueError, match="could not bracket the period ceiling"):
-        t_star(r_star(steep), steep, 1e-63, 0.01, 1.0)
+        t_star(r_star(steep), steep, 1e-65, r_bounds(steep, h_of_T(0.0, 1e-65)))
 
 
 def test_periods_below_ceiling_are_admissible():
     """The trapping condition h(T) <= p(R*) holds up to the period ceiling and fails past it."""
     gain = p_of_R(R_STAR, AGG)
     for frac in (0.25, 0.5, 1.0):
-        load = h_of_T(frac * T_STAR, C4, EPS, CAP)
+        load = h_of_T(frac * T_STAR, RATE)
         assert load <= gain, f"period fraction {frac} should be admissible"
-    assert h_of_T(1.01 * T_STAR, C4, EPS, CAP) > gain
+    assert h_of_T(1.01 * T_STAR, RATE) > gain
 
 
+# epsilon 0.032, xi 3.75, C 1, u_tr 25 and u_pr 100
 REGION = RegionConstants(
     kappa=0.5,
-    epsilon=0.032,
-    C=1.0,
-    u_tr=25.0,
-    u_pr=100.0,
-    xi=3.75,
+    d=feasible_model(),
     k1=1.0,
     domain_measure=1.0,
     s_sup=1.0,
@@ -252,14 +251,14 @@ def test_a2_bound_frozen_and_consistency():
     assert a2_bound(0.0, REGION) == 0.0
     for a1 in np.logspace(-3.0, 2.0, 7):
         ceiling = a2_bound(a1, REGION)
-        h0 = REGION.C / (REGION.epsilon * a1 * REGION.u_tr * REGION.u_pr)
+        h0 = REGION.d.C / (REGION.d.epsilon * a1 * REGION.d.u_tr * REGION.d.u_pr)
         for factor, expected in ((0.999, True), (1.001, False)):
             a2 = factor * ceiling
             agg = AggregateConstants(
                 kappa=REGION.kappa,
                 beta=0.0,
-                gamma=REGION.xi * a2 * REGION.k1 / 3.0,
-                delta=REGION.epsilon * REGION.k1 * REGION.a_const / REGION.C * a1
+                gamma=REGION.d.xi * a2 * REGION.k1 / 3.0,
+                delta=REGION.d.epsilon * REGION.k1 * REGION.a_const / REGION.d.C * a1
                 + REGION.b_const,
             )
             verdict = feasible_window_condition_reduced(agg, h0).satisfied
@@ -280,13 +279,13 @@ def test_a2_bound_slope_and_prefactors():
 def test_region_constants_validation_and_from_model():
     with pytest.raises(ValueError):
         RegionConstants(
-            kappa=0.5, epsilon=0.032, C=1.0, u_tr=25.0, u_pr=100.0, xi=3.75,
+            kappa=0.5, d=feasible_model(),
             k1=1.0, domain_measure=1.0, s_sup=0.0, trace_norm=1.0, phi_norm=0.005,
         )
 
 
 def test_emit_curves_shapes_and_ratio():
-    h_curve, p_curve = emit_curves(AGG, C4, EPS, CAP, t_max=5.0, r_max=0.5, n_samples=128)
+    h_curve, p_curve = emit_curves(AGG, RATE, t_max=5.0, r_max=0.5, n_samples=128)
     assert h_curve.shape == p_curve.shape == (128, 2)
     assert h_curve[0, 0] == 0.0 and h_curve[-1, 0] == 5.0
     assert np.all(np.diff(h_curve[:, 1]) > 0.0)
@@ -295,24 +294,24 @@ def test_emit_curves_shapes_and_ratio():
     expected = int(np.argmin(np.abs(p_curve[:, 0] - R_STAR)))
     assert peak_index == expected
     scaled = AggregateConstants(kappa=0.174, beta=1e-4, gamma=1.0, delta=1e-3)
-    _, p_scaled = emit_curves(scaled, C4, EPS, CAP, t_max=5.0, r_max=0.5, n_samples=128)
+    _, p_scaled = emit_curves(scaled, RATE, t_max=5.0, r_max=0.5, n_samples=128)
     assert np.allclose(p_scaled[1:, 1] / p_curve[1:, 1], 0.174 / 0.5, rtol=1e-14)
     with pytest.raises(ValueError):
-        emit_curves(AGG, C4, EPS, CAP, t_max=0.0, r_max=1.0)
+        emit_curves(AGG, RATE, t_max=0.0, r_max=1.0)
     with pytest.raises(ValueError):
-        emit_curves(AGG, C4, EPS, CAP, t_max=5.0, r_max=1.0, n_samples=1)
+        emit_curves(AGG, RATE, t_max=5.0, r_max=1.0, n_samples=1)
 
 
 def test_build_report_feasible():
     """The chain cmd_feasibility builds its report from, on an open window."""
-    h0 = h_of_T(0.0, C4, EPS, CAP)
+    h0 = h_of_T(0.0, RATE)
     assert h0 == pytest.approx(1.0, rel=1e-15)
     rs = r_star(AGG)
-    assert feasible_window_condition(AGG, C4, EPS, CAP).satisfied
+    assert feasible_window_condition(AGG, H0).satisfied
     assert feasible_window_condition_reduced(AGG, h0).satisfied
     assert recovery_coupling_condition(3.75, 1.0).satisfied
     lower, upper = r_bounds(AGG, h0)
     assert lower < rs < upper
-    assert t_star(rs, AGG, C4, EPS, CAP) == pytest.approx(T_STAR, rel=1e-10)
-    h_curve, p_curve = emit_curves(AGG, C4, EPS, CAP, t_max=5.0, r_max=0.5)
+    assert t_star(rs, AGG, RATE, (lower, upper)) == pytest.approx(T_STAR, rel=1e-10)
+    h_curve, p_curve = emit_curves(AGG, RATE, t_max=5.0, r_max=0.5)
     assert h_curve.shape == p_curve.shape == (256, 2)

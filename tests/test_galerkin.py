@@ -78,12 +78,12 @@ def test_linear_recovery_closed_form():
         u_res=0.0, u_peak=100.0, a=0.25, c1=0.0, c2=0.0, c3=1.0, b=1.0, sigma_const=1.0
     )
     d = derive_parameters(phys, RESC, c4_override=31.25)
-    basis = build_basis(GEOM, 0, d, RESC)
+    basis = build_basis(GEOM, 0, d)
     # pick the constant stimulus that makes u = 1 an exact equilibrium
     lam0 = basis.lambdas[0]
     b0 = 1.0 / np.sqrt(GEOM.L)
     stim = Stimulus("constant", period=2.0, phi_value=1.0, amplitude=lam0 / b0)
-    sys = assemble_system(basis, d, RESC, stim)
+    sys = assemble_system(basis, d, stim)
     traj = integrate_cauchy(sys, np.array([1.0, 0.0]), 200.0, dt=0.1)
     assert np.allclose(traj.u, 1.0, atol=1e-10)
     assert traj.w[-1, 0] == pytest.approx(1.0 / (RESC.xi * 1.0), rel=1e-8)
@@ -164,7 +164,8 @@ def test_blow_up_detected_with_time():
 @given(m=st.integers(0, 160), factor=st.floats(0.5, 2.0))
 def test_step_past_the_stability_limit_is_rejected_before_stepping(m, factor):
     """A step is rejected exactly when dt max(lambda_max, eps b xi c3) passes
-    RK4's limit, and the largest stable dt the error names is accepted."""
+    RK4's limit, and the error names the largest stable dt T/N that divides
+    the period: it is accepted, and T/(N - 1) is not."""
     sys = feasible_system(m=m)
     fastest = max(float(np.max(sys.basis.lambdas)), sys.recovery_rate)
     dt = factor * 2.7852935634 / fastest
@@ -173,8 +174,14 @@ def test_step_past_the_stability_limit_is_rejected_before_stepping(m, factor):
         return
     with pytest.raises(ValueError, match="stability limit 2.7852935634") as info:
         check_rk4_step(sys, dt)
-    named = re.search(r"largest stable dt is (\S+)$", str(info.value))
-    check_rk4_step(sys, float(named.group(1)))
+    pattern = r"largest stable dt that divides the period is T/(\d+) = (\S+)$"
+    named = re.search(pattern, str(info.value))
+    n_steps, largest = int(named.group(1)), float(named.group(2))
+    assert largest == PERIOD / n_steps
+    check_rk4_step(sys, largest)
+    if n_steps > 1:
+        with pytest.raises(ValueError, match="stability limit"):
+            check_rk4_step(sys, PERIOD / (n_steps - 1))
     with pytest.raises(ValueError, match="stability limit"):
         integrate_cauchy(sys, zero_state(sys), 1.0, dt)  # rejected before its first step
 
@@ -199,7 +206,7 @@ def test_integration_equals_rk4_on_public_rhs():
     not divide the period)."""
     d = feasible_model()
     stim = Stimulus("pulse", period=PERIOD, phi_value=PHI, amplitude=20.0, center=0.3, width=0.05)
-    sys = assemble_system(build_basis(GEOM, 8, d, RESC), d, RESC, stim)
+    sys = assemble_system(build_basis(GEOM, 8, d), d, stim)
     rng = np.random.default_rng(12)
     u0 = 0.01 * rng.standard_normal(9)
     w0 = 0.01 * rng.standard_normal(9)
@@ -262,7 +269,7 @@ def test_monitor_derivative_norms_match_per_node_rhs():
     digits."""
     d = feasible_model()
     stim = Stimulus("pulse", period=PERIOD, phi_value=PHI, amplitude=20.0, center=0.3, width=0.05)
-    sys = assemble_system(build_basis(GEOM, 8, d, RESC), d, RESC, stim)
+    sys = assemble_system(build_basis(GEOM, 8, d), d, stim)
     traj = integrate_cauchy(sys, zero_state(sys), 1.5 * PERIOD, dt=PERIOD / 256)
     dx = np.array([rhs(sys, t, x) for t, x in zip(traj.times, traj.x)])
     du, dw = dx[:, :9], dx[:, 9:]
@@ -300,9 +307,9 @@ def test_refinement_differences_shrink():
     diffs = []
     prev = None
     for m in (4, 8, 16):
-        basis = build_basis(GEOM, m, d, RESC)
+        basis = build_basis(GEOM, m, d)
         stim = Stimulus("sinusoid", period=PERIOD, phi_value=0.005, amplitude=1.0)
-        sys = assemble_system(basis, d, RESC, stim)
+        sys = assemble_system(basis, d, stim)
         bump = bump_coeffs(basis)
         traj = integrate_cauchy(sys, state(bump, np.zeros(m + 1)), 2.0 * PERIOD, dt=PERIOD / 512)
         if prev is not None:

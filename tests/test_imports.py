@@ -15,9 +15,14 @@ UNREAD_BY_DESIGN = {
     "render_config": "the README documents the echo round trip: render, then parse back",
 }
 
-# Dataclass fields the package keeps although no package code reads them.
+# Dataclass fields the package keeps although no package code reads them by name.
+_REPORTED = "report.json carries it: cli._json_default writes the record with dataclasses.asdict"
 FIELDS_UNREAD_BY_DESIGN = {
     "SpectralBasis.n_quad": "perfbench's project_points counter multiplies by it",
+    "BallCertificate.margin": _REPORTED,
+    "BallCertificate.radius": _REPORTED,
+    "BallCertificate.worst_t": _REPORTED,
+    "ConditionResult.margin": _REPORTED,
 }
 
 

@@ -34,7 +34,9 @@ def test_derivation_hand_example():
     assert d.a1 == pytest.approx(0.25, rel=1e-15)
     assert d.u_tr == pytest.approx(0.5, rel=1e-15)
     assert d.u_pr == pytest.approx(2.0, rel=1e-15)
-    assert d.c4 == pytest.approx(0.25, rel=1e-15)
+    # c4 = a1 u_tr u_pr = 0.25 enters only through lam0 = epsilon c4 / C
+    assert d.lam0 == pytest.approx(RESC.epsilon * 0.25, rel=1e-15)
+    assert (d.epsilon, d.xi) == (RESC.epsilon, RESC.xi)
 
 
 def test_unit_amplitude_gives_unit_coefficients():
@@ -57,12 +59,12 @@ def test_invalid_parameters_rejected():
 
 def test_zero_reaction_coefficients_allowed():
     d = derive_parameters(make_params(c1=0.0, c2=0.0), RESC)
-    assert d.a1 == 0.0 and d.a2 == 0.0 and d.c4 == 0.0
+    assert d.a1 == 0.0 and d.a2 == 0.0 and d.lam0 == 0.0
 
 
 def test_c4_override():
     d = derive_parameters(make_params(c1=0.0, c2=0.0), RESC, c4_override=31.25)
-    assert d.c4 == 31.25
+    assert d.lam0 == RESC.epsilon * 31.25
     assert d.a1 == 0.0
 
 
@@ -93,25 +95,25 @@ def test_g_raw():
 
 def test_f_transformed_zero_at_zero():
     d = derive_parameters(make_params(), RESC)
-    assert f_transformed(0.0, -3.0, d, RESC) == 0.0
+    assert f_transformed(0.0, -3.0, d) == 0.0
 
 
 def test_f_transformed_hand_value():
     # direct formula evaluation with synthetic constants u_pr + u_tr = 0
     d = DerivedParameters(
-        u_tr=0.0, u_pr=0.0, a1=1.0, a2=1.0, c4=0.0,
-        A1=0.0, A2=0.0, A3=0.0, C=1.0, b=1.0, c3=1.0, sigma_const=1.0,
+        u_tr=0.0, u_pr=0.0, a1=1.0, a2=1.0, lam0=0.0, A1=0.0, A2=0.0, A3=0.0,
+        epsilon=1.0, xi=1.0, C=1.0, b=1.0, c3=1.0, sigma_const=1.0,
     )
-    one = RescalingParameters(epsilon=1.0, xi=1.0)
-    assert f_transformed(2.0, 3.0, d, one) == pytest.approx(14.0, rel=1e-15)
+    assert f_transformed(2.0, 3.0, d) == pytest.approx(14.0, rel=1e-15)
 
 
 def test_rescale_period():
-    assert rescale_period(0.8, RescalingParameters(epsilon=0.032, xi=1.0)) == pytest.approx(25.0)
-    ident = RescalingParameters(epsilon=1.0, xi=1.0)
+    d = derive_parameters(make_params(), RescalingParameters(epsilon=0.032, xi=1.0))
+    assert rescale_period(0.8, d) == pytest.approx(25.0)
+    ident = derive_parameters(make_params(), RescalingParameters(epsilon=1.0, xi=1.0))
     assert rescale_period(0.8, ident) == 0.8
     with pytest.raises(ValueError):
-        rescale_period(0.0, RESC)
+        rescale_period(0.0, d)
 
 
 @given(
@@ -120,11 +122,11 @@ def test_rescale_period():
 )
 @settings(max_examples=200, deadline=None)
 def test_transformed_consistent_with_raw(u, w):
-    """The linear shift (eps c4 / C) u plus f_transformed(u, w) must equal
+    """The linear shift lam0 u = (eps c4 / C) u plus f_transformed(u, w) must equal
     (eps / C) * f_ion_raw(u + u_res, xi * w) identically."""
     phys = make_params()
     d = derive_parameters(phys, RESC)
-    lhs = (RESC.epsilon * d.c4 / d.C) * u + f_transformed(u, w, d, RESC)
+    lhs = d.lam0 * u + f_transformed(u, w, d)
     rhs = (RESC.epsilon / d.C) * f_ion_raw(u + phys.u_res, RESC.xi * w, phys)
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
@@ -167,8 +169,8 @@ def test_factored_reaction_matches_expanded(u_res, amp, c1, c2, u, w):
     )
     u_arr = np.array([u, -u, 0.0, 0.0])
     w_arr = np.array([w, -w, w, -w])
-    factored = f_transformed(u_arr, w_arr, d, RESC)
-    expanded = reaction_expanded(u_arr, w_arr, d, RESC)
+    factored = f_transformed(u_arr, w_arr, d)
+    expanded = reaction_expanded(u_arr, w_arr, d)
     s = RESC.epsilon / d.C
     scale = s * (
         d.a1 * np.abs(u_arr) ** 3
@@ -188,8 +190,8 @@ def test_growth_bounds_hold_on_samples():
     d = derive_parameters(make_params(), RESC)
     rng = np.random.default_rng(20240817)
     u = rng.uniform(-30.0, 30.0, size=10_000)
-    f1 = f_transformed(u, np.zeros_like(u), d, RESC)
-    f2 = (f_transformed(u, np.ones_like(u), d, RESC) - f1) / RESC.xi
+    f1 = f_transformed(u, np.zeros_like(u), d)
+    f2 = (f_transformed(u, np.ones_like(u), d) - f1) / RESC.xi
     # the cubic coefficient of the f1 bound, the a1 share of A2
     l2 = d.a1 * (RESC.epsilon / d.C) * (
         1.0 + (2.0 / 3.0) * (d.u_tr + d.u_pr) + d.u_tr * d.u_pr / 3.0

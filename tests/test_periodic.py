@@ -201,9 +201,9 @@ def test_picard_divergence_reports_history():
         u_res=0.0, u_peak=1.0, a=0.5, c1=100.0, c2=1.0, c3=1.0, b=1.0, sigma_const=1.0
     )
     d = derive_parameters(phys, RESC)
-    basis = build_basis(GEOM, 4, d, RESC)
+    basis = build_basis(GEOM, 4, d)
     off = Stimulus("constant", period=2.0, phi_value=0.0, amplitude=0.0)
-    sys = assemble_system(basis, d, RESC, off)
+    sys = assemble_system(basis, d, off)
     huge = np.array([1e3 * np.ones((128, 5)), np.zeros((128, 5))])
     with pytest.raises(NonConvergenceError) as info:
         with np.errstate(over="ignore", invalid="ignore"):

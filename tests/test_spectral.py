@@ -12,6 +12,7 @@ from monorhythm.ionic import (
     RescalingParameters,
     derive_parameters,
 )
+from monorhythm.feasibility import h_of_T
 from monorhythm.galerkin import assemble_system
 from monorhythm.spectral import (
     Geometry1D,
@@ -22,6 +23,7 @@ from monorhythm.spectral import (
 )
 
 from oracles import cosine_product_integral
+from systems import feasible_model, linear_model
 
 
 RESC = RescalingParameters(epsilon=0.032, xi=3.75)
@@ -36,24 +38,32 @@ def shipped_model():
 
 def plain_laplacian_model():
     """sigma_hat = 1 and lam0 = 0: eigenvalues collapse to (i pi / L)^2."""
-    one = RescalingParameters(epsilon=1.0, xi=1.0)
     phys = PhysiologicalParameters(
         u_res=0.0, u_peak=1.0, a=0.5, c1=0.0, c2=0.0, c3=1.0, b=1.0, sigma_const=1.0
     )
-    return derive_parameters(phys, one), one
+    return derive_parameters(phys, RescalingParameters(epsilon=1.0, xi=1.0))
 
 
 def test_lambda0_equals_operator_shift():
     d = shipped_model()
-    basis = build_basis(Geometry1D(1.0), 8, d, RESC)
-    assert basis.lambdas[0] == RESC.epsilon * d.c4 / d.C
+    basis = build_basis(Geometry1D(1.0), 8, d)
+    # c4 = a1 u_tr u_pr = 31.25
+    assert basis.lambdas[0] == pytest.approx(RESC.epsilon * 31.25 / d.C, rel=1e-15)
     assert np.all(np.diff(basis.lambdas) > 0.0)
+
+
+@pytest.mark.parametrize("model", [feasible_model, linear_model])
+def test_lam0_has_one_copy(model):
+    """The eigenbasis and the load curve read the model's lam0, bit for bit;
+    the linear model reaches it through c4_override."""
+    d = model()
+    assert build_basis(Geometry1D(1.0), 8, d).lambdas[0] == d.lam0
+    assert h_of_T(0.0, d.lam0) == 1 / d.lam0
 
 
 def test_eigenvalues_match_finite_difference_oracle():
     """Cell-centered finite differences on 2000 points reproduce i^2 on (0, pi)."""
-    d, one = plain_laplacian_model()
-    basis = build_basis(Geometry1D(np.pi), 8, d, one)
+    basis = build_basis(Geometry1D(np.pi), 8, plain_laplacian_model())
 
     n = 2000
     h = np.pi / n
@@ -70,7 +80,7 @@ def test_eigenvalues_match_finite_difference_oracle():
 
 def test_orthonormality_under_quadrature():
     d = shipped_model()
-    basis = build_basis(Geometry1D(1.0), 8, d, RESC)
+    basis = build_basis(Geometry1D(1.0), 8, d)
     gram = basis.psi_quad.T @ (basis.quad_weights[:, None] * basis.psi_quad)
     assert np.max(np.abs(gram - np.eye(9))) < 1e-12
 
@@ -105,7 +115,7 @@ def test_quartic_products_integrate_exactly(case):
     sign-count oracle on the basis's own quadrature."""
     m, modes = case
     L = 1.0
-    basis = build_basis(Geometry1D(L), m, shipped_model(), RESC)
+    basis = build_basis(Geometry1D(L), m, shipped_model())
     quad = float(np.sum(basis.quad_weights * np.prod(basis.psi_quad[:, modes], axis=1)))
     assert quad == pytest.approx(mode_product_integral(L, modes), abs=1e-13)
 
@@ -115,7 +125,7 @@ def test_fewer_midpoints_miss_the_top_quartic(m):
     """2m + 1 midpoints integrate psi_m^4 exactly; 2m midpoints alias its
     frequency-4m part onto the constant, so the node count cannot drop."""
     L = 1.3
-    basis = build_basis(Geometry1D(L), m, shipped_model(), RESC)
+    basis = build_basis(Geometry1D(L), m, shipped_model())
     assert basis.n_quad == 2 * m + 1
     exact = mode_product_integral(L, (m, m, m, m))
     assert np.sum(basis.quad_weights * basis.psi_quad[:, m] ** 4) == pytest.approx(exact, rel=1e-13)
@@ -130,36 +140,35 @@ def test_fewer_midpoints_miss_the_top_quartic(m):
 def test_trace_values():
     d = shipped_model()
     L = 2.0
-    basis = build_basis(Geometry1D(L), 6, d, RESC)
+    basis = build_basis(Geometry1D(L), 6, d)
     stim = Stimulus("constant", period=2.0, phi_value=0.25, amplitude=1.0)
-    b = assemble_system(basis, d, RESC, stim).trace_vector
+    b = assemble_system(basis, d, stim).trace_vector
     assert b[0] == pytest.approx(0.25 / np.sqrt(L), rel=1e-15)
     for i in range(1, 7):
         assert b[i] == pytest.approx(0.25 * np.sqrt(2.0 / L) * (-1.0) ** i, rel=1e-14)
     off = Stimulus("constant", period=2.0, phi_value=0.0, amplitude=1.0)
-    assert np.all(assemble_system(basis, d, RESC, off).trace_vector == 0.0)
+    assert np.all(assemble_system(basis, d, off).trace_vector == 0.0)
 
 
 def test_projection_zero_when_u_zero():
     d = shipped_model()
-    basis = build_basis(Geometry1D(1.0), 4, d, RESC)
+    basis = build_basis(Geometry1D(1.0), 4, d)
     w = np.linspace(-1.0, 1.0, 5)
-    out = project_nonlinearity(basis, np.zeros(5), w, d, RESC)
+    out = project_nonlinearity(basis, np.zeros(5), w, d)
     assert np.all(out == 0.0)
 
 
 def test_projection_single_mode_cubic_matches_oracle():
     # synthetic constants pick out the pure cubic: f(u, w) = u^3
     d = DerivedParameters(
-        u_tr=0.0, u_pr=0.0, a1=1.0, a2=0.0, c4=0.0,
-        A1=0.0, A2=0.0, A3=0.0, C=1.0, b=1.0, c3=1.0, sigma_const=1.0,
+        u_tr=0.0, u_pr=0.0, a1=1.0, a2=0.0, lam0=0.0, A1=0.0, A2=0.0, A3=0.0,
+        epsilon=1.0, xi=1.0, C=1.0, b=1.0, c3=1.0, sigma_const=1.0,
     )
-    one = RescalingParameters(epsilon=1.0, xi=1.0)
     L = 1.0
-    basis = build_basis(Geometry1D(L), 4, d, one)
+    basis = build_basis(Geometry1D(L), 4, d)
     u = np.zeros(5)
     u[1] = 1.0
-    proj = project_nonlinearity(basis, u, np.zeros(5), d, one)
+    proj = project_nonlinearity(basis, u, np.zeros(5), d)
     norm = [1.0 / np.sqrt(L)] + [np.sqrt(2.0 / L)] * 4
     for i in range(5):
         exact = cosine_product_integral(L, (1, 1, 1, i)) * norm[1] ** 3 * norm[i]
@@ -168,31 +177,31 @@ def test_projection_single_mode_cubic_matches_oracle():
 
 def test_projection_affine_in_w():
     d = shipped_model()
-    basis = build_basis(Geometry1D(1.0), 4, d, RESC)
+    basis = build_basis(Geometry1D(1.0), 4, d)
     rng = np.random.default_rng(7)
     u = rng.standard_normal(5)
     w = rng.standard_normal(5)
-    base = project_nonlinearity(basis, u, np.zeros(5), d, RESC)
-    slope_1 = project_nonlinearity(basis, u, w, d, RESC) - base
-    slope_2 = (project_nonlinearity(basis, u, 2.0 * w, d, RESC) - base) / 2.0
+    base = project_nonlinearity(basis, u, np.zeros(5), d)
+    slope_1 = project_nonlinearity(basis, u, w, d) - base
+    slope_2 = (project_nonlinearity(basis, u, 2.0 * w, d) - base) / 2.0
     assert np.max(np.abs(slope_1 - slope_2)) < 1e-12
 
 
 def test_projection_batched_rows_match_loop():
     d = shipped_model()
-    basis = build_basis(Geometry1D(1.0), 4, d, RESC)
+    basis = build_basis(Geometry1D(1.0), 4, d)
     rng = np.random.default_rng(11)
     u = rng.standard_normal((6, 5))
     w = rng.standard_normal((6, 5))
-    batched = project_nonlinearity(basis, u, w, d, RESC)
+    batched = project_nonlinearity(basis, u, w, d)
     for k in range(6):
-        row = project_nonlinearity(basis, u[k], w[k], d, RESC)
+        row = project_nonlinearity(basis, u[k], w[k], d)
         assert np.allclose(batched[k], row, rtol=0.0, atol=1e-14)
 
 
 def test_norms():
     d = shipped_model()
-    basis = build_basis(Geometry1D(1.0), 4, d, RESC)
+    basis = build_basis(Geometry1D(1.0), 4, d)
     e0 = np.zeros(5)
     e0[0] = 1.0
     v_u, h_w = norms(basis, e0, np.zeros(5))
@@ -211,12 +220,12 @@ def test_vnorm_matches_derivative_quadrature():
     definitions and the derivative integrated on the basis's own midpoint rule."""
     d = shipped_model()
     L = 1.3
-    basis = build_basis(Geometry1D(L), 6, d, RESC)
+    basis = build_basis(Geometry1D(L), 6, d)
     rng = np.random.default_rng(5)
     u = rng.standard_normal(7)
     v_u, _ = norms(basis, u, np.zeros(7))
 
-    lam0 = RESC.epsilon * d.c4 / d.C
+    lam0 = RESC.epsilon * (d.a1 * d.u_tr * d.u_pr) / d.C
     sigma_hat = (RESC.epsilon / d.C) * d.sigma_const
     nodes, weights = midpoint_rule(L, basis.n_quad)
     assert basis.n_quad == 13
