@@ -31,16 +31,14 @@ from .config import ConfigError, RunConfig, load_config
 from .feasibility import (
     AggregateConstants,
     EmbeddingConstants,
-    RegionConstants,
-    _projection_kappa,
     a2_bound,
     aggregate_from_raw,
     emit_curves,
     feasible_window_condition,
-    feasible_window_condition_reduced,
     h_of_T,
     interior_consistent,
     p_of_R,
+    projection_kappa,
     r_bounds,
     r_star,
     recovery_coupling_condition,
@@ -149,20 +147,23 @@ def _build_system(cfg: RunConfig, d):
     return assemble_system(basis, d, stim)
 
 
-def _build_aggregates(cfg: RunConfig, d) -> AggregateConstants:
-    if any(cfg.has(key) for key in _DIRECT_AGGREGATE_KEYS):
-        kappa, beta, gamma, delta = (cfg.require(key) for key in _DIRECT_AGGREGATE_KEYS)
-        return AggregateConstants(kappa=kappa, beta=beta, gamma=gamma, delta=delta)
-    emb = EmbeddingConstants(
+def _build_embedding(cfg: RunConfig) -> EmbeddingConstants:
+    key, value = cfg.require_exactly_one("feasibility.kappa", "feasibility.projection_excess")
+    return EmbeddingConstants(
+        kappa=value if key == "feasibility.kappa" else projection_kappa(value),
         k1=cfg.require("feasibility.k1"),
-        k2=cfg.require("feasibility.k2"),
-        projection_excess=cfg.require("feasibility.projection_excess"),
         trace_norm=cfg.require("feasibility.trace_norm"),
         domain_measure=cfg.require("feasibility.domain_measure"),
         s_sup=cfg.require("feasibility.s_sup"),
         phi_norm=cfg.require("feasibility.phi_norm"),
     )
-    return aggregate_from_raw(d, emb)
+
+
+def _build_aggregates(cfg: RunConfig, d) -> AggregateConstants:
+    if any(cfg.has(key) for key in _DIRECT_AGGREGATE_KEYS):
+        kappa, beta, gamma, delta = (cfg.require(key) for key in _DIRECT_AGGREGATE_KEYS)
+        return AggregateConstants(kappa=kappa, beta=beta, gamma=gamma, delta=delta)
+    return aggregate_from_raw(d, _build_embedding(cfg), cfg.require("feasibility.k2"))
 
 
 def _initial_state(cfg: RunConfig, n_modes: int) -> np.ndarray:
@@ -205,7 +206,9 @@ def cmd_feasibility(cfg: RunConfig):
     }
     flags = {
         "feasible_window": window,
-        "feasible_window_reduced": feasible_window_condition_reduced(agg, h0),
+        "feasible_window_reduced": feasible_window_condition(
+            dataclasses.replace(agg, beta=0.0), h0
+        ),
         "recovery_coupling": recovery_coupling_condition(d.xi, d.c3),
     }
     files = [
@@ -387,18 +390,7 @@ def cmd_converge(cfg: RunConfig):
 
 def cmd_param_region(cfg: RunConfig):
     d = _build_model(cfg)
-    kappa = cfg.get("feasibility.kappa", None)
-    if kappa is None:
-        kappa = _projection_kappa(cfg.require("feasibility.projection_excess"))
-    const = RegionConstants(
-        kappa=kappa,
-        d=d,
-        k1=cfg.require("feasibility.k1"),
-        domain_measure=cfg.require("feasibility.domain_measure"),
-        s_sup=cfg.require("feasibility.s_sup"),
-        trace_norm=cfg.require("feasibility.trace_norm"),
-        phi_norm=cfg.require("feasibility.phi_norm"),
-    )
+    emb = _build_embedding(cfg)
     a1_min = cfg.get("region.a1_min", 0.0)
     a1_max = cfg.require("region.a1_max")
     n_a1 = cfg.get("region.n_a1", 64)
@@ -411,7 +403,7 @@ def cmd_param_region(cfg: RunConfig):
         raise ConfigError("region.n_a1 must be at least 2", cfg.path)
 
     a1 = np.linspace(a1_min, a1_max, n_a1)
-    bound = a2_bound(a1, const)
+    bound = a2_bound(a1, d, emb)
     files = [
         (
             "region.csv",
@@ -454,7 +446,7 @@ def cmd_param_region(cfg: RunConfig):
     }
     flags = {
         "boundary_monotone": bool(np.all(np.diff(bound) >= 0.0)),
-        "interior_consistent": interior_consistent(a1, bound, const),
+        "interior_consistent": interior_consistent(a1, bound, d, emb),
     }
     return payload, flags, files
 

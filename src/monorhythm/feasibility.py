@@ -10,10 +10,12 @@ radius in that bracket there is a largest admissible period T*.
 
 The curve coefficients are four aggregate constants (kappa, beta, gamma,
 delta). They can be supplied directly, as published summaries usually do,
-or derived from raw growth and embedding constants. A companion bound
-expresses the same window condition as a ceiling on the quadratic
-reaction coefficient a2 as a function of the cubic coefficient a1, which
-is what the parameter-region sweep rasterizes.
+or derived from the model's growth bounds and embedding constants. A
+companion bound expresses the same window condition, without the cubic
+aggregate, as a ceiling on the quadratic reaction coefficient a2 as a
+function of the cubic coefficient a1, which is what the parameter-region
+sweep rasterizes; it evaluates the model itself at every a1, so the sweep
+and a single run share one set of formulas.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ionic import DerivedParameters
+from .ionic import DerivedParameters, with_reaction
 
 SQRT2 = math.sqrt(2.0)
 
@@ -32,24 +34,25 @@ _BISECT_REL_TOL = 1e-12
 _BISECT_MAX_ITER = 200
 
 
-def _projection_kappa(projection_excess: float) -> float:
-    """Gain prefactor kappa = sqrt(2) / (2 (1 + excess)) of the modal projection."""
+def projection_kappa(projection_excess: float) -> float:
+    """Gain prefactor kappa = sqrt(2) / (2 (1 + excess)) of the modal projection.
+
+    The excess is the amount by which the projection norm exceeds one, so it
+    cannot be negative.
+    """
+    if projection_excess < 0.0:
+        raise ValueError(f"projection_excess must be nonnegative, got {projection_excess}")
     return SQRT2 / (2.0 * (1.0 + projection_excess))
 
 
 @dataclass(frozen=True)
 class AggregateConstants:
-    """Coefficients of the gain curve p(R) = kappa R / (beta R^3 + gamma R^1.5 + delta).
-
-    The provenance flag records whether the values were given directly or
-    assembled from raw constants by aggregate_from_raw.
-    """
+    """Coefficients of the gain curve p(R) = kappa R / (beta R^3 + gamma R^1.5 + delta)."""
 
     kappa: float
     beta: float
     gamma: float
     delta: float
-    provenance: str = "direct"
 
     def __post_init__(self):
         if self.kappa <= 0.0:
@@ -60,41 +63,45 @@ class AggregateConstants:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if self.delta <= 0.0:
             raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.provenance not in ("direct", "derived"):
-            raise ValueError(f"provenance must be 'direct' or 'derived', got {self.provenance!r}")
 
 
 @dataclass(frozen=True)
 class EmbeddingConstants:
-    """Raw functional-analytic constants that feed the aggregates.
+    """Functional-analytic constants that turn the model's growth bounds into aggregates.
 
-    k1 bounds the dual-space embedding picking up the nonlinearity, k2 the
-    embedding of the energy space into the quartic-integrability space.
-    projection_excess is the amount by which the modal projection norm
-    exceeds one. trace_norm, s_sup and phi_norm describe the boundary
-    drive: the trace-functional norm, the sup of the periodic signal and
-    the boundary profile norm. domain_measure is the volume of the domain.
+    kappa is the gain prefactor of the modal projection (given directly or
+    from :func:`projection_kappa`), k1 bounds the dual-space embedding picking
+    up the nonlinearity, and domain_measure is the volume of the domain.
+    trace_norm, s_sup and phi_norm describe the boundary drive: the
+    trace-functional norm, the sup of the periodic signal and the boundary
+    profile norm. The quartic embedding k2 enters beta alone, so only
+    :func:`aggregate_from_raw` takes it.
     """
 
+    kappa: float
     k1: float
-    k2: float
-    projection_excess: float
     trace_norm: float
     domain_measure: float
     s_sup: float
     phi_norm: float
 
     def __post_init__(self):
-        for name in ("k1", "k2", "trace_norm", "domain_measure"):
+        for name in ("kappa", "k1", "trace_norm", "domain_measure"):
             value = getattr(self, name)
             if value <= 0.0:
                 raise ValueError(f"{name} must be positive, got {value}")
-        if self.projection_excess < 0.0:
-            raise ValueError(f"projection_excess must be nonnegative, got {self.projection_excess}")
         if self.s_sup < 0.0:
             raise ValueError(f"s_sup must be nonnegative, got {self.s_sup}")
         if self.phi_norm < 0.0:
             raise ValueError(f"phi_norm must be nonnegative, got {self.phi_norm}")
+
+    def delta(self, A1):
+        """Aggregate delta: cubic growth A1 k1 |Omega|^(3/4) plus the boundary drive.
+
+        Elementwise in A1; at A1 = 0 it is the drive s_sup trace_norm phi_norm.
+        """
+        drive = self.s_sup * self.trace_norm * self.phi_norm
+        return A1 * self.k1 * self.domain_measure**0.75 + drive
 
 
 @dataclass(frozen=True)
@@ -103,48 +110,6 @@ class ConditionResult:
 
     satisfied: bool
     margin: float
-
-
-@dataclass(frozen=True)
-class RegionConstants:
-    """Everything the admissible-a2 ceiling needs besides a1 itself.
-
-    The model constants (epsilon, xi, C, u_tr, u_pr) come from ``d``, whose
-    parameter classes already require them positive.
-    """
-
-    kappa: float
-    d: DerivedParameters
-    k1: float
-    domain_measure: float
-    s_sup: float
-    trace_norm: float
-    phi_norm: float
-
-    def __post_init__(self):
-        for name in ("kappa", "k1", "domain_measure"):
-            value = getattr(self, name)
-            if value <= 0.0:
-                raise ValueError(f"{name} must be positive, got {value}")
-        if self.b_const <= 0.0:
-            raise ValueError(
-                "the boundary-drive product s_sup * trace_norm * phi_norm must be positive"
-            )
-
-    @property
-    def a_const(self) -> float:
-        """Geometry-weighted cubic growth factor multiplying a1 in delta."""
-        u_tr, u_pr = self.d.u_tr, self.d.u_pr
-        return self.domain_measure**0.75 * ((u_tr + u_pr) / 3.0 + (2.0 / 3.0) * u_tr * u_pr)
-
-    @property
-    def b_const(self) -> float:
-        """Drive contribution to delta, independent of the reaction coefficients."""
-        return self.s_sup * self.trace_norm * self.phi_norm
-
-    def delta(self, a1):
-        """Aggregate delta at cubic coefficient a1: cubic growth plus drive."""
-        return self.d.epsilon * self.k1 * self.a_const / self.d.C * a1 + self.b_const
 
 
 def h_of_T(t, rate: float):
@@ -286,63 +251,64 @@ def feasible_window_condition(agg: AggregateConstants, h0: float) -> ConditionRe
     return ConditionResult(bool(margin > 0.0), float(margin))
 
 
-def feasible_window_condition_reduced(agg: AggregateConstants, h0: float) -> ConditionResult:
-    """Closed-form window check in the beta = 0 limit.
+def reduced_window(
+    d: DerivedParameters, emb: EmbeddingConstants, a1: float, a2: float
+) -> ConditionResult:
+    """The window condition at reaction coefficients (a1, a2) with beta = 0.
 
-    Without the cubic aggregate the gain peak is kappa cbrt(4) / (3
-    gamma^(2/3) delta^(1/3)); the window opens when h0 sits strictly
-    below it. For beta > 0 this is a necessary relaxation of the full
+    The model moves to (a1, a2), aggregate_from_raw assembles its aggregates
+    without the cubic one, and feasible_window_condition compares their gain
+    peak with the resting load h(0) = 1 / lam0 at a1. This is the condition
+    a2_bound inverts. For beta > 0 it is a necessary relaxation of the full
     condition, since the cubic term only lowers the gain.
     """
-    if h0 <= 0.0:
-        raise ValueError(f"the load level must be positive, got {h0}")
-    peak = agg.kappa * np.cbrt(4.0) / (3.0 * agg.gamma ** (2.0 / 3.0) * np.cbrt(agg.delta))
-    margin = peak - h0
-    return ConditionResult(bool(margin > 0.0), float(margin))
+    probe = with_reaction(d, a1, a2)
+    return feasible_window_condition(aggregate_from_raw(probe, emb), h_of_T(0.0, probe.lam0))
 
 
-def a2_bound(a1, const: RegionConstants):
+def a2_bound(a1, d: DerivedParameters, emb: EmbeddingConstants):
     """Largest quadratic coefficient the window admits at a given cubic one.
 
-    Inverts the reduced window condition for a2 after substituting the
-    aggregate definitions, so a2 below the returned ceiling is exactly
-    equivalent to feasible_window_condition_reduced holding at (a1, a2).
-    The prefactor 2 / (sqrt(3) xi k1) is that exact inversion. Accepts
-    scalar or array a1.
+    Without the cubic aggregate the gain peak is kappa cbrt(4) / (3
+    gamma^(2/3) delta^(1/3)), and a2 enters only gamma = A3 k1 = xi a2 k1 / 3.
+    Setting the peak equal to h(0) = 1 / lam0, with the model's lam0 and
+    delta at a1, and solving for a2 gives the ceiling
+    2 (kappa lam0)^(3/2) / (sqrt(3) xi k1 sqrt(delta)): a2 below it is
+    exactly where reduced_window holds. Accepts scalar or array a1; the
+    drive must be positive, or delta vanishes at a1 = 0.
     """
     a1_arr = np.asarray(a1, dtype=float)
     if np.any(a1_arr < 0.0):
         raise ValueError("a1 values must be nonnegative")
-    d = const.d
-    pref = 2.0 / (math.sqrt(3.0) * d.xi * const.k1)
-    scale = (const.kappa * d.epsilon * d.u_tr * d.u_pr / d.C) ** 1.5
-    out = pref * scale * a1_arr**1.5 / np.sqrt(const.delta(a1_arr))
+    if not emb.delta(0.0) > 0.0:
+        raise ValueError(
+            "the boundary-drive product s_sup * trace_norm * phi_norm must be positive"
+        )
+    model = with_reaction(d, a1_arr, 0.0)
+    out = (
+        2.0
+        * (emb.kappa * model.lam0) ** 1.5
+        / (math.sqrt(3.0) * d.xi * emb.k1 * np.sqrt(emb.delta(model.A1)))
+    )
     if a1_arr.ndim == 0:
         return float(out)
     return out
 
 
-def interior_consistent(a1: np.ndarray, bound: np.ndarray, const: RegionConstants) -> bool:
+def interior_consistent(
+    a1: np.ndarray, bound: np.ndarray, d: DerivedParameters, emb: EmbeddingConstants
+) -> bool:
     """Spot-check an a2 ceiling against the reduced window condition it inverts.
 
-    At every max(1, len(a1) // 8)-th sample with positive a1 and ceiling,
-    the beta = 0 aggregates of a probe at 0.9 times the ceiling must open
-    the window. Returns True when every probe does, or when none qualifies.
+    At every max(1, len(a1) // 8)-th sample with positive a1 and ceiling, a
+    probe at 0.9 times the ceiling must open the reduced window. Returns True
+    when every probe does, or when none qualifies.
     """
-    d = const.d
-    checks = []
-    for i in range(0, len(a1), max(1, len(a1) // 8)):
-        if a1[i] <= 0.0 or bound[i] <= 0.0:
-            continue
-        agg = AggregateConstants(
-            kappa=const.kappa,
-            beta=0.0,
-            gamma=d.xi * (0.9 * bound[i]) * const.k1 / 3.0,
-            delta=const.delta(a1[i]),
-        )
-        h0 = d.C / (d.epsilon * a1[i] * d.u_tr * d.u_pr)
-        checks.append(feasible_window_condition_reduced(agg, h0).satisfied)
-    return all(checks)
+    return all(
+        reduced_window(d, emb, a1[i], 0.9 * bound[i]).satisfied
+        for i in range(0, len(a1), max(1, len(a1) // 8))
+        if a1[i] > 0.0 and bound[i] > 0.0
+    )
 
 
 def emit_curves(
@@ -364,20 +330,20 @@ def emit_curves(
     return h_curve, p_curve
 
 
-def aggregate_from_raw(d: DerivedParameters, emb: EmbeddingConstants) -> AggregateConstants:
-    """Assemble the curve coefficients from growth and embedding constants.
+def aggregate_from_raw(
+    d: DerivedParameters, emb: EmbeddingConstants, k2: float | None = None
+) -> AggregateConstants:
+    """Assemble the curve coefficients from the model's growth bounds and the embeddings.
 
-    kappa comes from the modal projection norm, beta and gamma weight the
-    quadratic and mixed growth constants by the embeddings, and delta
-    collects the cubic growth over the domain plus the boundary drive.
+    gamma weights A3 by k1, delta is ``emb.delta(A1)``, and beta = A2 k1 k2
+    weights the quadratic growth by both embeddings. Without k2 the cubic
+    aggregate is dropped (beta = 0), as the parameter-region sweep needs.
     """
-    kappa = _projection_kappa(emb.projection_excess)
-    beta = d.A2 * emb.k1 * emb.k2
-    gamma = d.A3 * emb.k1
-    delta = (
-        d.A1 * emb.k1 * emb.domain_measure**0.75
-        + emb.s_sup * emb.trace_norm * emb.phi_norm
-    )
+    beta = 0.0
+    if k2 is not None:
+        if k2 <= 0.0:
+            raise ValueError(f"k2 must be positive, got {k2}")
+        beta = d.A2 * emb.k1 * k2
     return AggregateConstants(
-        kappa=kappa, beta=beta, gamma=gamma, delta=delta, provenance="derived"
+        kappa=emb.kappa, beta=beta, gamma=d.A3 * emb.k1, delta=emb.delta(d.A1)
     )

@@ -6,21 +6,25 @@ scaled by ``epsilon``. Raw-unit quantities enter only through
 :class:`PhysiologicalParameters` and the scale factors only through
 :class:`RescalingParameters`; :func:`derive_parameters` turns the two into the
 one :class:`DerivedParameters` object the solvers consume, which carries
-epsilon, xi and the zeroth eigenvalue lam0 = epsilon c4 / C. The cubic
-reaction term lives here as :func:`f_transformed`; the coefficients of the
-linear recovery law are written once, in
-:func:`monorhythm.galerkin.assemble_system`.
+epsilon, xi and the zeroth eigenvalue lam0 = epsilon c4 / C. The fields that
+depend on the reaction coefficients (a1, a2) are written once, in
+:func:`reaction_constants`, which the parameter-region sweep also evaluates
+through :func:`with_reaction`. The cubic reaction term lives here as
+:func:`f_transformed`; the coefficients of the linear recovery law are
+written once, in :func:`monorhythm.galerkin.assemble_system`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 __all__ = [
     "PhysiologicalParameters",
     "RescalingParameters",
     "DerivedParameters",
     "derive_parameters",
+    "reaction_constants",
+    "with_reaction",
     "f_transformed",
     "rescale_period",
 ]
@@ -106,6 +110,26 @@ class DerivedParameters:
     sigma_const: float
 
 
+def reaction_constants(a1, a2, u_tr, u_pr, epsilon, xi, C, c4=None) -> dict:
+    """lam0, A1, A2 and A3 of the model at reaction coefficients (a1, a2), by field name.
+
+    c4 defaults to a1 u_tr u_pr and enters only through lam0 = epsilon c4 / C.
+    Elementwise in a1 and a2, so the parameter-region sweep evaluates the model
+    on a whole a1 grid with the same arithmetic derive_parameters uses.
+    """
+    if c4 is None:
+        c4 = a1 * u_tr * u_pr
+    scale = epsilon / C
+    # the share of A2 that comes from the cubic coefficient a1
+    l2 = a1 * scale * (1.0 + (2.0 / 3.0) * (u_tr + u_pr) + u_tr * u_pr / 3.0)
+    return {
+        "lam0": epsilon * c4 / C,
+        "A1": a1 * scale * ((u_tr + u_pr) / 3.0 + (2.0 / 3.0) * u_tr * u_pr),
+        "A2": l2 + (2.0 / 3.0) * xi * a2,
+        "A3": xi * a2 / 3.0,
+    }
+
+
 def derive_parameters(
     phys: PhysiologicalParameters,
     resc: RescalingParameters,
@@ -114,11 +138,10 @@ def derive_parameters(
     """Compute the rescaled model from raw constants and scale factors.
 
     epsilon and xi are copied in, so no solver needs ``resc`` again. The
-    zeroth-order linear coefficient c4 = a1 u_tr u_pr enters only through
-    lam0 = epsilon c4 / C, computed here and nowhere else. ``c4_override``
-    replaces the product a1 u_tr u_pr as c4. That keeps the periodic-response
-    kernels well defined when c1 = 0 forces a1 = 0 (pure linear runs); it does
-    not touch the reaction terms themselves.
+    reaction-dependent fields come from :func:`reaction_constants`.
+    ``c4_override`` replaces the product a1 u_tr u_pr as c4. That keeps the
+    periodic-response kernels well defined when c1 = 0 forces a1 = 0 (pure
+    linear runs); it does not touch the reaction terms themselves.
     """
     u_amp = phys.u_peak - phys.u_res
     a1 = phys.c1 / u_amp**2
@@ -126,22 +149,12 @@ def derive_parameters(
     u_th = phys.u_res + phys.a * u_amp
     u_tr = u_th - phys.u_res
     u_pr = u_amp
-    c4 = a1 * u_tr * u_pr if c4_override is None else float(c4_override)
-
-    scale = resc.epsilon / phys.C
-    A1 = a1 * scale * ((u_tr + u_pr) / 3.0 + (2.0 / 3.0) * u_tr * u_pr)
-    # the share of A2 that comes from the cubic coefficient a1
-    l2 = a1 * scale * (1.0 + (2.0 / 3.0) * (u_tr + u_pr) + u_tr * u_pr / 3.0)
-
     return DerivedParameters(
         u_tr=u_tr,
         u_pr=u_pr,
         a1=a1,
         a2=a2,
-        lam0=resc.epsilon * c4 / phys.C,
-        A1=A1,
-        A2=l2 + (2.0 / 3.0) * resc.xi * a2,
-        A3=resc.xi * a2 / 3.0,
+        **reaction_constants(a1, a2, u_tr, u_pr, resc.epsilon, resc.xi, phys.C, c4_override),
         epsilon=resc.epsilon,
         xi=resc.xi,
         C=phys.C,
@@ -149,6 +162,12 @@ def derive_parameters(
         c3=phys.c3,
         sigma_const=phys.sigma_const,
     )
+
+
+def with_reaction(d: DerivedParameters, a1, a2) -> DerivedParameters:
+    """The model ``d`` moved to reaction coefficients (a1, a2), scalar or array."""
+    fields = reaction_constants(a1, a2, d.u_tr, d.u_pr, d.epsilon, d.xi, d.C)
+    return replace(d, a1=a1, a2=a2, **fields)
 
 
 def f_transformed(u, w, d: DerivedParameters):

@@ -12,12 +12,12 @@ import numpy as np
 
 from monorhythm.feasibility import (
     AggregateConstants,
-    RegionConstants,
+    EmbeddingConstants,
     a2_bound,
-    feasible_window_condition_reduced,
     p_of_R,
     r_bounds,
     r_star,
+    reduced_window,
     t_star,
 )
 from monorhythm.galerkin import apriori_monitor, integrate_cauchy, l2_qi_difference
@@ -109,16 +109,11 @@ def test_criterion_3_cross_method_agreement():
 
     # the configuration itself must sit inside the admissible region and
     # use a period below the invariance ceiling at the critical radius
-    region = RegionConstants(
-        kappa=0.5,
-        d=d,
-        k1=0.1,
-        domain_measure=GEOM.L,
-        s_sup=1.0,
-        trace_norm=1.0,
-        phi_norm=PHI,
+    emb = EmbeddingConstants(
+        kappa=0.5, k1=0.1, trace_norm=1.0, domain_measure=GEOM.L, s_sup=1.0, phi_norm=PHI
     )
-    assert d.a2 < a2_bound(d.a1, region), (
+    assert reduced_window(d, emb, d.a1, d.a2).satisfied, "the model's own window is closed"
+    assert d.a2 < a2_bound(d.a1, d, emb), (
         f"model (a1, a2) = ({d.a1}, {d.a2}) violates the region bound"
     )
     ceiling = t_star(r_star(AGG), AGG, d.lam0, r_bounds(AGG, 1.0 / d.lam0))
@@ -360,33 +355,18 @@ def test_criterion_8_refinement_and_stationarity():
 def test_criterion_9_region_self_consistency():
     t0 = time.perf_counter()
     d = feasible_model()
-    region = RegionConstants(
-        kappa=0.5,
-        d=d,
-        k1=1.0,
-        domain_measure=GEOM.L,
-        s_sup=1.0,
-        trace_norm=1.0,
-        phi_norm=PHI,
+    emb = EmbeddingConstants(
+        kappa=0.5, k1=1.0, trace_norm=1.0, domain_measure=GEOM.L, s_sup=1.0, phi_norm=PHI
     )
     a1_grid = np.linspace(0.0, 0.05, 33)
-    bounds = a2_bound(a1_grid, region)
+    bounds = a2_bound(a1_grid, d, emb)
 
     probes = 0
     violations = 0
     for a1, bound in zip(a1_grid[1:], bounds[1:]):
         for fraction in (0.25, 0.5, 0.9, 0.999):
-            a2 = fraction * bound
-            agg = AggregateConstants(
-                kappa=region.kappa,
-                beta=0.0,
-                gamma=region.d.xi * a2 * region.k1 / 3.0,
-                delta=region.d.epsilon * region.k1 * region.a_const / region.d.C * a1
-                + region.b_const,
-            )
-            h0 = region.d.C / (region.d.epsilon * a1 * region.d.u_tr * region.d.u_pr)
             probes += 1
-            if not feasible_window_condition_reduced(agg, h0).satisfied:
+            if not reduced_window(d, emb, a1, fraction * bound).satisfied:
                 violations += 1
     elapsed = time.perf_counter() - t0
 

@@ -16,7 +16,12 @@ import pytest
 
 from monorhythm import cli, feasibility, periodic
 from monorhythm.config import load_config, render_config
-from monorhythm.feasibility import EmbeddingConstants, aggregate_from_raw, r_star
+from monorhythm.feasibility import (
+    EmbeddingConstants,
+    aggregate_from_raw,
+    projection_kappa,
+    r_star,
+)
 from monorhythm.periodic import NonConvergenceError
 from systems import feasible_model
 
@@ -204,10 +209,11 @@ def test_raw_embedding_keys_give_derived_aggregates(tmp_path, capsys):
     rc = cli.main(["feasibility", "--config", write_config(tmp_path, text), "--out", str(tmp_path)])
     assert rc == 0
     report = read_report(tmp_path)
-    agg = aggregate_from_raw(feasible_model(), EmbeddingConstants(**embedding))
+    emb = {k: v for k, v in embedding.items() if k not in ("k2", "projection_excess")}
+    emb["kappa"] = projection_kappa(embedding["projection_excess"])
+    agg = aggregate_from_raw(feasible_model(), EmbeddingConstants(**emb), embedding["k2"])
     assert report["payload"]["aggregates"] == {
         "kappa": agg.kappa, "beta": agg.beta, "gamma": agg.gamma, "delta": agg.delta,
-        "provenance": "derived",
     }
     assert report["payload"]["r_star"] == r_star(agg)
     assert report["condition_flags"]["feasible_window"]["satisfied"] is True
@@ -514,11 +520,35 @@ def test_param_region_kappa_from_projection_excess(tmp_path, capsys):
     ), "kappa from projection_excess should reproduce the direct kappa bit for bit"
     capsys.readouterr()  # swallow the written-path listing
 
-    cfg = write_config(tmp_path, base, name="neither.cfg")
-    rc = cli.main(["param-region", "--config", cfg, "--out", str(tmp_path / "neither")])
-    assert rc == 2, f"a missing kappa source should exit 2, got {rc}"
-    err = capsys.readouterr().err
-    assert "feasibility.projection_excess" in err, f"stderr should name the key: {err!r}"
+    both = runs["excess"] + "feasibility.kappa = 0.5\n"
+    for name, text in (("neither", base), ("both", both)):
+        cfg = write_config(tmp_path, text, name=f"{name}.cfg")
+        rc = cli.main(["param-region", "--config", cfg, "--out", str(tmp_path / name)])
+        assert rc == 2, f"{name} kappa source should exit 2, got {rc}"
+        err = capsys.readouterr().err
+        for key in ("feasibility.kappa", "feasibility.projection_excess"):
+            assert key in err, f"stderr should name {key}: {err!r}"
+        assert f"found {name}" in err, f"stderr should say {name} was given: {err!r}"
+
+
+def test_negative_projection_excess_exits_2(tmp_path, capsys):
+    """Both commands that read the excess reject a negative one the same way."""
+    with open(config_path("reaction_region.cfg"), encoding="utf-8") as fh:
+        region = [l for l in fh.read().splitlines() if "feasibility.kappa" not in l]
+    with open(config_path("window_aggregates.cfg"), encoding="utf-8") as fh:
+        window = [l for l in fh.read().splitlines() if not l.startswith("feasibility.")]
+    raw = ["feasibility.k1 = 0.1", "feasibility.k2 = 1.0", "feasibility.trace_norm = 1.0",
+           "feasibility.domain_measure = 1.0", "feasibility.s_sup = 1.0",
+           "feasibility.phi_norm = 0.005"]
+    commands = {"param-region": region, "feasibility": window + raw}
+    for command, lines in commands.items():
+        for excess in ("-1", "-0.5"):
+            text = "\n".join(lines + [f"feasibility.projection_excess = {excess}"]) + "\n"
+            cfg = write_config(tmp_path, text, name=f"{command}{excess}.cfg")
+            rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+            assert rc == 2, f"{command} with excess {excess} should exit 2, got {rc}"
+            err = capsys.readouterr().err
+            assert "projection_excess must be nonnegative" in err, f"stderr: {err!r}"
 
 
 def test_unknown_key_exits_2(tmp_path, capsys):

@@ -2,25 +2,30 @@
 
 import math
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monorhythm.feasibility import (
     AggregateConstants,
     EmbeddingConstants,
-    RegionConstants,
     a2_bound,
     aggregate_from_raw,
     emit_curves,
     feasible_window_condition,
-    feasible_window_condition_reduced,
     h_of_T,
     p_of_R,
+    projection_kappa,
     r_bounds,
     r_star,
     recovery_coupling_condition,
+    reduced_window,
     t_star,
 )
+from monorhythm.ionic import PhysiologicalParameters, RescalingParameters, derive_parameters
 from oracles import golden_section_max
 from systems import feasible_model
 
@@ -124,27 +129,30 @@ def test_aggregate_validation():
         AggregateConstants(kappa=1.0, beta=0.0, gamma=0.0, delta=1.0)
     with pytest.raises(ValueError):
         AggregateConstants(kappa=1.0, beta=0.0, gamma=1.0, delta=0.0)
-    with pytest.raises(ValueError):
-        AggregateConstants(kappa=1.0, beta=0.0, gamma=1.0, delta=1.0, provenance="guessed")
 
 
 def test_aggregate_from_raw():
     d = feasible_model()
     emb = EmbeddingConstants(
+        kappa=projection_kappa(1.0),
         k1=0.1,
-        k2=2.0,
-        projection_excess=1.0,
         trace_norm=1.5,
         domain_measure=16.0,
         s_sup=1.0,
         phi_norm=0.005,
     )
-    agg = aggregate_from_raw(d, emb)
-    assert agg.provenance == "derived"
+    agg = aggregate_from_raw(d, emb, 2.0)
     assert agg.kappa == pytest.approx(math.sqrt(2.0) / 4.0, rel=1e-15)
     assert agg.beta == pytest.approx(d.A2 * 0.1 * 2.0, rel=1e-15)
     assert agg.gamma == pytest.approx(d.A3 * 0.1, rel=1e-15)
     assert agg.delta == pytest.approx(d.A1 * 0.1 * 8.0 + 1.0 * 1.5 * 0.005, rel=1e-15)
+    # without the quartic embedding the cubic aggregate is dropped
+    assert aggregate_from_raw(d, emb) == dataclasses.replace(agg, beta=0.0)
+    for k2 in (0.0, -1.0):
+        with pytest.raises(ValueError, match="k2 must be positive"):
+            aggregate_from_raw(d, emb, k2)
+    with pytest.raises(ValueError, match="projection_excess must be nonnegative"):
+        projection_kappa(-0.5)
 
 
 def test_window_condition():
@@ -157,14 +165,21 @@ def test_window_condition():
 
 
 def test_reduced_window_matches_full_at_zero_beta():
+    # the beta = 0 gain peak kappa cbrt(4) / (3 gamma^(2/3) delta^(1/3)),
+    # the closed form a2_bound inverts, against the peak of the full curve
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        kappa, gamma, delta = 10.0 ** rng.uniform(-3.0, 2.0, size=3)
+        agg0 = AggregateConstants(kappa=kappa, beta=0.0, gamma=gamma, delta=delta)
+        closed_form = kappa * np.cbrt(4.0) / (3.0 * gamma ** (2.0 / 3.0) * np.cbrt(delta))
+        assert p_of_R(r_star(agg0), agg0) == pytest.approx(closed_form, rel=1e-12)
     agg0 = AggregateConstants(kappa=0.5, beta=0.0, gamma=1.0, delta=1e-3)
     peak = p_of_R(r_star(agg0), agg0)
-    reduced = feasible_window_condition_reduced(agg0, h0=0.9 * peak)
+    reduced = feasible_window_condition(agg0, h0=0.9 * peak)
     assert reduced.satisfied
     assert reduced.margin == pytest.approx(0.1 * peak, rel=1e-12)
-    # strictness: sitting exactly on the closed-form peak does not qualify
-    closed_form = agg0.kappa * np.cbrt(4.0) / (3.0 * np.cbrt(agg0.delta))
-    boundary = feasible_window_condition_reduced(agg0, h0=closed_form)
+    # strictness: sitting exactly on the peak does not qualify
+    boundary = feasible_window_condition(agg0, h0=peak)
     assert not boundary.satisfied and boundary.margin == 0.0
 
 
@@ -233,55 +248,67 @@ def test_periods_below_ceiling_are_admissible():
 
 
 # epsilon 0.032, xi 3.75, C 1, u_tr 25 and u_pr 100
-REGION = RegionConstants(
-    kappa=0.5,
-    d=feasible_model(),
-    k1=1.0,
-    domain_measure=1.0,
-    s_sup=1.0,
-    trace_norm=1.0,
-    phi_norm=0.005,
+MODEL = feasible_model()
+EMB = EmbeddingConstants(
+    kappa=0.5, k1=1.0, trace_norm=1.0, domain_measure=1.0, s_sup=1.0, phi_norm=0.005
 )
 
+_positive = st.floats(min_value=1e-2, max_value=1e2)
 
-def test_a2_bound_frozen_and_consistency():
+
+@settings(max_examples=200, deadline=None)
+@given(
+    amplitude=st.floats(min_value=1.0, max_value=200.0),
+    u_res=st.floats(min_value=-100.0, max_value=0.0),
+    threshold=st.floats(min_value=0.05, max_value=0.95),
+    epsilon=st.floats(min_value=1e-3, max_value=1.0),
+    xi=st.floats(min_value=0.1, max_value=10.0),
+    capacitance=st.floats(min_value=0.1, max_value=10.0),
+    a1=st.floats(min_value=1e-4, max_value=10.0),
+    emb=st.builds(
+        EmbeddingConstants,
+        kappa=st.floats(min_value=0.05, max_value=1.0),
+        k1=_positive,
+        trace_norm=_positive,
+        domain_measure=_positive,
+        s_sup=_positive,
+        phi_norm=_positive,
+    ),
+)
+def test_a2_bound_frozen_and_consistency(
+    amplitude, u_res, threshold, epsilon, xi, capacitance, a1, emb
+):
     # frozen from a scipy.optimize.brentq inversion of the reduced window
     # condition for a2 at a1 = 0.0125 (independent of the prefactor algebra)
-    assert a2_bound(0.0125, REGION) == pytest.approx(0.13121808834803278, rel=1e-12)
-    assert a2_bound(0.0, REGION) == 0.0
-    for a1 in np.logspace(-3.0, 2.0, 7):
-        ceiling = a2_bound(a1, REGION)
-        h0 = REGION.d.C / (REGION.d.epsilon * a1 * REGION.d.u_tr * REGION.d.u_pr)
-        for factor, expected in ((0.999, True), (1.001, False)):
-            a2 = factor * ceiling
-            agg = AggregateConstants(
-                kappa=REGION.kappa,
-                beta=0.0,
-                gamma=REGION.d.xi * a2 * REGION.k1 / 3.0,
-                delta=REGION.d.epsilon * REGION.k1 * REGION.a_const / REGION.d.C * a1
-                + REGION.b_const,
-            )
-            verdict = feasible_window_condition_reduced(agg, h0).satisfied
-            assert verdict == expected, f"a1={a1}, factor={factor}"
+    assert a2_bound(0.0125, MODEL, EMB) == pytest.approx(0.13121808834803278, rel=1e-12)
+    assert a2_bound(0.0, MODEL, EMB) == 0.0
+    phys = PhysiologicalParameters(
+        u_res=u_res, u_peak=u_res + amplitude, a=threshold,
+        c1=1.0, c2=1.0, c3=1.0, b=1.0, C_m=capacitance,
+    )
+    d = derive_parameters(phys, RescalingParameters(epsilon=epsilon, xi=xi))
+    ceiling = a2_bound(a1, d, emb)
+    assert ceiling > 0.0
+    # just below the ceiling the window opens; just above it, it closes
+    assert reduced_window(d, emb, a1, (1.0 - 1e-9) * ceiling).satisfied
+    assert not reduced_window(d, emb, a1, (1.0 + 1e-9) * ceiling).satisfied
 
 
 def test_a2_bound_slope_and_prefactors():
     # for large a1 the drive term in delta is negligible and the ceiling
     # grows linearly, so two decades in a1 give two decades in the bound
-    ratio = a2_bound(1e4, REGION) / a2_bound(1e2, REGION)
+    ratio = a2_bound(1e4, MODEL, EMB) / a2_bound(1e2, MODEL, EMB)
     assert 95.0 < ratio < 100.5, f"asymptotic ratio {ratio:.2f}"
-    arr = a2_bound(np.array([0.0, 1.0, 2.0]), REGION)
+    arr = a2_bound(np.array([0.0, 1.0, 2.0]), MODEL, EMB)
     assert arr.shape == (3,) and arr[0] == 0.0
     with pytest.raises(ValueError):
-        a2_bound(-0.5, REGION)
+        a2_bound(-0.5, MODEL, EMB)
 
 
-def test_region_constants_validation_and_from_model():
-    with pytest.raises(ValueError):
-        RegionConstants(
-            kappa=0.5, d=feasible_model(),
-            k1=1.0, domain_measure=1.0, s_sup=0.0, trace_norm=1.0, phi_norm=0.005,
-        )
+def test_a2_bound_rejects_a_zero_drive():
+    undriven = dataclasses.replace(EMB, s_sup=0.0)
+    with pytest.raises(ValueError, match="boundary-drive product"):
+        a2_bound(np.array([0.01, 0.02]), MODEL, undriven)
 
 
 def test_emit_curves_shapes_and_ratio():
@@ -308,7 +335,7 @@ def test_build_report_feasible():
     assert h0 == pytest.approx(1.0, rel=1e-15)
     rs = r_star(AGG)
     assert feasible_window_condition(AGG, H0).satisfied
-    assert feasible_window_condition_reduced(AGG, h0).satisfied
+    assert feasible_window_condition(dataclasses.replace(AGG, beta=0.0), h0).satisfied
     assert recovery_coupling_condition(3.75, 1.0).satisfied
     lower, upper = r_bounds(AGG, h0)
     assert lower < rs < upper

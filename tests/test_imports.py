@@ -1,4 +1,5 @@
-"""No module imports a name it never uses, and no public package name or field is test-only."""
+"""No module imports a name it never uses or another module's private name, and no public
+package name or field is test-only."""
 
 import ast
 from pathlib import Path
@@ -154,3 +155,30 @@ def test_field_checker_flags_only_unread_fields():
 def test_every_dataclass_field_is_read_by_package_code():
     sources = {path.stem: path.read_text() for path in PACKAGE}
     assert unread_dataclass_fields(sources) == sorted(FIELDS_UNREAD_BY_DESIGN)
+
+
+def private_imports(sources: dict[str, str]) -> list[str]:
+    """``module: name`` for each underscore name a module imports from another package module.
+
+    Package modules import each other relatively (``from .galerkin import ...``),
+    so every relative import counts.
+    """
+    found = []
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                found += [f"{name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    return sorted(found)
+
+
+def test_private_import_checker_flags_only_relative_underscore_names():
+    sources = {
+        "a": "from .b import public, _hidden\nfrom os import _exit\n",
+        "b": "from . import _lone\nimport _thread\n",
+    }
+    assert private_imports(sources) == ["a: _hidden", "b: _lone"]
+
+
+def test_no_package_module_imports_a_private_name():
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    assert private_imports(sources) == []

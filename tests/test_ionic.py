@@ -11,10 +11,13 @@ from monorhythm.ionic import (
     RescalingParameters,
     derive_parameters,
     f_transformed,
+    reaction_constants,
     rescale_period,
+    with_reaction,
 )
 
 from oracles import f_ion_raw, g_raw, reaction_expanded
+from systems import feasible_model, linear_model
 
 
 def make_params(**overrides):
@@ -66,6 +69,19 @@ def test_c4_override():
     d = derive_parameters(make_params(c1=0.0, c2=0.0), RESC, c4_override=31.25)
     assert d.lam0 == RESC.epsilon * 31.25
     assert d.a1 == 0.0
+
+
+def test_model_moved_to_its_own_reaction_is_unchanged():
+    """The parameter-region sweep evaluates the model with derive_parameters' arithmetic."""
+    d = feasible_model()
+    assert with_reaction(d, d.a1, d.a2) == d
+    # elementwise on an a1 grid, each entry is the scalar evaluation
+    swept = with_reaction(d, np.array([0.0, d.a1, 0.0125]), d.a2)
+    assert (swept.lam0[1], swept.A1[1], swept.A2[1]) == (d.lam0, d.A1, d.A2)
+    # the linear model pins c4 by override, so its lam0 needs the same override
+    d = linear_model()
+    fields = reaction_constants(d.a1, d.a2, d.u_tr, d.u_pr, d.epsilon, d.xi, d.C, 31.25)
+    assert fields == {"lam0": d.lam0, "A1": d.A1, "A2": d.A2, "A3": d.A3}
 
 
 def test_f_ion_raw_roots():
