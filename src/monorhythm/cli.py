@@ -13,7 +13,9 @@ flags, timings) and CSV data files. Every CSV cell is printed with
 ``%.17g``, so floats round-trip and integer columns print bare, and
 identical configurations reproduce identical bytes apart from timings.
 Exit codes: 0 success, 2 configuration error (including a stimulus key its
-kind does not use), 3 solver non-convergence, 4 trajectory blow-up.
+kind does not use), 3 solver non-convergence, 4 trajectory blow-up. A run
+that exits 3 still writes a partial report: the command, the configuration
+echo, the error message and the failed solver's history.
 """
 
 from __future__ import annotations
@@ -493,21 +495,41 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_report(out_dir: str, report: dict) -> str:
+    path = os.path.join(out_dir, "report.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(report, handle, sort_keys=True, indent=2, default=_json_default)
+        handle.write("\n")
+    return path
+
+
 def _run(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config)
     parse_s = time.perf_counter() - t0
+    out_dir = args.out if args.out is not None else cfg.get("output.dir", ".")
+    fmt = args.format if args.format is not None else cfg.get("output.format", "both")
 
     t1 = time.perf_counter()
     # only solve-periodic registers --seed
     seed = {"seed": args.seed} if "seed" in args else {}
-    payload, flags, file_specs = _COMMANDS[args.command](cfg, **seed)
+    try:
+        payload, flags, file_specs = _COMMANDS[args.command](cfg, **seed)
+    except NonConvergenceError as exc:
+        # a partial report: what was asked, and how far the solver got
+        if fmt in ("json", "both"):
+            os.makedirs(out_dir, exist_ok=True)
+            report = {
+                "command": args.command,
+                "config": cfg.echo(),
+                "error": str(exc),
+                "history": exc.history,
+            }
+            print(_write_report(out_dir, report))
+        raise
     solve_s = time.perf_counter() - t1
 
-    out_dir = args.out if args.out is not None else cfg.get("output.dir", ".")
-    fmt = args.format if args.format is not None else cfg.get("output.format", "both")
     os.makedirs(out_dir, exist_ok=True)
-
     written = []
     t2 = time.perf_counter()
     if fmt in ("csv", "both"):
@@ -524,11 +546,7 @@ def _run(args) -> int:
         "timings": {"parse_s": parse_s, "solve_s": solve_s, "write_s": write_s},
     }
     if fmt in ("json", "both"):
-        path = os.path.join(out_dir, "report.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, sort_keys=True, indent=2, default=_json_default)
-            handle.write("\n")
-        written.append(path)
+        written.append(_write_report(out_dir, report))
     for path in written:
         print(path)
     return 0

@@ -6,7 +6,10 @@ the response is F_k / (lam + 2 pi i k / T), so this transfer function gives
 the response exactly at every harmonic a uniform grid resolves. Stacking
 those responses over all modes gives an operator on periodic coefficient
 trajectories whose fixed points are periodic solutions of the truncated
-system. Picard iteration attacks that operator directly. Shooting attacks
+system. Picard iteration attacks that operator directly. The recovery
+response is linear in the potential, so Picard iterates the operator as a
+map of the potential samples alone and accelerates the iteration with
+Anderson mixing over its last two residuals. Shooting attacks
 the period map of the RK4 flow with the same idea written on the map: its
 first step is x - (R^N - I)^-1 g(x), where R is the RK4 step matrix of the
 linear part and g the period-map defect, and Broyden updates then correct
@@ -52,10 +55,10 @@ class PeriodicOrbit:
     ``times`` are the nodes k T / n_t of one period, k = 0..n_t - 1.
     ``periodicity_residual`` always comes from an integration of the returned
     start state over one period, never from the solver's own bookkeeping.
-    ``history`` is the solver's convergence record: Picard's update norm per
-    sweep, or shooting's period-map defect norm at the starting guess and
-    after each step. A solver that does not converge raises, so every
-    returned orbit has ``converged`` set.
+    ``history`` is the solver's convergence record: Picard's residual per
+    operator application, or shooting's period-map defect norm at the
+    starting guess and after each step. A solver that does not converge
+    raises, so every returned orbit has ``converged`` set.
     """
 
     times: np.ndarray
@@ -78,6 +81,11 @@ class BallCertificate:
     margin: float
 
 
+_DEPTH = 2  # residual differences Picard's Anderson mixing keeps
+_DIVERGENCE = 100.0  # residual growth over the smallest so far that counts as divergence
+_ROW_BLOCK = 1024  # time rows the potential block projects the reaction in at once
+
+
 def _positive_rate(lam: float) -> float:
     if not (np.isfinite(lam) and lam > 0.0):
         raise ValueError(f"decay rate must be positive, got {lam} (periodic response undefined)")
@@ -92,14 +100,19 @@ def _response_symbol(rates, T: float, n_t: int) -> np.ndarray:
     """
     rates = np.array([_positive_rate(r) for r in np.atleast_1d(rates)])
     omega = 2j * np.pi * np.fft.rfftfreq(n_t, T / n_t)
-    return 1.0 / (omega[:, None] + rates)
+    symbol = omega[:, None] + rates
+    return np.divide(1.0, symbol, out=symbol)
 
 
 def _periodic_response(rates, T: float, forcing: np.ndarray) -> np.ndarray:
-    """Node values of the T-periodic response of x' = -rate x + F per column."""
+    """Node values of the T-periodic response of x' = -rate x + F per column.
+
+    The response overwrites ``forcing``, which callers pass as a temporary.
+    """
     n_t = forcing.shape[0]
     f_hat = np.fft.rfft(forcing, axis=0)
-    return np.fft.irfft(_response_symbol(rates, T, n_t) * f_hat, n=n_t, axis=0)
+    f_hat *= _response_symbol(rates, T, n_t)
+    return np.fft.irfft(f_hat, n=n_t, axis=0, out=forcing)
 
 
 def kernel_weights(lam: float, T: float, n_t: int) -> np.ndarray:
@@ -118,12 +131,23 @@ def _nodes(T: float, n_t: int) -> np.ndarray:
 
 
 def _u_block(sys, u, w):
-    proj = project_nonlinearity(sys.basis, u, w, sys.d)
-    forcing = sys.stim(_nodes(sys.period, len(u)))[:, None] * sys.trace_vector - proj
+    """Potential block: each mode's periodic response to the drive minus the reaction.
+
+    The reaction is projected ``_ROW_BLOCK`` time rows at a time into one
+    forcing array, so its nodal temporaries stay small whatever n_t is.
+    """
+    n_t = len(u)
+    drive = sys.stim(_nodes(sys.period, n_t))
+    forcing = np.empty((n_t, sys.n_modes))
+    for lo in range(0, n_t, _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        proj = project_nonlinearity(sys.basis, u[rows], w[rows], sys.d)
+        np.subtract(drive[rows, None] * sys.trace_vector, proj, out=forcing[rows])
     return _periodic_response(sys.basis.lambdas, sys.period, forcing)
 
 
 def _w_block(sys, u):
+    """Recovery block: the periodic response at the recovery rate to epsilon b u."""
     return _periodic_response(sys.recovery_rate, sys.period, sys.recovery_gain * u)
 
 
@@ -161,6 +185,22 @@ def _relative_defect(traj, x0: np.ndarray) -> float:
     return float(np.linalg.norm(traj.x[-1] - x0) / max(1.0, float(np.linalg.norm(x0))))
 
 
+def _v_sup(basis, u: np.ndarray) -> float:
+    """Sup over grid nodes of the V-norm of potential samples ``u``."""
+    return float(np.sqrt(np.max((u * u) @ basis.lambdas)))
+
+
+def _mixing_weights(d_f: list, f: np.ndarray) -> np.ndarray:
+    """Least-squares weights gamma minimising |f - sum_i gamma_i d_f[i]|.
+
+    The normal equations are at most ``_DEPTH`` square, and ``lstsq`` takes
+    the minimum-norm solution when the differences are collinear.
+    """
+    gram = np.array([[np.vdot(a, b) for b in d_f] for a in d_f])
+    rhs = np.array([np.vdot(a, f) for a in d_f])
+    return np.linalg.lstsq(gram, rhs, rcond=None)[0]
+
+
 def picard_solve(
     sys: GalerkinSystem,
     n_t: int,
@@ -170,64 +210,93 @@ def picard_solve(
     tol: float = 1e-10,
     max_iter: int = 200,
 ) -> PeriodicOrbit:
-    """Damped Picard iteration on the periodic fixed-point operator.
+    """Anderson-mixed Picard iteration on the periodic fixed-point operator.
 
-    Each sweep updates the potential block first and feeds the fresh
-    potential into the recovery block, so in the reaction-free case a single
-    sweep lands on the fixed point from anywhere. ``n_iter`` counts sweeps
-    that moved the iterate by at least ``tol``; starting at the fixed point
-    therefore reports zero. The iterate, like ``x0``, is one array of shape
-    ``(2, n_t, n_modes)``: the potential samples at the nodes k T / n_t, then
-    the recovery samples. The periodicity residual integrates the start state
-    over one period at step ``dt``, which is checked before the first sweep.
+    The recovery block is linear in the potential, so the operator reduces to
+    a map of the potential samples alone, Phi(u) = U(u, W(u)): the recovery
+    response W to the iterate, then the potential response U to both. Each
+    application yields the residual f = Phi(u) - u, whose sup-over-nodes
+    V-norm is recorded; the iteration stops at the first one under ``tol``
+    and returns that iterate u with w = W(u). ``n_iter`` counts the
+    applications before that one, so a start at the fixed point reports zero
+    and, in the reaction-free case, where Phi is constant, a start anywhere
+    reports one at ``theta = 1``.
 
-    If the update norm doubles over a ten-sweep window the damping is halved;
-    below 1/16 the iteration is abandoned. That, a non-finite update and
-    running out of ``max_iter`` sweeps all raise :class:`NonConvergenceError`
-    with the update history attached.
+    Between applications the iterate moves by Anderson mixing (Walker & Ni,
+    type II) with weight ``theta`` over the last ``_DEPTH`` residual
+    differences: u <- u + theta f - sum_i gamma_i (du_i + theta df_i), where
+    gamma fits sum_i gamma_i df_i to f in least squares. With no history this
+    is the damped step u + theta f.
+
+    ``x0``, of shape ``(2, n_t, n_modes)`` (the potential samples at the
+    nodes k T / n_t, then the recovery samples), is read, never written, and
+    only its potential half is used. The periodicity residual integrates the
+    start state over one period at step ``dt``, which is checked before the
+    first application. A non-finite residual, one above ``_DIVERGENCE``
+    times the smallest so far, or ``max_iter`` applications without reaching
+    ``tol`` raise :class:`NonConvergenceError` with the residual history.
     """
     if not 0.0 < theta <= 1.0:
-        raise ValueError(f"damping must lie in (0, 1], got {theta}")
+        raise ValueError(f"mixing weight must lie in (0, 1], got {theta}")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if n_t < 64:
         raise ValueError(f"n_t must be at least 64, got {n_t}")
     check_rk4_step(sys, dt)
     n = sys.n_modes
-    x = np.zeros((2, n_t, n)) if x0 is None else np.array(x0, dtype=float)
-    if x.shape != (2, n_t, n):
-        raise ValueError(f"starting guess must have shape (2, {n_t}, {n})")
-    u, w = x
+    if x0 is None:
+        u = np.zeros((n_t, n))
+    else:
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape != (2, n_t, n):
+            raise ValueError(f"starting guess must have shape (2, {n_t}, {n})")
+        u = x0[0]
 
-    updates: list[float] = []
+    residuals: list[float] = []
+    d_f: list[np.ndarray] = []  # residual differences, oldest first
+    d_x: list[np.ndarray] = []  # matching du + theta df
+    f_prev = step = None
     for _ in range(max_iter):
-        u_next = (1.0 - theta) * u + theta * _u_block(sys, u, w)
-        w_next = (1.0 - theta) * w + theta * _w_block(sys, u_next)
-        step = ct_norm(sys, u_next - u, w_next - w)
-        u[:], w[:] = u_next, w_next
-        del u_next, w_next  # freed before the next sweep's projection allocates
-        updates.append(step)
-        if not np.isfinite(step):
+        w = _w_block(sys, u)
+        f = _u_block(sys, u, w)
+        f -= u
+        res = _v_sup(sys.basis, f)
+        residuals.append(res)
+        if not np.isfinite(res) or res > _DIVERGENCE * min(residuals):
             raise NonConvergenceError(
-                f"picard iterate left finite range after {len(updates)} sweeps",
-                history=updates,
+                f"picard iteration diverged after {len(residuals)} sweeps"
+                f" (residual {res:.3e})",
+                history=residuals,
             )
-        if step < tol:
+        if res < tol:
             break
-        if len(updates) > 10 and updates[-1] > 2.0 * updates[-11]:
-            theta *= 0.5
-            if theta < 1.0 / 16.0:
-                raise NonConvergenceError(
-                    f"picard iteration diverged (last update {step:.3e})", history=updates
-                )
+        del w  # freed before the next application allocates its own
+        if f_prev is not None:
+            df = np.subtract(f, f_prev, out=f_prev)
+            step += theta * df
+            d_f.append(df)
+            d_x.append(step)
+        step = theta * f
+        if d_f:
+            for gamma, dx in zip(_mixing_weights(d_f, f), d_x):
+                step -= gamma * dx
+        if len(d_f) == _DEPTH:  # the next difference replaces the oldest
+            del d_f[0], d_x[0]
+        u = u + step
+        f_prev = f
     else:
         raise NonConvergenceError(
-            f"picard exhausted {max_iter} sweeps without reaching tol {tol}", history=updates
+            f"picard exhausted {max_iter} sweeps (operator applications)"
+            f" without reaching tol {tol}",
+            history=residuals,
         )
+    del d_f, d_x, f_prev, step, f  # the history is freed before the check allocates
+    if x0 is not None and len(residuals) == 1:
+        u = u.copy()  # never hand back a view of the caller's start
 
     ku, kw = farkas_apply(sys, u, w)
     op_res = ct_norm(sys, ku - u, kw - w)
-    start = x[:, 0].ravel()  # the state at t = 0: u, then w
+    start = np.concatenate([u[0], w[0]])  # the state at t = 0
     traj = integrate_cauchy(sys, start, sys.period, dt)
 
     return PeriodicOrbit(
@@ -237,9 +306,9 @@ def picard_solve(
         periodicity_residual=_relative_defect(traj, start),
         ct_norm=ct_norm(sys, u, w),
         method="picard",
-        n_iter=len(updates) - 1,
+        n_iter=len(residuals) - 1,
         converged=True,
-        history=tuple(updates),
+        history=tuple(residuals),
         operator_residual=op_res,
     )
 

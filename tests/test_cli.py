@@ -426,6 +426,24 @@ def test_picard_stall_carries_its_update_history(tmp_path):
     assert len(history) == 3 and all(h > 0.0 for h in history)
 
 
+def test_non_convergence_leaves_a_partial_report(tmp_path, capsys):
+    """A stalled Picard run exits 3 and still writes report.json with the
+    command, the configuration echo, the error and the residual history."""
+    text = NONLINEAR_PERIODIC_CFG + "solver.tol = 1e-16\nsolver.max_iter = 3\n"
+    path = write_config(tmp_path, text)
+    assert cli.main(["solve-periodic", "--config", path, "--out", str(tmp_path)]) == 3
+    report = read_report(tmp_path)
+    assert set(report) == {"command", "config", "error", "history"}
+    assert report["command"] == "solve-periodic"
+    echo = report["config"]
+    assert echo["solver.tol"] == 1e-16 and echo["solver.max_iter"] == 3
+    assert echo["solver.theta"] == 1.0, "defaults the run resolved are echoed"
+    assert report["error"].startswith("picard exhausted 3 sweeps")
+    assert report["error"] in capsys.readouterr().err
+    history = report["history"]
+    assert len(history) == 3 and all(h > 0.0 for h in history)
+
+
 def test_report_carries_solver_histories_and_write_time(tmp_path, capsys):
     text = NONLINEAR_PERIODIC_CFG.replace("solver.method = picard", "solver.method = both")
     cfg = write_config(tmp_path, text + "solver.dt = 0.015625\n")
