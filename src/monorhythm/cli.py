@@ -14,8 +14,9 @@ flags, timings) and CSV data files. Every CSV cell is printed with
 identical configurations reproduce identical bytes apart from timings.
 Exit codes: 0 success, 2 configuration error (including a stimulus key its
 kind does not use), 3 solver non-convergence, 4 trajectory blow-up. A run
-that exits 3 still writes a partial report: the command, the configuration
-echo, the error message and the failed solver's history.
+that exits 3 or 4 still writes a partial report: the command, the
+configuration echo, the error message, and the failed solver's history or
+the blow-up's time, magnitude and truncation size m.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .galerkin import (
     apriori_monitor,
     assemble_system,
     integrate_cauchy,
-    l2_qi_difference,
+    refinement_gaps,
 )
 from .ionic import (
     PhysiologicalParameters,
@@ -360,25 +361,12 @@ def cmd_converge(cfg: RunConfig):
     geom = Geometry1D(cfg.require("geometry.length"))
     stim = _build_stimulus(cfg, d)
 
-    trajectories = []
-    for m in m_list:
-        sys_ = assemble_system(build_basis(geom, m, d), d, stim)
-        trajectories.append(integrate_cauchy(sys_, np.zeros(2 * sys_.n_modes), t_end, dt))
-
-    pairs = []
-    for coarse, fine, traj_c, traj_f in zip(
-        m_list, m_list[1:], trajectories, trajectories[1:]
-    ):
-        u_diff, w_diff = l2_qi_difference(traj_f, traj_c)
-        pairs.append(
-            {"m_coarse": coarse, "m_fine": fine, "u_diff": u_diff, "w_diff": w_diff}
-        )
-
-    u_diffs = [p["u_diff"] for p in pairs]
-    nonincreasing = all(b <= a for a, b in zip(u_diffs, u_diffs[1:]))
+    sys_ = assemble_system(build_basis(geom, max(m_list), d), d, stim)
+    gaps = refinement_gaps(sys_, m_list, t_end, dt)
+    rows = [[coarse, fine, *gap] for coarse, fine, gap in zip(m_list, m_list[1:], gaps.tolist())]
+    pairs = [dict(zip(("m_coarse", "m_fine", "u_diff", "w_diff"), row)) for row in rows]
     payload = {"pairs": pairs, "t_end": t_end, "dt": dt}
-    flags = {"u_diff_nonincreasing": nonincreasing}
-    rows = [[p["m_coarse"], p["m_fine"], p["u_diff"], p["w_diff"]] for p in pairs]
+    flags = {"u_diff_nonincreasing": bool(np.all(np.diff(gaps[:, 0]) <= 0.0))}
     files = [
         (
             "convergence.csv",
@@ -515,16 +503,12 @@ def _run(args) -> int:
     seed = {"seed": args.seed} if "seed" in args else {}
     try:
         payload, flags, file_specs = _COMMANDS[args.command](cfg, **seed)
-    except NonConvergenceError as exc:
+    except (NonConvergenceError, BlowUpError) as exc:
         # a partial report: what was asked, and how far the solver got
         if fmt in ("json", "both"):
             os.makedirs(out_dir, exist_ok=True)
-            report = {
-                "command": args.command,
-                "config": cfg.echo(),
-                "error": str(exc),
-                "history": exc.history,
-            }
+            # the error's own fields: a solver's history, or a blow-up's time, magnitude and m
+            report = {"command": args.command, "config": cfg.echo(), "error": str(exc)} | vars(exc)
             print(_write_report(out_dir, report))
         raise
     solve_s = time.perf_counter() - t1
@@ -564,7 +548,8 @@ def main(argv=None) -> int:
         return 3
     except BlowUpError as exc:
         print(
-            f"trajectory blew up at t = {exc.time:.6g} (magnitude {exc.magnitude:.3e})",
+            f"trajectory blew up at t = {exc.time:.6g} (magnitude {exc.magnitude:.3e})"
+            f" at truncation m = {exc.m}",
             file=sys.stderr,
         )
         return 4

@@ -9,12 +9,13 @@ The state is one vector x = (u, w) of length 2m + 2, potentials first.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ionic import DerivedParameters
-from .spectral import SpectralBasis, Stimulus, project_nonlinearity
+from .ionic import DerivedParameters, f_transformed
+from .spectral import SpectralBasis, Stimulus
 
 __all__ = [
     "BlowUpError",
@@ -26,24 +27,25 @@ __all__ = [
     "integrate_cauchy",
     "apriori_monitor",
     "MonitorReport",
-    "l2_qi_difference",
+    "refinement_gaps",
 ]
 
 BLOWUP_THRESHOLD = 1e12
-BLOWUP_CHECK_EVERY = 64  # steps per block of stored rows the blow-up check scans
+BLOWUP_CHECK_EVERY = 64  # steps per block of states the blow-up check scans
 # the root of |1 - z + z^2/2 - z^3/6 + z^4/24| = 1: RK4 damps x' = -r x iff h r <= it
 RK4_STABILITY_LIMIT = 2.7852935634
 
 
 class BlowUpError(RuntimeError):
-    """Raised when a coefficient escapes past the blow-up threshold."""
+    """Raised when a coefficient of the truncation at size m escapes past the threshold."""
 
-    def __init__(self, time: float, magnitude: float):
+    def __init__(self, time: float, magnitude: float, m: int):
         super().__init__(
-            f"solution blew up at t={time:.6g} (max coefficient {magnitude:.3e})"
+            f"solution blew up at t={time:.6g} (max coefficient {magnitude:.3e}) at m = {m}"
         )
         self.time = time
         self.magnitude = magnitude
+        self.m = m
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,7 @@ class GalerkinSystem:
     of the recovery law dw/dt = recovery_gain u - recovery_rate w.
     ``linear`` is the lower-triangular matrix of the linear part acting on
     x = (u, w), decay and recovery law; its diagonal holds its eigenvalues.
+    ``stage(s, x)``, built once from them, is dx/dt under the drive value s.
     """
 
     basis: SpectralBasis
@@ -63,6 +66,7 @@ class GalerkinSystem:
     recovery_gain: float
     recovery_rate: float
     linear: np.ndarray
+    stage: Callable[..., np.ndarray]
 
     @property
     def period(self) -> float:
@@ -71,6 +75,35 @@ class GalerkinSystem:
     @property
     def n_modes(self) -> int:
         return self.basis.n_modes
+
+
+def _stage_kernel(basis, d, trace_vector, linear, mask=None):
+    """stage(s, x): the time derivative of states x, shape (..., 2 n), under the drive s.
+
+    One nodal product of the (u, w) rows, the reaction at the nodes, then
+    dx = f P + x L^T + s tv, with P = -w_q psi and tv zero-padded over the
+    recovery half. A 0/1 ``mask`` of shape (K, 2 n) zeroes the drive and the
+    projected reaction of ladder member k past its own size.
+    """
+    n = basis.n_modes
+    psi_t = np.ascontiguousarray(basis.psi_quad.T)
+    proj = np.zeros((basis.n_quad, 2 * n))
+    proj[:, :n] = -(basis.quad_weights[:, None] * basis.psi_quad)
+    tv = np.concatenate([trace_vector, np.zeros(n)])
+    if mask is not None:
+        tv = tv * mask
+    linear_t = np.ascontiguousarray(linear.T)
+
+    def stage(s, x):
+        nodal = (x.reshape(-1, n) @ psi_t).reshape(x.shape[:-1] + (2, -1))
+        dx = f_transformed(nodal[..., 0, :], nodal[..., 1, :], d) @ proj
+        if mask is not None:
+            dx *= mask
+        dx += x @ linear_t
+        dx += s * tv
+        return dx
+
+    return stage
 
 
 def assemble_system(basis, d, stim) -> GalerkinSystem:
@@ -84,14 +117,16 @@ def assemble_system(basis, d, stim) -> GalerkinSystem:
     rate = gain * d.xi * d.c3
     eye = np.eye(basis.n_modes)
     linear = np.block([[np.diag(-basis.lambdas), np.zeros_like(eye)], [gain * eye, -rate * eye]])
+    trace_vector = stim.phi_value * basis.trace_values
     return GalerkinSystem(
         basis=basis,
         d=d,
         stim=stim,
-        trace_vector=stim.phi_value * basis.trace_values,
+        trace_vector=trace_vector,
         recovery_gain=gain,
         recovery_rate=rate,
         linear=linear,
+        stage=_stage_kernel(basis, d, trace_vector, linear),
     )
 
 
@@ -133,24 +168,15 @@ def rhs(sys: GalerkinSystem, t, x):
     Node-stacked states take a column of times: ``t`` of shape ``(k, 1)``
     against ``x`` of shape ``(k, 2 n_modes)``.
     """
-    return _driven_rhs(sys, sys.stim(t), x)
+    return sys.stage(sys.stim(t), x)
 
 
-def _driven_rhs(sys, s_val, x):
-    """Time derivative of the state under the drive value s_val."""
-    n = sys.n_modes
-    dx = x @ sys.linear.T
-    dx[..., :n] -= project_nonlinearity(sys.basis, x[..., :n], x[..., n:], sys.d)
-    dx[..., :n] += s_val * sys.trace_vector
-    return dx
-
-
-def _rk4_step(sys, drive, x, h):
+def _rk4_step(stage, drive, x, h):
     s0, s_half, s1 = drive
-    k1 = _driven_rhs(sys, s0, x)
-    k2 = _driven_rhs(sys, s_half, x + 0.5 * h * k1)
-    k3 = _driven_rhs(sys, s_half, x + 0.5 * h * k2)
-    k4 = _driven_rhs(sys, s1, x + h * k3)
+    k1 = stage(s0, x)
+    k2 = stage(s_half, x + 0.5 * h * k1)
+    k3 = stage(s_half, x + 0.5 * h * k2)
+    k4 = stage(s1, x + h * k3)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -176,50 +202,96 @@ def check_rk4_step(sys: GalerkinSystem, dt: float) -> None:
         )
 
 
+def _time_grid(t1: float, dt: float) -> np.ndarray:
+    """Nodes 0, dt, 2 dt, ... up to t1, which is hit exactly by a shortened last step."""
+    if t1 <= 0.0:
+        raise ValueError(f"end time {t1} must exceed start time 0")
+    n_full = int(np.floor(t1 / dt + 1e-12))
+    short_last_step = t1 - n_full * dt > 1e-12 * max(t1, 1.0)
+    times = np.empty(n_full + 1 + short_last_step)
+    times[: n_full + 1] = dt * np.arange(n_full + 1)
+    times[-1] = t1
+    return times
+
+
+def _march(stage, stim, x, times, sizes):
+    """Classical RK4 from the state x at times[0] through ``times``, block by block.
+
+    Yields ``(k, block)``, ``block[r]`` the state at ``times[k + r]``, in a
+    buffer reused for each block of up to ``BLOWUP_CHECK_EVERY`` steps. x
+    holds one member per entry of ``sizes``; the first node at which a
+    member passes the threshold raises :class:`BlowUpError` with that time,
+    peak and size, as a per-step check would.
+    """
+    # The drive at every stage time, sampled in one call: row k holds step
+    # k's t, t + h/2 and t + h, built as the stages would build them.
+    steps = np.diff(times)
+    starts = times[:-1]
+    drive = stim(np.stack([starts, starts + 0.5 * steps, starts + steps], axis=1))
+    buffer = np.empty((BLOWUP_CHECK_EVERY,) + x.shape)
+    for lo in range(0, len(steps), BLOWUP_CHECK_EVERY):
+        block = buffer[: min(BLOWUP_CHECK_EVERY, len(steps) - lo)]
+        # a runaway overflows within a step; the check after its block reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r in range(len(block)):
+                x = _rk4_step(stage, drive[lo + r], x, steps[lo + r])
+                block[r] = x
+        peaks = np.max(np.abs(block.reshape(len(block), len(sizes), -1)), axis=-1)
+        bad = np.argwhere(~(peaks <= BLOWUP_THRESHOLD))  # NaN compares false
+        if bad.size:
+            r, j = bad[0]
+            raise BlowUpError(float(times[lo + 1 + r]), float(peaks[r, j]), sizes[j])
+        yield lo + 1, block
+
+
 def integrate_cauchy(sys: GalerkinSystem, x0: np.ndarray, t1: float, dt: float) -> Trajectory:
     """Classical fixed-step fourth-order Runge-Kutta from t = 0 to t1.
 
     The final time is hit exactly; when dt does not divide the interval the
     last step is shortened. ``x0`` has shape ``(2 n_modes,)``. ``dt`` passes
     :func:`check_rk4_step` before stepping. Blow-up is checked on each block
-    of ``BLOWUP_CHECK_EVERY`` stored rows and reported at the first bad row,
-    with the time and magnitude a per-step check would report.
+    of ``BLOWUP_CHECK_EVERY`` steps and reported at the first bad node, with
+    the time and magnitude a per-step check would report.
     """
     check_rk4_step(sys, dt)
-    if t1 <= 0.0:
-        raise ValueError(f"end time {t1} must exceed start time 0")
+    times = _time_grid(t1, dt)
     x = np.array(x0, dtype=float)
     if x.shape != (2 * sys.n_modes,):
         raise ValueError(f"initial state has shape {x.shape}, system expects ({2 * sys.n_modes},)")
 
-    n_full = int(np.floor(t1 / dt + 1e-12))
-    short_last_step = t1 - n_full * dt > 1e-12 * max(t1, 1.0)
-    n_nodes = n_full + 1 + short_last_step
-
-    times = np.empty(n_nodes)
-    times[: n_full + 1] = dt * np.arange(n_full + 1)
-    times[-1] = t1
-    hist = np.empty((n_nodes, x.size))
+    hist = np.empty((len(times), x.size))
     hist[0] = x
-
-    # The drive at every stage time, sampled in one call: row k holds steps
-    # k's t, t + h/2 and t + h, built as the stages would build them.
-    steps = np.diff(times)
-    starts = times[:-1]
-    drive = sys.stim(np.stack([starts, starts + 0.5 * steps, starts + steps], axis=1))
-    # a runaway overflows within a step; the check after its block reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(1, n_nodes, BLOWUP_CHECK_EVERY):
-            hi = min(lo + BLOWUP_CHECK_EVERY, n_nodes)
-            for k in range(lo, hi):
-                x = _rk4_step(sys, drive[k - 1], x, steps[k - 1])
-                hist[k] = x
-            peaks = np.max(np.abs(hist[lo:hi]), axis=1)
-            bad = np.flatnonzero(~(peaks <= BLOWUP_THRESHOLD))  # NaN compares false
-            if bad.size:
-                raise BlowUpError(time=float(times[lo + bad[0]]), magnitude=float(peaks[bad[0]]))
-
+    for k, block in _march(sys.stage, sys.stim, x, times, (sys.basis.m,)):
+        hist[k : k + len(block)] = block
     return Trajectory(times=times, x=hist, sys=sys)
+
+
+def refinement_gaps(sys: GalerkinSystem, m_list, t1: float, dt: float) -> np.ndarray:
+    """Space-time L2 (u, w) gaps between neighbouring sizes of ``m_list``, in one integration.
+
+    Each size m_k steps from zero as member k of one ladder state on the
+    basis of ``sys`` (size M >= every m_k), zero-padded and masked past mode
+    m_k, where it stays exactly zero. The midpoint rule on 2M + 1 nodes is
+    exact for products of four modes up to M, so each member follows its
+    own truncated system. ``dt`` is checked at M. The bases nest, so row k
+    is the trapezoid in time of the squared coefficient gap between members
+    k and k + 1, square-rooted; no trajectory is stored.
+    """
+    check_rk4_step(sys, dt)
+    sizes = tuple(int(m) for m in m_list)
+    n = sys.n_modes
+    if not all(0 <= m < n for m in sizes):
+        raise ValueError(f"ladder sizes {sizes} must lie in 0..{sys.basis.m}")
+    times = _time_grid(t1, dt)
+    mask = np.tile(np.arange(n) <= np.array(sizes)[:, None], 2).astype(float)
+    stage = _stage_kernel(sys.basis, sys.d, sys.trace_vector, sys.linear, mask)
+
+    gaps_sq = np.zeros((len(times), len(sizes) - 1, 2))  # the zero start has no gap
+    x = np.zeros((len(sizes), 2 * n))
+    for k, block in _march(stage, sys.stim, x, times, sizes):
+        gap = np.diff(block, axis=1).reshape(len(block), len(sizes) - 1, 2, n)
+        gaps_sq[k : k + len(block)] = np.sum(gap * gap, axis=-1)
+    return np.sqrt(np.trapezoid(gaps_sq, x=times, axis=0))
 
 
 @dataclass(frozen=True)
@@ -274,30 +346,3 @@ def apriori_monitor(traj: Trajectory) -> MonitorReport:
         per_period_sup=sups,
         growth_flag=growth,
     )
-
-
-def l2_qi_difference(fine: Trajectory, coarse: Trajectory):
-    """Space-time L2 distance between two runs of different truncation size.
-
-    The bases nest, so the coarse coefficients are zero-padded to the fine
-    width and the spatial L2 distance at each node is the Euclidean gap;
-    time integration is trapezoidal. Requires identical time grids.
-    """
-    if fine.n_nodes != coarse.n_nodes or not np.allclose(
-        fine.times, coarse.times, rtol=0.0, atol=1e-12
-    ):
-        raise ValueError("trajectories must share one time grid")
-    n_fine = fine.u.shape[1]
-    n_coarse = coarse.u.shape[1]
-    if n_coarse > n_fine:
-        raise ValueError("first argument must be the finer truncation")
-
-    pad_u = np.zeros_like(fine.u)
-    pad_w = np.zeros_like(fine.w)
-    pad_u[:, :n_coarse] = coarse.u
-    pad_w[:, :n_coarse] = coarse.w
-    du_sq = np.sum((fine.u - pad_u) ** 2, axis=1)
-    dw_sq = np.sum((fine.w - pad_w) ** 2, axis=1)
-    diff_u = float(np.sqrt(np.trapezoid(du_sq, x=fine.times)))
-    diff_w = float(np.sqrt(np.trapezoid(dw_sq, x=fine.times)))
-    return diff_u, diff_w

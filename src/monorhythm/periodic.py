@@ -230,9 +230,11 @@ def picard_solve(
 
     ``x0``, of shape ``(2, n_t, n_modes)`` (the potential samples at the
     nodes k T / n_t, then the recovery samples), is read, never written, and
-    only its potential half is used. The periodicity residual integrates the
-    start state over one period at step ``dt``, which is checked before the
-    first application. A non-finite residual, one above ``_DIVERGENCE``
+    only its potential half is used. ``operator_residual`` is the last
+    recorded residual: the returned pair (u, W(u)) is the one that
+    application measured, so its recovery residual is zero. The periodicity
+    residual integrates the start state over one period at step ``dt``,
+    which is checked before the first application. A non-finite residual, one above ``_DIVERGENCE``
     times the smallest so far, or ``max_iter`` applications without reaching
     ``tol`` raise :class:`NonConvergenceError` with the residual history.
     """
@@ -294,8 +296,6 @@ def picard_solve(
     if x0 is not None and len(residuals) == 1:
         u = u.copy()  # never hand back a view of the caller's start
 
-    ku, kw = farkas_apply(sys, u, w)
-    op_res = ct_norm(sys, ku - u, kw - w)
     start = np.concatenate([u[0], w[0]])  # the state at t = 0
     traj = integrate_cauchy(sys, start, sys.period, dt)
 
@@ -309,7 +309,7 @@ def picard_solve(
         n_iter=len(residuals) - 1,
         converged=True,
         history=tuple(residuals),
-        operator_residual=op_res,
+        operator_residual=residuals[-1],
     )
 
 

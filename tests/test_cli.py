@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from monorhythm import cli, feasibility, periodic
+from monorhythm import cli, feasibility, galerkin, periodic
 from monorhythm.config import load_config, render_config
 from monorhythm.feasibility import (
     EmbeddingConstants,
@@ -338,6 +338,48 @@ def test_blow_up_exits_4(tmp_path, capsys, recwarn):
     err = capsys.readouterr().err
     assert "blew up at t = 0.0625" in err, f"stderr should report the blow-up time: {err!r}"
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+# a drive 2e6 times the benchmark one: m = 8 runs away at t = 0.125, m = 2 later
+RUNAWAY_DRIVE_CFG = NONLINEAR_PERIODIC_CFG.replace(
+    "stimulus.amplitude = 1.0", "stimulus.amplitude = 2e6"
+).replace("solver.m = 2", "solver.m = 8") + "cauchy.t_end = 2.0\ncauchy.dt = 0.03125\n"
+
+
+@pytest.mark.parametrize(
+    "command, extra", [("solve-cauchy", ""), ("converge", "converge.m_list = 2,8\n")]
+)
+def test_blow_up_leaves_a_partial_report(tmp_path, capsys, command, extra):
+    """A run that blows up exits 4 and still writes report.json with the
+    command, the configuration echo, the error, and the blow-up's time,
+    magnitude and truncation size; the ladder names the size that ran away."""
+    path = write_config(tmp_path, RUNAWAY_DRIVE_CFG + extra)
+    assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 4
+    report = read_report(tmp_path)
+    assert set(report) == {"command", "config", "error", "time", "magnitude", "m"}
+    assert report["command"] == command
+    assert report["config"]["stimulus.amplitude"] == 2e6
+    assert (report["time"], report["m"]) == (0.125, 8)
+    assert report["magnitude"] > 1e12
+    assert report["error"].startswith("solution blew up at t=0.125")
+    assert report["error"].endswith("at m = 8")
+    assert "at truncation m = 8" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["report.json", "run.cfg"]
+
+
+def test_converge_step_past_the_largest_size_exits_2_before_stepping(
+    tmp_path, capsys, monkeypatch
+):
+    """dt = 1/64 is inside RK4's limit at m = 8 and past it at m = 32, the
+    ladder's largest size: the run exits 2 without taking a step, although
+    stepping under this drive would blow up."""
+    monkeypatch.setattr(galerkin, "_march", lambda *args: pytest.fail("a step was taken"))
+    text = RUNAWAY_DRIVE_CFG.replace("cauchy.dt = 0.03125", "cauchy.dt = 0.015625")
+    path = write_config(tmp_path, text + "converge.m_list = 8,32\n")
+    assert cli.main(["converge", "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "past RK4's stability limit" in err, err
+    assert not os.path.exists(tmp_path / "convergence.csv")
 
 
 def test_picard_check_past_the_stability_limit_exits_2(tmp_path, capsys, monkeypatch):

@@ -1,19 +1,21 @@
 """Truncated ODE assembly, the fixed-step integrator, and the size monitors."""
 
 import re
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monorhythm import galerkin
 from monorhythm.galerkin import (
     BlowUpError,
     apriori_monitor,
     assemble_system,
     check_rk4_step,
     integrate_cauchy,
-    l2_qi_difference,
+    refinement_gaps,
     rhs,
 )
 from monorhythm.ionic import PhysiologicalParameters, derive_parameters
@@ -153,11 +155,17 @@ def test_blow_up_detected_with_time():
     check reports the first bad row, the one a per-step check stops at, in
     a full 64-step block and in a last, partial one."""
     sys = feasible_system(m=4)
+    x0 = state(100.0 * np.ones(5), np.zeros(5))
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_step = rk4_on_public_rhs(sys, np.linspace(0.0, 2.0, 65), x0)
+    peaks = np.max(np.abs(per_step), axis=1)
+    first = int(np.argmax(~(peaks <= 1e12)))
     for t1 in (2.0, 0.0625):
         with pytest.raises(BlowUpError) as info:
-            integrate_cauchy(sys, state(100.0 * np.ones(5), np.zeros(5)), t1, dt=2.0 / 64)
-        assert info.value.time == 0.0625
-        assert info.value.magnitude == 6.599597321718805e228
+            integrate_cauchy(sys, x0, t1, dt=2.0 / 64)
+        assert info.value.time == 0.0625 == first * 2.0 / 64
+        assert info.value.magnitude == peaks[first]
+        assert info.value.m == 4
 
 
 @settings(max_examples=60, deadline=None)
@@ -280,40 +288,81 @@ def test_monitor_derivative_norms_match_per_node_rhs():
     assert rep.l2_dw == pytest.approx(ref_dw, rel=1e-13, abs=0.0)
 
 
-def test_l2_difference_zero_for_identical_runs():
-    sys = feasible_system(m=4)
-    bump = bump_coeffs(sys.basis)
-    state0 = state(bump, np.zeros(5))
-    traj_a = integrate_cauchy(sys, state0, PERIOD, dt=PERIOD / 128)
-    traj_b = integrate_cauchy(sys, state0, PERIOD, dt=PERIOD / 128)
-    du, dw = l2_qi_difference(traj_a, traj_b)
-    assert du == 0.0 and dw == 0.0
+def padded_gap_oracle(m_list, amplitude, t1, dt):
+    """Ladder gaps from one integrate_cauchy run per size, zero-padded to the largest size."""
+    top = max(m_list)
+    runs = []
+    for m in m_list:
+        sys = feasible_system(m=m, amplitude=amplitude)
+        traj = integrate_cauchy(sys, np.zeros(2 * m + 2), t1, dt)
+        padded = np.zeros((traj.n_nodes, 2, top + 1))
+        padded[:, 0, : m + 1] = traj.u
+        padded[:, 1, : m + 1] = traj.w
+        runs.append(padded)
+    gaps_sq = [np.sum((fine - coarse) ** 2, axis=-1) for coarse, fine in zip(runs, runs[1:])]
+    return np.sqrt(np.trapezoid(np.stack(gaps_sq, axis=1), x=traj.times, axis=0))
 
 
-def test_l2_difference_requires_shared_grid():
-    sys = feasible_system(m=4)
-    state0 = zero_state(sys)
-    traj_a = integrate_cauchy(sys, state0, PERIOD, dt=PERIOD / 128)
-    traj_b = integrate_cauchy(sys, state0, PERIOD, dt=PERIOD / 64)
-    with pytest.raises(ValueError):
-        l2_qi_difference(traj_a, traj_b)
+@settings(max_examples=25, deadline=None)
+@given(
+    m_list=st.lists(st.integers(0, 16), min_size=2, max_size=5).map(sorted),
+    amplitude=st.floats(0.0, 5.0),
+)
+def test_ladder_gaps_equal_separate_padded_runs(m_list, amplitude):
+    """One ladder integration gives the gaps of one integrate_cauchy run per
+    size, and the padded modes of every member stay exactly zero."""
+    dt = PERIOD / 128
+    sys = feasible_system(m=max(m_list), amplitude=amplitude)
+    seen = []
+    march = galerkin._march
+
+    def watching(stage, stim, x, times, sizes):
+        for k, block in march(stage, stim, x, times, sizes):
+            seen.append(block.copy())
+            yield k, block
+
+    with patch.object(galerkin, "_march", watching):
+        gaps = refinement_gaps(sys, m_list, 1.25, dt)
+    assert gaps.shape == (len(m_list) - 1, 2)
+    oracle = padded_gap_oracle(m_list, amplitude, 1.25, dt)
+    np.testing.assert_allclose(gaps, oracle, rtol=1e-12, atol=0.0)
+    states = np.concatenate(seen).reshape(-1, len(m_list), 2, max(m_list) + 1)
+    for k, m in enumerate(m_list):
+        assert np.all(states[:, k, :, m + 1 :] == 0.0)
+
+
+def test_ladder_gap_zero_for_equal_sizes():
+    gaps = refinement_gaps(feasible_system(m=8), (4, 4, 8, 8), PERIOD, PERIOD / 128)
+    assert gaps[0].tolist() == [0.0, 0.0] and gaps[2].tolist() == [0.0, 0.0]
+    assert np.all(gaps[1] > 0.0)
+
+
+def test_ladder_checks_the_step_at_its_largest_size():
+    """dt inside the limit of m = 8 but past that of m = 32 is rejected
+    before stepping, and a size past the basis is refused."""
+    sys = feasible_system(m=32)
+    dt = 2.0 * 2.7852935634 / float(np.max(sys.basis.lambdas))
+    check_rk4_step(feasible_system(m=8), dt)
+    with pytest.raises(ValueError, match="stability limit"):
+        refinement_gaps(sys, (8, 32), PERIOD, dt)
+    with pytest.raises(ValueError, match="must lie in 0..32"):
+        refinement_gaps(sys, (8, 33), PERIOD, PERIOD / 1024)
+
+
+def test_ladder_blow_up_names_the_size():
+    """Under a huge drive m = 8 runs away at t = 0.125, before m = 2 does
+    (t = 0.25 on its own); the ladder reports m = 8 at its lone run's time."""
+    sys = feasible_system(m=8, amplitude=2e6)
+    with pytest.raises(BlowUpError, match="at m = 8") as info:
+        refinement_gaps(sys, (2, 8), 2.0, 2.0 / 64)
+    with pytest.raises(BlowUpError) as lone:
+        integrate_cauchy(sys, zero_state(sys), 2.0, 2.0 / 64)
+    assert info.value.m == lone.value.m == 8
+    assert info.value.time == lone.value.time == 0.125
+    assert info.value.magnitude == pytest.approx(lone.value.magnitude, rel=1e-9)
 
 
 def test_refinement_differences_shrink():
-    """Projecting one smooth bump, successive truncation doublings get closer."""
-    from systems import feasible_model
-
-    d = feasible_model()
-    diffs = []
-    prev = None
-    for m in (4, 8, 16):
-        basis = build_basis(GEOM, m, d)
-        stim = Stimulus("sinusoid", period=PERIOD, phi_value=0.005, amplitude=1.0)
-        sys = assemble_system(basis, d, stim)
-        bump = bump_coeffs(basis)
-        traj = integrate_cauchy(sys, state(bump, np.zeros(m + 1)), 2.0 * PERIOD, dt=PERIOD / 512)
-        if prev is not None:
-            du, _ = l2_qi_difference(traj, prev)
-            diffs.append(du)
-        prev = traj
-    assert diffs[1] <= diffs[0], f"refinement differences grew: {diffs}"
+    """Under the sinusoid drive, successive truncation doublings get closer."""
+    gaps = refinement_gaps(feasible_system(m=16), (4, 8, 16), 2.0 * PERIOD, PERIOD / 512)
+    assert gaps[1, 0] <= gaps[0, 0], f"refinement differences grew: {gaps[:, 0]}"

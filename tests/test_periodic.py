@@ -256,6 +256,17 @@ def test_picard_mixing_undoes_the_damping(m, theta):
     assert orbit.operator_residual <= tol
 
 
+@pytest.mark.parametrize("m, n_t, theta", [(4, 1024, 1.0), (8, 512, 0.5), (8, 2048, 1.0)])
+def test_picard_reports_the_residual_of_its_returned_orbit(m, n_t, theta):
+    """The reported operator residual is the last application's; applying the
+    operator once more to the returned orbit gives it back exactly."""
+    sys = feasible_system(m=m)
+    orbit = picard_solve(sys, n_t, DT, theta=theta, tol=1e-12)
+    ku, kw = farkas_apply(sys, orbit.u, orbit.w)
+    assert ct_norm(sys, ku - orbit.u, kw - orbit.w) == orbit.operator_residual
+    assert orbit.operator_residual == orbit.history[-1]
+
+
 def test_farkas_row_blocks_match_a_whole_grid_projection():
     """The potential block projects the reaction a row block at a time. At an
     n_t that leaves a short last block it matches the response of a forcing
