@@ -143,9 +143,10 @@ def _build_stimulus(cfg: RunConfig, d):
     return Stimulus(kind, period, phi, amplitude, **fields)
 
 
-def _build_system(cfg: RunConfig, d):
+def _build_system(cfg: RunConfig, d, m: int | None = None):
+    """The truncated system at size ``m``, by default ``solver.m``."""
     geom = Geometry1D(cfg.require("geometry.length"))
-    basis = build_basis(geom, cfg.require("solver.m"), d)
+    basis = build_basis(geom, cfg.require("solver.m") if m is None else m, d)
     stim = _build_stimulus(cfg, d)
     return assemble_system(basis, d, stim)
 
@@ -254,19 +255,15 @@ def cmd_solve_cauchy(cfg: RunConfig):
         },
     }
     flags = {"growth_doubling": monitor.growth_flag}
-    files = [_trajectory_file("trajectory.csv", traj.times, traj.u, traj.w)]
+    files = [_trajectory_file("trajectory.csv", traj)]
     return payload, flags, files
 
 
-def _trajectory_file(name: str, times, u, w):
-    n = u.shape[1]
-    header = (
-        "t,"
-        + ",".join(f"u_{i}" for i in range(n))
-        + ","
-        + ",".join(f"w_{i}" for i in range(n))
-    )
-    rows = np.column_stack([times, u, w])
+def _trajectory_file(name: str, record):
+    """The CSV of any record with ``times``, ``u`` and ``w``: a trajectory or an orbit."""
+    n = record.u.shape[1]
+    header = ",".join(["t", *(f"u_{i}" for i in range(n)), *(f"w_{i}" for i in range(n))])
+    rows = np.column_stack([record.times, record.u, record.w])
     comment = "t in rescaled time; u_i, w_i are modal coefficients of the two fields"
     return name, comment, header, rows
 
@@ -290,17 +287,14 @@ def cmd_solve_periodic(cfg: RunConfig, seed=None):
     tol = cfg.get("solver.tol", 1e-10)
     # the RK4 step of shooting and of Picard's periodicity check
     dt = cfg.get("solver.dt", sys_.period / 1024)
-    payload: dict = {}
-    files = []
 
-    picard_orbit = shooting_orbit = None
+    orbits = {}  # Picard's first, so it is the primary orbit when both run
     if method in ("picard", "both"):
         n_t = cfg.get("solver.n_t", 1024)
         x0 = None
         if seed is not None:
-            rng = np.random.default_rng(seed)
-            x0 = 0.01 * rng.standard_normal((2, n_t, sys_.n_modes))
-        picard_orbit = picard_solve(
+            x0 = 0.01 * np.random.default_rng(seed).standard_normal((n_t, sys_.n_modes))
+        orbits["picard"] = picard_solve(
             sys_,
             n_t,
             dt,
@@ -309,33 +303,21 @@ def cmd_solve_periodic(cfg: RunConfig, seed=None):
             tol=tol,
             max_iter=cfg.get("solver.max_iter", 200),
         )
-        payload["picard"] = _orbit_summary(picard_orbit)
-
     if method in ("shooting", "both"):
-        shooting_orbit = shooting_solve(
+        orbits["shooting"] = shooting_solve(
             sys_,
             dt=dt,
             tol=tol,
             max_iter=cfg.get("solver.newton_max_iter", 25),
         )
-        payload["shooting"] = _orbit_summary(shooting_orbit)
 
+    payload: dict = {name: _orbit_summary(orbit) for name, orbit in orbits.items()}
     if method == "both":
-        payload["cross_method_gap"] = orbit_gap(picard_orbit, shooting_orbit, sys_.basis)
-
-    primary = picard_orbit if picard_orbit is not None else shooting_orbit
-    files.append(
-        _trajectory_file("orbit.csv", primary.times, primary.u, primary.w)
-    )
-    if method == "both":
-        files.append(
-            _trajectory_file(
-                "orbit_shooting.csv",
-                shooting_orbit.times,
-                shooting_orbit.u,
-                shooting_orbit.w,
-            )
-        )
+        payload["cross_method_gap"] = orbit_gap(*orbits.values(), sys_.basis)
+    files = [
+        _trajectory_file(name, orbit)
+        for name, orbit in zip(("orbit.csv", "orbit_shooting.csv"), orbits.values())
+    ]
 
     flags: dict = {}
     radius = cfg.get("solver.radius", None)
@@ -343,7 +325,7 @@ def cmd_solve_periodic(cfg: RunConfig, seed=None):
         payload["ball_certificate"] = "skipped: no solver.radius configured"
         flags["ball_member"] = None
     else:
-        cert = certify_ball(primary, radius, sys_.basis)
+        cert = certify_ball(next(iter(orbits.values())), radius, sys_.basis)
         payload["ball_certificate"] = cert
         flags["ball_member"] = cert.member
     return payload, flags, files
@@ -358,10 +340,7 @@ def cmd_converge(cfg: RunConfig):
         raise ConfigError("converge.m_list must be nondecreasing", cfg.path)
     t_end = cfg.require("cauchy.t_end")
     dt = cfg.require("cauchy.dt")
-    geom = Geometry1D(cfg.require("geometry.length"))
-    stim = _build_stimulus(cfg, d)
-
-    sys_ = assemble_system(build_basis(geom, max(m_list), d), d, stim)
+    sys_ = _build_system(cfg, d, max(m_list))
     gaps = refinement_gaps(sys_, m_list, t_end, dt)
     rows = [[coarse, fine, *gap] for coarse, fine, gap in zip(m_list, m_list[1:], gaps.tolist())]
     pairs = [dict(zip(("m_coarse", "m_fine", "u_diff", "w_diff"), row)) for row in rows]

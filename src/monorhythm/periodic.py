@@ -30,7 +30,6 @@ __all__ = [
     "NonConvergenceError",
     "PeriodicOrbit",
     "BallCertificate",
-    "kernel_weights",
     "farkas_apply",
     "picard_solve",
     "shooting_solve",
@@ -92,37 +91,19 @@ def _positive_rate(lam: float) -> float:
     return float(lam)
 
 
-def _response_symbol(rates, T: float, n_t: int) -> np.ndarray:
-    """Transfer function 1 / (rate + 2 pi i k / T) of the T-periodic response.
-
-    Row k is the k-th frequency the real FFT of n_t samples keeps, column j
-    the j-th rate; every rate must be positive.
-    """
-    rates = np.array([_positive_rate(r) for r in np.atleast_1d(rates)])
-    omega = 2j * np.pi * np.fft.rfftfreq(n_t, T / n_t)
-    symbol = omega[:, None] + rates
-    return np.divide(1.0, symbol, out=symbol)
-
-
 def _periodic_response(rates, T: float, forcing: np.ndarray) -> np.ndarray:
     """Node values of the T-periodic response of x' = -rate x + F per column.
 
-    The response overwrites ``forcing``, which callers pass as a temporary.
+    Harmonic k of column j is F_k / (rate_j + 2 pi i k / T) at every frequency
+    the real FFT of the samples keeps; every rate must be positive. The
+    response overwrites ``forcing``, which callers pass as a temporary.
     """
+    rates = np.array([_positive_rate(r) for r in np.atleast_1d(rates)])
     n_t = forcing.shape[0]
+    symbol = 2j * np.pi * np.fft.rfftfreq(n_t, T / n_t)[:, None] + rates
     f_hat = np.fft.rfft(forcing, axis=0)
-    f_hat *= _response_symbol(rates, T, n_t)
+    f_hat *= np.divide(1.0, symbol, out=symbol)
     return np.fft.irfft(f_hat, n=n_t, axis=0, out=forcing)
-
-
-def kernel_weights(lam: float, T: float, n_t: int) -> np.ndarray:
-    """Circulant weights of the periodic-response integral for decay rate ``lam``.
-
-    Circular convolution of the weights with samples F_j gives the node values
-    of the periodic response of x' = -lam x + F, exact for every harmonic the
-    grid resolves. The weights sum to the zero-frequency symbol 1 / lam.
-    """
-    return np.fft.irfft(_response_symbol(lam, T, n_t)[:, 0], n=n_t)
 
 
 def _nodes(T: float, n_t: int) -> np.ndarray:
@@ -228,9 +209,9 @@ def picard_solve(
     gamma fits sum_i gamma_i df_i to f in least squares. With no history this
     is the damped step u + theta f.
 
-    ``x0``, of shape ``(2, n_t, n_modes)`` (the potential samples at the
-    nodes k T / n_t, then the recovery samples), is read, never written, and
-    only its potential half is used. ``operator_residual`` is the last
+    ``x0``, of shape ``(n_t, n_modes)``, holds the starting potential
+    samples at the nodes k T / n_t (the recovery samples follow from them as
+    W(u)) and is read, never written. ``operator_residual`` is the last
     recorded residual: the returned pair (u, W(u)) is the one that
     application measured, so its recovery residual is zero. The periodicity
     residual integrates the start state over one period at step ``dt``,
@@ -249,10 +230,11 @@ def picard_solve(
     if x0 is None:
         u = np.zeros((n_t, n))
     else:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (2, n_t, n):
-            raise ValueError(f"starting guess must have shape (2, {n_t}, {n})")
-        u = x0[0]
+        u = np.asarray(x0, dtype=float)
+        if u.shape != (n_t, n):
+            raise ValueError(
+                f"starting guess must have shape (n_t, n) = ({n_t}, {n}), got {u.shape}"
+            )
 
     residuals: list[float] = []
     d_f: list[np.ndarray] = []  # residual differences, oldest first

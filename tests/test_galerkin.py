@@ -19,7 +19,7 @@ from monorhythm.galerkin import (
     rhs,
 )
 from monorhythm.ionic import PhysiologicalParameters, derive_parameters
-from monorhythm.spectral import Stimulus, build_basis
+from monorhythm.spectral import Stimulus, build_basis, project_nonlinearity
 
 from systems import GEOM, PERIOD, PHI, RESC, feasible_model, feasible_system, linear_system
 
@@ -63,6 +63,48 @@ def test_rhs_zero_state_sees_stimulus_trace():
     dx = rhs(sys, 0.0, np.zeros(10))
     assert np.allclose(dx[:5], 2.0 * sys.trace_vector, rtol=1e-15)
     assert np.all(dx[5:] == 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(0, 16),
+    layout=st.sampled_from(["lone", "stacked", "ladder"]),
+    amplitude=st.floats(0.0, 8.0),
+    s=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stage_reaction_is_the_projected_nonlinearity(m, layout, amplitude, s, seed):
+    """The fused stage and Picard's project_nonlinearity are two copies of one
+    midpoint-rule projection: with its linear part and drive taken off, the
+    stage is -project_nonlinearity in the potential half and zero in the
+    recovery half, to 1e-13 of the largest term (5.9e-16 measured over 3000
+    draws). That holds for a lone state, node-stacked states, and a masked
+    ladder, whose member k is zero-padded and has its reaction zeroed past
+    its own size."""
+    sys = feasible_system(m=m)
+    n = sys.n_modes
+    rng = np.random.default_rng(seed)
+    shapes = {"lone": (2 * n,), "stacked": (7, 2 * n), "ladder": (3, 2 * n)}
+    x = amplitude * rng.standard_normal(shapes[layout])
+    drive = s * np.concatenate([sys.trace_vector, np.zeros(n)])
+    mask = 1.0
+    stage = sys.stage
+    if layout == "ladder":
+        sizes = np.sort(rng.integers(0, m + 1, size=3))
+        mask = np.tile(np.arange(n) <= sizes[:, None], 2).astype(float)
+        x *= mask
+        drive = drive * mask
+        stage = galerkin._stage_kernel(sys, mask)
+    u, w = x[..., :n], x[..., n:]
+    linear = np.concatenate(
+        [-sys.basis.lambdas * u, sys.recovery_gain * u - sys.recovery_rate * w], axis=-1
+    )
+    reaction = stage(s, x) - linear - drive
+    expected = mask * np.concatenate(
+        [-project_nonlinearity(sys.basis, u, w, sys.d), np.zeros_like(w)], axis=-1
+    )
+    scale = max(np.max(np.abs(expected)), np.max(np.abs(linear)), np.max(np.abs(drive)))
+    assert np.max(np.abs(reaction - expected)) <= 1e-13 * scale
 
 
 def test_linear_decay_closed_form():

@@ -1,5 +1,5 @@
-"""No module imports a name it never uses or another module's private name, and no public
-package name or field is test-only."""
+"""No module imports a name it never uses or another module's private name, no public
+package name or field is test-only, and every exported name is defined."""
 
 import ast
 from pathlib import Path
@@ -14,7 +14,6 @@ MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 UNREAD_BY_DESIGN = {
     "farkas_apply": "the one-call form of the fixed-point operator; tests recompute Picard's"
     " reported operator residual and check fixed points with it",
-    "kernel_weights": "acceptance criterion 1 checks the periodic-response kernel masses with it",
     "render_config": "the README documents the echo round trip: render, then parse back",
 }
 
@@ -183,3 +182,37 @@ def test_private_import_checker_flags_only_relative_underscore_names():
 def test_no_package_module_imports_a_private_name():
     sources = {path.stem: path.read_text() for path in PACKAGE}
     assert private_imports(sources) == []
+
+
+def undefined_exports(source: str) -> list[str]:
+    """Entries of a module's ``__all__`` that no module-level statement defines."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            defined |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+    return sorted(_exported(tree) - defined)
+
+
+def test_export_checker_flags_only_undefined_names():
+    source = (
+        "from .b import lone\n"
+        "import os.path\n"
+        "X: int = 1\n"
+        "Y = 2\n"
+        "def f(): pass\n"
+        "class C: pass\n"
+        "def g():\n    inner = 3\n"
+        "__all__ = ['lone', 'os', 'X', 'Y', 'f', 'C', 'inner', 'gone']\n"
+    )
+    assert undefined_exports(source) == ["gone", "inner"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_every_export_names_a_module_level_definition(path):
+    assert undefined_exports(path.read_text()) == []

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monorhythm.ionic import (
@@ -175,10 +175,20 @@ def test_scale_consistency(u_res, amp, c1, c2):
     u=st.floats(-8.0, 8.0),
     w=st.floats(-8.0, 8.0),
 )
+@example(
+    u_res=0.0,
+    amp=11.559545906762366,
+    c1=1.0,
+    c2=2.0776104153189454,
+    u=2.225073858507203e-309,
+    w=2.0776104153189454,
+)
 @settings(max_examples=200, deadline=None)
 def test_factored_reaction_matches_expanded(u_res, amp, c1, c2, u, w):
     """The product-only form of f_transformed agrees with the expanded cubic to
-    a few ulps of its largest term, on sign-mixed arrays, and vanishes at u = 0."""
+    a few ulps of its largest term, on sign-mixed arrays, and vanishes at u = 0.
+    Below the normal range an ulp is absolute, one subnormal spacing, so the
+    bound has a floor of a few of those; it is inert for normal results."""
     d = derive_parameters(
         PhysiologicalParameters(u_res=u_res, u_peak=u_res + amp, a=0.3, c1=c1, c2=c2, c3=1.0, b=1.0),
         RESC,
@@ -193,7 +203,8 @@ def test_factored_reaction_matches_expanded(u_res, amp, c1, c2, u, w):
         + d.a1 * (d.u_pr + d.u_tr) * u_arr**2
         + np.abs(RESC.xi * d.a2 * u_arr * w_arr)
     )
-    assert np.all(np.abs(factored - expanded) <= 4e-15 * scale)
+    ulp_floor = 4 * np.finfo(float).smallest_subnormal
+    assert np.all(np.abs(factored - expanded) <= 4e-15 * scale + ulp_floor)
     assert np.all(factored[2:] == 0.0)
 
 

@@ -1,4 +1,4 @@
-"""Periodic-response weights, the fixed-point operator, and both orbit solvers."""
+"""The periodic response, the fixed-point operator, and both orbit solvers."""
 
 from unittest.mock import patch
 
@@ -16,7 +16,6 @@ from monorhythm.periodic import (
     certify_ball,
     ct_norm,
     farkas_apply,
-    kernel_weights,
     orbit_gap,
     picard_solve,
     shooting_solve,
@@ -32,6 +31,11 @@ from systems import GEOM, PERIOD, RESC, feasible_system, linear_system
 R_STAR = 0.01587400205355547
 # the RK4 step of Picard's periodicity check, the command-line default
 DT = PERIOD / 1024
+
+
+def unit_response(lam, T, n_t):
+    """Node values of the periodic response of x' = -lam x + 1: the kernel mass 1/lam."""
+    return periodic._periodic_response(lam, T, np.ones((n_t, 1)))[:, 0]
 
 
 def test_kernel_boundary_continuity():
@@ -57,22 +61,23 @@ def test_kernel_rejects_nonpositive_rate():
         green_kernel_w(1.0, 1.0, -3.75, 0.032, 2.0, 0.5, 0.5)
     for lam in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="decay rate must be positive"):
-            kernel_weights(lam, 2.0, 128)
+            unit_response(lam, 2.0, 128)
 
 
 def test_kernel_mass_identity():
-    """Weights sum to 1/lam at n_t = 512 across nine decades of rate."""
+    """The response to a unit forcing is the kernel mass 1/lam at every node,
+    at n_t = 512 across nine decades of rate."""
     T = 2.0
     for lam in (1e-6, 1e-3, 0.5, 1.0, 21.2, 300.0, 1e3):
-        total = float(np.sum(kernel_weights(lam, T, 512)))
-        assert total * lam == pytest.approx(1.0, rel=1e-12), f"lam={lam}"
+        total = unit_response(lam, T, 512)
+        assert np.max(np.abs(total * lam - 1.0)) <= 1e-12, f"lam={lam}"
 
 
 def test_recovery_kernel_mass():
     b, c3, xi, eps = 1.0, 1.0, 3.75, 0.032
     rate = b * c3 * xi * eps
-    total = float(np.sum(kernel_weights(rate, 2.0, 512)))
-    assert total == pytest.approx(1.0 / rate, rel=1e-12)
+    total = unit_response(rate, 2.0, 512)
+    assert np.max(np.abs(total * rate - 1.0)) <= 1e-12
     # the recovery kernel is the generic kernel at the composite rate
     assert green_kernel_w(b, c3, xi, eps, 2.0, 0.7, 0.2) == pytest.approx(
         float(green_kernel_u(rate, 2.0, 0.7, 0.2)), rel=1e-15
@@ -80,8 +85,8 @@ def test_recovery_kernel_mass():
 
 
 def test_weights_reproduce_sinusoid_response():
-    """Convolving with the weights gives the periodic response of a
-    multi-harmonic forcing to roundoff, on even and odd grids alike: against
+    """The transfer function gives the periodic response of a multi-harmonic
+    forcing to roundoff, on even and odd grids alike: against
     the closed form, and against a two-branch Gauss-Legendre quadrature of the
     Green's kernel oracle."""
     T = 2.0
@@ -96,9 +101,7 @@ def test_weights_reproduce_sinusoid_response():
     for n_t in (64, 65, 127, 512):
         t = np.arange(n_t) * T / n_t
         for lam in (0.12, 1.0, 21.2):
-            conv = np.fft.irfft(
-                np.fft.rfft(kernel_weights(lam, T, n_t)) * np.fft.rfft(forcing(t)), n=n_t
-            )
+            conv = periodic._periodic_response(lam, T, forcing(t)[:, None])[:, 0]
             exact = sum(
                 ((a - 1j * b) * np.exp(1j * k * om * t) / (lam + 1j * k * om)).real
                 for k, a, b in harmonics
@@ -154,7 +157,7 @@ def test_farkas_shape_check():
 def test_picard_linear_single_sweep():
     sys = linear_system(s0=1.0)
     rng = np.random.default_rng(3)
-    orbit = picard_solve(sys, 512, DT, x0=0.1 * rng.standard_normal((2, 512, 5)), tol=1e-10)
+    orbit = picard_solve(sys, 512, DT, x0=0.1 * rng.standard_normal((512, 5)), tol=1e-10)
     assert orbit.converged and orbit.n_iter == 1
     u_star = 1.0 * sys.trace_vector / sys.basis.lambdas
     w_star = u_star / (RESC.xi * 1.0)
@@ -165,9 +168,16 @@ def test_picard_linear_single_sweep():
 def test_picard_zero_iterations_from_fixed_point():
     sys = linear_system(s0=1.0)
     u_star = np.broadcast_to(1.0 * sys.trace_vector / sys.basis.lambdas, (256, 5)).copy()
-    w_star = u_star / (RESC.xi * 1.0)
-    orbit = picard_solve(sys, 256, DT, x0=np.array([u_star, w_star]), tol=1e-10)
+    orbit = picard_solve(sys, 256, DT, x0=u_star, tol=1e-10)
     assert orbit.converged and orbit.n_iter == 0
+
+
+def test_picard_start_is_the_potential_samples_alone():
+    """The start holds the potential samples, shape (n_t, n); a stacked
+    (u, w) start of shape (2, n_t, n) is rejected."""
+    sys = linear_system(s0=1.0)
+    with pytest.raises(ValueError, match=r"shape \(n_t, n\) = \(256, 5\), got \(2, 256, 5\)"):
+        picard_solve(sys, 256, DT, x0=np.zeros((2, 256, 5)))
 
 
 def test_picard_nonlinear_converges_and_certifies():
@@ -209,7 +219,7 @@ def _runaway_system():
 
 def test_picard_divergence_reports_history():
     sys = _runaway_system()
-    huge = np.array([1e3 * np.ones((128, 5)), np.zeros((128, 5))])
+    huge = 1e3 * np.ones((128, 5))
     with pytest.raises(NonConvergenceError) as info:
         with np.errstate(over="ignore", invalid="ignore"):
             picard_solve(sys, 128, DT, x0=huge)
@@ -237,7 +247,7 @@ def test_picard_divergence_rule_tolerates_overshoot_and_stops_growth():
     assert np.max(history / np.minimum.accumulate(history)) < 2.0
     assert history[-1] < 1e-10 <= history[-2]
 
-    start = np.array([np.ones((128, 5)), np.zeros((128, 5))])
+    start = np.ones((128, 5))
     with pytest.raises(NonConvergenceError, match="diverged after 2 sweeps") as info:
         picard_solve(_runaway_system(), 128, DT, x0=start)
     history = info.value.history
@@ -380,7 +390,7 @@ def test_linear_monodromy_matches_finite_difference_jacobian(m, extra_steps):
     of the basis vectors are the columns of R^N. Every step count from the
     least one inside RK4's stability limit upward qualifies."""
     sys = linear_system(m=m, s0=0.0, phi=0.0)
-    fastest = -float(np.min(np.diag(sys.linear)))
+    fastest = max(float(np.max(sys.basis.lambdas)), sys.recovery_rate)
     n_steps = int(np.ceil(PERIOD * fastest / 2.7852935634)) + extra_steps
     dt = PERIOD / n_steps
     images = np.array(
