@@ -57,7 +57,9 @@ class PeriodicOrbit:
     ``history`` is the solver's convergence record: Picard's residual per
     operator application, or shooting's period-map defect norm at the
     starting guess and after each step. A solver that does not converge
-    raises, so every returned orbit has ``converged`` set.
+    raises, so every returned orbit has ``converged`` set. ``jacobian_cond``
+    is the 2-norm condition number of shooting's final Broyden Jacobian;
+    Picard has none.
     """
 
     times: np.ndarray
@@ -70,6 +72,7 @@ class PeriodicOrbit:
     converged: bool
     history: tuple[float, ...]
     operator_residual: float | None = None
+    jacobian_cond: float | None = None
 
 
 @dataclass(frozen=True)
@@ -394,6 +397,7 @@ def shooting_solve(
         n_iter=n_iter,
         converged=True,
         history=tuple(history),
+        jacobian_cond=float(np.linalg.cond(jac)),
     )
 
 

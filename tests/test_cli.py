@@ -5,6 +5,7 @@ the files it writes, so the full path from config text to CSV/JSON
 output is exercised, including exit codes and error reporting.
 """
 
+import io
 import json
 import os
 import re
@@ -13,6 +14,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from monorhythm import cli, feasibility, galerkin, periodic
 from monorhythm.config import load_config, render_config
@@ -129,6 +132,72 @@ def test_csv_writer_matches_per_cell_reference(tmp_path):
     assert data == _reference_csv("mixed columns", "x,m,flag,member", rows)
     for token in (b"\n-0,", b"e-300,", b"\nnan,", b",64,"):
         assert token in data, f"{token!r} missing from the written rows"
+
+
+def _savetxt_csv(comment, header, rows) -> bytes:
+    """Reference: the comment, the header, then ``np.savetxt``'s ``%.17g`` rows."""
+    buf = io.StringIO()
+    np.savetxt(buf, np.asarray(rows, dtype=float), fmt="%.17g", delimiter=",")
+    return f"# {comment}\n{header}\n{buf.getvalue()}".encode("utf-8")
+
+
+# values whose text a writer deduplicating by float value would get wrong,
+# plus the extremes of the double range
+_SPECIAL_CELLS = (0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 1.0)
+
+
+@st.composite
+def _csv_arrays(draw):
+    """Rows of 1-4 columns, each few-valued from a drawn pool or dense in
+    random bit patterns, with row counts on both sides of a block boundary."""
+    n_cols = draw(st.integers(1, 4))
+    step = cli._BLOCK_CELLS // n_cols
+    n_rows = draw(st.sampled_from((1, 2, 5, step - 1, step, step + 1, 2 * step + 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = st.sampled_from(_SPECIAL_CELLS) | st.floats(allow_subnormal=True)
+    columns = []
+    for _ in range(n_cols):
+        pool = np.array(draw(st.lists(cells, min_size=1, max_size=6)))
+        column = rng.choice(pool, n_rows)
+        if draw(st.booleans()):  # dense: every cell a random double, NaN payloads included
+            dense = rng.integers(-(2**63), 2**63, n_rows, dtype=np.int64, endpoint=False)
+            keep = rng.random(n_rows) < 0.8
+            column[keep] = dense.view(np.float64)[keep]
+        columns.append(column)
+    return np.column_stack(columns)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_csv_arrays())
+@example(np.array([[0.0], [-0.0], [0.0], [-0.0], [0.0], [-0.0], [0.0], [-0.0]]))
+@example(np.array([[-0.0, np.nan, np.inf, -np.inf, 5e-324]]))
+def test_csv_writer_matches_savetxt(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("csv") / "rows.csv"
+    cli._write_csv(str(path), "drawn rows", "header", rows)
+    assert path.read_bytes() == _savetxt_csv("drawn rows", "header", rows)
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [("param-region", "reaction_region.cfg"), ("solve-periodic", "feasible_periodic.cfg")],
+)
+def test_written_csvs_are_the_savetxt_bytes_of_their_rows(tmp_path, capsys, monkeypatch,
+                                                           command, config):
+    specs = []
+    run = cli._COMMANDS[command]
+
+    def recorded(cfg, **kwargs):
+        payload, flags, files = run(cfg, **kwargs)
+        specs.extend(files)
+        return payload, flags, files
+
+    monkeypatch.setitem(cli._COMMANDS, command, recorded)
+    assert cli.main([command, "--config", config_path(config), "--out", str(tmp_path)]) == 0
+    written = sorted(p.name for p in tmp_path.iterdir() if p.suffix == ".csv")
+    assert written == sorted(name for name, *_ in specs) and written
+    for name, comment, header, rows in specs:
+        assert read_bytes(tmp_path, name) == _savetxt_csv(comment, header, rows), name
+    capsys.readouterr()  # swallow the written-path listing
 
 
 def test_feasibility_report_and_curves(tmp_path, capsys):
@@ -447,6 +516,21 @@ def test_linear_orbit_converges_in_one_step(tmp_path, capsys):
     assert report["condition_flags"]["ball_member"] is None
     for name in ("orbit.csv", "orbit_shooting.csv"):
         assert os.path.exists(os.path.join(str(tmp_path), name)), f"{name} missing"
+    capsys.readouterr()  # swallow the written-path listing
+
+
+def test_shooting_reports_its_jacobian_conditioning(tmp_path, capsys):
+    """On a linear system the closed-form start J0 is already exact, so the
+    secant updates leave it unchanged and the reported condition is J0's."""
+    path = config_path("linear_orbit.cfg")
+    assert cli.main(["solve-periodic", "--config", path, "--out", str(tmp_path)]) == 0
+    payload = read_report(tmp_path)["payload"]
+    assert payload["picard"]["jacobian_cond"] is None
+    cfg = load_config(path)
+    sys_ = cli._build_system(cfg, cli._build_model(cfg))
+    dt = cfg.require("solver.dt")
+    j0 = periodic._linear_monodromy(sys_, dt, round(sys_.period / dt))
+    assert payload["shooting"]["jacobian_cond"] == pytest.approx(np.linalg.cond(j0), rel=1e-6)
     capsys.readouterr()  # swallow the written-path listing
 
 
