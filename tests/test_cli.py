@@ -146,10 +146,66 @@ def _savetxt_csv(comment, header, rows) -> bytes:
 _SPECIAL_CELLS = (0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 1.0)
 
 
+def _decimal_ties():
+    """Exact ties of 17-digit rounding: doubles m / 2^(j+1) (m odd) whose
+    decimal expansion is the 18 digits of m 5^j, the last a 5, so that
+    x 10^j = n + 1/2 with n near 10^16 to 10^17. For j >= 23 the power of
+    ten is not one double."""
+    rng = np.random.default_rng(19)
+    ties = []
+    for j in range(1, 25):
+        lo, hi = -(-2 * 10**16 // 5**j), min(2 * 10**17 // 5**j, 2**53)
+        for m in {int(m) | 1 for m in rng.integers(lo, hi, 12)} | {lo | 1}:
+            if m * 5**j < 2 * 10**17:
+                ties.append(m / 2 ** (j + 1))
+    return ties
+
+
+def _near_ties():
+    """Doubles m / 2^(j+d) with x 10^j = m 5^j / 2^d within 2^-d of n + 1/2,
+    n in [10^16, 10^17): for j >= 23 the power of ten is not one double, and
+    at d >= 48 the tie is nearer than Dekker's product resolves."""
+    ties = []
+    for j in (23, 24, 25):  # past 25 no m of 53 bits gives n in range
+        for d in range(48, 58):
+            for side in (1, -1):
+                m = (2 ** (d - 1) + side) * pow(5**j, -1, 2**d) % 2**d
+                m += 2**d * max(0, -(-(2**52 - m) // 2**d))  # the first such m of 53 bits
+                if m < 2**53 and 10**16 <= m * 5**j // 2**d < 10**17:
+                    ties.append(m / 2 ** (j + d))
+    return ties
+
+
+def _edge_cells() -> np.ndarray:
+    """Values a random bit pattern almost never lands on, with both signs:
+    powers of ten and their neighbours one ulp either side, values that
+    round up into the next decade, the notation switches at 1e-5/1e-4 and
+    1e16/1e17, three-digit exponents, integers with trailing zeros, and
+    exact and near decimal ties."""
+    powers = np.array([float(f"1e{q}") for q in range(-300, 301)])
+    values = [
+        powers,
+        np.nextafter(powers, 0.0),
+        np.nextafter(powers, np.inf),
+        [float(f"9.99999999999999999e{k}") for k in range(-300, 301)],
+        [float(f"9.9999999999999999e{k}") for k in range(-300, 301)],
+        [9.99995e-5, 0.000123, 9.9999999999999991e15, 1.2345e16, 99999999999999984.0],
+        [159400.0, 1e20, 1000.0, 1234500000.0, 2.0**53, 10.0**15 * 7, 3e22],
+        _decimal_ties(),
+        _near_ties(),
+    ]
+    cells = np.concatenate([np.asarray(v, dtype=float) for v in values])
+    return np.concatenate([cells, -cells])
+
+
+_EDGE_CELLS = _edge_cells()
+
+
 @st.composite
 def _csv_arrays(draw):
-    """Rows of 1-4 columns, each few-valued from a drawn pool or dense in
-    random bit patterns, with row counts on both sides of a block boundary."""
+    """Rows of 1-4 columns, each few-valued from a drawn pool, dense in
+    random bit patterns or dense in ``_EDGE_CELLS``, with row counts on
+    both sides of a block boundary."""
     n_cols = draw(st.integers(1, 4))
     step = cli._BLOCK_CELLS // n_cols
     n_rows = draw(st.sampled_from((1, 2, 5, step - 1, step, step + 1, 2 * step + 3)))
@@ -159,10 +215,13 @@ def _csv_arrays(draw):
     for _ in range(n_cols):
         pool = np.array(draw(st.lists(cells, min_size=1, max_size=6)))
         column = rng.choice(pool, n_rows)
-        if draw(st.booleans()):  # dense: every cell a random double, NaN payloads included
+        kind = draw(st.sampled_from(("few", "bits", "edge")))
+        keep = rng.random(n_rows) < 0.8
+        if kind == "bits":  # every cell a random double, NaN payloads included
             dense = rng.integers(-(2**63), 2**63, n_rows, dtype=np.int64, endpoint=False)
-            keep = rng.random(n_rows) < 0.8
             column[keep] = dense.view(np.float64)[keep]
+        elif kind == "edge":
+            column[keep] = rng.choice(_EDGE_CELLS, n_rows)[keep]
         columns.append(column)
     return np.column_stack(columns)
 
@@ -171,6 +230,7 @@ def _csv_arrays(draw):
 @given(_csv_arrays())
 @example(np.array([[0.0], [-0.0], [0.0], [-0.0], [0.0], [-0.0], [0.0], [-0.0]]))
 @example(np.array([[-0.0, np.nan, np.inf, -np.inf, 5e-324]]))
+@example(_EDGE_CELLS[:, None])
 def test_csv_writer_matches_savetxt(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("csv") / "rows.csv"
     cli._write_csv(str(path), "drawn rows", "header", rows)
@@ -496,6 +556,20 @@ def test_shooting_past_the_stability_limit_names_a_step_that_divides_the_period(
     assert cli.main(["solve-periodic", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert read_report(tmp_path)["payload"]["shooting"]["converged"] is True
     capsys.readouterr()  # swallow the written-path listing
+
+
+def test_non_nesting_grids_exit_2_before_solving(tmp_path, capsys, monkeypatch):
+    """With both methods the cross-method gap needs nesting node sets:
+    n_t = 1000 against T/dt = 1024 is named before either solver runs."""
+    for name in ("picard_solve", "shooting_solve"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("a solver ran"))
+    with open(config_path("feasible_periodic.cfg"), encoding="utf-8") as fh:
+        text = fh.read().replace("solver.n_t = 2048", "solver.n_t = 1000")
+    cfg = write_config(tmp_path, text)
+    assert cli.main(["solve-periodic", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "solver.n_t = 1000 nodes and T/solver.dt = 1024 nodes do not nest" in err, err
+    assert not (tmp_path / "orbit.csv").exists()
 
 
 def test_linear_orbit_converges_in_one_step(tmp_path, capsys):
