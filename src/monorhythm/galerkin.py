@@ -288,7 +288,16 @@ def refinement_gaps(sys: GalerkinSystem, m_list, t1: float, dt: float) -> np.nda
         raise ValueError(f"ladder sizes {sizes} must lie in 0..{sys.basis.m}")
     times = _time_grid(t1, dt)
     mask = np.tile(np.arange(n) <= np.array(sizes)[:, None], 2).astype(float)
-    stage = _stage_kernel(sys, mask)
+    _, first, inv = np.unique(sizes, return_index=True, return_inverse=True)
+    if len(first) == len(sizes):
+        stage = _stage_kernel(sys, mask)
+    else:
+        # Equal sizes share one evaluation, copied, so their gap is exactly
+        # zero: a batched product can round a row by its place in the batch.
+        distinct = _stage_kernel(sys, mask[first])
+
+        def stage(s, x):
+            return distinct(s, x[first])[inv]
 
     gaps_sq = np.zeros((len(times), len(sizes) - 1, 2))  # the zero start has no gap
     x = np.zeros((len(sizes), 2 * n))
