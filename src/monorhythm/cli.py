@@ -64,8 +64,10 @@ from .ionic import (
 from .periodic import (
     NonConvergenceError,
     certify_ball,
+    node_stride,
     orbit_gap,
     picard_solve,
+    shooting_nodes,
     shooting_solve,
 )
 from .spectral import Geometry1D, Stimulus, build_basis
@@ -491,14 +493,18 @@ def cmd_solve_periodic(cfg: RunConfig, seed=None):
         n_t = cfg.get("solver.n_t", 1024)
         if method == "both":
             # the cross-method gap compares the two orbits on the coarser node set
-            n_shoot = round(sys_.period / dt)
-            coarse, fine = sorted((n_t, n_shoot))
-            if coarse > 0 and fine % coarse:
+            try:
+                n_shoot = shooting_nodes(sys_.period, dt)
+            except ValueError as exc:
+                raise ConfigError(f"solver.dt = {dt:.6g}: {exc}", cfg.path) from None
+            try:
+                node_stride(n_t, n_shoot)
+            except ValueError:
                 raise ConfigError(
                     f"solver.n_t = {n_t} nodes and T/solver.dt = {n_shoot} nodes do not nest;"
                     " with solver.method = both one count must be a multiple of the other",
                     cfg.path,
-                )
+                ) from None
         x0 = None
         if seed is not None:
             x0 = 0.01 * np.random.default_rng(seed).standard_normal((n_t, sys_.n_modes))

@@ -273,9 +273,9 @@ def integrate_cauchy(sys: GalerkinSystem, x0: np.ndarray, t1: float, dt: float) 
 def refinement_gaps(sys: GalerkinSystem, m_list, t1: float, dt: float) -> np.ndarray:
     """Space-time L2 (u, w) gaps between neighbouring sizes of ``m_list``, in one integration.
 
-    Each size m_k steps from zero as member k of one ladder state on the
-    basis of ``sys`` (size M >= every m_k), zero-padded and masked past mode
-    m_k, where it stays exactly zero. The midpoint rule on 2M + 1 nodes is
+    Each distinct size m_k steps from zero as one member of one ladder
+    state on the basis of ``sys`` (size M >= every m_k), zero-padded and
+    masked past mode m_k, where it stays exactly zero. The midpoint rule on 2M + 1 nodes is
     exact for products of four modes up to M, so each member follows its
     own truncated system. ``dt`` is checked at M. The bases nest, so row k
     is the trapezoid in time of the squared coefficient gap between members
@@ -287,22 +287,14 @@ def refinement_gaps(sys: GalerkinSystem, m_list, t1: float, dt: float) -> np.nda
     if not all(0 <= m < n for m in sizes):
         raise ValueError(f"ladder sizes {sizes} must lie in 0..{sys.basis.m}")
     times = _time_grid(t1, dt)
-    mask = np.tile(np.arange(n) <= np.array(sizes)[:, None], 2).astype(float)
-    _, first, inv = np.unique(sizes, return_index=True, return_inverse=True)
-    if len(first) == len(sizes):
-        stage = _stage_kernel(sys, mask)
-    else:
-        # Equal sizes share one evaluation, copied, so their gap is exactly
-        # zero: a batched product can round a row by its place in the batch.
-        distinct = _stage_kernel(sys, mask[first])
-
-        def stage(s, x):
-            return distinct(s, x[first])[inv]
-
+    # equal sizes step as one member, so their gap is exactly zero: a batched
+    # product can round a row differently by its place in the batch
+    distinct, inverse = np.unique(sizes, return_inverse=True)
+    mask = np.tile(np.arange(n) <= distinct[:, None], 2).astype(float)
     gaps_sq = np.zeros((len(times), len(sizes) - 1, 2))  # the zero start has no gap
-    x = np.zeros((len(sizes), 2 * n))
-    for k, block in _march(stage, sys.stim, x, times, sizes):
-        gap = np.diff(block, axis=1).reshape(len(block), len(sizes) - 1, 2, n)
+    x = np.zeros((len(distinct), 2 * n))
+    for k, block in _march(_stage_kernel(sys, mask), sys.stim, x, times, distinct.tolist()):
+        gap = np.diff(block[:, inverse], axis=1).reshape(len(block), len(sizes) - 1, 2, n)
         gaps_sq[k : k + len(block)] = np.sum(gap * gap, axis=-1)
     return np.sqrt(np.trapezoid(gaps_sq, x=times, axis=0))
 

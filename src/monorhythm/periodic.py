@@ -35,6 +35,8 @@ __all__ = [
     "shooting_solve",
     "certify_ball",
     "orbit_gap",
+    "shooting_nodes",
+    "node_stride",
     "ct_norm",
 ]
 
@@ -322,6 +324,24 @@ def _linear_monodromy(sys: GalerkinSystem, dt: float, n_steps: int) -> np.ndarra
     return jac - np.eye(2 * n)
 
 
+def shooting_nodes(T: float, dt: float) -> int:
+    """The number T / dt of shooting's orbit nodes; dt must divide the period T."""
+    n_steps = int(round(T / dt))
+    if abs(n_steps * dt - T) > 1e-9 * T:
+        raise ValueError("dt must divide the period so orbit nodes land on the grid")
+    return n_steps
+
+
+def node_stride(n_a: int, n_b: int) -> int:
+    """How many nodes of the finer of two uniform node sets of one period
+    lie per node of the coarser; the counts must nest (one a multiple of
+    the other)."""
+    coarse, fine = sorted((n_a, n_b))
+    if coarse < 1 or fine % coarse:
+        raise ValueError(f"grids with {n_a} and {n_b} nodes do not nest")
+    return fine // coarse
+
+
 def shooting_solve(
     sys: GalerkinSystem,
     dt: float,
@@ -345,9 +365,7 @@ def shooting_solve(
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     T = sys.period
-    n_steps = int(round(T / dt))
-    if abs(n_steps * dt - T) > 1e-9 * T:
-        raise ValueError("dt must divide the period so orbit nodes land on the grid")
+    n_steps = shooting_nodes(T, dt)
     if n_steps < 64:
         raise ValueError(
             f"dt must be at most T/64 = {T / 64:.6g} so the orbit has at least 64 nodes,"
@@ -423,7 +441,5 @@ def orbit_gap(a: PeriodicOrbit, b: PeriodicOrbit, basis) -> float:
     # the sign of the difference does not change its norm, so let a be the finer orbit
     if len(a.times) < len(b.times):
         a, b = b, a
-    stride, rest = divmod(len(a.times), len(b.times))
-    if rest:
-        raise ValueError(f"grids with {len(a.times)} and {len(b.times)} nodes do not nest")
+    stride = node_stride(len(a.times), len(b.times))
     return float(np.max(_mixed_norm(basis, a.u[::stride] - b.u, a.w[::stride] - b.w)))

@@ -558,17 +558,35 @@ def test_shooting_past_the_stability_limit_names_a_step_that_divides_the_period(
     capsys.readouterr()  # swallow the written-path listing
 
 
-def test_non_nesting_grids_exit_2_before_solving(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (
+            "solver.n_t = 2048",
+            "solver.n_t = 1000",
+            "solver.n_t = 1000 nodes and T/solver.dt = 1024 nodes do not nest",
+        ),
+        (
+            "solver.dt = 0.001953125",
+            "solver.dt = 0.003",
+            "solver.dt = 0.003: dt must divide the period",
+        ),
+    ],
+)
+def test_non_nesting_grids_exit_2_before_solving(tmp_path, capsys, monkeypatch, old, new, message):
     """With both methods the cross-method gap needs nesting node sets:
-    n_t = 1000 against T/dt = 1024 is named before either solver runs."""
+    n_t = 1000 against T/dt = 1024 is named before either solver runs, and
+    so is a dt that does not divide the period (T/dt = 666.7), before any
+    node count is compared."""
     for name in ("picard_solve", "shooting_solve"):
         monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("a solver ran"))
     with open(config_path("feasible_periodic.cfg"), encoding="utf-8") as fh:
-        text = fh.read().replace("solver.n_t = 2048", "solver.n_t = 1000")
-    cfg = write_config(tmp_path, text)
+        text = fh.read()
+    assert old in text
+    cfg = write_config(tmp_path, text.replace(old, new))
     assert cli.main(["solve-periodic", "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert "solver.n_t = 1000 nodes and T/solver.dt = 1024 nodes do not nest" in err, err
+    assert message in err, err
     assert not (tmp_path / "orbit.csv").exists()
 
 

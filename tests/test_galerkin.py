@@ -368,8 +368,10 @@ def test_ladder_gaps_equal_separate_padded_runs(m_list, amplitude):
     assert gaps.shape == (len(m_list) - 1, 2)
     oracle = padded_gap_oracle(m_list, amplitude, 1.25, dt)
     np.testing.assert_allclose(gaps, oracle, rtol=1e-12, atol=0.0)
-    states = np.concatenate(seen).reshape(-1, len(m_list), 2, max(m_list) + 1)
-    for k, m in enumerate(m_list):
+    # equal sizes step as one member
+    sizes = sorted(set(m_list))
+    states = np.concatenate(seen).reshape(-1, len(sizes), 2, max(m_list) + 1)
+    for k, m in enumerate(sizes):
         assert np.all(states[:, k, :, m + 1 :] == 0.0)
 
 
