@@ -64,6 +64,7 @@ from .ionic import (
 from .periodic import (
     NonConvergenceError,
     certify_ball,
+    check_node_floor,
     node_stride,
     orbit_gap,
     picard_solve,
@@ -86,10 +87,9 @@ _STIMULUS_SHAPE_FIELDS = {
     "pulse": ("center", "width", "offset"),
 }
 
-# cells the CSV writer formats at once. Peak memory grows with it: the array
-# path holds a few 25-byte rows per cell, and 2^16 cells of text added about
-# 3 MB to an orbit run. 2^13 is the smallest power of two at which a
-# 512-wide raster's a2 column is under a quarter distinct in every block.
+# cells the CSV writer formats at once. Peak memory grows with it: a block
+# holds a few 25-byte rows per cell, and 2^16 cells of text added about
+# 3 MB to an orbit run.
 _BLOCK_CELLS = 1 << 13
 
 # The array formatter's cell: a sign column ("-" or a zero byte), at most 23
@@ -110,10 +110,6 @@ def _json_default(obj):
         return dataclasses.asdict(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
@@ -243,12 +239,14 @@ def _layout(values: np.ndarray):
     return text, near_ties
 
 
-def _format_distinct(block: np.ndarray) -> bytes:
+def _format_block(block: np.ndarray) -> bytes:
     """The CSV bytes of a block of rows, every cell printed with ``%.17g``.
 
-    The block's distinct bit patterns are formatted as arrays by
-    ``_layout``. Zeros, NaN, infinities, magnitudes outside
-    ``_MAGNITUDES`` and near ties go through ``%`` one value at a time.
+    The block is deduplicated on its int64 bit view, so ``-0.0`` and
+    ``0.0`` and every NaN/inf pattern stay apart, and its distinct values
+    are formatted as arrays by ``_layout``. Zeros, NaN, infinities,
+    magnitudes outside ``_MAGNITUDES`` and near ties go through ``%`` one
+    value at a time.
     """
     bits, inverse = np.unique(block.ravel().view(np.int64), return_inverse=True)
     values = bits.view(np.float64)
@@ -265,35 +263,15 @@ def _format_distinct(block: np.ndarray) -> bytes:
     return cells[cells != 0].tobytes()
 
 
-def _format_block(block: np.ndarray) -> bytes:
-    """The CSV bytes of a block of rows, every cell printed with ``%.17g``.
-
-    Each column is deduplicated on its int64 bit view, so ``-0.0`` and
-    ``0.0`` and every NaN/inf pattern stay apart, and each distinct value
-    is formatted once. A block with a column more than a quarter distinct,
-    such as an orbit's, is formatted as arrays by ``_format_distinct``.
-    """
-    columns = []
-    for column in block.T:
-        bits, index = np.unique(column.view(np.int64), return_inverse=True)
-        if 4 * len(bits) > len(column):
-            return _format_distinct(block)
-        text = ["%.17g" % value for value in bits.view(np.float64).tolist()]
-        columns.append(map(text.__getitem__, index.tolist()))
-    return ("\n".join(map(",".join, zip(*columns))) + "\n").encode()
-
-
 def _write_csv(path: str, comment: str, header: str, rows) -> None:
     """Write a comment line, a header line and the rows, ``%.17g`` per cell.
 
     The bytes are those NumPy's text writer prints with format ``%.17g``
-    and delimiter ``,`` (a 1-D ``rows`` is one column). ``_format_block``
-    formats the rows in blocks of about ``_BLOCK_CELLS`` cells and each
-    block's bytes are written at once, so only one block's text is held.
+    and delimiter ``,``. ``_format_block`` formats the rows in blocks of
+    about ``_BLOCK_CELLS`` cells and each block's bytes are written at
+    once, so only one block's text is held.
     """
     data = np.asarray(rows, dtype=float)
-    if data.ndim == 1:
-        data = data[:, None]
     n_rows, n_cols = data.shape
     step = max(1, _BLOCK_CELLS // n_cols)
     with open(path, "wb") as handle:
@@ -492,7 +470,12 @@ def cmd_solve_periodic(cfg: RunConfig, seed=None):
     if method in ("picard", "both"):
         n_t = cfg.get("solver.n_t", 1024)
         if method == "both":
-            # the cross-method gap compares the two orbits on the coarser node set
+            # the cross-method gap compares the two orbits on the coarser node
+            # set, so both counts are checked, each against the floor first
+            try:
+                check_node_floor(n_t)
+            except ValueError as exc:
+                raise ConfigError(f"solver.n_t = {n_t}: {exc}", cfg.path) from None
             try:
                 n_shoot = shooting_nodes(sys_.period, dt)
             except ValueError as exc:

@@ -35,6 +35,7 @@ __all__ = [
     "shooting_solve",
     "certify_ball",
     "orbit_gap",
+    "check_node_floor",
     "shooting_nodes",
     "node_stride",
     "ct_norm",
@@ -88,6 +89,7 @@ class BallCertificate:
 _DEPTH = 2  # residual differences Picard's Anderson mixing keeps
 _DIVERGENCE = 100.0  # residual growth over the smallest so far that counts as divergence
 _ROW_BLOCK = 1024  # time rows the potential block projects the reaction in at once
+_MIN_NODES = 64  # the fewest nodes per period of an orbit from either solver
 
 
 def _positive_rate(lam: float) -> float:
@@ -228,8 +230,7 @@ def picard_solve(
         raise ValueError(f"mixing weight must lie in (0, 1], got {theta}")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if n_t < 64:
-        raise ValueError(f"n_t must be at least 64, got {n_t}")
+    check_node_floor(n_t)
     check_rk4_step(sys, dt)
     n = sys.n_modes
     if x0 is None:
@@ -324,11 +325,23 @@ def _linear_monodromy(sys: GalerkinSystem, dt: float, n_steps: int) -> np.ndarra
     return jac - np.eye(2 * n)
 
 
+def check_node_floor(n_t: int) -> None:
+    """Raise unless Picard's ``n_t`` nodes per period reach the floor ``_MIN_NODES``."""
+    if n_t < _MIN_NODES:
+        raise ValueError(f"n_t must be at least {_MIN_NODES}, got {n_t}")
+
+
 def shooting_nodes(T: float, dt: float) -> int:
-    """The number T / dt of shooting's orbit nodes; dt must divide the period T."""
+    """The number T / dt of shooting's orbit nodes; dt must divide the period T
+    and leave at least ``_MIN_NODES`` nodes."""
     n_steps = int(round(T / dt))
     if abs(n_steps * dt - T) > 1e-9 * T:
         raise ValueError("dt must divide the period so orbit nodes land on the grid")
+    if n_steps < _MIN_NODES:
+        raise ValueError(
+            f"dt must be at most T/{_MIN_NODES} = {T / _MIN_NODES:.6g} so the orbit has at"
+            f" least {_MIN_NODES} nodes, got dt = {dt:.6g} (T/{n_steps})"
+        )
     return n_steps
 
 
@@ -366,11 +379,6 @@ def shooting_solve(
         raise ValueError("tol must be positive")
     T = sys.period
     n_steps = shooting_nodes(T, dt)
-    if n_steps < 64:
-        raise ValueError(
-            f"dt must be at most T/64 = {T / 64:.6g} so the orbit has at least 64 nodes,"
-            f" got dt = {dt:.6g} (T/{n_steps})"
-        )
     x = np.zeros(2 * sys.n_modes)
 
     def defect(vec):

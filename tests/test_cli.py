@@ -571,13 +571,22 @@ def test_shooting_past_the_stability_limit_names_a_step_that_divides_the_period(
             "solver.dt = 0.003",
             "solver.dt = 0.003: dt must divide the period",
         ),
+        ("solver.n_t = 2048", "solver.n_t = 48", "solver.n_t = 48: n_t must be at least 64"),
+        (
+            "solver.dt = 0.001953125",
+            "solver.dt = 0.0625",
+            "solver.dt = 0.0625: dt must be at most T/64",
+        ),
     ],
 )
 def test_non_nesting_grids_exit_2_before_solving(tmp_path, capsys, monkeypatch, old, new, message):
     """With both methods the cross-method gap needs nesting node sets:
     n_t = 1000 against T/dt = 1024 is named before either solver runs, and
     so is a dt that does not divide the period (T/dt = 666.7), before any
-    node count is compared."""
+    node count is compared. A count under the 64-node floor is named as
+    such, before nesting: n_t = 48 does not nest with 1024 either, and
+    T/dt = 32 nests with 2048 but would let Picard run before shooting
+    rejected it."""
     for name in ("picard_solve", "shooting_solve"):
         monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("a solver ran"))
     with open(config_path("feasible_periodic.cfg"), encoding="utf-8") as fh:

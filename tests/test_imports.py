@@ -1,5 +1,6 @@
 """No module imports a name it never uses or another module's private name, no public
-package name or field is test-only, and every exported name is defined."""
+package name or field is test-only, no private package name is unread, and every
+exported name is defined."""
 
 import ast
 from pathlib import Path
@@ -69,8 +70,8 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def unread_public_names(sources: dict[str, str]) -> list[str]:
-    """Public top-level functions and classes that no module of ``sources`` reads.
+def _unread(sources: dict[str, str], defined) -> list[str]:
+    """The names ``defined(tree)`` gives for each module that no module reads.
 
     ``sources`` maps module names to their text. A name defined in module M
     counts as read where M itself loads it, or where a module that imports
@@ -91,13 +92,24 @@ def unread_public_names(sources: dict[str, str]) -> list[str]:
                 for alias in node.names:
                     if (alias.asname or alias.name) in loads[name]:
                         read.add((source, alias.name))
-    unread = []
-    for name, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                if node.name not in loads[name] and (name, node.name) not in read:
-                    unread.append(node.name)
-    return sorted(unread)
+    return sorted(
+        defined_name
+        for name, tree in trees.items()
+        for defined_name in defined(tree)
+        if defined_name not in loads[name] and (name, defined_name) not in read
+    )
+
+
+def unread_public_names(sources: dict[str, str]) -> list[str]:
+    """Public top-level functions and classes that no module of ``sources`` reads."""
+    return _unread(
+        sources,
+        lambda tree: [
+            node.name
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        ],
+    )
 
 
 def test_unread_checker_follows_imports_between_modules():
@@ -113,6 +125,39 @@ def test_unread_checker_follows_imports_between_modules():
 def test_every_public_package_name_is_read_by_package_code():
     sources = {path.stem: path.read_text() for path in PACKAGE}
     assert unread_public_names(sources) == sorted(UNREAD_BY_DESIGN)
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """Underscore functions, classes and constants a module defines at top level; not dunders."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Private top-level functions, classes and constants that no module of ``sources``
+    reads; a path deleted without its helpers leaves them here."""
+    return _unread(sources, _private_definitions)
+
+
+def test_private_checker_flags_only_unread_underscore_names():
+    sources = {
+        "a": "__all__ = []\n_LIMIT = 3\n_ORPHAN: int = 4\ndef _used(): return _LIMIT\n"
+        "def _lone(): pass\nclass _Hidden: pass\ndef public(): return _used()\n",
+        "b": "from .a import _Hidden\nfrom .c import _kept, _imported\nx = _Hidden(_kept)\n",
+        "c": "_kept = _imported = 1\n_dropped, y = 2, 3\n",
+    }
+    assert unread_private_names(sources) == ["_ORPHAN", "_dropped", "_imported", "_lone"]
+
+
+def test_every_private_package_name_is_read_by_package_code():
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    assert unread_private_names(sources) == []
 
 
 def unread_dataclass_fields(sources: dict[str, str]) -> list[str]:
