@@ -13,10 +13,12 @@ flags, timings) and CSV data files. Every CSV cell is printed with
 ``%.17g``, so floats round-trip and integer columns print bare, and
 identical configurations reproduce identical bytes apart from timings.
 Exit codes: 0 success, 2 configuration error (including a stimulus key its
-kind does not use), 3 solver non-convergence, 4 trajectory blow-up. A run
-that exits 3 or 4 still writes a partial report: the command, the
-configuration echo, the error message, and the failed solver's history or
-the blow-up's time, magnitude and truncation size m.
+kind does not use, a solver key the chosen method does not read, and a
+decay rate lambda_0 <= 0, which both orbit solvers reject), 3 solver
+non-convergence, 4 trajectory blow-up. A run that exits 3 or 4 still
+writes a partial report: the command, the configuration echo, the error
+message, and the failed solver's history or the blow-up's time, magnitude
+and truncation size m.
 """
 
 from __future__ import annotations
@@ -86,6 +88,13 @@ _STIMULUS_SHAPE_FIELDS = {
     "sinusoid": ("offset",),
     "pulse": ("center", "width", "offset"),
 }
+
+# the keys only one orbit solver reads; setting one the chosen method skips is an error
+_METHOD_KEYS = {
+    "picard": ("solver.n_t", "solver.theta", "solver.max_iter"),
+    "shooting": ("solver.newton_max_iter",),
+}
+_METHOD_KEYS["both"] = _METHOD_KEYS["picard"] + _METHOD_KEYS["shooting"]
 
 # cells the CSV writer formats at once. Peak memory grows with it: a block
 # holds a few 25-byte rows per cell, and 2^16 cells of text added about
@@ -299,6 +308,13 @@ def _build_model(cfg: RunConfig):
     return derive_parameters(phys, resc, c4_override=cfg.get("derived.c4_override", None))
 
 
+def _reject_unread(cfg: RunConfig, selector: str, choice: str, unread) -> None:
+    """Raise if any key of ``unread``, which ``selector = choice`` does not read, is set."""
+    for key in unread:
+        if cfg.has(key):
+            raise ConfigError(f"key '{key}' is not used by {selector} = {choice}", cfg.path)
+
+
 def _build_stimulus(cfg: RunConfig, d):
     key, value = cfg.require_exactly_one("stimulus.period", "stimulus.period_raw")
     period = rescale_period(value, d) if key == "stimulus.period_raw" else value
@@ -310,11 +326,8 @@ def _build_stimulus(cfg: RunConfig, d):
     phi = cfg.require("stimulus.phi")
     amplitude = cfg.require("stimulus.amplitude")
     shape = _STIMULUS_SHAPE_FIELDS[kind]
-    for name in ("offset", "center", "width"):
-        if name not in shape and cfg.has(f"stimulus.{name}"):
-            raise ConfigError(
-                f"key 'stimulus.{name}' is not used by stimulus.kind = {kind}", cfg.path
-            )
+    unread = [f"stimulus.{name}" for name in ("offset", "center", "width") if name not in shape]
+    _reject_unread(cfg, "stimulus.kind", kind, unread)
     # an unset field takes the Stimulus dataclass default
     fields = {name: cfg.get(f"stimulus.{name}", getattr(Stimulus, name)) for name in shape}
     return Stimulus(kind, period, phi, amplitude, **fields)
@@ -460,8 +473,10 @@ def _orbit_summary(orbit) -> dict:
 
 
 def cmd_solve_periodic(cfg: RunConfig, seed=None):
-    sys_ = _build_system(cfg, _build_model(cfg))
     method = cfg.get("solver.method", "picard")
+    unread = [key for key in _METHOD_KEYS["both"] if key not in _METHOD_KEYS[method]]
+    _reject_unread(cfg, "solver.method", method, unread)
+    sys_ = _build_system(cfg, _build_model(cfg))
     tol = cfg.get("solver.tol", 1e-10)
     # the RK4 step of shooting and of Picard's periodicity check
     dt = cfg.get("solver.dt", sys_.period / 1024)
@@ -474,20 +489,10 @@ def cmd_solve_periodic(cfg: RunConfig, seed=None):
             # set, so both counts are checked, each against the floor first
             try:
                 check_node_floor(n_t)
+                node_stride(n_t, shooting_nodes(sys_.period, dt))
             except ValueError as exc:
-                raise ConfigError(f"solver.n_t = {n_t}: {exc}", cfg.path) from None
-            try:
-                n_shoot = shooting_nodes(sys_.period, dt)
-            except ValueError as exc:
-                raise ConfigError(f"solver.dt = {dt:.6g}: {exc}", cfg.path) from None
-            try:
-                node_stride(n_t, n_shoot)
-            except ValueError:
-                raise ConfigError(
-                    f"solver.n_t = {n_t} nodes and T/solver.dt = {n_shoot} nodes do not nest;"
-                    " with solver.method = both one count must be a multiple of the other",
-                    cfg.path,
-                ) from None
+                prefix = f"solver.n_t = {n_t}, solver.dt = {dt:.6g}"
+                raise ConfigError(f"{prefix}: {exc}", cfg.path) from None
         x0 = None
         if seed is not None:
             x0 = 0.01 * np.random.default_rng(seed).standard_normal((n_t, sys_.n_modes))

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .ionic import DerivedParameters, f_transformed
-from .spectral import SpectralBasis, Stimulus
+from .spectral import SpectralBasis, Stimulus, v_norm_sq
 
 __all__ = [
     "BlowUpError",
@@ -322,7 +322,7 @@ def apriori_monitor(traj: Trajectory) -> MonitorReport:
     """Evaluate boundedness monitors along a trajectory, by time quadrature."""
     sys = traj.sys
     state_sq = np.sum(traj.u**2, axis=1) + np.sum(traj.w**2, axis=1)
-    v_sq = np.sum(sys.basis.lambdas * traj.u**2, axis=1)
+    v_sq = v_norm_sq(sys.basis, traj.u)
 
     dx = rhs(sys, traj.times[:, None], traj.x)
     n = sys.n_modes

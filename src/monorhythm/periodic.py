@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .galerkin import GalerkinSystem, check_rk4_step, integrate_cauchy
-from .spectral import norms, project_nonlinearity
+from .spectral import project_nonlinearity, v_norm_sq
 
 __all__ = [
     "NonConvergenceError",
@@ -92,20 +92,26 @@ _ROW_BLOCK = 1024  # time rows the potential block projects the reaction in at o
 _MIN_NODES = 64  # the fewest nodes per period of an orbit from either solver
 
 
-def _positive_rate(lam: float) -> float:
-    if not (np.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"decay rate must be positive, got {lam} (periodic response undefined)")
-    return float(lam)
+def _check_rates(sys: GalerkinSystem) -> None:
+    """Raise unless every decay rate of the linear part, the recovery rate and
+    each mode's eigenvalue, is positive: otherwise the linear part has no
+    unique periodic response, and neither solver has a unique orbit to find."""
+    rates = np.concatenate([[sys.recovery_rate], sys.basis.lambdas])
+    bad = rates[~(np.isfinite(rates) & (rates > 0.0))]
+    if bad.size:
+        raise ValueError(
+            f"decay rate must be positive, got {bad[0]} (periodic response undefined)"
+        )
 
 
 def _periodic_response(rates, T: float, forcing: np.ndarray) -> np.ndarray:
     """Node values of the T-periodic response of x' = -rate x + F per column.
 
     Harmonic k of column j is F_k / (rate_j + 2 pi i k / T) at every frequency
-    the real FFT of the samples keeps; every rate must be positive. The
-    response overwrites ``forcing``, which callers pass as a temporary.
+    the real FFT of the samples keeps; the solvers have checked that every
+    rate is positive (:func:`_check_rates`). The response overwrites
+    ``forcing``, which callers pass as a temporary.
     """
-    rates = np.array([_positive_rate(r) for r in np.atleast_1d(rates)])
     n_t = forcing.shape[0]
     symbol = 2j * np.pi * np.fft.rfftfreq(n_t, T / n_t)[:, None] + rates
     f_hat = np.fft.rfft(forcing, axis=0)
@@ -159,8 +165,7 @@ def farkas_apply(sys: GalerkinSystem, u: np.ndarray, w: np.ndarray):
 
 def _mixed_norm(basis, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Pointwise sqrt(V-norm(u)^2 + H-norm(w)^2) over the leading axes."""
-    v_u, h_w = norms(basis, u, w)
-    return np.sqrt(v_u**2 + h_w**2)
+    return np.sqrt(v_norm_sq(basis, u) + np.sum(w * w, axis=-1))
 
 
 def ct_norm(sys: GalerkinSystem, u: np.ndarray, w: np.ndarray) -> float:
@@ -171,11 +176,6 @@ def ct_norm(sys: GalerkinSystem, u: np.ndarray, w: np.ndarray) -> float:
 def _relative_defect(traj, x0: np.ndarray) -> float:
     """|x(T) - x0| / max(1, |x0|) for the last node x(T) of ``traj``."""
     return float(np.linalg.norm(traj.x[-1] - x0) / max(1.0, float(np.linalg.norm(x0))))
-
-
-def _v_sup(basis, u: np.ndarray) -> float:
-    """Sup over grid nodes of the V-norm of potential samples ``u``."""
-    return float(np.sqrt(np.max((u * u) @ basis.lambdas)))
 
 
 def _mixing_weights(d_f: list, f: np.ndarray) -> np.ndarray:
@@ -222,10 +222,12 @@ def picard_solve(
     recorded residual: the returned pair (u, W(u)) is the one that
     application measured, so its recovery residual is zero. The periodicity
     residual integrates the start state over one period at step ``dt``,
-    which is checked before the first application. A non-finite residual, one above ``_DIVERGENCE``
+    which is checked before the first application, as is every decay rate
+    (:func:`_check_rates`). A non-finite residual, one above ``_DIVERGENCE``
     times the smallest so far, or ``max_iter`` applications without reaching
     ``tol`` raise :class:`NonConvergenceError` with the residual history.
     """
+    _check_rates(sys)
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"mixing weight must lie in (0, 1], got {theta}")
     if tol <= 0.0:
@@ -250,7 +252,7 @@ def picard_solve(
         w = _w_block(sys, u)
         f = _u_block(sys, u, w)
         f -= u
-        res = _v_sup(sys.basis, f)
+        res = float(np.sqrt(np.max(v_norm_sq(sys.basis, f))))
         residuals.append(res)
         if not np.isfinite(res) or res > _DIVERGENCE * min(residuals):
             raise NonConvergenceError(
@@ -374,7 +376,10 @@ def shooting_solve(
     converged x, sampled at the integrator's own nodes over [0, T). Broyden
     converges superlinearly, so the returned defect sits just under the
     tolerance, not quadratically past it as a Newton step would leave it.
+    Every decay rate is checked first (:func:`_check_rates`): with a zero
+    rate R^N - I is singular.
     """
+    _check_rates(sys)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     T = sys.period

@@ -1,4 +1,4 @@
-"""Neumann cosine eigenbasis on an interval, with quadrature, norms, and the drive.
+"""Neumann cosine eigenbasis on an interval, with quadrature, the V-norm, and the drive.
 
 The elliptic operator behind the model is v -> -(sigma_hat v')' + lam0 v on
 (0, L) with insulated ends, where sigma_hat = (epsilon / C) sigma_const and
@@ -25,7 +25,7 @@ __all__ = [
     "Stimulus",
     "build_basis",
     "project_nonlinearity",
-    "norms",
+    "v_norm_sq",
 ]
 
 
@@ -91,29 +91,14 @@ def build_basis(geom, m, d) -> SpectralBasis:
     lambdas = d.lam0 + sigma_hat * (i * np.pi / L) ** 2
 
     nodes = (np.arange(n_quad) + 0.5) * (L / n_quad)
-    weights = np.full(n_quad, L / n_quad)
-
-    psi = _cosine_modes(nodes, m + 1, L)
-    trace = np.sqrt(2.0 / L) * (-1.0) ** i.astype(float)
-    trace[0] = 1.0 / np.sqrt(L)
-
     return SpectralBasis(
         m=m,
         lambdas=lambdas,
-        quad_weights=weights,
-        psi_quad=psi,
-        trace_values=trace,
+        quad_weights=np.full(n_quad, L / n_quad),
+        psi_quad=_cosine_modes(nodes, m + 1, L),
+        trace_values=_cosine_modes([L], m + 1, L)[0],
         n_quad=n_quad,
     )
-
-
-def _check_coeffs(basis: SpectralBasis, coeffs: np.ndarray, name: str) -> np.ndarray:
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape[-1] != basis.n_modes:
-        raise ValueError(
-            f"{name} has {coeffs.shape[-1]} modes, basis expects {basis.n_modes}"
-        )
-    return coeffs
 
 
 def project_nonlinearity(basis, u_coeffs, w_coeffs, d) -> np.ndarray:
@@ -129,18 +114,17 @@ def project_nonlinearity(basis, u_coeffs, w_coeffs, d) -> np.ndarray:
     return (f_nodal * basis.quad_weights) @ basis.psi_quad
 
 
-def norms(basis, u_coeffs, w_coeffs):
-    """Return (V-norm of u, H-norm of w).
+def v_norm_sq(basis, u_coeffs) -> np.ndarray:
+    """Squared V-norm sum_i lambda_i u_i^2 of potential coefficients, over the last axis.
 
-    H is plain L2 on the interval, so coefficient vectors give Euclidean norms;
-    the V-norm weights each mode by its eigenvalue. Stacked inputs reduce over
-    the last axis.
+    H is plain L2 on the interval, so the H-norm of coefficients is their
+    Euclidean norm; the V-norm weights each mode by its eigenvalue. The
+    weighting is in place: ``lambdas * u**2`` took about three times as
+    long on Picard's (8192, 33) residual through its second temporary.
     """
-    u_coeffs = _check_coeffs(basis, u_coeffs, "u_coeffs")
-    w_coeffs = _check_coeffs(basis, w_coeffs, "w_coeffs")
-    v_u = np.sqrt(np.sum(basis.lambdas * u_coeffs**2, axis=-1))
-    h_w = np.sqrt(np.sum(w_coeffs**2, axis=-1))
-    return v_u, h_w
+    weighted = u_coeffs * u_coeffs
+    weighted *= basis.lambdas
+    return np.sum(weighted, axis=-1)
 
 
 # ----------------------------------------------------------------- stimuli

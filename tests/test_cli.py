@@ -77,6 +77,11 @@ solver.method = picard
 solver.n_t = 128
 """
 
+# the same system solved by shooting, which reads no solver.n_t
+SHOOTING_CFG = NONLINEAR_PERIODIC_CFG.replace(
+    "solver.method = picard", "solver.method = shooting"
+).replace("solver.n_t = 128\n", "")
+
 
 def config_path(name):
     return os.path.join(CONFIG_DIR, name)
@@ -541,9 +546,7 @@ def test_shooting_past_the_stability_limit_names_a_step_that_divides_the_period(
     """At m = 72 shooting's default T/1024 step is past RK4's limit. The error
     names T/N, printed to full precision, and that value pasted into
     solver.dt passes both the limit and shooting's divisibility check."""
-    text = NONLINEAR_PERIODIC_CFG.replace("solver.m = 2", "solver.m = 72").replace(
-        "solver.method = picard", "solver.method = shooting"
-    )
+    text = SHOOTING_CFG.replace("solver.m = 2", "solver.m = 72")
     cfg = write_config(tmp_path, text)
     assert cli.main(["solve-periodic", "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
@@ -564,18 +567,22 @@ def test_shooting_past_the_stability_limit_names_a_step_that_divides_the_period(
         (
             "solver.n_t = 2048",
             "solver.n_t = 1000",
-            "solver.n_t = 1000 nodes and T/solver.dt = 1024 nodes do not nest",
+            "solver.n_t = 1000, solver.dt = 0.00195312: grids with 1000 and 1024 nodes do not nest",
         ),
         (
             "solver.dt = 0.001953125",
             "solver.dt = 0.003",
-            "solver.dt = 0.003: dt must divide the period",
+            "solver.n_t = 2048, solver.dt = 0.003: dt must divide the period",
         ),
-        ("solver.n_t = 2048", "solver.n_t = 48", "solver.n_t = 48: n_t must be at least 64"),
+        (
+            "solver.n_t = 2048",
+            "solver.n_t = 48",
+            "solver.n_t = 48, solver.dt = 0.00195312: n_t must be at least 64",
+        ),
         (
             "solver.dt = 0.001953125",
             "solver.dt = 0.0625",
-            "solver.dt = 0.0625: dt must be at most T/64",
+            "solver.n_t = 2048, solver.dt = 0.0625: dt must be at most T/64",
         ),
     ],
 )
@@ -597,6 +604,132 @@ def test_non_nesting_grids_exit_2_before_solving(tmp_path, capsys, monkeypatch, 
     err = capsys.readouterr().err
     assert message in err, err
     assert not (tmp_path / "orbit.csv").exists()
+
+
+_POWERS_OF_TWO = [2**k for k in range(5, 13)]  # node counts that often nest
+
+
+class _StubOrbit:
+    """Just enough of a PeriodicOrbit for the gap, the certificate and the report."""
+
+    def __init__(self, method, n_nodes, n_modes):
+        self.method, self.n_iter, self.converged = method, 0, True
+        self.times = np.arange(n_nodes) * (2.0 / n_nodes)
+        self.u = self.w = np.zeros((n_nodes, n_modes))
+        self.periodicity_residual = self.ct_norm = 0.0
+        self.operator_residual = self.jacobian_cond = None
+        self.history = (0.0,)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_t=st.one_of(st.integers(-4, 4096), st.sampled_from(_POWERS_OF_TWO)),
+    n_shoot=st.one_of(st.integers(1, 4096), st.sampled_from(_POWERS_OF_TWO)),
+    divides=st.booleans(),
+)
+@example(n_t=48, n_shoot=1000, divides=False)  # every rule fails: the floor is named
+@example(n_t=64, n_shoot=32, divides=True)  # nests, but shooting's count is under the floor
+@example(n_t=1000, n_shoot=1024, divides=True)
+@example(n_t=2048, n_shoot=1024, divides=True)
+def test_both_grid_precheck_names_the_first_failing_rule(tmp_path_factory, n_t, n_shoot, divides):
+    """With both methods, solver.n_t and solver.dt are checked before either
+    solver runs: the 64-node floor of n_t, then that dt divides T into at
+    least 64 steps, then that the two node counts nest. A run exits 2 naming
+    the first rule that fails, and otherwise reaches both solvers."""
+    dt = 2.0 / n_shoot if divides else 2.0 / (n_shoot + 0.5)
+    if n_t < 64:
+        expected = "n_t must be at least 64"
+    elif not divides:
+        expected = "dt must divide the period"
+    elif n_shoot < 64:
+        expected = "dt must be at most T/64"
+    elif max(n_t, n_shoot) % min(n_t, n_shoot):
+        expected = "do not nest"
+    else:
+        expected = None
+    calls = []
+
+    def stub(method, n_nodes):
+        def solve(sys_, *args, **kwargs):
+            calls.append(method)
+            return _StubOrbit(method, n_nodes, sys_.n_modes)
+
+        return solve
+
+    with open(config_path("feasible_periodic.cfg"), encoding="utf-8") as fh:
+        text = fh.read()
+    text = text.replace("solver.n_t = 2048", f"solver.n_t = {n_t}")
+    text = text.replace("solver.dt = 0.001953125", f"solver.dt = {dt!r}")
+    out = tmp_path_factory.mktemp("grids")
+    cfg = write_config(out, text)
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "picard_solve", stub("picard", n_t))
+        patch.setattr(cli, "shooting_solve", stub("shooting", n_shoot))
+        patch.setattr(sys, "stderr", err)
+        patch.setattr(sys, "stdout", io.StringIO())
+        rc = cli.main(["solve-periodic", "--config", cfg, "--out", str(out), "--format", "json"])
+    if expected is None:
+        assert rc == 0, err.getvalue()
+        assert calls == ["picard", "shooting"]
+    else:
+        assert rc == 2
+        assert expected in err.getvalue(), err.getvalue()
+        assert f"solver.n_t = {n_t}, solver.dt = {dt:.6g}: " in err.getvalue()
+        assert calls == []
+
+
+@pytest.mark.parametrize(
+    "method, key",
+    [
+        ("shooting", "solver.n_t = 48"),
+        ("shooting", "solver.theta = 0.5"),
+        ("shooting", "solver.max_iter = 3"),
+        ("picard", "solver.newton_max_iter = 3"),
+    ],
+)
+def test_solver_key_the_method_does_not_read_exits_2(tmp_path, capsys, monkeypatch, method, key):
+    """A solver key only the other method reads is a configuration error named
+    with its method, not a value silently dropped from the run and its echo."""
+    for name in ("picard_solve", "shooting_solve"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("a solver ran"))
+    with open(config_path("feasible_periodic.cfg"), encoding="utf-8") as fh:
+        text = fh.read()
+    text = text.replace("solver.method = both", f"solver.method = {method}")
+    text = text.replace("solver.n_t = 2048\n", "") + key + "\n"
+    cfg = write_config(tmp_path, text)
+    assert cli.main(["solve-periodic", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    name = key.split(" =")[0]
+    assert f"key '{name}' is not used by solver.method = {method}" in err, err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("method", ["picard", "shooting", "both"])
+@pytest.mark.parametrize("model", ["c1 = 0", "negative c4_override"])
+def test_nonpositive_decay_rate_exits_2_under_every_method(
+    tmp_path, capsys, monkeypatch, method, model
+):
+    """A model whose lambda_0 = epsilon c4 / C is not positive has no unique
+    periodic orbit. Either solver rejects it before any sweep, integration
+    or Jacobian, with one message: a configuration error, not a singular
+    period-map Jacobian."""
+    for name in ("_u_block", "_w_block", "integrate_cauchy", "_linear_monodromy"):
+        monkeypatch.setattr(periodic, name, lambda *args: pytest.fail("the solver did work"))
+    with open(config_path("linear_orbit.cfg"), encoding="utf-8") as fh:
+        text = fh.read()
+    override = "derived.c4_override = 31.25\n"
+    assert override in text
+    text = text.replace(override, "" if model == "c1 = 0" else "derived.c4_override = -2.5\n")
+    text = text.replace("solver.method = both", f"solver.method = {method}")
+    if method == "shooting":
+        text = text.replace("solver.n_t = 512\n", "")
+    cfg = write_config(tmp_path, text)
+    lam0 = cli._build_model(load_config(cfg)).lam0
+    assert lam0 <= 0.0
+    assert cli.main(["solve-periodic", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"decay rate must be positive, got {lam0} (periodic response undefined)" in err, err
 
 
 def test_linear_orbit_converges_in_one_step(tmp_path, capsys):
@@ -851,7 +984,7 @@ def test_stimulus_key_its_kind_ignores_exits_2(tmp_path, capsys):
 def test_coarse_shooting_step_exits_2_before_integrating(tmp_path, capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(periodic, "integrate_cauchy", lambda *args: calls.append(args))
-    text = NONLINEAR_PERIODIC_CFG.replace("solver.method = picard", "solver.method = shooting")
+    text = SHOOTING_CFG
     cfg = write_config(tmp_path, text + "solver.dt = 0.0625\n")
     rc = cli.main(["solve-periodic", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 2
@@ -863,7 +996,7 @@ def test_coarse_shooting_step_exits_2_before_integrating(tmp_path, capsys, monke
 def test_nonpositive_shooting_tol_exits_2_before_integrating(tmp_path, capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(periodic, "integrate_cauchy", lambda *args: calls.append(args))
-    text = NONLINEAR_PERIODIC_CFG.replace("solver.method = picard", "solver.method = shooting")
+    text = SHOOTING_CFG
     cfg = write_config(tmp_path, text + "solver.dt = 0.015625\nsolver.tol = 0\n")
     rc = cli.main(["solve-periodic", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 2

@@ -1,5 +1,6 @@
 """The periodic response, the fixed-point operator, and both orbit solvers."""
 
+import dataclasses
 from unittest.mock import patch
 
 import numpy as np
@@ -59,9 +60,29 @@ def test_kernel_rejects_nonpositive_rate():
         green_kernel_u(0.0, 2.0, 0.5, 0.5)
     with pytest.raises(ValueError):
         green_kernel_w(1.0, 1.0, -3.75, 0.032, 2.0, 0.5, 0.5)
-    for lam in (0.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="decay rate must be positive"):
-            unit_response(lam, 2.0, 128)
+
+
+@pytest.mark.parametrize("which", ["lambda_0", "recovery"])
+@pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("solver", ["picard", "shooting"])
+def test_solvers_reject_nonpositive_rate_before_any_work(monkeypatch, which, rate, solver):
+    """Both solvers check every decay rate once, before any sweep, integration
+    or Jacobian: with one that is not positive and finite the periodic
+    response is undefined and the period-map Jacobian singular."""
+    for name in ("_u_block", "_w_block", "integrate_cauchy", "_linear_monodromy"):
+        monkeypatch.setattr(periodic, name, lambda *args: pytest.fail("the solver did work"))
+    sys = linear_system(s0=1.0)
+    if which == "lambda_0":
+        lambdas = sys.basis.lambdas.copy()
+        lambdas[0] = rate
+        sys = dataclasses.replace(sys, basis=dataclasses.replace(sys.basis, lambdas=lambdas))
+    else:
+        sys = dataclasses.replace(sys, recovery_rate=rate)
+    with pytest.raises(ValueError, match=f"decay rate must be positive, got {rate}"):
+        if solver == "picard":
+            picard_solve(sys, 128, DT)
+        else:
+            shooting_solve(sys, DT)
 
 
 def test_kernel_mass_identity():

@@ -1,4 +1,4 @@
-"""Eigenbasis construction, quadrature exactness, norms, and stimulus waveforms."""
+"""Eigenbasis construction, quadrature exactness, the V-norm, and stimulus waveforms."""
 
 import numpy as np
 import pytest
@@ -18,8 +18,8 @@ from monorhythm.spectral import (
     Geometry1D,
     Stimulus,
     build_basis,
-    norms,
     project_nonlinearity,
+    v_norm_sq,
 )
 
 from oracles import cosine_product_integral
@@ -204,14 +204,15 @@ def test_norms():
     basis = build_basis(Geometry1D(1.0), 4, d)
     e0 = np.zeros(5)
     e0[0] = 1.0
-    v_u, h_w = norms(basis, e0, np.zeros(5))
-    assert v_u == pytest.approx(np.sqrt(basis.lambdas[0]), rel=1e-15)
-    assert h_w == 0.0
+    assert v_norm_sq(basis, e0) == basis.lambdas[0]
 
     rng = np.random.default_rng(3)
     u = rng.standard_normal(5)
-    v_u, _ = norms(basis, u, np.zeros(5))
-    assert v_u**2 >= basis.lambdas[0] * np.linalg.norm(u) ** 2
+    assert v_norm_sq(basis, u) >= basis.lambdas[0] * np.linalg.norm(u) ** 2
+    # stacked coefficients reduce over the last axis, row by row
+    stack = rng.standard_normal((3, 4, 5))
+    rows = [[v_norm_sq(basis, stack[i, j]) for j in range(4)] for i in range(3)]
+    assert np.allclose(v_norm_sq(basis, stack), rows, rtol=1e-15, atol=0.0)
 
 
 def test_vnorm_matches_derivative_quadrature():
@@ -223,7 +224,7 @@ def test_vnorm_matches_derivative_quadrature():
     basis = build_basis(Geometry1D(L), 6, d)
     rng = np.random.default_rng(5)
     u = rng.standard_normal(7)
-    v_u, _ = norms(basis, u, np.zeros(7))
+    v_sq = v_norm_sq(basis, u)
 
     lam0 = RESC.epsilon * (d.a1 * d.u_tr * d.u_pr) / d.C
     sigma_hat = (RESC.epsilon / d.C) * d.sigma_const
@@ -235,7 +236,7 @@ def test_vnorm_matches_derivative_quadrature():
     du_nodal = u @ dpsi.T
     u_nodal = u @ basis.psi_quad.T
     quad_sq = lam0 * np.sum(weights * u_nodal**2) + sigma_hat * np.sum(weights * du_nodal**2)
-    assert v_u**2 == pytest.approx(quad_sq, rel=1e-10)
+    assert v_sq == pytest.approx(quad_sq, rel=1e-10)
 
 
 def test_stimulus_periodicity_and_sup():
