@@ -182,10 +182,12 @@ def _mixing_weights(d_f: list, f: np.ndarray) -> np.ndarray:
     """Least-squares weights gamma minimising |f - sum_i gamma_i d_f[i]|.
 
     The normal equations are at most ``_DEPTH`` square, and ``lstsq`` takes
-    the minimum-norm solution when the differences are collinear.
+    the minimum-norm solution when the differences are collinear. The inner
+    products are einsum sums, not BLAS dots: a threaded dot on arrays this
+    size can take milliseconds a call.
     """
-    gram = np.array([[np.vdot(a, b) for b in d_f] for a in d_f])
-    rhs = np.array([np.vdot(a, f) for a in d_f])
+    gram = np.array([[np.einsum("ij,ij->", a, b) for b in d_f] for a in d_f])
+    rhs = np.array([np.einsum("ij,ij->", a, f) for a in d_f])
     return np.linalg.lstsq(gram, rhs, rcond=None)[0]
 
 
