@@ -491,7 +491,7 @@ def cmd_solve_periodic(cfg: RunConfig, seed=None):
                 check_node_floor(n_t)
                 node_stride(n_t, shooting_nodes(sys_.period, dt))
             except ValueError as exc:
-                prefix = f"solver.n_t = {n_t}, solver.dt = {dt:.6g}"
+                prefix = f"solver.n_t = {n_t}, solver.dt = {dt!r}"
                 raise ConfigError(f"{prefix}: {exc}", cfg.path) from None
         x0 = None
         if seed is not None:

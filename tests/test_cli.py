@@ -567,7 +567,8 @@ def test_shooting_past_the_stability_limit_names_a_step_that_divides_the_period(
         (
             "solver.n_t = 2048",
             "solver.n_t = 1000",
-            "solver.n_t = 1000, solver.dt = 0.00195312: grids with 1000 and 1024 nodes do not nest",
+            "solver.n_t = 1000, solver.dt = 0.001953125:"
+            " grids with 1000 and 1024 nodes do not nest",
         ),
         (
             "solver.dt = 0.001953125",
@@ -577,7 +578,7 @@ def test_shooting_past_the_stability_limit_names_a_step_that_divides_the_period(
         (
             "solver.n_t = 2048",
             "solver.n_t = 48",
-            "solver.n_t = 48, solver.dt = 0.00195312: n_t must be at least 64",
+            "solver.n_t = 48, solver.dt = 0.001953125: n_t must be at least 64",
         ),
         (
             "solver.dt = 0.001953125",
@@ -675,7 +676,7 @@ def test_both_grid_precheck_names_the_first_failing_rule(tmp_path_factory, n_t, 
     else:
         assert rc == 2
         assert expected in err.getvalue(), err.getvalue()
-        assert f"solver.n_t = {n_t}, solver.dt = {dt:.6g}: " in err.getvalue()
+        assert f"solver.n_t = {n_t}, solver.dt = {dt!r}: " in err.getvalue()
         assert calls == []
 
 

@@ -40,8 +40,8 @@ def _cases(root: Path, work: Path):
         for command in COMMANDS:
             yield f"{cfg.stem}/{command}", [command, "--config", str(cfg)], cfg
     cfg = root / "configs" / "feasible_periodic.cfg"
-    yield "feasible_periodic/solve-periodic-seed-11", ["solve-periodic", "--config", str(cfg),
-                                                       "--seed", "11"], cfg
+    seeded = ["solve-periodic", "--config", str(cfg), "--seed", "11"]
+    yield "feasible_periodic/solve-periodic-seed-11", seeded, cfg
     sys.path.insert(0, str(root / "perfbench"))
     try:
         from workloads import WORKLOADS, render
@@ -92,7 +92,9 @@ def _digest(name: str, argv: list[str], cfg: Path, out: Path, env: dict) -> list
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--root", type=Path, default=HERE, help="checkout to run (default: this one)")
+    parser.add_argument(
+        "--root", type=Path, default=HERE, help="checkout to run (default: this one)"
+    )
     parser.add_argument("--out", type=Path, default=None, help="keep each case's files here")
     args = parser.parse_args(argv)
     root = args.root.resolve()
