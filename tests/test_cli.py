@@ -25,7 +25,7 @@ from monorhythm.feasibility import (
     projection_kappa,
     r_star,
 )
-from monorhythm.periodic import NonConvergenceError
+from monorhythm.periodic import NonConvergenceError, PeriodicOrbit
 from systems import feasible_model
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -610,18 +610,6 @@ def test_non_nesting_grids_exit_2_before_solving(tmp_path, capsys, monkeypatch, 
 _POWERS_OF_TWO = [2**k for k in range(5, 13)]  # node counts that often nest
 
 
-class _StubOrbit:
-    """Just enough of a PeriodicOrbit for the gap, the certificate and the report."""
-
-    def __init__(self, method, n_nodes, n_modes):
-        self.method, self.n_iter, self.converged = method, 0, True
-        self.times = np.arange(n_nodes) * (2.0 / n_nodes)
-        self.u = self.w = np.zeros((n_nodes, n_modes))
-        self.periodicity_residual = self.ct_norm = 0.0
-        self.operator_residual = self.jacobian_cond = None
-        self.history = (0.0,)
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     n_t=st.one_of(st.integers(-4, 4096), st.sampled_from(_POWERS_OF_TWO)),
@@ -653,7 +641,9 @@ def test_both_grid_precheck_names_the_first_failing_rule(tmp_path_factory, n_t, 
     def stub(method, n_nodes):
         def solve(sys_, *args, **kwargs):
             calls.append(method)
-            return _StubOrbit(method, n_nodes, sys_.n_modes)
+            zeros = np.zeros((n_nodes, sys_.n_modes))
+            times = np.arange(n_nodes) * (sys_.period / n_nodes)
+            return PeriodicOrbit(times, zeros, zeros, 0.0, 0.0, method, 0, True, (0.0,))
 
         return solve
 
