@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ionic import DerivedParameters, with_reaction
+from .ionic import DerivedParameters, check_decay_rates, with_reaction
 
 SQRT2 = math.sqrt(2.0)
 
@@ -115,13 +115,13 @@ class ConditionResult:
 def h_of_T(t, rate: float):
     """Load curve t / (1 - exp(-rate t)).
 
-    The rate is the model's lam0 = epsilon c4 / C, passed as ``d.lam0``.
+    The rate is the model's lam0 = epsilon c4 / C, passed as ``d.lam0``;
+    it must be positive and finite (:func:`monorhythm.ionic.check_decay_rates`).
     Continuously extended to h(0) = 1 / rate; evaluated through expm1 so
     small periods do not lose precision. Accepts scalars or arrays of
     nonnegative periods.
     """
-    if not rate > 0.0:
-        raise ValueError(f"decay rate epsilon*c4/C must be positive, got {rate}")
+    check_decay_rates(rate)
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0):
         raise ValueError("periods must be nonnegative")

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 __all__ = [
     "PhysiologicalParameters",
     "RescalingParameters",
@@ -27,6 +29,7 @@ __all__ = [
     "with_reaction",
     "f_transformed",
     "rescale_period",
+    "check_decay_rates",
 ]
 
 
@@ -189,3 +192,18 @@ def rescale_period(t_tilde: float, d: DerivedParameters) -> float:
     if t_tilde <= 0.0:
         raise ValueError(f"period must be positive, got {t_tilde}")
     return t_tilde / d.epsilon
+
+
+def check_decay_rates(rates) -> None:
+    """Raise unless every decay rate, a scalar or an array, is positive and finite.
+
+    A mode x' = -rate x + F with T-periodic forcing has a unique T-periodic
+    response only then. The rates are lam0 = epsilon c4 / C in the window
+    analysis, and every eigenvalue and the recovery rate in the solvers.
+    """
+    rates = np.ravel(rates)
+    bad = rates[~(np.isfinite(rates) & (rates > 0.0))]
+    if bad.size:
+        raise ValueError(
+            f"decay rate must be positive, got {bad[0]} (periodic response undefined)"
+        )

@@ -10,11 +10,14 @@ system. Picard iteration attacks that operator directly. The recovery
 response is linear in the potential, so Picard iterates the operator as a
 map of the potential samples alone and accelerates the iteration with
 Anderson mixing over its last two residuals. Shooting attacks
-the period map of the RK4 flow with the same idea written on the map: its
-first step is x - (R^N - I)^-1 g(x), where R is the RK4 step matrix of the
-linear part and g the period-map defect, and Broyden updates then correct
-the linear Jacobian R^N - I for the reaction. Both return the same orbits,
-which is the point: they fail independently.
+the period map of the RK4 flow with the same idea written on the map: it
+starts from the linear part's own periodic response to the drive, which
+the transfer function gives without integrating; its first step is
+x - (R^N - I)^-1 g(x), where R is the RK4 step matrix of the linear part
+and g the period-map defect, and Broyden updates then correct the linear
+Jacobian R^N - I for the reaction. The start ignores the reaction and never
+reads Picard's orbit. Both return the same orbits, which is the point: they
+fail independently.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .galerkin import GalerkinSystem, check_rk4_step, integrate_cauchy
+from .ionic import check_decay_rates
 from .spectral import project_nonlinearity, v_norm_sq
 
 __all__ = [
@@ -96,12 +100,7 @@ def _check_rates(sys: GalerkinSystem) -> None:
     """Raise unless every decay rate of the linear part, the recovery rate and
     each mode's eigenvalue, is positive: otherwise the linear part has no
     unique periodic response, and neither solver has a unique orbit to find."""
-    rates = np.concatenate([[sys.recovery_rate], sys.basis.lambdas])
-    bad = rates[~(np.isfinite(rates) & (rates > 0.0))]
-    if bad.size:
-        raise ValueError(
-            f"decay rate must be positive, got {bad[0]} (periodic response undefined)"
-        )
+    check_decay_rates(np.concatenate([[sys.recovery_rate], sys.basis.lambdas]))
 
 
 def _periodic_response(rates, T: float, forcing: np.ndarray) -> np.ndarray:
@@ -369,8 +368,12 @@ def shooting_solve(
 
     The defect g(x) = flow_T(x) - x is solved by Broyden's "good" method
     started from the closed-form Jacobian R^N - I of the linear part (see
-    :func:`_linear_monodromy`) and the zero state: x <- x - J^-1 g, then
-    the rank-one update J <- J + (dg - J dx) dx^T / (dx^T dx). Each iterate
+    :func:`_linear_monodromy`) and the state at t = 0 of the linear part's
+    continuous-time periodic response to the drive, sampled at the T / dt
+    orbit nodes: x <- x - J^-1 g, then the rank-one update
+    J <- J + (dg - J dx) dx^T / (dx^T dx). Reaction-free, that start misses
+    the RK4 orbit by the integrator's O(dt^4) error, or not at all under a
+    constant drive, whose steady state RK4 keeps exactly. Each iterate
     costs one integration of one state, which is also its convergence test:
     the defect norm must fall to tol * max(1, |x|). At most ``max_iter`` steps
     are taken; a stall or a singular J raises :class:`NonConvergenceError`
@@ -378,15 +381,18 @@ def shooting_solve(
     converged x, sampled at the integrator's own nodes over [0, T). Broyden
     converges superlinearly, so the returned defect sits just under the
     tolerance, not quadratically past it as a Newton step would leave it.
-    Every decay rate is checked first (:func:`_check_rates`): with a zero
-    rate R^N - I is singular.
+    Every decay rate, then dt (:func:`shooting_nodes`), is checked before
+    the start divides by any rate (:func:`_check_rates`): with a zero rate
+    the periodic response is undefined and R^N - I is singular.
     """
     _check_rates(sys)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     T = sys.period
     n_steps = shooting_nodes(T, dt)
-    x = np.zeros(2 * sys.n_modes)
+    drive = sys.stim(_nodes(T, n_steps))
+    u_lin = _periodic_response(sys.basis.lambdas, T, drive[:, None] * sys.trace_vector)
+    x = np.concatenate([u_lin[0], _w_block(sys, u_lin)[0]])
 
     def defect(vec):
         """flow_T(vec) - vec and the trajectory that gave it."""

@@ -38,8 +38,8 @@ def feasible_system(m=8, amplitude=1.0, phi=PHI, period=PERIOD):
     return assemble_system(basis, d, stim)
 
 
-def linear_system(m=4, s0=1.0, phi=PHI, period=PERIOD):
+def linear_system(m=4, s0=1.0, phi=PHI, period=PERIOD, kind="constant"):
     d = linear_model()
     basis = build_basis(GEOM, m, d)
-    stim = Stimulus("constant", period=period, phi_value=phi, amplitude=s0)
+    stim = Stimulus(kind, period=period, phi_value=phi, amplitude=s0)
     return assemble_system(basis, d, stim)

@@ -705,7 +705,8 @@ def test_nonpositive_decay_rate_exits_2_under_every_method(
     periodic orbit. Either solver rejects it before any sweep, integration
     or Jacobian, with one message: a configuration error, not a singular
     period-map Jacobian."""
-    for name in ("_u_block", "_w_block", "integrate_cauchy", "_linear_monodromy"):
+    work = ("_periodic_response", "_u_block", "_w_block", "integrate_cauchy", "_linear_monodromy")
+    for name in work:
         monkeypatch.setattr(periodic, name, lambda *args: pytest.fail("the solver did work"))
     with open(config_path("linear_orbit.cfg"), encoding="utf-8") as fh:
         text = fh.read()
@@ -733,7 +734,10 @@ def test_linear_orbit_converges_in_one_step(tmp_path, capsys):
     payload = report["payload"]
     assert payload["picard"]["n_iter"] == 1, "linear problem should need one sweep"
     assert payload["picard"]["converged"] is True
-    assert payload["shooting"]["n_iter"] == 1, "linear problem should need one Newton step"
+    # the constant drive's steady state is an exact RK4 fixed point, and
+    # shooting starts from it as the linear periodic response: no step
+    assert payload["shooting"]["n_iter"] == 0, "linear problem should need no shooting step"
+    assert payload["shooting"]["history"][0] <= 1e-10, "start defect should be under tol"
     assert payload["cross_method_gap"] < 1e-10, (
         f"methods should agree, gap {payload['cross_method_gap']:.3e}"
     )
@@ -804,7 +808,7 @@ def test_report_carries_solver_histories_and_write_time(tmp_path, capsys):
     # Picard counts sweeps that moved by tol or more; the last sweep did not
     assert len(picard["history"]) == picard["n_iter"] + 1
     assert picard["history"][-1] < 1e-10 <= picard["history"][-2]
-    # one defect norm for the zero start, then one per quasi-Newton step
+    # one defect norm at the linear periodic start, then one per quasi-Newton step
     assert len(shooting["history"]) == shooting["n_iter"] + 1 >= 2
     assert shooting["history"][-1] < 1e-10 < shooting["history"][0]
     assert set(report["timings"]) == {"parse_s", "solve_s", "write_s"}
@@ -947,7 +951,7 @@ def test_feasibility_without_decay_rate_exits_2(tmp_path, capsys):
     rc = cli.main(["feasibility", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 2, f"a zero decay rate should exit 2, got {rc}"
     err = capsys.readouterr().err
-    assert "decay rate epsilon*c4/C must be positive" in err, f"stderr: {err!r}"
+    assert "decay rate must be positive, got 0.0 (periodic response undefined)" in err, err
 
 
 def test_both_period_keys_exit_2(tmp_path, capsys):

@@ -24,7 +24,7 @@ from monorhythm.periodic import (
 from monorhythm.spectral import Stimulus, build_basis, project_nonlinearity
 
 from oracles import green_kernel_u, green_kernel_w
-from systems import GEOM, PERIOD, RESC, feasible_system, linear_system
+from systems import GEOM, PERIOD, PHI, RESC, feasible_model, feasible_system, linear_system
 
 # critical radius of the shipped aggregate constants (beta=1e-4, gamma=1,
 # delta=1e-3), frozen from the closed-form maximizer and confirmed by a
@@ -69,7 +69,8 @@ def test_solvers_reject_nonpositive_rate_before_any_work(monkeypatch, which, rat
     """Both solvers check every decay rate once, before any sweep, integration
     or Jacobian: with one that is not positive and finite the periodic
     response is undefined and the period-map Jacobian singular."""
-    for name in ("_u_block", "_w_block", "integrate_cauchy", "_linear_monodromy"):
+    work = ("_periodic_response", "_u_block", "_w_block", "integrate_cauchy", "_linear_monodromy")
+    for name in work:
         monkeypatch.setattr(periodic, name, lambda *args: pytest.fail("the solver did work"))
     sys = linear_system(s0=1.0)
     if which == "lambda_0":
@@ -321,14 +322,54 @@ def test_farkas_row_blocks_match_a_whole_grid_projection():
 
 
 def test_shooting_linear_one_newton_step():
-    sys = linear_system(s0=1.0)
-    orbit = shooting_solve(sys, dt=PERIOD / 512, tol=1e-10)
-    assert orbit.converged and orbit.n_iter == 1
-    u_star = 1.0 * sys.trace_vector / sys.basis.lambdas
-    w_star = u_star / (RESC.xi * 1.0)
-    assert np.max(np.abs(orbit.u - u_star)) < 1e-10
-    assert np.max(np.abs(orbit.w - w_star)) < 1e-10
-    assert orbit.periodicity_residual < 1e-12
+    """Reaction-free, the period map is affine and R^N - I is its exact
+    Jacobian, so one step from any start lands on the RK4 orbit. Under a
+    sinusoid the linear periodic start misses that orbit by RK4's own error
+    (1.7e-7 at m = 4, 5.1e-7 at m = 8), so the step is taken, and it leaves
+    only roundoff."""
+    for m in (4, 8):
+        sys = linear_system(m=m, phi=5.0, kind="sinusoid")
+        orbit = shooting_solve(sys, dt=PERIOD / 128, tol=1e-10)
+        assert orbit.converged and orbit.n_iter == 1
+        assert orbit.history[0] > 1e-8, f"start defect {orbit.history[0]:.3e}: no step"
+        assert orbit.history[1] <= 1e-14, f"one step left {orbit.history[1]:.3e}"
+        assert orbit.periodicity_residual < 1e-14
+
+
+def test_shooting_start_defect_is_rk4_error_of_the_linear_response():
+    """The start is the continuous-time periodic response of the linear part,
+    so the period-map defect there is RK4's global error over one period:
+    halving dt divides it by about 2^4 = 16 (measured 16.9 from T/64 to
+    T/128; the band allows 15 to 18)."""
+    sys = linear_system(m=4, phi=0.005, kind="sinusoid")
+    defects = [shooting_solve(sys, dt=PERIOD / n).history[0] for n in (64, 128)]
+    ratio = defects[0] / defects[1]
+    assert 15.0 <= ratio <= 18.0, f"start defects {defects} fall by {ratio:.2f}, not ~16"
+
+
+@pytest.mark.parametrize(
+    "m, width, n_steps", [(2, 0.01, 64), (2, 0.25, 1024), (8, 0.01, 1024), (8, 0.25, 64)]
+)
+def test_linear_start_saves_one_integration_on_a_pulse(monkeypatch, m, width, n_steps):
+    """With the reaction on and a pulse drive, shooting converges in
+    n_iter + 1 integrations, one fewer than from the zero state, which is
+    the start it takes when every periodic response is replaced by zeros."""
+    d = feasible_model()
+    stim = Stimulus("pulse", period=PERIOD, phi_value=PHI, amplitude=1.0, width=width)
+    sys = assemble_system(build_basis(GEOM, m, d), d, stim)
+    integrations = []
+    for zero_start in (False, True):
+        counting = _CountingIntegrations()
+        with monkeypatch.context() as patched:
+            patched.setattr(periodic, "integrate_cauchy", counting)
+            if zero_start:
+                patched.setattr(
+                    periodic, "_periodic_response", lambda rates, T, forcing: 0.0 * forcing
+                )
+            orbit = periodic.shooting_solve(sys, dt=PERIOD / n_steps)
+        assert len(counting.shapes) == orbit.n_iter + 1
+        integrations.append(len(counting.shapes))
+    assert integrations[0] + 1 == integrations[1], f"integrations {integrations}"
 
 
 def test_shooting_zero_is_fixed_point_without_drive():
@@ -338,9 +379,12 @@ def test_shooting_zero_is_fixed_point_without_drive():
     assert np.all(orbit.u == 0.0) and np.all(orbit.w == 0.0)
 
 
-def test_shooting_requires_dividing_step():
+def test_shooting_requires_dividing_step(monkeypatch):
+    """A step that does not divide the period is rejected before the start
+    is built from the drive at the T / dt nodes."""
+    monkeypatch.setattr(periodic, "_periodic_response", lambda *args: pytest.fail("started"))
     sys = linear_system()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dt must divide the period"):
         shooting_solve(sys, dt=PERIOD / 300.5)
 
 
@@ -465,7 +509,7 @@ def test_broyden_update_carries_a_strong_drive():
 
 
 def test_shooting_stall_raises_with_defect_history():
-    sys = feasible_system(m=2)
+    sys = feasible_system(m=2, phi=0.5)  # takes 3 steps from the linear start
     with pytest.raises(NonConvergenceError, match="did not converge in 1 steps") as info:
         shooting_solve(sys, dt=PERIOD / 128, max_iter=1)
     history = info.value.history
