@@ -223,16 +223,19 @@ def picard_solve(
     recorded residual: the returned pair (u, W(u)) is the one that
     application measured, so its recovery residual is zero. The periodicity
     residual integrates the start state over one period at step ``dt``,
-    which is checked before the first application, as is every decay rate
-    (:func:`_check_rates`). A non-finite residual, one above ``_DIVERGENCE``
-    times the smallest so far, or ``max_iter`` applications without reaching
-    ``tol`` raise :class:`NonConvergenceError` with the residual history.
+    which is checked before the first application, as are every decay rate
+    (:func:`_check_rates`), ``theta``, ``tol`` and ``max_iter >= 1``. A
+    non-finite residual, one above ``_DIVERGENCE`` times the smallest so far,
+    or ``max_iter`` applications without reaching ``tol`` raise
+    :class:`NonConvergenceError` with the residual history.
     """
     _check_rates(sys)
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"mixing weight must lie in (0, 1], got {theta}")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1 sweep, got {max_iter}")
     check_node_floor(n_t)
     check_rk4_step(sys, dt)
     n = sys.n_modes
@@ -375,10 +378,11 @@ def shooting_solve(
     the RK4 orbit by the integrator's O(dt^4) error, or not at all under a
     constant drive, whose steady state RK4 keeps exactly. Each iterate
     costs one integration of one state, which is also its convergence test:
-    the defect norm must fall to tol * max(1, |x|). At most ``max_iter`` steps
-    are taken; a stall or a singular J raises :class:`NonConvergenceError`
-    carrying the defect history. The orbit is the integration of the
-    converged x, sampled at the integrator's own nodes over [0, T). Broyden
+    the defect norm must fall to tol * max(1, |x|). At most ``max_iter >= 0``
+    steps are taken, so zero accepts only a start that already meets tol; a
+    stall or a singular J raises :class:`NonConvergenceError` carrying the
+    defect history. The orbit is the integration of the converged x, sampled
+    at the integrator's own nodes over [0, T). Broyden
     converges superlinearly, so the returned defect sits just under the
     tolerance, not quadratically past it as a Newton step would leave it.
     Every decay rate, then dt (:func:`shooting_nodes`), is checked before
@@ -388,6 +392,8 @@ def shooting_solve(
     _check_rates(sys)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be at least 0 steps, got {max_iter}")
     T = sys.period
     n_steps = shooting_nodes(T, dt)
     drive = sys.stim(_nodes(T, n_steps))

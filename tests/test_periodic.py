@@ -516,6 +516,15 @@ def test_shooting_stall_raises_with_defect_history():
     assert len(history) == 2 and history[1] < history[0]
 
 
+def test_zero_shooting_cap_accepts_only_a_start_on_the_orbit():
+    """max_iter = 0 takes no step: the reaction-free constant drive starts on
+    its RK4 orbit and is returned, any other start stalls at once."""
+    orbit = shooting_solve(linear_system(m=4), dt=PERIOD / 128, max_iter=0)
+    assert orbit.n_iter == 0 and len(orbit.history) == 1
+    with pytest.raises(NonConvergenceError, match="did not converge in 0 steps"):
+        shooting_solve(feasible_system(m=2, phi=0.5), dt=PERIOD / 128, max_iter=0)
+
+
 def test_methods_agree_on_feasible_configuration():
     sys = feasible_system(m=4)
     picard = picard_solve(sys, 2048, DT, tol=1e-12)
