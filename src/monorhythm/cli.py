@@ -66,6 +66,7 @@ from .periodic import (
     NonConvergenceError,
     certify_ball,
     check_node_floor,
+    check_shooting_cap,
     node_stride,
     orbit_gap,
     picard_solve,
@@ -293,11 +294,19 @@ def cmd_solve_periodic(cfg: RunConfig, seed=None):
     tol = cfg.get("solver.tol", 1e-10)
     # the RK4 step of shooting and of Picard's periodicity check
     dt = cfg.get("solver.dt", sys_.period / 1024)
+    # read only where shooting runs, so a Picard report echoes no cap
+    newton_cap = None if method == "picard" else cfg.get("solver.newton_max_iter", 25)
 
     orbits = {}  # Picard's first, so it is the primary orbit when both run
     if method in ("picard", "both"):
         n_t = cfg.get("solver.n_t", 1024)
         if method == "both":
+            # shooting runs after Picard, so its cap is checked before it
+            try:
+                check_shooting_cap(newton_cap)
+            except ValueError as exc:
+                prefix = f"solver.newton_max_iter = {newton_cap}"
+                raise ConfigError(f"{prefix}: {exc}", cfg.path) from None
             # the cross-method gap compares the two orbits on the coarser node
             # set, so both counts are checked, each against the floor first
             try:
@@ -323,7 +332,7 @@ def cmd_solve_periodic(cfg: RunConfig, seed=None):
             sys_,
             dt=dt,
             tol=tol,
-            max_iter=cfg.get("solver.newton_max_iter", 25),
+            max_iter=newton_cap,
         )
 
     payload: dict = {name: _orbit_summary(orbit) for name, orbit in orbits.items()}

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ionic import DerivedParameters, f_transformed
+from .ionic import DerivedParameters, reaction
 from .spectral import SpectralBasis, Stimulus, v_norm_sq
 
 __all__ = [
@@ -82,35 +82,42 @@ class GalerkinSystem:
 def _stage_kernel(sys, mask=None):
     """stage(s, x): the time derivative of states x, shape (..., 2 n), under the drive s.
 
-    One nodal product of the (u, w) rows, the reaction at the nodes, then
-    dx = f P + x L^T + s tv, with P = -w_q psi, L the linear part built from
-    the per-mode rates, and tv zero-padded over the recovery half. A 0/1
-    ``mask`` of shape (K, 2 n) zeroes the drive and the projected reaction
-    of ladder member k past its own size.
+    One nodal product of the (u, w) rows, then one back-projection product
+    dx = [f | x | s] W: the reaction f at the n_q nodes, the state and the
+    drive value are written into one row buffer, and W stacks P = -w_q psi
+    (the potential columns of the projection), L^T (the linear part built
+    from the per-mode rates) and the trace vector tv, zero over the
+    recovery half. ``s`` is a scalar, or a (k, 1) column for node-stacked
+    states. A 0/1 ``mask`` of shape (K, 2 n) multiplies the product, which
+    zeroes the drive and projected reaction of ladder member k past its own
+    size; its linear part there is already zero, as its state is.
 
     ``spectral.project_nonlinearity`` holds Picard's copy of the projection.
     Two copies measured faster than one: routing the stage through it moved
     the ``orbit`` benchmark's solve_norm 106.3 -> 120.4 and 109.4 -> 116.7
     (two seeds, 20 s runs), and Picard's 1024-row blocks ran about 1.3x
-    slower per block at m = 32 through this stacked (u, w) layout.
+    slower per block at m = 32 through this stacked (u, w) layout. Both
+    evaluate the one reaction formula of :func:`monorhythm.ionic.reaction`.
     """
-    basis, d, n = sys.basis, sys.d, sys.n_modes
+    basis, n, n_quad = sys.basis, sys.n_modes, sys.basis.n_quad
     psi_t = np.ascontiguousarray(basis.psi_quad.T)
-    proj = np.zeros((basis.n_quad, 2 * n))
-    proj[:, :n] = -(basis.quad_weights[:, None] * basis.psi_quad)
-    tv = np.concatenate([sys.trace_vector, np.zeros(n)])
-    if mask is not None:
-        tv = tv * mask
-    linear_t = np.diag(np.concatenate([-basis.lambdas, np.full(n, -sys.recovery_rate)]))
+    weights = np.zeros((n_quad + 2 * n + 1, 2 * n))  # rows: f, then x, then s
+    weights[:n_quad, :n] = -(basis.quad_weights[:, None] * basis.psi_quad)
+    linear_t = weights[n_quad:-1]
+    np.fill_diagonal(linear_t, np.concatenate([-basis.lambdas, np.full(n, -sys.recovery_rate)]))
     linear_t[:n, n:] = sys.recovery_gain * np.eye(n)  # L^T: the gain sits below L's diagonal
+    weights[-1, :n] = sys.trace_vector
+    f = reaction(sys.d)
 
     def stage(s, x):
         nodal = (x.reshape(-1, n) @ psi_t).reshape(x.shape[:-1] + (2, -1))
-        dx = f_transformed(nodal[..., 0, :], nodal[..., 1, :], d) @ proj
+        buf = np.empty(x.shape[:-1] + (len(weights),))
+        f(nodal[..., 0, :], nodal[..., 1, :], out=buf[..., :n_quad])
+        buf[..., n_quad:-1] = x
+        buf[..., -1:] = s
+        dx = buf @ weights
         if mask is not None:
             dx *= mask
-        dx += x @ linear_t
-        dx += s * tv
         return dx
 
     return stage
@@ -176,12 +183,31 @@ def rhs(sys: GalerkinSystem, t, x):
 
 
 def _rk4_step(stage, drive, x, h):
+    """One classical RK4 step of x over h; x is left as it was.
+
+    The stage inputs and the final combination are built in place, with the
+    association of x + (h/6) (k1 + 2 k2 + 2 k3 + k4), so the bits are those
+    of the textbook formula.
+    """
     s0, s_half, s1 = drive
     k1 = stage(s0, x)
-    k2 = stage(s_half, x + 0.5 * h * k1)
-    k3 = stage(s_half, x + 0.5 * h * k2)
-    k4 = stage(s1, x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    y = k1 * (0.5 * h)
+    y += x
+    k2 = stage(s_half, y)
+    np.multiply(k2, 0.5 * h, out=y)
+    y += x
+    k3 = stage(s_half, y)
+    np.multiply(k3, h, out=y)
+    y += x
+    k4 = stage(s1, y)
+    k2 *= 2.0
+    k2 += k1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= h / 6.0
+    k2 += x
+    return k2
 
 
 def check_rk4_step(sys: GalerkinSystem, dt: float) -> None:
@@ -235,10 +261,13 @@ def _march(stage, stim, x, times, sizes):
     buffer = np.empty((BLOWUP_CHECK_EVERY,) + x.shape)
     for lo in range(0, len(steps), BLOWUP_CHECK_EVERY):
         block = buffer[: min(BLOWUP_CHECK_EVERY, len(steps) - lo)]
+        # Python floats: NumPy scalars cost more per operation in the step
+        hs = steps[lo : lo + len(block)].tolist()
+        drives = drive[lo : lo + len(block)].tolist()
         # a runaway overflows within a step; the check after its block reports it
         with np.errstate(over="ignore", invalid="ignore"):
             for r in range(len(block)):
-                x = _rk4_step(stage, drive[lo + r], x, steps[lo + r])
+                x = _rk4_step(stage, drives[r], x, hs[r])
                 block[r] = x
         peaks = np.max(np.abs(block.reshape(len(block), len(sizes), -1)), axis=-1)
         bad = np.argwhere(~(peaks <= BLOWUP_THRESHOLD))  # NaN compares false

@@ -9,9 +9,11 @@ one :class:`DerivedParameters` object the solvers consume, which carries
 epsilon, xi and the zeroth eigenvalue lam0 = epsilon c4 / C. The fields that
 depend on the reaction coefficients (a1, a2) are written once, in
 :func:`reaction_constants`, which the parameter-region sweep also evaluates
-through :func:`with_reaction`. The cubic reaction term lives here as
-:func:`f_transformed`; the coefficients of the linear recovery law are
-written once, in :func:`monorhythm.galerkin.assemble_system`.
+through :func:`with_reaction`. The cubic reaction term is written once,
+in :func:`reaction`, which binds its constants and returns the evaluator
+that the RK4 stage and :func:`f_transformed` both call; the coefficients of
+the linear recovery law are written once, in
+:func:`monorhythm.galerkin.assemble_system`.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "derive_parameters",
     "reaction_constants",
     "with_reaction",
+    "reaction",
     "f_transformed",
     "rescale_period",
     "check_decay_rates",
@@ -173,18 +176,36 @@ def with_reaction(d: DerivedParameters, a1, a2) -> DerivedParameters:
     return replace(d, a1=a1, a2=a2, **fields)
 
 
-def f_transformed(u, w, d: DerivedParameters):
-    """Nonlinear reaction part in transformed variables.
+def reaction(d: DerivedParameters):
+    """The nonlinear reaction part of the model ``d`` in transformed variables,
+    as a function ``f(u, w, out=None)`` with its constants bound once.
 
-    (epsilon / C) * (a1 u^3 + xi a2 u w - a1 (u_pr + u_tr) u^2), evaluated in
-    the factored form (epsilon / C) * (u * (a1 u (u - (u_pr + u_tr)) + xi a2 w)).
-    It takes products only, because NumPy's ``pow`` is slow on arrays of mixed
-    sign, and u multiplies the bracket before epsilon / C does, which keeps one
-    fewer full-size temporary alive than (epsilon / C) * u * (...). The linear
-    remainder lam0 u lives in the operator spectrum, not here.
+    f = (epsilon / C) (a1 u^3 + xi a2 u w - a1 (u_pr + u_tr) u^2), evaluated
+    in the factored form u ((eps / C) a1 (u - (u_pr + u_tr)) u + (eps / C) xi a2 w).
+    It takes products only, because NumPy's ``pow`` is slow on arrays of
+    mixed sign. The bracket is built in place in one temporary and only the
+    last product by u is written to ``out`` when given (a view is fine):
+    with every pass in place on the strided rows of a stacked buffer, the
+    ladder's (5, 129) nodes at M = 64 took 10.3 us against 6.9 us. The
+    linear remainder lam0 u lives in the operator spectrum, not here.
     """
-    s = d.epsilon / d.C
-    return s * (u * (d.a1 * u * (u - (d.u_pr + d.u_tr)) + d.xi * d.a2 * w))
+    cubic = (d.epsilon / d.C) * d.a1
+    coupling = (d.epsilon / d.C) * d.xi * d.a2
+    shift = d.u_pr + d.u_tr
+
+    def f(u, w, out=None):
+        bracket = np.subtract(u, shift)
+        bracket *= u
+        bracket *= cubic
+        bracket += coupling * w
+        return np.multiply(bracket, u, out=out)
+
+    return f
+
+
+def f_transformed(u, w, d: DerivedParameters):
+    """The reaction :func:`reaction` of the model ``d`` at (u, w), in a new array."""
+    return reaction(d)(u, w)
 
 
 def rescale_period(t_tilde: float, d: DerivedParameters) -> float:

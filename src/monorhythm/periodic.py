@@ -40,6 +40,7 @@ __all__ = [
     "certify_ball",
     "orbit_gap",
     "check_node_floor",
+    "check_shooting_cap",
     "shooting_nodes",
     "node_stride",
     "ct_norm",
@@ -337,6 +338,12 @@ def check_node_floor(n_t: int) -> None:
         raise ValueError(f"n_t must be at least {_MIN_NODES}, got {n_t}")
 
 
+def check_shooting_cap(max_iter: int) -> None:
+    """Raise unless shooting's cap of ``max_iter`` Broyden steps is at least 0."""
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be at least 0 steps, got {max_iter}")
+
+
 def shooting_nodes(T: float, dt: float) -> int:
     """The number T / dt of shooting's orbit nodes; dt must divide the period T
     and leave at least ``_MIN_NODES`` nodes."""
@@ -392,8 +399,7 @@ def shooting_solve(
     _check_rates(sys)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be at least 0 steps, got {max_iter}")
+    check_shooting_cap(max_iter)
     T = sys.period
     n_steps = shooting_nodes(T, dt)
     drive = sys.stim(_nodes(T, n_steps))

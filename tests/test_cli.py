@@ -551,13 +551,19 @@ def test_solver_key_the_method_does_not_read_exits_2(tmp_path, capsys, monkeypat
         ),
         ("both", "solver.radius = -1.0", [], "solver.radius must be positive, got -1.0"),
         (
+            "both",
+            "solver.newton_max_iter = -1",
+            [],
+            "run.cfg: solver.newton_max_iter = -1: max_iter must be at least 0 steps, got -1",
+        ),
+        (
             "shooting",
             "",
             ["--seed", "11"],
             "flag '--seed' is not used by solver.method = shooting",
         ),
     ],
-    ids=["picard cap", "shooting cap", "radius", "seed under shooting"],
+    ids=["picard cap", "shooting cap", "radius", "shooting cap under both", "seed under shooting"],
 )
 def test_solver_input_out_of_range_exits_2_before_any_work(
     tmp_path, capsys, monkeypatch, method, key, flags, message
@@ -566,7 +572,8 @@ def test_solver_input_out_of_range_exits_2_before_any_work(
     given to shooting is a configuration error named with its key or flag,
     raised before any sweep, integration or Jacobian: not a run that exits 3
     on a cap it could never meet, nor one that ignores the cap, the radius or
-    the seed."""
+    the seed. Under both methods shooting's cap is named with the config
+    file before Picard runs."""
     work = ("_periodic_response", "_u_block", "_w_block", "integrate_cauchy", "_linear_monodromy")
     for name in work:
         monkeypatch.setattr(periodic, name, lambda *args: pytest.fail("the solver did work"))

@@ -40,6 +40,13 @@ def bump_coeffs(basis):
     return (values * basis.quad_weights) @ basis.psi_quad
 
 
+def pulse_system():
+    """The feasible model at m = 8 under a narrow pulse drive."""
+    d = feasible_model()
+    stim = Stimulus("pulse", period=PERIOD, phi_value=PHI, amplitude=20.0, center=0.3, width=0.05)
+    return assemble_system(build_basis(GEOM, 8, d), d, stim)
+
+
 def test_rhs_zero_equilibrium():
     sys = linear_system(s0=0.0)
     dx = rhs(sys, 0.0, np.zeros(10))
@@ -254,15 +261,69 @@ def test_integration_equals_rk4_on_public_rhs():
     """The drive sampled once per integration gives the bits of rhs sampling it
     per stage, under a pulse drive with a shortened last step (dt = 0.03 does
     not divide the period)."""
-    d = feasible_model()
-    stim = Stimulus("pulse", period=PERIOD, phi_value=PHI, amplitude=20.0, center=0.3, width=0.05)
-    sys = assemble_system(build_basis(GEOM, 8, d), d, stim)
+    sys = pulse_system()
     rng = np.random.default_rng(12)
     u0 = 0.01 * rng.standard_normal(9)
     w0 = 0.01 * rng.standard_normal(9)
     traj = integrate_cauchy(sys, state(u0, w0), PERIOD, dt=0.03)
     assert traj.times[-1] == PERIOD and traj.times[-1] - traj.times[-2] < 0.03
     assert np.array_equal(traj.x, rk4_on_public_rhs(sys, traj.times, state(u0, w0)))
+
+
+def system_arrays(sys):
+    basis = sys.basis
+    return [basis.lambdas, basis.quad_weights, basis.psi_quad, basis.trace_values, sys.trace_vector]
+
+
+@pytest.mark.parametrize("layout", ["lone", "stacked", "ladder"])
+def test_in_place_stage_and_step_leave_their_inputs_alone(layout):
+    """The stage and the RK4 step build their results in place, in scratch
+    arrays of their own. Neither writes into the state, the drive column or
+    the system's arrays it was given, and every stage value and step result
+    is a new array: no two share memory, so a later step cannot overwrite
+    an earlier state."""
+    sys = pulse_system()
+    n = sys.n_modes
+    rng = np.random.default_rng(5)
+    shapes = {"lone": (2 * n,), "stacked": (5, 2 * n), "ladder": (3, 2 * n)}
+    x = 0.01 * rng.standard_normal(shapes[layout])
+    s = 0.7
+    stage = sys.stage
+    if layout == "stacked":
+        s = sys.stim(np.linspace(0.0, PERIOD, 5, endpoint=False)[:, None])
+    if layout == "ladder":
+        mask = np.tile(np.arange(n) <= np.array([2, 5, 8])[:, None], 2).astype(float)
+        x *= mask
+        stage = galerkin._stage_kernel(sys, mask)
+    inputs = [x, np.asarray(s), *system_arrays(sys)]
+    before = [a.tobytes() for a in inputs]
+    made = [stage(s, x)]
+    state = x
+    for h in (0.01, 0.02, 0.005):
+        state = galerkin._rk4_step(stage, (0.1, 0.2, 0.3), state, h)
+        made.append(state)
+    assert [a.tobytes() for a in inputs] == before
+    arrays = [x, *made]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1 :]:
+            assert not np.shares_memory(a, b)
+
+
+def test_integration_and_ladder_leave_their_inputs_alone():
+    """integrate_cauchy and refinement_gaps keep their inputs bit-identical,
+    and each row of a trajectory is its own state: the rows are those of
+    RK4 steps taken one at a time on fresh arrays, and consecutive rows
+    differ."""
+    sys = pulse_system()
+    x0 = 0.01 * np.random.default_rng(6).standard_normal(2 * sys.n_modes)
+    m_list = np.array([2, 4, 8])
+    inputs = [x0, m_list, *system_arrays(sys)]
+    before = [a.tobytes() for a in inputs]
+    traj = integrate_cauchy(sys, x0, 0.3, dt=0.03)
+    refinement_gaps(sys, m_list, 0.3, 0.03)
+    assert [a.tobytes() for a in inputs] == before
+    assert np.array_equal(traj.x, rk4_on_public_rhs(sys, traj.times, x0.copy()))
+    assert np.all(np.any(traj.x[1:] != traj.x[:-1], axis=1))
 
 
 def test_integration_rejects_mismatched_state_shapes():
@@ -317,9 +378,7 @@ def test_monitor_derivative_norms_match_per_node_rhs():
     """Reference: rhs called node by node. The monitor's one stacked call meets
     the basis in a matrix product instead, which may round apart in the last
     digits."""
-    d = feasible_model()
-    stim = Stimulus("pulse", period=PERIOD, phi_value=PHI, amplitude=20.0, center=0.3, width=0.05)
-    sys = assemble_system(build_basis(GEOM, 8, d), d, stim)
+    sys = pulse_system()
     traj = integrate_cauchy(sys, zero_state(sys), 1.5 * PERIOD, dt=PERIOD / 256)
     dx = np.array([rhs(sys, t, x) for t, x in zip(traj.times, traj.x)])
     du, dw = dx[:, :9], dx[:, 9:]
