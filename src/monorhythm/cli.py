@@ -13,8 +13,9 @@ flags, timings) and CSV data files, in the formats of :mod:`.output`, so
 identical configurations reproduce identical bytes apart from timings.
 Exit codes: 0 success, 2 configuration error (including a stimulus key its
 kind does not use, a solver key or ``--seed`` the chosen method does not
-read, a ``solver.radius`` <= 0, an iteration cap below its range, and a
-decay rate lambda_0 <= 0, which both orbit solvers reject), 3 solver
+read, a ``region.n_a2`` without ``region.a2_max``, a ``solver.radius`` <= 0,
+a curve range or iteration cap below its range, and a decay rate
+lambda_0 <= 0, which both orbit solvers reject), 3 solver
 non-convergence, 4 trajectory blow-up. A run that exits 3 or 4 still
 writes a partial report: the command, the configuration echo, the error
 message, and the failed solver's history or the blow-up's time, magnitude
@@ -37,7 +38,6 @@ from .feasibility import (
     EmbeddingConstants,
     a2_bound,
     aggregate_from_raw,
-    emit_curves,
     feasible_window_condition,
     h_of_T,
     interior_consistent,
@@ -50,17 +50,12 @@ from .feasibility import (
 )
 from .galerkin import (
     BlowUpError,
+    GalerkinSystem,
     apriori_monitor,
-    assemble_system,
     integrate_cauchy,
     refinement_gaps,
 )
-from .ionic import (
-    PhysiologicalParameters,
-    RescalingParameters,
-    derive_parameters,
-    rescale_period,
-)
+from .ionic import PhysiologicalParameters, derive_parameters, rescale_period
 from .output import write_csv, write_report
 from .periodic import (
     NonConvergenceError,
@@ -111,19 +106,21 @@ def _build_model(cfg: RunConfig):
         chi=cfg.get("model.chi", 1.0),
         sigma_const=cfg.get("model.sigma", 1.0),
     )
-    resc = RescalingParameters(
-        epsilon=cfg.require("rescale.epsilon"), xi=cfg.require("rescale.xi")
+    return derive_parameters(
+        phys,
+        cfg.require("rescale.epsilon"),
+        cfg.require("rescale.xi"),
+        c4_override=cfg.get("derived.c4_override", None),
     )
-    return derive_parameters(phys, resc, c4_override=cfg.get("derived.c4_override", None))
 
 
-def _reject_unread(cfg: RunConfig, selector: str, choice: str, unread, flags=()) -> None:
-    """Raise if any key of ``unread``, which ``selector = choice`` does not read, is set,
-    or any flag of it is among the given command-line ``flags``."""
+def _reject_unread(cfg: RunConfig, why: str, unread, flags=()) -> None:
+    """Raise if any key of ``unread`` is set, or any flag of it is among the given
+    command-line ``flags``; ``why`` ends the message, as in "by solver.method = picard"."""
     for name in unread:
         if cfg.has(name) or name in flags:
             kind = "flag" if name.startswith("--") else "key"
-            raise ConfigError(f"{kind} '{name}' is not used by {selector} = {choice}", cfg.path)
+            raise ConfigError(f"{kind} '{name}' is not used {why}", cfg.path)
 
 
 def _build_stimulus(cfg: RunConfig, d):
@@ -138,7 +135,7 @@ def _build_stimulus(cfg: RunConfig, d):
     amplitude = cfg.require("stimulus.amplitude")
     shape = _STIMULUS_SHAPE_FIELDS[kind]
     unread = [f"stimulus.{name}" for name in ("offset", "center", "width") if name not in shape]
-    _reject_unread(cfg, "stimulus.kind", kind, unread)
+    _reject_unread(cfg, f"by stimulus.kind = {kind}", unread)
     # an unset field takes the Stimulus dataclass default
     fields = {name: cfg.get(f"stimulus.{name}", getattr(Stimulus, name)) for name in shape}
     return Stimulus(kind, period, phi, amplitude, **fields)
@@ -149,7 +146,7 @@ def _build_system(cfg: RunConfig, d, m: int | None = None):
     geom = Geometry1D(cfg.require("geometry.length"))
     basis = build_basis(geom, cfg.require("solver.m") if m is None else m, d)
     stim = _build_stimulus(cfg, d)
-    return assemble_system(basis, d, stim)
+    return GalerkinSystem(basis, d, stim)
 
 
 def _build_embedding(cfg: RunConfig) -> EmbeddingConstants:
@@ -192,13 +189,19 @@ def cmd_feasibility(cfg: RunConfig):
     t_max = cfg.get("feasibility.t_max", 5.0 / d.lam0)
     r_max = cfg.get("feasibility.r_max", 4.0 * rs)
     n_samples = cfg.get("feasibility.n_samples", 256)
+    for key, value in (("feasibility.t_max", t_max), ("feasibility.r_max", r_max)):
+        if value <= 0.0:
+            raise ConfigError(f"{key} must be positive, got {value!r}", cfg.path)
+    if n_samples < 2:
+        raise ConfigError(f"feasibility.n_samples must be at least 2, got {n_samples!r}", cfg.path)
     window = feasible_window_condition(agg, h0)
     # the crossing radii and the period ceiling exist only inside an open window
     r_lower = r_upper = ceiling = None
     if window.satisfied:
         r_lower, r_upper = r_bounds(agg, h0)
         ceiling = t_star(rs, agg, d.lam0, (r_lower, r_upper))
-    h_curve, p_curve = emit_curves(agg, d.lam0, t_max, r_max, n_samples)
+    t = np.linspace(0.0, t_max, n_samples)
+    r = np.linspace(0.0, r_max, n_samples)
 
     payload = {
         "aggregates": agg,
@@ -221,13 +224,13 @@ def cmd_feasibility(cfg: RunConfig):
             "h_curve.csv",
             "load curve: x = drive period (rescaled time), value = h (dimensionless)",
             "x,value",
-            h_curve,
+            np.column_stack([t, h_of_T(t, d.lam0)]),
         ),
         (
             "p_curve.csv",
             "gain curve: x = ball radius (mixed-norm units), value = p (dimensionless)",
             "x,value",
-            p_curve,
+            np.column_stack([r, p_of_R(r, agg)]),
         ),
     ]
     return payload, flags, files
@@ -239,7 +242,7 @@ def cmd_solve_cauchy(cfg: RunConfig):
     t_end = cfg.require("cauchy.t_end")
     dt = cfg.require("cauchy.dt")
     traj = integrate_cauchy(sys_, x0, t_end, dt)
-    monitor = apriori_monitor(traj)
+    monitors, growth = apriori_monitor(sys_, traj)
 
     payload = {
         "n_nodes": traj.n_nodes,
@@ -247,15 +250,9 @@ def cmd_solve_cauchy(cfg: RunConfig):
         "dt": dt,
         "final_u": traj.u[-1],
         "final_w": traj.w[-1],
-        "monitors": {
-            "sup_state_sq": monitor.sup_state_sq,
-            "l2_v_u": monitor.l2_v_u,
-            "l2_du": monitor.l2_du,
-            "l2_dw": monitor.l2_dw,
-            "per_period_sup": monitor.per_period_sup,
-        },
+        "monitors": monitors,
     }
-    flags = {"growth_doubling": monitor.growth_flag}
+    flags = {"growth_doubling": growth}
     files = [_trajectory_file("trajectory.csv", traj)]
     return payload, flags, files
 
@@ -286,7 +283,7 @@ def _orbit_summary(orbit) -> dict:
 def cmd_solve_periodic(cfg: RunConfig, seed=None):
     method = cfg.get("solver.method", "picard")
     unread = [key for key in _METHOD_KEYS["both"] if key not in _METHOD_KEYS[method]]
-    _reject_unread(cfg, "solver.method", method, unread, () if seed is None else ("--seed",))
+    _reject_unread(cfg, f"by solver.method = {method}", unread, () if seed is None else ("--seed",))
     radius = cfg.get("solver.radius", None)
     if radius is not None and radius <= 0.0:
         raise ConfigError(f"solver.radius must be positive, got {radius!r}", cfg.path)
@@ -393,6 +390,15 @@ def cmd_param_region(cfg: RunConfig):
         )
     if n_a1 < 2:
         raise ConfigError("region.n_a1 must be at least 2", cfg.path)
+    a2_max = cfg.get("region.a2_max", None)
+    if a2_max is None:
+        _reject_unread(cfg, "without region.a2_max", ("region.n_a2",))
+    else:
+        n_a2 = cfg.get("region.n_a2", 64)
+        if a2_max <= 0.0 or n_a2 < 2:
+            raise ConfigError(
+                "raster needs positive region.a2_max and region.n_a2 >= 2", cfg.path
+            )
 
     a1 = np.linspace(a1_min, a1_max, n_a1)
     bound = a2_bound(a1, d, emb)
@@ -406,13 +412,7 @@ def cmd_param_region(cfg: RunConfig):
     ]
 
     raster_counts = None
-    a2_max = cfg.get("region.a2_max", None)
     if a2_max is not None:
-        n_a2 = cfg.get("region.n_a2", 64)
-        if a2_max <= 0.0 or n_a2 < 2:
-            raise ConfigError(
-                "raster needs positive region.a2_max and region.n_a2 >= 2", cfg.path
-            )
         a2 = np.linspace(0.0, a2_max, n_a2)
         admissible = a2[None, :] < bound[:, None]
         rows = np.column_stack([np.repeat(a1, n_a2), np.tile(a2, n_a1), admissible.ravel()])

@@ -311,25 +311,6 @@ def interior_consistent(
     )
 
 
-def emit_curves(
-    agg: AggregateConstants, rate: float, t_max: float, r_max: float, n_samples: int = 256
-) -> tuple:
-    """Sample the load and gain curves on uniform grids including both endpoints.
-
-    Returns (h_curve, p_curve), each an (n_samples, 2) array with the abscissa
-    in column 0 and the curve value in column 1, in ascending abscissa order.
-    """
-    if t_max <= 0.0 or r_max <= 0.0:
-        raise ValueError("curve ranges must be positive")
-    if n_samples < 2:
-        raise ValueError("curve grids need at least two points")
-    t = np.linspace(0.0, t_max, n_samples)
-    r = np.linspace(0.0, r_max, n_samples)
-    h_curve = np.column_stack([t, h_of_T(t, rate)])
-    p_curve = np.column_stack([r, p_of_R(r, agg)])
-    return h_curve, p_curve
-
-
 def aggregate_from_raw(
     d: DerivedParameters, emb: EmbeddingConstants, k2: float | None = None
 ) -> AggregateConstants:

@@ -22,12 +22,10 @@ __all__ = [
     "BlowUpError",
     "GalerkinSystem",
     "Trajectory",
-    "assemble_system",
     "rhs",
     "check_rk4_step",
     "integrate_cauchy",
     "apriori_monitor",
-    "MonitorReport",
     "refinement_gaps",
 ]
 
@@ -51,20 +49,32 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class GalerkinSystem:
-    """Basis, constants and drive of the truncated system.
+    """Basis, rescaled model and drive of the truncated system.
 
-    The linear part is per mode: potential i decays at basis.lambdas[i],
-    and recovery_gain (eps b) and recovery_rate (eps b xi c3) are the one
-    copy of the recovery law dw/dt = recovery_gain u - recovery_rate w.
-    ``stage(s, x)``, built once from them, is dx/dt under the drive value s.
+    Everything else is derived from these three on first use. The linear
+    part is per mode: potential i decays at basis.lambdas[i], and
+    recovery_gain (eps b) and recovery_rate (eps b xi c3) are the one copy
+    of the recovery law dw/dt = recovery_gain u - recovery_rate w. Entry i
+    of trace_vector pairs mode i with the stimulus density at the boundary,
+    phi psi_i(L). ``stage(s, x)``, built once from them, is dx/dt under the
+    drive value s.
     """
 
     basis: SpectralBasis
     d: DerivedParameters
     stim: Stimulus
-    trace_vector: np.ndarray
-    recovery_gain: float
-    recovery_rate: float
+
+    @cached_property
+    def trace_vector(self) -> np.ndarray:
+        return self.stim.phi_value * self.basis.trace_values
+
+    @cached_property
+    def recovery_gain(self) -> float:
+        return self.d.epsilon * self.d.b
+
+    @cached_property
+    def recovery_rate(self) -> float:
+        return self.recovery_gain * self.d.xi * self.d.c3
 
     @cached_property
     def stage(self) -> Callable[..., np.ndarray]:
@@ -123,38 +133,18 @@ def _stage_kernel(sys, mask=None):
     return stage
 
 
-def assemble_system(basis, d, stim) -> GalerkinSystem:
-    """Bind basis, rescaled model and stimulus; precompute the linear coefficients.
-
-    ``d`` carries epsilon and xi, so the recovery law eps b and eps b xi c3
-    comes from the model alone. Entry i of the trace vector pairs mode i with
-    the stimulus density at the boundary, phi psi_i(L).
-    """
-    gain = d.epsilon * d.b
-    return GalerkinSystem(
-        basis=basis,
-        d=d,
-        stim=stim,
-        trace_vector=stim.phi_value * basis.trace_values,
-        recovery_gain=gain,
-        recovery_rate=gain * d.xi * d.c3,
-    )
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Time-sampled coefficient evolution, one row per node.
 
     Nodes are evenly spaced except possibly the final interval, which is
-    shortened so the last node lands exactly on the requested end time. The
-    generating system rides along so norm and derivative reports need no
-    extra arguments. ``x`` has shape ``(n_nodes, 2 n_modes)``; ``u`` and
-    ``w`` are views of its two halves.
+    shortened so the last node lands exactly on the requested end time.
+    ``x`` has shape ``(n_nodes, 2 n_modes)``; ``u`` and ``w`` are views of
+    its two halves.
     """
 
     times: np.ndarray
     x: np.ndarray
-    sys: GalerkinSystem
 
     def __post_init__(self) -> None:
         if np.any(np.diff(self.times) <= 0.0):
@@ -162,11 +152,11 @@ class Trajectory:
 
     @property
     def u(self) -> np.ndarray:
-        return self.x[:, : self.sys.n_modes]
+        return self.x[:, : self.x.shape[1] // 2]
 
     @property
     def w(self) -> np.ndarray:
-        return self.x[:, self.sys.n_modes :]
+        return self.x[:, self.x.shape[1] // 2 :]
 
     @property
     def n_nodes(self) -> int:
@@ -296,7 +286,7 @@ def integrate_cauchy(sys: GalerkinSystem, x0: np.ndarray, t1: float, dt: float) 
     hist[0] = x
     for k, block in _march(sys.stage, sys.stim, x, times, (sys.basis.m,)):
         hist[k : k + len(block)] = block
-    return Trajectory(times=times, x=hist, sys=sys)
+    return Trajectory(times=times, x=hist)
 
 
 def refinement_gaps(sys: GalerkinSystem, m_list, t1: float, dt: float) -> np.ndarray:
@@ -328,28 +318,18 @@ def refinement_gaps(sys: GalerkinSystem, m_list, t1: float, dt: float) -> np.nda
     return np.sqrt(np.trapezoid(gaps_sq, x=times, axis=0))
 
 
-@dataclass(frozen=True)
-class MonitorReport:
-    """A priori size monitors of a trajectory.
+def apriori_monitor(sys: GalerkinSystem, traj: Trajectory) -> tuple:
+    """Boundedness monitors of a trajectory of ``sys``, by time quadrature.
+
+    Returns ``(monitors, growth_flag)``. ``monitors`` maps
 
     sup_state_sq     peak over time of ||u||^2 + ||w||^2 (coefficient 2-norms)
     l2_v_u           L2-in-time norm of the V-norm of u
     l2_du, l2_dw     L2 norms of the time derivatives over the space-time box
     per_period_sup   sup_state_sq restricted to each complete period
-    growth_flag      True when any period's sup doubles the previous one
+
+    and ``growth_flag`` is True when any period's sup doubles the previous one.
     """
-
-    sup_state_sq: float
-    l2_v_u: float
-    l2_du: float
-    l2_dw: float
-    per_period_sup: np.ndarray
-    growth_flag: bool
-
-
-def apriori_monitor(traj: Trajectory) -> MonitorReport:
-    """Evaluate boundedness monitors along a trajectory, by time quadrature."""
-    sys = traj.sys
     state_sq = np.sum(traj.u**2, axis=1) + np.sum(traj.w**2, axis=1)
     v_sq = v_norm_sq(sys.basis, traj.u)
 
@@ -357,10 +337,6 @@ def apriori_monitor(traj: Trajectory) -> MonitorReport:
     n = sys.n_modes
     du_sq = np.sum(dx[:, :n] ** 2, axis=1)
     dw_sq = np.sum(dx[:, n:] ** 2, axis=1)
-
-    l2_v_u = float(np.sqrt(np.trapezoid(v_sq, x=traj.times)))
-    l2_du = float(np.sqrt(np.trapezoid(du_sq, x=traj.times)))
-    l2_dw = float(np.sqrt(np.trapezoid(dw_sq, x=traj.times)))
 
     T = sys.period
     n_periods = int(np.floor(traj.times[-1] / T + 1e-9))  # trajectories start at t = 0
@@ -372,11 +348,11 @@ def apriori_monitor(traj: Trajectory) -> MonitorReport:
     sups = np.asarray(sups)
     growth = bool(np.any(sups[1:] >= 2.0 * sups[:-1])) if len(sups) > 1 and sups.max() > 0 else False
 
-    return MonitorReport(
-        sup_state_sq=float(np.max(state_sq)),
-        l2_v_u=l2_v_u,
-        l2_du=l2_du,
-        l2_dw=l2_dw,
-        per_period_sup=sups,
-        growth_flag=growth,
-    )
+    monitors = {
+        "sup_state_sq": float(np.max(state_sq)),
+        "l2_v_u": float(np.sqrt(np.trapezoid(v_sq, x=traj.times))),
+        "l2_du": float(np.sqrt(np.trapezoid(du_sq, x=traj.times))),
+        "l2_dw": float(np.sqrt(np.trapezoid(dw_sq, x=traj.times))),
+        "per_period_sup": sups,
+    }
+    return monitors, growth

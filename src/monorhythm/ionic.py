@@ -3,17 +3,17 @@
 Everything downstream works in transformed variables: the potential is shifted
 by the resting value, the recovery variable is scaled by ``xi``, and time is
 scaled by ``epsilon``. Raw-unit quantities enter only through
-:class:`PhysiologicalParameters` and the scale factors only through
-:class:`RescalingParameters`; :func:`derive_parameters` turns the two into the
-one :class:`DerivedParameters` object the solvers consume, which carries
-epsilon, xi and the zeroth eigenvalue lam0 = epsilon c4 / C. The fields that
-depend on the reaction coefficients (a1, a2) are written once, in
-:func:`reaction_constants`, which the parameter-region sweep also evaluates
-through :func:`with_reaction`. The cubic reaction term is written once,
-in :func:`reaction`, which binds its constants and returns the evaluator
-that the RK4 stage and :func:`f_transformed` both call; the coefficients of
-the linear recovery law are written once, in
-:func:`monorhythm.galerkin.assemble_system`.
+:class:`PhysiologicalParameters`; :func:`derive_parameters` turns them and the
+two scale factors into the one :class:`DerivedParameters` object the solvers
+consume, which carries epsilon, xi and the zeroth eigenvalue
+lam0 = epsilon c4 / C. The fields that depend on the reaction coefficients
+(a1, a2) are written once, in :func:`reaction_constants`, which the
+parameter-region sweep also evaluates through :func:`with_reaction`. The cubic
+reaction term is written once, in :func:`reaction`, which binds its constants
+and returns the evaluator that the RK4 stage and
+:func:`monorhythm.spectral.project_nonlinearity` both call; the coefficients
+of the linear recovery law are written once, in
+:class:`monorhythm.galerkin.GalerkinSystem`.
 """
 
 from __future__ import annotations
@@ -24,13 +24,11 @@ import numpy as np
 
 __all__ = [
     "PhysiologicalParameters",
-    "RescalingParameters",
     "DerivedParameters",
     "derive_parameters",
     "reaction_constants",
     "with_reaction",
     "reaction",
-    "f_transformed",
     "rescale_period",
     "check_decay_rates",
 ]
@@ -73,18 +71,6 @@ class PhysiologicalParameters:
     def C(self) -> float:
         """Effective capacitance per volume, the product chi * C_m."""
         return self.chi * self.C_m
-
-
-@dataclass(frozen=True)
-class RescalingParameters:
-    """Artificial scale factors: ``epsilon`` for time, ``xi`` for recovery."""
-
-    epsilon: float = 0.032
-    xi: float = 3.75
-
-    def __post_init__(self) -> None:
-        if self.epsilon <= 0.0 or self.xi <= 0.0:
-            raise ValueError("epsilon and xi must be positive")
 
 
 @dataclass(frozen=True)
@@ -138,17 +124,20 @@ def reaction_constants(a1, a2, u_tr, u_pr, epsilon, xi, C, c4=None) -> dict:
 
 def derive_parameters(
     phys: PhysiologicalParameters,
-    resc: RescalingParameters,
+    epsilon: float,
+    xi: float,
     c4_override: float | None = None,
 ) -> DerivedParameters:
-    """Compute the rescaled model from raw constants and scale factors.
+    """Compute the rescaled model from raw constants and the scale factors
+    ``epsilon`` (time) and ``xi`` (recovery), both positive.
 
-    epsilon and xi are copied in, so no solver needs ``resc`` again. The
-    reaction-dependent fields come from :func:`reaction_constants`.
+    The reaction-dependent fields come from :func:`reaction_constants`.
     ``c4_override`` replaces the product a1 u_tr u_pr as c4. That keeps the
     periodic-response kernels well defined when c1 = 0 forces a1 = 0 (pure
     linear runs); it does not touch the reaction terms themselves.
     """
+    if epsilon <= 0.0 or xi <= 0.0:
+        raise ValueError("epsilon and xi must be positive")
     u_amp = phys.u_peak - phys.u_res
     a1 = phys.c1 / u_amp**2
     a2 = phys.c2 / u_amp
@@ -160,9 +149,9 @@ def derive_parameters(
         u_pr=u_pr,
         a1=a1,
         a2=a2,
-        **reaction_constants(a1, a2, u_tr, u_pr, resc.epsilon, resc.xi, phys.C, c4_override),
-        epsilon=resc.epsilon,
-        xi=resc.xi,
+        **reaction_constants(a1, a2, u_tr, u_pr, epsilon, xi, phys.C, c4_override),
+        epsilon=epsilon,
+        xi=xi,
         C=phys.C,
         b=phys.b,
         c3=phys.c3,
@@ -201,11 +190,6 @@ def reaction(d: DerivedParameters):
         return np.multiply(bracket, u, out=out)
 
     return f
-
-
-def f_transformed(u, w, d: DerivedParameters):
-    """The reaction :func:`reaction` of the model ``d`` at (u, w), in a new array."""
-    return reaction(d)(u, w)
 
 
 def rescale_period(t_tilde: float, d: DerivedParameters) -> float:

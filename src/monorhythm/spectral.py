@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ionic import f_transformed
+from .ionic import reaction
 
 __all__ = [
     "Geometry1D",
@@ -110,7 +110,7 @@ def project_nonlinearity(basis, u_coeffs, w_coeffs, d) -> np.ndarray:
     """
     u_nodal = u_coeffs @ basis.psi_quad.T
     w_nodal = w_coeffs @ basis.psi_quad.T
-    f_nodal = f_transformed(u_nodal, w_nodal, d)
+    f_nodal = reaction(d)(u_nodal, w_nodal)
     return (f_nodal * basis.quad_weights) @ basis.psi_quad
 
 

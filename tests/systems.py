@@ -7,11 +7,11 @@ epsilon = 0.032 with unit capacitance makes the zeroth eigenvalue 1. The
 the spectrum stays put.
 """
 
-from monorhythm.galerkin import assemble_system
-from monorhythm.ionic import PhysiologicalParameters, RescalingParameters, derive_parameters
+from monorhythm.galerkin import GalerkinSystem
+from monorhythm.ionic import PhysiologicalParameters, derive_parameters
 from monorhythm.spectral import Geometry1D, Stimulus, build_basis
 
-RESC = RescalingParameters(epsilon=0.032, xi=3.75)
+EPSILON, XI = 0.032, 3.75
 GEOM = Geometry1D(1.0)
 PERIOD = 2.0
 PHI = 0.005
@@ -21,25 +21,25 @@ def feasible_model():
     phys = PhysiologicalParameters(
         u_res=0.0, u_peak=100.0, a=0.25, c1=125.0, c2=100.0, c3=1.0, b=1.0, sigma_const=1.0
     )
-    return derive_parameters(phys, RESC)
+    return derive_parameters(phys, EPSILON, XI)
 
 
 def linear_model():
     phys = PhysiologicalParameters(
         u_res=0.0, u_peak=100.0, a=0.25, c1=0.0, c2=0.0, c3=1.0, b=1.0, sigma_const=1.0
     )
-    return derive_parameters(phys, RESC, c4_override=31.25)
+    return derive_parameters(phys, EPSILON, XI, c4_override=31.25)
 
 
 def feasible_system(m=8, amplitude=1.0, phi=PHI, period=PERIOD):
     d = feasible_model()
     basis = build_basis(GEOM, m, d)
     stim = Stimulus("sinusoid", period=period, phi_value=phi, amplitude=amplitude)
-    return assemble_system(basis, d, stim)
+    return GalerkinSystem(basis, d, stim)
 
 
 def linear_system(m=4, s0=1.0, phi=PHI, period=PERIOD, kind="constant"):
     d = linear_model()
     basis = build_basis(GEOM, m, d)
     stim = Stimulus(kind, period=period, phi_value=phi, amplitude=s0)
-    return assemble_system(basis, d, stim)
+    return GalerkinSystem(basis, d, stim)

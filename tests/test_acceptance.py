@@ -32,7 +32,7 @@ from monorhythm.periodic import (
 from monorhythm.spectral import build_basis
 
 from oracles import cosine_product_integral, golden_section_max
-from systems import GEOM, PERIOD, PHI, RESC, feasible_model, feasible_system, linear_system
+from systems import EPSILON, GEOM, PERIOD, PHI, XI, feasible_model, feasible_system, linear_system
 
 # critical radius for the shipped aggregate constants; frozen from the
 # closed-form maximizer, cross-checked here against golden-section search
@@ -54,7 +54,7 @@ def test_criterion_1_kernel_masses():
     t0 = time.perf_counter()
     d = feasible_model()
     basis = build_basis(GEOM, 8, d)
-    recovery_rate = d.b * d.c3 * RESC.xi * RESC.epsilon
+    recovery_rate = d.b * d.c3 * XI * EPSILON
     worst = 0.0
     for rate in (*basis.lambdas, recovery_rate):
         response = periodic._periodic_response(rate, PERIOD, np.ones((512, 1)))
@@ -76,7 +76,7 @@ def test_criterion_2_linear_oracle():
     t0 = time.perf_counter()
     sys_ = linear_system(m=4, s0=1.0)
     u_exact = sys_.trace_vector / sys_.basis.lambdas
-    w_exact = u_exact / (RESC.xi * sys_.d.c3)
+    w_exact = u_exact / (XI * sys_.d.c3)
 
     picard = picard_solve(sys_, 512, PERIOD / 1024, tol=1e-10)
     shooting = shooting_solve(sys_, dt=PERIOD / 512, tol=1e-10)
@@ -238,12 +238,12 @@ def test_criterion_6_integrator_order():
     t0 = time.perf_counter()
     sys_ = linear_system(m=4, s0=1.0)
     lam = sys_.basis.lambdas
-    rate = RESC.epsilon * sys_.d.b * RESC.xi * sys_.d.c3
+    rate = EPSILON * sys_.d.b * XI * sys_.d.c3
     steady = sys_.trace_vector / lam
 
     def closed_form(tt):
         u = steady * (1.0 - np.exp(-lam * tt))
-        w = RESC.epsilon * sys_.d.b * steady * (
+        w = EPSILON * sys_.d.b * steady * (
             (1.0 - np.exp(-rate * tt)) / rate
             - (np.exp(-lam * tt) - np.exp(-rate * tt)) / (rate - lam)
         )
@@ -321,16 +321,16 @@ def test_criterion_8_refinement_and_stationarity():
     orbit = shooting_solve(sys8, dt=PERIOD / 1024, tol=1e-10)
     start = np.concatenate([orbit.u[0], orbit.w[0]])
     traj = integrate_cauchy(sys8, start, 10.0 * PERIOD, PERIOD / 1024)
-    monitor = apriori_monitor(traj)
-    sups = monitor.per_period_sup
+    monitor, growth = apriori_monitor(sys8, traj)
+    sups = monitor["per_period_sup"]
     drift = float(np.max(np.abs(np.diff(sups)) / sups[:-1]))
     elapsed = time.perf_counter() - t0
 
     passed = (
         nonincreasing
         and drift <= 1e-6
-        and not monitor.growth_flag
-        and np.isfinite(monitor.sup_state_sq)
+        and not growth
+        and np.isfinite(monitor["sup_state_sq"])
         and elapsed < 300.0
     )
     _verdict(
@@ -342,8 +342,8 @@ def test_criterion_8_refinement_and_stationarity():
     assert nonincreasing, f"refinement gaps should not grow: {diffs}"
     assert len(sups) == 10, f"expected ten complete periods, got {len(sups)}"
     assert drift <= 1e-6, f"per-period sup drifts by {drift:.3e}, tolerance 1e-6"
-    assert not monitor.growth_flag, "no period may double its predecessor's sup"
-    assert np.isfinite(monitor.sup_state_sq), "monitors must stay bounded"
+    assert not growth, "no period may double its predecessor's sup"
+    assert np.isfinite(monitor["sup_state_sq"]), "monitors must stay bounded"
     assert elapsed < 300.0, f"criterion 8 took {elapsed:.1f}s, budget is 300s"
 
 

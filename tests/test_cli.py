@@ -140,6 +140,62 @@ def test_feasibility_report_and_curves(tmp_path, capsys):
         assert len(lines) == 2 + 256, f"{name} should hold n_samples rows"
 
 
+def test_feasibility_curves_span_their_grids_and_scale_with_kappa(tmp_path, capsys):
+    """The curves of window_aggregates.cfg at 128 samples: both grids run from 0
+    to their configured end, h increases, p peaks at the grid point nearest r*,
+    and p scales with kappa."""
+    with open(config_path("window_aggregates.cfg"), encoding="utf-8") as fh:
+        text = fh.read().replace("feasibility.n_samples = 256", "feasibility.n_samples = 128")
+    curves = {}
+    for kappa in ("0.5", "0.174"):
+        cfg = write_config(
+            tmp_path, text.replace("feasibility.kappa = 0.5", f"feasibility.kappa = {kappa}"),
+            name=f"kappa{kappa}.cfg",
+        )
+        out = tmp_path / kappa
+        assert cli.main(["feasibility", "--config", cfg, "--out", str(out)]) == 0
+        curves[kappa] = [
+            np.loadtxt(out / name, delimiter=",", skiprows=2)
+            for name in ("h_curve.csv", "p_curve.csv")
+        ]
+    capsys.readouterr()  # swallow the written-path listing
+    h_curve, p_curve = curves["0.5"]
+    assert h_curve.shape == p_curve.shape == (128, 2)
+    assert h_curve[0, 0] == 0.0 and h_curve[-1, 0] == 5.0
+    assert p_curve[0, 0] == 0.0 and p_curve[-1, 0] == 0.5
+    assert np.all(np.diff(h_curve[:, 1]) > 0.0)
+    # the gain peak lands at the grid point nearest the closed-form radius
+    peak_index = int(np.argmax(p_curve[:, 1]))
+    expected = int(np.argmin(np.abs(p_curve[:, 0] - R_STAR)))
+    assert peak_index == expected
+    p_scaled = curves["0.174"][1]
+    assert np.allclose(p_scaled[1:, 1] / p_curve[1:, 1], 0.174 / 0.5, rtol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("feasibility.n_samples", "1"), ("feasibility.t_max", "0.0"), ("feasibility.r_max", "-0.5")],
+)
+def test_curve_range_out_of_bounds_exits_2_naming_the_key(
+    tmp_path, capsys, monkeypatch, key, value
+):
+    """A curve grid with fewer than two points, or a nonpositive range, is a
+    configuration error that names its key and the file, before the window is
+    evaluated."""
+    monkeypatch.setattr(
+        cli, "feasible_window_condition", lambda *args: pytest.fail("the window was evaluated")
+    )
+    with open(config_path("window_aggregates.cfg"), encoding="utf-8") as fh:
+        text, n = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = {value}", fh.read(), flags=re.M)
+    assert n == 1
+    cfg = write_config(tmp_path, text)
+    rc = cli.main(["feasibility", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2, f"{key} = {value} should exit 2, got {rc}"
+    err = capsys.readouterr().err
+    assert key in err and cfg in err, f"stderr should name the key and the file: {err!r}"
+    assert not (tmp_path / "out").exists(), "nothing may be written"
+
+
 def test_feasibility_bisects_the_crossing_radii_once(tmp_path, capsys, monkeypatch):
     """The period ceiling reuses the bracket the command already found."""
     calls = []
@@ -769,6 +825,20 @@ def test_param_region_outputs(tmp_path, capsys):
     )
     assert 0 < n_admissible < len(data), "raster should be nontrivial"
     capsys.readouterr()  # swallow the written-path listing
+
+
+def test_raster_size_without_raster_range_exits_2(tmp_path, capsys, monkeypatch):
+    """region.n_a2 sizes the raster, which only region.a2_max switches on; alone it
+    is rejected by name, before the boundary is computed."""
+    monkeypatch.setattr(cli, "a2_bound", lambda *args: pytest.fail("the boundary was computed"))
+    with open(config_path("reaction_region.cfg"), encoding="utf-8") as fh:
+        lines = [l for l in fh.read().splitlines() if not l.startswith("region.a2_max")]
+    cfg = write_config(tmp_path, "\n".join(lines) + "\n")
+    rc = cli.main(["param-region", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2, f"region.n_a2 without region.a2_max should exit 2, got {rc}"
+    err = capsys.readouterr().err
+    assert "key 'region.n_a2' is not used without region.a2_max" in err, err
+    assert cfg in err, f"stderr should name the file: {err!r}"
 
 
 def test_param_region_kappa_from_projection_excess(tmp_path, capsys):

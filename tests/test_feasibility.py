@@ -14,7 +14,6 @@ from monorhythm.feasibility import (
     EmbeddingConstants,
     a2_bound,
     aggregate_from_raw,
-    emit_curves,
     feasible_window_condition,
     h_of_T,
     p_of_R,
@@ -25,7 +24,7 @@ from monorhythm.feasibility import (
     reduced_window,
     t_star,
 )
-from monorhythm.ionic import PhysiologicalParameters, RescalingParameters, derive_parameters
+from monorhythm.ionic import PhysiologicalParameters, derive_parameters
 from oracles import golden_section_max
 from systems import feasible_model
 
@@ -286,7 +285,7 @@ def test_a2_bound_frozen_and_consistency(
         u_res=u_res, u_peak=u_res + amplitude, a=threshold,
         c1=1.0, c2=1.0, c3=1.0, b=1.0, C_m=capacitance,
     )
-    d = derive_parameters(phys, RescalingParameters(epsilon=epsilon, xi=xi))
+    d = derive_parameters(phys, epsilon=epsilon, xi=xi)
     ceiling = a2_bound(a1, d, emb)
     assert ceiling > 0.0
     # just below the ceiling the window opens; just above it, it closes
@@ -311,24 +310,6 @@ def test_a2_bound_rejects_a_zero_drive():
         a2_bound(np.array([0.01, 0.02]), MODEL, undriven)
 
 
-def test_emit_curves_shapes_and_ratio():
-    h_curve, p_curve = emit_curves(AGG, RATE, t_max=5.0, r_max=0.5, n_samples=128)
-    assert h_curve.shape == p_curve.shape == (128, 2)
-    assert h_curve[0, 0] == 0.0 and h_curve[-1, 0] == 5.0
-    assert np.all(np.diff(h_curve[:, 1]) > 0.0)
-    # the gain peak lands at the grid point nearest the closed-form radius
-    peak_index = int(np.argmax(p_curve[:, 1]))
-    expected = int(np.argmin(np.abs(p_curve[:, 0] - R_STAR)))
-    assert peak_index == expected
-    scaled = AggregateConstants(kappa=0.174, beta=1e-4, gamma=1.0, delta=1e-3)
-    _, p_scaled = emit_curves(scaled, RATE, t_max=5.0, r_max=0.5, n_samples=128)
-    assert np.allclose(p_scaled[1:, 1] / p_curve[1:, 1], 0.174 / 0.5, rtol=1e-14)
-    with pytest.raises(ValueError):
-        emit_curves(AGG, RATE, t_max=0.0, r_max=1.0)
-    with pytest.raises(ValueError):
-        emit_curves(AGG, RATE, t_max=5.0, r_max=1.0, n_samples=1)
-
-
 def test_build_report_feasible():
     """The chain cmd_feasibility builds its report from, on an open window."""
     h0 = h_of_T(0.0, RATE)
@@ -340,5 +321,6 @@ def test_build_report_feasible():
     lower, upper = r_bounds(AGG, h0)
     assert lower < rs < upper
     assert t_star(rs, AGG, RATE, (lower, upper)) == pytest.approx(T_STAR, rel=1e-10)
-    h_curve, p_curve = emit_curves(AGG, RATE, t_max=5.0, r_max=0.5)
-    assert h_curve.shape == p_curve.shape == (256, 2)
+    h_curve = h_of_T(np.linspace(0.0, 5.0, 256), RATE)
+    p_curve = p_of_R(np.linspace(0.0, 0.5, 256), AGG)
+    assert h_curve.shape == p_curve.shape == (256,)

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from monorhythm import galerkin
 from monorhythm.galerkin import (
     BlowUpError,
+    GalerkinSystem,
     apriori_monitor,
-    assemble_system,
     check_rk4_step,
     integrate_cauchy,
     refinement_gaps,
@@ -21,7 +21,7 @@ from monorhythm.galerkin import (
 from monorhythm.ionic import PhysiologicalParameters, derive_parameters
 from monorhythm.spectral import Stimulus, build_basis, project_nonlinearity
 
-from systems import GEOM, PERIOD, PHI, RESC, feasible_model, feasible_system, linear_system
+from systems import EPSILON, GEOM, PERIOD, PHI, XI, feasible_model, feasible_system, linear_system
 
 
 def zero_state(sys):
@@ -44,7 +44,7 @@ def pulse_system():
     """The feasible model at m = 8 under a narrow pulse drive."""
     d = feasible_model()
     stim = Stimulus("pulse", period=PERIOD, phi_value=PHI, amplitude=20.0, center=0.3, width=0.05)
-    return assemble_system(build_basis(GEOM, 8, d), d, stim)
+    return GalerkinSystem(build_basis(GEOM, 8, d), d, stim)
 
 
 def test_rhs_zero_equilibrium():
@@ -61,7 +61,7 @@ def test_rhs_linear_block_structure():
     dx = rhs(sys, 0.3, state(u, w))
     du, dw = dx[:5], dx[5:]
     assert np.allclose(du, -sys.basis.lambdas * u, rtol=0.0, atol=1e-14)
-    eps, xi = RESC.epsilon, RESC.xi
+    eps, xi = EPSILON, XI
     assert np.allclose(dw, eps * 1.0 * (u - xi * 1.0 * w), rtol=0.0, atol=1e-14)
 
 
@@ -128,16 +128,16 @@ def test_linear_recovery_closed_form():
     phys = PhysiologicalParameters(
         u_res=0.0, u_peak=100.0, a=0.25, c1=0.0, c2=0.0, c3=1.0, b=1.0, sigma_const=1.0
     )
-    d = derive_parameters(phys, RESC, c4_override=31.25)
+    d = derive_parameters(phys, EPSILON, XI, c4_override=31.25)
     basis = build_basis(GEOM, 0, d)
     # pick the constant stimulus that makes u = 1 an exact equilibrium
     lam0 = basis.lambdas[0]
     b0 = 1.0 / np.sqrt(GEOM.L)
     stim = Stimulus("constant", period=2.0, phi_value=1.0, amplitude=lam0 / b0)
-    sys = assemble_system(basis, d, stim)
+    sys = GalerkinSystem(basis, d, stim)
     traj = integrate_cauchy(sys, np.array([1.0, 0.0]), 200.0, dt=0.1)
     assert np.allclose(traj.u, 1.0, atol=1e-10)
-    assert traj.w[-1, 0] == pytest.approx(1.0 / (RESC.xi * 1.0), rel=1e-8)
+    assert traj.w[-1, 0] == pytest.approx(1.0 / (XI * 1.0), rel=1e-8)
 
 
 def test_zero_everything_stays_zero():
@@ -338,7 +338,7 @@ def test_period_map_linear_contraction():
     explicit convolution of the two exponentials."""
     sys = linear_system(s0=0.0, phi=0.0)
     T = PERIOD
-    rate_w = RESC.epsilon * 1.0 * RESC.xi * 1.0
+    rate_w = EPSILON * 1.0 * XI * 1.0
     for i in range(3):
         u0 = np.zeros(5)
         u0[i] = 1.0
@@ -347,7 +347,7 @@ def test_period_map_linear_contraction():
         u_end, w_end = traj.u[-1], traj.w[-1]
         lam = sys.basis.lambdas[i]
         assert u_end[i] == pytest.approx(np.exp(-lam * T), rel=1e-9)
-        expected_w = RESC.epsilon * (np.exp(-lam * T) - np.exp(-rate_w * T)) / (rate_w - lam)
+        expected_w = EPSILON * (np.exp(-lam * T) - np.exp(-rate_w * T)) / (rate_w - lam)
         assert w_end[i] == pytest.approx(expected_w, rel=1e-7)
         mask = np.ones(5, dtype=bool)
         mask[i] = False
@@ -357,21 +357,21 @@ def test_period_map_linear_contraction():
 def test_monitors_zero_trajectory():
     sys = linear_system(s0=0.0, phi=0.0)
     traj = integrate_cauchy(sys, zero_state(sys), 2.0 * PERIOD, dt=PERIOD / 256)
-    rep = apriori_monitor(traj)
-    assert rep.sup_state_sq == 0.0
-    assert rep.l2_v_u == 0.0 and rep.l2_du == 0.0 and rep.l2_dw == 0.0
-    assert not rep.growth_flag
+    rep, growth = apriori_monitor(sys, traj)
+    assert rep["sup_state_sq"] == 0.0
+    assert rep["l2_v_u"] == 0.0 and rep["l2_du"] == 0.0 and rep["l2_dw"] == 0.0
+    assert not growth
 
 
 def test_monitors_decay_peaks_at_start():
     sys = linear_system(s0=0.0, phi=0.0)
     u0 = np.array([1.0, -0.5, 2.0, 0.25, -1.5])
     traj = integrate_cauchy(sys, state(u0, np.zeros(5)), 2.0 * PERIOD, dt=PERIOD / 256)
-    rep = apriori_monitor(traj)
-    assert rep.sup_state_sq == pytest.approx(float(np.sum(u0**2)), rel=1e-12)
-    assert not rep.growth_flag
-    assert len(rep.per_period_sup) == 2
-    assert rep.per_period_sup[1] < rep.per_period_sup[0]
+    rep, growth = apriori_monitor(sys, traj)
+    assert rep["sup_state_sq"] == pytest.approx(float(np.sum(u0**2)), rel=1e-12)
+    assert not growth
+    assert len(rep["per_period_sup"]) == 2
+    assert rep["per_period_sup"][1] < rep["per_period_sup"][0]
 
 
 def test_monitor_derivative_norms_match_per_node_rhs():
@@ -382,11 +382,11 @@ def test_monitor_derivative_norms_match_per_node_rhs():
     traj = integrate_cauchy(sys, zero_state(sys), 1.5 * PERIOD, dt=PERIOD / 256)
     dx = np.array([rhs(sys, t, x) for t, x in zip(traj.times, traj.x)])
     du, dw = dx[:, :9], dx[:, 9:]
-    rep = apriori_monitor(traj)
+    rep, _ = apriori_monitor(sys, traj)
     ref_du = np.sqrt(np.trapezoid(np.sum(du**2, axis=1), x=traj.times))
     ref_dw = np.sqrt(np.trapezoid(np.sum(dw**2, axis=1), x=traj.times))
-    assert rep.l2_du == pytest.approx(ref_du, rel=1e-13, abs=0.0)
-    assert rep.l2_dw == pytest.approx(ref_dw, rel=1e-13, abs=0.0)
+    assert rep["l2_du"] == pytest.approx(ref_du, rel=1e-13, abs=0.0)
+    assert rep["l2_dw"] == pytest.approx(ref_dw, rel=1e-13, abs=0.0)
 
 
 def padded_gap_oracle(m_list, amplitude, t1, dt):

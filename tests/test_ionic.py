@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from monorhythm.ionic import (
     DerivedParameters,
     PhysiologicalParameters,
-    RescalingParameters,
     derive_parameters,
-    f_transformed,
+    reaction,
     reaction_constants,
     rescale_period,
     with_reaction,
@@ -27,24 +26,24 @@ def make_params(**overrides):
     return PhysiologicalParameters(**kw)
 
 
-RESC = RescalingParameters(epsilon=0.032, xi=3.75)
+EPSILON, XI = 0.032, 3.75
 
 
 def test_derivation_hand_example():
     # hand evaluation of the defining formulas with u_peak - u_res = 2
     phys = PhysiologicalParameters(u_res=0.0, u_peak=2.0, a=0.25, c1=1.0, c2=1.0, c3=1.0, b=1.0)
-    d = derive_parameters(phys, RESC)
+    d = derive_parameters(phys, EPSILON, XI)
     assert d.a1 == pytest.approx(0.25, rel=1e-15)
     assert d.u_tr == pytest.approx(0.5, rel=1e-15)
     assert d.u_pr == pytest.approx(2.0, rel=1e-15)
     # c4 = a1 u_tr u_pr = 0.25 enters only through lam0 = epsilon c4 / C
-    assert d.lam0 == pytest.approx(RESC.epsilon * 0.25, rel=1e-15)
-    assert (d.epsilon, d.xi) == (RESC.epsilon, RESC.xi)
+    assert d.lam0 == pytest.approx(EPSILON * 0.25, rel=1e-15)
+    assert (d.epsilon, d.xi) == (EPSILON, XI)
 
 
 def test_unit_amplitude_gives_unit_coefficients():
     phys = make_params(u_res=0.0, u_peak=1.0, c1=1.0, c2=1.0)
-    d = derive_parameters(phys, RESC)
+    d = derive_parameters(phys, EPSILON, XI)
     assert d.a1 == 1.0
     assert d.a2 == 1.0
 
@@ -57,17 +56,17 @@ def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         make_params(c3=0.0)
     with pytest.raises(ValueError):
-        RescalingParameters(epsilon=0.0, xi=1.0)
+        derive_parameters(make_params(), epsilon=0.0, xi=1.0)
 
 
 def test_zero_reaction_coefficients_allowed():
-    d = derive_parameters(make_params(c1=0.0, c2=0.0), RESC)
+    d = derive_parameters(make_params(c1=0.0, c2=0.0), EPSILON, XI)
     assert d.a1 == 0.0 and d.a2 == 0.0 and d.lam0 == 0.0
 
 
 def test_c4_override():
-    d = derive_parameters(make_params(c1=0.0, c2=0.0), RESC, c4_override=31.25)
-    assert d.lam0 == RESC.epsilon * 31.25
+    d = derive_parameters(make_params(c1=0.0, c2=0.0), EPSILON, XI, c4_override=31.25)
+    assert d.lam0 == EPSILON * 31.25
     assert d.a1 == 0.0
 
 
@@ -109,24 +108,24 @@ def test_g_raw():
     )
 
 
-def test_f_transformed_zero_at_zero():
-    d = derive_parameters(make_params(), RESC)
-    assert f_transformed(0.0, -3.0, d) == 0.0
+def test_reaction_zero_at_zero():
+    d = derive_parameters(make_params(), EPSILON, XI)
+    assert reaction(d)(0.0, -3.0) == 0.0
 
 
-def test_f_transformed_hand_value():
+def test_reaction_hand_value():
     # direct formula evaluation with synthetic constants u_pr + u_tr = 0
     d = DerivedParameters(
         u_tr=0.0, u_pr=0.0, a1=1.0, a2=1.0, lam0=0.0, A1=0.0, A2=0.0, A3=0.0,
         epsilon=1.0, xi=1.0, C=1.0, b=1.0, c3=1.0, sigma_const=1.0,
     )
-    assert f_transformed(2.0, 3.0, d) == pytest.approx(14.0, rel=1e-15)
+    assert reaction(d)(2.0, 3.0) == pytest.approx(14.0, rel=1e-15)
 
 
 def test_rescale_period():
-    d = derive_parameters(make_params(), RescalingParameters(epsilon=0.032, xi=1.0))
+    d = derive_parameters(make_params(), epsilon=0.032, xi=1.0)
     assert rescale_period(0.8, d) == pytest.approx(25.0)
-    ident = derive_parameters(make_params(), RescalingParameters(epsilon=1.0, xi=1.0))
+    ident = derive_parameters(make_params(), epsilon=1.0, xi=1.0)
     assert rescale_period(0.8, ident) == 0.8
     with pytest.raises(ValueError):
         rescale_period(0.0, d)
@@ -138,12 +137,12 @@ def test_rescale_period():
 )
 @settings(max_examples=200, deadline=None)
 def test_transformed_consistent_with_raw(u, w):
-    """The linear shift lam0 u = (eps c4 / C) u plus f_transformed(u, w) must equal
+    """The linear shift lam0 u = (eps c4 / C) u plus reaction(d)(u, w) must equal
     (eps / C) * f_ion_raw(u + u_res, xi * w) identically."""
     phys = make_params()
-    d = derive_parameters(phys, RESC)
-    lhs = d.lam0 * u + f_transformed(u, w, d)
-    rhs = (RESC.epsilon / d.C) * f_ion_raw(u + phys.u_res, RESC.xi * w, phys)
+    d = derive_parameters(phys, EPSILON, XI)
+    lhs = d.lam0 * u + reaction(d)(u, w)
+    rhs = (EPSILON / d.C) * f_ion_raw(u + phys.u_res, XI * w, phys)
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
@@ -162,7 +161,7 @@ def test_scale_consistency(u_res, amp, c1, c2):
     wide = PhysiologicalParameters(
         u_res=u_res, u_peak=u_res + 2.0 * amp, a=0.3, c1=c1, c2=c2, c3=1.0, b=1.0
     )
-    d1, d2 = derive_parameters(base, RESC), derive_parameters(wide, RESC)
+    d1, d2 = derive_parameters(base, EPSILON, XI), derive_parameters(wide, EPSILON, XI)
     assert d2.a1 == pytest.approx(d1.a1 / 4.0, rel=1e-12)
     assert d2.a2 == pytest.approx(d1.a2 / 2.0, rel=1e-12)
 
@@ -185,23 +184,24 @@ def test_scale_consistency(u_res, amp, c1, c2):
 )
 @settings(max_examples=200, deadline=None)
 def test_factored_reaction_matches_expanded(u_res, amp, c1, c2, u, w):
-    """The product-only form of f_transformed agrees with the expanded cubic to
+    """The product-only form of reaction(d) agrees with the expanded cubic to
     a few ulps of its largest term, on sign-mixed arrays, and vanishes at u = 0.
     Below the normal range an ulp is absolute, one subnormal spacing, so the
     bound has a floor of a few of those; it is inert for normal results."""
     d = derive_parameters(
         PhysiologicalParameters(u_res=u_res, u_peak=u_res + amp, a=0.3, c1=c1, c2=c2, c3=1.0, b=1.0),
-        RESC,
+        EPSILON,
+        XI,
     )
     u_arr = np.array([u, -u, 0.0, 0.0])
     w_arr = np.array([w, -w, w, -w])
-    factored = f_transformed(u_arr, w_arr, d)
+    factored = reaction(d)(u_arr, w_arr)
     expanded = reaction_expanded(u_arr, w_arr, d)
-    s = RESC.epsilon / d.C
+    s = EPSILON / d.C
     scale = s * (
         d.a1 * np.abs(u_arr) ** 3
         + d.a1 * (d.u_pr + d.u_tr) * u_arr**2
-        + np.abs(RESC.xi * d.a2 * u_arr * w_arr)
+        + np.abs(XI * d.a2 * u_arr * w_arr)
     )
     ulp_floor = 4 * np.finfo(float).smallest_subnormal
     assert np.all(np.abs(factored - expanded) <= 4e-15 * scale + ulp_floor)
@@ -214,16 +214,16 @@ def test_growth_bounds_hold_on_samples():
 
     Valid whenever eps/C <= 1 and eps <= 1, which the shipped defaults satisfy.
     """
-    d = derive_parameters(make_params(), RESC)
+    d = derive_parameters(make_params(), EPSILON, XI)
     rng = np.random.default_rng(20240817)
     u = rng.uniform(-30.0, 30.0, size=10_000)
-    f1 = f_transformed(u, np.zeros_like(u), d)
-    f2 = (f_transformed(u, np.ones_like(u), d) - f1) / RESC.xi
+    f1 = reaction(d)(u, np.zeros_like(u))
+    f2 = (reaction(d)(u, np.ones_like(u)) - f1) / XI
     # the cubic coefficient of the f1 bound, the a1 share of A2
-    l2 = d.a1 * (RESC.epsilon / d.C) * (
+    l2 = d.a1 * (EPSILON / d.C) * (
         1.0 + (2.0 / 3.0) * (d.u_tr + d.u_pr) + d.u_tr * d.u_pr / 3.0
     )
     assert np.all(np.abs(f1) <= d.A1 + l2 * np.abs(u) ** 3 + 1e-12)
     assert np.all(np.abs(f2) <= d.a2 * np.abs(u) + 1e-12)
-    g1 = RESC.epsilon * d.b * u
+    g1 = EPSILON * d.b * u
     assert np.all(np.abs(g1) <= (d.b / 2.0) * (1.0 + u**2) + 1e-12)

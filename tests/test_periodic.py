@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monorhythm import periodic
-from monorhythm.galerkin import assemble_system, integrate_cauchy
+from monorhythm.galerkin import GalerkinSystem, integrate_cauchy
 from monorhythm.ionic import PhysiologicalParameters, derive_parameters
 from monorhythm.periodic import (
     BallCertificate,
@@ -24,7 +24,7 @@ from monorhythm.periodic import (
 from monorhythm.spectral import Stimulus, build_basis, project_nonlinearity
 
 from oracles import green_kernel_u, green_kernel_w
-from systems import GEOM, PERIOD, PHI, RESC, feasible_model, feasible_system, linear_system
+from systems import EPSILON, GEOM, PERIOD, PHI, XI, feasible_model, feasible_system, linear_system
 
 # critical radius of the shipped aggregate constants (beta=1e-4, gamma=1,
 # delta=1e-3), frozen from the closed-form maximizer and confirmed by a
@@ -78,7 +78,9 @@ def test_solvers_reject_nonpositive_rate_before_any_work(monkeypatch, which, rat
         lambdas[0] = rate
         sys = dataclasses.replace(sys, basis=dataclasses.replace(sys.basis, lambdas=lambdas))
     else:
-        sys = dataclasses.replace(sys, recovery_rate=rate)
+        # recovery_rate = (eps b) xi c3, which is rate itself with eps = b = xi = 1
+        d = dataclasses.replace(sys.d, epsilon=1.0, b=1.0, xi=1.0, c3=rate)
+        sys = dataclasses.replace(sys, d=d)
     with pytest.raises(ValueError, match=f"decay rate must be positive, got {rate}"):
         if solver == "picard":
             picard_solve(sys, 128, DT)
@@ -161,7 +163,7 @@ def test_farkas_recovery_block_mass():
     sys = linear_system(s0=0.0)
     u_in = np.ones((256, 5))
     _, w_out = farkas_apply(sys, u_in, np.zeros((256, 5)))
-    assert np.max(np.abs(w_out - 1.0 / (RESC.xi * 1.0))) < 1e-12
+    assert np.max(np.abs(w_out - 1.0 / (XI * 1.0))) < 1e-12
 
 
 def test_farkas_zero_input_zero_stimulus():
@@ -182,7 +184,7 @@ def test_picard_linear_single_sweep():
     orbit = picard_solve(sys, 512, DT, x0=0.1 * rng.standard_normal((512, 5)), tol=1e-10)
     assert orbit.converged and orbit.n_iter == 1
     u_star = 1.0 * sys.trace_vector / sys.basis.lambdas
-    w_star = u_star / (RESC.xi * 1.0)
+    w_star = u_star / (XI * 1.0)
     assert np.max(np.abs(orbit.u - u_star)) < 1e-10
     assert np.max(np.abs(orbit.w - w_star)) < 1e-10
 
@@ -233,10 +235,10 @@ def _runaway_system():
     phys = PhysiologicalParameters(
         u_res=0.0, u_peak=1.0, a=0.5, c1=100.0, c2=1.0, c3=1.0, b=1.0, sigma_const=1.0
     )
-    d = derive_parameters(phys, RESC)
+    d = derive_parameters(phys, EPSILON, XI)
     basis = build_basis(GEOM, 4, d)
     off = Stimulus("constant", period=2.0, phi_value=0.0, amplitude=0.0)
-    return assemble_system(basis, d, off)
+    return GalerkinSystem(basis, d, off)
 
 
 def test_picard_divergence_reports_history():
@@ -356,7 +358,7 @@ def test_linear_start_saves_one_integration_on_a_pulse(monkeypatch, m, width, n_
     the start it takes when every periodic response is replaced by zeros."""
     d = feasible_model()
     stim = Stimulus("pulse", period=PERIOD, phi_value=PHI, amplitude=1.0, width=width)
-    sys = assemble_system(build_basis(GEOM, m, d), d, stim)
+    sys = GalerkinSystem(build_basis(GEOM, m, d), d, stim)
     integrations = []
     for zero_start in (False, True):
         counting = _CountingIntegrations()
@@ -471,7 +473,7 @@ def test_linear_monodromy_leading_multiplier_is_recovery_decay():
     n_steps = 1024
     h = PERIOD / n_steps
     multipliers = np.linalg.eigvals(periodic._linear_monodromy(sys, h, n_steps) + np.eye(18))
-    z = -h * RESC.epsilon * sys.d.b * RESC.xi * sys.d.c3
+    z = -h * EPSILON * sys.d.b * XI * sys.d.c3
     rk4 = (1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0) ** n_steps
     leading = float(np.max(np.abs(multipliers)))
     assert leading == pytest.approx(rk4, rel=1e-12)
@@ -557,7 +559,7 @@ def test_certify_ball_conventions():
 
     orbit = picard_solve(sys, 256, DT, tol=1e-12)
     u_star = 1.0 * sys.trace_vector / sys.basis.lambdas
-    w_star = u_star / (RESC.xi * 1.0)
+    w_star = u_star / (XI * 1.0)
     hand = float(np.sqrt(np.sum(sys.basis.lambdas * u_star**2) + np.sum(w_star**2)))
     assert orbit.ct_norm == pytest.approx(hand, rel=1e-9)
     # the ball is closed: sitting exactly on the boundary still counts

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from monorhythm.ionic import (
     DerivedParameters,
     PhysiologicalParameters,
-    RescalingParameters,
     derive_parameters,
 )
 from monorhythm.feasibility import h_of_T
-from monorhythm.galerkin import assemble_system
+from monorhythm.galerkin import GalerkinSystem
 from monorhythm.spectral import (
     Geometry1D,
     Stimulus,
@@ -26,14 +25,14 @@ from oracles import cosine_product_integral
 from systems import feasible_model, linear_model
 
 
-RESC = RescalingParameters(epsilon=0.032, xi=3.75)
+EPSILON, XI = 0.032, 3.75
 
 
 def shipped_model():
     phys = PhysiologicalParameters(
         u_res=0.0, u_peak=100.0, a=0.25, c1=125.0, c2=100.0, c3=1.0, b=1.0, sigma_const=1.0
     )
-    return derive_parameters(phys, RESC)
+    return derive_parameters(phys, EPSILON, XI)
 
 
 def plain_laplacian_model():
@@ -41,14 +40,14 @@ def plain_laplacian_model():
     phys = PhysiologicalParameters(
         u_res=0.0, u_peak=1.0, a=0.5, c1=0.0, c2=0.0, c3=1.0, b=1.0, sigma_const=1.0
     )
-    return derive_parameters(phys, RescalingParameters(epsilon=1.0, xi=1.0))
+    return derive_parameters(phys, epsilon=1.0, xi=1.0)
 
 
 def test_lambda0_equals_operator_shift():
     d = shipped_model()
     basis = build_basis(Geometry1D(1.0), 8, d)
     # c4 = a1 u_tr u_pr = 31.25
-    assert basis.lambdas[0] == pytest.approx(RESC.epsilon * 31.25 / d.C, rel=1e-15)
+    assert basis.lambdas[0] == pytest.approx(EPSILON * 31.25 / d.C, rel=1e-15)
     assert np.all(np.diff(basis.lambdas) > 0.0)
 
 
@@ -142,12 +141,12 @@ def test_trace_values():
     L = 2.0
     basis = build_basis(Geometry1D(L), 6, d)
     stim = Stimulus("constant", period=2.0, phi_value=0.25, amplitude=1.0)
-    b = assemble_system(basis, d, stim).trace_vector
+    b = GalerkinSystem(basis, d, stim).trace_vector
     assert b[0] == pytest.approx(0.25 / np.sqrt(L), rel=1e-15)
     for i in range(1, 7):
         assert b[i] == pytest.approx(0.25 * np.sqrt(2.0 / L) * (-1.0) ** i, rel=1e-14)
     off = Stimulus("constant", period=2.0, phi_value=0.0, amplitude=1.0)
-    assert np.all(assemble_system(basis, d, off).trace_vector == 0.0)
+    assert np.all(GalerkinSystem(basis, d, off).trace_vector == 0.0)
 
 
 def test_projection_zero_when_u_zero():
@@ -226,8 +225,8 @@ def test_vnorm_matches_derivative_quadrature():
     u = rng.standard_normal(7)
     v_sq = v_norm_sq(basis, u)
 
-    lam0 = RESC.epsilon * (d.a1 * d.u_tr * d.u_pr) / d.C
-    sigma_hat = (RESC.epsilon / d.C) * d.sigma_const
+    lam0 = EPSILON * (d.a1 * d.u_tr * d.u_pr) / d.C
+    sigma_hat = (EPSILON / d.C) * d.sigma_const
     nodes, weights = midpoint_rule(L, basis.n_quad)
     assert basis.n_quad == 13
     assert np.all(basis.quad_weights == L / basis.n_quad)
