@@ -13,9 +13,9 @@ flags, timings) and CSV data files, in the formats of :mod:`.output`, so
 identical configurations reproduce identical bytes apart from timings.
 Exit codes: 0 success, 2 configuration error (including a stimulus key its
 kind does not use, a solver key or ``--seed`` the chosen method does not
-read, a ``region.n_a2`` without ``region.a2_max``, a ``solver.radius`` <= 0,
-a curve range or iteration cap below its range, and a decay rate
-lambda_0 <= 0, which both orbit solvers reject), 3 solver
+read, a negative ``--seed``, a ``region.n_a2`` without ``region.a2_max``,
+a ``solver.radius`` <= 0, a curve range or iteration cap below its range,
+and a decay rate lambda_0 <= 0, which both orbit solvers reject), 3 solver
 non-convergence, 4 trajectory blow-up. A run that exits 3 or 4 still
 writes a partial report: the command, the configuration echo, the error
 message, and the failed solver's history or the blow-up's time, magnitude
@@ -239,15 +239,11 @@ def cmd_feasibility(cfg: RunConfig):
 def cmd_solve_cauchy(cfg: RunConfig):
     sys_ = _build_system(cfg, _build_model(cfg))
     x0 = _initial_state(cfg, sys_.n_modes)
-    t_end = cfg.require("cauchy.t_end")
-    dt = cfg.require("cauchy.dt")
-    traj = integrate_cauchy(sys_, x0, t_end, dt)
+    traj = integrate_cauchy(sys_, x0, cfg.require("cauchy.t_end"), cfg.require("cauchy.dt"))
     monitors, growth = apriori_monitor(sys_, traj)
 
     payload = {
         "n_nodes": traj.n_nodes,
-        "t_end": float(traj.times[-1]),
-        "dt": dt,
         "final_u": traj.u[-1],
         "final_w": traj.w[-1],
         "monitors": monitors,
@@ -274,7 +270,6 @@ def _orbit_summary(orbit) -> dict:
         "n_t": len(orbit.times),
         "periodicity_residual": orbit.periodicity_residual,
         "ct_norm": orbit.ct_norm,
-        "operator_residual": orbit.operator_residual,
         "history": orbit.history,
         "jacobian_cond": orbit.jacobian_cond,
     }
@@ -284,6 +279,8 @@ def cmd_solve_periodic(cfg: RunConfig, seed=None):
     method = cfg.get("solver.method", "picard")
     unread = [key for key in _METHOD_KEYS["both"] if key not in _METHOD_KEYS[method]]
     _reject_unread(cfg, f"by solver.method = {method}", unread, () if seed is None else ("--seed",))
+    if seed is not None and seed < 0:
+        raise ConfigError(f"flag '--seed' must be non-negative, got {seed}", cfg.path)
     radius = cfg.get("solver.radius", None)
     if radius is not None and radius <= 0.0:
         raise ConfigError(f"solver.radius must be positive, got {radius!r}", cfg.path)
@@ -364,7 +361,7 @@ def cmd_converge(cfg: RunConfig):
     gaps = refinement_gaps(sys_, m_list, t_end, dt)
     rows = [[coarse, fine, *gap] for coarse, fine, gap in zip(m_list, m_list[1:], gaps.tolist())]
     pairs = [dict(zip(("m_coarse", "m_fine", "u_diff", "w_diff"), row)) for row in rows]
-    payload = {"pairs": pairs, "t_end": t_end, "dt": dt}
+    payload = {"pairs": pairs}
     flags = {"u_diff_nonincreasing": bool(np.all(np.diff(gaps[:, 0]) <= 0.0))}
     files = [
         (
@@ -430,9 +427,6 @@ def cmd_param_region(cfg: RunConfig):
         }
 
     payload = {
-        "a1_min": a1_min,
-        "a1_max": a1_max,
-        "n_a1": n_a1,
         "bound_at_a1_max": float(bound[-1]),
         "raster": raster_counts,
     }
@@ -541,11 +535,7 @@ def main(argv=None) -> int:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return 3
     except BlowUpError as exc:
-        print(
-            f"trajectory blew up at t = {exc.time:.6g} (magnitude {exc.magnitude:.3e})"
-            f" at truncation m = {exc.m}",
-            file=sys.stderr,
-        )
+        print(exc, file=sys.stderr)
         return 4
 
 

@@ -60,14 +60,15 @@ class PeriodicOrbit:
     """A candidate periodic trajectory with its quality measurements attached.
 
     ``times`` are the nodes k T / n_t of one period, k = 0..n_t - 1.
-    ``periodicity_residual`` always comes from an integration of the returned
-    start state over one period, never from the solver's own bookkeeping.
+    ``periodicity_residual`` is |x(T) - x(0)| / max(1, |x(0)|) for an RK4
+    integration of the returned start state x(0) over one period.
     ``history`` is the solver's convergence record: Picard's residual per
     operator application, or shooting's period-map defect norm at the
-    starting guess and after each step. A solver that does not converge
-    raises, so every returned orbit has ``converged`` set. ``jacobian_cond``
-    is the 2-norm condition number of shooting's final Broyden Jacobian;
-    Picard has none.
+    starting guess and after each step; its last entry is the returned
+    orbit's own, and ``n_iter`` is the count of entries before it. A solver
+    that does not converge raises, so every returned orbit has ``converged``
+    set. ``jacobian_cond`` is the 2-norm condition number of shooting's
+    final Broyden Jacobian; Picard has none.
     """
 
     times: np.ndarray
@@ -76,16 +77,18 @@ class PeriodicOrbit:
     periodicity_residual: float
     ct_norm: float
     method: str
-    n_iter: int
     converged: bool
     history: tuple[float, ...]
-    operator_residual: float | None = None
     jacobian_cond: float | None = None
+
+    @property
+    def n_iter(self) -> int:
+        """Picard's applications before the one that met tol, or shooting's steps."""
+        return len(self.history) - 1
 
 
 @dataclass(frozen=True)
 class BallCertificate:
-    radius: float
     member: bool
     worst_t: float
     margin: float
@@ -173,11 +176,6 @@ def ct_norm(sys: GalerkinSystem, u: np.ndarray, w: np.ndarray) -> float:
     return float(np.max(_mixed_norm(sys.basis, u, w)))
 
 
-def _relative_defect(traj, x0: np.ndarray) -> float:
-    """|x(T) - x0| / max(1, |x0|) for the last node x(T) of ``traj``."""
-    return float(np.linalg.norm(traj.x[-1] - x0) / max(1.0, float(np.linalg.norm(x0))))
-
-
 def _mixing_weights(d_f: list, f: np.ndarray) -> np.ndarray:
     """Least-squares weights gamma minimising |f - sum_i gamma_i d_f[i]|.
 
@@ -220,8 +218,8 @@ def picard_solve(
 
     ``x0``, of shape ``(n_t, n_modes)``, holds the starting potential
     samples at the nodes k T / n_t (the recovery samples follow from them as
-    W(u)) and is read, never written. ``operator_residual`` is the last
-    recorded residual: the returned pair (u, W(u)) is the one that
+    W(u)) and is read, never written. The last ``history`` entry is the
+    returned orbit's residual: the returned pair (u, W(u)) is the one that
     application measured, so its recovery residual is zero. The periodicity
     residual integrates the start state over one period at step ``dt``,
     which is checked before the first application, as are every decay rate
@@ -292,19 +290,19 @@ def picard_solve(
         u = u.copy()  # never hand back a view of the caller's start
 
     start = np.concatenate([u[0], w[0]])  # the state at t = 0
-    traj = integrate_cauchy(sys, start, sys.period, dt)
+    end = integrate_cauchy(sys, start, sys.period, dt).x[-1]
 
     return PeriodicOrbit(
         times=_nodes(sys.period, n_t),
         u=u,
         w=w,
-        periodicity_residual=_relative_defect(traj, start),
+        periodicity_residual=float(
+            np.linalg.norm(end - start) / max(1.0, float(np.linalg.norm(start)))
+        ),
         ct_norm=ct_norm(sys, u, w),
         method="picard",
-        n_iter=len(residuals) - 1,
         converged=True,
         history=tuple(residuals),
-        operator_residual=residuals[-1],
     )
 
 
@@ -389,12 +387,15 @@ def shooting_solve(
     steps are taken, so zero accepts only a start that already meets tol; a
     stall or a singular J raises :class:`NonConvergenceError` carrying the
     defect history. The orbit is the integration of the converged x, sampled
-    at the integrator's own nodes over [0, T). Broyden
+    at the integrator's own nodes over [0, T), and its periodicity residual
+    is the last defect over max(1, |x|). Broyden
     converges superlinearly, so the returned defect sits just under the
     tolerance, not quadratically past it as a Newton step would leave it.
     Every decay rate, then dt (:func:`shooting_nodes`), is checked before
     the start divides by any rate (:func:`_check_rates`): with a zero rate
-    the periodic response is undefined and R^N - I is singular.
+    the periodic response is undefined and R^N - I is singular. The steps
+    are exactly T / N for the N nodes ``shooting_nodes`` counts, so a dt
+    within its slack of T / N gives N nodes, not a short extra step.
     """
     _check_rates(sys)
     if tol <= 0.0:
@@ -402,6 +403,7 @@ def shooting_solve(
     check_shooting_cap(max_iter)
     T = sys.period
     n_steps = shooting_nodes(T, dt)
+    dt = T / n_steps
     drive = sys.stim(_nodes(T, n_steps))
     u_lin = _periodic_response(sys.basis.lambdas, T, drive[:, None] * sys.trace_vector)
     x = np.concatenate([u_lin[0], _w_block(sys, u_lin)[0]])
@@ -414,9 +416,8 @@ def shooting_solve(
     jac = _linear_monodromy(sys, dt, n_steps)
     g, traj = defect(x)
     history = [float(np.linalg.norm(g))]
-    n_iter = 0
     while history[-1] > tol * max(1.0, float(np.linalg.norm(x))):
-        if n_iter == max_iter:
+        if len(history) > max_iter:
             raise NonConvergenceError(
                 f"shooting did not converge in {max_iter} steps (defect {history[-1]:.3e})",
                 history=history,
@@ -433,19 +434,17 @@ def shooting_solve(
         g_next, traj = defect(x)
         jac += np.outer(g_next - g - jac @ dx, dx) / (dx @ dx)
         g = g_next
-        n_iter += 1
         history.append(float(np.linalg.norm(g)))
 
     u_orbit = traj.u[:-1]
     w_orbit = traj.w[:-1]
     return PeriodicOrbit(
-        times=_nodes(T, n_steps),
+        times=traj.times[:-1],
         u=u_orbit,
         w=w_orbit,
-        periodicity_residual=_relative_defect(traj, x),
+        periodicity_residual=history[-1] / max(1.0, float(np.linalg.norm(x))),
         ct_norm=ct_norm(sys, u_orbit, w_orbit),
         method="shooting",
-        n_iter=n_iter,
         converged=True,
         history=tuple(history),
         jacobian_cond=float(np.linalg.cond(jac)),
@@ -458,7 +457,6 @@ def certify_ball(orbit: PeriodicOrbit, radius: float, basis) -> BallCertificate:
     worst = int(np.argmax(pointwise))
     ct = float(pointwise[worst])
     return BallCertificate(
-        radius=radius,
         member=bool(ct <= radius),
         worst_t=float(orbit.times[worst]),
         margin=radius - ct,

@@ -354,7 +354,7 @@ def test_cauchy_reports_the_configured_end_time(tmp_path, capsys):
     cfg = write_config(tmp_path, text)
     assert cli.main(["solve-cauchy", "--config", cfg, "--out", str(tmp_path)]) == 0
     payload = read_report(tmp_path)["payload"]
-    assert payload["t_end"] == 0.9 and payload["n_nodes"] == 4
+    assert payload["n_nodes"] == 4
     assert read_lines(tmp_path, "trajectory.csv")[-1].split(",")[0] == "%.17g" % 0.9
     capsys.readouterr()  # swallow the written-path listing
 
@@ -369,7 +369,7 @@ def test_blow_up_exits_4(tmp_path, capsys, recwarn):
     rc = cli.main(["solve-cauchy", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 4, f"blow-up should exit 4, got {rc}"
     err = capsys.readouterr().err
-    assert "blew up at t = 0.0625" in err, f"stderr should report the blow-up time: {err!r}"
+    assert "blew up at t=0.0625" in err, f"stderr should report the blow-up time: {err!r}"
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
@@ -396,7 +396,7 @@ def test_blow_up_leaves_a_partial_report(tmp_path, capsys, command, extra):
     assert report["magnitude"] > 1e12
     assert report["error"].startswith("solution blew up at t=0.125")
     assert report["error"].endswith("at m = 8")
-    assert "at truncation m = 8" in capsys.readouterr().err
+    assert report["error"] in capsys.readouterr().err, "stderr prints the report's message"
     assert sorted(os.listdir(tmp_path)) == ["report.json", "run.cfg"]
 
 
@@ -542,7 +542,7 @@ def test_both_grid_precheck_names_the_first_failing_rule(tmp_path_factory, n_t, 
             calls.append(method)
             zeros = np.zeros((n_nodes, sys_.n_modes))
             times = np.arange(n_nodes) * (sys_.period / n_nodes)
-            return PeriodicOrbit(times, zeros, zeros, 0.0, 0.0, method, 0, True, (0.0,))
+            return PeriodicOrbit(times, zeros, zeros, 0.0, 0.0, method, True, (0.0,))
 
         return solve
 
@@ -618,18 +618,27 @@ def test_solver_key_the_method_does_not_read_exits_2(tmp_path, capsys, monkeypat
             ["--seed", "11"],
             "flag '--seed' is not used by solver.method = shooting",
         ),
+        ("picard", "", ["--seed", "-3"], "run.cfg: flag '--seed' must be non-negative, got -3"),
     ],
-    ids=["picard cap", "shooting cap", "radius", "shooting cap under both", "seed under shooting"],
+    ids=[
+        "picard cap",
+        "shooting cap",
+        "radius",
+        "shooting cap under both",
+        "seed under shooting",
+        "negative seed",
+    ],
 )
 def test_solver_input_out_of_range_exits_2_before_any_work(
     tmp_path, capsys, monkeypatch, method, key, flags, message
 ):
-    """An iteration cap below its range, a ball radius <= 0 or a Picard seed
-    given to shooting is a configuration error named with its key or flag,
-    raised before any sweep, integration or Jacobian: not a run that exits 3
-    on a cap it could never meet, nor one that ignores the cap, the radius or
-    the seed. Under both methods shooting's cap is named with the config
-    file before Picard runs."""
+    """An iteration cap below its range, a ball radius <= 0, a Picard seed
+    given to shooting or a negative seed is a configuration error named with
+    its key or flag, raised before any sweep, integration or Jacobian: not a
+    run that exits 3 on a cap it could never meet, nor one that ignores the
+    cap, the radius or the seed. Under both methods shooting's cap is named
+    with the config file before Picard runs, and a negative seed with the
+    config file before NumPy's generator rejects it."""
     work = ("_periodic_response", "_u_block", "_w_block", "integrate_cauchy", "_linear_monodromy")
     for name in work:
         monkeypatch.setattr(periodic, name, lambda *args: pytest.fail("the solver did work"))
@@ -757,6 +766,11 @@ def test_report_carries_solver_histories_and_write_time(tmp_path, capsys):
     assert cli.main(["solve-periodic", "--config", cfg, "--out", str(tmp_path)]) == 0
     report = read_report(tmp_path)
     picard, shooting = report["payload"]["picard"], report["payload"]["shooting"]
+    summary_keys = {
+        "method", "n_iter", "converged", "n_t", "periodicity_residual", "ct_norm", "history",
+        "jacobian_cond",
+    }
+    assert set(picard) == set(shooting) == summary_keys
     # Picard counts sweeps that moved by tol or more; the last sweep did not
     assert len(picard["history"]) == picard["n_iter"] + 1
     assert picard["history"][-1] < 1e-10 <= picard["history"][-2]

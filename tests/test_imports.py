@@ -13,8 +13,8 @@ MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 # Public names the package keeps although only tests and readers call them.
 UNREAD_BY_DESIGN = {
-    "farkas_apply": "the one-call form of the fixed-point operator; tests recompute Picard's"
-    " reported operator residual and check fixed points with it",
+    "farkas_apply": "the one-call form of the fixed-point operator; tests apply it to Picard's"
+    " returned orbit to recompute its last recorded residual, and check fixed points with it",
     "render_config": "the README documents the echo round trip: render, then parse back",
 }
 
@@ -22,7 +22,6 @@ UNREAD_BY_DESIGN = {
 _REPORTED = "report.json carries it: output._json_default writes the record with dataclasses.asdict"
 FIELDS_UNREAD_BY_DESIGN = {
     "BallCertificate.margin": _REPORTED,
-    "BallCertificate.radius": _REPORTED,
     "BallCertificate.worst_t": _REPORTED,
     "ConditionResult.margin": _REPORTED,
 }

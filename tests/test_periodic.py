@@ -5,7 +5,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monorhythm import periodic
@@ -208,7 +208,7 @@ def test_picard_nonlinear_converges_and_certifies():
     sys = feasible_system(m=4)
     orbit = picard_solve(sys, 1024, DT, tol=1e-12)
     assert orbit.converged
-    assert orbit.operator_residual <= 10.0 * 1e-12
+    assert orbit.history[-1] <= 10.0 * 1e-12
     assert orbit.periodicity_residual < 1e-6
     cert = certify_ball(orbit, R_STAR, sys.basis)
     assert isinstance(cert, BallCertificate) and cert.member
@@ -283,22 +283,21 @@ def test_picard_mixing_undoes_the_damping(m, theta):
     """Anderson mixing makes damping cheap: on the feasible system at n_t = 512
     Picard reaches tol in at most 8 operator applications (5 measured) at
     theta = 0.5 (m = 8) and theta = 0.25 (m = 4). The returned orbit's own
-    operator residual meets tol."""
+    operator residual, the last recorded one, meets tol."""
     tol = 1e-10
     orbit = picard_solve(feasible_system(m=m), 512, DT, theta=theta, tol=tol)
     assert len(orbit.history) <= 8, f"{len(orbit.history)} applications"
-    assert orbit.operator_residual <= tol
+    assert orbit.history[-1] <= tol
 
 
 @pytest.mark.parametrize("m, n_t, theta", [(4, 1024, 1.0), (8, 512, 0.5), (8, 2048, 1.0)])
 def test_picard_reports_the_residual_of_its_returned_orbit(m, n_t, theta):
-    """The reported operator residual is the last application's; applying the
+    """The last recorded residual is the returned orbit's own: applying the
     operator once more to the returned orbit gives it back exactly."""
     sys = feasible_system(m=m)
     orbit = picard_solve(sys, n_t, DT, theta=theta, tol=1e-12)
     ku, kw = farkas_apply(sys, orbit.u, orbit.w)
-    assert ct_norm(sys, ku - orbit.u, kw - orbit.w) == orbit.operator_residual
-    assert orbit.operator_residual == orbit.history[-1]
+    assert ct_norm(sys, ku - orbit.u, kw - orbit.w) == orbit.history[-1]
 
 
 def test_farkas_row_blocks_match_a_whole_grid_projection():
@@ -388,6 +387,24 @@ def test_shooting_requires_dividing_step(monkeypatch):
     sys = linear_system()
     with pytest.raises(ValueError, match="dt must divide the period"):
         shooting_solve(sys, dt=PERIOD / 300.5)
+
+
+@pytest.mark.parametrize("skew", [-1e-10, 1e-10])
+def test_shooting_steps_at_exactly_t_over_n(skew):
+    """A step within shooting_nodes' slack of T/N is taken as T/N: the orbit
+    has N rows at the N nodes, not a short extra step past them, and equals
+    the orbit at T/N bit for bit. Its periodicity residual is that of a fresh
+    integration of its start state."""
+    sys = feasible_system(m=2)
+    exact = shooting_solve(sys, dt=PERIOD / 128)
+    orbit = shooting_solve(sys, dt=PERIOD / 128 * (1.0 + skew))
+    assert orbit.u.shape == orbit.w.shape == (128, 3)
+    assert np.array_equal(orbit.times, periodic._nodes(PERIOD, 128))
+    assert np.array_equal(orbit.u, exact.u) and np.array_equal(orbit.w, exact.w)
+    start = np.concatenate([orbit.u[0], orbit.w[0]])
+    end = integrate_cauchy(sys, start, PERIOD, PERIOD / 128).x[-1]
+    residual = np.linalg.norm(end - start) / max(1.0, float(np.linalg.norm(start)))
+    assert orbit.periodicity_residual == residual
 
 
 def _columnwise_shooting(sys, dt, tol=1e-10, max_iter=25):
@@ -480,24 +497,40 @@ def test_linear_monodromy_leading_multiplier_is_recovery_decay():
     assert round(leading, 5) == 0.78663
 
 
-@settings(max_examples=10, deadline=None)
-@given(
-    amplitude=st.floats(0.5, 1.0),
-    phi=st.floats(0.005, 5.0),
-    m=st.sampled_from([2, 4]),
+@settings(max_examples=10, deadline=None, derandomize=True)
+@example(m=16, phi=10.0, amplitude=1.0, period=4.0, kind="pulse").xfail(
+    raises=AssertionError,
+    reason="gap 1.17e-6: RK4's error at T/1024 on an orbit of ct_norm 14.6 (6.9e-8 at T/2048)",
 )
-def test_shooting_agrees_with_picard_across_drives(amplitude, phi, m):
-    sys = feasible_system(m=m, amplitude=amplitude, phi=phi)
-    n_t = 256
-    picard = picard_solve(sys, n_t, DT)
+@given(
+    m=st.sampled_from([2, 4, 8, 16]),
+    phi=st.floats(np.log(0.005), np.log(10.0)).map(np.exp),
+    amplitude=st.floats(0.1, 1.0),
+    period=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+    kind=st.sampled_from(["sinusoid", "pulse"]),
+)
+def test_shooting_agrees_with_picard_across_drives(m, phi, amplitude, period, kind):
+    """Over the drive space around the feasible model (m up to 16, phi
+    log-uniform in [0.005, 10], pulse or sinusoid, T from 0.5 to 4) both
+    solvers converge at n_t = 1024 and dt = T/1024, shooting with one lone
+    integration per iterate, their orbits agree to criterion 3's 1e-6, and
+    each closes after one RK4 period to its 1e-8. The strategy's corner
+    (m = 16, phi = 10, unit pulse, T = 4) misses the gap: shooting's orbit
+    carries RK4's fourth-order error, which halving dt divides by 17, and
+    Picard's is exact in time (n_t = 1024 and 4096 agree to 2.4e-15)."""
+    d = feasible_model()
+    stim = Stimulus(kind, period=period, phi_value=phi, amplitude=amplitude)
+    sys = GalerkinSystem(build_basis(GEOM, m, d), d, stim)
+    picard = picard_solve(sys, 1024, period / 1024)
     counting = _CountingIntegrations()
     with patch.object(periodic, "integrate_cauchy", counting):
-        shoot = periodic.shooting_solve(sys, dt=PERIOD / n_t)
+        shoot = periodic.shooting_solve(sys, dt=period / 1024)
     assert picard.converged and shoot.converged
+    assert counting.shapes == [(2 * sys.n_modes,)] * (shoot.n_iter + 1)
     gap = orbit_gap(picard, shoot, sys.basis)
     assert gap <= 1e-6, f"cross-method gap {gap:.3e}"
-    assert counting.shapes == [(2 * sys.n_modes,)] * (shoot.n_iter + 1)
-    assert len(shoot.history) == shoot.n_iter + 1
+    assert picard.periodicity_residual <= 1e-8, f"picard {picard.periodicity_residual:.3e}"
+    assert shoot.periodicity_residual <= 1e-8, f"shooting {shoot.periodicity_residual:.3e}"
 
 
 def test_broyden_update_carries_a_strong_drive():
