@@ -176,6 +176,11 @@ def ct_norm(sys: GalerkinSystem, u: np.ndarray, w: np.ndarray) -> float:
     return float(np.max(_mixed_norm(sys.basis, u, w)))
 
 
+def _relative_defect(d: np.ndarray, x: np.ndarray) -> float:
+    """|d| / max(1, |x|): a period-map defect d = x(T) - x relative to x."""
+    return float(np.linalg.norm(d) / max(1.0, float(np.linalg.norm(x))))
+
+
 def _mixing_weights(d_f: list, f: np.ndarray) -> np.ndarray:
     """Least-squares weights gamma minimising |f - sum_i gamma_i d_f[i]|.
 
@@ -296,9 +301,7 @@ def picard_solve(
         times=_nodes(sys.period, n_t),
         u=u,
         w=w,
-        periodicity_residual=float(
-            np.linalg.norm(end - start) / max(1.0, float(np.linalg.norm(start)))
-        ),
+        periodicity_residual=_relative_defect(end - start, start),
         ct_norm=ct_norm(sys, u, w),
         method="picard",
         converged=True,
@@ -442,7 +445,7 @@ def shooting_solve(
         times=traj.times[:-1],
         u=u_orbit,
         w=w_orbit,
-        periodicity_residual=history[-1] / max(1.0, float(np.linalg.norm(x))),
+        periodicity_residual=_relative_defect(g, x),
         ct_norm=ct_norm(sys, u_orbit, w_orbit),
         method="shooting",
         converged=True,

@@ -497,6 +497,26 @@ def test_linear_monodromy_leading_multiplier_is_recovery_decay():
     assert round(leading, 5) == 0.78663
 
 
+@settings(max_examples=10, deadline=None)
+@given(
+    amplitude=st.floats(0.5, 1.0),
+    phi=st.floats(0.005, 5.0),
+    m=st.sampled_from([2, 4]),
+)
+def test_shooting_agrees_with_picard_across_drives(amplitude, phi, m):
+    sys = feasible_system(m=m, amplitude=amplitude, phi=phi)
+    n_t = 256
+    picard = picard_solve(sys, n_t, DT)
+    counting = _CountingIntegrations()
+    with patch.object(periodic, "integrate_cauchy", counting):
+        shoot = periodic.shooting_solve(sys, dt=PERIOD / n_t)
+    assert picard.converged and shoot.converged
+    gap = orbit_gap(picard, shoot, sys.basis)
+    assert gap <= 1e-6, f"cross-method gap {gap:.3e}"
+    assert counting.shapes == [(2 * sys.n_modes,)] * (shoot.n_iter + 1)
+    assert len(shoot.history) == shoot.n_iter + 1
+
+
 @settings(max_examples=10, deadline=None, derandomize=True)
 @example(m=16, phi=10.0, amplitude=1.0, period=4.0, kind="pulse").xfail(
     raises=AssertionError,
@@ -509,28 +529,25 @@ def test_linear_monodromy_leading_multiplier_is_recovery_decay():
     period=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
     kind=st.sampled_from(["sinusoid", "pulse"]),
 )
-def test_shooting_agrees_with_picard_across_drives(m, phi, amplitude, period, kind):
+def test_both_solvers_across_the_drive_space(m, phi, amplitude, period, kind):
     """Over the drive space around the feasible model (m up to 16, phi
     log-uniform in [0.005, 10], pulse or sinusoid, T from 0.5 to 4) both
-    solvers converge at n_t = 1024 and dt = T/1024, shooting with one lone
-    integration per iterate, their orbits agree to criterion 3's 1e-6, and
-    each closes after one RK4 period to its 1e-8. The strategy's corner
-    (m = 16, phi = 10, unit pulse, T = 4) misses the gap: shooting's orbit
-    carries RK4's fourth-order error, which halving dt divides by 17, and
-    Picard's is exact in time (n_t = 1024 and 4096 agree to 2.4e-15)."""
+    solvers converge at n_t = 1024 and dt = T/1024, each orbit closes after
+    one RK4 period to criterion 3's 1e-8, and the two agree to its 1e-6.
+    The strategy's corner (m = 16, phi = 10, unit pulse, T = 4) misses only
+    the gap, which is checked last: shooting's orbit carries RK4's
+    fourth-order error, which halving dt divides by 17, and Picard's is
+    exact in time (n_t = 1024 and 4096 agree to 2.4e-15)."""
     d = feasible_model()
     stim = Stimulus(kind, period=period, phi_value=phi, amplitude=amplitude)
     sys = GalerkinSystem(build_basis(GEOM, m, d), d, stim)
     picard = picard_solve(sys, 1024, period / 1024)
-    counting = _CountingIntegrations()
-    with patch.object(periodic, "integrate_cauchy", counting):
-        shoot = periodic.shooting_solve(sys, dt=period / 1024)
+    shoot = periodic.shooting_solve(sys, dt=period / 1024)
     assert picard.converged and shoot.converged
-    assert counting.shapes == [(2 * sys.n_modes,)] * (shoot.n_iter + 1)
-    gap = orbit_gap(picard, shoot, sys.basis)
-    assert gap <= 1e-6, f"cross-method gap {gap:.3e}"
     assert picard.periodicity_residual <= 1e-8, f"picard {picard.periodicity_residual:.3e}"
     assert shoot.periodicity_residual <= 1e-8, f"shooting {shoot.periodicity_residual:.3e}"
+    gap = orbit_gap(picard, shoot, sys.basis)
+    assert gap <= 1e-6, f"cross-method gap {gap:.3e}"
 
 
 def test_broyden_update_carries_a_strong_drive():
