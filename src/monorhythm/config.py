@@ -11,6 +11,8 @@ number, as are duplicate keys and values that do not parse as the
 declared type. A parsed file becomes a RunConfig, which hands values out
 through require/get and records everything it resolved (defaults
 included) so the caller can echo a complete, re-runnable configuration.
+A configured number outside its range in ``RANGES`` is rejected, with its
+file, line and key, when a command reads it; defaults are not checked.
 """
 
 from __future__ import annotations
@@ -86,6 +88,27 @@ SCHEMA = {
     "output.format": "str",
 }
 
+_POSITIVE = (lambda v: v > 0.0, "positive")
+_AT_LEAST_2 = (lambda v: v >= 2, "at least 2")
+
+# key -> (predicate, text): the range of a configured number, one key at a time
+RANGES = {
+    "solver.dt": _POSITIVE,
+    "solver.tol": _POSITIVE,
+    "solver.theta": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "solver.max_iter": (lambda v: v >= 1, "at least 1"),
+    "solver.newton_max_iter": (lambda v: v >= 0, "at least 0"),
+    "solver.radius": _POSITIVE,
+    "converge.m_list": (lambda v: len(v) >= 2, "a list of at least 2 sizes"),
+    "feasibility.t_max": _POSITIVE,
+    "feasibility.r_max": _POSITIVE,
+    "feasibility.n_samples": _AT_LEAST_2,
+    "region.a1_min": (lambda v: v >= 0.0, "nonnegative"),
+    "region.n_a1": _AT_LEAST_2,
+    "region.a2_max": _POSITIVE,
+    "region.n_a2": _AT_LEAST_2,
+}
+
 
 class ConfigError(Exception):
     """Configuration problem, pointing at the file and line when known."""
@@ -141,6 +164,7 @@ class RunConfig:
 
     path: str
     entries: dict
+    lines: dict = field(default_factory=dict)  # key -> line number in the file
     consumed: dict = field(default_factory=dict)
 
     def has(self, key: str) -> bool:
@@ -150,13 +174,17 @@ class RunConfig:
         """Fetch a key that must be present."""
         if key not in self.entries:
             raise ConfigError(f"missing required key '{key}'", self.path)
-        value = self.entries[key]
-        self.consumed[key] = value
-        return value
+        return self.get(key, None)
 
     def get(self, key: str, default):
-        """Fetch a key, falling back to (and recording) a default."""
+        """Fetch a key, falling back to (and recording) a default. A configured
+        value must lie in its range in ``RANGES``; a default is not checked."""
         value = self.entries.get(key, default)
+        rule = RANGES.get(key) if key in self.entries else None
+        if rule is not None and not rule[0](value):
+            raise ConfigError(
+                f"key '{key}' must be {rule[1]}, got {value!r}", self.path, self.lines.get(key)
+            )
         if value is not None:
             self.consumed[key] = value
         return value
@@ -203,7 +231,7 @@ def parse_config(text: str, path: str = "<string>") -> RunConfig:
             raise ConfigError(f"key '{key}' has no value", path, line_no)
         entries[key] = _parse_value(key, token, path, line_no)
         lines[key] = line_no
-    return RunConfig(path=path, entries=entries)
+    return RunConfig(path=path, entries=entries, lines=lines)
 
 
 def load_config(path: str) -> RunConfig:

@@ -40,7 +40,6 @@ __all__ = [
     "certify_ball",
     "orbit_gap",
     "check_node_floor",
-    "check_shooting_cap",
     "shooting_nodes",
     "node_stride",
     "ct_norm",
@@ -235,7 +234,7 @@ def picard_solve(
     """
     _check_rates(sys)
     if not 0.0 < theta <= 1.0:
-        raise ValueError(f"mixing weight must lie in (0, 1], got {theta}")
+        raise ValueError(f"theta must lie in (0, 1], got {theta}")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
@@ -339,15 +338,11 @@ def check_node_floor(n_t: int) -> None:
         raise ValueError(f"n_t must be at least {_MIN_NODES}, got {n_t}")
 
 
-def check_shooting_cap(max_iter: int) -> None:
-    """Raise unless shooting's cap of ``max_iter`` Broyden steps is at least 0."""
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be at least 0 steps, got {max_iter}")
-
-
 def shooting_nodes(T: float, dt: float) -> int:
-    """The number T / dt of shooting's orbit nodes; dt must divide the period T
-    and leave at least ``_MIN_NODES`` nodes."""
+    """The number T / dt of shooting's orbit nodes; dt must be positive, divide
+    the period T and leave at least ``_MIN_NODES`` nodes."""
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
     n_steps = int(round(T / dt))
     if abs(n_steps * dt - T) > 1e-9 * T:
         raise ValueError("dt must divide the period so orbit nodes land on the grid")
@@ -403,7 +398,8 @@ def shooting_solve(
     _check_rates(sys)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    check_shooting_cap(max_iter)
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be at least 0 steps, got {max_iter}")
     T = sys.period
     n_steps = shooting_nodes(T, dt)
     dt = T / n_steps

@@ -108,6 +108,14 @@ def read_bytes(out_dir, name):
         return fh.read()
 
 
+@pytest.fixture
+def no_solver_work(monkeypatch):
+    """Fail the test if an orbit solver sweeps, integrates or builds a Jacobian."""
+    work = ("_periodic_response", "_u_block", "_w_block", "integrate_cauchy", "_linear_monodromy")
+    for name in work:
+        monkeypatch.setattr(periodic, name, lambda *args: pytest.fail("the solver did work"))
+
+
 def test_feasibility_report_and_curves(tmp_path, capsys):
     rc = cli.main(
         ["feasibility", "--config", config_path("window_aggregates.cfg"),
@@ -598,19 +606,19 @@ def test_solver_key_the_method_does_not_read_exits_2(tmp_path, capsys, monkeypat
 @pytest.mark.parametrize(
     "method, key, flags, message",
     [
-        ("picard", "solver.max_iter = 0", [], "max_iter must be at least 1 sweep, got 0"),
+        ("picard", "solver.max_iter = 0", [], "key 'solver.max_iter' must be at least 1, got 0"),
         (
             "shooting",
             "solver.newton_max_iter = -1",
             [],
-            "max_iter must be at least 0 steps, got -1",
+            "key 'solver.newton_max_iter' must be at least 0, got -1",
         ),
-        ("both", "solver.radius = -1.0", [], "solver.radius must be positive, got -1.0"),
+        ("both", "solver.radius = -1.0", [], "key 'solver.radius' must be positive, got -1.0"),
         (
             "both",
             "solver.newton_max_iter = -1",
             [],
-            "run.cfg: solver.newton_max_iter = -1: max_iter must be at least 0 steps, got -1",
+            "key 'solver.newton_max_iter' must be at least 0, got -1",
         ),
         (
             "shooting",
@@ -630,7 +638,7 @@ def test_solver_key_the_method_does_not_read_exits_2(tmp_path, capsys, monkeypat
     ],
 )
 def test_solver_input_out_of_range_exits_2_before_any_work(
-    tmp_path, capsys, monkeypatch, method, key, flags, message
+    tmp_path, capsys, no_solver_work, method, key, flags, message
 ):
     """An iteration cap below its range, a ball radius <= 0, a Picard seed
     given to shooting or a negative seed is a configuration error named with
@@ -639,9 +647,6 @@ def test_solver_input_out_of_range_exits_2_before_any_work(
     cap, the radius or the seed. Under both methods shooting's cap is named
     with the config file before Picard runs, and a negative seed with the
     config file before NumPy's generator rejects it."""
-    work = ("_periodic_response", "_u_block", "_w_block", "integrate_cauchy", "_linear_monodromy")
-    for name in work:
-        monkeypatch.setattr(periodic, name, lambda *args: pytest.fail("the solver did work"))
     with open(config_path("feasible_periodic.cfg"), encoding="utf-8") as fh:
         text = fh.read()
     text = text.replace("solver.method = both", f"solver.method = {method}")
@@ -657,18 +662,46 @@ def test_solver_input_out_of_range_exits_2_before_any_work(
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "method, key, value",
+    [
+        *[(method, "solver.tol", "-1e-10") for method in ("picard", "shooting", "both")],
+        *[(method, "solver.theta", "1.5") for method in ("picard", "both")],
+        *[(method, "solver.max_iter", "0") for method in ("picard", "both")],
+        *[(method, "solver.newton_max_iter", "-1") for method in ("shooting", "both")],
+        *[(method, "solver.dt", "0") for method in ("picard", "shooting", "both")],
+    ],
+)
+def test_solver_value_out_of_range_names_file_line_and_key(
+    tmp_path, capsys, no_solver_work, method, key, value
+):
+    """A solver value outside its range exits 2 under every method that reads
+    the key, naming the config file, the line that sets it and the key, before
+    any sweep, integration or Jacobian. A zero dt is one of them: shooting
+    used to divide the period by it."""
+    with open(config_path("feasible_periodic.cfg"), encoding="utf-8") as fh:
+        text = fh.read().replace("solver.method = both", f"solver.method = {method}")
+    # the shipped value of the key is replaced, and shooting reads no solver.n_t
+    lines = [line for line in text.splitlines() if not line.startswith(f"{key} ")]
+    if method == "shooting":
+        lines.remove("solver.n_t = 2048")
+    lines.append(f"{key} = {value}")
+    cfg = write_config(tmp_path, "\n".join(lines) + "\n")
+    assert cli.main(["solve-periodic", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:{len(lines)}: key '{key}' must be " in err, err
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("method", ["picard", "shooting", "both"])
 @pytest.mark.parametrize("model", ["c1 = 0", "negative c4_override"])
 def test_nonpositive_decay_rate_exits_2_under_every_method(
-    tmp_path, capsys, monkeypatch, method, model
+    tmp_path, capsys, no_solver_work, method, model
 ):
     """A model whose lambda_0 = epsilon c4 / C is not positive has no unique
     periodic orbit. Either solver rejects it before any sweep, integration
     or Jacobian, with one message: a configuration error, not a singular
     period-map Jacobian."""
-    work = ("_periodic_response", "_u_block", "_w_block", "integrate_cauchy", "_linear_monodromy")
-    for name in work:
-        monkeypatch.setattr(periodic, name, lambda *args: pytest.fail("the solver did work"))
     with open(config_path("linear_orbit.cfg"), encoding="utf-8") as fh:
         text = fh.read()
     override = "derived.c4_override = 31.25\n"
@@ -976,7 +1009,7 @@ def test_nonpositive_shooting_tol_exits_2_before_integrating(tmp_path, capsys, m
     rc = cli.main(["solve-periodic", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "tol must be positive" in err, f"stderr should name tol: {err!r}"
+    assert "key 'solver.tol' must be positive, got 0.0" in err, f"stderr should name tol: {err!r}"
     assert calls == [], "tol is checked before any integration"
 
 

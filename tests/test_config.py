@@ -5,6 +5,8 @@ import math
 import pytest
 
 from monorhythm.config import (
+    RANGES,
+    SCHEMA,
     ConfigError,
     format_value,
     load_config,
@@ -71,6 +73,25 @@ def test_bad_values_rejected_per_kind():
     ):
         with pytest.raises(ConfigError):
             parse_config(line + "\n")
+
+
+def test_every_range_is_on_a_numeric_schema_key():
+    for key in RANGES:
+        assert SCHEMA.get(key) in ("float", "int", "float_list", "int_list"), key
+
+
+def test_configured_value_outside_its_range_names_file_line_and_key():
+    """A configured value is checked when it is read, by get and require alike;
+    a default, and a key no caller reads, is not."""
+    cfg = parse_config("solver.m = 4\nsolver.tol = -1e-10\nsolver.dt = 0\n", path="run.cfg")
+    message = r"^run\.cfg:2: key 'solver\.tol' must be positive, got -1e-10$"
+    with pytest.raises(ConfigError, match=message):
+        cfg.get("solver.tol", 1e-10)
+    with pytest.raises(ConfigError, match=message):
+        cfg.require("solver.tol")
+    assert cfg.get("solver.theta", 2.0) == 2.0
+    assert cfg.require("solver.m") == 4
+    assert cfg.echo() == {"solver.m": 4, "solver.theta": 2.0}
 
 
 def test_choice_keys_enforced():

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monorhythm import periodic
+from monorhythm.feasibility import EmbeddingConstants, a2_bound
 from monorhythm.galerkin import GalerkinSystem, integrate_cauchy
-from monorhythm.ionic import PhysiologicalParameters, derive_parameters
+from monorhythm.ionic import PhysiologicalParameters, derive_parameters, with_reaction
 from monorhythm.periodic import (
     BallCertificate,
     NonConvergenceError,
@@ -389,6 +390,15 @@ def test_shooting_requires_dividing_step(monkeypatch):
         shooting_solve(sys, dt=PERIOD / 300.5)
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.5])
+def test_shooting_rejects_a_nonpositive_step_before_starting(monkeypatch, dt):
+    """A step that is not positive is named as such, before the period is
+    divided by it or the start is built."""
+    monkeypatch.setattr(periodic, "_periodic_response", lambda *args: pytest.fail("started"))
+    with pytest.raises(ValueError, match=rf"^dt must be positive, got {dt}$"):
+        shooting_solve(linear_system(), dt=dt)
+
+
 @pytest.mark.parametrize("skew", [-1e-10, 1e-10])
 def test_shooting_steps_at_exactly_t_over_n(skew):
     """A step within shooting_nodes' slack of T/N is taken as T/N: the orbit
@@ -517,10 +527,27 @@ def test_shooting_agrees_with_picard_across_drives(amplitude, phi, m):
     assert len(shoot.history) == shoot.n_iter + 1
 
 
+# reaction_region.cfg's embedding constants, under which a2_bound is its region's ceiling,
+# and the span of its raster's positive a1 nodes, a1_max / 32 to a1_max
+REGION_EMBEDDING = EmbeddingConstants(
+    kappa=0.5, k1=1.0, trace_norm=1.0, domain_measure=1.0, s_sup=1.0, phi_norm=0.005
+)
+REGION_A1 = (0.05 / 32, 0.05)
+_CORNER = {"m": 16, "phi": 10.0, "amplitude": 1.0, "period": 4.0, "kind": "pulse"}
+
+
 @settings(max_examples=10, deadline=None, derandomize=True)
-@example(m=16, phi=10.0, amplitude=1.0, period=4.0, kind="pulse").xfail(
+@example(**_CORNER, reaction=None).xfail(
     raises=AssertionError,
     reason="gap 1.17e-6: RK4's error at T/1024 on an orbit of ct_norm 14.6 (6.9e-8 at T/2048)",
+)
+@example(**_CORNER, reaction=(REGION_A1[0], 0.0)).xfail(
+    raises=NonConvergenceError,
+    reason="Picard diverges at lam0 = 0.125 (theta 1 to 0.1); shooting finds ct_norm 47.5",
+)
+@example(m=2, phi=1.0, amplitude=1.0, period=0.5, kind="sinusoid", reaction=(1.4e-45, 0.0)).xfail(
+    raises=NonConvergenceError,
+    reason="below the raster's span: lam0 = 1.1e-43, and the zeroth mode's response is 1/lam0",
 )
 @given(
     m=st.sampled_from([2, 4, 8, 16]),
@@ -528,17 +555,26 @@ def test_shooting_agrees_with_picard_across_drives(amplitude, phi, m):
     amplitude=st.floats(0.1, 1.0),
     period=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
     kind=st.sampled_from(["sinusoid", "pulse"]),
+    reaction=st.none() | st.tuples(st.floats(*REGION_A1), st.floats(0.0, 1.0, exclude_max=True)),
 )
-def test_both_solvers_across_the_drive_space(m, phi, amplitude, period, kind):
+def test_both_solvers_across_the_drive_space(m, phi, amplitude, period, kind, reaction):
     """Over the drive space around the feasible model (m up to 16, phi
     log-uniform in [0.005, 10], pulse or sinusoid, T from 0.5 to 4) both
     solvers converge at n_t = 1024 and dt = T/1024, each orbit closes after
     one RK4 period to criterion 3's 1e-8, and the two agree to its 1e-6.
-    The strategy's corner (m = 16, phi = 10, unit pulse, T = 4) misses only
-    the gap, which is checked last: shooting's orbit carries RK4's
-    fourth-order error, which halving dt divides by 17, and Picard's is
-    exact in time (n_t = 1024 and 4096 agree to 2.4e-15)."""
+    The reaction is the feasible model's own (``reaction`` None) or a draw
+    (a1, share) under reaction_region.cfg's ceiling: a1 over its raster's
+    positive span [0.05/32, 0.05], so lam0 = 80 a1 runs from 0.125 to 4, and
+    a2 = share * a2_bound(a1) with share in [0, 1).
+    At the strategy's corner (m = 16, phi = 10, unit pulse, T = 4) the
+    feasible model misses only the gap, which is checked last: shooting's
+    orbit carries RK4's fourth-order error, which halving dt divides by 17,
+    and Picard's is exact in time (n_t = 1024 and 4096 agree to 2.4e-15).
+    At the same corner with a1 at the span's low end Picard diverges."""
     d = feasible_model()
+    if reaction is not None:
+        a1, share = reaction
+        d = with_reaction(d, a1, share * a2_bound(a1, d, REGION_EMBEDDING))
     stim = Stimulus(kind, period=period, phi_value=phi, amplitude=amplitude)
     sys = GalerkinSystem(build_basis(GEOM, m, d), d, stim)
     picard = picard_solve(sys, 1024, period / 1024)

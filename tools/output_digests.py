@@ -7,14 +7,17 @@ Run it on two checkouts and diff the listings:
     diff old.txt new.txt
 
 The cases are every ``configs/*.cfg`` under all five subcommands,
-``solve-periodic --seed 11`` on ``feasible_periodic.cfg``, and one
+``solve-periodic --seed 11`` on ``feasible_periodic.cfg``, one
 ``random.Random(7)`` draw of each benchmark workload in ``perfbench/``
-(whose files are only read). Each case runs ``python -m monorhythm.cli``
-from ``ROOT/src`` in a fresh interpreter. For each case the listing gives
-the exit code, stdout and stderr with the case's paths masked, the SHA-256
-of each CSV, the SHA-256 of ``report.json`` without its ``timings`` block,
-and each solver's ``n_iter``. ``--out DIR`` keeps each case's files under
-``DIR/<case>`` so two runs can be compared field by field.
+(whose files are only read), and ``feasible_periodic.cfg`` with one
+out-of-range solver value per method and a zero shooting step, which exit 2.
+Each case runs ``python -m monorhythm.cli`` from ``ROOT/src`` in a fresh
+interpreter. For each case the listing gives the exit code, stdout and
+stderr with the case's paths and ROOT masked (so tracebacks from two
+checkouts compare), the SHA-256 of each CSV, the SHA-256 of
+``report.json`` without its ``timings`` block, and each solver's
+``n_iter``. ``--out DIR`` keeps each case's files under ``DIR/<case>`` so
+two runs can be compared field by field.
 """
 
 from __future__ import annotations
@@ -31,6 +34,13 @@ from pathlib import Path
 
 COMMANDS = ("feasibility", "solve-cauchy", "solve-periodic", "converge", "param-region")
 HERE = Path(__file__).resolve().parent.parent
+# (solver.method, key, value) set on feasible_periodic.cfg, each outside the key's range
+BAD_SOLVER_VALUES = (
+    ("picard", "solver.theta", "1.5"),
+    ("shooting", "solver.newton_max_iter", "-1"),
+    ("both", "solver.tol", "-1e-10"),
+    ("shooting", "solver.dt", "0"),
+)
 
 
 def _cases(root: Path, work: Path):
@@ -55,13 +65,23 @@ def _cases(root: Path, work: Path):
         if inp.cli_seed is not None:
             argv += ["--seed", str(inp.cli_seed)]
         yield f"perfbench/{name}", argv, cfg
+    shipped = (root / "configs" / "feasible_periodic.cfg").read_text(encoding="utf-8")
+    for method, key, value in BAD_SOLVER_VALUES:
+        # shooting reads no solver.n_t, and setting it would exit 2 on that instead
+        dropped = (f"{key} ", "solver.method ") + (("solver.n_t ",) if method == "shooting" else ())
+        lines = [line for line in shipped.splitlines() if not line.startswith(dropped)]
+        cfg = work / f"{method}-{key}.cfg"
+        lines += [f"solver.method = {method}", f"{key} = {value}"]
+        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = ["solve-periodic", "--config", str(cfg)]
+        yield f"feasible_periodic/{method}-{key}={value}", argv, cfg
 
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _digest(name: str, argv: list[str], cfg: Path, out: Path, env: dict) -> list[str]:
+def _digest(name: str, argv: list[str], cfg: Path, out: Path, root: Path, env: dict) -> list[str]:
     out.mkdir(parents=True, exist_ok=True)
     run = subprocess.run(
         [sys.executable, "-m", "monorhythm.cli", *argv, "--out", str(out)],
@@ -71,7 +91,8 @@ def _digest(name: str, argv: list[str], cfg: Path, out: Path, env: dict) -> list
     )
 
     def mask(text: str) -> list[str]:
-        return text.replace(str(cfg), "<config>").replace(str(out), "<out>").splitlines()
+        masked = text.replace(str(cfg), "<config>").replace(str(out), "<out>")
+        return masked.replace(str(root), "<root>").splitlines()
 
     lines = [f"== {name}", f"exit {run.returncode}"]
     lines += [f"stdout {line}" for line in mask(run.stdout)]
@@ -103,7 +124,7 @@ def main(argv=None) -> int:
         work = Path(scratch)
         keep = args.out.resolve() if args.out is not None else work / "out"
         for name, case_argv, cfg in _cases(root, work):
-            print("\n".join(_digest(name, case_argv, cfg, keep / name, env)), flush=True)
+            print("\n".join(_digest(name, case_argv, cfg, keep / name, root, env)), flush=True)
     return 0
 
 
