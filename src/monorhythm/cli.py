@@ -12,12 +12,12 @@ Every run writes a JSON report (configuration echo, payload, condition
 flags, timings) and CSV data files, in the formats of :mod:`.output`, so
 identical configurations reproduce identical bytes apart from timings.
 Exit codes: 0 success, 2 configuration error (including a configured
-number outside its range in :data:`.config.RANGES`, a key or flag the run
-does not read, and a decay rate lambda_0 <= 0), 3 solver non-convergence,
-4 trajectory blow-up. A run that exits 3 or 4 still writes a partial
-report: the command, the configuration echo, the error message, and the
-failed solver's history or the blow-up's time, magnitude and truncation
-size m.
+number outside its range in :data:`.config.RANGES`, a solver, stimulus or
+region key that another value switches off, ``--seed`` under shooting, and
+a decay rate lambda_0 <= 0), 3 solver non-convergence, 4 trajectory
+blow-up. A run that exits 3 or 4 still writes a partial report: the
+command, the configuration echo, the error message, and the failed
+solver's history or the blow-up's time, magnitude and truncation size m.
 """
 
 from __future__ import annotations
@@ -81,14 +81,6 @@ _STIMULUS_SHAPE_FIELDS = {
     "pulse": ("center", "width", "offset"),
 }
 
-# the keys and flags only one orbit solver reads; giving one the chosen method
-# skips is an error
-_METHOD_KEYS = {
-    "picard": ("solver.n_t", "solver.theta", "solver.max_iter", "--seed"),
-    "shooting": ("solver.newton_max_iter",),
-}
-_METHOD_KEYS["both"] = _METHOD_KEYS["picard"] + _METHOD_KEYS["shooting"]
-
 
 def _build_model(cfg: RunConfig):
     phys = PhysiologicalParameters(
@@ -111,30 +103,19 @@ def _build_model(cfg: RunConfig):
     )
 
 
-def _reject_unread(cfg: RunConfig, why: str, unread, flags=()) -> None:
-    """Raise if any key of ``unread`` is set, or any flag of it is among the given
-    command-line ``flags``; ``why`` ends the message, as in "by solver.method = picard"."""
-    for name in unread:
-        if cfg.has(name) or name in flags:
-            kind = "flag" if name.startswith("--") else "key"
-            raise ConfigError(f"{kind} '{name}' is not used {why}", cfg.path)
-
-
 def _build_stimulus(cfg: RunConfig, d):
     key, value = cfg.require_exactly_one("stimulus.period", "stimulus.period_raw")
     period = rescale_period(value, d) if key == "stimulus.period_raw" else value
-    # echo the resolved period only, so the echo re-parses cleanly
-    cfg.consumed.pop("stimulus.period_raw", None)
-    cfg.consumed["stimulus.period"] = period
-
     kind = cfg.require("stimulus.kind")
     phi = cfg.require("stimulus.phi")
     amplitude = cfg.require("stimulus.amplitude")
     shape = _STIMULUS_SHAPE_FIELDS[kind]
-    unread = [f"stimulus.{name}" for name in ("offset", "center", "width") if name not in shape]
-    _reject_unread(cfg, f"by stimulus.kind = {kind}", unread)
     # an unset field takes the Stimulus dataclass default
     fields = {name: cfg.get(f"stimulus.{name}", getattr(Stimulus, name)) for name in shape}
+    cfg.reject_unread("stimulus.", f"by stimulus.kind = {kind}")
+    # echo the resolved period only, so the echo re-parses cleanly
+    cfg.consumed.pop("stimulus.period_raw", None)
+    cfg.consumed["stimulus.period"] = period
     return Stimulus(kind, period, phi, amplitude, **fields)
 
 
@@ -269,8 +250,8 @@ def _orbit_summary(orbit) -> dict:
 
 def cmd_solve_periodic(cfg: RunConfig, seed=None):
     method = cfg.get("solver.method", "picard")
-    unread = [key for key in _METHOD_KEYS["both"] if key not in _METHOD_KEYS[method]]
-    _reject_unread(cfg, f"by solver.method = {method}", unread, () if seed is None else ("--seed",))
+    if seed is not None and method == "shooting":
+        raise ConfigError("flag '--seed' is not used by solver.method = shooting", cfg.path)
     if seed is not None and seed < 0:
         raise ConfigError(f"flag '--seed' must be non-negative, got {seed}", cfg.path)
     radius = cfg.get("solver.radius", None)
@@ -278,12 +259,17 @@ def cmd_solve_periodic(cfg: RunConfig, seed=None):
     tol = cfg.get("solver.tol", 1e-10)
     # the RK4 step of shooting and of Picard's periodicity check
     dt = cfg.get("solver.dt", sys_.period / 1024)
-    # read before Picard runs and only where shooting runs, so a Picard report echoes no cap
+    # each method's keys are read before Picard runs and only where that method
+    # runs, so a Picard report echoes no cap and the check below sees every read
     newton_cap = None if method == "picard" else cfg.get("solver.newton_max_iter", 25)
+    if method != "shooting":
+        n_t = cfg.get("solver.n_t", 1024)
+        theta = cfg.get("solver.theta", 1.0)
+        max_iter = cfg.get("solver.max_iter", 200)
+    cfg.reject_unread("solver.", f"by solver.method = {method}")
 
     orbits = {}  # Picard's first, so it is the primary orbit when both run
-    if method in ("picard", "both"):
-        n_t = cfg.get("solver.n_t", 1024)
+    if method != "shooting":
         if method == "both":
             # the cross-method gap compares the two orbits on the coarser node
             # set, so both counts are checked, each against the floor first
@@ -297,21 +283,10 @@ def cmd_solve_periodic(cfg: RunConfig, seed=None):
         if seed is not None:
             x0 = 0.01 * np.random.default_rng(seed).standard_normal((n_t, sys_.n_modes))
         orbits["picard"] = picard_solve(
-            sys_,
-            n_t,
-            dt,
-            x0=x0,
-            theta=cfg.get("solver.theta", 1.0),
-            tol=tol,
-            max_iter=cfg.get("solver.max_iter", 200),
+            sys_, n_t, dt, x0=x0, theta=theta, tol=tol, max_iter=max_iter
         )
-    if method in ("shooting", "both"):
-        orbits["shooting"] = shooting_solve(
-            sys_,
-            dt=dt,
-            tol=tol,
-            max_iter=newton_cap,
-        )
+    if method != "picard":
+        orbits["shooting"] = shooting_solve(sys_, dt=dt, tol=tol, max_iter=newton_cap)
 
     payload: dict = {name: _orbit_summary(orbit) for name, orbit in orbits.items()}
     if method == "both":
@@ -335,8 +310,6 @@ def cmd_solve_periodic(cfg: RunConfig, seed=None):
 def cmd_converge(cfg: RunConfig):
     d = _build_model(cfg)
     m_list = cfg.require("converge.m_list")
-    if any(b < a for a, b in zip(m_list, m_list[1:])):
-        raise ConfigError("converge.m_list must be nondecreasing", cfg.path)
     t_end = cfg.require("cauchy.t_end")
     dt = cfg.require("cauchy.dt")
     sys_ = _build_system(cfg, d, max(m_list))
@@ -367,10 +340,9 @@ def cmd_param_region(cfg: RunConfig):
             f"need region.a1_min < region.a1_max, got [{a1_min}, {a1_max}]", cfg.path
         )
     a2_max = cfg.get("region.a2_max", None)
-    if a2_max is None:
-        _reject_unread(cfg, "without region.a2_max", ("region.n_a2",))
-    else:
+    if a2_max is not None:
         n_a2 = cfg.get("region.n_a2", 64)
+    cfg.reject_unread("region.", "without region.a2_max")
 
     a1 = np.linspace(a1_min, a1_max, n_a1)
     bound = a2_bound(a1, d, emb)

@@ -13,6 +13,7 @@ through require/get and records everything it resolved (defaults
 included) so the caller can echo a complete, re-runnable configuration.
 A configured number outside its range in ``RANGES`` is rejected, with its
 file, line and key, when a command reads it; defaults are not checked.
+``reject_unread`` rejects a key of one section that no read asked for.
 """
 
 from __future__ import annotations
@@ -89,21 +90,28 @@ SCHEMA = {
 }
 
 _POSITIVE = (lambda v: v > 0.0, "positive")
+_NONNEGATIVE = (lambda v: v >= 0, "nonnegative")
 _AT_LEAST_2 = (lambda v: v >= 2, "at least 2")
 
 # key -> (predicate, text): the range of a configured number, one key at a time
 RANGES = {
+    "solver.m": _NONNEGATIVE,
     "solver.dt": _POSITIVE,
     "solver.tol": _POSITIVE,
     "solver.theta": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
     "solver.max_iter": (lambda v: v >= 1, "at least 1"),
     "solver.newton_max_iter": (lambda v: v >= 0, "at least 0"),
     "solver.radius": _POSITIVE,
-    "converge.m_list": (lambda v: len(v) >= 2, "a list of at least 2 sizes"),
+    "cauchy.t_end": _POSITIVE,
+    "cauchy.dt": _POSITIVE,
+    "converge.m_list": (
+        lambda v: len(v) >= 2 and v[0] >= 0 and all(a <= b for a, b in zip(v, v[1:])),
+        "at least 2 nondecreasing nonnegative sizes",
+    ),
     "feasibility.t_max": _POSITIVE,
     "feasibility.r_max": _POSITIVE,
     "feasibility.n_samples": _AT_LEAST_2,
-    "region.a1_min": (lambda v: v >= 0.0, "nonnegative"),
+    "region.a1_min": _NONNEGATIVE,
     "region.n_a1": _AT_LEAST_2,
     "region.a2_max": _POSITIVE,
     "region.n_a2": _AT_LEAST_2,
@@ -200,6 +208,14 @@ class RunConfig:
             )
         key = key_a if has_a else key_b
         return key, self.require(key)
+
+    def reject_unread(self, section: str, why: str) -> None:
+        """Raise for the first configured key of ``section`` (a prefix such as
+        "solver.") that no ``get`` has read; ``why`` ends the message, as in
+        "by solver.method = picard"."""
+        for key in self.entries:
+            if key.startswith(section) and key not in self.consumed:
+                raise ConfigError(f"key '{key}' is not used {why}", self.path, self.lines.get(key))
 
     def echo(self) -> dict:
         """Everything resolved so far, in sorted key order."""

@@ -367,6 +367,28 @@ def test_cauchy_reports_the_configured_end_time(tmp_path, capsys):
     capsys.readouterr()  # swallow the written-path listing
 
 
+@pytest.mark.parametrize(
+    "key, value, rule",
+    [
+        ("cauchy.t_end", "-1", "positive"),
+        ("cauchy.dt", "0", "positive"),
+        ("solver.m", "-1", "nonnegative"),
+    ],
+)
+def test_cauchy_value_out_of_range_names_file_line_and_key(tmp_path, capsys, key, value, rule):
+    """An end time or step that is not positive, or a negative truncation
+    size, exits 2 naming the config file, the line and the key, not with the
+    integrator's or the basis builder's own message."""
+    with open(config_path("cauchy_demo.cfg"), encoding="utf-8") as fh:
+        lines = [line for line in fh.read().splitlines() if not line.startswith(f"{key} ")]
+    lines.append(f"{key} = {value}")
+    cfg = write_config(tmp_path, "\n".join(lines) + "\n")
+    assert cli.main(["solve-cauchy", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:{len(lines)}: key '{key}' must be {rule}, got " in err, err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_blow_up_exits_4(tmp_path, capsys, recwarn):
     """A runaway from a large start at lambda_max dt = 0.19, well inside RK4's
     stability limit; the integrator silences the overflow it reports."""
@@ -886,6 +908,19 @@ def test_raster_size_without_raster_range_exits_2(tmp_path, capsys, monkeypatch)
     err = capsys.readouterr().err
     assert "key 'region.n_a2' is not used without region.a2_max" in err, err
     assert cfg in err, f"stderr should name the file: {err!r}"
+
+
+def test_a1_range_out_of_order_exits_2(tmp_path, capsys, monkeypatch):
+    """The a1 sweep needs region.a1_min < region.a1_max; otherwise both keys
+    are named, before the boundary is computed."""
+    monkeypatch.setattr(cli, "a2_bound", lambda *args: pytest.fail("the boundary was computed"))
+    with open(config_path("reaction_region.cfg"), encoding="utf-8") as fh:
+        text = fh.read().replace("region.a1_min = 0.0", "region.a1_min = 0.05")
+    cfg = write_config(tmp_path, text)
+    rc = cli.main(["param-region", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2, f"a1_min = a1_max should exit 2, got {rc}"
+    err = capsys.readouterr().err
+    assert f"{cfg}: need region.a1_min < region.a1_max, got [0.05, 0.05]" in err, err
 
 
 def test_param_region_kappa_from_projection_excess(tmp_path, capsys):

@@ -94,6 +94,18 @@ def test_configured_value_outside_its_range_names_file_line_and_key():
     assert cfg.echo() == {"solver.m": 4, "solver.theta": 2.0}
 
 
+@pytest.mark.parametrize("sizes", ["-1,8", "8,4"])
+def test_bad_ladder_names_file_line_and_key(sizes):
+    """A negative or decreasing truncation ladder is one range rule, keyed like any other."""
+    cfg = parse_config(f"solver.m = 4\nconverge.m_list = {sizes}\n", path="run.cfg")
+    message = (
+        r"^run\.cfg:2: key 'converge\.m_list' must be at least 2 nondecreasing "
+        rf"nonnegative sizes, got \({sizes.replace(',', ', ')}\)$"
+    )
+    with pytest.raises(ConfigError, match=message):
+        cfg.require("converge.m_list")
+
+
 def test_choice_keys_enforced():
     with pytest.raises(ConfigError) as exc_info:
         parse_config("stimulus.kind = triangle\n")
@@ -120,6 +132,20 @@ def test_require_and_get_record_consumption():
     with pytest.raises(ConfigError) as exc_info:
         cfg.require("cauchy.t_end")
     assert "cauchy.t_end" in str(exc_info.value), "missing key should be named"
+
+
+def test_reject_unread_names_the_first_unread_key_of_its_section():
+    """A configured key of the section that no get has read is named with its
+    line, first in file order; keys of other sections are not checked."""
+    text = "solver.m = 4\nsolver.n_t = 64\nsolver.theta = 0.5\ncauchy.dt = 0.1\n"
+    cfg = parse_config(text, path="run.cfg")
+    assert cfg.require("solver.m") == 4
+    message = r"^run\.cfg:2: key 'solver\.n_t' is not used by solver\.method = shooting$"
+    with pytest.raises(ConfigError, match=message):
+        cfg.reject_unread("solver.", "by solver.method = shooting")
+    cfg.get("solver.n_t", 1024)
+    cfg.get("solver.theta", 1.0)
+    cfg.reject_unread("solver.", "by solver.method = picard")
 
 
 def test_require_exactly_one():

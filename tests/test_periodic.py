@@ -231,6 +231,28 @@ def test_picard_rejects_bad_damping():
         picard_solve(sys, 128, DT, theta=1.5)
 
 
+@pytest.mark.parametrize(
+    "solver, kwargs, message",
+    [
+        ("picard", {"tol": 0.0}, "tol must be positive"),
+        ("picard", {"max_iter": 0}, "max_iter must be at least 1 sweep, got 0"),
+        ("shooting", {"tol": -1e-10}, "tol must be positive"),
+        ("shooting", {"max_iter": -1}, "max_iter must be at least 0 steps, got -1"),
+    ],
+)
+def test_solvers_reject_a_bad_tolerance_or_cap_before_any_work(
+    monkeypatch, solver, kwargs, message
+):
+    """Library callers get each solver's own message for a tolerance that is
+    not positive or a cap below its floor, before any sweep or integration."""
+    monkeypatch.setattr(periodic, "_periodic_response", lambda *args: pytest.fail("started"))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        if solver == "picard":
+            picard_solve(linear_system(), 128, DT, **kwargs)
+        else:
+            shooting_solve(linear_system(), dt=DT, **kwargs)
+
+
 def _runaway_system():
     """A strong cubic (c1 = 100, unit peak) with no drive: large starts run away."""
     phys = PhysiologicalParameters(

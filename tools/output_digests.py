@@ -9,8 +9,10 @@ Run it on two checkouts and diff the listings:
 The cases are every ``configs/*.cfg`` under all five subcommands,
 ``solve-periodic --seed 11`` on ``feasible_periodic.cfg``, one
 ``random.Random(7)`` draw of each benchmark workload in ``perfbench/``
-(whose files are only read), and ``feasible_periodic.cfg`` with one
-out-of-range solver value per method and a zero shooting step, which exit 2.
+(whose files are only read), ``feasible_periodic.cfg`` with one
+out-of-range solver value per method and a zero shooting step, and the
+shipped configs with one key set that the run does not read or that lies
+outside its range; every edited case exits 2.
 Each case runs ``python -m monorhythm.cli`` from ``ROOT/src`` in a fresh
 interpreter. For each case the listing gives the exit code, stdout and
 stderr with the case's paths and ROOT masked (so tracebacks from two
@@ -41,6 +43,30 @@ BAD_SOLVER_VALUES = (
     ("both", "solver.tol", "-1e-10"),
     ("shooting", "solver.dt", "0"),
 )
+# (config stem, command, key prefixes dropped, lines added) per edited case
+EDITED_CONFIGS = (
+    (
+        "feasible_periodic",
+        "solve-periodic",
+        ("solver.method ", "solver.n_t "),
+        ("solver.method = shooting", "solver.theta = 0.5"),
+    ),
+    ("linear_orbit", "solve-periodic", (), ("stimulus.width = 0.05",)),
+    ("reaction_region", "param-region", ("region.a2_max ",), ()),
+    ("refinement", "converge", ("converge.m_list ",), ("converge.m_list = -1,8",)),
+    ("refinement", "converge", ("converge.m_list ",), ("converge.m_list = 8,4",)),
+    ("cauchy_demo", "solve-cauchy", ("cauchy.t_end ",), ("cauchy.t_end = -1",)),
+    ("cauchy_demo", "solve-cauchy", ("cauchy.dt ",), ("cauchy.dt = 0",)),
+    ("cauchy_demo", "solve-cauchy", ("solver.m ",), ("solver.m = -1",)),
+)
+
+
+def _edited(root: Path, path: Path, stem: str, dropped: tuple, added: tuple) -> Path:
+    """Write ``configs/<stem>.cfg`` to ``path`` without the ``dropped`` lines, plus ``added``."""
+    shipped = (root / "configs" / f"{stem}.cfg").read_text(encoding="utf-8")
+    lines = [line for line in shipped.splitlines() if not line.startswith(dropped)]
+    path.write_text("\n".join([*lines, *added]) + "\n", encoding="utf-8")
+    return path
 
 
 def _cases(root: Path, work: Path):
@@ -65,16 +91,17 @@ def _cases(root: Path, work: Path):
         if inp.cli_seed is not None:
             argv += ["--seed", str(inp.cli_seed)]
         yield f"perfbench/{name}", argv, cfg
-    shipped = (root / "configs" / "feasible_periodic.cfg").read_text(encoding="utf-8")
     for method, key, value in BAD_SOLVER_VALUES:
         # shooting reads no solver.n_t, and setting it would exit 2 on that instead
         dropped = (f"{key} ", "solver.method ") + (("solver.n_t ",) if method == "shooting" else ())
-        lines = [line for line in shipped.splitlines() if not line.startswith(dropped)]
-        cfg = work / f"{method}-{key}.cfg"
-        lines += [f"solver.method = {method}", f"{key} = {value}"]
-        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        added = (f"solver.method = {method}", f"{key} = {value}")
+        cfg = _edited(root, work / f"{method}-{key}.cfg", "feasible_periodic", dropped, added)
         argv = ["solve-periodic", "--config", str(cfg)]
         yield f"feasible_periodic/{method}-{key}={value}", argv, cfg
+    for i, (stem, command, dropped, added) in enumerate(EDITED_CONFIGS):
+        cfg = _edited(root, work / f"edited-{i}.cfg", stem, dropped, added)
+        edit = ", ".join([*(f"-{key.strip()}" for key in dropped), *added])
+        yield f"{stem}/{command} {edit}", [command, "--config", str(cfg)], cfg
 
 
 def _sha(data: bytes) -> str:
