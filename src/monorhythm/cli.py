@@ -67,12 +67,8 @@ from .periodic import (
 )
 from .spectral import Geometry1D, Stimulus, build_basis
 
-_DIRECT_AGGREGATE_KEYS = (
-    "feasibility.kappa",
-    "feasibility.beta",
-    "feasibility.gamma",
-    "feasibility.delta",
-)
+# besides kappa, the aggregates a config may give directly instead of the embeddings
+_DIRECT_AGGREGATE_KEYS = ("feasibility.beta", "feasibility.gamma", "feasibility.delta")
 
 # the waveform fields each stimulus kind reads; setting any other is an error
 _STIMULUS_SHAPE_FIELDS = {
@@ -127,10 +123,14 @@ def _build_system(cfg: RunConfig, d, m: int | None = None):
     return GalerkinSystem(basis, d, stim)
 
 
-def _build_embedding(cfg: RunConfig) -> EmbeddingConstants:
+def _kappa(cfg: RunConfig) -> float:
     key, value = cfg.require_exactly_one("feasibility.kappa", "feasibility.projection_excess")
+    return value if key == "feasibility.kappa" else projection_kappa(value)
+
+
+def _build_embedding(cfg: RunConfig) -> EmbeddingConstants:
     return EmbeddingConstants(
-        kappa=value if key == "feasibility.kappa" else projection_kappa(value),
+        kappa=_kappa(cfg),
         k1=cfg.require("feasibility.k1"),
         trace_norm=cfg.require("feasibility.trace_norm"),
         domain_measure=cfg.require("feasibility.domain_measure"),
@@ -140,10 +140,9 @@ def _build_embedding(cfg: RunConfig) -> EmbeddingConstants:
 
 
 def _build_aggregates(cfg: RunConfig, d) -> AggregateConstants:
-    if any(cfg.has(key) for key in _DIRECT_AGGREGATE_KEYS):
-        kappa, beta, gamma, delta = (cfg.require(key) for key in _DIRECT_AGGREGATE_KEYS)
-        return AggregateConstants(kappa=kappa, beta=beta, gamma=gamma, delta=delta)
-    return aggregate_from_raw(d, _build_embedding(cfg), cfg.require("feasibility.k2"))
+    if not any(cfg.has(key) for key in _DIRECT_AGGREGATE_KEYS):
+        return aggregate_from_raw(d, _build_embedding(cfg), cfg.require("feasibility.k2"))
+    return AggregateConstants(_kappa(cfg), *(cfg.require(key) for key in _DIRECT_AGGREGATE_KEYS))
 
 
 def _initial_state(cfg: RunConfig, n_modes: int) -> np.ndarray:
@@ -237,7 +236,6 @@ def _trajectory_file(name: str, record):
 
 def _orbit_summary(orbit) -> dict:
     return {
-        "method": orbit.method,
         "n_iter": orbit.n_iter,
         "converged": orbit.converged,
         "n_t": len(orbit.times),
@@ -303,7 +301,7 @@ def cmd_solve_periodic(cfg: RunConfig, seed=None):
     else:
         cert = certify_ball(next(iter(orbits.values())), radius, sys_.basis)
         payload["ball_certificate"] = cert
-        flags["ball_member"] = cert.member
+        flags["ball_member"] = cert.margin >= 0.0
     return payload, flags, files
 
 
@@ -355,7 +353,7 @@ def cmd_param_region(cfg: RunConfig):
         )
     ]
 
-    raster_counts = None
+    payload = {"bound_at_a1_max": float(bound[-1]), "raster": None}
     if a2_max is not None:
         a2 = np.linspace(0.0, a2_max, n_a2)
         admissible = a2[None, :] < bound[:, None]
@@ -368,15 +366,7 @@ def cmd_param_region(cfg: RunConfig):
                 rows,
             )
         )
-        raster_counts = {
-            "n_admissible": int(np.sum(admissible)),
-            "n_total": int(admissible.size),
-        }
-
-    payload = {
-        "bound_at_a1_max": float(bound[-1]),
-        "raster": raster_counts,
-    }
+        payload["raster"] = {"n_admissible": int(np.sum(admissible))}
     flags = {
         "boundary_monotone": bool(np.all(np.diff(bound) >= 0.0)),
         "interior_consistent": interior_consistent(a1, bound, d, emb),

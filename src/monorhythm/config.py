@@ -108,6 +108,17 @@ RANGES = {
         lambda v: len(v) >= 2 and v[0] >= 0 and all(a <= b for a, b in zip(v, v[1:])),
         "at least 2 nondecreasing nonnegative sizes",
     ),
+    "feasibility.kappa": _POSITIVE,
+    "feasibility.beta": _NONNEGATIVE,
+    "feasibility.gamma": _POSITIVE,
+    "feasibility.delta": _POSITIVE,
+    "feasibility.k1": _POSITIVE,
+    "feasibility.k2": _POSITIVE,
+    "feasibility.projection_excess": _NONNEGATIVE,
+    "feasibility.trace_norm": _POSITIVE,
+    "feasibility.domain_measure": _POSITIVE,
+    "feasibility.s_sup": _NONNEGATIVE,
+    "feasibility.phi_norm": _NONNEGATIVE,
     "feasibility.t_max": _POSITIVE,
     "feasibility.r_max": _POSITIVE,
     "feasibility.n_samples": _AT_LEAST_2,
@@ -122,9 +133,6 @@ class ConfigError(Exception):
     """Configuration problem, pointing at the file and line when known."""
 
     def __init__(self, message: str, path: str = "", line: Optional[int] = None):
-        self.path = path
-        self.line = line
-        self.message = message
         where = path or "<config>"
         if line is not None:
             where = f"{where}:{line}"

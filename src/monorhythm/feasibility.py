@@ -285,6 +285,8 @@ def a2_bound(a1, d: DerivedParameters, emb: EmbeddingConstants):
             "the boundary-drive product s_sup * trace_norm * phi_norm must be positive"
         )
     model = with_reaction(d, a1_arr, 0.0)
+    # lam0 > 0 wherever a1 > 0; at a1 = 0 an unpinned lam0 is 0, and the ceiling its limit 0
+    check_decay_rates(np.broadcast_to(model.lam0, a1_arr.shape)[a1_arr > 0.0])
     out = (
         2.0
         * (emb.kappa * model.lam0) ** 1.5

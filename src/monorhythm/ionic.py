@@ -83,7 +83,7 @@ class DerivedParameters:
     curve. The growth-bound constants A1..A3 bound the reaction terms
     polynomially. The solvers never recompute them. The tail fields are the
     scale factors and physiological constants the modal system reads
-    alongside them.
+    alongside them, and the configured c4, if any, that pins lam0.
     """
 
     u_tr: float
@@ -100,6 +100,7 @@ class DerivedParameters:
     b: float
     c3: float
     sigma_const: float
+    c4_override: float | None = None
 
 
 def reaction_constants(a1, a2, u_tr, u_pr, epsilon, xi, C, c4=None) -> dict:
@@ -134,7 +135,8 @@ def derive_parameters(
     The reaction-dependent fields come from :func:`reaction_constants`.
     ``c4_override`` replaces the product a1 u_tr u_pr as c4. That keeps the
     periodic-response kernels well defined when c1 = 0 forces a1 = 0 (pure
-    linear runs); it does not touch the reaction terms themselves.
+    linear runs); it does not touch the reaction terms themselves. The model
+    keeps it, so :func:`with_reaction` keeps lam0 pinned too.
     """
     if epsilon <= 0.0 or xi <= 0.0:
         raise ValueError("epsilon and xi must be positive")
@@ -156,12 +158,13 @@ def derive_parameters(
         b=phys.b,
         c3=phys.c3,
         sigma_const=phys.sigma_const,
+        c4_override=c4_override,
     )
 
 
 def with_reaction(d: DerivedParameters, a1, a2) -> DerivedParameters:
     """The model ``d`` moved to reaction coefficients (a1, a2), scalar or array."""
-    fields = reaction_constants(a1, a2, d.u_tr, d.u_pr, d.epsilon, d.xi, d.C)
+    fields = reaction_constants(a1, a2, d.u_tr, d.u_pr, d.epsilon, d.xi, d.C, d.c4_override)
     return replace(d, a1=a1, a2=a2, **fields)
 
 

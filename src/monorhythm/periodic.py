@@ -75,7 +75,6 @@ class PeriodicOrbit:
     w: np.ndarray
     periodicity_residual: float
     ct_norm: float
-    method: str
     converged: bool
     history: tuple[float, ...]
     jacobian_cond: float | None = None
@@ -88,7 +87,6 @@ class PeriodicOrbit:
 
 @dataclass(frozen=True)
 class BallCertificate:
-    member: bool
     worst_t: float
     margin: float
 
@@ -302,7 +300,6 @@ def picard_solve(
         w=w,
         periodicity_residual=_relative_defect(end - start, start),
         ct_norm=ct_norm(sys, u, w),
-        method="picard",
         converged=True,
         history=tuple(residuals),
     )
@@ -443,7 +440,6 @@ def shooting_solve(
         w=w_orbit,
         periodicity_residual=_relative_defect(g, x),
         ct_norm=ct_norm(sys, u_orbit, w_orbit),
-        method="shooting",
         converged=True,
         history=tuple(history),
         jacobian_cond=float(np.linalg.cond(jac)),
@@ -451,15 +447,12 @@ def shooting_solve(
 
 
 def certify_ball(orbit: PeriodicOrbit, radius: float, basis) -> BallCertificate:
-    """Check closed-ball membership of the orbit in the mixed sup norm."""
+    """The radius minus the orbit's mixed sup norm, and the node attaining the norm; the
+    orbit is in the closed ball exactly when that float difference is nonnegative."""
     pointwise = _mixed_norm(basis, orbit.u, orbit.w)
     worst = int(np.argmax(pointwise))
-    ct = float(pointwise[worst])
-    return BallCertificate(
-        member=bool(ct <= radius),
-        worst_t=float(orbit.times[worst]),
-        margin=radius - ct,
-    )
+    margin = radius - float(pointwise[worst])
+    return BallCertificate(worst_t=float(orbit.times[worst]), margin=margin)
 
 
 def orbit_gap(a: PeriodicOrbit, b: PeriodicOrbit, basis) -> float:

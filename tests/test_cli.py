@@ -7,6 +7,7 @@ output is exercised, including exit codes and error reporting.
 
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -572,7 +573,7 @@ def test_both_grid_precheck_names_the_first_failing_rule(tmp_path_factory, n_t, 
             calls.append(method)
             zeros = np.zeros((n_nodes, sys_.n_modes))
             times = np.arange(n_nodes) * (sys_.period / n_nodes)
-            return PeriodicOrbit(times, zeros, zeros, 0.0, 0.0, method, True, (0.0,))
+            return PeriodicOrbit(times, zeros, zeros, 0.0, 0.0, True, (0.0,))
 
         return solve
 
@@ -822,7 +823,7 @@ def test_report_carries_solver_histories_and_write_time(tmp_path, capsys):
     report = read_report(tmp_path)
     picard, shooting = report["payload"]["picard"], report["payload"]["shooting"]
     summary_keys = {
-        "method", "n_iter", "converged", "n_t", "periodicity_residual", "ct_norm", "history",
+        "n_iter", "converged", "n_t", "periodicity_residual", "ct_norm", "history",
         "jacobian_cond",
     }
     assert set(picard) == set(shooting) == summary_keys
@@ -969,7 +970,108 @@ def test_negative_projection_excess_exits_2(tmp_path, capsys):
             rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")])
             assert rc == 2, f"{command} with excess {excess} should exit 2, got {rc}"
             err = capsys.readouterr().err
-            assert "projection_excess must be nonnegative" in err, f"stderr: {err!r}"
+            line = len(lines) + 1
+            expected = f"{cfg}:{line}: key 'feasibility.projection_excess' must be nonnegative"
+            assert expected in err, f"stderr: {err!r}"
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        *((key, "0") for key in ("kappa", "gamma", "delta", "k1", "k2", "trace_norm",
+                                 "domain_measure")),
+        *((key, "-1e-9") for key in ("beta", "s_sup", "phi_norm", "projection_excess")),
+    ],
+)
+def test_window_constant_out_of_range_names_file_line_and_key(tmp_path, capsys, key, value):
+    """Each window constant has a range; a value outside it is rejected by
+    file, line and key, as a solver value is."""
+    direct = key in ("kappa", "beta", "gamma", "delta", "projection_excess")
+    name = "window_aggregates.cfg" if direct else "reaction_region.cfg"
+    # projection_excess replaces kappa, so a config gives exactly one of the two
+    dropped = ("feasibility.kappa " if key == "projection_excess" else f"feasibility.{key} ",)
+    with open(config_path(name), encoding="utf-8") as fh:
+        lines = [l for l in fh.read().splitlines() if not l.startswith(dropped)]
+    cfg = write_config(tmp_path, "\n".join([*lines, f"feasibility.{key} = {value}"]) + "\n")
+    rc = cli.main(["feasibility", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2, f"feasibility.{key} = {value} should exit 2, got {rc}"
+    err = capsys.readouterr().err
+    assert f"{cfg}:{len(lines) + 1}: key 'feasibility.{key}' must be " in err, err
+    assert not os.path.exists(tmp_path / "out"), "nothing should be written"
+
+
+def test_direct_aggregates_take_kappa_from_projection_excess(tmp_path, capsys):
+    """beta, gamma and delta pick the direct set; kappa comes by the one rule
+    both window commands share, so the projection excess serves here too."""
+    excess = 0.41421356237309503
+    with open(config_path("window_aggregates.cfg"), encoding="utf-8") as fh:
+        lines = [l for l in fh.read().splitlines() if not l.startswith("feasibility.kappa ")]
+    runs = {
+        "excess": f"feasibility.projection_excess = {excess!r}",
+        "kappa": f"feasibility.kappa = {projection_kappa(excess)!r}",
+    }
+    for name, line in runs.items():
+        cfg = write_config(tmp_path, "\n".join([*lines, line]) + "\n", name=f"{name}.cfg")
+        rc = cli.main(["feasibility", "--config", cfg, "--out", str(tmp_path / name)])
+        assert rc == 0, f"{name} run should succeed, got {rc}"
+    report = read_report(tmp_path / "excess")
+    assert report["payload"]["aggregates"]["kappa"] == projection_kappa(excess)
+    assert report["condition_flags"]["feasible_window"]["satisfied"] is True
+    for csv in ("h_curve.csv", "p_curve.csv"):
+        assert read_bytes(tmp_path / "excess", csv) == read_bytes(tmp_path / "kappa", csv)
+    capsys.readouterr()  # swallow the written-path listing
+
+    cfg = write_config(tmp_path, "\n".join(lines) + "\n", name="neither.cfg")
+    assert cli.main(["feasibility", "--config", cfg, "--out", str(tmp_path / "neither")]) == 2
+    err = capsys.readouterr().err
+    assert "exactly one of 'feasibility.kappa' and 'feasibility.projection_excess'" in err, err
+
+
+def test_region_config_serves_the_window_command(tmp_path, capsys):
+    """The shipped region config carries k2, so feasibility evaluates the
+    model's own full window from it: closed, with the margin it reports."""
+    rc = cli.main(["feasibility", "--config", config_path("reaction_region.cfg"),
+                   "--out", str(tmp_path)])
+    assert rc == 0, f"feasibility on the region config should succeed, got {rc}"
+    report = read_report(tmp_path)
+    assert report["config"]["feasibility.k2"] == 1.0
+    window = report["condition_flags"]["feasible_window"]
+    assert window["satisfied"] is False
+    assert window["margin"] == pytest.approx(-0.8304175005885619, rel=1e-12)
+    assert report["payload"]["r_lower"] is None
+    capsys.readouterr()  # swallow the written-path listing
+
+
+def test_param_region_keeps_a_pinned_decay_rate(tmp_path, capsys):
+    """derived.c4_override pins lam0 for the whole a1 sweep, as for every
+    other command: the ceiling at a1 = 0 is then positive, and it falls
+    with a1 as delta grows."""
+    with open(config_path("reaction_region.cfg"), encoding="utf-8") as fh:
+        text = fh.read()
+    runs = {"shipped": text, "pinned": text + "derived.c4_override = 1000.0\n"}
+    for name, run_text in runs.items():
+        cfg = write_config(tmp_path, run_text, name=f"{name}.cfg")
+        rc = cli.main(["param-region", "--config", cfg, "--out", str(tmp_path / name)])
+        assert rc == 0, f"{name} run should succeed, got {rc}"
+    for csv in ("region.csv", "region_raster.csv"):
+        assert read_bytes(tmp_path / "pinned", csv) != read_bytes(tmp_path / "shipped", csv)
+    # 2 (kappa lam0)^1.5 / (sqrt(3) xi k1 sqrt(drive)) with lam0 = 0.032 * 1000
+    # and drive s_sup trace_norm phi_norm = 0.005
+    ceiling = 2.0 * (0.5 * 32.0) ** 1.5 / (math.sqrt(3.0) * 3.75 * math.sqrt(0.005))
+    a1, bound = read_lines(tmp_path / "pinned", "region.csv")[2].split(",")
+    assert float(a1) == 0.0 and float(bound) == pytest.approx(ceiling, rel=1e-12)
+    report = read_report(tmp_path / "pinned")
+    assert report["config"]["derived.c4_override"] == 1000.0
+    assert report["condition_flags"] == {"boundary_monotone": False, "interior_consistent": True}
+    capsys.readouterr()  # swallow the written-path listing
+
+    # a pinned lam0 < 0 opens no window at any a1: the decay-rate rule, not a complex power
+    cfg = write_config(tmp_path, text + "derived.c4_override = -2.5\n", name="negative.cfg")
+    rc = cli.main(["param-region", "--config", cfg, "--out", str(tmp_path / "negative")])
+    assert rc == 2, f"a negative pinned c4 should exit 2, got {rc}"
+    err = capsys.readouterr().err
+    assert "decay rate must be positive, got -0.08 (periodic response undefined)" in err, err
+    assert not os.path.exists(tmp_path / "negative" / "region.csv")
 
 
 def test_unknown_key_exits_2(tmp_path, capsys):

@@ -130,6 +130,14 @@ def test_aggregate_validation():
         AggregateConstants(kappa=1.0, beta=0.0, gamma=1.0, delta=0.0)
 
 
+def test_period_ceiling_is_zero_at_the_tangent_load():
+    """At h(0) = p(r*) the bracket is (r*, r*) and no period is admissible."""
+    rate = 1.0 / P_AT_R_STAR
+    assert h_of_T(0.0, rate) == p_of_R(R_STAR, AGG)
+    assert r_bounds(AGG, h_of_T(0.0, rate)) == (R_STAR, R_STAR)
+    assert t_star(R_STAR, AGG, rate, (R_STAR, R_STAR)) == 0.0
+
+
 def test_aggregate_from_raw():
     d = feasible_model()
     emb = EmbeddingConstants(
@@ -251,6 +259,31 @@ MODEL = feasible_model()
 EMB = EmbeddingConstants(
     kappa=0.5, k1=1.0, trace_norm=1.0, domain_measure=1.0, s_sup=1.0, phi_norm=0.005
 )
+
+
+def _embedding_with(name, value):
+    return lambda: dataclasses.replace(EMB, **{name: value})
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        *(
+            (_embedding_with(name, 0.0), f"{name} must be positive, got 0.0")
+            for name in ("kappa", "k1", "trace_norm", "domain_measure")
+        ),
+        *(
+            (_embedding_with(name, -1e-9), f"{name} must be nonnegative, got -1e-09")
+            for name in ("s_sup", "phi_norm")
+        ),
+        (lambda: p_of_R(-1e-3, AGG), "radii must be nonnegative"),
+        (lambda: p_of_R(np.array([0.0, -1e-3]), AGG), "radii must be nonnegative"),
+    ],
+)
+def test_window_inputs_out_of_range_rejected(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
 
 _positive = st.floats(min_value=1e-2, max_value=1e2)
 

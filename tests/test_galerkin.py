@@ -326,6 +326,21 @@ def test_integration_and_ladder_leave_their_inputs_alone():
     assert np.all(np.any(traj.x[1:] != traj.x[:-1], axis=1))
 
 
+@pytest.mark.parametrize(
+    "t1, dt, message",
+    [
+        (PERIOD, 0.0, "dt must be positive, got 0.0"),
+        (PERIOD, -0.1, "dt must be positive, got -0.1"),
+        (0.0, 0.1, "end time 0.0 must exceed start time 0"),
+        (-1.0, 0.1, "end time -1.0 must exceed start time 0"),
+    ],
+)
+def test_integration_rejects_nonpositive_step_or_end_time(t1, dt, message):
+    sys = feasible_system(m=4)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        integrate_cauchy(sys, zero_state(sys), t1, dt)
+
+
 def test_integration_rejects_mismatched_state_shapes():
     sys = feasible_system(m=4)
     for x0 in (np.zeros((3, 10)), np.zeros(5), np.zeros(12)):

@@ -64,6 +64,12 @@ def test_zero_reaction_coefficients_allowed():
     assert d.a1 == 0.0 and d.a2 == 0.0 and d.lam0 == 0.0
 
 
+@pytest.mark.parametrize("field", ["c1", "c2"])
+def test_negative_reaction_constant_rejected(field):
+    with pytest.raises(ValueError, match="^c1 and c2 must be nonnegative$"):
+        make_params(**{field: -1.0})
+
+
 def test_c4_override():
     d = derive_parameters(make_params(c1=0.0, c2=0.0), EPSILON, XI, c4_override=31.25)
     assert d.lam0 == EPSILON * 31.25
@@ -81,6 +87,16 @@ def test_model_moved_to_its_own_reaction_is_unchanged():
     d = linear_model()
     fields = reaction_constants(d.a1, d.a2, d.u_tr, d.u_pr, d.epsilon, d.xi, d.C, 31.25)
     assert fields == {"lam0": d.lam0, "A1": d.A1, "A2": d.A2, "A3": d.A3}
+
+
+def test_pinned_c4_survives_the_move_to_new_reaction_coefficients():
+    """The model keeps its configured c4, so moving it keeps lam0 pinned."""
+    d = linear_model()
+    assert d.c4_override == 31.25 and d.lam0 == 1.0
+    assert with_reaction(d, d.a1, d.a2) == d
+    swept = with_reaction(d, np.array([0.0, 0.0125, 0.05]), 0.0)
+    assert swept.lam0 == d.lam0
+    assert swept.A1[0] == 0.0 < swept.A1[1] < swept.A1[2]
 
 
 def test_f_ion_raw_roots():

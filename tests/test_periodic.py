@@ -212,7 +212,7 @@ def test_picard_nonlinear_converges_and_certifies():
     assert orbit.history[-1] <= 10.0 * 1e-12
     assert orbit.periodicity_residual < 1e-6
     cert = certify_ball(orbit, R_STAR, sys.basis)
-    assert isinstance(cert, BallCertificate) and cert.member
+    assert isinstance(cert, BallCertificate) and cert.margin >= 0.0
 
 
 def test_picard_coarse_grid_is_periodic():
@@ -626,6 +626,22 @@ def test_shooting_stall_raises_with_defect_history():
     assert len(history) == 2 and history[1] < history[0]
 
 
+def test_shooting_singular_jacobian_raises_with_defect_history(monkeypatch):
+    """A Jacobian that numpy cannot solve with ends the iteration as non-convergence."""
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    sys = feasible_system(m=2, phi=0.5)
+    message = r"^period-map jacobian is singular \(condition estimate \d\.\d{3}e[+-]\d+\)$"
+    with pytest.raises(NonConvergenceError, match=message) as info:
+        shooting_solve(sys, dt=PERIOD / 128)
+    history = info.value.history
+    assert len(history) == 1 and history[0] > 1e-10
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
 def test_zero_shooting_cap_accepts_only_a_start_on_the_orbit():
     """max_iter = 0 takes no step: the reaction-free constant drive starts on
     its RK4 orbit and is returned, any other start stalls at once."""
@@ -663,7 +679,7 @@ def test_certify_ball_conventions():
     assert zeros.times[0] == 0.0 and zeros.times[1] == pytest.approx(PERIOD / 256)
     sys = linear_system(s0=1.0)
     cert = certify_ball(zeros, 0.5, sys.basis)
-    assert cert.member and cert.margin == 0.5 and cert.worst_t == 0.0
+    assert cert.margin == 0.5 and cert.worst_t == 0.0
 
     orbit = picard_solve(sys, 256, DT, tol=1e-12)
     u_star = 1.0 * sys.trace_vector / sys.basis.lambdas
@@ -672,7 +688,7 @@ def test_certify_ball_conventions():
     assert orbit.ct_norm == pytest.approx(hand, rel=1e-9)
     # the ball is closed: sitting exactly on the boundary still counts
     boundary = certify_ball(orbit, orbit.ct_norm, sys.basis)
-    assert boundary.member and boundary.margin == 0.0
+    assert boundary.margin == 0.0
 
 
 def test_invariance_of_critical_ball_sample():

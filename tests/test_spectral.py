@@ -43,6 +43,12 @@ def plain_laplacian_model():
     return derive_parameters(phys, epsilon=1.0, xi=1.0)
 
 
+@pytest.mark.parametrize("length", [0.0, -1.0])
+def test_nonpositive_interval_length_rejected(length):
+    with pytest.raises(ValueError, match=f"^interval length must be positive, got {length}$"):
+        Geometry1D(length)
+
+
 def test_lambda0_equals_operator_shift():
     d = shipped_model()
     basis = build_basis(Geometry1D(1.0), 8, d)

@@ -12,7 +12,10 @@ The cases are every ``configs/*.cfg`` under all five subcommands,
 (whose files are only read), ``feasible_periodic.cfg`` with one
 out-of-range solver value per method and a zero shooting step, and the
 shipped configs with one key set that the run does not read or that lies
-outside its range; every edited case exits 2.
+outside its range (every such case exits 2), or with one of the window's
+inputs swapped: ``window_aggregates.cfg`` with the projection excess in
+place of kappa, and ``reaction_region.cfg`` with a pinned c4, positive or
+negative, under ``param-region``.
 Each case runs ``python -m monorhythm.cli`` from ``ROOT/src`` in a fresh
 interpreter. For each case the listing gives the exit code, stdout and
 stderr with the case's paths and ROOT masked (so tracebacks from two
@@ -58,6 +61,15 @@ EDITED_CONFIGS = (
     ("cauchy_demo", "solve-cauchy", ("cauchy.t_end ",), ("cauchy.t_end = -1",)),
     ("cauchy_demo", "solve-cauchy", ("cauchy.dt ",), ("cauchy.dt = 0",)),
     ("cauchy_demo", "solve-cauchy", ("solver.m ",), ("solver.m = -1",)),
+    (
+        "window_aggregates",
+        "feasibility",
+        ("feasibility.kappa ",),
+        ("feasibility.projection_excess = 0.41421356237309503",),
+    ),
+    ("reaction_region", "param-region", (), ("derived.c4_override = 1000.0",)),
+    ("reaction_region", "param-region", (), ("derived.c4_override = -2.5",)),
+    ("reaction_region", "param-region", ("feasibility.k1 ",), ("feasibility.k1 = -1.0",)),
 )
 
 
