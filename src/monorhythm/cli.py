@@ -12,11 +12,11 @@ Every run writes a JSON report (configuration echo, payload, condition
 flags, timings) and CSV data files, in the formats of :mod:`.output`, so
 identical configurations reproduce identical bytes apart from timings.
 Exit codes: 0 success, 2 configuration error (including a configured
-number outside its range in :data:`.config.RANGES`, a solver, stimulus or
-region key that another value switches off, ``--seed`` under shooting, and
-a decay rate lambda_0 <= 0), 3 solver non-convergence, 4 trajectory
-blow-up. A run that exits 3 or 4 still writes a partial report: the
-command, the configuration echo, the error message, and the failed
+value that breaks the rule on its :data:`.config.SCHEMA` row, a solver,
+stimulus or region key that another value switches off, ``--seed`` under
+shooting, and a decay rate lambda_0 <= 0), 3 solver non-convergence, 4
+trajectory blow-up. A run that exits 3 or 4 still writes a partial report:
+the command, the configuration echo, the error message, and the failed
 solver's history or the blow-up's time, magnitude and truncation size m.
 """
 
@@ -30,7 +30,7 @@ import time
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config
+from .config import SCHEMA, ConfigError, RunConfig, load_config
 from .feasibility import (
     AggregateConstants,
     EmbeddingConstants,
@@ -402,7 +402,7 @@ def _make_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=None, help="output directory (default: cwd)")
         cmd.add_argument(
             "--format",
-            choices=("csv", "json", "both"),
+            choices=SCHEMA["output.format"][1],
             default=None,
             help="which outputs to write (default: both)",
         )

@@ -11,8 +11,8 @@ number, as are duplicate keys and values that do not parse as the
 declared type. A parsed file becomes a RunConfig, which hands values out
 through require/get and records everything it resolved (defaults
 included) so the caller can echo a complete, re-runnable configuration.
-A configured number outside its range in ``RANGES`` is rejected, with its
-file, line and key, when a command reads it; defaults are not checked.
+A configured number that breaks the rule on its ``SCHEMA`` row is rejected,
+with its file, line and key, when a command reads it; defaults are not checked.
 ``reject_unread`` rejects a key of one section that no read asked for.
 """
 
@@ -22,110 +22,78 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-_CHOICES = {
-    "stimulus.kind": ("constant", "sinusoid", "pulse"),
-    "solver.method": ("picard", "shooting", "both"),
-    "output.format": ("csv", "json", "both"),
-}
-
-# key -> value kind; kinds are float, int, str, float_list, int_list
-SCHEMA = {
-    "model.u_res": "float",
-    "model.u_peak": "float",
-    "model.a": "float",
-    "model.c1": "float",
-    "model.c2": "float",
-    "model.c3": "float",
-    "model.b": "float",
-    "model.C_m": "float",
-    "model.chi": "float",
-    "model.sigma": "float",
-    "rescale.epsilon": "float",
-    "rescale.xi": "float",
-    "derived.c4_override": "float",
-    "geometry.length": "float",
-    "stimulus.kind": "str",
-    "stimulus.period": "float",
-    "stimulus.period_raw": "float",
-    "stimulus.amplitude": "float",
-    "stimulus.offset": "float",
-    "stimulus.center": "float",
-    "stimulus.width": "float",
-    "stimulus.phi": "float",
-    "solver.m": "int",
-    "solver.n_t": "int",
-    "solver.dt": "float",
-    "solver.tol": "float",
-    "solver.theta": "float",
-    "solver.max_iter": "int",
-    "solver.newton_max_iter": "int",
-    "solver.method": "str",
-    "solver.radius": "float",
-    "cauchy.t_end": "float",
-    "cauchy.dt": "float",
-    "ic.u": "float_list",
-    "ic.w": "float_list",
-    "converge.m_list": "int_list",
-    "feasibility.kappa": "float",
-    "feasibility.beta": "float",
-    "feasibility.gamma": "float",
-    "feasibility.delta": "float",
-    "feasibility.k1": "float",
-    "feasibility.k2": "float",
-    "feasibility.projection_excess": "float",
-    "feasibility.trace_norm": "float",
-    "feasibility.domain_measure": "float",
-    "feasibility.s_sup": "float",
-    "feasibility.phi_norm": "float",
-    "feasibility.t_max": "float",
-    "feasibility.r_max": "float",
-    "feasibility.n_samples": "int",
-    "region.a1_min": "float",
-    "region.a1_max": "float",
-    "region.n_a1": "int",
-    "region.a2_max": "float",
-    "region.n_a2": "int",
-    "output.dir": "str",
-    "output.format": "str",
-}
-
 _POSITIVE = (lambda v: v > 0.0, "positive")
 _NONNEGATIVE = (lambda v: v >= 0, "nonnegative")
 _AT_LEAST_2 = (lambda v: v >= 2, "at least 2")
 
-# key -> (predicate, text): the range of a configured number, one key at a time
-RANGES = {
-    "solver.m": _NONNEGATIVE,
-    "solver.dt": _POSITIVE,
-    "solver.tol": _POSITIVE,
-    "solver.theta": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    "solver.max_iter": (lambda v: v >= 1, "at least 1"),
-    "solver.newton_max_iter": (lambda v: v >= 0, "at least 0"),
-    "solver.radius": _POSITIVE,
-    "cauchy.t_end": _POSITIVE,
-    "cauchy.dt": _POSITIVE,
+# key -> (kind, rule); kinds are float, int, str, float_list, int_list. A str
+# key's rule is its tuple of choices, checked at parse time; a number's rule is
+# (predicate, text), checked when a command reads the configured value; None
+# is no rule.
+SCHEMA = {
+    "model.u_res": ("float", None),
+    "model.u_peak": ("float", None),
+    "model.a": ("float", (lambda v: 0.0 < v < 1.0, "in (0, 1)")),
+    "model.c1": ("float", _NONNEGATIVE),
+    "model.c2": ("float", _NONNEGATIVE),
+    "model.c3": ("float", _POSITIVE),
+    "model.b": ("float", _POSITIVE),
+    "model.C_m": ("float", _POSITIVE),
+    "model.chi": ("float", _POSITIVE),
+    "model.sigma": ("float", _POSITIVE),
+    "rescale.epsilon": ("float", _POSITIVE),
+    "rescale.xi": ("float", _POSITIVE),
+    "derived.c4_override": ("float", None),
+    "geometry.length": ("float", _POSITIVE),
+    "stimulus.kind": ("str", ("constant", "sinusoid", "pulse")),
+    "stimulus.period": ("float", _POSITIVE),
+    "stimulus.period_raw": ("float", _POSITIVE),
+    "stimulus.amplitude": ("float", None),
+    "stimulus.offset": ("float", None),
+    "stimulus.center": ("float", None),
+    "stimulus.width": ("float", (lambda v: 0.0 < v <= 0.25, "in (0, 0.25]")),
+    "stimulus.phi": ("float", None),
+    "solver.m": ("int", _NONNEGATIVE),
+    "solver.n_t": ("int", None),
+    "solver.dt": ("float", _POSITIVE),
+    "solver.tol": ("float", _POSITIVE),
+    "solver.theta": ("float", (lambda v: 0.0 < v <= 1.0, "in (0, 1]")),
+    "solver.max_iter": ("int", (lambda v: v >= 1, "at least 1")),
+    "solver.newton_max_iter": ("int", (lambda v: v >= 0, "at least 0")),
+    "solver.method": ("str", ("picard", "shooting", "both")),
+    "solver.radius": ("float", _POSITIVE),
+    "cauchy.t_end": ("float", _POSITIVE),
+    "cauchy.dt": ("float", _POSITIVE),
+    "ic.u": ("float_list", None),
+    "ic.w": ("float_list", None),
     "converge.m_list": (
-        lambda v: len(v) >= 2 and v[0] >= 0 and all(a <= b for a, b in zip(v, v[1:])),
-        "at least 2 nondecreasing nonnegative sizes",
+        "int_list",
+        (
+            lambda v: len(v) >= 2 and v[0] >= 0 and all(a <= b for a, b in zip(v, v[1:])),
+            "at least 2 nondecreasing nonnegative sizes",
+        ),
     ),
-    "feasibility.kappa": _POSITIVE,
-    "feasibility.beta": _NONNEGATIVE,
-    "feasibility.gamma": _POSITIVE,
-    "feasibility.delta": _POSITIVE,
-    "feasibility.k1": _POSITIVE,
-    "feasibility.k2": _POSITIVE,
-    "feasibility.projection_excess": _NONNEGATIVE,
-    "feasibility.trace_norm": _POSITIVE,
-    "feasibility.domain_measure": _POSITIVE,
-    "feasibility.s_sup": _NONNEGATIVE,
-    "feasibility.phi_norm": _NONNEGATIVE,
-    "feasibility.t_max": _POSITIVE,
-    "feasibility.r_max": _POSITIVE,
-    "feasibility.n_samples": _AT_LEAST_2,
-    "region.a1_min": _NONNEGATIVE,
-    "region.n_a1": _AT_LEAST_2,
-    "region.a2_max": _POSITIVE,
-    "region.n_a2": _AT_LEAST_2,
+    "feasibility.kappa": ("float", _POSITIVE),
+    "feasibility.beta": ("float", _NONNEGATIVE),
+    "feasibility.gamma": ("float", _POSITIVE),
+    "feasibility.delta": ("float", _POSITIVE),
+    "feasibility.k1": ("float", _POSITIVE),
+    "feasibility.k2": ("float", _POSITIVE),
+    "feasibility.projection_excess": ("float", _NONNEGATIVE),
+    "feasibility.trace_norm": ("float", _POSITIVE),
+    "feasibility.domain_measure": ("float", _POSITIVE),
+    "feasibility.s_sup": ("float", _NONNEGATIVE),
+    "feasibility.phi_norm": ("float", _NONNEGATIVE),
+    "feasibility.t_max": ("float", _POSITIVE),
+    "feasibility.r_max": ("float", _POSITIVE),
+    "feasibility.n_samples": ("int", _AT_LEAST_2),
+    "region.a1_min": ("float", _NONNEGATIVE),
+    "region.a1_max": ("float", None),
+    "region.n_a1": ("int", _AT_LEAST_2),
+    "region.a2_max": ("float", _POSITIVE),
+    "region.n_a2": ("int", _AT_LEAST_2),
+    "output.dir": ("str", None),
+    "output.format": ("str", ("csv", "json", "both")),
 }
 
 
@@ -147,7 +115,7 @@ def _parse_float(token: str) -> float:
 
 
 def _parse_value(key: str, token: str, path: str, line_no: int):
-    kind = SCHEMA[key]
+    kind, rule = SCHEMA[key]
     try:
         if kind == "float":
             return _parse_float(token)
@@ -164,10 +132,9 @@ def _parse_value(key: str, token: str, path: str, line_no: int):
             line_no,
         ) from None
     # plain string; enforce enumerated choices where they exist
-    allowed = _CHOICES.get(key)
-    if allowed is not None and token not in allowed:
+    if rule is not None and token not in rule:
         raise ConfigError(
-            f"key '{key}' must be one of {', '.join(allowed)}; got {token!r}",
+            f"key '{key}' must be one of {', '.join(rule)}; got {token!r}",
             path,
             line_no,
         )
@@ -194,10 +161,11 @@ class RunConfig:
 
     def get(self, key: str, default):
         """Fetch a key, falling back to (and recording) a default. A configured
-        value must lie in its range in ``RANGES``; a default is not checked."""
+        number must meet the rule on its ``SCHEMA`` row; a default is not checked."""
         value = self.entries.get(key, default)
-        rule = RANGES.get(key) if key in self.entries else None
-        if rule is not None and not rule[0](value):
+        kind, rule = SCHEMA[key]
+        # a str key's choices were checked when the file was parsed
+        if key in self.entries and kind != "str" and rule is not None and not rule[0](value):
             raise ConfigError(
                 f"key '{key}' must be {rule[1]}, got {value!r}", self.path, self.lines.get(key)
             )
@@ -209,10 +177,14 @@ class RunConfig:
         """Fetch whichever of two mutually exclusive keys is present."""
         has_a, has_b = self.has(key_a), self.has(key_b)
         if has_a == has_b:
-            relation = "both" if has_a else "neither"
+            relation, line = "neither", None
+            if has_a:
+                line_a, line_b = self.lines[key_a], self.lines[key_b]
+                relation, line = f"both, on lines {line_a} and {line_b}", max(line_a, line_b)
             raise ConfigError(
                 f"exactly one of '{key_a}' and '{key_b}' must be given; found {relation}",
                 self.path,
+                line,
             )
         key = key_a if has_a else key_b
         return key, self.require(key)
@@ -270,7 +242,7 @@ def load_config(path: str) -> RunConfig:
 
 def format_value(key: str, value) -> str:
     """Render one value the way parse_config will read it back."""
-    kind = SCHEMA[key]
+    kind = SCHEMA[key][0]
     if kind == "float":
         return "%.17g" % value
     if kind == "int":

@@ -105,8 +105,9 @@ def project_nonlinearity(basis, u_coeffs, w_coeffs, d) -> np.ndarray:
     """Coefficients of the reaction term: integral of f(u_m, w_m) against each mode.
 
     Accepts stacked inputs; leading axes broadcast, the last axis indexes modes.
-    The inputs are not checked here: this runs at every RK4 stage and Picard
-    sweep, and the solvers check the state shape once per integration or sweep.
+    The inputs are not checked here: Picard calls this every sweep and checks
+    the state shape once per sweep. The RK4 stage keeps its own copy of the
+    projection (``galerkin._stage_kernel``).
     """
     u_nodal = u_coeffs @ basis.psi_quad.T
     w_nodal = w_coeffs @ basis.psi_quad.T

@@ -374,14 +374,28 @@ def test_cauchy_reports_the_configured_end_time(tmp_path, capsys):
         ("cauchy.t_end", "-1", "positive"),
         ("cauchy.dt", "0", "positive"),
         ("solver.m", "-1", "nonnegative"),
+        ("model.a", "1.5", "in (0, 1)"),
+        *((f"model.{name}", "-1", "nonnegative") for name in ("c1", "c2")),
+        *((f"model.{name}", "0", "positive") for name in ("c3", "b", "C_m", "chi", "sigma")),
+        *((f"rescale.{name}", "0", "positive") for name in ("epsilon", "xi")),
+        ("geometry.length", "-1", "positive"),
+        ("stimulus.period", "0", "positive"),
+        ("stimulus.period_raw", "-0.064", "positive"),
+        ("stimulus.width", "0.5", "in (0, 0.25]"),
     ],
 )
 def test_cauchy_value_out_of_range_names_file_line_and_key(tmp_path, capsys, key, value, rule):
-    """An end time or step that is not positive, or a negative truncation
-    size, exits 2 naming the config file, the line and the key, not with the
-    integrator's or the basis builder's own message."""
+    """An end time or step that is not positive, a negative truncation size,
+    or a model, rescaling, geometry or drive value outside its admissible set
+    exits 2 naming the config file, the line and the key, not with the
+    integrator's, basis builder's or model constructors' own message."""
+    # period_raw replaces period, and only a pulse reads a width
+    dropped = (f"{key} ", "stimulus.period ") if key == "stimulus.period_raw" else (f"{key} ",)
     with open(config_path("cauchy_demo.cfg"), encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if not line.startswith(f"{key} ")]
+        text = fh.read()
+    if key == "stimulus.width":
+        text = text.replace("stimulus.kind = sinusoid", "stimulus.kind = pulse")
+    lines = [line for line in text.splitlines() if not line.startswith(dropped)]
     lines.append(f"{key} = {value}")
     cfg = write_config(tmp_path, "\n".join(lines) + "\n")
     assert cli.main(["solve-cauchy", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -1025,6 +1039,25 @@ def test_direct_aggregates_take_kappa_from_projection_excess(tmp_path, capsys):
     assert cli.main(["feasibility", "--config", cfg, "--out", str(tmp_path / "neither")]) == 2
     err = capsys.readouterr().err
     assert "exactly one of 'feasibility.kappa' and 'feasibility.projection_excess'" in err, err
+
+
+def test_both_kappa_keys_exit_2_naming_both_lines(tmp_path, capsys):
+    """kappa and the projection excess together exit 2 at the later key's
+    line, and the message names the lines of both."""
+    with open(config_path("window_aggregates.cfg"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    first = lines.index("feasibility.kappa = 0.5") + 1
+    lines.append("feasibility.projection_excess = 1")
+    cfg = write_config(tmp_path, "\n".join(lines) + "\n")
+    assert cli.main(["feasibility", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    message = (
+        f"{cfg}:{len(lines)}: exactly one of 'feasibility.kappa' and "
+        f"'feasibility.projection_excess' must be given; found both, on lines {first} and "
+        f"{len(lines)}"
+    )
+    assert err == f"configuration error: {message}\n", err
+    assert not os.path.exists(tmp_path / "out"), "nothing should be written"
 
 
 def test_region_config_serves_the_window_command(tmp_path, capsys):

@@ -4,8 +4,8 @@ import math
 
 import pytest
 
+from monorhythm import cli
 from monorhythm.config import (
-    RANGES,
     SCHEMA,
     ConfigError,
     format_value,
@@ -75,9 +75,18 @@ def test_bad_values_rejected_per_kind():
             parse_config(line + "\n")
 
 
-def test_every_range_is_on_a_numeric_schema_key():
-    for key in RANGES:
-        assert SCHEMA.get(key) in ("float", "int", "float_list", "int_list"), key
+def test_every_schema_row_is_well_formed():
+    """A tuple of choices sits only on a str row and a (predicate, text) rule
+    only on a numeric row; the CLI shapes exactly the stimulus kinds allowed."""
+    for key, (kind, rule) in SCHEMA.items():
+        if kind == "str":
+            assert rule is None or (
+                isinstance(rule, tuple) and all(isinstance(choice, str) for choice in rule)
+            ), key
+        else:
+            assert kind in ("float", "int", "float_list", "int_list"), key
+            assert rule is None or (callable(rule[0]) and isinstance(rule[1], str)), key
+    assert tuple(cli._STIMULUS_SHAPE_FIELDS) == SCHEMA["stimulus.kind"][1]
 
 
 def test_configured_value_outside_its_range_names_file_line_and_key():
@@ -156,7 +165,7 @@ def test_require_exactly_one():
     both = parse_config("stimulus.period = 2.0\nstimulus.period_raw = 0.064\n")
     with pytest.raises(ConfigError) as exc_info:
         both.require_exactly_one("stimulus.period", "stimulus.period_raw")
-    assert "both" in str(exc_info.value), "two-key conflict should say 'both'"
+    assert str(exc_info.value).endswith("found both, on lines 1 and 2"), exc_info.value
 
     neither = parse_config("solver.m = 4\n")
     with pytest.raises(ConfigError) as exc_info:

@@ -12,10 +12,12 @@ The cases are every ``configs/*.cfg`` under all five subcommands,
 (whose files are only read), ``feasible_periodic.cfg`` with one
 out-of-range solver value per method and a zero shooting step, and the
 shipped configs with one key set that the run does not read or that lies
-outside its range (every such case exits 2), or with one of the window's
-inputs swapped: ``window_aggregates.cfg`` with the projection excess in
-place of kappa, and ``reaction_region.cfg`` with a pinned c4, positive or
-negative, under ``param-region``.
+outside its range (every such case exits 2; the model's ``a``, the
+rescaling's ``epsilon``, the interval length and the pulse width among
+them), with both kappa and the projection excess (exit 2), or with one of
+the window's inputs swapped: ``window_aggregates.cfg`` with the projection
+excess in place of kappa, and ``reaction_region.cfg`` with a pinned c4,
+positive or negative, under ``param-region``.
 Each case runs ``python -m monorhythm.cli`` from ``ROOT/src`` in a fresh
 interpreter. For each case the listing gives the exit code, stdout and
 stderr with the case's paths and ROOT masked (so tracebacks from two
@@ -70,6 +72,16 @@ EDITED_CONFIGS = (
     ("reaction_region", "param-region", (), ("derived.c4_override = 1000.0",)),
     ("reaction_region", "param-region", (), ("derived.c4_override = -2.5",)),
     ("reaction_region", "param-region", ("feasibility.k1 ",), ("feasibility.k1 = -1.0",)),
+    ("cauchy_demo", "solve-cauchy", ("model.a ",), ("model.a = 1.5",)),
+    ("cauchy_demo", "solve-cauchy", ("geometry.length ",), ("geometry.length = -1",)),
+    ("window_aggregates", "feasibility", ("rescale.epsilon ",), ("rescale.epsilon = 0",)),
+    (
+        "feasible_periodic",
+        "solve-periodic",
+        ("stimulus.kind ",),
+        ("stimulus.kind = pulse", "stimulus.width = 0.5"),
+    ),
+    ("window_aggregates", "feasibility", (), ("feasibility.projection_excess = 1",)),
 )
 
 
