@@ -14,10 +14,11 @@ identical configurations reproduce identical bytes apart from timings.
 Exit codes: 0 success, 2 configuration error (including a configured
 value that breaks the rule on its :data:`.config.SCHEMA` row, a solver,
 stimulus or region key that another value switches off, ``--seed`` under
-shooting, and a decay rate lambda_0 <= 0), 3 solver non-convergence, 4
-trajectory blow-up. A run that exits 3 or 4 still writes a partial report:
-the command, the configuration echo, the error message, and the failed
-solver's history or the blow-up's time, magnitude and truncation size m.
+shooting, node grids :func:`.periodic.orbit_nodes` rejects, and a decay
+rate lambda_0 <= 0), 3 solver non-convergence, 4 trajectory blow-up. A run
+that exits 3 or 4 still writes a partial report: the command, the config
+echo, the error message, and the failed solver's history or the blow-up's
+time, magnitude and truncation size m.
 """
 
 from __future__ import annotations
@@ -58,24 +59,15 @@ from .output import write_csv, write_report
 from .periodic import (
     NonConvergenceError,
     certify_ball,
-    check_node_floor,
-    node_stride,
     orbit_gap,
+    orbit_nodes,
     picard_solve,
-    shooting_nodes,
     shooting_solve,
 )
 from .spectral import Geometry1D, Stimulus, build_basis
 
 # besides kappa, the aggregates a config may give directly instead of the embeddings
 _DIRECT_AGGREGATE_KEYS = ("feasibility.beta", "feasibility.gamma", "feasibility.delta")
-
-# the waveform fields each stimulus kind reads; setting any other is an error
-_STIMULUS_SHAPE_FIELDS = {
-    "constant": (),
-    "sinusoid": ("offset",),
-    "pulse": ("center", "width", "offset"),
-}
 
 
 def _build_model(cfg: RunConfig):
@@ -87,9 +79,9 @@ def _build_model(cfg: RunConfig):
         c2=cfg.require("model.c2"),
         c3=cfg.require("model.c3"),
         b=cfg.require("model.b"),
-        C_m=cfg.get("model.C_m", 1.0),
-        chi=cfg.get("model.chi", 1.0),
-        sigma_const=cfg.get("model.sigma", 1.0),
+        C_m=cfg.get("model.C_m", PhysiologicalParameters.C_m),
+        chi=cfg.get("model.chi", PhysiologicalParameters.chi),
+        sigma_const=cfg.get("model.sigma", PhysiologicalParameters.sigma_const),
     )
     return derive_parameters(
         phys,
@@ -105,7 +97,7 @@ def _build_stimulus(cfg: RunConfig, d):
     kind = cfg.require("stimulus.kind")
     phi = cfg.require("stimulus.phi")
     amplitude = cfg.require("stimulus.amplitude")
-    shape = _STIMULUS_SHAPE_FIELDS[kind]
+    shape = Stimulus.FIELDS[kind]
     # an unset field takes the Stimulus dataclass default
     fields = {name: cfg.get(f"stimulus.{name}", getattr(Stimulus, name)) for name in shape}
     cfg.reject_unread("stimulus.", f"by stimulus.kind = {kind}")
@@ -153,6 +145,7 @@ def _initial_state(cfg: RunConfig, n_modes: int) -> np.ndarray:
             raise ConfigError(
                 f"key '{name}' must list {n_modes} coefficients, got {arr.size}",
                 cfg.path,
+                cfg.lines.get(name),
             )
     return np.concatenate([u0, w0])
 
@@ -260,23 +253,23 @@ def cmd_solve_periodic(cfg: RunConfig, seed=None):
     # each method's keys are read before Picard runs and only where that method
     # runs, so a Picard report echoes no cap and the check below sees every read
     newton_cap = None if method == "picard" else cfg.get("solver.newton_max_iter", 25)
+    grid = {}  # the node-grid keys of the methods that run
     if method != "shooting":
-        n_t = cfg.get("solver.n_t", 1024)
+        n_t = grid["n_t"] = cfg.get("solver.n_t", 1024)
         theta = cfg.get("solver.theta", 1.0)
         max_iter = cfg.get("solver.max_iter", 200)
+    if method != "picard":
+        grid["dt"] = dt
     cfg.reject_unread("solver.", f"by solver.method = {method}")
+    # the node rules of every method that runs, before either solver does
+    try:
+        orbit_nodes(sys_.period, **grid)
+    except ValueError as exc:
+        prefix = ", ".join(f"solver.{key} = {value!r}" for key, value in grid.items())
+        raise ConfigError(f"{prefix}: {exc}", cfg.path) from None
 
     orbits = {}  # Picard's first, so it is the primary orbit when both run
     if method != "shooting":
-        if method == "both":
-            # the cross-method gap compares the two orbits on the coarser node
-            # set, so both counts are checked, each against the floor first
-            try:
-                check_node_floor(n_t)
-                node_stride(n_t, shooting_nodes(sys_.period, dt))
-            except ValueError as exc:
-                prefix = f"solver.n_t = {n_t}, solver.dt = {dt!r}"
-                raise ConfigError(f"{prefix}: {exc}", cfg.path) from None
         x0 = None
         if seed is not None:
             x0 = 0.01 * np.random.default_rng(seed).standard_normal((n_t, sys_.n_modes))

@@ -39,9 +39,7 @@ __all__ = [
     "shooting_solve",
     "certify_ball",
     "orbit_gap",
-    "check_node_floor",
-    "shooting_nodes",
-    "node_stride",
+    "orbit_nodes",
     "ct_norm",
 ]
 
@@ -225,10 +223,10 @@ def picard_solve(
     application measured, so its recovery residual is zero. The periodicity
     residual integrates the start state over one period at step ``dt``,
     which is checked before the first application, as are every decay rate
-    (:func:`_check_rates`), ``theta``, ``tol`` and ``max_iter >= 1``. A
-    non-finite residual, one above ``_DIVERGENCE`` times the smallest so far,
-    or ``max_iter`` applications without reaching ``tol`` raise
-    :class:`NonConvergenceError` with the residual history.
+    (:func:`_check_rates`), ``theta``, ``tol``, ``max_iter >= 1`` and ``n_t``
+    (:func:`orbit_nodes`). A non-finite residual, one above ``_DIVERGENCE``
+    times the smallest so far, or ``max_iter`` applications without reaching
+    ``tol`` raise :class:`NonConvergenceError` with the residual history.
     """
     _check_rates(sys)
     if not 0.0 < theta <= 1.0:
@@ -237,7 +235,7 @@ def picard_solve(
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1 sweep, got {max_iter}")
-    check_node_floor(n_t)
+    orbit_nodes(sys.period, n_t=n_t)
     check_rk4_step(sys, dt)
     n = sys.n_modes
     if x0 is None:
@@ -329,15 +327,17 @@ def _linear_monodromy(sys: GalerkinSystem, dt: float, n_steps: int) -> np.ndarra
     return jac - np.eye(2 * n)
 
 
-def check_node_floor(n_t: int) -> None:
-    """Raise unless Picard's ``n_t`` nodes per period reach the floor ``_MIN_NODES``."""
-    if n_t < _MIN_NODES:
+def orbit_nodes(T: float, n_t: int | None = None, dt: float | None = None) -> int | None:
+    """Check the solvers' node sets of one period T; return T / dt, or None without dt.
+
+    In order: Picard's ``n_t`` reaches ``_MIN_NODES``; shooting's ``dt`` is
+    positive and divides T into at least ``_MIN_NODES`` steps; given both, the
+    counts nest, so two orbits share the coarser set's nodes. A None skips its rules.
+    """
+    if n_t is not None and n_t < _MIN_NODES:
         raise ValueError(f"n_t must be at least {_MIN_NODES}, got {n_t}")
-
-
-def shooting_nodes(T: float, dt: float) -> int:
-    """The number T / dt of shooting's orbit nodes; dt must be positive, divide
-    the period T and leave at least ``_MIN_NODES`` nodes."""
+    if dt is None:
+        return None
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     n_steps = int(round(T / dt))
@@ -348,17 +348,9 @@ def shooting_nodes(T: float, dt: float) -> int:
             f"dt must be at most T/{_MIN_NODES} = {T / _MIN_NODES:.6g} so the orbit has at"
             f" least {_MIN_NODES} nodes, got dt = {dt:.6g} (T/{n_steps})"
         )
+    if n_t is not None and max(n_t, n_steps) % min(n_t, n_steps):
+        raise ValueError(f"grids with {n_t} and {n_steps} nodes do not nest")
     return n_steps
-
-
-def node_stride(n_a: int, n_b: int) -> int:
-    """How many nodes of the finer of two uniform node sets of one period
-    lie per node of the coarser; the counts must nest (one a multiple of
-    the other)."""
-    coarse, fine = sorted((n_a, n_b))
-    if coarse < 1 or fine % coarse:
-        raise ValueError(f"grids with {n_a} and {n_b} nodes do not nest")
-    return fine // coarse
 
 
 def shooting_solve(
@@ -386,10 +378,10 @@ def shooting_solve(
     is the last defect over max(1, |x|). Broyden
     converges superlinearly, so the returned defect sits just under the
     tolerance, not quadratically past it as a Newton step would leave it.
-    Every decay rate, then dt (:func:`shooting_nodes`), is checked before
+    Every decay rate, then dt (:func:`orbit_nodes`), is checked before
     the start divides by any rate (:func:`_check_rates`): with a zero rate
     the periodic response is undefined and R^N - I is singular. The steps
-    are exactly T / N for the N nodes ``shooting_nodes`` counts, so a dt
+    are exactly T / N for the N nodes ``orbit_nodes`` counts, so a dt
     within its slack of T / N gives N nodes, not a short extra step.
     """
     _check_rates(sys)
@@ -398,7 +390,7 @@ def shooting_solve(
     if max_iter < 0:
         raise ValueError(f"max_iter must be at least 0 steps, got {max_iter}")
     T = sys.period
-    n_steps = shooting_nodes(T, dt)
+    n_steps = orbit_nodes(T, dt=dt)
     dt = T / n_steps
     drive = sys.stim(_nodes(T, n_steps))
     u_lin = _periodic_response(sys.basis.lambdas, T, drive[:, None] * sys.trace_vector)
@@ -464,5 +456,8 @@ def orbit_gap(a: PeriodicOrbit, b: PeriodicOrbit, basis) -> float:
     # the sign of the difference does not change its norm, so let a be the finer orbit
     if len(a.times) < len(b.times):
         a, b = b, a
-    stride = node_stride(len(a.times), len(b.times))
+    n_a, n_b = len(a.times), len(b.times)
+    if n_b < 1 or n_a % n_b:
+        raise ValueError(f"grids with {n_a} and {n_b} nodes do not nest")
+    stride = n_a // n_b
     return float(np.max(_mixed_norm(basis, a.u[::stride] - b.u, a.w[::stride] - b.w)))

@@ -14,6 +14,7 @@ behind the DCT-II), so the rule integrates every such product exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -139,8 +140,14 @@ class Stimulus:
     ``sinusoid`` is ``offset`` plus ``amplitude`` times a sine of the period;
     ``pulse`` is ``offset`` plus ``amplitude`` times a periodized Gaussian
     bump, with ``center`` and ``width`` given as fractions of the period.
-    Fields a kind does not use keep their defaults.
+    ``FIELDS`` names the fields each kind reads; the others keep their defaults.
     """
+
+    FIELDS: ClassVar[dict[str, tuple[str, ...]]] = {
+        "constant": (),
+        "sinusoid": ("offset",),
+        "pulse": ("center", "width", "offset"),
+    }
 
     kind: str
     period: float
@@ -153,7 +160,7 @@ class Stimulus:
     def __post_init__(self) -> None:
         if self.period <= 0.0:
             raise ValueError(f"stimulus period must be positive, got {self.period}")
-        if self.kind not in ("constant", "sinusoid", "pulse"):
+        if self.kind not in self.FIELDS:
             raise ValueError(f"unknown stimulus kind {self.kind!r}")
         if self.kind == "pulse" and not 0.0 < self.width <= 0.25:
             raise ValueError("pulse width fraction must lie in (0, 0.25]")

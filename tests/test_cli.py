@@ -554,32 +554,42 @@ def test_non_nesting_grids_exit_2_before_solving(tmp_path, capsys, monkeypatch, 
 _POWERS_OF_TWO = [2**k for k in range(5, 13)]  # node counts that often nest
 
 
+@pytest.mark.parametrize("method", ["picard", "shooting", "both"])
 @settings(max_examples=80, deadline=None)
 @given(
     n_t=st.one_of(st.integers(-4, 4096), st.sampled_from(_POWERS_OF_TWO)),
     n_shoot=st.one_of(st.integers(1, 4096), st.sampled_from(_POWERS_OF_TWO)),
     divides=st.booleans(),
 )
-@example(n_t=48, n_shoot=1000, divides=False)  # every rule fails: the floor is named
+@example(n_t=48, n_shoot=1000, divides=False)  # every rule fails: the first is named
 @example(n_t=64, n_shoot=32, divides=True)  # nests, but shooting's count is under the floor
 @example(n_t=1000, n_shoot=1024, divides=True)
 @example(n_t=2048, n_shoot=1024, divides=True)
-def test_both_grid_precheck_names_the_first_failing_rule(tmp_path_factory, n_t, n_shoot, divides):
-    """With both methods, solver.n_t and solver.dt are checked before either
-    solver runs: the 64-node floor of n_t, then that dt divides T into at
-    least 64 steps, then that the two node counts nest. A run exits 2 naming
-    the first rule that fails, and otherwise reaches both solvers."""
+def test_grid_precheck_names_the_first_failing_rule_under_every_method(
+    tmp_path_factory, method, n_t, n_shoot, divides
+):
+    """The node rules of the methods that run are checked before either
+    solver does: Picard's 64-node floor of solver.n_t, then that shooting's
+    solver.dt divides T into at least 64 steps, then, with both, that the two
+    node counts nest. A run exits 2 naming the first rule that fails after
+    the keys those rules read, and otherwise reaches its solvers."""
     dt = 2.0 / n_shoot if divides else 2.0 / (n_shoot + 0.5)
-    if n_t < 64:
+    picard, shooting = method != "shooting", method != "picard"
+    if picard and n_t < 64:
         expected = "n_t must be at least 64"
-    elif not divides:
+    elif shooting and not divides:
         expected = "dt must divide the period"
-    elif n_shoot < 64:
+    elif shooting and n_shoot < 64:
         expected = "dt must be at most T/64"
-    elif max(n_t, n_shoot) % min(n_t, n_shoot):
-        expected = "do not nest"
+    elif method == "both" and max(n_t, n_shoot) % min(n_t, n_shoot):
+        expected = f"grids with {n_t} and {n_shoot} nodes do not nest"
     else:
         expected = None
+    prefix = {
+        "picard": f"solver.n_t = {n_t}: ",
+        "shooting": f"solver.dt = {dt!r}: ",
+        "both": f"solver.n_t = {n_t}, solver.dt = {dt!r}: ",
+    }[method]
     calls = []
 
     def stub(method, n_nodes):
@@ -593,7 +603,9 @@ def test_both_grid_precheck_names_the_first_failing_rule(tmp_path_factory, n_t, 
 
     with open(config_path("feasible_periodic.cfg"), encoding="utf-8") as fh:
         text = fh.read()
-    text = text.replace("solver.n_t = 2048", f"solver.n_t = {n_t}")
+    text = text.replace("solver.method = both", f"solver.method = {method}")
+    # shooting reads no solver.n_t, and setting it would exit 2 on that instead
+    text = text.replace("solver.n_t = 2048", f"solver.n_t = {n_t}" if picard else "")
     text = text.replace("solver.dt = 0.001953125", f"solver.dt = {dt!r}")
     out = tmp_path_factory.mktemp("grids")
     cfg = write_config(out, text)
@@ -606,11 +618,10 @@ def test_both_grid_precheck_names_the_first_failing_rule(tmp_path_factory, n_t, 
         rc = cli.main(["solve-periodic", "--config", cfg, "--out", str(out), "--format", "json"])
     if expected is None:
         assert rc == 0, err.getvalue()
-        assert calls == ["picard", "shooting"]
+        assert calls == {"both": ["picard", "shooting"]}.get(method, [method])
     else:
         assert rc == 2
-        assert expected in err.getvalue(), err.getvalue()
-        assert f"solver.n_t = {n_t}, solver.dt = {dt!r}: " in err.getvalue()
+        assert f"{cfg}: {prefix}{expected}" in err.getvalue(), err.getvalue()
         assert calls == []
 
 
@@ -1200,6 +1211,20 @@ def test_wrong_ic_length_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "ic.u" in err and "3" in err, f"stderr should name key and length: {err!r}"
+
+
+@pytest.mark.parametrize("key", ["ic.u", "ic.w"])
+def test_wrong_ic_length_names_file_line_and_key(tmp_path, capsys, key):
+    """A wrong-length initial state is named with its file and line, like
+    every other keyed configuration error."""
+    with open(config_path("cauchy_demo.cfg"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    lines.append(f"{key} = 1.0, 2.0")
+    cfg = write_config(tmp_path, "\n".join(lines) + "\n")
+    assert cli.main(["solve-cauchy", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:{len(lines)}: key '{key}' must list 9 coefficients, got 2" in err, err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_format_flag_selects_outputs(tmp_path, capsys):

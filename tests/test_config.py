@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from monorhythm import cli
 from monorhythm.config import (
     SCHEMA,
     ConfigError,
@@ -13,6 +12,7 @@ from monorhythm.config import (
     parse_config,
     render_config,
 )
+from monorhythm.spectral import Stimulus
 
 
 def test_parse_types_and_comments():
@@ -77,7 +77,7 @@ def test_bad_values_rejected_per_kind():
 
 def test_every_schema_row_is_well_formed():
     """A tuple of choices sits only on a str row and a (predicate, text) rule
-    only on a numeric row; the CLI shapes exactly the stimulus kinds allowed."""
+    only on a numeric row; Stimulus shapes exactly the stimulus kinds allowed."""
     for key, (kind, rule) in SCHEMA.items():
         if kind == "str":
             assert rule is None or (
@@ -86,7 +86,7 @@ def test_every_schema_row_is_well_formed():
         else:
             assert kind in ("float", "int", "float_list", "int_list"), key
             assert rule is None or (callable(rule[0]) and isinstance(rule[1], str)), key
-    assert tuple(cli._STIMULUS_SHAPE_FIELDS) == SCHEMA["stimulus.kind"][1]
+    assert tuple(Stimulus.FIELDS) == SCHEMA["stimulus.kind"][1]
 
 
 def test_configured_value_outside_its_range_names_file_line_and_key():

@@ -19,6 +19,7 @@ from monorhythm.periodic import (
     ct_norm,
     farkas_apply,
     orbit_gap,
+    orbit_nodes,
     picard_solve,
     shooting_solve,
 )
@@ -403,6 +404,35 @@ def test_shooting_zero_is_fixed_point_without_drive():
     assert np.all(orbit.u == 0.0) and np.all(orbit.w == 0.0)
 
 
+@pytest.mark.parametrize(
+    "n_t, n_shoot, message",
+    [
+        (48, 1000.5, "n_t must be at least 64, got 48"),  # every rule fails: the floor is named
+        (2048, 1000.5, "dt must divide the period"),
+        (2048, 32, "dt must be at most T/64"),  # 32 nests with 2048
+        (1000, 1024, "grids with 1000 and 1024 nodes do not nest"),
+        (None, 1000.5, "dt must divide the period"),
+        (None, 32, "dt must be at most T/64"),
+    ],
+)
+def test_orbit_nodes_names_the_first_failing_rule(n_t, n_shoot, message):
+    """Picard's floor, then that dt divides T into at least 64 steps, then
+    that the two node counts nest."""
+    with pytest.raises(ValueError, match=message):
+        orbit_nodes(PERIOD, n_t=n_t, dt=PERIOD / n_shoot)
+
+
+def test_orbit_nodes_counts_shooting_nodes_and_skips_an_absent_method():
+    """The return value is T / dt, or None without a dt; a method given no
+    value has none of its rules checked, so nesting needs both."""
+    assert orbit_nodes(PERIOD, n_t=2048, dt=PERIOD / 1024) == 1024
+    assert orbit_nodes(PERIOD, n_t=64, dt=PERIOD / 1024) == 1024
+    assert orbit_nodes(PERIOD, dt=PERIOD / 1000) == 1000
+    assert orbit_nodes(PERIOD, n_t=1000) is None
+    assert orbit_nodes(PERIOD, n_t=64) is None
+    assert orbit_nodes(PERIOD) is None
+
+
 def test_shooting_requires_dividing_step(monkeypatch):
     """A step that does not divide the period is rejected before the start
     is built from the drive at the T / dt nodes."""
@@ -423,7 +453,7 @@ def test_shooting_rejects_a_nonpositive_step_before_starting(monkeypatch, dt):
 
 @pytest.mark.parametrize("skew", [-1e-10, 1e-10])
 def test_shooting_steps_at_exactly_t_over_n(skew):
-    """A step within shooting_nodes' slack of T/N is taken as T/N: the orbit
+    """A step within orbit_nodes' slack of T/N is taken as T/N: the orbit
     has N rows at the N nodes, not a short extra step past them, and equals
     the orbit at T/N bit for bit. Its periodicity residual is that of a fresh
     integration of its start state."""

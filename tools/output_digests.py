@@ -14,8 +14,10 @@ out-of-range solver value per method and a zero shooting step, and the
 shipped configs with one key set that the run does not read or that lies
 outside its range (every such case exits 2; the model's ``a``, the
 rescaling's ``epsilon``, the interval length and the pulse width among
-them), with both kappa and the projection excess (exit 2), or with one of
-the window's inputs swapped: ``window_aggregates.cfg`` with the projection
+them), with a node grid that breaks one method's rule (Picard's n_t = 48,
+shooting's dt = 0.0019 and 0.0625; exit 2), with a two-coefficient
+``ic.u`` (exit 2), with both kappa and the projection excess (exit 2), or
+with one of the window's inputs swapped: ``window_aggregates.cfg`` with the projection
 excess in place of kappa, and ``reaction_region.cfg`` with a pinned c4,
 positive or negative, under ``param-region``.
 Each case runs ``python -m monorhythm.cli`` from ``ROOT/src`` in a fresh
@@ -82,6 +84,25 @@ EDITED_CONFIGS = (
         ("stimulus.kind = pulse", "stimulus.width = 0.5"),
     ),
     ("window_aggregates", "feasibility", (), ("feasibility.projection_excess = 1",)),
+    (
+        "feasible_periodic",
+        "solve-periodic",
+        ("solver.method ", "solver.n_t "),
+        ("solver.method = picard", "solver.n_t = 48"),
+    ),
+    (
+        "feasible_periodic",
+        "solve-periodic",
+        ("solver.method ", "solver.n_t ", "solver.dt "),
+        ("solver.method = shooting", "solver.dt = 0.0019"),
+    ),
+    (
+        "feasible_periodic",
+        "solve-periodic",
+        ("solver.method ", "solver.n_t ", "solver.dt "),
+        ("solver.method = shooting", "solver.dt = 0.0625"),
+    ),
+    ("cauchy_demo", "solve-cauchy", (), ("ic.u = 1.0, 2.0",)),
 )
 
 
