@@ -14,11 +14,12 @@ identical configurations reproduce identical bytes apart from timings.
 Exit codes: 0 success, 2 configuration error (including a configured
 value that breaks the rule on its :data:`.config.SCHEMA` row, a solver,
 stimulus or region key that another value switches off, ``--seed`` under
-shooting, node grids :func:`.periodic.orbit_nodes` rejects, and a decay
-rate lambda_0 <= 0), 3 solver non-convergence, 4 trajectory blow-up. A run
-that exits 3 or 4 still writes a partial report: the command, the config
-echo, the error message, and the failed solver's history or the blow-up's
-time, magnitude and truncation size m.
+shooting, node grids :func:`.periodic.orbit_nodes` rejects, an RK4 step
+past its stability limit, and a decay rate lambda_0 <= 0), 3 solver
+non-convergence, 4 trajectory blow-up. A run that exits 3 or 4 still
+writes a partial report: the command, the config echo, the error message,
+and the failed solver's history or the blow-up's time, magnitude and
+truncation size m.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .galerkin import (
     BlowUpError,
     GalerkinSystem,
     apriori_monitor,
+    check_rk4_step,
     integrate_cauchy,
     refinement_gaps,
 )
@@ -150,6 +152,15 @@ def _initial_state(cfg: RunConfig, n_modes: int) -> np.ndarray:
     return np.concatenate([u0, w0])
 
 
+def _check_step(cfg: RunConfig, key: str, dt: float, sys_) -> None:
+    """Raise a ConfigError prefixed ``key = dt:`` if the RK4 step ``dt`` is past
+    RK4's stability limit on ``sys_``."""
+    try:
+        check_rk4_step(sys_, dt)
+    except ValueError as exc:
+        raise ConfigError(f"{key} = {dt!r}: {exc}", cfg.path) from None
+
+
 def cmd_feasibility(cfg: RunConfig):
     d = _build_model(cfg)
     agg = _build_aggregates(cfg, d)
@@ -204,7 +215,10 @@ def cmd_feasibility(cfg: RunConfig):
 def cmd_solve_cauchy(cfg: RunConfig):
     sys_ = _build_system(cfg, _build_model(cfg))
     x0 = _initial_state(cfg, sys_.n_modes)
-    traj = integrate_cauchy(sys_, x0, cfg.require("cauchy.t_end"), cfg.require("cauchy.dt"))
+    t_end = cfg.require("cauchy.t_end")
+    dt = cfg.require("cauchy.dt")
+    _check_step(cfg, "cauchy.dt", dt, sys_)
+    traj = integrate_cauchy(sys_, x0, t_end, dt)
     monitors, growth = apriori_monitor(sys_, traj)
 
     payload = {
@@ -261,12 +275,13 @@ def cmd_solve_periodic(cfg: RunConfig, seed=None):
     if method != "picard":
         grid["dt"] = dt
     cfg.reject_unread("solver.", f"by solver.method = {method}")
-    # the node rules of every method that runs, before either solver does
+    # the node rules of every method that runs, then the step's, before either solver runs
     try:
         orbit_nodes(sys_.period, **grid)
     except ValueError as exc:
         prefix = ", ".join(f"solver.{key} = {value!r}" for key, value in grid.items())
         raise ConfigError(f"{prefix}: {exc}", cfg.path) from None
+    _check_step(cfg, "solver.dt", dt, sys_)
 
     orbits = {}  # Picard's first, so it is the primary orbit when both run
     if method != "shooting":
@@ -304,6 +319,7 @@ def cmd_converge(cfg: RunConfig):
     t_end = cfg.require("cauchy.t_end")
     dt = cfg.require("cauchy.dt")
     sys_ = _build_system(cfg, d, max(m_list))
+    _check_step(cfg, "cauchy.dt", dt, sys_)
     gaps = refinement_gaps(sys_, m_list, t_end, dt)
     rows = [[coarse, fine, *gap] for coarse, fine, gap in zip(m_list, m_list[1:], gaps.tolist())]
     pairs = [dict(zip(("m_coarse", "m_fine", "u_diff", "w_diff"), row)) for row in rows]

@@ -25,6 +25,7 @@ __all__ = [
     "rhs",
     "check_rk4_step",
     "integrate_cauchy",
+    "flow",
     "apriori_monitor",
     "refinement_gaps",
 ]
@@ -234,26 +235,34 @@ def _time_grid(t1: float, dt: float) -> np.ndarray:
     return times
 
 
-def _march(stage, stim, x, times, sizes):
+def _march(stage, stim, x, times, sizes, offsets=None):
     """Classical RK4 from the state x at times[0] through ``times``, block by block.
 
     Yields ``(k, block)``, ``block[r]`` the state at ``times[k + r]``, in a
     buffer reused for each block of up to ``BLOWUP_CHECK_EVERY`` steps. x
-    holds one member per entry of ``sizes``; the first node at which a
-    member passes the threshold raises :class:`BlowUpError` with that time,
-    peak and size, as a per-step check would.
+    holds one member per entry of ``sizes``. Given ``offsets``, member j is
+    driven at offsets[j] + t, so ``times`` are its local times. The first
+    node at which a member passes the threshold raises :class:`BlowUpError`
+    with that member's own time, its peak and its size, as a per-step check
+    would.
     """
     # The drive at every stage time, sampled in one call: row k holds step
     # k's t, t + h/2 and t + h, built as the stages would build them.
     steps = np.diff(times)
     starts = times[:-1]
-    drive = stim(np.stack([starts, starts + 0.5 * steps, starts + steps], axis=1))
+    stage_times = np.stack([starts, starts + 0.5 * steps, starts + steps], axis=1)
+    if offsets is not None:  # one (members, 1) column of drive values per stage
+        stage_times = stage_times[..., None, None] + offsets[:, None]
+    drive = stim(stage_times)
+    del stage_times  # a generator keeps its locals until the march ends
     buffer = np.empty((BLOWUP_CHECK_EVERY,) + x.shape)
     for lo in range(0, len(steps), BLOWUP_CHECK_EVERY):
         block = buffer[: min(BLOWUP_CHECK_EVERY, len(steps) - lo)]
         # Python floats: NumPy scalars cost more per operation in the step
         hs = steps[lo : lo + len(block)].tolist()
-        drives = drive[lo : lo + len(block)].tolist()
+        drives = drive[lo : lo + len(block)]
+        if offsets is None:
+            drives = drives.tolist()
         # a runaway overflows within a step; the check after its block reports it
         with np.errstate(over="ignore", invalid="ignore"):
             for r in range(len(block)):
@@ -263,7 +272,8 @@ def _march(stage, stim, x, times, sizes):
         bad = np.argwhere(~(peaks <= BLOWUP_THRESHOLD))  # NaN compares false
         if bad.size:
             r, j = bad[0]
-            raise BlowUpError(float(times[lo + 1 + r]), float(peaks[r, j]), sizes[j])
+            t = float(times[lo + 1 + r]) + (0.0 if offsets is None else float(offsets[j]))
+            raise BlowUpError(t, float(peaks[r, j]), sizes[j])
         yield lo + 1, block
 
 
@@ -287,6 +297,29 @@ def integrate_cauchy(sys: GalerkinSystem, x0: np.ndarray, t1: float, dt: float) 
     for k, block in _march(sys.stage, sys.stim, x, times, (sys.basis.m,)):
         hist[k : k + len(block)] = block
     return Trajectory(times=times, x=hist)
+
+
+def flow(sys: GalerkinSystem, x: np.ndarray, t0: np.ndarray, span: float, dt: float):
+    """End states of the stacked states ``x`` after ``span``, member k started at t0[k].
+
+    ``x`` has shape ``(K, 2 n_modes)`` and ``t0`` shape ``(K,)``. Every
+    member takes the steps :func:`integrate_cauchy` takes from 0 to ``span``,
+    under the drive at its own times t0[k] + t, all K in one march; no
+    trajectory is stored. ``dt`` passes :func:`check_rk4_step` before
+    stepping, and a blow-up names the member's own time t0[k] + t.
+    """
+    check_rk4_step(sys, dt)
+    x = np.array(x, dtype=float)
+    t0 = np.asarray(t0, dtype=float)
+    if x.ndim != 2 or x.shape[1] != 2 * sys.n_modes or t0.shape != (len(x),):
+        raise ValueError(
+            f"states of shape {x.shape} with start times of shape {t0.shape}:"
+            f" expected (K, {2 * sys.n_modes}) and (K,)"
+        )
+    times = _time_grid(span, dt)
+    for _, block in _march(sys.stage, sys.stim, x, times, (sys.basis.m,) * len(x), t0):
+        pass
+    return block[-1].copy()
 
 
 def refinement_gaps(sys: GalerkinSystem, m_list, t1: float, dt: float) -> np.ndarray:

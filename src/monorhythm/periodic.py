@@ -10,14 +10,15 @@ system. Picard iteration attacks that operator directly. The recovery
 response is linear in the potential, so Picard iterates the operator as a
 map of the potential samples alone and accelerates the iteration with
 Anderson mixing over its last two residuals. Shooting attacks
-the period map of the RK4 flow with the same idea written on the map: it
-starts from the linear part's own periodic response to the drive, which
-the transfer function gives without integrating; its first step is
-x - (R^N - I)^-1 g(x), where R is the RK4 step matrix of the linear part
-and g the period-map defect, and Broyden updates then correct the linear
-Jacobian R^N - I for the reaction. The start ignores the reaction and never
-reads Picard's orbit. Both return the same orbits, which is the point: they
-fail independently.
+the period map of the RK4 flow with the same idea written on the map, by
+multiple shooting: the N steps of the period split into K segments whose
+start states march together in one stacked integration. It starts from the
+linear part's own periodic response to the drive at the segment starts,
+which the transfer function gives without integrating, and each segment's
+Jacobian starts as R^(N/K), where R is the RK4 step matrix of the linear
+part; Broyden updates then correct each one for the reaction. The start
+ignores the reaction and never reads Picard's orbit. Both return the same
+orbits, which is the point: they fail independently.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .galerkin import GalerkinSystem, check_rk4_step, integrate_cauchy
+from .galerkin import GalerkinSystem, check_rk4_step, flow, integrate_cauchy
 from .ionic import check_decay_rates
 from .spectral import project_nonlinearity, v_norm_sq
 
@@ -60,12 +61,13 @@ class PeriodicOrbit:
     ``periodicity_residual`` is |x(T) - x(0)| / max(1, |x(0)|) for an RK4
     integration of the returned start state x(0) over one period.
     ``history`` is the solver's convergence record: Picard's residual per
-    operator application, or shooting's period-map defect norm at the
-    starting guess and after each step; its last entry is the returned
-    orbit's own, and ``n_iter`` is the count of entries before it. A solver
-    that does not converge raises, so every returned orbit has ``converged``
-    set. ``jacobian_cond`` is the 2-norm condition number of shooting's
-    final Broyden Jacobian; Picard has none.
+    operator application, or the norm of shooting's stacked segment defect
+    at the starting guess and after each step; its last entry is the
+    returned orbit's own, and ``n_iter`` is the count of entries before it.
+    A solver that does not converge raises, so every returned orbit has
+    ``converged`` set. ``jacobian_cond`` is the 2-norm condition number of
+    the product of shooting's final Broyden segment blocks minus I, its
+    estimate of the period map's Jacobian minus I; Picard has none.
     """
 
     times: np.ndarray
@@ -93,6 +95,8 @@ _DEPTH = 2  # residual differences Picard's Anderson mixing keeps
 _DIVERGENCE = 100.0  # residual growth over the smallest so far that counts as divergence
 _ROW_BLOCK = 1024  # time rows the potential block projects the reaction in at once
 _MIN_NODES = 64  # the fewest nodes per period of an orbit from either solver
+_MAX_SEGMENTS = 16  # shooting's most segments; each adds a state to every march
+_MIN_SEGMENT_STEPS = 64  # shooting's fewest RK4 steps per segment
 
 
 def _check_rates(sys: GalerkinSystem) -> None:
@@ -353,36 +357,70 @@ def orbit_nodes(T: float, n_t: int | None = None, dt: float | None = None) -> in
     return n_steps
 
 
+def _segments(n_steps: int) -> int:
+    """Shooting's segment count K for N steps: the largest power of two up to
+    ``_MAX_SEGMENTS`` that divides N into segments of ``_MIN_SEGMENT_STEPS`` or more."""
+    k = _MAX_SEGMENTS
+    while n_steps % k or n_steps // k < _MIN_SEGMENT_STEPS:
+        k //= 2
+    return k
+
+
+def _condense(blocks: np.ndarray, defect: np.ndarray):
+    """The block-cyclic shooting system condensed onto x_0: D_(K-1) ... D_0 - I and
+    c = sum_k D_(K-1) ... D_(k+1) c_k, for the blocks D_k and segment defects c_k."""
+    eye = np.eye(blocks.shape[1])
+    product, condensed = eye, np.zeros(blocks.shape[1])
+    for block, c_k in zip(blocks, defect):
+        product = block @ product
+        condensed = block @ condensed + c_k
+    return product - eye, condensed
+
+
 def shooting_solve(
     sys: GalerkinSystem,
     dt: float,
     tol: float = 1e-10,
     max_iter: int = 25,
 ) -> PeriodicOrbit:
-    """Quasi-Newton iteration on the period map: find x with flow_T(x) = x.
+    """Multiple shooting on the period map: find x with flow_T(x) = x.
 
-    The defect g(x) = flow_T(x) - x is solved by Broyden's "good" method
-    started from the closed-form Jacobian R^N - I of the linear part (see
-    :func:`_linear_monodromy`) and the state at t = 0 of the linear part's
-    continuous-time periodic response to the drive, sampled at the T / dt
-    orbit nodes: x <- x - J^-1 g, then the rank-one update
-    J <- J + (dg - J dx) dx^T / (dx^T dx). Reaction-free, that start misses
-    the RK4 orbit by the integrator's O(dt^4) error, or not at all under a
-    constant drive, whose steady state RK4 keeps exactly. Each iterate
-    costs one integration of one state, which is also its convergence test:
-    the defect norm must fall to tol * max(1, |x|). At most ``max_iter >= 0``
-    steps are taken, so zero accepts only a start that already meets tol; a
-    stall or a singular J raises :class:`NonConvergenceError` carrying the
-    defect history. The orbit is the integration of the converged x, sampled
-    at the integrator's own nodes over [0, T), and its periodicity residual
-    is the last defect over max(1, |x|). Broyden
-    converges superlinearly, so the returned defect sits just under the
-    tolerance, not quadratically past it as a Newton step would leave it.
-    Every decay rate, then dt (:func:`orbit_nodes`), is checked before
-    the start divides by any rate (:func:`_check_rates`): with a zero rate
-    the periodic response is undefined and R^N - I is singular. The steps
-    are exactly T / N for the N nodes ``orbit_nodes`` counts, so a dt
-    within its slack of T / N gives N nodes, not a short extra step.
+    The N = T / dt steps of one period split into K segments (:func:`_segments`:
+    16 at N = 1024, 2 at N = 128, 1 at N = 64 or at odd N). The unknowns are
+    the states x_k at t_k = k T / K, and segment k's defect is
+    c_k = F_k(x_k) - x_(k+1 mod K), where F_k flows x_k over [t_k, t_(k+1)].
+    One call of :func:`~monorhythm.galerkin.flow` marches all K states at
+    once, which at small m costs about what one state costs, because an RK4
+    step there is per-call overhead rather than arithmetic.
+
+    The start is the linear part's continuous-time periodic response to the
+    drive at the segment starts. Reaction-free, it misses the RK4 orbit by
+    the integrator's O(dt^4) error, or not at all under a constant drive,
+    whose steady state RK4 keeps exactly. Each segment keeps a Broyden
+    block D_k for dF_k/dx_k, started from the linear part's RK4 monodromy
+    over N / K steps (:func:`_linear_monodromy`); the couplings -I are exact.
+    A step condenses the block-cyclic system onto x_0,
+    (D_(K-1) ... D_0 - I) d_0 = -c with c = sum_k D_(K-1) ... D_(k+1) c_k,
+    propagates d_(k+1) = D_k d_k + c_k, and updates each block from its own
+    secant pair, D_k <- D_k + (dF_k - D_k d_k) d_k^T / (d_k^T d_k). At K = 1
+    this is Broyden's "good" method on flow_T(x) - x from R^N - I.
+
+    ``history`` holds the norm of the stacked defect (c_0, ..., c_(K-1)) at
+    the start and after each step. Once it and the condensed defect c both
+    fall to tol * max(1, |x_0|), one integration of x_0 over the period
+    gives the orbit, sampled at the integrator's own nodes over [0, T), and
+    its periodicity residual; if that residual misses tol, another step is
+    taken, so no returned orbit misses tol. At most
+    ``max_iter >= 0`` steps are taken, so zero accepts only a start that
+    already meets tol; a stall or a singular condensed Jacobian raises
+    :class:`NonConvergenceError` carrying the defect history.
+    ``jacobian_cond`` is the 2-norm condition of D_(K-1) ... D_0 - I, the
+    estimate of the period map's Jacobian minus I. Every decay rate, then
+    dt (:func:`orbit_nodes`), is checked before the start divides by any
+    rate (:func:`_check_rates`): with a zero rate the periodic response is
+    undefined and R^N - I is singular. The steps are exactly T / N for the
+    N nodes ``orbit_nodes`` counts, so a dt within its slack of T / N gives
+    N nodes, not a short extra step.
     """
     _check_rates(sys)
     if tol <= 0.0:
@@ -392,37 +430,52 @@ def shooting_solve(
     T = sys.period
     n_steps = orbit_nodes(T, dt=dt)
     dt = T / n_steps
+    n_seg = _segments(n_steps)
     drive = sys.stim(_nodes(T, n_steps))
     u_lin = _periodic_response(sys.basis.lambdas, T, drive[:, None] * sys.trace_vector)
-    x = np.concatenate([u_lin[0], _w_block(sys, u_lin)[0]])
+    stride = n_steps // n_seg
+    x = np.concatenate([u_lin, _w_block(sys, u_lin)], axis=1)[::stride]
+    t0 = _nodes(T, n_seg)
+    blocks = np.tile(_linear_monodromy(sys, dt, stride) + np.eye(2 * sys.n_modes), (n_seg, 1, 1))
 
-    def defect(vec):
-        """flow_T(vec) - vec and the trajectory that gave it."""
-        traj = integrate_cauchy(sys, vec, T, dt)
-        return traj.x[-1] - vec, traj
-
-    jac = _linear_monodromy(sys, dt, n_steps)
-    g, traj = defect(x)
-    history = [float(np.linalg.norm(g))]
-    while history[-1] > tol * max(1.0, float(np.linalg.norm(x))):
+    ends = flow(sys, x, t0, T / n_seg, dt)
+    defect = ends - np.roll(x, -1, axis=0)
+    history = [float(np.linalg.norm(defect))]
+    while True:
+        jac, condensed = _condense(blocks, defect)
+        scale = tol * max(1.0, float(np.linalg.norm(x[0])))
+        # c is the linear estimate of x_0's period defect, so meeting tol with it
+        # too spares most integrations whose residual would miss tol
+        if history[-1] <= scale and np.linalg.norm(condensed) <= scale:
+            traj = integrate_cauchy(sys, x[0], T, dt)
+            residual = _relative_defect(traj.x[-1] - x[0], x[0])
+            if residual <= tol:
+                break
         if len(history) > max_iter:
             raise NonConvergenceError(
                 f"shooting did not converge in {max_iter} steps (defect {history[-1]:.3e})",
                 history=history,
             )
+        step = np.empty_like(x)
         try:
-            dx = np.linalg.solve(jac, -g)
+            step[0] = np.linalg.solve(jac, -condensed)
         except np.linalg.LinAlgError as exc:
             cond = float(np.linalg.cond(jac))
             raise NonConvergenceError(
                 f"period-map jacobian is singular (condition estimate {cond:.3e})",
                 history=history,
             ) from exc
-        x = x + dx
-        g_next, traj = defect(x)
-        jac += np.outer(g_next - g - jac @ dx, dx) / (dx @ dx)
-        g = g_next
-        history.append(float(np.linalg.norm(g)))
+        for k in range(n_seg - 1):
+            step[k + 1] = blocks[k] @ step[k] + defect[k]
+        x = x + step
+        ends_next = flow(sys, x, t0, T / n_seg, dt)
+        # each block's rank-one update from its own secant pair
+        misfit = ends_next - ends - np.einsum("kij,kj->ki", blocks, step)
+        step_sq = np.einsum("kj,kj->k", step, step)
+        blocks += np.einsum("ki,kj->kij", misfit, step) / step_sq[:, None, None]
+        ends = ends_next
+        defect = ends - np.roll(x, -1, axis=0)
+        history.append(float(np.linalg.norm(defect)))
 
     u_orbit = traj.u[:-1]
     w_orbit = traj.w[:-1]
@@ -430,7 +483,7 @@ def shooting_solve(
         times=traj.times[:-1],
         u=u_orbit,
         w=w_orbit,
-        periodicity_residual=_relative_defect(g, x),
+        periodicity_residual=residual,
         ct_norm=ct_norm(sys, u_orbit, w_orbit),
         converged=True,
         history=tuple(history),

@@ -445,6 +445,38 @@ def test_blow_up_leaves_a_partial_report(tmp_path, capsys, command, extra):
     assert sorted(os.listdir(tmp_path)) == ["report.json", "run.cfg"]
 
 
+def test_shooting_blow_up_leaves_a_partial_report(tmp_path, capsys):
+    """Shooting's segment march blows up under the runaway drive: the run
+    exits 4 with a partial report naming m = 8 and the runaway member's own
+    time in the period, a node of the T/1024 step grid."""
+    text = RUNAWAY_DRIVE_CFG.replace("solver.method = picard", "solver.method = shooting")
+    path = write_config(tmp_path, text.replace("solver.n_t = 128\n", ""))
+    assert cli.main(["solve-periodic", "--config", path, "--out", str(tmp_path)]) == 4
+    report = read_report(tmp_path)
+    assert set(report) == {"command", "config", "error", "time", "magnitude", "m"}
+    assert report["config"]["solver.method"] == "shooting"
+    assert report["m"] == 8 and report["magnitude"] > 1e12
+    assert 0.0 < report["time"] <= 2.0
+    node = report["time"] * 1024 / 2.0
+    assert node == round(node), f"blow-up at {report['time']}, off the step grid"
+    assert report["error"] in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["report.json", "run.cfg"]
+
+
+def test_cauchy_step_past_the_stability_limit_names_the_key(tmp_path, capsys, monkeypatch):
+    """At m = 8 cauchy.dt = 0.25 is past RK4's limit: solve-cauchy exits 2
+    with the key and value before the message, which names T/N, and takes
+    no step."""
+    monkeypatch.setattr(galerkin, "_march", lambda *args: pytest.fail("a step was taken"))
+    text = RUNAWAY_DRIVE_CFG.replace("cauchy.dt = 0.03125", "cauchy.dt = 0.25")
+    path = write_config(tmp_path, text)
+    assert cli.main(["solve-cauchy", "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: cauchy.dt = 0.25: dt = 0.25 times the fastest decay rate" in err, err
+    assert re.search(r"largest stable dt that divides the period is T/(\d+) = (\S+)$", err.strip())
+    assert not os.path.exists(tmp_path / "report.json")
+
+
 def test_converge_step_past_the_largest_size_exits_2_before_stepping(
     tmp_path, capsys, monkeypatch
 ):
@@ -457,6 +489,7 @@ def test_converge_step_past_the_largest_size_exits_2_before_stepping(
     assert cli.main(["converge", "--config", path, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "past RK4's stability limit" in err, err
+    assert f"{path}: cauchy.dt = 0.015625: dt = 0.015625 times" in err, err
     assert not os.path.exists(tmp_path / "convergence.csv")
 
 
@@ -474,6 +507,7 @@ def test_picard_check_past_the_stability_limit_exits_2(tmp_path, capsys, monkeyp
     assert rc == 2, f"a step past the stability limit should exit 2, got {rc}"
     err = capsys.readouterr().err
     assert "stability limit 2.7852935634" in err and "largest stable dt" in err, err
+    assert f"{cfg}: solver.dt = 0.001953125: dt = 0.00195312 times" in err, err
     assert sweeps == [], "the step is checked before the first sweep"
 
     cfg = write_config(tmp_path, text + "solver.dt = 0.0009765625\n")
@@ -498,6 +532,7 @@ def test_shooting_past_the_stability_limit_names_a_step_that_divides_the_period(
     named = re.search(pattern, err.strip())
     assert named, err
     assert float(named.group(2)) == 2.0 / int(named.group(1))
+    assert f"{cfg}: solver.dt = 0.001953125: dt = 0.00195312 times" in err, err
 
     cfg = write_config(tmp_path, text + f"solver.dt = {named.group(2)}\n")
     assert cli.main(["solve-periodic", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -565,16 +600,28 @@ _POWERS_OF_TWO = [2**k for k in range(5, 13)]  # node counts that often nest
 @example(n_t=64, n_shoot=32, divides=True)  # nests, but shooting's count is under the floor
 @example(n_t=1000, n_shoot=1024, divides=True)
 @example(n_t=2048, n_shoot=1024, divides=True)
+@example(n_t=64, n_shoot=8, divides=True)  # Picard alone reaches the step rule: T/8 is past it
 def test_grid_precheck_names_the_first_failing_rule_under_every_method(
     tmp_path_factory, method, n_t, n_shoot, divides
 ):
     """The node rules of the methods that run are checked before either
     solver does: Picard's 64-node floor of solver.n_t, then that shooting's
     solver.dt divides T into at least 64 steps, then, with both, that the two
-    node counts nest. A run exits 2 naming the first rule that fails after
-    the keys those rules read, and otherwise reaches its solvers."""
+    node counts nest, then that solver.dt, also the step of Picard's
+    periodicity check, is inside RK4's stability limit. A run exits 2 naming
+    the first rule that fails after the keys those rules read, and otherwise
+    reaches its solvers."""
     dt = 2.0 / n_shoot if divides else 2.0 / (n_shoot + 0.5)
     picard, shooting = method != "shooting", method != "picard"
+    prefix = {
+        "picard": f"solver.n_t = {n_t}: ",
+        "shooting": f"solver.dt = {dt!r}: ",
+        "both": f"solver.n_t = {n_t}, solver.dt = {dt!r}: ",
+    }[method]
+    path = config_path("feasible_periodic.cfg")
+    feasible = load_config(path)
+    feasible = cli._build_system(feasible, cli._build_model(feasible))
+    fastest = max(float(np.max(feasible.basis.lambdas)), feasible.recovery_rate)
     if picard and n_t < 64:
         expected = "n_t must be at least 64"
     elif shooting and not divides:
@@ -583,13 +630,11 @@ def test_grid_precheck_names_the_first_failing_rule_under_every_method(
         expected = "dt must be at most T/64"
     elif method == "both" and max(n_t, n_shoot) % min(n_t, n_shoot):
         expected = f"grids with {n_t} and {n_shoot} nodes do not nest"
+    elif dt * fastest > galerkin.RK4_STABILITY_LIMIT:
+        expected = f"dt = {dt:.6g} times the fastest decay rate"
+        prefix = f"solver.dt = {dt!r}: "
     else:
         expected = None
-    prefix = {
-        "picard": f"solver.n_t = {n_t}: ",
-        "shooting": f"solver.dt = {dt!r}: ",
-        "both": f"solver.n_t = {n_t}, solver.dt = {dt!r}: ",
-    }[method]
     calls = []
 
     def stub(method, n_nodes):
@@ -601,7 +646,7 @@ def test_grid_precheck_names_the_first_failing_rule_under_every_method(
 
         return solve
 
-    with open(config_path("feasible_periodic.cfg"), encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
         text = fh.read()
     text = text.replace("solver.method = both", f"solver.method = {method}")
     # shooting reads no solver.n_t, and setting it would exit 2 on that instead

@@ -14,6 +14,7 @@ from monorhythm.galerkin import (
     GalerkinSystem,
     apriori_monitor,
     check_rk4_step,
+    flow,
     integrate_cauchy,
     refinement_gaps,
     rhs,
@@ -321,6 +322,10 @@ def test_integration_and_ladder_leave_their_inputs_alone():
     before = [a.tobytes() for a in inputs]
     traj = integrate_cauchy(sys, x0, 0.3, dt=0.03)
     refinement_gaps(sys, m_list, 0.3, 0.03)
+    starts = np.array([0.0, 0.1])
+    inputs.append(starts)
+    before.append(starts.tobytes())
+    flow(sys, np.stack([x0, x0]), starts, 0.3, 0.03)
     assert [a.tobytes() for a in inputs] == before
     assert np.array_equal(traj.x, rk4_on_public_rhs(sys, traj.times, x0.copy()))
     assert np.all(np.any(traj.x[1:] != traj.x[:-1], axis=1))
@@ -478,6 +483,59 @@ def test_ladder_blow_up_names_the_size():
     assert info.value.m == lone.value.m == 8
     assert info.value.time == lone.value.time == 0.125
     assert info.value.magnitude == pytest.approx(lone.value.magnitude, rel=1e-9)
+
+
+def test_flow_members_follow_the_drive_from_their_own_start_times():
+    """Each of K stacked members flows as it would alone, and members that
+    start at the segment starts k T / K chain into one RK4 period: flowing
+    segment by segment from the period's start lands where one integration
+    of the period does, to rounding. Member 0 of a stack started at t = 0
+    takes the steps of integrate_cauchy."""
+    sys = pulse_system()
+    n_seg, dt = 4, PERIOD / 256
+    rng = np.random.default_rng(9)
+    x = 0.01 * rng.standard_normal((n_seg, 2 * sys.n_modes))
+    t0 = np.arange(n_seg) * (PERIOD / n_seg)
+    ends = flow(sys, x, t0, PERIOD / n_seg, dt)
+    for k in range(n_seg):
+        alone = flow(sys, x[k : k + 1], t0[k : k + 1], PERIOD / n_seg, dt)[0]
+        assert np.allclose(ends[k], alone, rtol=1e-13, atol=1e-16)
+    chained = x[0]
+    for k in range(n_seg):
+        chained = flow(sys, chained[None], t0[k : k + 1], PERIOD / n_seg, dt)[0]
+    period = integrate_cauchy(sys, x[0], PERIOD, dt).x
+    assert np.max(np.abs(chained - period[-1])) <= 1e-12 * np.max(np.abs(period[-1]))
+    assert np.max(np.abs(ends[0] - period[64])) <= 1e-15 * np.max(np.abs(period[64]))
+
+
+def test_flow_blow_up_names_the_member_and_its_own_time():
+    """Under a constant drive a runaway started at t0 = 0.75 blows up
+    0.0625 later, as the same start does alone from t = 0: the stack
+    reports the member's own time, 0.8125, not its local one, and its
+    size; a calm member beside it changes nothing."""
+    d = feasible_model()
+    stim = Stimulus("constant", period=PERIOD, phi_value=PHI, amplitude=1.0)
+    sys = GalerkinSystem(build_basis(GEOM, 4, d), d, stim)
+    runaway = state(100.0 * np.ones(5), np.zeros(5))
+    with pytest.raises(BlowUpError) as lone:
+        integrate_cauchy(sys, runaway, PERIOD, dt=PERIOD / 64)
+    with pytest.raises(BlowUpError) as stacked:
+        flow(sys, np.stack([zero_state(sys), runaway]), np.array([0.0, 0.75]), 1.0, PERIOD / 64)
+    assert lone.value.time == 0.0625
+    assert stacked.value.time == 0.75 + 0.0625
+    assert stacked.value.m == 4
+    assert stacked.value.magnitude == pytest.approx(lone.value.magnitude, rel=1e-9)
+
+
+def test_flow_checks_its_step_and_shapes_before_stepping(monkeypatch):
+    monkeypatch.setattr(galerkin, "_march", lambda *args: pytest.fail("a step was taken"))
+    sys = feasible_system(m=4)
+    x = np.zeros((2, 2 * sys.n_modes))
+    with pytest.raises(ValueError, match="stability limit"):
+        flow(sys, x, np.zeros(2), PERIOD, PERIOD / 2)
+    for states, starts in ((x[0], np.zeros(1)), (x, np.zeros(3)), (np.zeros((2, 5)), np.zeros(2))):
+        with pytest.raises(ValueError, match=r"expected \(K, 10\) and \(K,\)"):
+            flow(sys, states, starts, PERIOD, PERIOD / 64)
 
 
 def test_refinement_differences_shrink():

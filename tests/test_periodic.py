@@ -1,7 +1,6 @@
 """The periodic response, the fixed-point operator, and both orbit solvers."""
 
 import dataclasses
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 
 from monorhythm import periodic
 from monorhythm.feasibility import EmbeddingConstants, a2_bound
-from monorhythm.galerkin import GalerkinSystem, integrate_cauchy
+from monorhythm.galerkin import GalerkinSystem, flow, integrate_cauchy
 from monorhythm.ionic import PhysiologicalParameters, derive_parameters, with_reaction
 from monorhythm.periodic import (
     BallCertificate,
@@ -363,38 +362,49 @@ def test_shooting_linear_one_newton_step():
 
 def test_shooting_start_defect_is_rk4_error_of_the_linear_response():
     """The start is the continuous-time periodic response of the linear part,
-    so the period-map defect there is RK4's global error over one period:
-    halving dt divides it by about 2^4 = 16 (measured 16.9 from T/64 to
-    T/128; the band allows 15 to 18)."""
+    so each segment's defect there is RK4's global error over the segment:
+    halving dt divides the stacked defect by about 2^4 = 16 (measured 16.04
+    from T/1024 to T/2048, 16 segments at both; the band allows 15 to 18)."""
     sys = linear_system(m=4, phi=0.005, kind="sinusoid")
-    defects = [shooting_solve(sys, dt=PERIOD / n).history[0] for n in (64, 128)]
+    defects = [shooting_solve(sys, dt=PERIOD / n).history[0] for n in (1024, 2048)]
     ratio = defects[0] / defects[1]
     assert 15.0 <= ratio <= 18.0, f"start defects {defects} fall by {ratio:.2f}, not ~16"
 
 
 @pytest.mark.parametrize(
-    "m, width, n_steps", [(2, 0.01, 64), (2, 0.25, 1024), (8, 0.01, 1024), (8, 0.25, 64)]
+    "m, width, n_steps, saved",
+    [
+        pytest.param(2, 0.01, 64, 1, id="2-0.01-64"),
+        pytest.param(2, 0.25, 1024, 0, id="2-0.25-1024"),
+        pytest.param(8, 0.01, 1024, 1, id="8-0.01-1024"),
+        pytest.param(8, 0.25, 64, 1, id="8-0.25-64"),
+    ],
 )
-def test_linear_start_saves_one_integration_on_a_pulse(monkeypatch, m, width, n_steps):
-    """With the reaction on and a pulse drive, shooting converges in
-    n_iter + 1 integrations, one fewer than from the zero state, which is
-    the start it takes when every periodic response is replaced by zeros."""
+def test_linear_start_saves_one_integration_on_a_pulse(monkeypatch, m, width, n_steps, saved):
+    """With the reaction on and a pulse drive, shooting converges in n_iter + 1
+    segment marches and one full-period integration, and the linear start
+    takes ``saved`` fewer marches than the zero state, which is the start it
+    takes when every periodic response is replaced by zeros. At the wide
+    pulse on 16 segments both starts take 2 steps, but the linear start's
+    stacked defect is 4.5e-7 against 3.4e-3."""
     d = feasible_model()
     stim = Stimulus("pulse", period=PERIOD, phi_value=PHI, amplitude=1.0, width=width)
     sys = GalerkinSystem(build_basis(GEOM, m, d), d, stim)
-    integrations = []
+    marches, starts = [], []
     for zero_start in (False, True):
-        counting = _CountingIntegrations()
         with monkeypatch.context() as patched:
-            patched.setattr(periodic, "integrate_cauchy", counting)
+            full, segments = _count_integrations(patched.setattr)
             if zero_start:
                 patched.setattr(
                     periodic, "_periodic_response", lambda rates, T, forcing: 0.0 * forcing
                 )
             orbit = periodic.shooting_solve(sys, dt=PERIOD / n_steps)
-        assert len(counting.shapes) == orbit.n_iter + 1
-        integrations.append(len(counting.shapes))
-    assert integrations[0] + 1 == integrations[1], f"integrations {integrations}"
+        assert full.shapes == [(2 * sys.n_modes,)]
+        assert len(segments.shapes) == orbit.n_iter + 1
+        marches.append(len(segments.shapes))
+        starts.append(orbit.history[0])
+    assert marches[0] + saved == marches[1], f"marches {marches}"
+    assert starts[0] < 1e-3 * starts[1], f"start defects {starts}"
 
 
 def test_shooting_zero_is_fixed_point_without_drive():
@@ -498,34 +508,93 @@ def _columnwise_shooting(sys, dt, tol=1e-10, max_iter=25):
 
 
 class _CountingIntegrations:
-    """Stand-in for ``periodic.integrate_cauchy`` recording each start shape."""
+    """Stand-in for ``periodic.integrate_cauchy`` or ``periodic.flow`` recording
+    each start shape: one state, or K stacked segment states."""
 
-    def __init__(self):
+    def __init__(self, integrate):
+        self.integrate = integrate
         self.shapes = []
 
     def __call__(self, *args, **kwargs):
         self.shapes.append(np.shape(args[1]))
-        return integrate_cauchy(*args, **kwargs)
+        return self.integrate(*args, **kwargs)
 
 
-def test_shooting_matches_columnwise_newton_with_fewer_integrations(monkeypatch):
-    """Broyden from the linear monodromy lands on the per-column Newton fixed
-    point to within tol, with one lone integration per iterate."""
+def _count_integrations(setattr_):
+    """Count shooting's full-period integrations and its segment marches,
+    each installed by ``setattr_(periodic, name, stand_in)``."""
+    full, segments = _CountingIntegrations(integrate_cauchy), _CountingIntegrations(flow)
+    setattr_(periodic, "integrate_cauchy", full)
+    setattr_(periodic, "flow", segments)
+    return full, segments
+
+
+def test_shooting_matches_columnwise_newton_with_fewer_integrations():
+    """Multiple shooting from the linear monodromy lands on the per-column
+    Newton fixed point to within tol, on 2 segments at T/128 and on 16 at
+    T/1024, with one march of the segment states per iterate and one
+    full-period integration."""
     sys = feasible_system(m=2)
-    dt = PERIOD / 128
-    ref_traj, ref_iter, ref_residual = _columnwise_shooting(sys, dt)
+    for n_steps, n_seg in ((128, 2), (1024, 16)):
+        dt = PERIOD / n_steps
+        ref_traj, ref_iter, ref_residual = _columnwise_shooting(sys, dt)
+        with pytest.MonkeyPatch.context() as patched:
+            full, segments = _count_integrations(patched.setattr)
+            orbit = periodic.shooting_solve(sys, dt=dt)
+        gap = max(
+            float(np.max(np.abs(orbit.u - ref_traj.u[:-1]))),
+            float(np.max(np.abs(orbit.w - ref_traj.w[:-1]))),
+        )
+        assert gap <= 1e-10, f"fixed points differ by {gap:.3e} at T/{n_steps}"
+        assert orbit.periodicity_residual <= 1e-10 and ref_residual <= 1e-10
+        assert full.shapes == [(6,)]
+        assert segments.shapes == [(n_seg, 6)] * (orbit.n_iter + 1)
+        assert len(full.shapes) + len(segments.shapes) < 2 + ref_iter * (2 * sys.n_modes + 1)
 
-    counting = _CountingIntegrations()
-    monkeypatch.setattr(periodic, "integrate_cauchy", counting)
-    orbit = periodic.shooting_solve(sys, dt=dt)
-    gap = max(
-        float(np.max(np.abs(orbit.u - ref_traj.u[:-1]))),
-        float(np.max(np.abs(orbit.w - ref_traj.w[:-1]))),
-    )
-    assert gap <= 1e-10, f"fixed points differ by {gap:.3e}"
-    assert orbit.periodicity_residual <= 1e-10 and ref_residual <= 1e-10
-    assert counting.shapes == [(6,)] * (orbit.n_iter + 1)
-    assert len(counting.shapes) < 2 + ref_iter * (2 * sys.n_modes + 1)
+
+def _single_state_broyden(sys, dt, tol=1e-10, max_iter=25):
+    """Reference: Broyden's "good" method on flow_T(x) - x from R^N - I and
+    the linear periodic start, one single-state integration per iterate;
+    returns the defect history and the final state."""
+    T = sys.period
+    n_steps = round(T / dt)
+    drive = sys.stim(periodic._nodes(T, n_steps))
+    u_lin = periodic._periodic_response(sys.basis.lambdas, T, drive[:, None] * sys.trace_vector)
+    x = np.concatenate([u_lin[0], periodic._w_block(sys, u_lin)[0]])
+    jac = periodic._linear_monodromy(sys, dt, n_steps)
+    g = integrate_cauchy(sys, x, T, dt).x[-1] - x
+    history = [float(np.linalg.norm(g))]
+    while history[-1] > tol * max(1.0, float(np.linalg.norm(x))) and len(history) <= max_iter:
+        dx = np.linalg.solve(jac, -g)
+        x = x + dx
+        g_next = integrate_cauchy(sys, x, T, dt).x[-1] - x
+        jac += np.outer(g_next - g - jac @ dx, dx) / (dx @ dx)
+        g = g_next
+        history.append(float(np.linalg.norm(g)))
+    return history, x
+
+
+@pytest.mark.parametrize("m, phi", [(2, 0.5), (2, 5.0), (4, 40.0)])
+def test_one_segment_is_single_state_broyden(m, phi):
+    """At N = 67 steps, odd, shooting keeps one segment, and its defect history
+    is that of single-state Broyden to 1e-12 of the start defect (measured
+    1.6e-16 at phi = 40, where late entries are a few ulps of the state and
+    differ by rounding; equal at the others)."""
+    sys = feasible_system(m=m, phi=phi)
+    dt = PERIOD / 67
+    assert periodic._segments(67) == 1
+    reference, x = _single_state_broyden(sys, dt)
+    orbit = shooting_solve(sys, dt=dt)
+    np.testing.assert_allclose(orbit.history, reference, rtol=1e-12, atol=1e-12 * reference[0])
+    start = np.concatenate([orbit.u[0], orbit.w[0]])
+    assert np.max(np.abs(start - x)) <= 1e-12 * max(1.0, float(np.max(np.abs(x))))
+
+
+def test_segment_count_rule():
+    """The largest power of two up to 16 that divides N into segments of at
+    least 64 steps."""
+    counts = {n: periodic._segments(n) for n in (64, 67, 96, 128, 192, 256, 1000, 1024, 4096)}
+    assert counts == {64: 1, 67: 1, 96: 1, 128: 2, 192: 2, 256: 4, 1000: 8, 1024: 16, 4096: 16}
 
 
 @settings(max_examples=10, deadline=None)
@@ -569,13 +638,14 @@ def test_shooting_agrees_with_picard_across_drives(amplitude, phi, m):
     sys = feasible_system(m=m, amplitude=amplitude, phi=phi)
     n_t = 256
     picard = picard_solve(sys, n_t, DT)
-    counting = _CountingIntegrations()
-    with patch.object(periodic, "integrate_cauchy", counting):
+    with pytest.MonkeyPatch.context() as patched:
+        full, segments = _count_integrations(patched.setattr)
         shoot = periodic.shooting_solve(sys, dt=PERIOD / n_t)
     assert picard.converged and shoot.converged
     gap = orbit_gap(picard, shoot, sys.basis)
     assert gap <= 1e-6, f"cross-method gap {gap:.3e}"
-    assert counting.shapes == [(2 * sys.n_modes,)] * (shoot.n_iter + 1)
+    assert full.shapes == [(2 * sys.n_modes,)]
+    assert segments.shapes == [(4, 2 * sys.n_modes)] * (shoot.n_iter + 1)
     assert len(shoot.history) == shoot.n_iter + 1
 
 
@@ -613,7 +683,8 @@ def test_both_solvers_across_the_drive_space(m, phi, amplitude, period, kind, re
     """Over the drive space around the feasible model (m up to 16, phi
     log-uniform in [0.005, 10], pulse or sinusoid, T from 0.5 to 4) both
     solvers converge at n_t = 1024 and dt = T/1024, each orbit closes after
-    one RK4 period to criterion 3's 1e-8, and the two agree to its 1e-6.
+    one RK4 period to criterion 3's 1e-8, shooting's to its own tol, and the
+    two agree to criterion 3's 1e-6.
     The reaction is the feasible model's own (``reaction`` None) or a draw
     (a1, share) under reaction_region.cfg's ceiling: a1 over its raster's
     positive span [0.05/32, 0.05], so lam0 = 80 a1 runs from 0.125 to 4, and
@@ -634,16 +705,18 @@ def test_both_solvers_across_the_drive_space(m, phi, amplitude, period, kind, re
     assert picard.converged and shoot.converged
     assert picard.periodicity_residual <= 1e-8, f"picard {picard.periodicity_residual:.3e}"
     assert shoot.periodicity_residual <= 1e-8, f"shooting {shoot.periodicity_residual:.3e}"
+    assert shoot.periodicity_residual <= 1e-10, "shooting returned an orbit past its tol"
     gap = orbit_gap(picard, shoot, sys.basis)
     assert gap <= 1e-6, f"cross-method gap {gap:.3e}"
 
 
 def test_broyden_update_carries_a_strong_drive():
     """At phi = 40 the plain chord step x - (R^N - I)^-1 g(x) stalls past 25
-    steps; the rank-one updates converge in about a dozen."""
+    steps; the rank-one updates of the two segment blocks converge in about
+    a dozen (13 measured; single-state Broyden took 10)."""
     sys = feasible_system(m=2, phi=40.0)
     orbit = shooting_solve(sys, dt=PERIOD / 128)
-    assert orbit.n_iter <= 12
+    assert orbit.n_iter <= 15
     assert orbit.periodicity_residual <= 1e-10
     assert orbit.history[-1] < 1e-10 * orbit.history[0]
 
