@@ -56,7 +56,7 @@ from .galerkin import (
     integrate_cauchy,
     refinement_gaps,
 )
-from .ionic import PhysiologicalParameters, derive_parameters, rescale_period
+from .ionic import PhysiologicalParameters, check_decay_rates, derive_parameters, rescale_period
 from .output import write_csv, write_report
 from .periodic import (
     NonConvergenceError,
@@ -72,25 +72,45 @@ from .spectral import Geometry1D, Stimulus, build_basis
 _DIRECT_AGGREGATE_KEYS = ("feasibility.beta", "feasibility.gamma", "feasibility.delta")
 
 
+def _keyed_error(cfg: RunConfig, keys, exc: ValueError) -> ConfigError:
+    """A rule across configured ``keys`` that ``exc`` reports, as a ConfigError
+    prefixed ``key = value`` per key, at the last line that sets one of them."""
+    prefix = ", ".join(f"{key} = {cfg.consumed[key]!r}" for key in keys)
+    return ConfigError(f"{prefix}: {exc}", cfg.path, max(cfg.lines[key] for key in keys))
+
+
 def _build_model(cfg: RunConfig):
-    phys = PhysiologicalParameters(
-        u_res=cfg.require("model.u_res"),
-        u_peak=cfg.require("model.u_peak"),
-        a=cfg.require("model.a"),
-        c1=cfg.require("model.c1"),
-        c2=cfg.require("model.c2"),
-        c3=cfg.require("model.c3"),
-        b=cfg.require("model.b"),
-        C_m=cfg.get("model.C_m", PhysiologicalParameters.C_m),
-        chi=cfg.get("model.chi", PhysiologicalParameters.chi),
-        sigma_const=cfg.get("model.sigma", PhysiologicalParameters.sigma_const),
-    )
+    try:  # each key's own rule is on its SCHEMA row, so only u_peak > u_res is left
+        phys = PhysiologicalParameters(
+            u_res=cfg.require("model.u_res"),
+            u_peak=cfg.require("model.u_peak"),
+            a=cfg.require("model.a"),
+            c1=cfg.require("model.c1"),
+            c2=cfg.require("model.c2"),
+            c3=cfg.require("model.c3"),
+            b=cfg.require("model.b"),
+            C_m=cfg.get("model.C_m", PhysiologicalParameters.C_m),
+            chi=cfg.get("model.chi", PhysiologicalParameters.chi),
+            sigma_const=cfg.get("model.sigma", PhysiologicalParameters.sigma_const),
+        )
+    except ValueError as exc:
+        raise _keyed_error(cfg, ("model.u_peak", "model.u_res"), exc) from None
     return derive_parameters(
         phys,
         cfg.require("rescale.epsilon"),
         cfg.require("rescale.xi"),
         c4_override=cfg.get("derived.c4_override", None),
     )
+
+
+def _check_lam0(cfg: RunConfig, d) -> None:
+    """Raise a ConfigError naming lam0 = epsilon c4 / C's input, ``derived.c4_override``
+    when it is set and ``model.c1`` otherwise, unless lam0 is positive and finite."""
+    try:
+        check_decay_rates(d.lam0)
+    except ValueError as exc:
+        key = "model.c1" if d.c4_override is None else "derived.c4_override"
+        raise _keyed_error(cfg, (key,), exc) from None
 
 
 def _build_stimulus(cfg: RunConfig, d):
@@ -164,7 +184,7 @@ def _check_step(cfg: RunConfig, key: str, dt: float, sys_) -> None:
 def cmd_feasibility(cfg: RunConfig):
     d = _build_model(cfg)
     agg = _build_aggregates(cfg, d)
-    # h_of_T rejects a nonpositive decay rate before the t_max default divides by it
+    _check_lam0(cfg, d)  # before the t_max default divides by it
     h0 = h_of_T(0.0, d.lam0)
     rs = r_star(agg)
     t_max = cfg.get("feasibility.t_max", 5.0 / d.lam0)
@@ -282,6 +302,7 @@ def cmd_solve_periodic(cfg: RunConfig, seed=None):
         prefix = ", ".join(f"solver.{key} = {value!r}" for key, value in grid.items())
         raise ConfigError(f"{prefix}: {exc}", cfg.path) from None
     _check_step(cfg, "solver.dt", dt, sys_)
+    _check_lam0(cfg, sys_.d)
 
     orbits = {}  # Picard's first, so it is the primary orbit when both run
     if method != "shooting":
@@ -289,10 +310,18 @@ def cmd_solve_periodic(cfg: RunConfig, seed=None):
         if seed is not None:
             x0 = 0.01 * np.random.default_rng(seed).standard_normal((n_t, sys_.n_modes))
         orbits["picard"] = picard_solve(
-            sys_, n_t, dt, x0=x0, theta=theta, tol=tol, max_iter=max_iter
+            sys_, n_t, dt, x0=x0, theta=theta, tol=tol, max_iter=max_iter,
+            close=method == "picard",
         )
-    if method != "picard":
+    if method == "shooting":
         orbits["shooting"] = shooting_solve(sys_, dt=dt, tol=tol, max_iter=newton_cap)
+    elif method == "both":
+        # Picard's start rides shooting's closing march, which closes its orbit in the list
+        riders = [orbits["picard"]]
+        orbits["shooting"] = shooting_solve(
+            sys_, dt=dt, tol=tol, max_iter=newton_cap, riders=riders
+        )
+        orbits["picard"] = riders[0]
 
     payload: dict = {name: _orbit_summary(orbit) for name, orbit in orbits.items()}
     if method == "both":

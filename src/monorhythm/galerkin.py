@@ -140,8 +140,9 @@ class Trajectory:
 
     Nodes are evenly spaced except possibly the final interval, which is
     shortened so the last node lands exactly on the requested end time.
-    ``x`` has shape ``(n_nodes, 2 n_modes)``; ``u`` and ``w`` are views of
-    its two halves.
+    ``x`` has shape ``(n_nodes, 2 n_modes)``, or ``(n_nodes, k, 2 n_modes)``
+    for k stacked states; ``u`` and ``w`` are views of the two halves of
+    its last axis.
     """
 
     times: np.ndarray
@@ -153,11 +154,11 @@ class Trajectory:
 
     @property
     def u(self) -> np.ndarray:
-        return self.x[:, : self.x.shape[1] // 2]
+        return self.x[..., : self.x.shape[-1] // 2]
 
     @property
     def w(self) -> np.ndarray:
-        return self.x[:, self.x.shape[1] // 2 :]
+        return self.x[..., self.x.shape[-1] // 2 :]
 
     @property
     def n_nodes(self) -> int:
@@ -281,22 +282,34 @@ def integrate_cauchy(sys: GalerkinSystem, x0: np.ndarray, t1: float, dt: float) 
     """Classical fixed-step fourth-order Runge-Kutta from t = 0 to t1.
 
     The final time is hit exactly; when dt does not divide the interval the
-    last step is shortened. ``x0`` has shape ``(2 n_modes,)``. ``dt`` passes
-    :func:`check_rk4_step` before stepping. Blow-up is checked on each block
-    of ``BLOWUP_CHECK_EVERY`` steps and reported at the first bad node, with
-    the time and magnitude a per-step check would report.
+    last step is shortened. ``x0`` is one state of shape ``(2 n_modes,)``,
+    or a stack of k states of shape ``(k, 2 n_modes)`` that step together in
+    one march; then ``x`` of the trajectory has shape (nodes, k, 2 n_modes).
+    Each member steps on its own row axis, so the stage's back-projection is
+    one vector-matrix product per member, as for a lone state: at m <= 12
+    each member's rows equal its lone integration's bit for bit (tested),
+    and past that they may differ in the last bit. ``dt``
+    passes :func:`check_rk4_step` before stepping. Blow-up is checked on
+    each block of ``BLOWUP_CHECK_EVERY`` steps and reported at the first bad
+    node, with the member's time and magnitude a per-step check would report.
     """
     check_rk4_step(sys, dt)
     times = _time_grid(t1, dt)
     x = np.array(x0, dtype=float)
-    if x.shape != (2 * sys.n_modes,):
-        raise ValueError(f"initial state has shape {x.shape}, system expects ({2 * sys.n_modes},)")
+    n = 2 * sys.n_modes
+    if x.shape[-1:] != (n,) or x.ndim > 2 or not x.size:
+        raise ValueError(
+            f"initial state has shape {x.shape}, system expects ({n},) or a stack (k, {n})"
+        )
 
-    hist = np.empty((len(times), x.size))
-    hist[0] = x
-    for k, block in _march(sys.stage, sys.stim, x, times, (sys.basis.m,)):
+    stacked = x.ndim == 2
+    members = x[:, None] if stacked else x  # each member on its own row axis
+    hist = np.empty((len(times),) + members.shape)
+    hist[0] = members
+    sizes = (sys.basis.m,) * (len(x) if stacked else 1)
+    for k, block in _march(sys.stage, sys.stim, members, times, sizes):
         hist[k : k + len(block)] = block
-    return Trajectory(times=times, x=hist)
+    return Trajectory(times=times, x=hist.reshape((len(times),) + x.shape))
 
 
 def flow(sys: GalerkinSystem, x: np.ndarray, t0: np.ndarray, span: float, dt: float):

@@ -18,12 +18,16 @@ which the transfer function gives without integrating, and each segment's
 Jacobian starts as R^(N/K), where R is the RK4 step matrix of the linear
 part; Broyden updates then correct each one for the reaction. The start
 ignores the reaction and never reads Picard's orbit. Both return the same
-orbits, which is the point: they fail independently.
+orbits, which is the point: they fail independently. Each closes its orbit
+by one RK4 integration of its start state over the period
+(:func:`_close`), which gives the periodicity residual; when both run, the
+two start states step together in shooting's closing march, which at small
+m costs little more than one state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,7 +63,11 @@ class PeriodicOrbit:
 
     ``times`` are the nodes k T / n_t of one period, k = 0..n_t - 1.
     ``periodicity_residual`` is |x(T) - x(0)| / max(1, |x(0)|) for an RK4
-    integration of the returned start state x(0) over one period.
+    integration of the returned start state x(0) over one period: the
+    solver's own, or, for a Picard orbit handed to :func:`shooting_solve`
+    as a rider, one member of shooting's closing march, whose bits equal a
+    lone integration's at m <= 12. It is None only on an orbit
+    ``picard_solve(..., close=False)`` returns, before that march.
     ``history`` is the solver's convergence record: Picard's residual per
     operator application, or the norm of shooting's stacked segment defect
     at the starting guess and after each step; its last entry is the
@@ -73,7 +81,7 @@ class PeriodicOrbit:
     times: np.ndarray
     u: np.ndarray
     w: np.ndarray
-    periodicity_residual: float
+    periodicity_residual: float | None
     ct_norm: float
     converged: bool
     history: tuple[float, ...]
@@ -180,6 +188,22 @@ def _relative_defect(d: np.ndarray, x: np.ndarray) -> float:
     return float(np.linalg.norm(d) / max(1.0, float(np.linalg.norm(x))))
 
 
+def _close(sys: GalerkinSystem, starts, dt: float):
+    """Integrate the start states over one period at step dt, all in one march.
+
+    The one closing step of both solvers. Returns the nodes, the states of
+    shape (nodes, k, 2 n_modes) for the k starts, and each start's
+    periodicity residual |x(T) - x(0)| / max(1, |x(0)|). A lone start steps
+    as one (2 n_modes,) state, several as one stack
+    (:func:`~monorhythm.galerkin.integrate_cauchy`).
+    """
+    stack = np.asarray(starts)
+    traj = integrate_cauchy(sys, stack[0] if len(stack) == 1 else stack, sys.period, dt)
+    x = traj.x.reshape((len(traj.times),) + stack.shape)
+    residuals = [_relative_defect(end - start, start) for end, start in zip(x[-1], stack)]
+    return traj.times, x, residuals
+
+
 def _mixing_weights(d_f: list, f: np.ndarray) -> np.ndarray:
     """Least-squares weights gamma minimising |f - sum_i gamma_i d_f[i]|.
 
@@ -201,6 +225,7 @@ def picard_solve(
     theta: float = 1.0,
     tol: float = 1e-10,
     max_iter: int = 200,
+    close: bool = True,
 ) -> PeriodicOrbit:
     """Anderson-mixed Picard iteration on the periodic fixed-point operator.
 
@@ -225,12 +250,15 @@ def picard_solve(
     W(u)) and is read, never written. The last ``history`` entry is the
     returned orbit's residual: the returned pair (u, W(u)) is the one that
     application measured, so its recovery residual is zero. The periodicity
-    residual integrates the start state over one period at step ``dt``,
-    which is checked before the first application, as are every decay rate
-    (:func:`_check_rates`), ``theta``, ``tol``, ``max_iter >= 1`` and ``n_t``
-    (:func:`orbit_nodes`). A non-finite residual, one above ``_DIVERGENCE``
-    times the smallest so far, or ``max_iter`` applications without reaching
-    ``tol`` raise :class:`NonConvergenceError` with the residual history.
+    residual integrates the start state over one period at step ``dt``
+    (:func:`_close`); ``close=False`` skips that integration and leaves the
+    residual None, for an orbit that rides :func:`shooting_solve`'s closing
+    march instead. ``dt`` is checked before the first application, as are
+    every decay rate (:func:`_check_rates`), ``theta``, ``tol``,
+    ``max_iter >= 1`` and ``n_t`` (:func:`orbit_nodes`). A non-finite
+    residual, one above ``_DIVERGENCE`` times the smallest so far, or
+    ``max_iter`` applications without reaching ``tol`` raise
+    :class:`NonConvergenceError` with the residual history.
     """
     _check_rates(sys)
     if not 0.0 < theta <= 1.0:
@@ -293,14 +321,15 @@ def picard_solve(
     if x0 is not None and len(residuals) == 1:
         u = u.copy()  # never hand back a view of the caller's start
 
-    start = np.concatenate([u[0], w[0]])  # the state at t = 0
-    end = integrate_cauchy(sys, start, sys.period, dt).x[-1]
+    residual = None
+    if close:
+        (residual,) = _close(sys, [np.concatenate([u[0], w[0]])], dt)[2]  # from t = 0
 
     return PeriodicOrbit(
         times=_nodes(sys.period, n_t),
         u=u,
         w=w,
-        periodicity_residual=_relative_defect(end - start, start),
+        periodicity_residual=residual,
         ct_norm=ct_norm(sys, u, w),
         converged=True,
         history=tuple(residuals),
@@ -382,6 +411,7 @@ def shooting_solve(
     dt: float,
     tol: float = 1e-10,
     max_iter: int = 25,
+    riders: list[PeriodicOrbit] | None = None,
 ) -> PeriodicOrbit:
     """Multiple shooting on the period map: find x with flow_T(x) = x.
 
@@ -410,7 +440,11 @@ def shooting_solve(
     fall to tol * max(1, |x_0|), one integration of x_0 over the period
     gives the orbit, sampled at the integrator's own nodes over [0, T), and
     its periodicity residual; if that residual misses tol, another step is
-    taken, so no returned orbit misses tol. At most
+    taken, so no returned orbit misses tol. The start state of each orbit in
+    ``riders`` (Picard's, under both methods) steps beside x_0 in the first
+    such integration, one stacked march (:func:`_close`), and each list
+    entry is replaced by its orbit with that march's periodicity residual;
+    a later integration, after a step, closes x_0 alone. At most
     ``max_iter >= 0`` steps are taken, so zero accepts only a start that
     already meets tol; a stall or a singular condensed Jacobian raises
     :class:`NonConvergenceError` carrying the defect history.
@@ -438,6 +472,8 @@ def shooting_solve(
     t0 = _nodes(T, n_seg)
     blocks = np.tile(_linear_monodromy(sys, dt, stride) + np.eye(2 * sys.n_modes), (n_seg, 1, 1))
 
+    # the riders' states at t = 0, on the first closing march only
+    riding = [np.concatenate([orbit.u[0], orbit.w[0]]) for orbit in riders or ()]
     ends = flow(sys, x, t0, T / n_seg, dt)
     defect = ends - np.roll(x, -1, axis=0)
     history = [float(np.linalg.norm(defect))]
@@ -447,9 +483,11 @@ def shooting_solve(
         # c is the linear estimate of x_0's period defect, so meeting tol with it
         # too spares most integrations whose residual would miss tol
         if history[-1] <= scale and np.linalg.norm(condensed) <= scale:
-            traj = integrate_cauchy(sys, x[0], T, dt)
-            residual = _relative_defect(traj.x[-1] - x[0], x[0])
-            if residual <= tol:
+            times, states, residuals = _close(sys, [x[0], *riding], dt)
+            for k, residual in enumerate(residuals[1:]):
+                riders[k] = replace(riders[k], periodicity_residual=residual)
+            riding = []
+            if residuals[0] <= tol:
                 break
         if len(history) > max_iter:
             raise NonConvergenceError(
@@ -477,13 +515,14 @@ def shooting_solve(
         defect = ends - np.roll(x, -1, axis=0)
         history.append(float(np.linalg.norm(defect)))
 
-    u_orbit = traj.u[:-1]
-    w_orbit = traj.w[:-1]
+    n = sys.n_modes
+    u_orbit = states[:-1, 0, :n]
+    w_orbit = states[:-1, 0, n:]
     return PeriodicOrbit(
-        times=traj.times[:-1],
+        times=times[:-1],
         u=u_orbit,
         w=w_orbit,
-        periodicity_residual=residual,
+        periodicity_residual=residuals[0],
         ct_norm=ct_norm(sys, u_orbit, w_orbit),
         converged=True,
         history=tuple(history),

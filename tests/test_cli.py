@@ -112,9 +112,18 @@ def read_bytes(out_dir, name):
 @pytest.fixture
 def no_solver_work(monkeypatch):
     """Fail the test if an orbit solver sweeps, integrates or builds a Jacobian."""
-    work = ("_periodic_response", "_u_block", "_w_block", "integrate_cauchy", "_linear_monodromy")
+    work = (
+        "_periodic_response",
+        "_u_block",
+        "_w_block",
+        "integrate_cauchy",
+        "flow",
+        "_linear_monodromy",
+    )
     for name in work:
-        monkeypatch.setattr(periodic, name, lambda *args: pytest.fail("the solver did work"))
+        monkeypatch.setattr(
+            periodic, name, lambda *args, **kwargs: pytest.fail("the solver did work")
+        )
 
 
 def test_feasibility_report_and_curves(tmp_path, capsys):
@@ -463,6 +472,30 @@ def test_shooting_blow_up_leaves_a_partial_report(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["report.json", "run.cfg"]
 
 
+def test_picard_start_blowing_up_in_the_shared_march_exits_4(tmp_path, capsys, monkeypatch):
+    """Under both, Picard's start is integrated in shooting's closing march,
+    after shooting has converged: a runaway start there exits 4 with the
+    error its lone integration raises, its time, peak and m."""
+    path = config_path("feasible_periodic.cfg")
+    cfg = load_config(path)
+    sys_ = cli._build_system(cfg, cli._build_model(cfg))
+    runaway = np.full((2048, sys_.n_modes), 300.0)
+    times = np.arange(2048) * (sys_.period / 2048)
+
+    def picard(sys_, n_t, dt, close=True, **kwargs):
+        assert close is False
+        return PeriodicOrbit(times, runaway, 0.0 * runaway, None, 0.0, True, (0.0,))
+
+    monkeypatch.setattr(cli, "picard_solve", picard)
+    start = np.concatenate([runaway[0], np.zeros(sys_.n_modes)])
+    with pytest.raises(galerkin.BlowUpError) as lone:
+        galerkin.integrate_cauchy(sys_, start, sys_.period, 2.0 / 1024)
+    assert cli.main(["solve-periodic", "--config", path, "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err.strip() == str(lone.value)
+    report = read_report(tmp_path)
+    assert {key: report[key] for key in ("time", "magnitude", "m")} == vars(lone.value)
+
+
 def test_cauchy_step_past_the_stability_limit_names_the_key(tmp_path, capsys, monkeypatch):
     """At m = 8 cauchy.dt = 0.25 is past RK4's limit: solve-cauchy exits 2
     with the key and value before the message, which names T/N, and takes
@@ -809,6 +842,82 @@ def test_nonpositive_decay_rate_exits_2_under_every_method(
     assert cli.main(["solve-periodic", "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert f"decay rate must be positive, got {lam0} (periodic response undefined)" in err, err
+
+
+def test_both_methods_give_the_lone_solvers_orbits_bit_for_bit(tmp_path):
+    """Under both, Picard's periodicity check rides shooting's closing march,
+    and the written orbits, histories and residuals are still those of
+    picard_solve and shooting_solve run alone on feasible_periodic.cfg."""
+    path = config_path("feasible_periodic.cfg")
+    assert cli.main(["solve-periodic", "--config", path, "--out", str(tmp_path)]) == 0
+    cfg = load_config(path)
+    sys_ = cli._build_system(cfg, cli._build_model(cfg))
+    dt = cfg.get("solver.dt", None)
+    lone = {
+        "picard": periodic.picard_solve(sys_, cfg.get("solver.n_t", None), dt),
+        "shooting": periodic.shooting_solve(sys_, dt),
+    }
+    payload = read_report(tmp_path)["payload"]
+    for (name, orbit), csv in zip(lone.items(), ("orbit.csv", "orbit_shooting.csv")):
+        rows = np.loadtxt(tmp_path / csv, delimiter=",", skiprows=2)
+        assert np.array_equal(rows, np.column_stack([orbit.times, orbit.u, orbit.w])), name
+        assert payload[name]["history"] == list(orbit.history), name
+        assert payload[name]["periodicity_residual"] == orbit.periodicity_residual, name
+
+
+@pytest.mark.parametrize(
+    "command, old, new, keys",
+    [
+        (
+            "solve-cauchy",
+            "model.u_peak = 100.0",
+            "model.u_peak = -5",
+            "model.u_peak = -5.0, model.u_res = 0.0: u_peak must exceed u_res",
+        ),
+        (
+            "solve-periodic",
+            "model.c1 = 125.0",
+            "model.c1 = 0",
+            "model.c1 = 0.0: decay rate must be positive, got 0.0",
+        ),
+        (
+            "feasibility",
+            "model.c1 = 125.0",
+            "model.c1 = 0",
+            "model.c1 = 0.0: decay rate must be positive, got 0.0",
+        ),
+    ],
+)
+def test_model_rules_across_keys_name_file_line_and_keys(
+    tmp_path, capsys, command, old, new, keys
+):
+    """u_peak > u_res and lambda_0 = epsilon c4 / C > 0 each read more than
+    one value, and each exits 2 naming the file, the last line among its
+    keys, and the keys with their values."""
+    shipped = {"solve-cauchy": "cauchy_demo.cfg", "feasibility": "window_aggregates.cfg"}
+    with open(config_path(shipped.get(command, "feasible_periodic.cfg")), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    line = lines.index(old) + 1
+    if "u_res" in keys:
+        line = max(line, lines.index("model.u_res = 0.0") + 1)
+    lines[lines.index(old)] = new
+    cfg = write_config(tmp_path, "\n".join(lines) + "\n")
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: {cfg}:{line}: {keys}" in err, err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_pinned_c4_is_named_for_a_nonpositive_decay_rate(tmp_path, capsys):
+    """With derived.c4_override set, lambda_0 is its, and so is the key named."""
+    with open(config_path("linear_orbit.cfg"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    line = lines.index("derived.c4_override = 31.25") + 1
+    lines[line - 1] = "derived.c4_override = 0"
+    cfg = write_config(tmp_path, "\n".join(lines) + "\n")
+    assert cli.main(["solve-periodic", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:{line}: derived.c4_override = 0.0: decay rate must be positive" in err, err
 
 
 def test_linear_orbit_converges_in_one_step(tmp_path, capsys):

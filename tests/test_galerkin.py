@@ -347,10 +347,46 @@ def test_integration_rejects_nonpositive_step_or_end_time(t1, dt, message):
 
 
 def test_integration_rejects_mismatched_state_shapes():
+    """A lone state or a stack (k, 2n) with the wrong state length, an empty
+    stack or one with a third axis is named against both accepted shapes."""
     sys = feasible_system(m=4)
-    for x0 in (np.zeros((3, 10)), np.zeros(5), np.zeros(12)):
-        with pytest.raises(ValueError, match=r"\(10,\)"):
+    shapes = ((5,), (12,), (3, 12), (3, 1, 10), (0, 10), ())
+    for x0 in map(np.zeros, shapes):
+        with pytest.raises(ValueError, match=r"expects \(10,\) or a stack \(k, 10\)$"):
             integrate_cauchy(sys, x0, PERIOD, dt=0.1)
+
+
+@pytest.mark.parametrize("m", range(13))
+def test_stacked_integration_members_equal_their_lone_integrations(m):
+    """Each member of a stack steps on its own row axis, so at m <= 12 its
+    rows are its lone integration's bit for bit, on the nonlinear system at
+    T/1024 and on the reaction-free one at T/64; ``u`` and ``w`` slice each
+    member's state."""
+    rng = np.random.default_rng(m)
+    for sys, n_steps in ((feasible_system(m=m), 1024), (linear_system(m=m), 64)):
+        dt = PERIOD / n_steps
+        stack = 0.01 * rng.standard_normal((3, 2 * sys.n_modes))
+        stack[2] = 0.0
+        traj = integrate_cauchy(sys, stack, PERIOD, dt)
+        assert traj.x.shape == (n_steps + 1, 3, 2 * sys.n_modes)
+        for k, x0 in enumerate(stack):
+            alone = integrate_cauchy(sys, x0, PERIOD, dt)
+            assert np.array_equal(traj.times, alone.times)
+            assert np.array_equal(traj.x[:, k], alone.x), f"member {k} at m = {m}"
+            assert np.array_equal(traj.u[:, k], alone.u) and np.array_equal(traj.w[:, k], alone.w)
+
+
+def test_stacked_blow_up_is_the_members_own():
+    """A runaway beside a calm member raises the error it raises alone: its
+    time, its peak and m."""
+    sys = feasible_system(m=4)
+    runaway = state(100.0 * np.ones(5), np.zeros(5))
+    with pytest.raises(BlowUpError) as lone:
+        integrate_cauchy(sys, runaway, PERIOD, dt=PERIOD / 64)
+    with pytest.raises(BlowUpError) as stacked:
+        integrate_cauchy(sys, np.stack([zero_state(sys), runaway]), PERIOD, dt=PERIOD / 64)
+    assert str(stacked.value) == str(lone.value)
+    assert vars(stacked.value) == vars(lone.value)
 
 
 def test_period_map_linear_contraction():

@@ -1,13 +1,14 @@
 """The periodic response, the fixed-point operator, and both orbit solvers."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from monorhythm import periodic
+from monorhythm import cli, periodic
 from monorhythm.feasibility import EmbeddingConstants, a2_bound
 from monorhythm.galerkin import GalerkinSystem, flow, integrate_cauchy
 from monorhythm.ionic import PhysiologicalParameters, derive_parameters, with_reaction
@@ -33,6 +34,7 @@ from systems import EPSILON, GEOM, PERIOD, PHI, XI, feasible_model, feasible_sys
 R_STAR = 0.01587400205355547
 # the RK4 step of Picard's periodicity check, the command-line default
 DT = PERIOD / 1024
+CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
 
 def unit_response(lam, T, n_t):
@@ -70,9 +72,18 @@ def test_solvers_reject_nonpositive_rate_before_any_work(monkeypatch, which, rat
     """Both solvers check every decay rate once, before any sweep, integration
     or Jacobian: with one that is not positive and finite the periodic
     response is undefined and the period-map Jacobian singular."""
-    work = ("_periodic_response", "_u_block", "_w_block", "integrate_cauchy", "_linear_monodromy")
+    work = (
+        "_periodic_response",
+        "_u_block",
+        "_w_block",
+        "integrate_cauchy",
+        "flow",
+        "_linear_monodromy",
+    )
     for name in work:
-        monkeypatch.setattr(periodic, name, lambda *args: pytest.fail("the solver did work"))
+        monkeypatch.setattr(
+            periodic, name, lambda *args, **kwargs: pytest.fail("the solver did work")
+        )
     sys = linear_system(s0=1.0)
     if which == "lambda_0":
         lambdas = sys.basis.lambdas.copy()
@@ -527,6 +538,55 @@ def _count_integrations(setattr_):
     setattr_(periodic, "integrate_cauchy", full)
     setattr_(periodic, "flow", segments)
     return full, segments
+
+
+@pytest.mark.parametrize("method", ["picard", "shooting", "both"])
+def test_closing_march_carries_each_orbit_once(tmp_path, method):
+    """solve-periodic on feasible_periodic.cfg makes one closing march: a
+    one-member march of the lone solver's start, or under both one
+    two-member march of shooting's x_0 and Picard's start."""
+    text = (CONFIG_DIR / "feasible_periodic.cfg").read_text(encoding="utf-8")
+    text = text.replace("solver.method = both", f"solver.method = {method}")
+    if method == "shooting":
+        text = text.replace("solver.n_t = 2048\n", "")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    with pytest.MonkeyPatch.context() as patched:
+        full, _ = _count_integrations(patched.setattr)
+        argv = ["solve-periodic", "--config", str(cfg), "--out", str(tmp_path), "--format", "json"]
+        assert cli.main(argv) == 0
+    assert full.shapes == [(2, 18) if method == "both" else (18,)]
+
+
+def test_shooting_closes_its_start_alone_when_the_shared_march_misses_tol(monkeypatch):
+    """Should shooting's own residual in the shared closing march miss tol,
+    shooting steps again and closes x_0 alone, and Picard keeps the residual
+    of the shared march, which is its lone one."""
+    sys = feasible_system(m=4)
+    dt = PERIOD / 256
+    picard = picard_solve(sys, 256, dt)
+    lone = shooting_solve(sys, dt)
+    close = periodic._close
+    sizes = []
+
+    def missing_once(sys_, starts, dt_):
+        times, states, residuals = close(sys_, starts, dt_)
+        sizes.append(len(starts))
+        if len(sizes) == 1:
+            residuals = [np.inf, *residuals[1:]]
+        return times, states, residuals
+
+    monkeypatch.setattr(periodic, "_close", missing_once)
+    unclosed = picard_solve(sys, 256, dt, close=False)
+    assert unclosed.periodicity_residual is None
+    riders = [unclosed]
+    shoot = shooting_solve(sys, dt, riders=riders)
+    (closed,) = riders
+    assert sizes == [2, 1]
+    assert shoot.n_iter == lone.n_iter + 1
+    assert shoot.periodicity_residual <= 1e-10
+    assert closed.periodicity_residual == picard.periodicity_residual
+    assert closed.history == picard.history and np.array_equal(closed.u, picard.u)
 
 
 def test_shooting_matches_columnwise_newton_with_fewer_integrations():

@@ -16,7 +16,8 @@ outside its range (every such case exits 2; the model's ``a``, the
 rescaling's ``epsilon``, the interval length and the pulse width among
 them), with a node grid that breaks one method's rule (Picard's n_t = 48,
 shooting's dt = 0.0019 and 0.0625; exit 2), with a two-coefficient
-``ic.u`` (exit 2), with both kappa and the projection excess (exit 2), or
+``ic.u`` (exit 2), with both kappa and the projection excess (exit 2), with
+u_peak under u_res or c1 = 0, which zeroes lambda_0 (exit 2), or
 with one of the window's inputs swapped: ``window_aggregates.cfg`` with the projection
 excess in place of kappa, and ``reaction_region.cfg`` with a pinned c4,
 positive or negative, under ``param-region``.
@@ -103,6 +104,8 @@ EDITED_CONFIGS = (
         ("solver.method = shooting", "solver.dt = 0.0625"),
     ),
     ("cauchy_demo", "solve-cauchy", (), ("ic.u = 1.0, 2.0",)),
+    ("cauchy_demo", "solve-cauchy", ("model.u_peak ",), ("model.u_peak = -5",)),
+    ("feasible_periodic", "solve-periodic", ("model.c1 ",), ("model.c1 = 0",)),
 )
 
 
