@@ -15,11 +15,11 @@ Exit codes: 0 success, 2 configuration error (including a configured
 value that breaks the rule on its :data:`.config.SCHEMA` row, a solver,
 stimulus or region key that another value switches off, ``--seed`` under
 shooting, node grids :func:`.periodic.orbit_nodes` rejects, an RK4 step
-past its stability limit, and a decay rate lambda_0 <= 0), 3 solver
-non-convergence, 4 trajectory blow-up. A run that exits 3 or 4 still
-writes a partial report: the command, the config echo, the error message,
-and the failed solver's history or the blow-up's time, magnitude and
-truncation size m.
+past its stability limit, a decay rate lambda_0 <= 0, and in-range values
+whose products vanish), 3 solver non-convergence, 4 trajectory blow-up;
+any other error is the program's. A run that exits 3 or 4 still writes a
+partial report: the command, the config echo, the error message, and the
+failed solver's history or the blow-up's time, magnitude and size m.
 """
 
 from __future__ import annotations
@@ -73,10 +73,19 @@ _DIRECT_AGGREGATE_KEYS = ("feasibility.beta", "feasibility.gamma", "feasibility.
 
 
 def _keyed_error(cfg: RunConfig, keys, exc: ValueError) -> ConfigError:
-    """A rule across configured ``keys`` that ``exc`` reports, as a ConfigError
-    prefixed ``key = value`` per key, at the last line that sets one of them."""
+    """``exc`` as a ConfigError prefixed ``key = value`` per key of ``keys``, at the
+    last line of the file that sets one of them, or at none if all are defaults."""
     prefix = ", ".join(f"{key} = {cfg.consumed[key]!r}" for key in keys)
-    return ConfigError(f"{prefix}: {exc}", cfg.path, max(cfg.lines[key] for key in keys))
+    line = max((cfg.lines[key] for key in keys if key in cfg.lines), default=None)
+    return ConfigError(f"{prefix}: {exc}", cfg.path, line)
+
+
+def _keyed(cfg: RunConfig, keys, check, *args, **kwargs):
+    """``check(*args, **kwargs)``, a ValueError it raises keyed by ``keys``."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise _keyed_error(cfg, keys, exc) from None
 
 
 def _build_model(cfg: RunConfig):
@@ -106,11 +115,8 @@ def _build_model(cfg: RunConfig):
 def _check_lam0(cfg: RunConfig, d) -> None:
     """Raise a ConfigError naming lam0 = epsilon c4 / C's input, ``derived.c4_override``
     when it is set and ``model.c1`` otherwise, unless lam0 is positive and finite."""
-    try:
-        check_decay_rates(d.lam0)
-    except ValueError as exc:
-        key = "model.c1" if d.c4_override is None else "derived.c4_override"
-        raise _keyed_error(cfg, (key,), exc) from None
+    key = "model.c1" if d.c4_override is None else "derived.c4_override"
+    _keyed(cfg, (key,), check_decay_rates, d.lam0)
 
 
 def _build_stimulus(cfg: RunConfig, d):
@@ -153,9 +159,18 @@ def _build_embedding(cfg: RunConfig) -> EmbeddingConstants:
     )
 
 
+def _drive_keys(cfg: RunConfig) -> tuple:
+    """The factors of a nonpositive drive product set to zero, or all three if it underflowed."""
+    keys = ("feasibility.s_sup", "feasibility.trace_norm", "feasibility.phi_norm")
+    return tuple(key for key in keys if cfg.consumed[key] == 0.0) or keys
+
+
 def _build_aggregates(cfg: RunConfig, d) -> AggregateConstants:
     if not any(cfg.has(key) for key in _DIRECT_AGGREGATE_KEYS):
-        return aggregate_from_raw(d, _build_embedding(cfg), cfg.require("feasibility.k2"))
+        emb = _build_embedding(cfg)
+        # gamma = A3 k1 vanishes with c2, delta = A1 k1 |Omega|^(3/4) + drive with c1 and the drive
+        keys = ("model.c2",) if not d.A3 * emb.k1 > 0.0 else ("model.c1", *_drive_keys(cfg))
+        return _keyed(cfg, keys, aggregate_from_raw, d, emb, cfg.require("feasibility.k2"))
     return AggregateConstants(_kappa(cfg), *(cfg.require(key) for key in _DIRECT_AGGREGATE_KEYS))
 
 
@@ -170,15 +185,6 @@ def _initial_state(cfg: RunConfig, n_modes: int) -> np.ndarray:
                 cfg.lines.get(name),
             )
     return np.concatenate([u0, w0])
-
-
-def _check_step(cfg: RunConfig, key: str, dt: float, sys_) -> None:
-    """Raise a ConfigError prefixed ``key = dt:`` if the RK4 step ``dt`` is past
-    RK4's stability limit on ``sys_``."""
-    try:
-        check_rk4_step(sys_, dt)
-    except ValueError as exc:
-        raise ConfigError(f"{key} = {dt!r}: {exc}", cfg.path) from None
 
 
 def cmd_feasibility(cfg: RunConfig):
@@ -237,7 +243,7 @@ def cmd_solve_cauchy(cfg: RunConfig):
     x0 = _initial_state(cfg, sys_.n_modes)
     t_end = cfg.require("cauchy.t_end")
     dt = cfg.require("cauchy.dt")
-    _check_step(cfg, "cauchy.dt", dt, sys_)
+    _keyed(cfg, ("cauchy.dt",), check_rk4_step, sys_, dt)
     traj = integrate_cauchy(sys_, x0, t_end, dt)
     monitors, growth = apriori_monitor(sys_, traj)
 
@@ -296,13 +302,11 @@ def cmd_solve_periodic(cfg: RunConfig, seed=None):
         grid["dt"] = dt
     cfg.reject_unread("solver.", f"by solver.method = {method}")
     # the node rules of every method that runs, then the step's, before either solver runs
-    try:
-        orbit_nodes(sys_.period, **grid)
-    except ValueError as exc:
-        prefix = ", ".join(f"solver.{key} = {value!r}" for key, value in grid.items())
-        raise ConfigError(f"{prefix}: {exc}", cfg.path) from None
-    _check_step(cfg, "solver.dt", dt, sys_)
+    _keyed(cfg, [f"solver.{key}" for key in grid], orbit_nodes, sys_.period, **grid)
+    _keyed(cfg, ("solver.dt",), check_rk4_step, sys_, dt)
     _check_lam0(cfg, sys_.d)
+    recovery = ("rescale.epsilon", "model.b", "rescale.xi", "model.c3")  # product may underflow
+    _keyed(cfg, recovery, check_decay_rates, sys_.recovery_rate)
 
     orbits = {}  # Picard's first, so it is the primary orbit when both run
     if method != "shooting":
@@ -348,7 +352,7 @@ def cmd_converge(cfg: RunConfig):
     t_end = cfg.require("cauchy.t_end")
     dt = cfg.require("cauchy.dt")
     sys_ = _build_system(cfg, d, max(m_list))
-    _check_step(cfg, "cauchy.dt", dt, sys_)
+    _keyed(cfg, ("cauchy.dt",), check_rk4_step, sys_, dt)
     gaps = refinement_gaps(sys_, m_list, t_end, dt)
     rows = [[coarse, fine, *gap] for coarse, fine, gap in zip(m_list, m_list[1:], gaps.tolist())]
     pairs = [dict(zip(("m_coarse", "m_fine", "u_diff", "w_diff"), row)) for row in rows]
@@ -379,9 +383,16 @@ def cmd_param_region(cfg: RunConfig):
     if a2_max is not None:
         n_a2 = cfg.get("region.n_a2", 64)
     cfg.reject_unread("region.", "without region.a2_max")
+    if d.c4_override is not None:  # unpinned, lam0 follows the raster's a1, not a key
+        _check_lam0(cfg, d)
 
     a1 = np.linspace(a1_min, a1_max, n_a1)
-    bound = a2_bound(a1, d, emb)
+    try:
+        bound = a2_bound(a1, d, emb)
+    except ValueError as exc:
+        if emb.delta(0.0) > 0.0:
+            raise  # a1 >= 0 and a pinned lam0 are checked, so only a zero drive is the input's
+        raise _keyed_error(cfg, _drive_keys(cfg), exc) from None
     files = [
         (
             "region.csv",
@@ -503,7 +514,7 @@ def main(argv=None) -> int:
     args = _make_parser().parse_args(argv)
     try:
         return _run(args)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except NonConvergenceError as exc:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .galerkin import GalerkinSystem, check_rk4_step, flow, integrate_cauchy
+from .galerkin import GalerkinSystem, check_rk4_step, integrate_cauchy
 from .ionic import check_decay_rates
 from .spectral import project_nonlinearity, v_norm_sq
 
@@ -419,9 +419,9 @@ def shooting_solve(
     16 at N = 1024, 2 at N = 128, 1 at N = 64 or at odd N). The unknowns are
     the states x_k at t_k = k T / K, and segment k's defect is
     c_k = F_k(x_k) - x_(k+1 mod K), where F_k flows x_k over [t_k, t_(k+1)].
-    One call of :func:`~monorhythm.galerkin.flow` marches all K states at
-    once, which at small m costs about what one state costs, because an RK4
-    step there is per-call overhead rather than arithmetic.
+    One :func:`~monorhythm.galerkin.integrate_cauchy` of the K states, each
+    from its own t_k, marches them all at once, which at small m costs about
+    what one state costs: an RK4 step there is per-call overhead.
 
     The start is the linear part's continuous-time periodic response to the
     drive at the segment starts. Reaction-free, it misses the RK4 orbit by
@@ -474,7 +474,7 @@ def shooting_solve(
 
     # the riders' states at t = 0, on the first closing march only
     riding = [np.concatenate([orbit.u[0], orbit.w[0]]) for orbit in riders or ()]
-    ends = flow(sys, x, t0, T / n_seg, dt)
+    ends = integrate_cauchy(sys, x, T / n_seg, dt, t0).x[-1]
     defect = ends - np.roll(x, -1, axis=0)
     history = [float(np.linalg.norm(defect))]
     while True:
@@ -506,7 +506,7 @@ def shooting_solve(
         for k in range(n_seg - 1):
             step[k + 1] = blocks[k] @ step[k] + defect[k]
         x = x + step
-        ends_next = flow(sys, x, t0, T / n_seg, dt)
+        ends_next = integrate_cauchy(sys, x, T / n_seg, dt, t0).x[-1]
         # each block's rank-one update from its own secant pair
         misfit = ends_next - ends - np.einsum("kij,kj->ki", blocks, step)
         step_sq = np.einsum("kj,kj->k", step, step)

@@ -117,7 +117,6 @@ def no_solver_work(monkeypatch):
         "_u_block",
         "_w_block",
         "integrate_cauchy",
-        "flow",
         "_linear_monodromy",
     )
     for name in work:
@@ -498,14 +497,15 @@ def test_picard_start_blowing_up_in_the_shared_march_exits_4(tmp_path, capsys, m
 
 def test_cauchy_step_past_the_stability_limit_names_the_key(tmp_path, capsys, monkeypatch):
     """At m = 8 cauchy.dt = 0.25 is past RK4's limit: solve-cauchy exits 2
-    with the key and value before the message, which names T/N, and takes
-    no step."""
+    with the key's line, key and value before the message, which names T/N,
+    and takes no step."""
     monkeypatch.setattr(galerkin, "_march", lambda *args: pytest.fail("a step was taken"))
     text = RUNAWAY_DRIVE_CFG.replace("cauchy.dt = 0.03125", "cauchy.dt = 0.25")
     path = write_config(tmp_path, text)
+    line = load_config(path).lines["cauchy.dt"]
     assert cli.main(["solve-cauchy", "--config", path, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert f"{path}: cauchy.dt = 0.25: dt = 0.25 times the fastest decay rate" in err, err
+    assert f"{path}:{line}: cauchy.dt = 0.25: dt = 0.25 times the fastest decay rate" in err, err
     assert re.search(r"largest stable dt that divides the period is T/(\d+) = (\S+)$", err.strip())
     assert not os.path.exists(tmp_path / "report.json")
 
@@ -519,10 +519,11 @@ def test_converge_step_past_the_largest_size_exits_2_before_stepping(
     monkeypatch.setattr(galerkin, "_march", lambda *args: pytest.fail("a step was taken"))
     text = RUNAWAY_DRIVE_CFG.replace("cauchy.dt = 0.03125", "cauchy.dt = 0.015625")
     path = write_config(tmp_path, text + "converge.m_list = 8,32\n")
+    line = load_config(path).lines["cauchy.dt"]
     assert cli.main(["converge", "--config", path, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "past RK4's stability limit" in err, err
-    assert f"{path}: cauchy.dt = 0.015625: dt = 0.015625 times" in err, err
+    assert f"{path}:{line}: cauchy.dt = 0.015625: dt = 0.015625 times" in err, err
     assert not os.path.exists(tmp_path / "convergence.csv")
 
 
@@ -643,7 +644,7 @@ def test_grid_precheck_names_the_first_failing_rule_under_every_method(
     node counts nest, then that solver.dt, also the step of Picard's
     periodicity check, is inside RK4's stability limit. A run exits 2 naming
     the first rule that fails after the keys those rules read, and otherwise
-    reaches its solvers."""
+    reaches its solvers. The error's line is the last of those keys'."""
     dt = 2.0 / n_shoot if divides else 2.0 / (n_shoot + 0.5)
     picard, shooting = method != "shooting", method != "picard"
     prefix = {
@@ -699,7 +700,8 @@ def test_grid_precheck_names_the_first_failing_rule_under_every_method(
         assert calls == {"both": ["picard", "shooting"]}.get(method, [method])
     else:
         assert rc == 2
-        assert f"{cfg}: {prefix}{expected}" in err.getvalue(), err.getvalue()
+        line = max(load_config(cfg).lines[key] for key in re.findall(r"(solver\.\w+) = ", prefix))
+        assert f"{cfg}:{line}: {prefix}{expected}" in err.getvalue(), err.getvalue()
         assert calls == []
 
 
@@ -1270,6 +1272,90 @@ def test_param_region_keeps_a_pinned_decay_rate(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "decay rate must be positive, got -0.08 (periodic response undefined)" in err, err
     assert not os.path.exists(tmp_path / "negative" / "region.csv")
+
+
+_DRIVE = "the boundary-drive product s_sup * trace_norm * phi_norm must be positive"
+_UNDEFINED = "(periodic response undefined)"
+
+
+@pytest.mark.parametrize(
+    "name, command, edits, named, message",
+    [
+        (
+            "reaction_region",
+            "feasibility",
+            ("model.c2 = 0",),
+            "model.c2 = 0.0",
+            "gamma must be positive, got 0.0",
+        ),
+        (
+            "reaction_region",
+            "feasibility",
+            ("model.c1 = 0", "feasibility.s_sup = 0"),
+            "model.c1 = 0.0, feasibility.s_sup = 0.0",
+            "delta must be positive, got 0.0",
+        ),
+        (
+            "reaction_region",
+            "param-region",
+            ("feasibility.s_sup = 0",),
+            "feasibility.s_sup = 0.0",
+            _DRIVE,
+        ),
+        (
+            "reaction_region",
+            "param-region",
+            ("feasibility.phi_norm = 0",),
+            "feasibility.phi_norm = 0.0",
+            _DRIVE,
+        ),
+        (
+            "reaction_region",
+            "param-region",
+            ("derived.c4_override = -2.5",),
+            "derived.c4_override = -2.5",
+            f"decay rate must be positive, got -0.08 {_UNDEFINED}",
+        ),
+        (
+            "feasible_periodic",
+            "solve-periodic",
+            ("model.b = 1e-300", "rescale.xi = 1e-30"),
+            "rescale.epsilon = 0.032, model.b = 1e-300, rescale.xi = 1e-30, model.c3 = 1.0",
+            f"decay rate must be positive, got 0.0 {_UNDEFINED}",
+        ),
+    ],
+)
+def test_values_that_zero_a_derived_quantity_name_file_line_and_keys(
+    tmp_path, capsys, name, command, edits, named, message
+):
+    """Values each inside its own key's range can still zero what the run
+    derives from them: gamma with c2, delta with c1 and the drive, the
+    boundary-drive product with one factor, a pinned lambda_0, or the
+    recovery rate epsilon b xi c3 by underflow. Each exits 2 naming the
+    keys behind it with their values, at the last line that sets one."""
+    dropped = tuple(edit.split("=")[0] for edit in edits)
+    with open(config_path(f"{name}.cfg"), encoding="utf-8") as fh:
+        lines = [line for line in fh.read().splitlines() if not line.startswith(dropped)]
+    lines += edits
+    cfg = write_config(tmp_path, "\n".join(lines) + "\n")
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: {cfg}:{len(lines)}: {named}: {message}\n", err
+    assert not os.path.exists(tmp_path / "out"), "nothing should be written"
+
+
+def test_a_value_error_past_the_checks_is_not_a_configuration_error(tmp_path, monkeypatch):
+    """Only a ConfigError exits 2. A ValueError a solver raises after the
+    command's checks is a fault of the program, not of the input, so it
+    leaves main as it was raised."""
+
+    def broken(*args, **kwargs):
+        raise ValueError("an internal fault")
+
+    monkeypatch.setattr(cli, "picard_solve", broken)
+    cfg = config_path("feasible_periodic.cfg")
+    with pytest.raises(ValueError, match="an internal fault"):
+        cli.main(["solve-periodic", "--config", cfg, "--out", str(tmp_path)])
 
 
 def test_unknown_key_exits_2(tmp_path, capsys):

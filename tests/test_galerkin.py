@@ -14,7 +14,6 @@ from monorhythm.galerkin import (
     GalerkinSystem,
     apriori_monitor,
     check_rk4_step,
-    flow,
     integrate_cauchy,
     refinement_gaps,
     rhs,
@@ -325,7 +324,7 @@ def test_integration_and_ladder_leave_their_inputs_alone():
     starts = np.array([0.0, 0.1])
     inputs.append(starts)
     before.append(starts.tobytes())
-    flow(sys, np.stack([x0, x0]), starts, 0.3, 0.03)
+    integrate_cauchy(sys, np.stack([x0, x0]), 0.3, 0.03, starts)
     assert [a.tobytes() for a in inputs] == before
     assert np.array_equal(traj.x, rk4_on_public_rhs(sys, traj.times, x0.copy()))
     assert np.all(np.any(traj.x[1:] != traj.x[:-1], axis=1))
@@ -521,30 +520,33 @@ def test_ladder_blow_up_names_the_size():
     assert info.value.magnitude == pytest.approx(lone.value.magnitude, rel=1e-9)
 
 
-def test_flow_members_follow_the_drive_from_their_own_start_times():
-    """Each of K stacked members flows as it would alone, and members that
-    start at the segment starts k T / K chain into one RK4 period: flowing
-    segment by segment from the period's start lands where one integration
-    of the period does, to rounding. Member 0 of a stack started at t = 0
-    takes the steps of integrate_cauchy."""
+def test_members_follow_the_drive_from_their_own_start_times():
+    """Each of K stacked members given start times steps as its own
+    one-member march does, bit for bit, and members that start at the
+    segment starts k T / K chain into one RK4 period: marching segment by
+    segment from the period's start lands where one integration of the
+    period does, to rounding. The nodes are each member's local times, and
+    member 0, started at t = 0, takes a lone integration's steps bit for bit."""
     sys = pulse_system()
     n_seg, dt = 4, PERIOD / 256
     rng = np.random.default_rng(9)
     x = 0.01 * rng.standard_normal((n_seg, 2 * sys.n_modes))
     t0 = np.arange(n_seg) * (PERIOD / n_seg)
-    ends = flow(sys, x, t0, PERIOD / n_seg, dt)
+    traj = integrate_cauchy(sys, x, PERIOD / n_seg, dt, t0)
+    assert traj.x.shape == (65, n_seg, 2 * sys.n_modes)
     for k in range(n_seg):
-        alone = flow(sys, x[k : k + 1], t0[k : k + 1], PERIOD / n_seg, dt)[0]
-        assert np.allclose(ends[k], alone, rtol=1e-13, atol=1e-16)
-    chained = x[0]
+        alone = integrate_cauchy(sys, x[k : k + 1], PERIOD / n_seg, dt, t0[k : k + 1])
+        assert np.array_equal(traj.x[:, k], alone.x[:, 0]), f"member {k}"
+    chained = x[:1]
     for k in range(n_seg):
-        chained = flow(sys, chained[None], t0[k : k + 1], PERIOD / n_seg, dt)[0]
-    period = integrate_cauchy(sys, x[0], PERIOD, dt).x
-    assert np.max(np.abs(chained - period[-1])) <= 1e-12 * np.max(np.abs(period[-1]))
-    assert np.max(np.abs(ends[0] - period[64])) <= 1e-15 * np.max(np.abs(period[64]))
+        chained = integrate_cauchy(sys, chained, PERIOD / n_seg, dt, t0[k : k + 1]).x[-1]
+    period = integrate_cauchy(sys, x[0], PERIOD, dt)
+    assert np.max(np.abs(chained[0] - period.x[-1])) <= 1e-12 * np.max(np.abs(period.x[-1]))
+    assert np.array_equal(traj.times, period.times[:65])
+    assert np.array_equal(traj.x[:, 0], period.x[:65])
 
 
-def test_flow_blow_up_names_the_member_and_its_own_time():
+def test_stacked_blow_up_names_the_member_and_its_own_time():
     """Under a constant drive a runaway started at t0 = 0.75 blows up
     0.0625 later, as the same start does alone from t = 0: the stack
     reports the member's own time, 0.8125, not its local one, and its
@@ -556,22 +558,27 @@ def test_flow_blow_up_names_the_member_and_its_own_time():
     with pytest.raises(BlowUpError) as lone:
         integrate_cauchy(sys, runaway, PERIOD, dt=PERIOD / 64)
     with pytest.raises(BlowUpError) as stacked:
-        flow(sys, np.stack([zero_state(sys), runaway]), np.array([0.0, 0.75]), 1.0, PERIOD / 64)
+        integrate_cauchy(
+            sys, np.stack([zero_state(sys), runaway]), 1.0, PERIOD / 64, np.array([0.0, 0.75])
+        )
     assert lone.value.time == 0.0625
     assert stacked.value.time == 0.75 + 0.0625
     assert stacked.value.m == 4
     assert stacked.value.magnitude == pytest.approx(lone.value.magnitude, rel=1e-9)
 
 
-def test_flow_checks_its_step_and_shapes_before_stepping(monkeypatch):
+def test_start_times_need_a_stack_of_their_length_before_stepping(monkeypatch):
+    """A lone state given start times, or start times whose shape is not the
+    stack's (k,), raise before any step, as does a step past RK4's limit."""
     monkeypatch.setattr(galerkin, "_march", lambda *args: pytest.fail("a step was taken"))
     sys = feasible_system(m=4)
     x = np.zeros((2, 2 * sys.n_modes))
     with pytest.raises(ValueError, match="stability limit"):
-        flow(sys, x, np.zeros(2), PERIOD, PERIOD / 2)
-    for states, starts in ((x[0], np.zeros(1)), (x, np.zeros(3)), (np.zeros((2, 5)), np.zeros(2))):
-        with pytest.raises(ValueError, match=r"expected \(K, 10\) and \(K,\)"):
-            flow(sys, states, starts, PERIOD, PERIOD / 64)
+        integrate_cauchy(sys, x, PERIOD, PERIOD / 2, np.zeros(2))
+    cases = ((x[0], np.zeros(1)), (x[0], 0.0), (x, np.zeros(3)), (x, np.zeros((2, 1))), (x, 0.0))
+    for states, starts in cases:
+        with pytest.raises(ValueError, match=r"need shape \(k,\) beside a stack \(k, 10\), got "):
+            integrate_cauchy(sys, states, PERIOD, PERIOD / 64, starts)
 
 
 def test_refinement_differences_shrink():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from monorhythm import cli, periodic
 from monorhythm.feasibility import EmbeddingConstants, a2_bound
-from monorhythm.galerkin import GalerkinSystem, flow, integrate_cauchy
+from monorhythm.galerkin import GalerkinSystem, integrate_cauchy
 from monorhythm.ionic import PhysiologicalParameters, derive_parameters, with_reaction
 from monorhythm.periodic import (
     BallCertificate,
@@ -77,7 +77,6 @@ def test_solvers_reject_nonpositive_rate_before_any_work(monkeypatch, which, rat
         "_u_block",
         "_w_block",
         "integrate_cauchy",
-        "flow",
         "_linear_monodromy",
     )
     for name in work:
@@ -410,9 +409,9 @@ def test_linear_start_saves_one_integration_on_a_pulse(monkeypatch, m, width, n_
                     periodic, "_periodic_response", lambda rates, T, forcing: 0.0 * forcing
                 )
             orbit = periodic.shooting_solve(sys, dt=PERIOD / n_steps)
-        assert full.shapes == [(2 * sys.n_modes,)]
-        assert len(segments.shapes) == orbit.n_iter + 1
-        marches.append(len(segments.shapes))
+        assert full == [(2 * sys.n_modes,)]
+        assert len(segments) == orbit.n_iter + 1
+        marches.append(len(segments))
         starts.append(orbit.history[0])
     assert marches[0] + saved == marches[1], f"marches {marches}"
     assert starts[0] < 1e-3 * starts[1], f"start defects {starts}"
@@ -518,25 +517,17 @@ def _columnwise_shooting(sys, dt, tol=1e-10, max_iter=25):
     return traj, n_iter, residual
 
 
-class _CountingIntegrations:
-    """Stand-in for ``periodic.integrate_cauchy`` or ``periodic.flow`` recording
-    each start shape: one state, or K stacked segment states."""
-
-    def __init__(self, integrate):
-        self.integrate = integrate
-        self.shapes = []
-
-    def __call__(self, *args, **kwargs):
-        self.shapes.append(np.shape(args[1]))
-        return self.integrate(*args, **kwargs)
-
-
 def _count_integrations(setattr_):
-    """Count shooting's full-period integrations and its segment marches,
-    each installed by ``setattr_(periodic, name, stand_in)``."""
-    full, segments = _CountingIntegrations(integrate_cauchy), _CountingIntegrations(flow)
-    setattr_(periodic, "integrate_cauchy", full)
-    setattr_(periodic, "flow", segments)
+    """Install a stand-in for ``periodic.integrate_cauchy`` by ``setattr_`` and
+    return two lists it fills with each march's start shape: the closing
+    marches from t = 0, then the segment marches, the ones given start times."""
+    full, segments = [], []
+
+    def counting(sys, x0, t1, dt, t0=None):
+        (full if t0 is None else segments).append(np.shape(x0))
+        return integrate_cauchy(sys, x0, t1, dt, t0)
+
+    setattr_(periodic, "integrate_cauchy", counting)
     return full, segments
 
 
@@ -555,7 +546,7 @@ def test_closing_march_carries_each_orbit_once(tmp_path, method):
         full, _ = _count_integrations(patched.setattr)
         argv = ["solve-periodic", "--config", str(cfg), "--out", str(tmp_path), "--format", "json"]
         assert cli.main(argv) == 0
-    assert full.shapes == [(2, 18) if method == "both" else (18,)]
+    assert full == [(2, 18) if method == "both" else (18,)]
 
 
 def test_shooting_closes_its_start_alone_when_the_shared_march_misses_tol(monkeypatch):
@@ -607,9 +598,9 @@ def test_shooting_matches_columnwise_newton_with_fewer_integrations():
         )
         assert gap <= 1e-10, f"fixed points differ by {gap:.3e} at T/{n_steps}"
         assert orbit.periodicity_residual <= 1e-10 and ref_residual <= 1e-10
-        assert full.shapes == [(6,)]
-        assert segments.shapes == [(n_seg, 6)] * (orbit.n_iter + 1)
-        assert len(full.shapes) + len(segments.shapes) < 2 + ref_iter * (2 * sys.n_modes + 1)
+        assert full == [(6,)]
+        assert segments == [(n_seg, 6)] * (orbit.n_iter + 1)
+        assert len(full) + len(segments) < 2 + ref_iter * (2 * sys.n_modes + 1)
 
 
 def _single_state_broyden(sys, dt, tol=1e-10, max_iter=25):
@@ -704,8 +695,8 @@ def test_shooting_agrees_with_picard_across_drives(amplitude, phi, m):
     assert picard.converged and shoot.converged
     gap = orbit_gap(picard, shoot, sys.basis)
     assert gap <= 1e-6, f"cross-method gap {gap:.3e}"
-    assert full.shapes == [(2 * sys.n_modes,)]
-    assert segments.shapes == [(4, 2 * sys.n_modes)] * (shoot.n_iter + 1)
+    assert full == [(2 * sys.n_modes,)]
+    assert segments == [(4, 2 * sys.n_modes)] * (shoot.n_iter + 1)
     assert len(shoot.history) == shoot.n_iter + 1
 
 

@@ -17,10 +17,14 @@ rescaling's ``epsilon``, the interval length and the pulse width among
 them), with a node grid that breaks one method's rule (Picard's n_t = 48,
 shooting's dt = 0.0019 and 0.0625; exit 2), with a two-coefficient
 ``ic.u`` (exit 2), with both kappa and the projection excess (exit 2), with
-u_peak under u_res or c1 = 0, which zeroes lambda_0 (exit 2), or
-with one of the window's inputs swapped: ``window_aggregates.cfg`` with the projection
-excess in place of kappa, and ``reaction_region.cfg`` with a pinned c4,
-positive or negative, under ``param-region``.
+u_peak under u_res or c1 = 0, which zeroes lambda_0 (exit 2), with values
+inside their ranges whose products vanish (c2 = 0 or c1 = s_sup = 0 under
+``feasibility``, a zero drive factor under ``param-region``, an underflowed
+recovery rate under ``solve-periodic``; exit 2), with one of the window's
+inputs swapped: ``window_aggregates.cfg`` with the projection excess in
+place of kappa, and ``reaction_region.cfg`` with a pinned c4, positive or
+negative, under ``param-region``, or with ``solver.m = 16`` on
+``feasible_periodic.cfg``, where both methods run at a size past 12.
 Each case runs ``python -m monorhythm.cli`` from ``ROOT/src`` in a fresh
 interpreter. For each case the listing gives the exit code, stdout and
 stderr with the case's paths and ROOT masked (so tracebacks from two
@@ -106,6 +110,22 @@ EDITED_CONFIGS = (
     ("cauchy_demo", "solve-cauchy", (), ("ic.u = 1.0, 2.0",)),
     ("cauchy_demo", "solve-cauchy", ("model.u_peak ",), ("model.u_peak = -5",)),
     ("feasible_periodic", "solve-periodic", ("model.c1 ",), ("model.c1 = 0",)),
+    ("feasible_periodic", "solve-periodic", ("solver.m ",), ("solver.m = 16",)),
+    ("reaction_region", "feasibility", ("model.c2 ",), ("model.c2 = 0",)),
+    (
+        "reaction_region",
+        "feasibility",
+        ("model.c1 ", "feasibility.s_sup "),
+        ("model.c1 = 0", "feasibility.s_sup = 0"),
+    ),
+    ("reaction_region", "param-region", ("feasibility.s_sup ",), ("feasibility.s_sup = 0",)),
+    ("reaction_region", "param-region", ("feasibility.phi_norm ",), ("feasibility.phi_norm = 0",)),
+    (
+        "feasible_periodic",
+        "solve-periodic",
+        ("model.b ", "rescale.xi "),
+        ("model.b = 1e-300", "rescale.xi = 1e-30"),
+    ),
 )
 
 
