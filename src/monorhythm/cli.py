@@ -138,7 +138,8 @@ def _build_stimulus(cfg: RunConfig, d):
 def _build_system(cfg: RunConfig, d, m: int | None = None):
     """The truncated system at size ``m``, by default ``solver.m``."""
     geom = Geometry1D(cfg.require("geometry.length"))
-    basis = build_basis(geom, cfg.require("solver.m") if m is None else m, d)
+    m = cfg.require("solver.m") if m is None else m
+    basis = _keyed(cfg, ("geometry.length",), build_basis, geom, m, d)
     stim = _build_stimulus(cfg, d)
     return GalerkinSystem(basis, d, stim)
 
@@ -314,18 +315,10 @@ def cmd_solve_periodic(cfg: RunConfig, seed=None):
         if seed is not None:
             x0 = 0.01 * np.random.default_rng(seed).standard_normal((n_t, sys_.n_modes))
         orbits["picard"] = picard_solve(
-            sys_, n_t, dt, x0=x0, theta=theta, tol=tol, max_iter=max_iter,
-            close=method == "picard",
+            sys_, n_t, dt, x0=x0, theta=theta, tol=tol, max_iter=max_iter
         )
-    if method == "shooting":
+    if method != "picard":
         orbits["shooting"] = shooting_solve(sys_, dt=dt, tol=tol, max_iter=newton_cap)
-    elif method == "both":
-        # Picard's start rides shooting's closing march, which closes its orbit in the list
-        riders = [orbits["picard"]]
-        orbits["shooting"] = shooting_solve(
-            sys_, dt=dt, tol=tol, max_iter=newton_cap, riders=riders
-        )
-        orbits["picard"] = riders[0]
 
     payload: dict = {name: _orbit_summary(orbit) for name, orbit in orbits.items()}
     if method == "both":

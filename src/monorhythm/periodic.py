@@ -18,16 +18,15 @@ which the transfer function gives without integrating, and each segment's
 Jacobian starts as R^(N/K), where R is the RK4 step matrix of the linear
 part; Broyden updates then correct each one for the reaction. The start
 ignores the reaction and never reads Picard's orbit. Both return the same
-orbits, which is the point: they fail independently. Each closes its orbit
-by one RK4 integration of its start state over the period
-(:func:`_close`), which gives the periodicity residual; when both run, the
-two start states step together in shooting's closing march, which at small
-m costs little more than one state.
+orbits, which is the point: they fail independently. Picard closes its orbit
+by one RK4 integration of its start state over the period, which gives its
+periodicity residual; shooting's orbit is its accepted segment march, whose
+largest segment defect is its residual.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,12 +61,10 @@ class PeriodicOrbit:
     """A candidate periodic trajectory with its quality measurements attached.
 
     ``times`` are the nodes k T / n_t of one period, k = 0..n_t - 1.
-    ``periodicity_residual`` is |x(T) - x(0)| / max(1, |x(0)|) for an RK4
-    integration of the returned start state x(0) over one period: the
-    solver's own, or, for a Picard orbit handed to :func:`shooting_solve`
-    as a rider, one member of shooting's closing march, whose bits equal a
-    lone integration's at m <= 12. It is None only on an orbit
-    ``picard_solve(..., close=False)`` returns, before that march.
+    ``periodicity_residual`` is Picard's |x(T) - x(0)| / max(1, |x(0)|) for
+    an RK4 integration of the returned start state x(0) over one period, or
+    shooting's largest segment defect max_k |c_k| / max(1, |x_0|) over the
+    march whose rows it returns.
     ``history`` is the solver's convergence record: Picard's residual per
     operator application, or the norm of shooting's stacked segment defect
     at the starting guess and after each step; its last entry is the
@@ -81,7 +78,7 @@ class PeriodicOrbit:
     times: np.ndarray
     u: np.ndarray
     w: np.ndarray
-    periodicity_residual: float | None
+    periodicity_residual: float
     ct_norm: float
     converged: bool
     history: tuple[float, ...]
@@ -188,22 +185,6 @@ def _relative_defect(d: np.ndarray, x: np.ndarray) -> float:
     return float(np.linalg.norm(d) / max(1.0, float(np.linalg.norm(x))))
 
 
-def _close(sys: GalerkinSystem, starts, dt: float):
-    """Integrate the start states over one period at step dt, all in one march.
-
-    The one closing step of both solvers. Returns the nodes, the states of
-    shape (nodes, k, 2 n_modes) for the k starts, and each start's
-    periodicity residual |x(T) - x(0)| / max(1, |x(0)|). A lone start steps
-    as one (2 n_modes,) state, several as one stack
-    (:func:`~monorhythm.galerkin.integrate_cauchy`).
-    """
-    stack = np.asarray(starts)
-    traj = integrate_cauchy(sys, stack[0] if len(stack) == 1 else stack, sys.period, dt)
-    x = traj.x.reshape((len(traj.times),) + stack.shape)
-    residuals = [_relative_defect(end - start, start) for end, start in zip(x[-1], stack)]
-    return traj.times, x, residuals
-
-
 def _mixing_weights(d_f: list, f: np.ndarray) -> np.ndarray:
     """Least-squares weights gamma minimising |f - sum_i gamma_i d_f[i]|.
 
@@ -225,7 +206,6 @@ def picard_solve(
     theta: float = 1.0,
     tol: float = 1e-10,
     max_iter: int = 200,
-    close: bool = True,
 ) -> PeriodicOrbit:
     """Anderson-mixed Picard iteration on the periodic fixed-point operator.
 
@@ -250,10 +230,8 @@ def picard_solve(
     W(u)) and is read, never written. The last ``history`` entry is the
     returned orbit's residual: the returned pair (u, W(u)) is the one that
     application measured, so its recovery residual is zero. The periodicity
-    residual integrates the start state over one period at step ``dt``
-    (:func:`_close`); ``close=False`` skips that integration and leaves the
-    residual None, for an orbit that rides :func:`shooting_solve`'s closing
-    march instead. ``dt`` is checked before the first application, as are
+    residual integrates the start state over one period at step ``dt``,
+    which is checked before the first application, as are
     every decay rate (:func:`_check_rates`), ``theta``, ``tol``,
     ``max_iter >= 1`` and ``n_t`` (:func:`orbit_nodes`). A non-finite
     residual, one above ``_DIVERGENCE`` times the smallest so far, or
@@ -321,15 +299,13 @@ def picard_solve(
     if x0 is not None and len(residuals) == 1:
         u = u.copy()  # never hand back a view of the caller's start
 
-    residual = None
-    if close:
-        (residual,) = _close(sys, [np.concatenate([u[0], w[0]])], dt)[2]  # from t = 0
-
+    start = np.concatenate([u[0], w[0]])  # from t = 0
+    end = integrate_cauchy(sys, start, sys.period, dt).x[-1]
     return PeriodicOrbit(
         times=_nodes(sys.period, n_t),
         u=u,
         w=w,
-        periodicity_residual=residual,
+        periodicity_residual=_relative_defect(end - start, start),
         ct_norm=ct_norm(sys, u, w),
         converged=True,
         history=tuple(residuals),
@@ -411,7 +387,6 @@ def shooting_solve(
     dt: float,
     tol: float = 1e-10,
     max_iter: int = 25,
-    riders: list[PeriodicOrbit] | None = None,
 ) -> PeriodicOrbit:
     """Multiple shooting on the period map: find x with flow_T(x) = x.
 
@@ -437,14 +412,12 @@ def shooting_solve(
 
     ``history`` holds the norm of the stacked defect (c_0, ..., c_(K-1)) at
     the start and after each step. Once it and the condensed defect c both
-    fall to tol * max(1, |x_0|), one integration of x_0 over the period
-    gives the orbit, sampled at the integrator's own nodes over [0, T), and
-    its periodicity residual; if that residual misses tol, another step is
-    taken, so no returned orbit misses tol. The start state of each orbit in
-    ``riders`` (Picard's, under both methods) steps beside x_0 in the first
-    such integration, one stacked march (:func:`_close`), and each list
-    entry is replaced by its orbit with that march's periodicity residual;
-    a later integration, after a step, closes x_0 alone. At most
+    fall to tol * max(1, |x_0|), the last segment march is the orbit: its K
+    members' rows laid end to end at the N nodes of [0, T), which jump at the
+    junctions by at most their defects. Its periodicity residual is the
+    largest of them, max_k |c_k| / max(1, |x_0|), which the stacked defect's
+    test bounds by tol; no further integration measures it, and at K = 1 it
+    is x_0's own one-period residual. At most
     ``max_iter >= 0`` steps are taken, so zero accepts only a start that
     already meets tol; a stall or a singular condensed Jacobian raises
     :class:`NonConvergenceError` carrying the defect history.
@@ -472,23 +445,16 @@ def shooting_solve(
     t0 = _nodes(T, n_seg)
     blocks = np.tile(_linear_monodromy(sys, dt, stride) + np.eye(2 * sys.n_modes), (n_seg, 1, 1))
 
-    # the riders' states at t = 0, on the first closing march only
-    riding = [np.concatenate([orbit.u[0], orbit.w[0]]) for orbit in riders or ()]
-    ends = integrate_cauchy(sys, x, T / n_seg, dt, t0).x[-1]
-    defect = ends - np.roll(x, -1, axis=0)
+    march = integrate_cauchy(sys, x, T / n_seg, dt, t0)
+    defect = march.x[-1] - np.roll(x, -1, axis=0)
     history = [float(np.linalg.norm(defect))]
     while True:
         jac, condensed = _condense(blocks, defect)
         scale = tol * max(1.0, float(np.linalg.norm(x[0])))
         # c is the linear estimate of x_0's period defect, so meeting tol with it
-        # too spares most integrations whose residual would miss tol
+        # too closes x_0 over the whole period, not only segment by segment
         if history[-1] <= scale and np.linalg.norm(condensed) <= scale:
-            times, states, residuals = _close(sys, [x[0], *riding], dt)
-            for k, residual in enumerate(residuals[1:]):
-                riders[k] = replace(riders[k], periodicity_residual=residual)
-            riding = []
-            if residuals[0] <= tol:
-                break
+            break
         if len(history) > max_iter:
             raise NonConvergenceError(
                 f"shooting did not converge in {max_iter} steps (defect {history[-1]:.3e})",
@@ -506,23 +472,23 @@ def shooting_solve(
         for k in range(n_seg - 1):
             step[k + 1] = blocks[k] @ step[k] + defect[k]
         x = x + step
-        ends_next = integrate_cauchy(sys, x, T / n_seg, dt, t0).x[-1]
+        ends = march.x[-1]
+        march = integrate_cauchy(sys, x, T / n_seg, dt, t0)
         # each block's rank-one update from its own secant pair
-        misfit = ends_next - ends - np.einsum("kij,kj->ki", blocks, step)
+        misfit = march.x[-1] - ends - np.einsum("kij,kj->ki", blocks, step)
         step_sq = np.einsum("kj,kj->k", step, step)
         blocks += np.einsum("ki,kj->kij", misfit, step) / step_sq[:, None, None]
-        ends = ends_next
-        defect = ends - np.roll(x, -1, axis=0)
+        defect = march.x[-1] - np.roll(x, -1, axis=0)
         history.append(float(np.linalg.norm(defect)))
 
     n = sys.n_modes
-    u_orbit = states[:-1, 0, :n]
-    w_orbit = states[:-1, 0, n:]
+    rows = march.x[:-1].swapaxes(0, 1).reshape(n_steps, 2 * n)  # segment k's rows, then k + 1's
+    u_orbit, w_orbit = rows[:, :n], rows[:, n:]
     return PeriodicOrbit(
-        times=times[:-1],
+        times=_nodes(T, n_steps),
         u=u_orbit,
         w=w_orbit,
-        periodicity_residual=residuals[0],
+        periodicity_residual=max(_relative_defect(c_k, x[0]) for c_k in defect),
         ct_norm=ct_norm(sys, u_orbit, w_orbit),
         converged=True,
         history=tuple(history),

@@ -80,6 +80,7 @@ def build_basis(geom, m, d) -> SpectralBasis:
     with equal weights L / n_quad. It is exact for cosines of frequency below
     2 n_quad = 4m + 2, so it integrates every product of four modes, whose
     frequencies reach 4m, and the projected reaction term is alias-free.
+    An eigenvalue that overflows, as on a short enough interval, is rejected.
     """
     if m < 0:
         raise ValueError(f"truncation index m must be >= 0, got {m}")
@@ -89,7 +90,11 @@ def build_basis(geom, m, d) -> SpectralBasis:
     L = geom.L
 
     i = np.arange(m + 1)
-    lambdas = d.lam0 + sigma_hat * (i * np.pi / L) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        lambdas = d.lam0 + sigma_hat * (i * np.pi / L) ** 2
+    if not np.all(np.isfinite(lambdas)):
+        k = int(np.argmin(np.isfinite(lambdas)))
+        raise ValueError(f"eigenvalue lambda_{k} = {lambdas[k]} is not finite")
 
     nodes = (np.arange(n_quad) + 0.5) * (L / n_quad)
     return SpectralBasis(

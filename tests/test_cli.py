@@ -471,22 +471,18 @@ def test_shooting_blow_up_leaves_a_partial_report(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["report.json", "run.cfg"]
 
 
-def test_picard_start_blowing_up_in_the_shared_march_exits_4(tmp_path, capsys, monkeypatch):
-    """Under both, Picard's start is integrated in shooting's closing march,
-    after shooting has converged: a runaway start there exits 4 with the
-    error its lone integration raises, its time, peak and m."""
+def test_picard_close_blowing_up_exits_4(tmp_path, capsys, monkeypatch):
+    """Under both, Picard closes its own orbit before shooting runs: a
+    runaway start there exits 4 with the error its lone integration raises,
+    its time, peak and m. The operator's blocks are replaced so that Picard
+    converges in two applications to the potential 300 in every mode."""
     path = config_path("feasible_periodic.cfg")
     cfg = load_config(path)
     sys_ = cli._build_system(cfg, cli._build_model(cfg))
-    runaway = np.full((2048, sys_.n_modes), 300.0)
-    times = np.arange(2048) * (sys_.period / 2048)
-
-    def picard(sys_, n_t, dt, close=True, **kwargs):
-        assert close is False
-        return PeriodicOrbit(times, runaway, 0.0 * runaway, None, 0.0, True, (0.0,))
-
-    monkeypatch.setattr(cli, "picard_solve", picard)
-    start = np.concatenate([runaway[0], np.zeros(sys_.n_modes)])
+    monkeypatch.setattr(periodic, "_u_block", lambda sys_, u, w: np.full(u.shape, 300.0))
+    monkeypatch.setattr(periodic, "_w_block", lambda sys_, u: np.zeros(u.shape))
+    monkeypatch.setattr(cli, "shooting_solve", lambda *args, **kwargs: pytest.fail("shot"))
+    start = np.concatenate([np.full(sys_.n_modes, 300.0), np.zeros(sys_.n_modes)])
     with pytest.raises(galerkin.BlowUpError) as lone:
         galerkin.integrate_cauchy(sys_, start, sys_.period, 2.0 / 1024)
     assert cli.main(["solve-periodic", "--config", path, "--out", str(tmp_path)]) == 4
@@ -847,9 +843,9 @@ def test_nonpositive_decay_rate_exits_2_under_every_method(
 
 
 def test_both_methods_give_the_lone_solvers_orbits_bit_for_bit(tmp_path):
-    """Under both, Picard's periodicity check rides shooting's closing march,
-    and the written orbits, histories and residuals are still those of
-    picard_solve and shooting_solve run alone on feasible_periodic.cfg."""
+    """Under both, the written orbits, histories and residuals are those of
+    picard_solve and shooting_solve run alone on feasible_periodic.cfg: each
+    solver closes, or measures, its own orbit."""
     path = config_path("feasible_periodic.cfg")
     assert cli.main(["solve-periodic", "--config", path, "--out", str(tmp_path)]) == 0
     cfg = load_config(path)
@@ -1439,6 +1435,21 @@ def test_seed_is_a_usage_error_outside_solve_periodic(capsys):
         cli.main(["converge", "--config", config_path("refinement.cfg"), "--seed", "5"])
     assert exc_info.value.code == 2, "--seed on converge should be a usage error"
     assert "--seed" in capsys.readouterr().err
+
+
+def test_interval_whose_eigenvalues_overflow_exits_2(tmp_path, capsys):
+    """geometry.length = 1e-200 puts every eigenvalue past lambda_0 at inf:
+    solve-periodic exits 2 naming the key's line, key and value before the
+    basis builder's message, not with an OverflowError from the step check."""
+    with open(config_path("feasible_periodic.cfg"), encoding="utf-8") as fh:
+        lines = [line for line in fh.read().splitlines() if not line.startswith("geometry.length")]
+    lines.append("geometry.length = 1e-200")
+    cfg = write_config(tmp_path, "\n".join(lines) + "\n")
+    assert cli.main(["solve-periodic", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    message = "eigenvalue lambda_1 = inf is not finite"
+    assert f"{cfg}:{len(lines)}: geometry.length = 1e-200: {message}" in err, err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_wrong_ic_length_exits_2(tmp_path, capsys):

@@ -20,7 +20,8 @@ shooting's dt = 0.0019 and 0.0625; exit 2), with a two-coefficient
 u_peak under u_res or c1 = 0, which zeroes lambda_0 (exit 2), with values
 inside their ranges whose products vanish (c2 = 0 or c1 = s_sup = 0 under
 ``feasibility``, a zero drive factor under ``param-region``, an underflowed
-recovery rate under ``solve-periodic``; exit 2), with one of the window's
+recovery rate under ``solve-periodic``; exit 2), with an interval so short
+that its eigenvalues overflow (exit 2), with one of the window's
 inputs swapped: ``window_aggregates.cfg`` with the projection excess in
 place of kappa, and ``reaction_region.cfg`` with a pinned c4, positive or
 negative, under ``param-region``, or with ``solver.m = 16`` on
@@ -126,6 +127,7 @@ EDITED_CONFIGS = (
         ("model.b ", "rescale.xi "),
         ("model.b = 1e-300", "rescale.xi = 1e-30"),
     ),
+    ("feasible_periodic", "solve-periodic", ("geometry.length ",), ("geometry.length = 1e-200",)),
 )
 
 
