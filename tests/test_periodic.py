@@ -530,7 +530,7 @@ def _count_integrations(setattr_):
 
 
 @pytest.mark.parametrize("method", ["picard", "shooting", "both"])
-def test_full_period_march_is_picards_close_alone(tmp_path, method):
+def test_closing_march_carries_each_orbit_once(tmp_path, method):
     """solve-periodic on feasible_periodic.cfg makes one full-period march,
     Picard's close of its lone start, when Picard runs, and none under
     shooting, whose orbit is its last segment march."""
