@@ -16,8 +16,8 @@ value that breaks the rule on its :data:`.config.SCHEMA` row, a solver,
 stimulus or region key that another value switches off, ``--seed`` under
 shooting, node grids :func:`.periodic.orbit_nodes` rejects, an RK4 step
 past its stability limit, a decay rate lambda_0 <= 0, and in-range values
-whose products vanish), 3 solver non-convergence, 4 trajectory blow-up;
-any other error is the program's. A run that exits 3 or 4 still writes a
+whose products vanish or overflow), 3 solver non-convergence, 4 trajectory
+blow-up; any other error is the program's. A run that exits 3 or 4 still writes a
 partial report: the command, the config echo, the error message, and the
 failed solver's history or the blow-up's time, magnitude and size m.
 """
@@ -141,7 +141,12 @@ def _build_system(cfg: RunConfig, d, m: int | None = None):
     m = cfg.require("solver.m") if m is None else m
     basis = _keyed(cfg, ("geometry.length",), build_basis, geom, m, d)
     stim = _build_stimulus(cfg, d)
-    return GalerkinSystem(basis, d, stim)
+    sys_ = GalerkinSystem(basis, d, stim)
+    # the product epsilon b xi c3 may underflow to 0 or overflow to inf, which the
+    # step checks after this would misread
+    recovery = ("rescale.epsilon", "model.b", "rescale.xi", "model.c3")
+    _keyed(cfg, recovery, check_decay_rates, sys_.recovery_rate)
+    return sys_
 
 
 def _kappa(cfg: RunConfig) -> float:
@@ -276,6 +281,7 @@ def _orbit_summary(orbit) -> dict:
         "periodicity_residual": orbit.periodicity_residual,
         "ct_norm": orbit.ct_norm,
         "history": orbit.history,
+        "coarse_history": orbit.coarse_history,
         "jacobian_cond": orbit.jacobian_cond,
     }
 
@@ -303,11 +309,11 @@ def cmd_solve_periodic(cfg: RunConfig, seed=None):
         grid["dt"] = dt
     cfg.reject_unread("solver.", f"by solver.method = {method}")
     # the node rules of every method that runs, then the step's, before either solver runs
-    _keyed(cfg, [f"solver.{key}" for key in grid], orbit_nodes, sys_.period, **grid)
+    n_steps = _keyed(cfg, [f"solver.{key}" for key in grid], orbit_nodes, sys_.period, **grid)
     _keyed(cfg, ("solver.dt",), check_rk4_step, sys_, dt)
+    if n_steps is not None:  # shooting steps at exactly T/N, which may sit just past dt
+        _keyed(cfg, ("solver.dt",), check_rk4_step, sys_, sys_.period / n_steps)
     _check_lam0(cfg, sys_.d)
-    recovery = ("rescale.epsilon", "model.b", "rescale.xi", "model.c3")  # product may underflow
-    _keyed(cfg, recovery, check_decay_rates, sys_.recovery_rate)
 
     orbits = {}  # Picard's first, so it is the primary orbit when both run
     if method != "shooting":

@@ -9,7 +9,12 @@ trajectories whose fixed points are periodic solutions of the truncated
 system. Picard iteration attacks that operator directly. The recovery
 response is linear in the potential, so Picard iterates the operator as a
 map of the potential samples alone and accelerates the iteration with
-Anderson mixing over its last two residuals. Shooting attacks
+Anderson mixing over its last two residuals. It converges first on a coarse
+time grid, the largest power-of-two divisor of n_t between 256 and n_t / 8
+when the reaction is on, and finishes on the configured n_t nodes from that
+fixed point's trigonometric interpolant, usually in one application; its
+``n_iter`` counts the applications on the n_t nodes and ``coarse_history``
+keeps the coarse grid's residuals. Shooting attacks
 the period map of the RK4 flow with the same idea written on the map, by
 multiple shooting: the N steps of the period split into K segments whose
 start states march together in one stacked integration. It starts from the
@@ -69,6 +74,9 @@ class PeriodicOrbit:
     operator application, or the norm of shooting's stacked segment defect
     at the starting guess and after each step; its last entry is the
     returned orbit's own, and ``n_iter`` is the count of entries before it.
+    ``coarse_history`` is Picard's record on its coarse grid, the same
+    residuals for the loop that gave the n_t-node loop its start (or failed
+    to), and empty when no coarse loop ran, as for shooting.
     A solver that does not converge raises, so every returned orbit has
     ``converged`` set. ``jacobian_cond`` is the 2-norm condition number of
     the product of shooting's final Broyden segment blocks minus I, its
@@ -83,6 +91,7 @@ class PeriodicOrbit:
     converged: bool
     history: tuple[float, ...]
     jacobian_cond: float | None = None
+    coarse_history: tuple[float, ...] = ()
 
     @property
     def n_iter(self) -> int:
@@ -100,6 +109,8 @@ _DEPTH = 2  # residual differences Picard's Anderson mixing keeps
 _DIVERGENCE = 100.0  # residual growth over the smallest so far that counts as divergence
 _ROW_BLOCK = 1024  # time rows the potential block projects the reaction in at once
 _MIN_NODES = 64  # the fewest nodes per period of an orbit from either solver
+_MIN_COARSE = 256  # the fewest nodes of Picard's coarse grid
+_COARSE_SHARE = 8  # Picard's coarse grid has at most n_t / _COARSE_SHARE nodes
 _MAX_SEGMENTS = 16  # shooting's most segments; each adds a state to every march
 _MIN_SEGMENT_STEPS = 64  # shooting's fewest RK4 steps per segment
 
@@ -198,6 +209,73 @@ def _mixing_weights(d_f: list, f: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(gram, rhs, rcond=None)[0]
 
 
+def _coarse_nodes(n_t: int) -> int | None:
+    """Picard's coarse node count for n_t nodes: the largest power-of-two divisor
+    of n_t that is at most n_t / ``_COARSE_SHARE`` and at least ``_MIN_COARSE``,
+    or None when there is none (every n_t <= 1024 among them)."""
+    n_c = n_t & -n_t  # the largest power of two that divides n_t
+    while n_c * _COARSE_SHARE > n_t:
+        n_c //= 2
+    return n_c if n_c >= _MIN_COARSE else None
+
+
+def _prolong(u: np.ndarray, n_t: int) -> np.ndarray:
+    """Samples at n_t nodes of the trigonometric interpolant of the n_c rows of u,
+    n_c even: its real spectrum zero-padded, the Nyquist bin halved (split
+    between the bins +-n_c/2 the finer grid tells apart), and scaled by n_t / n_c."""
+    u_hat = np.fft.rfft(u, axis=0)
+    u_hat[-1] *= 0.5
+    u_hat *= n_t / len(u)
+    return np.fft.irfft(u_hat, n=n_t, axis=0)
+
+
+def _anderson(sys: GalerkinSystem, u: np.ndarray, theta: float, tol: float, max_iter: int):
+    """Picard's loop on the node count of ``u``, which it reads and never writes.
+
+    Returns the iterate u whose residual met ``tol`` (``u`` itself when the
+    first did), w = W(u), and the residual history; raises
+    :class:`NonConvergenceError` with the history on divergence or after
+    ``max_iter`` applications.
+    """
+    residuals: list[float] = []
+    d_f: list[np.ndarray] = []  # residual differences, oldest first
+    d_x: list[np.ndarray] = []  # matching du + theta df
+    f_prev = step = None
+    for _ in range(max_iter):
+        w = _w_block(sys, u)
+        f = _u_block(sys, u, w)
+        f -= u
+        res = float(np.sqrt(np.max(v_norm_sq(sys.basis, f))))
+        residuals.append(res)
+        if not np.isfinite(res) or res > _DIVERGENCE * min(residuals):
+            raise NonConvergenceError(
+                f"picard iteration diverged after {len(residuals)} sweeps"
+                f" (residual {res:.3e})",
+                history=residuals,
+            )
+        if res < tol:
+            return u, w, residuals
+        del w  # freed before the next application allocates its own
+        if f_prev is not None:
+            df = np.subtract(f, f_prev, out=f_prev)
+            step += theta * df
+            d_f.append(df)
+            d_x.append(step)
+        step = theta * f
+        if d_f:
+            for gamma, dx in zip(_mixing_weights(d_f, f), d_x):
+                step -= gamma * dx
+        if len(d_f) == _DEPTH:  # the next difference replaces the oldest
+            del d_f[0], d_x[0]
+        u = u + step
+        f_prev = f
+    raise NonConvergenceError(
+        f"picard exhausted {max_iter} sweeps (operator applications)"
+        f" without reaching tol {tol}",
+        history=residuals,
+    )
+
+
 def picard_solve(
     sys: GalerkinSystem,
     n_t: int,
@@ -225,6 +303,19 @@ def picard_solve(
     gamma fits sum_i gamma_i df_i to f in least squares. With no history this
     is the damped step u + theta f.
 
+    The loop runs on two grids (nested iteration). When the reaction is on
+    and n_t has a coarse node count n_c (:func:`_coarse_nodes`: the largest
+    power-of-two divisor of n_t that is at most n_t / 8 and at least 256, so
+    1024 at n_t = 8192, 256 at 2048, and none at n_t <= 1024), it first runs
+    to ``tol`` on the n_c nodes from the start's rows there. Its fixed point,
+    prolonged to the n_t nodes by zero-padding its spectrum (:func:`_prolong`),
+    starts the loop on the n_t nodes, which the orbits' smoothness usually
+    lets finish with one application. ``history`` and ``n_iter`` are the
+    n_t-node loop's record, and ``coarse_history`` the coarse loop's, empty
+    when it did not run. A coarse loop that raises
+    :class:`NonConvergenceError` leaves its record there, and the n_t-node
+    loop starts from the caller's start instead. ``max_iter`` caps each loop.
+
     ``x0``, of shape ``(n_t, n_modes)``, holds the starting potential
     samples at the nodes k T / n_t (the recovery samples follow from them as
     W(u)) and is read, never written. The last ``history`` entry is the
@@ -235,8 +326,8 @@ def picard_solve(
     every decay rate (:func:`_check_rates`), ``theta``, ``tol``,
     ``max_iter >= 1`` and ``n_t`` (:func:`orbit_nodes`). A non-finite
     residual, one above ``_DIVERGENCE`` times the smallest so far, or
-    ``max_iter`` applications without reaching ``tol`` raise
-    :class:`NonConvergenceError` with the residual history.
+    ``max_iter`` applications without reaching ``tol`` on the n_t nodes
+    raise :class:`NonConvergenceError` with that loop's residual history.
     """
     _check_rates(sys)
     if not 0.0 < theta <= 1.0:
@@ -249,55 +340,29 @@ def picard_solve(
     check_rk4_step(sys, dt)
     n = sys.n_modes
     if x0 is None:
-        u = np.zeros((n_t, n))
+        guess = np.zeros((n_t, n))
     else:
-        u = np.asarray(x0, dtype=float)
-        if u.shape != (n_t, n):
+        guess = np.asarray(x0, dtype=float)
+        if guess.shape != (n_t, n):
             raise ValueError(
-                f"starting guess must have shape (n_t, n) = ({n_t}, {n}), got {u.shape}"
+                f"starting guess must have shape (n_t, n) = ({n_t}, {n}), got {guess.shape}"
             )
 
-    residuals: list[float] = []
-    d_f: list[np.ndarray] = []  # residual differences, oldest first
-    d_x: list[np.ndarray] = []  # matching du + theta df
-    f_prev = step = None
-    for _ in range(max_iter):
-        w = _w_block(sys, u)
-        f = _u_block(sys, u, w)
-        f -= u
-        res = float(np.sqrt(np.max(v_norm_sq(sys.basis, f))))
-        residuals.append(res)
-        if not np.isfinite(res) or res > _DIVERGENCE * min(residuals):
-            raise NonConvergenceError(
-                f"picard iteration diverged after {len(residuals)} sweeps"
-                f" (residual {res:.3e})",
-                history=residuals,
+    fine_start, coarse_history = guess, []
+    # reaction-free, Phi is constant and one application on the n_t nodes is the least
+    n_c = _coarse_nodes(n_t) if sys.d.a1 or sys.d.a2 else None
+    if n_c is not None:
+        try:
+            u_c, _, coarse_history = _anderson(
+                sys, np.ascontiguousarray(guess[:: n_t // n_c]), theta, tol, max_iter
             )
-        if res < tol:
-            break
-        del w  # freed before the next application allocates its own
-        if f_prev is not None:
-            df = np.subtract(f, f_prev, out=f_prev)
-            step += theta * df
-            d_f.append(df)
-            d_x.append(step)
-        step = theta * f
-        if d_f:
-            for gamma, dx in zip(_mixing_weights(d_f, f), d_x):
-                step -= gamma * dx
-        if len(d_f) == _DEPTH:  # the next difference replaces the oldest
-            del d_f[0], d_x[0]
-        u = u + step
-        f_prev = f
-    else:
-        raise NonConvergenceError(
-            f"picard exhausted {max_iter} sweeps (operator applications)"
-            f" without reaching tol {tol}",
-            history=residuals,
-        )
-    del d_f, d_x, f_prev, step, f  # the history is freed before the check allocates
-    if x0 is not None and len(residuals) == 1:
-        u = u.copy()  # never hand back a view of the caller's start
+        except NonConvergenceError as exc:
+            coarse_history = exc.history
+        else:
+            fine_start = _prolong(u_c, n_t)
+    u, w, residuals = _anderson(sys, fine_start, theta, tol, max_iter)
+    if u is x0:
+        u = u.copy()  # never hand back the caller's start
 
     start = np.concatenate([u[0], w[0]])  # from t = 0
     end = integrate_cauchy(sys, start, sys.period, dt).x[-1]
@@ -309,6 +374,7 @@ def picard_solve(
         ct_norm=ct_norm(sys, u, w),
         converged=True,
         history=tuple(residuals),
+        coarse_history=tuple(coarse_history),
     )
 
 

@@ -1001,9 +1001,11 @@ def test_report_carries_solver_histories_and_write_time(tmp_path, capsys):
     picard, shooting = report["payload"]["picard"], report["payload"]["shooting"]
     summary_keys = {
         "n_iter", "converged", "n_t", "periodicity_residual", "ct_norm", "history",
-        "jacobian_cond",
+        "coarse_history", "jacobian_cond",
     }
     assert set(picard) == set(shooting) == summary_keys
+    # 128 nodes have no coarse grid, and shooting never has one
+    assert picard["coarse_history"] == shooting["coarse_history"] == []
     # Picard counts sweeps that moved by tol or more; the last sweep did not
     assert len(picard["history"]) == picard["n_iter"] + 1
     assert picard["history"][-1] < 1e-10 <= picard["history"][-2]
@@ -1337,6 +1339,52 @@ def test_values_that_zero_a_derived_quantity_name_file_line_and_keys(
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err == f"configuration error: {cfg}:{len(lines)}: {named}: {message}\n", err
+    assert not os.path.exists(tmp_path / "out"), "nothing should be written"
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("solve-periodic", ()), ("solve-cauchy", ("cauchy.t_end = 4.0", "cauchy.dt = 0.001953125"))],
+)
+def test_overflowing_recovery_rate_exits_2_naming_its_keys(tmp_path, capsys, command, extra):
+    """model.b = xi = 1e300 overflow the recovery rate epsilon b xi c3 to inf.
+    Every command that builds the system exits 2 naming the four keys behind
+    it, before any step check could misread the rate."""
+    edits, edits_of = ("model.b = 1e300", "rescale.xi = 1e300"), ("model.b ", "rescale.xi ")
+    with open(config_path("feasible_periodic.cfg"), encoding="utf-8") as fh:
+        lines = [line for line in fh.read().splitlines() if not line.startswith(edits_of)]
+    lines += [*extra, *edits]
+    cfg = write_config(tmp_path, "\n".join(lines) + "\n")
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    named = "rescale.epsilon = 0.032, model.b = 1e+300, rescale.xi = 1e+300, model.c3 = 1.0"
+    message = f"decay rate must be positive, got inf {_UNDEFINED}"
+    err = capsys.readouterr().err
+    assert err == f"configuration error: {cfg}:{len(lines)}: {named}: {message}\n", err
+    assert not os.path.exists(tmp_path / "out"), "nothing should be written"
+
+
+def test_shooting_step_just_past_the_limit_exits_2_naming_solver_dt(
+    tmp_path, capsys, monkeypatch
+):
+    """Shooting steps at exactly T/N for the N steps solver.dt gives, and a dt
+    within 1e-9 T of T/N can sit inside RK4's limit while T/N is past it.
+    That step is checked up front too, keyed by solver.dt, before shooting
+    runs."""
+    monkeypatch.setattr(cli, "shooting_solve", lambda *args, **kwargs: pytest.fail("shot"))
+    text = SHOOTING_CFG.replace("solver.m = 2", "solver.m = 72")
+    probe = load_config(write_config(tmp_path, text))
+    sys_ = cli._build_system(probe, cli._build_model(probe))
+    fastest = max(float(np.max(sys_.basis.lambdas)), sys_.recovery_rate)
+    period = 1024 * galerkin.RK4_STABILITY_LIMIT / fastest * (1 + 5e-10)  # T/1024 past it
+    dt = period / 1024 * (1 - 8e-10)  # inside the limit, within 1e-9 T of T/1024
+    assert dt * fastest <= galerkin.RK4_STABILITY_LIMIT < period / 1024 * fastest
+    text = text.replace("stimulus.period = 2.0", f"stimulus.period = {period!r}")
+    cfg = write_config(tmp_path, text + f"solver.dt = {dt!r}\n")
+    assert cli.main(["solve-periodic", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    line = load_config(cfg).lines["solver.dt"]
+    expected = f"{cfg}:{line}: solver.dt = {dt!r}: dt = {period / 1024:.6g} times the fastest"
+    assert expected in err and "past RK4's stability limit" in err, err
     assert not os.path.exists(tmp_path / "out"), "nothing should be written"
 
 

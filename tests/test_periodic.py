@@ -205,6 +205,7 @@ def test_picard_zero_iterations_from_fixed_point():
     u_star = np.broadcast_to(1.0 * sys.trace_vector / sys.basis.lambdas, (256, 5)).copy()
     orbit = picard_solve(sys, 256, DT, x0=u_star, tol=1e-10)
     assert orbit.converged and orbit.n_iter == 0
+    assert not np.shares_memory(orbit.u, u_star), "the caller's start is never handed back"
 
 
 def test_picard_start_is_the_potential_samples_alone():
@@ -231,6 +232,112 @@ def test_picard_coarse_grid_is_periodic():
     orbit = picard_solve(feasible_system(m=8), 128, DT)
     assert orbit.converged
     assert orbit.periodicity_residual <= 1e-11, f"residual {orbit.periodicity_residual:.3e}"
+
+
+def _count_u_block_rows(monkeypatch):
+    """Record the node count of every potential-block application."""
+    rows = []
+    u_block = periodic._u_block
+
+    def counted(sys, u, w):
+        rows.append(len(u))
+        return u_block(sys, u, w)
+
+    monkeypatch.setattr(periodic, "_u_block", counted)
+    return rows
+
+
+def test_coarse_node_rule():
+    """The largest power-of-two divisor of n_t in [256, n_t / 8], or none."""
+    rule = {8192: 1024, 2048: 256, 3072: 256, 6144: 512, 1 << 20: 1 << 17}
+    rule |= dict.fromkeys([128, 1024, 1536, 2049])  # none: no coarse phase
+    assert {n_t: periodic._coarse_nodes(n_t) for n_t in rule} == rule
+
+
+def test_prolongation_interpolates_every_harmonic_the_coarse_grid_holds():
+    """Zero-padding the spectrum with the Nyquist bin halved gives the samples
+    of a trigonometric polynomial of degree n_c / 2 at the finer nodes, its
+    Nyquist term cos(pi n_c t / T) included."""
+    T, n_c, n_t = 2.0, 256, 2048
+    k = np.array([0, 1, 7, 100, n_c // 2])
+    coef = np.array([0.3, -1.0, 0.25, 1e-3, 0.5])
+
+    def trig(n):
+        t = np.arange(n)[:, None] * (T / n)
+        return np.column_stack([np.cos(2 * np.pi * k * t / T) @ coef, np.sin(2 * np.pi * t / T)])
+
+    assert np.max(np.abs(periodic._prolong(trig(n_c), n_t) - trig(n_t))) <= 1e-13
+
+
+def _picard_draw():
+    """The pulse-driven m = 32 system of the benchmark's picard workload."""
+    d = feasible_model()
+    stim = Stimulus("pulse", period=PERIOD, phi_value=PHI, amplitude=1.0, width=0.05)
+    return GalerkinSystem(build_basis(GEOM, 32, d), d, stim)
+
+
+def test_coarse_phase_keeps_the_fine_grids_orbit(monkeypatch):
+    """On the picard draw (m = 32, pulse, n_t = 8192, theta = 0.5, seeded
+    start) the coarse phase at 1024 nodes converges, the fine grid finishes
+    in one application, and the orbit is within 1e-12 of the fine-only
+    solve's."""
+    sys = _picard_draw()
+    start = 0.01 * np.random.default_rng(3).standard_normal((8192, sys.n_modes))
+    rows = _count_u_block_rows(monkeypatch)
+    two_grid = picard_solve(sys, 8192, DT, x0=start, theta=0.5)
+    assert two_grid.n_iter == 0 and len(two_grid.coarse_history) >= 2
+    assert rows == [1024] * len(two_grid.coarse_history) + [8192]
+    assert two_grid.coarse_history[-1] < 1e-10
+    monkeypatch.setattr(periodic, "_coarse_nodes", lambda n_t: None)
+    fine = picard_solve(sys, 8192, DT, x0=start, theta=0.5)
+    assert fine.n_iter >= 2 and fine.coarse_history == ()
+    assert np.max(np.abs(two_grid.u - fine.u)) <= 1e-12
+    assert np.max(np.abs(two_grid.w - fine.w)) <= 1e-12
+
+
+def test_reaction_free_run_has_no_coarse_phase(monkeypatch):
+    """Reaction-free, Phi is constant: one application on the n_t nodes is
+    the least, so a run at n_t = 2048, which has a coarse grid, applies Phi
+    only there and reports n_iter == 1."""
+    rows = _count_u_block_rows(monkeypatch)
+    start = 0.1 * np.random.default_rng(3).standard_normal((2048, 5))
+    orbit = picard_solve(linear_system(s0=1.0), 2048, DT, x0=start)
+    assert orbit.n_iter == 1 and orbit.coarse_history == ()
+    assert rows == [2048, 2048]
+
+
+@pytest.mark.parametrize("n_t", [1024, 1536])
+def test_no_coarse_phase_without_a_coarse_grid(monkeypatch, n_t):
+    """n_t = 1024 and n_t = 1536 = 3 * 512 have no power-of-two divisor in
+    [256, n_t / 8]: every application runs on the n_t nodes."""
+    rows = _count_u_block_rows(monkeypatch)
+    orbit = picard_solve(feasible_system(m=4, phi=0.5), n_t, DT)
+    assert orbit.n_iter >= 2 and orbit.coarse_history == ()
+    assert rows == [n_t] * (orbit.n_iter + 1)
+
+
+def test_failed_coarse_phase_gives_the_fine_only_orbit(monkeypatch):
+    """A coarse loop that raises leaves its record in coarse_history, and the
+    fine loop starts from the caller's start: the orbit is the fine-only
+    solve's bit for bit."""
+    sys = feasible_system(m=4, phi=0.5)
+    start = 0.01 * np.random.default_rng(5).standard_normal((2048, 5))
+    monkeypatch.setattr(periodic, "_coarse_nodes", lambda n_t: None)
+    fine = picard_solve(sys, 2048, DT, x0=start)
+    monkeypatch.undo()
+
+    u_block = periodic._u_block
+
+    def diverging_on_the_coarse_grid(sys, u, w):
+        out = u_block(sys, u, w)
+        return out if len(u) == 2048 else out * np.inf
+
+    monkeypatch.setattr(periodic, "_u_block", diverging_on_the_coarse_grid)
+    orbit = picard_solve(sys, 2048, DT, x0=start)
+    assert len(orbit.coarse_history) == 1 and not np.isfinite(orbit.coarse_history[0])
+    assert orbit.history == fine.history
+    assert orbit.periodicity_residual == fine.periodicity_residual
+    assert np.array_equal(orbit.u, fine.u) and np.array_equal(orbit.w, fine.w)
 
 
 def test_picard_rejects_bad_damping():
