@@ -70,6 +70,8 @@ from .spectral import Geometry1D, Stimulus, build_basis
 
 # besides kappa, the aggregates a config may give directly instead of the embeddings
 _DIRECT_AGGREGATE_KEYS = ("feasibility.beta", "feasibility.gamma", "feasibility.delta")
+# the factors of the recovery rate epsilon b xi c3
+_RECOVERY_KEYS = ("rescale.epsilon", "model.b", "rescale.xi", "model.c3")
 
 
 def _keyed_error(cfg: RunConfig, keys, exc: ValueError) -> ConfigError:
@@ -142,10 +144,11 @@ def _build_system(cfg: RunConfig, d, m: int | None = None):
     basis = _keyed(cfg, ("geometry.length",), build_basis, geom, m, d)
     stim = _build_stimulus(cfg, d)
     sys_ = GalerkinSystem(basis, d, stim)
-    # the product epsilon b xi c3 may underflow to 0 or overflow to inf, which the
-    # step checks after this would misread
-    recovery = ("rescale.epsilon", "model.b", "rescale.xi", "model.c3")
-    _keyed(cfg, recovery, check_decay_rates, sys_.recovery_rate)
+    # the product epsilon b xi c3 may overflow, which every step check would misread;
+    # one that underflows to 0 still integrates, and only a periodic response needs it > 0
+    if not np.isfinite(sys_.recovery_rate):
+        exc = ValueError(f"recovery rate epsilon b xi c3 = {sys_.recovery_rate} is not finite")
+        raise _keyed_error(cfg, _RECOVERY_KEYS, exc)
     return sys_
 
 
@@ -314,6 +317,7 @@ def cmd_solve_periodic(cfg: RunConfig, seed=None):
     if n_steps is not None:  # shooting steps at exactly T/N, which may sit just past dt
         _keyed(cfg, ("solver.dt",), check_rk4_step, sys_, sys_.period / n_steps)
     _check_lam0(cfg, sys_.d)
+    _keyed(cfg, _RECOVERY_KEYS, check_decay_rates, sys_.recovery_rate)  # may underflow to 0
 
     orbits = {}  # Picard's first, so it is the primary orbit when both run
     if method != "shooting":

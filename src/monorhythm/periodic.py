@@ -13,8 +13,9 @@ Anderson mixing over its last two residuals. It converges first on a coarse
 time grid, the largest power-of-two divisor of n_t between 256 and n_t / 8
 when the reaction is on, and finishes on the configured n_t nodes from that
 fixed point's trigonometric interpolant, usually in one application; its
-``n_iter`` counts the applications on the n_t nodes and ``coarse_history``
-keeps the coarse grid's residuals. Shooting attacks
+``history`` is the n_t-node loop's residuals, ``coarse_history`` the coarse
+grid's, and ``n_iter`` counts the applications on both grids before the
+last. Shooting attacks
 the period map of the RK4 flow with the same idea written on the map, by
 multiple shooting: the N steps of the period split into K segments whose
 start states march together in one stacked integration. It starts from the
@@ -54,11 +55,13 @@ __all__ = [
 
 
 class NonConvergenceError(RuntimeError):
-    """An iterative solver failed; carries whatever history it accumulated."""
+    """An iterative solver failed; carries whatever history it accumulated,
+    and Picard's coarse-grid record, as on :class:`PeriodicOrbit`."""
 
-    def __init__(self, message: str, history=None):
+    def __init__(self, message: str, history=None, coarse_history=()):
         super().__init__(message)
         self.history = list(history) if history is not None else []
+        self.coarse_history = list(coarse_history)
 
 
 @dataclass(frozen=True)
@@ -73,10 +76,10 @@ class PeriodicOrbit:
     ``history`` is the solver's convergence record: Picard's residual per
     operator application, or the norm of shooting's stacked segment defect
     at the starting guess and after each step; its last entry is the
-    returned orbit's own, and ``n_iter`` is the count of entries before it.
-    ``coarse_history`` is Picard's record on its coarse grid, the same
-    residuals for the loop that gave the n_t-node loop its start (or failed
-    to), and empty when no coarse loop ran, as for shooting.
+    returned orbit's own. ``coarse_history`` is Picard's record on its
+    coarse grid, the same residuals for the loop that gave the n_t-node loop
+    its start (or failed to), and empty when no coarse loop ran, as for
+    shooting. ``n_iter`` counts the entries of both before that last one.
     A solver that does not converge raises, so every returned orbit has
     ``converged`` set. ``jacobian_cond`` is the 2-norm condition number of
     the product of shooting's final Broyden segment blocks minus I, its
@@ -95,8 +98,9 @@ class PeriodicOrbit:
 
     @property
     def n_iter(self) -> int:
-        """Picard's applications before the one that met tol, or shooting's steps."""
-        return len(self.history) - 1
+        """Picard's applications, on either grid, before the one that met tol on
+        the n_t nodes, or shooting's steps."""
+        return len(self.coarse_history) + len(self.history) - 1
 
 
 @dataclass(frozen=True)
@@ -310,11 +314,12 @@ def picard_solve(
     to ``tol`` on the n_c nodes from the start's rows there. Its fixed point,
     prolonged to the n_t nodes by zero-padding its spectrum (:func:`_prolong`),
     starts the loop on the n_t nodes, which the orbits' smoothness usually
-    lets finish with one application. ``history`` and ``n_iter`` are the
-    n_t-node loop's record, and ``coarse_history`` the coarse loop's, empty
-    when it did not run. A coarse loop that raises
-    :class:`NonConvergenceError` leaves its record there, and the n_t-node
-    loop starts from the caller's start instead. ``max_iter`` caps each loop.
+    lets finish with one application. ``history`` is the n_t-node loop's
+    record and ``coarse_history`` the coarse loop's, empty when it did not
+    run; ``n_iter`` counts the applications of both before the last. A
+    coarse loop that raises :class:`NonConvergenceError` leaves its record
+    there, and the n_t-node loop starts from the caller's start instead.
+    ``max_iter`` caps each loop.
 
     ``x0``, of shape ``(n_t, n_modes)``, holds the starting potential
     samples at the nodes k T / n_t (the recovery samples follow from them as
@@ -327,7 +332,8 @@ def picard_solve(
     ``max_iter >= 1`` and ``n_t`` (:func:`orbit_nodes`). A non-finite
     residual, one above ``_DIVERGENCE`` times the smallest so far, or
     ``max_iter`` applications without reaching ``tol`` on the n_t nodes
-    raise :class:`NonConvergenceError` with that loop's residual history.
+    raise :class:`NonConvergenceError` with that loop's residual history
+    and the coarse loop's as its ``coarse_history``.
     """
     _check_rates(sys)
     if not 0.0 < theta <= 1.0:
@@ -360,9 +366,13 @@ def picard_solve(
             coarse_history = exc.history
         else:
             fine_start = _prolong(u_c, n_t)
-    u, w, residuals = _anderson(sys, fine_start, theta, tol, max_iter)
-    if u is x0:
-        u = u.copy()  # never hand back the caller's start
+    try:
+        u, w, residuals = _anderson(sys, fine_start, theta, tol, max_iter)
+    except NonConvergenceError as exc:
+        exc.coarse_history = list(coarse_history)
+        raise
+    if u is guess:
+        u = u.copy()  # never hand back the caller's start, nor a view of it
 
     start = np.concatenate([u[0], w[0]])  # from t = 0
     end = integrate_cauchy(sys, start, sys.period, dt).x[-1]

@@ -977,12 +977,13 @@ def test_picard_stall_carries_its_update_history(tmp_path):
 
 def test_non_convergence_leaves_a_partial_report(tmp_path, capsys):
     """A stalled Picard run exits 3 and still writes report.json with the
-    command, the configuration echo, the error and the residual history."""
+    command, the configuration echo, the error and the residual histories,
+    the coarse one empty at n_t = 128."""
     text = NONLINEAR_PERIODIC_CFG + "solver.tol = 1e-16\nsolver.max_iter = 3\n"
     path = write_config(tmp_path, text)
     assert cli.main(["solve-periodic", "--config", path, "--out", str(tmp_path)]) == 3
     report = read_report(tmp_path)
-    assert set(report) == {"command", "config", "error", "history"}
+    assert set(report) == {"command", "config", "error", "history", "coarse_history"}
     assert report["command"] == "solve-periodic"
     echo = report["config"]
     assert echo["solver.tol"] == 1e-16 and echo["solver.max_iter"] == 3
@@ -991,6 +992,19 @@ def test_non_convergence_leaves_a_partial_report(tmp_path, capsys):
     assert report["error"] in capsys.readouterr().err
     history = report["history"]
     assert len(history) == 3 and all(h > 0.0 for h in history)
+    assert report["coarse_history"] == []
+
+
+def test_non_convergence_on_both_grids_reports_both_records(tmp_path, capsys):
+    """At n_t = 2048 the coarse loop stalls first and hands the n_t-node loop
+    the caller's start; the partial report keeps the records of both."""
+    text = NONLINEAR_PERIODIC_CFG.replace("solver.n_t = 128", "solver.n_t = 2048")
+    path = write_config(tmp_path, text + "solver.tol = 1e-16\nsolver.max_iter = 3\n")
+    assert cli.main(["solve-periodic", "--config", path, "--out", str(tmp_path)]) == 3
+    report = read_report(tmp_path)
+    for record in (report["history"], report["coarse_history"]):
+        assert len(record) == 3 and all(h > 0.0 for h in record)
+    capsys.readouterr()  # swallow the written-path listing and the error
 
 
 def test_report_carries_solver_histories_and_write_time(tmp_path, capsys):
@@ -1342,25 +1356,44 @@ def test_values_that_zero_a_derived_quantity_name_file_line_and_keys(
     assert not os.path.exists(tmp_path / "out"), "nothing should be written"
 
 
+_CAUCHY_RUN = ("cauchy.t_end = 0.5", "cauchy.dt = 0.001953125", "converge.m_list = 2, 4")
+
+
+def _with_recovery(tmp_path, b: str, xi: str, extra=()) -> tuple[str, int]:
+    """feasible_periodic.cfg with model.b and rescale.xi set last, after ``extra``;
+    the written path and its line count."""
+    with open(config_path("feasible_periodic.cfg"), encoding="utf-8") as fh:
+        shipped = fh.read().splitlines()
+    kept = [line for line in shipped if not line.startswith(("model.b ", "rescale.xi "))]
+    lines = [*kept, *extra, f"model.b = {b}", f"rescale.xi = {xi}"]
+    return write_config(tmp_path, "\n".join(lines) + "\n"), len(lines)
+
+
 @pytest.mark.parametrize(
     "command, extra",
-    [("solve-periodic", ()), ("solve-cauchy", ("cauchy.t_end = 4.0", "cauchy.dt = 0.001953125"))],
+    [("solve-periodic", ()), ("solve-cauchy", _CAUCHY_RUN), ("converge", _CAUCHY_RUN)],
 )
 def test_overflowing_recovery_rate_exits_2_naming_its_keys(tmp_path, capsys, command, extra):
     """model.b = xi = 1e300 overflow the recovery rate epsilon b xi c3 to inf.
     Every command that builds the system exits 2 naming the four keys behind
     it, before any step check could misread the rate."""
-    edits, edits_of = ("model.b = 1e300", "rescale.xi = 1e300"), ("model.b ", "rescale.xi ")
-    with open(config_path("feasible_periodic.cfg"), encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if not line.startswith(edits_of)]
-    lines += [*extra, *edits]
-    cfg = write_config(tmp_path, "\n".join(lines) + "\n")
+    cfg, n_lines = _with_recovery(tmp_path, "1e300", "1e300", extra)
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     named = "rescale.epsilon = 0.032, model.b = 1e+300, rescale.xi = 1e+300, model.c3 = 1.0"
-    message = f"decay rate must be positive, got inf {_UNDEFINED}"
+    message = "recovery rate epsilon b xi c3 = inf is not finite"
     err = capsys.readouterr().err
-    assert err == f"configuration error: {cfg}:{len(lines)}: {named}: {message}\n", err
+    assert err == f"configuration error: {cfg}:{n_lines}: {named}: {message}\n", err
     assert not os.path.exists(tmp_path / "out"), "nothing should be written"
+
+
+@pytest.mark.parametrize("command", ["solve-cauchy", "converge"])
+def test_underflowed_recovery_rate_still_integrates(tmp_path, capsys, command):
+    """model.b = 1e-300 and xi = 1e-30 underflow the recovery rate to 0. An
+    initial-value run needs no periodic response, so dw/dt = eps b u - 0 w
+    integrates and the run exits 0; only solve-periodic rejects the rate."""
+    cfg, _ = _with_recovery(tmp_path, "1e-300", "1e-30", _CAUCHY_RUN)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()  # swallow the written-path listing
 
 
 def test_shooting_step_just_past_the_limit_exits_2_naming_solver_dt(

@@ -208,6 +208,18 @@ def test_picard_zero_iterations_from_fixed_point():
     assert not np.shares_memory(orbit.u, u_star), "the caller's start is never handed back"
 
 
+def test_picard_hands_back_no_view_of_a_memory_mapped_start(tmp_path):
+    """A start that is an ndarray subclass, here a memmap, reaches the loop
+    as a new view of the caller's memory; a fixed point found at the first
+    application is still copied out of it."""
+    sys = linear_system(s0=1.0)
+    u_star = np.memmap(tmp_path / "start.bin", dtype=float, mode="w+", shape=(256, 5))
+    u_star[:] = 1.0 * sys.trace_vector / sys.basis.lambdas
+    orbit = picard_solve(sys, 256, DT, x0=u_star, tol=1e-10)
+    assert orbit.n_iter == 0
+    assert not np.shares_memory(orbit.u, u_star), "the caller's start is never handed back"
+
+
 def test_picard_start_is_the_potential_samples_alone():
     """The start holds the potential samples, shape (n_t, n); a stacked
     (u, w) start of shape (2, n_t, n) is rejected."""
@@ -285,7 +297,8 @@ def test_coarse_phase_keeps_the_fine_grids_orbit(monkeypatch):
     start = 0.01 * np.random.default_rng(3).standard_normal((8192, sys.n_modes))
     rows = _count_u_block_rows(monkeypatch)
     two_grid = picard_solve(sys, 8192, DT, x0=start, theta=0.5)
-    assert two_grid.n_iter == 0 and len(two_grid.coarse_history) >= 2
+    assert len(two_grid.history) == 1 and len(two_grid.coarse_history) >= 2
+    assert two_grid.n_iter == len(two_grid.coarse_history), "coarse applications count"
     assert rows == [1024] * len(two_grid.coarse_history) + [8192]
     assert two_grid.coarse_history[-1] < 1e-10
     monkeypatch.setattr(periodic, "_coarse_nodes", lambda n_t: None)
@@ -338,6 +351,24 @@ def test_failed_coarse_phase_gives_the_fine_only_orbit(monkeypatch):
     assert orbit.history == fine.history
     assert orbit.periodicity_residual == fine.periodicity_residual
     assert np.array_equal(orbit.u, fine.u) and np.array_equal(orbit.w, fine.w)
+
+
+def test_failed_fine_phase_carries_the_coarse_record(monkeypatch):
+    """A coarse loop that converges, then an n_t-node loop that diverges: the
+    error carries both records, the coarse one as a clean run keeps it."""
+    sys = feasible_system(m=4, phi=0.5)
+    clean = picard_solve(sys, 2048, DT)
+    u_block = periodic._u_block
+
+    def diverging_on_the_fine_grid(sys, u, w):
+        out = u_block(sys, u, w)
+        return out if len(u) < 2048 else out * np.inf
+
+    monkeypatch.setattr(periodic, "_u_block", diverging_on_the_fine_grid)
+    with pytest.raises(NonConvergenceError, match="diverged after 1 sweeps") as info:
+        picard_solve(sys, 2048, DT)
+    assert len(info.value.history) == 1 and not np.isfinite(info.value.history[0])
+    assert info.value.coarse_history == list(clean.coarse_history) != []
 
 
 def test_picard_rejects_bad_damping():

@@ -22,7 +22,7 @@ inside their ranges whose products vanish (c2 = 0 or c1 = s_sup = 0 under
 ``feasibility``, a zero drive factor under ``param-region``, an underflowed
 recovery rate under ``solve-periodic``; exit 2), with an interval so short
 that its eigenvalues overflow, or a recovery rate that overflows under
-``solve-periodic`` and ``solve-cauchy`` (exit 2), with one of the window's
+``solve-periodic``, ``solve-cauchy`` and ``converge`` (exit 2), with one of the window's
 inputs swapped: ``window_aggregates.cfg`` with the projection excess in
 place of kappa, and ``reaction_region.cfg`` with a pinned c4, positive or
 negative, under ``param-region``, or with ``solver.m = 16`` on
@@ -140,6 +140,12 @@ EDITED_CONFIGS = (
         "solve-cauchy",
         ("model.b ", "rescale.xi "),
         ("cauchy.t_end = 4.0", "cauchy.dt = 0.001953125", "model.b = 1e300", "rescale.xi = 1e300"),
+    ),
+    (
+        "refinement",
+        "converge",
+        ("model.b ", "rescale.xi "),
+        ("model.b = 1e300", "rescale.xi = 1e300"),
     ),
 )
 
