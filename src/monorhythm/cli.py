@@ -3,10 +3,10 @@
 Five subcommands cover the suite: ``feasibility`` evaluates the existence
 window and samples the load/gain curves, ``solve-cauchy`` integrates the
 modal initial-value problem with a priori monitors, ``solve-periodic``
-finds a periodic orbit by Picard iteration and/or shooting and optionally
-certifies a trapping ball, ``converge`` measures truncation refinement on
-a shared time grid, and ``param-region`` rasterizes the admissible
-reaction-coefficient region.
+finds a periodic orbit by Picard iteration and/or shooting and, given
+``solver.radius``, flags whether it lies in that ball, ``converge``
+measures truncation refinement on a shared time grid, and ``param-region``
+rasterizes the admissible reaction-coefficient region.
 
 Every run writes a JSON report (configuration echo, payload, condition
 flags, timings) and CSV data files, in the formats of :mod:`.output`, so
@@ -60,7 +60,6 @@ from .ionic import PhysiologicalParameters, check_decay_rates, derive_parameters
 from .output import write_csv, write_report
 from .periodic import (
     NonConvergenceError,
-    certify_ball,
     orbit_gap,
     orbit_nodes,
     picard_solve,
@@ -338,14 +337,8 @@ def cmd_solve_periodic(cfg: RunConfig, seed=None):
         for name, orbit in zip(("orbit.csv", "orbit_shooting.csv"), orbits.values())
     ]
 
-    flags: dict = {}
-    if radius is None:
-        payload["ball_certificate"] = "skipped: no solver.radius configured"
-        flags["ball_member"] = None
-    else:
-        cert = certify_ball(next(iter(orbits.values())), radius, sys_.basis)
-        payload["ball_certificate"] = cert
-        flags["ball_member"] = cert.margin >= 0.0
+    primary = next(iter(orbits.values()))
+    flags = {"ball_member": None if radius is None else primary.ct_norm <= radius}
     return payload, flags, files
 
 
@@ -390,12 +383,10 @@ def cmd_param_region(cfg: RunConfig):
         _check_lam0(cfg, d)
 
     a1 = np.linspace(a1_min, a1_max, n_a1)
-    try:
-        bound = a2_bound(a1, d, emb)
-    except ValueError as exc:
-        if emb.delta(0.0) > 0.0:
-            raise  # a1 >= 0 and a pinned lam0 are checked, so only a zero drive is the input's
-        raise _keyed_error(cfg, _drive_keys(cfg), exc) from None
+    # a1 >= 0 and a pinned lam0 are checked, so what is left is a zero drive, or an
+    # unpinned lam0 that vanishes at a raster a1, which the a1 range sets
+    keys = ("region.a1_min", "region.a1_max") if emb.delta(0.0) > 0.0 else _drive_keys(cfg)
+    bound = _keyed(cfg, keys, a2_bound, a1, d, emb)
     files = [
         (
             "region.csv",

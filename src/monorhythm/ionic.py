@@ -213,5 +213,5 @@ def check_decay_rates(rates) -> None:
     bad = rates[~(np.isfinite(rates) & (rates > 0.0))]
     if bad.size:
         raise ValueError(
-            f"decay rate must be positive, got {bad[0]} (periodic response undefined)"
+            f"decay rate must be positive and finite, got {bad[0]} (periodic response undefined)"
         )

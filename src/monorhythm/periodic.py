@@ -43,11 +43,9 @@ from .spectral import project_nonlinearity, v_norm_sq
 __all__ = [
     "NonConvergenceError",
     "PeriodicOrbit",
-    "BallCertificate",
     "farkas_apply",
     "picard_solve",
     "shooting_solve",
-    "certify_ball",
     "orbit_gap",
     "orbit_nodes",
     "ct_norm",
@@ -101,12 +99,6 @@ class PeriodicOrbit:
         """Picard's applications, on either grid, before the one that met tol on
         the n_t nodes, or shooting's steps."""
         return len(self.coarse_history) + len(self.history) - 1
-
-
-@dataclass(frozen=True)
-class BallCertificate:
-    worst_t: float
-    margin: float
 
 
 _DEPTH = 2  # residual differences Picard's Anderson mixing keeps
@@ -570,15 +562,6 @@ def shooting_solve(
         history=tuple(history),
         jacobian_cond=float(np.linalg.cond(jac)),
     )
-
-
-def certify_ball(orbit: PeriodicOrbit, radius: float, basis) -> BallCertificate:
-    """The radius minus the orbit's mixed sup norm, and the node attaining the norm; the
-    orbit is in the closed ball exactly when that float difference is nonnegative."""
-    pointwise = _mixed_norm(basis, orbit.u, orbit.w)
-    worst = int(np.argmax(pointwise))
-    margin = radius - float(pointwise[worst])
-    return BallCertificate(worst_t=float(orbit.times[worst]), margin=margin)
 
 
 def orbit_gap(a: PeriodicOrbit, b: PeriodicOrbit, basis) -> float:

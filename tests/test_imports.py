@@ -21,7 +21,7 @@ UNREAD_BY_DESIGN = {
 # Dataclass fields the package keeps although no package code reads them by name.
 _REPORTED = "report.json carries it: output._json_default writes the record with dataclasses.asdict"
 FIELDS_UNREAD_BY_DESIGN = {
-    "BallCertificate.worst_t": _REPORTED,
+    "ConditionResult.margin": _REPORTED,
 }
 
 

@@ -1,6 +1,7 @@
 """The periodic response, the fixed-point operator, and both orbit solvers."""
 
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,7 @@ from monorhythm.feasibility import EmbeddingConstants, a2_bound
 from monorhythm.galerkin import GalerkinSystem, integrate_cauchy
 from monorhythm.ionic import PhysiologicalParameters, derive_parameters, with_reaction
 from monorhythm.periodic import (
-    BallCertificate,
     NonConvergenceError,
-    certify_ball,
     ct_norm,
     farkas_apply,
     orbit_gap,
@@ -92,7 +91,7 @@ def test_solvers_reject_nonpositive_rate_before_any_work(monkeypatch, which, rat
         # recovery_rate = (eps b) xi c3, which is rate itself with eps = b = xi = 1
         d = dataclasses.replace(sys.d, epsilon=1.0, b=1.0, xi=1.0, c3=rate)
         sys = dataclasses.replace(sys, d=d)
-    with pytest.raises(ValueError, match=f"decay rate must be positive, got {rate}"):
+    with pytest.raises(ValueError, match=f"decay rate must be positive and finite, got {rate}"):
         if solver == "picard":
             picard_solve(sys, 128, DT)
         else:
@@ -228,14 +227,44 @@ def test_picard_start_is_the_potential_samples_alone():
         picard_solve(sys, 256, DT, x0=np.zeros((2, 256, 5)))
 
 
-def test_picard_nonlinear_converges_and_certifies():
+def _solve_periodic_report(tmp_path, name, radius=None):
+    """report.json of solve-periodic with Picard alone on configs/``name``, its
+    solver.radius replaced by ``radius`` unless that is None."""
+    dropped = ("solver.method ",) if radius is None else ("solver.method ", "solver.radius ")
+    text = (CONFIG_DIR / name).read_text(encoding="utf-8")
+    kept = [line for line in text.splitlines() if not line.startswith(dropped)]
+    kept.append("solver.method = picard")
+    if radius is not None:
+        kept.append(f"solver.radius = {radius!r}")
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+    cfg.write_text("\n".join(kept) + "\n", encoding="utf-8")
+    argv = ["solve-periodic", "--config", str(cfg), "--out", str(out), "--format", "json"]
+    assert cli.main(argv) == 0
+    return json.loads((out / "report.json").read_text(encoding="utf-8"))
+
+
+def _assert_ball_is_closed(tmp_path, name, norm):
+    """The ball_member flag of a run on configs/``name`` whose orbit has mixed sup
+    norm ``norm``: true at radius ``norm``, false one float below it."""
+    for radius, member in ((norm, True), (float(np.nextafter(norm, 0.0)), False)):
+        report = _solve_periodic_report(tmp_path, name, radius)
+        assert report["payload"]["picard"]["ct_norm"] == norm
+        assert report["condition_flags"]["ball_member"] is member, radius
+        assert "ball_certificate" not in report["payload"]
+
+
+def test_picard_nonlinear_converges_and_certifies(tmp_path):
     sys = feasible_system(m=4)
     orbit = picard_solve(sys, 1024, DT, tol=1e-12)
     assert orbit.converged
     assert orbit.history[-1] <= 10.0 * 1e-12
     assert orbit.periodicity_residual < 1e-6
-    cert = certify_ball(orbit, R_STAR, sys.basis)
-    assert isinstance(cert, BallCertificate) and cert.margin >= 0.0
+    # the command flags the nonlinear orbit in the shipped ball of radius R_STAR
+    report = _solve_periodic_report(tmp_path, "feasible_periodic.cfg")
+    assert report["config"]["solver.radius"] == R_STAR
+    assert report["condition_flags"]["ball_member"] is True
+    norm = report["payload"]["picard"]["ct_norm"]
+    _assert_ball_is_closed(tmp_path, "feasible_periodic.cfg", norm)
 
 
 def test_picard_coarse_grid_is_periodic():
@@ -987,23 +1016,24 @@ def test_orbit_gap_validation():
     assert orbit_gap(a, zero, sys.basis) == orbit_gap(zero, a, sys.basis) == a.ct_norm > 0.0
 
 
-def test_certify_ball_conventions():
+def test_certify_ball_conventions(tmp_path):
     # the undriven linear system sits at the zero orbit: zero sweeps move it
     zeros = picard_solve(linear_system(s0=0.0), 256, DT)
     assert zeros.n_iter == 0 and len(zeros.times) == 256
     assert zeros.times[0] == 0.0 and zeros.times[1] == pytest.approx(PERIOD / 256)
-    sys = linear_system(s0=1.0)
-    cert = certify_ball(zeros, 0.5, sys.basis)
-    assert cert.margin == 0.5 and cert.worst_t == 0.0
+    assert zeros.ct_norm == 0.0
 
+    sys = linear_system(s0=1.0)
     orbit = picard_solve(sys, 256, DT, tol=1e-12)
     u_star = 1.0 * sys.trace_vector / sys.basis.lambdas
     w_star = u_star / (XI * 1.0)
     hand = float(np.sqrt(np.sum(sys.basis.lambdas * u_star**2) + np.sum(w_star**2)))
     assert orbit.ct_norm == pytest.approx(hand, rel=1e-9)
-    # the ball is closed: sitting exactly on the boundary still counts
-    boundary = certify_ball(orbit, orbit.ct_norm, sys.basis)
-    assert boundary.margin == 0.0
+    # the command's ball is closed: an orbit exactly on the boundary still counts
+    report = _solve_periodic_report(tmp_path, "linear_orbit.cfg")
+    assert report["condition_flags"]["ball_member"] is None
+    norm = report["payload"]["picard"]["ct_norm"]
+    _assert_ball_is_closed(tmp_path, "linear_orbit.cfg", norm)
 
 
 def test_invariance_of_critical_ball_sample():

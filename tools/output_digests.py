@@ -19,8 +19,9 @@ shooting's dt = 0.0019 and 0.0625; exit 2), with a two-coefficient
 ``ic.u`` (exit 2), with both kappa and the projection excess (exit 2), with
 u_peak under u_res or c1 = 0, which zeroes lambda_0 (exit 2), with values
 inside their ranges whose products vanish (c2 = 0 or c1 = s_sup = 0 under
-``feasibility``, a zero drive factor under ``param-region``, an underflowed
-recovery rate under ``solve-periodic``; exit 2), with an interval so short
+``feasibility``, a zero drive factor or a lambda_0 that underflows at a
+raster a1 under ``param-region``, an underflowed recovery rate under
+``solve-periodic``; exit 2), with an interval so short
 that its eigenvalues overflow, or a recovery rate that overflows under
 ``solve-periodic``, ``solve-cauchy`` and ``converge`` (exit 2), with one of the window's
 inputs swapped: ``window_aggregates.cfg`` with the projection excess in
@@ -146,6 +147,12 @@ EDITED_CONFIGS = (
         "converge",
         ("model.b ", "rescale.xi "),
         ("model.b = 1e300", "rescale.xi = 1e300"),
+    ),
+    (
+        "reaction_region",
+        "param-region",
+        ("rescale.epsilon ", "region.a1_max "),
+        ("rescale.epsilon = 1e-300", "region.a1_max = 1e-30"),
     ),
 )
 
