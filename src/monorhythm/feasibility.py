@@ -275,7 +275,9 @@ def a2_bound(a1, d: DerivedParameters, emb: EmbeddingConstants):
     delta at a1, and solving for a2 gives the ceiling
     2 (kappa lam0)^(3/2) / (sqrt(3) xi k1 sqrt(delta)): a2 below it is
     exactly where reduced_window holds. Accepts scalar or array a1; the
-    drive must be positive, or delta vanishes at a1 = 0.
+    drive must be positive, or delta vanishes at a1 = 0. A ceiling that
+    overflows (a1 near the float range) raises ValueError naming the first
+    such a1; it is computed with NumPy's overflow warnings off.
     """
     a1_arr = np.asarray(a1, dtype=float)
     if np.any(a1_arr < 0.0):
@@ -284,14 +286,22 @@ def a2_bound(a1, d: DerivedParameters, emb: EmbeddingConstants):
         raise ValueError(
             "the boundary-drive product s_sup * trace_norm * phi_norm must be positive"
         )
-    model = with_reaction(d, a1_arr, 0.0)
-    # lam0 > 0 wherever a1 > 0; at a1 = 0 an unpinned lam0 is 0, and the ceiling its limit 0
-    check_decay_rates(np.broadcast_to(model.lam0, a1_arr.shape)[a1_arr > 0.0])
-    out = (
-        2.0
-        * (emb.kappa * model.lam0) ** 1.5
-        / (math.sqrt(3.0) * d.xi * emb.k1 * np.sqrt(emb.delta(model.A1)))
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        model = with_reaction(d, a1_arr, 0.0)
+        # lam0 > 0 wherever a1 > 0; at a1 = 0 an unpinned lam0 is 0, and the ceiling its limit 0
+        check_decay_rates(np.broadcast_to(model.lam0, a1_arr.shape)[a1_arr > 0.0])
+        out = (
+            2.0
+            * (emb.kappa * model.lam0) ** 1.5
+            / (math.sqrt(3.0) * d.xi * emb.k1 * np.sqrt(emb.delta(model.A1)))
+        )
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"a2 ceiling at a1 = {float(a1_arr.flat[i])!r} is {float(np.ravel(out)[i])},"
+            " not finite"
+        )
     if a1_arr.ndim == 0:
         return float(out)
     return out

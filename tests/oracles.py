@@ -93,3 +93,87 @@ def f_ion_raw(u_hat, w_hat, phys):
 def g_raw(u_hat, w_hat, phys):
     """Recovery dynamics in raw units: b (u_hat - u_res - c3 w_hat)."""
     return phys.b * (u_hat - phys.u_res - phys.c3 * w_hat)
+
+
+def rk4_stage_oracle(sys, mask=None):
+    """The fused RK4 stage ``stage(s, x)`` as one function, rebuilding its scratch per call.
+
+    ``sys`` is any object carrying ``basis`` (``psi_quad``, ``quad_weights``,
+    ``lambdas``), ``d`` (the reaction constants), ``recovery_gain``,
+    ``recovery_rate`` and ``trace_vector``. One nodal product of the (u, w)
+    rows, the reaction written into a [reaction | state | drive] row buffer,
+    then one back-projection product, in that order and on those shapes, so
+    the bits are those the integrator is held to.
+    """
+    basis, d = sys.basis, sys.d
+    n, n_quad = len(basis.lambdas), len(basis.quad_weights)
+    psi_t = np.ascontiguousarray(basis.psi_quad.T)
+    weights = np.zeros((n_quad + 2 * n + 1, 2 * n))
+    weights[:n_quad, :n] = -(basis.quad_weights[:, None] * basis.psi_quad)
+    linear_t = weights[n_quad:-1]
+    np.fill_diagonal(linear_t, np.concatenate([-basis.lambdas, np.full(n, -sys.recovery_rate)]))
+    linear_t[:n, n:] = sys.recovery_gain * np.eye(n)
+    weights[-1, :n] = sys.trace_vector
+    cubic = (d.epsilon / d.C) * d.a1
+    coupling = (d.epsilon / d.C) * d.xi * d.a2
+    shift = d.u_pr + d.u_tr
+
+    def stage(s, x):
+        nodal = (x.reshape(-1, n) @ psi_t).reshape(x.shape[:-1] + (2, -1))
+        u, w = nodal[..., 0, :], nodal[..., 1, :]
+        buf = np.empty(x.shape[:-1] + (len(weights),))
+        bracket = np.subtract(u, shift)
+        bracket *= u
+        bracket *= cubic
+        bracket += coupling * w
+        np.multiply(bracket, u, out=buf[..., :n_quad])
+        buf[..., n_quad:-1] = x
+        buf[..., -1:] = s
+        dx = buf @ weights
+        if mask is not None:
+            dx *= mask
+        return dx
+
+    return stage
+
+
+def rk4_step_oracle(stage, drive, x, h):
+    """One classical RK4 step, x + (h/6) (k1 + 2 k2 + 2 k3 + k4) with that association."""
+    s0, s_half, s1 = drive
+    k1 = stage(s0, x)
+    y = k1 * (0.5 * h)
+    y += x
+    k2 = stage(s_half, y)
+    np.multiply(k2, 0.5 * h, out=y)
+    y += x
+    k3 = stage(s_half, y)
+    np.multiply(k3, h, out=y)
+    y += x
+    k4 = stage(s1, y)
+    k2 *= 2.0
+    k2 += k1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= h / 6.0
+    k2 += x
+    return k2
+
+
+def rk4_march_oracle(stage, stim, x, times, offsets=None):
+    """The state at every node of ``times``, one :func:`rk4_step_oracle` per step.
+
+    Step k drives its stages at t, t + h/2 and t + h, with t = times[k] and
+    h = times[k + 1] - t. Given ``offsets``, x is a stack (k, 1, 2 n) whose
+    member j is driven at offsets[j] + t through a (k, 1, 1) column.
+    """
+    states = [x]
+    for t, h in zip(times[:-1], np.diff(times)):
+        stage_times = np.array([t, t + 0.5 * h, t + h])
+        if offsets is None:
+            drive = [float(s) for s in stim(stage_times)]
+        else:
+            drive = list(stim(stage_times[:, None, None, None] + offsets[:, None, None]))
+        x = rk4_step_oracle(stage, drive, x, float(h))
+        states.append(x)
+    return np.array(states)

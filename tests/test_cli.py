@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -1364,6 +1365,25 @@ def test_values_that_zero_a_derived_quantity_name_file_line_and_keys(
     cfg = write_config(tmp_path, "\n".join(lines) + "\n")
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
+    assert err == f"configuration error: {cfg}:{len(lines)}: {named}: {message}\n", err
+    assert not os.path.exists(tmp_path / "out"), "nothing should be written"
+
+
+def test_overflowing_a2_ceiling_exits_2_naming_the_a1_range(tmp_path, capsys):
+    """region.a1_max = 1e300 overflows the a2 ceiling's (kappa lambda_0)^(3/2)
+    at the raster's large a1. param-region exits 2 naming the a1 range, the
+    first a1 whose ceiling is not finite, and that value, with no NumPy
+    warning on the way."""
+    with open(config_path("reaction_region.cfg"), encoding="utf-8") as fh:
+        lines = [line for line in fh.read().splitlines() if not line.startswith("region.a1_max ")]
+    lines.append("region.a1_max = 1e300")
+    cfg = write_config(tmp_path, "\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["param-region", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    named = "region.a1_min = 0.0, region.a1_max = 1e+300"
+    message = "a2 ceiling at a1 = 3.125e+298 is inf, not finite"
     assert err == f"configuration error: {cfg}:{len(lines)}: {named}: {message}\n", err
     assert not os.path.exists(tmp_path / "out"), "nothing should be written"
 

@@ -3,6 +3,7 @@
 import math
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -341,6 +342,18 @@ def test_a2_bound_rejects_a_zero_drive():
     undriven = dataclasses.replace(EMB, s_sup=0.0)
     with pytest.raises(ValueError, match="boundary-drive product"):
         a2_bound(np.array([0.01, 0.02]), MODEL, undriven)
+
+
+def test_a2_bound_rejects_an_overflowing_ceiling_without_warnings():
+    """A ceiling past the float range raises, naming the first such a1, for a
+    scalar and for an array a1, and NumPy warns of nothing on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^a2 ceiling at a1 = 1e\+300 is inf, not finite$"):
+            a2_bound(1e300, MODEL, EMB)
+        with pytest.raises(ValueError, match=r"^a2 ceiling at a1 = 1e\+300 is inf"):
+            a2_bound(np.array([0.0, 0.01, 1e300, 1e301]), MODEL, EMB)
+        assert np.isfinite(a2_bound(1e200, MODEL, EMB))
 
 
 def test_build_report_feasible():

@@ -21,6 +21,7 @@ from monorhythm.galerkin import (
 from monorhythm.ionic import PhysiologicalParameters, derive_parameters
 from monorhythm.spectral import Stimulus, build_basis, project_nonlinearity
 
+from oracles import rk4_march_oracle, rk4_stage_oracle
 from systems import EPSILON, GEOM, PERIOD, PHI, XI, feasible_model, feasible_system, linear_system
 
 
@@ -40,11 +41,11 @@ def bump_coeffs(basis):
     return (values * basis.quad_weights) @ basis.psi_quad
 
 
-def pulse_system():
-    """The feasible model at m = 8 under a narrow pulse drive."""
+def pulse_system(m=8):
+    """The feasible model at size m under a narrow pulse drive."""
     d = feasible_model()
     stim = Stimulus("pulse", period=PERIOD, phi_value=PHI, amplitude=20.0, center=0.3, width=0.05)
-    return GalerkinSystem(build_basis(GEOM, 8, d), d, stim)
+    return GalerkinSystem(build_basis(GEOM, m, d), d, stim)
 
 
 def test_rhs_zero_equilibrium():
@@ -95,18 +96,18 @@ def test_stage_reaction_is_the_projected_nonlinearity(m, layout, amplitude, s, s
     x = amplitude * rng.standard_normal(shapes[layout])
     drive = s * np.concatenate([sys.trace_vector, np.zeros(n)])
     mask = 1.0
-    stage = sys.stage
+    stage = galerkin._stage_kernel(sys, x.shape)
     if layout == "ladder":
         sizes = np.sort(rng.integers(0, m + 1, size=3))
         mask = np.tile(np.arange(n) <= sizes[:, None], 2).astype(float)
         x *= mask
         drive = drive * mask
-        stage = galerkin._stage_kernel(sys, mask)
+        stage = galerkin._stage_kernel(sys, x.shape, mask)
     u, w = x[..., :n], x[..., n:]
     linear = np.concatenate(
         [-sys.basis.lambdas * u, sys.recovery_gain * u - sys.recovery_rate * w], axis=-1
     )
-    reaction = stage(s, x) - linear - drive
+    reaction = stage(s, x, x.reshape(-1, n)) - linear - drive
     expected = mask * np.concatenate(
         [-project_nonlinearity(sys.basis, u, w, sys.d), np.zeros_like(w)], axis=-1
     )
@@ -270,6 +271,43 @@ def test_integration_equals_rk4_on_public_rhs():
     assert np.array_equal(traj.x, rk4_on_public_rhs(sys, traj.times, state(u0, w0)))
 
 
+@pytest.mark.parametrize("m", [8, 16])
+def test_marches_equal_the_stage_and_step_oracle_bit_for_bit(m):
+    """Every march gives the bits of the stage and RK4 step written as plain
+    functions in ``oracles``, under a pulse drive with a shortened last step
+    (dt = 0.03 does not divide the period): a lone state, a 3-member stack
+    with its own start times, and the masked ladder of refinement_gaps."""
+    sys = pulse_system(m)
+    n = sys.n_modes
+    rng = np.random.default_rng(m)
+    x0 = 0.01 * rng.standard_normal((3, 2 * n))
+    traj = integrate_cauchy(sys, x0[0], PERIOD, dt=0.03)
+    assert traj.times[-1] - traj.times[-2] < 0.03
+    stage = rk4_stage_oracle(sys)
+    assert np.array_equal(traj.x, rk4_march_oracle(stage, sys.stim, x0[0], traj.times))
+    t0 = np.array([0.0, 0.7, 1.3])
+    traj = integrate_cauchy(sys, x0, PERIOD, 0.03, t0)
+    oracle = rk4_march_oracle(stage, sys.stim, x0[:, None], traj.times, t0)
+    assert np.array_equal(traj.x, oracle[:, :, 0])
+
+    seen = []
+    march = galerkin._march
+
+    def watching(*args, **kwargs):
+        for k, block in march(*args, **kwargs):
+            seen.append(block.copy())
+            yield k, block
+
+    sizes = np.array([2, 5, m])
+    with patch.object(galerkin, "_march", watching):
+        refinement_gaps(sys, sizes, PERIOD, 0.03)
+    mask = np.tile(np.arange(n) <= sizes[:, None], 2).astype(float)
+    ladder = rk4_march_oracle(
+        rk4_stage_oracle(sys, mask), sys.stim, np.zeros((3, 2 * n)), traj.times
+    )
+    assert np.array_equal(np.concatenate(seen), ladder[1:])
+
+
 def system_arrays(sys):
     basis = sys.basis
     return [basis.lambdas, basis.quad_weights, basis.psi_quad, basis.trace_values, sys.trace_vector]
@@ -277,36 +315,81 @@ def system_arrays(sys):
 
 @pytest.mark.parametrize("layout", ["lone", "stacked", "ladder"])
 def test_in_place_stage_and_step_leave_their_inputs_alone(layout):
-    """The stage and the RK4 step build their results in place, in scratch
+    """The stage and the RK4 stepper build their results in place, in scratch
     arrays of their own. Neither writes into the state, the drive column or
-    the system's arrays it was given, and every stage value and step result
-    is a new array: no two share memory, so a later step cannot overwrite
-    an earlier state."""
+    the system's arrays it was given. Every stage value without ``out`` is a
+    new array, and the stepper's state is a copy of the start: no two share
+    memory, so a later stage cannot overwrite an earlier value."""
     sys = pulse_system()
     n = sys.n_modes
     rng = np.random.default_rng(5)
     shapes = {"lone": (2 * n,), "stacked": (5, 2 * n), "ladder": (3, 2 * n)}
     x = 0.01 * rng.standard_normal(shapes[layout])
     s = 0.7
-    stage = sys.stage
+    mask = None
     if layout == "stacked":
         s = sys.stim(np.linspace(0.0, PERIOD, 5, endpoint=False)[:, None])
     if layout == "ladder":
         mask = np.tile(np.arange(n) <= np.array([2, 5, 8])[:, None], 2).astype(float)
         x *= mask
-        stage = galerkin._stage_kernel(sys, mask)
-    inputs = [x, np.asarray(s), *system_arrays(sys)]
+    inputs = [x, np.asarray(s), *system_arrays(sys), *sys.stage_matrices]
     before = [a.tobytes() for a in inputs]
-    made = [stage(s, x)]
-    state = x
+    stage = galerkin._stage_kernel(sys, x.shape, mask)
+    made = [stage(s, x, x.reshape(-1, n)), stage(s, x, x.reshape(-1, n))]
+    assert np.array_equal(made[0], made[1])
+    stepper = galerkin._RK4Stepper(sys, x, mask)
     for h in (0.01, 0.02, 0.005):
-        state = galerkin._rk4_step(stage, (0.1, 0.2, 0.3), state, h)
-        made.append(state)
+        stepper.step((0.1, 0.2, 0.3), h)
+    made.append(stepper.x)
     assert [a.tobytes() for a in inputs] == before
     arrays = [x, *made]
     for i, a in enumerate(arrays):
         for b in arrays[i + 1 :]:
             assert not np.shares_memory(a, b)
+
+
+def test_each_march_owns_its_scratch():
+    """Two marches of one system, run block by block in turn with an rhs call
+    between blocks, give the blocks each gives run alone: no scratch passes
+    through the shared system. No state a march returns shares memory with
+    any array of the stepper that made it, its stage's included."""
+    sys = pulse_system()
+    rng = np.random.default_rng(9)
+    starts = 0.01 * rng.standard_normal((2, 2 * sys.n_modes))
+    times = galerkin._time_grid(3 * PERIOD, 0.03)
+    sizes = (sys.basis.m,)
+    alone = [[b.copy() for _, b in galerkin._march(sys, x, times, sizes)] for x in starts]
+    turns = [[], []]
+    for pair in zip(*(galerkin._march(sys, x, times, sizes) for x in starts)):
+        for seen, (_, block) in zip(turns, pair):
+            seen.append(block.copy())
+            rhs(sys, 0.1, 2.0 * block)
+    assert len(turns[0]) == 4
+    for run, turn in zip(alone, turns):
+        assert len(run) == len(turn) and all(map(np.array_equal, run, turn))
+
+    made = []
+
+    class Recording(galerkin._RK4Stepper):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    with patch.object(galerkin, "_RK4Stepper", Recording):
+        lone = integrate_cauchy(sys, starts[0], PERIOD, 0.03)
+        stack = integrate_cauchy(sys, starts, PERIOD, 0.03, np.array([0.0, 0.5]))
+    assert len(made) == 2
+    for traj, stepper in zip((lone, stack), made):
+        scratch = [stepper.x, stepper.y, *stepper.rows, *stepper.k]
+        for cell in stepper.stage.__closure__:
+            try:
+                value = cell.cell_contents
+            except ValueError:  # the ladder's cells stay unbound in a lone or stacked kernel
+                continue
+            if isinstance(value, np.ndarray):
+                scratch.append(value)
+        assert len(scratch) > 10
+        assert not any(np.shares_memory(traj.x, a) for a in scratch)
 
 
 def test_integration_and_ladder_leave_their_inputs_alone():
@@ -472,8 +555,8 @@ def test_ladder_gaps_equal_separate_padded_runs(m_list, amplitude):
     seen = []
     march = galerkin._march
 
-    def watching(stage, stim, x, times, sizes):
-        for k, block in march(stage, stim, x, times, sizes):
+    def watching(*args, **kwargs):
+        for k, block in march(*args, **kwargs):
             seen.append(block.copy())
             yield k, block
 

@@ -27,8 +27,14 @@ that its eigenvalues overflow, or a recovery rate that overflows under
 inputs swapped: ``window_aggregates.cfg`` with the projection excess in
 place of kappa, and ``reaction_region.cfg`` with a pinned c4, positive or
 negative, under ``param-region``, or with ``solver.m = 16`` on
-``feasible_periodic.cfg``, where both methods run at a size past 12.
-Each case runs ``python -m monorhythm.cli`` from ``ROOT/src`` in a fresh
+``feasible_periodic.cfg``, where both methods run at a size past 12. The
+RK4 marches get four more: ``solve-cauchy`` with ``cauchy.dt = 0.003``,
+which shortens the last step, ``converge`` with equal ladder sizes
+(``converge.m_list = 4,4,8,16``), and a runaway drive (amplitude 2e6 at
+``cauchy.dt = 0.03125``) under ``solve-cauchy`` and ``converge``, which
+exits 4 and whose report pins the blow-up magnitude. Last,
+``region.a1_max = 1e300``, whose a2 ceiling overflows (exit 2). Each
+case runs ``python -m monorhythm.cli`` from ``ROOT/src`` in a fresh
 interpreter. For each case the listing gives the exit code, stdout and
 stderr with the case's paths and ROOT masked (so tracebacks from two
 checkouts compare), the SHA-256 of each CSV, the SHA-256 of
@@ -58,6 +64,8 @@ BAD_SOLVER_VALUES = (
     ("both", "solver.tol", "-1e-10"),
     ("shooting", "solver.dt", "0"),
 )
+# a drive that blows the march up within a few blocks
+_RUNAWAY = ("stimulus.amplitude = 2e6", "cauchy.dt = 0.03125")
 # (config stem, command, key prefixes dropped, lines added) per edited case
 EDITED_CONFIGS = (
     (
@@ -154,6 +162,11 @@ EDITED_CONFIGS = (
         ("rescale.epsilon ", "region.a1_max "),
         ("rescale.epsilon = 1e-300", "region.a1_max = 1e-30"),
     ),
+    ("cauchy_demo", "solve-cauchy", ("cauchy.dt ",), ("cauchy.dt = 0.003",)),
+    ("refinement", "converge", ("converge.m_list ",), ("converge.m_list = 4,4,8,16",)),
+    ("cauchy_demo", "solve-cauchy", ("stimulus.amplitude ", "cauchy.dt "), _RUNAWAY),
+    ("refinement", "converge", ("stimulus.amplitude ", "cauchy.dt "), _RUNAWAY),
+    ("reaction_region", "param-region", ("region.a1_max ",), ("region.a1_max = 1e300",)),
 )
 
 
