@@ -384,7 +384,8 @@ def cmd_param_region(cfg: RunConfig):
 
     a1 = np.linspace(a1_min, a1_max, n_a1)
     # a1 >= 0 and a pinned lam0 are checked, so what is left is a zero drive, or an
-    # unpinned lam0 that vanishes at a raster a1, which the a1 range sets
+    # unpinned lam0 that vanishes at a raster a1 or an a2 ceiling that overflows there,
+    # both of which the a1 range sets
     keys = ("region.a1_min", "region.a1_max") if emb.delta(0.0) > 0.0 else _drive_keys(cfg)
     bound = _keyed(cfg, keys, a2_bound, a1, d, emb)
     files = [

@@ -113,18 +113,12 @@ def _stage_kernel(sys, shape, mask=None):
     scalar, or a (k, 1) or (k, 1, 1) column for stacked states. A 0/1
     ``mask`` of shape (K, 2 n) multiplies the product, which zeroes the
     drive and projected reaction of ladder member k past its own size; its
-    linear part there is already zero, as its state is. The masked ladder
-    copies its nodal u rows and w rows into one contiguous array before the
-    reaction, which is elementwise, so no bit moves: at M = 64, K = 5 the
-    copy takes 0.5 us and saves 2.4 us of the reaction's 7.4 us on the
-    strided rows. Its nodal product keeps the interleaved rows, since a
-    product of u rows, then w rows, rounds differently from m = 16 on.
+    linear part there is already zero, as its state is.
 
-    The nodal rows, the row buffer and its three slot views, the ladder's
-    contiguous rows and the work array of the reaction's bracket are
-    allocated here, once, so a call allocates nothing but a None ``out``.
-    Each march builds its own kernel (:class:`_RK4Stepper`); :func:`rhs`
-    builds one per call.
+    The nodal rows, the row buffer and its three slot views are allocated
+    here, once; a call still allocates the reaction's two temporaries (its
+    bracket and the coupling term) and, with ``out`` None, dx. Each march builds its own kernel
+    (:class:`_RK4Stepper`); :func:`rhs` builds one per call.
 
     ``spectral.project_nonlinearity`` holds Picard's copy of the projection.
     Two copies measured faster than one: routing the stage through it moved
@@ -137,23 +131,14 @@ def _stage_kernel(sys, shape, mask=None):
     n_quad = sys.basis.n_quad
     lead = shape[:-1]
     nodal = np.empty(lead + (2, n_quad))
-    nodal_rows = nodal.reshape(-1, n_quad)
-    if mask is None:
-        u, w = nodal[..., 0, :], nodal[..., 1, :]
-    else:
-        split = np.empty((2,) + lead + (n_quad,))
-        u, w = split
-        interleaved = nodal.swapaxes(0, -2)
+    nodal_rows, u, w = nodal.reshape(-1, n_quad), nodal[..., 0, :], nodal[..., 1, :]
     buf = np.empty(lead + (len(weights),))
     f_slot, x_slot, s_slot = buf[..., :n_quad], buf[..., n_quad:-1], buf[..., -1:]
-    work = np.empty(lead + (n_quad,))
     f = reaction(sys.d)
 
     def stage(s, x, rows, out=None):
         np.matmul(rows, psi_t, out=nodal_rows)
-        if mask is not None:
-            np.copyto(split, interleaved)
-        f(u, w, out=f_slot, work=work)
+        f(u, w, out=f_slot)
         x_slot[...] = x
         s_slot[...] = s
         dx = np.matmul(buf, weights, out=out)
@@ -165,7 +150,7 @@ def _stage_kernel(sys, shape, mask=None):
 
 
 class _RK4Stepper:
-    """Classical RK4 on a state of one shape, every temporary allocated once.
+    """Classical RK4 on a state of one shape, its scratch allocated once.
 
     ``x`` is a copy of ``x0`` that :meth:`step` advances in place. The stage
     kernel's scratch, the stage input y, the (-1, n) row views of x and y
@@ -388,8 +373,7 @@ def refinement_gaps(sys: GalerkinSystem, m_list, t1: float, dt: float) -> np.nda
     as one (K, 2 n) product, not in :func:`integrate_cauchy`'s (K, 1, 2 n)
     member rows: its members differ in size, so no lone run's bits are owed,
     and the member-row layout made the ``refine`` benchmark's seed-7 ladder
-    about 30% slower (0.30 -> 0.40 s). Its one stepper copies the nodal u
-    and w rows contiguous for the reaction (see :func:`_stage_kernel`).
+    about 30% slower (0.30 -> 0.40 s).
     """
     check_rk4_step(sys, dt)
     sizes = tuple(int(m) for m in m_list)

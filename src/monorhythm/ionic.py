@@ -170,27 +170,23 @@ def with_reaction(d: DerivedParameters, a1, a2) -> DerivedParameters:
 
 def reaction(d: DerivedParameters):
     """The nonlinear reaction part of the model ``d`` in transformed variables,
-    as a function ``f(u, w, out=None, work=None)`` with its constants bound once.
+    as a function ``f(u, w, out=None)`` with its constants bound once.
 
     f = (epsilon / C) (a1 u^3 + xi a2 u w - a1 (u_pr + u_tr) u^2), evaluated
     in the factored form u ((eps / C) a1 (u - (u_pr + u_tr)) u + (eps / C) xi a2 w).
     It takes products only, because NumPy's ``pow`` is slow on arrays of
-    mixed sign. The bracket is built in place, in ``work`` when given (a
-    contiguous array of u's shape that the caller keeps, as the RK4 stage
-    does once per march) or else in one temporary, and only the last
-    product by u is written to ``out`` when given (a view is fine). On the
-    ladder's contiguous (5, 129) nodal rows at M = 64, writing into a
-    strided slot of the stage's row buffer, that took 4.8-5.0 us against
-    9.4 us with every pass in place in the slot, and 7.3 us when u and w
-    are themselves strided rows. The linear remainder lam0 u lives in the
-    operator spectrum, not here.
+    mixed sign. The bracket is built in place in one temporary and only the
+    last product by u is written to ``out`` when given (a view is fine):
+    with every pass in place on the strided rows of a stacked buffer, the
+    ladder's (5, 129) nodes at M = 64 took 10.3 us against 6.9 us. The
+    linear remainder lam0 u lives in the operator spectrum, not here.
     """
     cubic = (d.epsilon / d.C) * d.a1
     coupling = (d.epsilon / d.C) * d.xi * d.a2
     shift = d.u_pr + d.u_tr
 
-    def f(u, w, out=None, work=None):
-        bracket = np.subtract(u, shift, out=work)
+    def f(u, w, out=None):
+        bracket = np.subtract(u, shift)
         bracket *= u
         bracket *= cubic
         bracket += coupling * w
