@@ -117,8 +117,9 @@ def _stage_kernel(sys, shape, mask=None):
 
     The nodal rows, the row buffer and its three slot views are allocated
     here, once; a call still allocates the reaction's two temporaries (its
-    bracket and the coupling term) and, with ``out`` None, dx. Each march builds its own kernel
-    (:class:`_RK4Stepper`); :func:`rhs` builds one per call.
+    bracket and the coupling term) and, with ``out`` None, dx. Each march
+    builds its own kernel (:class:`_RK4Stepper`); :func:`rhs` builds one
+    per call.
 
     ``spectral.project_nonlinearity`` holds Picard's copy of the projection.
     Two copies measured faster than one: routing the stage through it moved
@@ -157,7 +158,7 @@ class _RK4Stepper:
     and the four stage values are built here, once per march, and belong to
     it alone: marches of one system may interleave. Allocating them once
     took a lone 1024-step march at m = 8 from about 38 ms to 31 ms, and the
-    M = 64, K = 5 ladder's from about 123 ms to 110 ms (2-vCPU VM).
+    M = 64, K = 5 ladder's from about 123 ms to 115 ms (2-vCPU VM).
     """
 
     def __init__(self, sys, x0, mask=None):
