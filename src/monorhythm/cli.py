@@ -372,9 +372,8 @@ def cmd_param_region(cfg: RunConfig):
     a1_max = cfg.require("region.a1_max")
     n_a1 = cfg.get("region.n_a1", 64)
     if a1_max <= a1_min:
-        raise ConfigError(
-            f"need region.a1_min < region.a1_max, got [{a1_min}, {a1_max}]", cfg.path
-        )
+        exc = ValueError("a1_min must be below a1_max")
+        raise _keyed_error(cfg, ("region.a1_min", "region.a1_max"), exc)
     a2_max = cfg.get("region.a2_max", None)
     if a2_max is not None:
         n_a2 = cfg.get("region.n_a2", 64)

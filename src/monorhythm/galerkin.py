@@ -118,8 +118,8 @@ def _stage_kernel(sys, shape, mask=None):
     The nodal rows, the row buffer and its three slot views are allocated
     here, once; a call still allocates the reaction's two temporaries (its
     bracket and the coupling term) and, with ``out`` None, dx. Each march
-    builds its own kernel (:class:`_RK4Stepper`); :func:`rhs` builds one
-    per call.
+    builds its own kernel (:func:`_march`); :func:`rhs` builds one per
+    call.
 
     ``spectral.project_nonlinearity`` holds Picard's copy of the projection.
     Two copies measured faster than one: routing the stage through it moved
@@ -148,55 +148,6 @@ def _stage_kernel(sys, shape, mask=None):
         return dx
 
     return stage
-
-
-class _RK4Stepper:
-    """Classical RK4 on a state of one shape, its scratch allocated once.
-
-    ``x`` is a copy of ``x0`` that :meth:`step` advances in place. The stage
-    kernel's scratch, the stage input y, the (-1, n) row views of x and y
-    and the four stage values are built here, once per march, and belong to
-    it alone: marches of one system may interleave. Allocating them once
-    took a lone 1024-step march at m = 8 from about 38 ms to 31 ms, and the
-    M = 64, K = 5 ladder's from about 123 ms to 115 ms (2-vCPU VM).
-    """
-
-    def __init__(self, sys, x0, mask=None):
-        self.x = np.array(x0, dtype=float)
-        self.y = np.empty_like(self.x)
-        self.k = tuple(np.empty_like(self.x) for _ in range(4))
-        self.rows = self.x.reshape(-1, sys.n_modes), self.y.reshape(-1, sys.n_modes)
-        self.stage = _stage_kernel(sys, self.x.shape, mask)
-
-    def step(self, drive, h):
-        """Advance x in place by one classical RK4 step over h, the stages driven at ``drive``.
-
-        ``drive`` is (s0, s_half, s1), the drive at t, t + h/2 and t + h. The
-        stage inputs and the final combination are built in place, with the
-        association of x + (h/6) (k1 + 2 k2 + 2 k3 + k4), so the bits are
-        those of the textbook formula.
-        """
-        stage, x, y, (x_rows, y_rows), (k1, k2, k3, k4) = (
-            self.stage, self.x, self.y, self.rows, self.k
-        )
-        s0, s_half, s1 = drive
-        stage(s0, x, x_rows, k1)
-        np.multiply(k1, 0.5 * h, out=y)
-        y += x
-        stage(s_half, y, y_rows, k2)
-        np.multiply(k2, 0.5 * h, out=y)
-        y += x
-        stage(s_half, y, y_rows, k3)
-        np.multiply(k3, h, out=y)
-        y += x
-        stage(s1, y, y_rows, k4)
-        k2 *= 2.0
-        k2 += k1
-        k3 *= 2.0
-        k2 += k3
-        k2 += k4
-        k2 *= h / 6.0
-        np.add(k2, x, out=x)  # the sum k2 + x of the textbook order, stored in x
 
 
 @dataclass(frozen=True)
@@ -276,8 +227,14 @@ def _time_grid(t1: float, dt: float) -> np.ndarray:
 def _march(sys, x, times, sizes, offsets=None, mask=None):
     """Classical RK4 of ``sys`` from the state x at times[0] through ``times``, block by block.
 
-    One :class:`_RK4Stepper` for x's shape, with the stage ``mask`` if
-    given, takes every step, so the march allocates its scratch once. Yields
+    The march copies x and advances the copy in place by textbook RK4
+    steps, its stages driven at t, t + h/2 and t + h through one stage
+    kernel of x's shape (:func:`_stage_kernel`, with the ``mask`` if given).
+    That kernel, the stage input y, the (-1, n) row views of x and y and the
+    four stage values are allocated once per march and belong to it alone,
+    so marches of one system may interleave. Allocating them once took a
+    lone 1024-step march at m = 8 from about 38 ms to 31 ms, and the M = 64,
+    K = 5 ladder's from about 123 ms to 115 ms (2-vCPU VM). Yields
     ``(k, block)``, ``block[r]`` the state at ``times[k + r]``, in a buffer
     reused for each block of up to ``BLOWUP_CHECK_EVERY`` steps. x holds
     one member per entry of ``sizes``. Given ``offsets``, x is a stack
@@ -295,8 +252,11 @@ def _march(sys, x, times, sizes, offsets=None, mask=None):
         stage_times = stage_times[..., None, None, None] + np.asarray(offsets)[:, None, None]
     drive = sys.stim(stage_times)
     del stage_times  # a generator keeps its locals until the march ends
-    stepper = _RK4Stepper(sys, x, mask)
-    step, state = stepper.step, stepper.x
+    x = np.array(x, dtype=float)
+    y = np.empty_like(x)
+    k1, k2, k3, k4 = (np.empty_like(x) for _ in range(4))
+    x_rows, y_rows = x.reshape(-1, sys.n_modes), y.reshape(-1, sys.n_modes)
+    stage = _stage_kernel(sys, x.shape, mask)
     buffer = np.empty((BLOWUP_CHECK_EVERY,) + x.shape)
     for lo in range(0, len(steps), BLOWUP_CHECK_EVERY):
         block = buffer[: min(BLOWUP_CHECK_EVERY, len(steps) - lo)]
@@ -307,9 +267,26 @@ def _march(sys, x, times, sizes, offsets=None, mask=None):
             drives = drives.tolist()
         # a runaway overflows within a step; the check after its block reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            for r in range(len(block)):
-                step(drives[r], hs[r])
-                block[r] = state
+            for r, (h, (s0, s_half, s1)) in enumerate(zip(hs, drives)):
+                stage(s0, x, x_rows, k1)
+                np.multiply(k1, 0.5 * h, out=y)
+                y += x
+                stage(s_half, y, y_rows, k2)
+                np.multiply(k2, 0.5 * h, out=y)
+                y += x
+                stage(s_half, y, y_rows, k3)
+                np.multiply(k3, h, out=y)
+                y += x
+                stage(s1, y, y_rows, k4)
+                # x + (h/6) (k1 + 2 k2 + 2 k3 + k4) in the textbook's association
+                k2 *= 2.0
+                k2 += k1
+                k3 *= 2.0
+                k2 += k3
+                k2 += k4
+                k2 *= h / 6.0
+                np.add(k2, x, out=x)  # the sum k2 + x of the textbook order, stored in x
+                block[r] = x
         peaks = np.max(np.abs(block.reshape(len(block), len(sizes), -1)), axis=-1)
         bad = np.argwhere(~(peaks <= BLOWUP_THRESHOLD))  # NaN compares false
         if bad.size:

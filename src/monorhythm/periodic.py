@@ -15,10 +15,11 @@ when the reaction is on, and finishes on the configured n_t nodes from that
 fixed point's trigonometric interpolant, usually in one application; its
 ``history`` is the n_t-node loop's residuals, ``coarse_history`` the coarse
 grid's, and ``n_iter`` counts the applications on both grids before the
-last. Shooting attacks
-the period map of the RK4 flow with the same idea written on the map, by
-multiple shooting: the N steps of the period split into K segments whose
-start states march together in one stacked integration. It starts from the
+last. A coarse loop that fails fails the solve, with no application on the
+n_t nodes. Shooting attacks the period map of the RK4 flow with the same
+idea written on the map, by multiple shooting: the N steps of the period
+split into K segments whose start states march together in one stacked
+integration. It starts from the
 linear part's own periodic response to the drive at the segment starts,
 which the transfer function gives without integrating, and each segment's
 Jacobian starts as R^(N/K), where R is the RK4 step matrix of the linear
@@ -76,8 +77,8 @@ class PeriodicOrbit:
     at the starting guess and after each step; its last entry is the
     returned orbit's own. ``coarse_history`` is Picard's record on its
     coarse grid, the same residuals for the loop that gave the n_t-node loop
-    its start (or failed to), and empty when no coarse loop ran, as for
-    shooting. ``n_iter`` counts the entries of both before that last one.
+    its start, and empty when no coarse loop ran, as for shooting.
+    ``n_iter`` counts the entries of both before that last one.
     A solver that does not converge raises, so every returned orbit has
     ``converged`` set. ``jacobian_cond`` is the 2-norm condition number of
     the product of shooting's final Broyden segment blocks minus I, its
@@ -308,9 +309,7 @@ def picard_solve(
     starts the loop on the n_t nodes, which the orbits' smoothness usually
     lets finish with one application. ``history`` is the n_t-node loop's
     record and ``coarse_history`` the coarse loop's, empty when it did not
-    run; ``n_iter`` counts the applications of both before the last. A
-    coarse loop that raises :class:`NonConvergenceError` leaves its record
-    there, and the n_t-node loop starts from the caller's start instead.
+    run; ``n_iter`` counts the applications of both before the last.
     ``max_iter`` caps each loop.
 
     ``x0``, of shape ``(n_t, n_modes)``, holds the starting potential
@@ -323,9 +322,11 @@ def picard_solve(
     every decay rate (:func:`_check_rates`), ``theta``, ``tol``,
     ``max_iter >= 1`` and ``n_t`` (:func:`orbit_nodes`). A non-finite
     residual, one above ``_DIVERGENCE`` times the smallest so far, or
-    ``max_iter`` applications without reaching ``tol`` on the n_t nodes
-    raise :class:`NonConvergenceError` with that loop's residual history
-    and the coarse loop's as its ``coarse_history``.
+    ``max_iter`` applications without reaching ``tol`` on either grid raise
+    :class:`NonConvergenceError` at once, with the coarse loop's record as
+    its ``coarse_history`` and the n_t-node loop's as its ``history``,
+    empty when the coarse loop failed, so no application then runs on the
+    n_t nodes.
     """
     _check_rates(sys)
     if not 0.0 < theta <= 1.0:
@@ -355,9 +356,9 @@ def picard_solve(
                 sys, np.ascontiguousarray(guess[:: n_t // n_c]), theta, tol, max_iter
             )
         except NonConvergenceError as exc:
-            coarse_history = exc.history
-        else:
-            fine_start = _prolong(u_c, n_t)
+            exc.history, exc.coarse_history = [], exc.history
+            raise
+        fine_start = _prolong(u_c, n_t)
     try:
         u, w, residuals = _anderson(sys, fine_start, theta, tol, max_iter)
     except NonConvergenceError as exc:

@@ -111,9 +111,10 @@ def project_nonlinearity(basis, u_coeffs, w_coeffs, d) -> np.ndarray:
     """Coefficients of the reaction term: integral of f(u_m, w_m) against each mode.
 
     Accepts stacked inputs; leading axes broadcast, the last axis indexes modes.
-    The inputs are not checked here: Picard calls this every sweep and checks
-    the state shape once per sweep. The RK4 stage keeps its own copy of the
-    projection (``galerkin._stage_kernel``).
+    The inputs are not checked here: Picard calls this on every row block of
+    every sweep, and ``picard_solve`` checks its start's shape once per solve.
+    The RK4 stage keeps its own copy of the projection
+    (``galerkin._stage_kernel``).
     """
     u_nodal = u_coeffs @ basis.psi_quad.T
     w_nodal = w_coeffs @ basis.psi_quad.T

@@ -845,7 +845,7 @@ def test_nonpositive_decay_rate_exits_2_under_every_method(
     ), err
 
 
-def test_both_methods_give_the_lone_solvers_orbits_bit_for_bit(tmp_path):
+def test_both_methods_give_the_lone_solvers_orbits_bit_for_bit(tmp_path, capsys):
     """Under both, the written orbits, histories and residuals are those of
     picard_solve and shooting_solve run alone on feasible_periodic.cfg: each
     solver closes, or measures, its own orbit."""
@@ -864,6 +864,7 @@ def test_both_methods_give_the_lone_solvers_orbits_bit_for_bit(tmp_path):
         assert np.array_equal(rows, np.column_stack([orbit.times, orbit.u, orbit.w])), name
         assert payload[name]["history"] == list(orbit.history), name
         assert payload[name]["periodicity_residual"] == orbit.periodicity_residual, name
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(
@@ -998,15 +999,16 @@ def test_non_convergence_leaves_a_partial_report(tmp_path, capsys):
     assert report["coarse_history"] == []
 
 
-def test_non_convergence_on_both_grids_reports_both_records(tmp_path, capsys):
-    """At n_t = 2048 the coarse loop stalls first and hands the n_t-node loop
-    the caller's start; the partial report keeps the records of both."""
+def test_coarse_stall_reports_the_coarse_record_alone(tmp_path, capsys):
+    """At n_t = 2048 the coarse loop stalls and the solve stops there: the
+    partial report keeps its record as coarse_history, and history is empty,
+    as no application ran on the n_t nodes."""
     text = NONLINEAR_PERIODIC_CFG.replace("solver.n_t = 128", "solver.n_t = 2048")
     path = write_config(tmp_path, text + "solver.tol = 1e-16\nsolver.max_iter = 3\n")
     assert cli.main(["solve-periodic", "--config", path, "--out", str(tmp_path)]) == 3
     report = read_report(tmp_path)
-    for record in (report["history"], report["coarse_history"]):
-        assert len(record) == 3 and all(h > 0.0 for h in record)
+    assert report["history"] == []
+    assert len(report["coarse_history"]) == 3 and all(h > 0.0 for h in report["coarse_history"])
     capsys.readouterr()  # swallow the written-path listing and the error
 
 
@@ -1109,15 +1111,19 @@ def test_raster_size_without_raster_range_exits_2(tmp_path, capsys, monkeypatch)
 
 def test_a1_range_out_of_order_exits_2(tmp_path, capsys, monkeypatch):
     """The a1 sweep needs region.a1_min < region.a1_max; otherwise both keys
-    are named, before the boundary is computed."""
+    are named with their values, at the later of their lines, before the
+    boundary is computed."""
     monkeypatch.setattr(cli, "a2_bound", lambda *args: pytest.fail("the boundary was computed"))
     with open(config_path("reaction_region.cfg"), encoding="utf-8") as fh:
         text = fh.read().replace("region.a1_min = 0.0", "region.a1_min = 0.05")
     cfg = write_config(tmp_path, text)
     rc = cli.main(["param-region", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 2, f"a1_min = a1_max should exit 2, got {rc}"
-    err = capsys.readouterr().err
-    assert f"{cfg}: need region.a1_min < region.a1_max, got [0.05, 0.05]" in err, err
+    line = text.splitlines().index("region.a1_max = 0.05") + 1
+    assert capsys.readouterr().err == (
+        f"configuration error: {cfg}:{line}: region.a1_min = 0.05, region.a1_max = 0.05:"
+        " a1_min must be below a1_max\n"
+    )
 
 
 def test_param_region_kappa_from_projection_excess(tmp_path, capsys):

@@ -315,32 +315,41 @@ def system_arrays(sys):
 
 @pytest.mark.parametrize("layout", ["lone", "stacked", "ladder"])
 def test_in_place_stage_and_step_leave_their_inputs_alone(layout):
-    """The stage and the RK4 stepper build their results in place, in scratch
-    arrays of their own. Neither writes into the state, the drive column or
-    the system's arrays it was given. Every stage value without ``out`` is a
-    new array, and the stepper's state is a copy of the start: no two share
-    memory, so a later stage cannot overwrite an earlier value."""
+    """The stage and the RK4 march build their results in place, in scratch
+    arrays of their own. Neither writes into the state, the drive column,
+    the times, the start offsets or the system's arrays it was given. Every
+    stage value without ``out`` is a new array, and the march's state is a
+    copy of the start: no two share memory, so a later stage cannot
+    overwrite an earlier value."""
     sys = pulse_system()
     n = sys.n_modes
     rng = np.random.default_rng(5)
     shapes = {"lone": (2 * n,), "stacked": (5, 2 * n), "ladder": (3, 2 * n)}
     x = 0.01 * rng.standard_normal(shapes[layout])
     s = 0.7
-    mask = None
+    mask = offsets = None
+    start, sizes = x, (sys.basis.m,) * (5 if layout == "stacked" else 1)
     if layout == "stacked":
-        s = sys.stim(np.linspace(0.0, PERIOD, 5, endpoint=False)[:, None])
+        offsets = np.linspace(0.0, PERIOD, 5, endpoint=False)
+        s = sys.stim(offsets[:, None])
+        start = x[:, None]  # each member on its own row axis, as integrate_cauchy steps them
     if layout == "ladder":
         mask = np.tile(np.arange(n) <= np.array([2, 5, 8])[:, None], 2).astype(float)
         x *= mask
-    inputs = [x, np.asarray(s), *system_arrays(sys), *sys.stage_matrices]
+        sizes = (2, 5, 8)
+    times = np.array([0.0, 0.01, 0.03, 0.035])  # steps of 0.01, 0.02 and 0.005
+    inputs = [x, np.asarray(s), times, *system_arrays(sys), *sys.stage_matrices]
+    if offsets is not None:
+        inputs.append(offsets)
     before = [a.tobytes() for a in inputs]
     stage = galerkin._stage_kernel(sys, x.shape, mask)
     made = [stage(s, x, x.reshape(-1, n)), stage(s, x, x.reshape(-1, n))]
     assert np.array_equal(made[0], made[1])
-    stepper = galerkin._RK4Stepper(sys, x, mask)
-    for h in (0.01, 0.02, 0.005):
-        stepper.step((0.1, 0.2, 0.3), h)
-    made.append(stepper.x)
+    march = galerkin._march(sys, start, times, sizes, offsets, mask)
+    k, block = next(march)
+    assert k == 1 and len(block) == 3
+    made += [block, march.gi_frame.f_locals["x"]]
+    march.close()
     assert [a.tobytes() for a in inputs] == before
     arrays = [x, *made]
     for i, a in enumerate(arrays):
@@ -352,7 +361,7 @@ def test_each_march_owns_its_scratch():
     """Two marches of one system, run block by block in turn with an rhs call
     between blocks, give the blocks each gives run alone: no scratch passes
     through the shared system. No state a march returns shares memory with
-    any array of the stepper that made it, its stage's included."""
+    any array of the march that made it, its stage's included."""
     sys = pulse_system()
     rng = np.random.default_rng(9)
     starts = 0.01 * rng.standard_normal((2, 2 * sys.n_modes))
@@ -369,19 +378,22 @@ def test_each_march_owns_its_scratch():
         assert len(run) == len(turn) and all(map(np.array_equal, run, turn))
 
     made = []
+    march = galerkin._march
 
-    class Recording(galerkin._RK4Stepper):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(self)
+    def recording(*args, **kwargs):
+        steps = march(*args, **kwargs)
+        first = next(steps)
+        made.append(dict(steps.gi_frame.f_locals))  # read while the march is suspended
+        yield first
+        yield from steps
 
-    with patch.object(galerkin, "_RK4Stepper", Recording):
+    with patch.object(galerkin, "_march", recording):
         lone = integrate_cauchy(sys, starts[0], PERIOD, 0.03)
         stack = integrate_cauchy(sys, starts, PERIOD, 0.03, np.array([0.0, 0.5]))
     assert len(made) == 2
-    for traj, stepper in zip((lone, stack), made):
-        scratch = [stepper.x, stepper.y, *stepper.rows, *stepper.k]
-        for cell in stepper.stage.__closure__:
+    for traj, local in zip((lone, stack), made):
+        scratch = [a for a in local.values() if isinstance(a, np.ndarray)]
+        for cell in local["stage"].__closure__:
             try:
                 value = cell.cell_contents
             except ValueError:  # the ladder's cells stay unbound in a lone or stacked kernel

@@ -227,9 +227,10 @@ def test_picard_start_is_the_potential_samples_alone():
         picard_solve(sys, 256, DT, x0=np.zeros((2, 256, 5)))
 
 
-def _solve_periodic_report(tmp_path, name, radius=None):
+def _solve_periodic_report(tmp_path, capsys, name, radius=None):
     """report.json of solve-periodic with Picard alone on configs/``name``, its
-    solver.radius replaced by ``radius`` unless that is None."""
+    solver.radius replaced by ``radius`` unless that is None; the listing of
+    written paths is swallowed."""
     dropped = ("solver.method ",) if radius is None else ("solver.method ", "solver.radius ")
     text = (CONFIG_DIR / name).read_text(encoding="utf-8")
     kept = [line for line in text.splitlines() if not line.startswith(dropped)]
@@ -240,31 +241,32 @@ def _solve_periodic_report(tmp_path, name, radius=None):
     cfg.write_text("\n".join(kept) + "\n", encoding="utf-8")
     argv = ["solve-periodic", "--config", str(cfg), "--out", str(out), "--format", "json"]
     assert cli.main(argv) == 0
+    capsys.readouterr()
     return json.loads((out / "report.json").read_text(encoding="utf-8"))
 
 
-def _assert_ball_is_closed(tmp_path, name, norm):
+def _assert_ball_is_closed(tmp_path, capsys, name, norm):
     """The ball_member flag of a run on configs/``name`` whose orbit has mixed sup
     norm ``norm``: true at radius ``norm``, false one float below it."""
     for radius, member in ((norm, True), (float(np.nextafter(norm, 0.0)), False)):
-        report = _solve_periodic_report(tmp_path, name, radius)
+        report = _solve_periodic_report(tmp_path, capsys, name, radius)
         assert report["payload"]["picard"]["ct_norm"] == norm
         assert report["condition_flags"]["ball_member"] is member, radius
         assert "ball_certificate" not in report["payload"]
 
 
-def test_picard_nonlinear_converges_and_certifies(tmp_path):
+def test_picard_nonlinear_converges_and_certifies(tmp_path, capsys):
     sys = feasible_system(m=4)
     orbit = picard_solve(sys, 1024, DT, tol=1e-12)
     assert orbit.converged
     assert orbit.history[-1] <= 10.0 * 1e-12
     assert orbit.periodicity_residual < 1e-6
     # the command flags the nonlinear orbit in the shipped ball of radius R_STAR
-    report = _solve_periodic_report(tmp_path, "feasible_periodic.cfg")
+    report = _solve_periodic_report(tmp_path, capsys, "feasible_periodic.cfg")
     assert report["config"]["solver.radius"] == R_STAR
     assert report["condition_flags"]["ball_member"] is True
     norm = report["payload"]["picard"]["ct_norm"]
-    _assert_ball_is_closed(tmp_path, "feasible_periodic.cfg", norm)
+    _assert_ball_is_closed(tmp_path, capsys, "feasible_periodic.cfg", norm)
 
 
 def test_picard_coarse_grid_is_periodic():
@@ -358,16 +360,10 @@ def test_no_coarse_phase_without_a_coarse_grid(monkeypatch, n_t):
     assert rows == [n_t] * (orbit.n_iter + 1)
 
 
-def test_failed_coarse_phase_gives_the_fine_only_orbit(monkeypatch):
-    """A coarse loop that raises leaves its record in coarse_history, and the
-    fine loop starts from the caller's start: the orbit is the fine-only
-    solve's bit for bit."""
-    sys = feasible_system(m=4, phi=0.5)
-    start = 0.01 * np.random.default_rng(5).standard_normal((2048, 5))
-    monkeypatch.setattr(periodic, "_coarse_nodes", lambda n_t: None)
-    fine = picard_solve(sys, 2048, DT, x0=start)
-    monkeypatch.undo()
-
+def test_failed_coarse_phase_fails_the_solve(monkeypatch):
+    """A coarse loop that diverges raises at once: its record is the error's
+    coarse_history, history is empty, and no application runs on the n_t
+    nodes."""
     u_block = periodic._u_block
 
     def diverging_on_the_coarse_grid(sys, u, w):
@@ -375,11 +371,13 @@ def test_failed_coarse_phase_gives_the_fine_only_orbit(monkeypatch):
         return out if len(u) == 2048 else out * np.inf
 
     monkeypatch.setattr(periodic, "_u_block", diverging_on_the_coarse_grid)
-    orbit = picard_solve(sys, 2048, DT, x0=start)
-    assert len(orbit.coarse_history) == 1 and not np.isfinite(orbit.coarse_history[0])
-    assert orbit.history == fine.history
-    assert orbit.periodicity_residual == fine.periodicity_residual
-    assert np.array_equal(orbit.u, fine.u) and np.array_equal(orbit.w, fine.w)
+    rows = _count_u_block_rows(monkeypatch)
+    start = 0.01 * np.random.default_rng(5).standard_normal((2048, 5))
+    with pytest.raises(NonConvergenceError, match="diverged after 1 sweeps") as info:
+        picard_solve(feasible_system(m=4, phi=0.5), 2048, DT, x0=start)
+    assert info.value.history == []
+    assert len(info.value.coarse_history) == 1 and not np.isfinite(info.value.coarse_history[0])
+    assert rows == [256]
 
 
 def test_failed_fine_phase_carries_the_coarse_record(monkeypatch):
@@ -697,7 +695,7 @@ def _count_integrations(setattr_):
 
 
 @pytest.mark.parametrize("method", ["picard", "shooting", "both"])
-def test_closing_march_carries_each_orbit_once(tmp_path, method):
+def test_closing_march_carries_each_orbit_once(tmp_path, capsys, method):
     """solve-periodic on feasible_periodic.cfg makes one full-period march,
     Picard's close of its lone start, when Picard runs, and none under
     shooting, whose orbit is its last segment march."""
@@ -711,6 +709,7 @@ def test_closing_march_carries_each_orbit_once(tmp_path, method):
         full, _ = _count_integrations(patched.setattr)
         argv = ["solve-periodic", "--config", str(cfg), "--out", str(tmp_path), "--format", "json"]
         assert cli.main(argv) == 0
+    capsys.readouterr()  # swallow the written-path listing
     assert full == ([] if method == "shooting" else [(18,)])
 
 
@@ -1016,7 +1015,7 @@ def test_orbit_gap_validation():
     assert orbit_gap(a, zero, sys.basis) == orbit_gap(zero, a, sys.basis) == a.ct_norm > 0.0
 
 
-def test_certify_ball_conventions(tmp_path):
+def test_certify_ball_conventions(tmp_path, capsys):
     # the undriven linear system sits at the zero orbit: zero sweeps move it
     zeros = picard_solve(linear_system(s0=0.0), 256, DT)
     assert zeros.n_iter == 0 and len(zeros.times) == 256
@@ -1030,10 +1029,10 @@ def test_certify_ball_conventions(tmp_path):
     hand = float(np.sqrt(np.sum(sys.basis.lambdas * u_star**2) + np.sum(w_star**2)))
     assert orbit.ct_norm == pytest.approx(hand, rel=1e-9)
     # the command's ball is closed: an orbit exactly on the boundary still counts
-    report = _solve_periodic_report(tmp_path, "linear_orbit.cfg")
+    report = _solve_periodic_report(tmp_path, capsys, "linear_orbit.cfg")
     assert report["condition_flags"]["ball_member"] is None
     norm = report["payload"]["picard"]["ct_norm"]
-    _assert_ball_is_closed(tmp_path, "linear_orbit.cfg", norm)
+    _assert_ball_is_closed(tmp_path, capsys, "linear_orbit.cfg", norm)
 
 
 def test_invariance_of_critical_ball_sample():

@@ -33,7 +33,10 @@ which shortens the last step, ``converge`` with equal ladder sizes
 (``converge.m_list = 4,4,8,16``), and a runaway drive (amplitude 2e6 at
 ``cauchy.dt = 0.03125``) under ``solve-cauchy`` and ``converge``, which
 exits 4 and whose report pins the blow-up magnitude. Last,
-``region.a1_max = 1e300``, whose a2 ceiling overflows (exit 2). Each
+``region.a1_max = 1e300``, whose a2 ceiling overflows (exit 2),
+``region.a1_max = 0.0``, an empty a1 range (exit 2), and Picard alone on
+``feasible_periodic.cfg`` with ``solver.tol = 1e-16`` and
+``solver.max_iter = 3``, whose coarse loop stalls (exit 3). Each
 case runs ``python -m monorhythm.cli`` from ``ROOT/src`` in a fresh
 interpreter. For each case the listing gives the exit code, stdout and
 stderr with the case's paths and ROOT masked (so tracebacks from two
@@ -167,6 +170,13 @@ EDITED_CONFIGS = (
     ("cauchy_demo", "solve-cauchy", ("stimulus.amplitude ", "cauchy.dt "), _RUNAWAY),
     ("refinement", "converge", ("stimulus.amplitude ", "cauchy.dt "), _RUNAWAY),
     ("reaction_region", "param-region", ("region.a1_max ",), ("region.a1_max = 1e300",)),
+    ("reaction_region", "param-region", ("region.a1_max ",), ("region.a1_max = 0.0",)),
+    (
+        "feasible_periodic",
+        "solve-periodic",
+        ("solver.method ", "solver.tol "),
+        ("solver.method = picard", "solver.tol = 1e-16", "solver.max_iter = 3"),
+    ),
 )
 
 
