@@ -999,7 +999,7 @@ def test_non_convergence_leaves_a_partial_report(tmp_path, capsys):
     assert report["coarse_history"] == []
 
 
-def test_coarse_stall_reports_the_coarse_record_alone(tmp_path, capsys):
+def test_non_convergence_on_both_grids_reports_both_records(tmp_path, capsys):
     """At n_t = 2048 the coarse loop stalls and the solve stops there: the
     partial report keeps its record as coarse_history, and history is empty,
     as no application ran on the n_t nodes."""
